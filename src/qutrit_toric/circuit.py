@@ -2,15 +2,16 @@
 
 Instructions are gates, Weyl-observable measurements into classical
 registers, outcome-conditioned gate blocks (feed-forward), stochastic
-Weyl noise, and barriers. Execution is exactly reproducible: shot i of
+Weyl noise, and barriers. `execute` is the one interpreter that
+applies them to a tableau. Execution is exactly reproducible: shot i of
 a batch uses a seed derived from (base_seed, i) with a splittable hash,
 so aggregation is independent of execution order and parallelism.
 
 Noiseless circuits with few random measurements run through an exact
 branch tree: the tableau is forked once per possible outcome and shots
 just replay rng draws down the tree. This produces records identical,
-draw for draw, to the straight-line engine (verified in tests) while
-removing the per-shot simulation cost.
+draw for draw, to `execute` (verified in tests) while removing the
+per-shot simulation cost.
 """
 
 from __future__ import annotations
@@ -236,45 +237,40 @@ def _sample_weyl_error(channel: NoiseChannel, sites: tuple[int, ...], d: int,
     return None
 
 
-def run_shot(circuit: Circuit, seed: int) -> ShotRecord:
-    """Execute all instructions on a fresh tableau; pure function of (circuit, seed)."""
-    rng = np.random.default_rng(seed)
-    tab = StabilizerTableau(circuit.d, circuit.n_qudits, rng)
+def execute(circuit: Circuit, tab: StabilizerTableau, force: int | None = None) -> list[int]:
+    """Apply the circuit's instructions to tab in order; return the creg values.
+
+    Noise and random measurement outcomes are drawn from tab.rng, in
+    instruction order. force pins every random measurement outcome.
+    """
+    d, n, rng = circuit.d, circuit.n_qudits, tab.rng
     creg = [0] * circuit.n_cregs
     for ins in circuit.instructions:
         if isinstance(ins, Gate):
             tab.apply_gate(ins.gate)
         elif isinstance(ins, Measure):
-            creg[ins.creg] = tab.measure_weyl(ins.observable).value
+            creg[ins.creg] = tab.measure_weyl(ins.observable, force).value
         elif isinstance(ins, CondGate):
             for g in ins.predicate[creg[ins.creg]]:
                 tab.apply_gate(g)
         elif isinstance(ins, Noise):
-            err = _sample_weyl_error(ins.channel, ins.sites, circuit.d, circuit.n_qudits, rng)
+            err = _sample_weyl_error(ins.channel, ins.sites, d, n, rng)
             if err is not None:
                 tab.apply_weyl(err)
         # Barrier: nothing
-    return ShotRecord(tuple(creg), False, seed)
+    return creg
 
 
 def final_tableau(circuit: Circuit, seed: int = 0) -> tuple[StabilizerTableau, list[int]]:
     """Run a shot and also return the post-circuit tableau (for snapshots)."""
-    rng = np.random.default_rng(seed)
-    tab = StabilizerTableau(circuit.d, circuit.n_qudits, rng)
-    creg = [0] * circuit.n_cregs
-    for ins in circuit.instructions:
-        if isinstance(ins, Gate):
-            tab.apply_gate(ins.gate)
-        elif isinstance(ins, Measure):
-            creg[ins.creg] = tab.measure_weyl(ins.observable).value
-        elif isinstance(ins, CondGate):
-            for g in ins.predicate[creg[ins.creg]]:
-                tab.apply_gate(g)
-        elif isinstance(ins, Noise):
-            err = _sample_weyl_error(ins.channel, ins.sites, circuit.d, circuit.n_qudits, rng)
-            if err is not None:
-                tab.apply_weyl(err)
-    return tab, creg
+    tab = StabilizerTableau(circuit.d, circuit.n_qudits, np.random.default_rng(seed))
+    return tab, execute(circuit, tab)
+
+
+def run_shot(circuit: Circuit, seed: int) -> ShotRecord:
+    """Execute all instructions on a fresh tableau; pure function of (circuit, seed)."""
+    _, creg = final_tableau(circuit, seed)
+    return ShotRecord(tuple(creg), False, seed)
 
 
 @dataclass

@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from .analysis import ConfusionMatrix, energy_density, fidelity_bounds
-from .circuit import run_shots
+from .analysis import energy_density, fidelity_bounds
+from .circuit import execute, run_shots
 from .encoder import (
     decode_qubit_records,
     encode_circuit,
@@ -50,7 +50,6 @@ from .serialize import (
     to_native_json,
 )
 from .tableau import StabilizerTableau
-from .circuit import Gate as GateInstr
 
 DEFAULT_SHOTS = 517  # max binomial standard error of a projector ~ 0.022
 
@@ -94,9 +93,7 @@ def cmd_prepare(args) -> dict:
     payload: dict = {"lattice": [args.lx, args.ly]}
     if args.noise == "off" and args.shots == 0:
         tab = StabilizerTableau(lat.d, lat.n_sites, np.random.default_rng(args.seed))
-        for ins in prep.instructions:
-            if isinstance(ins, GateInstr):
-                tab.apply_gate(ins.gate)
+        execute(prep, tab)
         snaps = [
             snapshot_from_tableau(tab, p.operator(lat.n_sites), p.kind, p.pos)
             for p in lat.plaquettes
@@ -156,9 +153,9 @@ def cmd_braid(args, name: str) -> dict:
 
 
 def cmd_topo(args) -> dict:
-    layout = topo_layout_6x2() if (args.lx, args.ly) == (6, 2) else topo_layout_6x4()
     if (args.lx, args.ly) not in ((6, 2), (6, 4)):
         raise ConfigError("topological qutrit presets exist for 6x2 and 6x4")
+    layout = topo_layout_6x2() if (args.lx, args.ly) == (6, 2) else topo_layout_6x4()
     proto = TopologicalQutritProtocol(layout)
     rows = []
     for j in range(3):
@@ -188,7 +185,6 @@ def cmd_compile(args) -> dict:
     else:
         raise ConfigError(f"unknown compile preset {args.preset}")
     qc, report = encode_circuit(circ, basis=args.basis,
-                                schedule_policy=args.policy,
                                 optimization_level=args.optimization)
     payload = {
         "preset": f"{args.preset}-{args.lx}x{args.ly}",
@@ -247,6 +243,13 @@ def cmd_bounds(args) -> dict:
 # -- argument parsing ----------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qutrit-toric",
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="ground-state preparation experiment")
     common(p)
-    p.add_argument("--shots", type=int, default=0,
+    p.add_argument("--shots", type=_non_negative_int, default=0,
                    help="0 = exact noiseless expectations")
     p.add_argument("--noise", choices=["off", "default"], default="off")
     p.add_argument("--p1", type=float, default=0.0)
@@ -291,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--preset", default="prepare")
     p.add_argument("--basis", choices=["z", "x"], default="z")
-    p.add_argument("--policy", default="asap",
-                   choices=["asap", "plaquette-parallel", "gate-parallel"])
     p.add_argument("--optimization", type=int, default=1, choices=[0, 1])
     p.add_argument("--dump-ops", action="store_true")
 
@@ -309,18 +310,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args, argv):
+def _parse_args(parser, argv):
+    """Parse argv; --config values become the subcommand's defaults, so flags win.
+
+    Each config value is parsed by its option's own type and checked
+    against its choices. An unknown key or a value the option rejects is
+    a usage error (exit 2), as it would be on the command line.
+    """
+    args = parser.parse_args(argv)
     if not args.config:
         return args
-    with open(args.config) as fh:
-        conf = json.load(fh)
-    defaults = {k.replace("-", "_"): v for k, v in conf.items()}
-    explicit = {a.split("=")[0] for a in argv if a.startswith("--")}
-    for key, value in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if hasattr(args, key) and flag not in explicit:
-            setattr(args, key, value)
-    return args
+    try:
+        with open(args.config) as fh:
+            conf = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {args.config}: {exc}")
+    if not isinstance(conf, dict):
+        parser.error("--config must hold a JSON object")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[args.subcommand]
+    actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    out = {}
+    for key, value in conf.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            sub.error(f"--config: unknown key {key!r}")
+        if action.nargs == 0:  # store_true / store_false
+            valid = isinstance(value, bool)
+        elif action.type is None:
+            valid = isinstance(value, str)
+        else:
+            try:
+                value, valid = action.type(str(value)), True
+            except (ValueError, argparse.ArgumentTypeError):
+                valid = False
+        if not valid or (action.choices is not None and value not in action.choices):
+            sub.error(f"--config: invalid value {conf[key]!r} for {key}")
+        out[action.dest] = value
+    sub.set_defaults(**out)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -328,8 +356,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config_file(args, argv)
+        args = _parse_args(parser, argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     name = args.subcommand
@@ -355,7 +382,7 @@ def main(argv=None) -> int:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3
     config_keys = ["lx", "ly", "seed", "shots", "noise", "p1", "p2", "trp", "trq",
-                   "sites", "basis", "policy", "optimization", "preset", "threads",
+                   "sites", "basis", "optimization", "preset", "threads",
                    "leak", "herald_discard"]
     doc = result_document(name, _config_echo(args, config_keys), payload)
     path = _write_output(args, doc, f"{name}-result.json")

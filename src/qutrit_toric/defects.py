@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, CondGate
+from .circuit import Circuit
 from .lattice import Plaquette, TorusLattice
 from .modmath import mod_inverse, solve
 from .weyl import (
@@ -101,10 +101,11 @@ def weyl_gates(op: WeylOp) -> list[CliffordGate]:
 PF_BASIS = {"PF": 1, "PFstar": -1}  # z-exponent of the measured X Z^(+-1)
 
 
-def _fused_pair(lattice: TorusLattice, W: WeylOp, P: Plaquette, Q: Plaquette) -> WeylOp:
-    """Product P Q^b W^-m commuting with W and supported off W's site.
+def _fused_pair(lattice: TorusLattice, W: WeylOp, P: Plaquette,
+                Q: Plaquette) -> tuple[WeylOp, int]:
+    """Product P Q^b W^-m commuting with W and supported off W's site, and m.
 
-    The result lies in the pre-measurement stabilizer group times a
+    The product lies in the pre-measurement stabilizer group times a
     power of the measured operator, so its ideal post-correction value
     is exactly +1.
     """
@@ -117,7 +118,7 @@ def _fused_pair(lattice: TorusLattice, W: WeylOp, P: Plaquette, Q: Plaquette) ->
     for m in range(d):
         cand = compose(raw, W.power(-m))
         if cand.x[site] == 0 and cand.z[site] == 0:
-            return cand
+            return cand, m
     raise AssertionError("no W power cancels the measured-site support")
 
 
@@ -142,25 +143,14 @@ def pf_defect_circuit(lattice: TorusLattice, site: tuple[int, int], species: str
         lattice.plaquette_at(x - 1, y),
         lattice.plaquette_at(x, y),
     )
-    e_west = _fused_pair(lattice, W, nw, sw)
-    e_east = _fused_pair(lattice, W, ne, se)
-    nonlocal_op = _fused_pair(lattice, W, nw, ne)
+    e_west, m_west = _fused_pair(lattice, W, nw, sw)
+    e_east, m_east = _fused_pair(lattice, W, ne, se)
+    nonlocal_op, m_nonlocal = _fused_pair(lattice, W, nw, ne)
 
     # measuring outcome t leaves each fused operator at omega^{-m t} where m is
     # the W power stripped from it; the correction F^t must undo all of that
     # while commuting with every untouched face and the Z-type logicals.
-    def strip_power(fused: WeylOp, P: Plaquette, Q: Plaquette) -> int:
-        op_p, op_q = P.operator(n, d), Q.operator(n, d)
-        b = (-symplectic_product(W, op_p) * mod_inverse(symplectic_product(W, op_q), d)) % d
-        raw = compose(op_p, op_q.power(b))
-        for m in range(d):
-            if compose(raw, W.power(-m)) == fused:
-                return m
-        raise AssertionError
-
-    changes = [(W, -1)]
-    for fused, (P, Q) in ((e_west, (nw, sw)), (e_east, (ne, se)), (nonlocal_op, (nw, ne))):
-        changes.append((fused, strip_power(fused, P, Q)))
+    changes = [(W, -1), (e_west, m_west), (e_east, m_east), (nonlocal_op, m_nonlocal)]
     touched = {nw.pos, ne.pos, sw.pos, se.pos}
     keep = [p.operator(n, d) for p in lattice.plaquettes if p.pos not in touched]
     keep += [lattice.logical_z_horizontal(r) for r in range(lattice.ly)]

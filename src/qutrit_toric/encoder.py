@@ -20,15 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Barrier, Circuit, CondGate, Gate, Measure, Noise, ShotBatch, ShotRecord
-from .weyl import GateKind, WeylOp
-from .synth import (
-    NativeOp,
-    ops_unitary,
-    phase_distance,
-    synthesize_one_qubit,
-    synthesize_two_qubit,
-    u1q_matrix,
-)
+from .weyl import GateKind
+from .synth import NativeOp, ops_unitary, phase_distance, synthesize_two_qubit
 
 OMEGA = np.exp(2j * np.pi / 3)
 ENCODE_BITS = {0: (0, 0), 1: (1, 0), 2: (1, 1)}
@@ -280,7 +273,6 @@ class CompileReport:
     budget_table: dict[str, int]
     gate_counts: dict[str, int]
     per_qutrit_two_qubit: list[int]
-    policy: str
     optimization_level: int
     basis: str | None
 
@@ -291,7 +283,6 @@ class CompileReport:
             "budget_table": dict(self.budget_table),
             "gate_counts": dict(self.gate_counts),
             "per_qutrit_two_qubit": list(self.per_qutrit_two_qubit),
-            "policy": self.policy,
             "optimization_level": self.optimization_level,
             "basis": self.basis,
         }
@@ -403,7 +394,6 @@ def _cancel_fourier_pairs(tokens):
 
 
 def encode_circuit(circuit: Circuit, basis: str | None = None,
-                   schedule_policy: str = "asap",
                    optimization_level: int = 1) -> tuple[QubitCircuit, CompileReport]:
     """Compile a qutrit circuit to the native set.
 
@@ -413,8 +403,6 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
     for fresh Fourier targets, two-CNOT copies onto fresh CX targets,
     and Fourier-pair cancellation into measurement rotations.
     """
-    if schedule_policy not in ("asap", "plaquette-parallel", "gate-parallel"):
-        raise ValueError(f"unknown schedule policy {schedule_policy}")
     circuit.validate()
     tokens = _token_stream(circuit, basis, optimization_level)
     n_qubits = 2 * circuit.n_qudits
@@ -492,7 +480,6 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
         budget_table={name: zz_budget(name) for name in SUPPORTED_GATES},
         gate_counts=gate_counts,
         per_qutrit_two_qubit=per_qutrit,
-        policy=schedule_policy,
         optimization_level=optimization_level,
         basis=basis,
     )

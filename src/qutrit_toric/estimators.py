@@ -7,7 +7,7 @@ degrees, and binomial standard errors when estimated from shots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,16 +114,4 @@ def estimate_plaquette_projectors(records: list[ShotRecord], basis: str,
             raise ValueError("no retained shots")
         triple = tuple(counts / total)
         out.append(_snapshot_from_triple(p.kind, p.pos, triple, n_shots=total))
-    return out
-
-
-def estimate_custom(records: list[ShotRecord], ops: dict[str, WeylOp],
-                    basis_obs: list[WeylOp]) -> dict[str, PlaquetteSnapshot]:
-    """Estimate arbitrary named operators diagonal in a per-site product basis."""
-    out = {}
-    for name, op in ops.items():
-        counts, total = estimate_operator(records, op, basis_obs)
-        triple = tuple(counts / total) if total else (0.0,) * op.d
-        out[name] = _snapshot_from_triple("custom", (-1, -1), triple,
-                                          n_shots=total, label=name)
     return out

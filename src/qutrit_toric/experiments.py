@@ -17,11 +17,12 @@ drawn route.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, Measure, CondGate
+from .circuit import Circuit, Gate, execute
 from .defects import (
     CCRibbon,
     DefectSpec,
@@ -124,105 +125,89 @@ class ScriptRunner:
         self.kinds: dict[str, tuple[str, tuple[int, int], bool]] = {}
         self.defect_specs: list[DefectSpec] = []
         self.frames: list[Frame] = []
-        self._n_meas = 0
 
-    # -- observable frame ------------------------------------------------------
+    def _steps(self) -> Iterator[tuple[Step, Circuit]]:
+        """Yield each step with its circuit fragment, keeping the frame current.
 
-    def _init_frame(self):
+        The observable frame (observables, kinds, defect_specs) is written
+        here and nowhere else; it is up to date for the steps done so far
+        whenever a step is yielded.
+        """
         lat = self.lattice
-        self.observables = {}
-        self.kinds = {}
+        n, d = lat.n_sites, lat.d
+        self.observables, self.kinds, self.defect_specs = {}, {}, []
+
+        def put(key, op, kind, pos, transformed=True):
+            self.observables[key] = op
+            self.kinds[key] = (kind, pos, transformed)
+
+        def drop(key):
+            self.observables.pop(key, None)
+            self.kinds.pop(key, None)
+
+        def plain(pos):
+            p = lat.plaquette_at(*pos)
+            put(face_key(p.kind, p.pos), p.operator(n, d), p.kind, p.pos, False)
+
         for p in lat.plaquettes:
-            key = face_key(p.kind, p.pos)
-            self.observables[key] = p.operator(lat.n_sites, lat.d)
-            self.kinds[key] = (p.kind, p.pos, False)
-
-    def _replace_face(self, pos, op, transformed=True):
-        p = self.lattice.plaquette_at(*pos)
-        key = face_key(p.kind, p.pos)
-        self.observables[key] = op
-        self.kinds[key] = (p.kind, p.pos, transformed)
-
-    # -- execution ---------------------------------------------------------------
+            plain(p.pos)
+        n_meas = 0
+        for step in self.script.steps:
+            frag = Circuit(d, n, 0)
+            if isinstance(step, Prepare):
+                frag = ground_state_circuit(lat)
+            elif isinstance(step, InsertPF):
+                frag, spec = pf_defect_circuit(lat, step.site, step.species, n_meas)
+                n_meas += 1
+                idx = len(self.defect_specs)
+                self.defect_specs.append(spec)
+                for pos in spec.transformed:
+                    drop(face_key(lat.plaquette_at(*pos).kind, pos))
+                for name, op in (("west", spec.endpoint_stabilizers[0]),
+                                 ("east", spec.endpoint_stabilizers[1]),
+                                 ("nonlocal", spec.nonlocal_stabilizers[0]),
+                                 ("measured", spec.measured[0])):
+                    put(f"pf{idx}:{name}", op, "defect", step.site)
+            elif isinstance(step, InsertCC):
+                frag, spec = cc_defect_circuit(lat, step.ribbon)
+                idx = len(self.defect_specs)
+                self.defect_specs.append(spec)
+                for pos, img in spec.transformed.items():
+                    kind = lat.plaquette_at(*pos).kind
+                    if len(img.support) > 4:
+                        drop(face_key(kind, pos))
+                        put(f"cc{idx}:{kind}-end", img, "defect", pos)
+                    else:
+                        put(face_key(kind, pos), img, kind, pos)
+            elif isinstance(step, Fuse):
+                spec = self.defect_specs[step.defect_index]
+                frag, _ = cc_defect_circuit(lat, spec.ribbon)
+                # defects gone: faces return to their plain operators
+                for pos in spec.transformed:
+                    plain(pos)
+                drop(f"cc{step.defect_index}:A-end")
+                drop(f"cc{step.defect_index}:B-end")
+            elif isinstance(step, Move):
+                frag.gates(weyl_gates(self.solve_move(step)))
+            yield step, frag
 
     def run(self) -> list[Frame]:
-        rng = np.random.default_rng(self.seed)
         lat = self.lattice
-        self.tab = StabilizerTableau(lat.d, lat.n_sites, rng)
+        self.tab = StabilizerTableau(lat.d, lat.n_sites, np.random.default_rng(self.seed))
         self.frames = []
-        self.defect_specs = []
-        self._init_frame()
-        for step in self.script.steps:
-            self._execute(step)
+        for step, frag in self._steps():
+            execute(frag, self.tab)
+            if isinstance(step, Snapshot):
+                self.frames.append(self._snapshot(step.label))
         return self.frames
 
-    def _run_circuit(self, circ: Circuit):
-        creg = getattr(self, "_creg", {})
-        for ins in circ.instructions:
-            if isinstance(ins, Gate):
-                self.tab.apply_gate(ins.gate)
-            elif isinstance(ins, Measure):
-                creg[ins.creg] = self.tab.measure_weyl(ins.observable).value
-            elif isinstance(ins, CondGate):
-                for g in ins.predicate[creg[ins.creg]]:
-                    self.tab.apply_gate(g)
-        self._creg = creg
-
-    def _execute(self, step: Step):
+    def to_circuit(self) -> Circuit:
+        """Flatten the script to a plain circuit (moves become gate blocks)."""
         lat = self.lattice
-        if isinstance(step, Prepare):
-            self._run_circuit(ground_state_circuit(lat))
-        elif isinstance(step, InsertPF):
-            circ, spec = pf_defect_circuit(lat, step.site, step.species, self._n_meas)
-            self._n_meas += 1
-            self._run_circuit(circ)
-            idx = len(self.defect_specs)
-            self.defect_specs.append(spec)
-            for pos in spec.transformed:
-                key = face_key(lat.plaquette_at(*pos).kind, pos)
-                self.observables.pop(key, None)
-                self.kinds.pop(key, None)
-            self.observables[f"pf{idx}:west"] = spec.endpoint_stabilizers[0]
-            self.kinds[f"pf{idx}:west"] = ("defect", step.site, True)
-            self.observables[f"pf{idx}:east"] = spec.endpoint_stabilizers[1]
-            self.kinds[f"pf{idx}:east"] = ("defect", step.site, True)
-            self.observables[f"pf{idx}:nonlocal"] = spec.nonlocal_stabilizers[0]
-            self.kinds[f"pf{idx}:nonlocal"] = ("defect", step.site, True)
-            self.observables[f"pf{idx}:measured"] = spec.measured[0]
-            self.kinds[f"pf{idx}:measured"] = ("defect", step.site, True)
-        elif isinstance(step, InsertCC):
-            circ, spec = cc_defect_circuit(lat, step.ribbon)
-            self._run_circuit(circ)
-            idx = len(self.defect_specs)
-            self.defect_specs.append(spec)
-            for pos, img in spec.transformed.items():
-                if len(img.support) > 4:
-                    p = lat.plaquette_at(*pos)
-                    key = face_key(p.kind, pos)
-                    self.observables.pop(key, None)
-                    self.kinds.pop(key, None)
-                    end_key = f"cc{idx}:{p.kind}-end"
-                    self.observables[end_key] = img
-                    self.kinds[end_key] = ("defect", pos, True)
-                else:
-                    self._replace_face(pos, img)
-        elif isinstance(step, Fuse):
-            spec = self.defect_specs[step.defect_index]
-            circ, _ = cc_defect_circuit(lat, spec.ribbon)
-            self._run_circuit(circ)
-            # defects gone: faces return to their plain operators
-            for pos in spec.transformed:
-                self._replace_face(pos, lat.plaquette_at(*pos).operator(lat.n_sites, lat.d),
-                                   transformed=False)
-            self.observables.pop(f"cc{step.defect_index}:A-end", None)
-            self.kinds.pop(f"cc{step.defect_index}:A-end", None)
-            self.observables.pop(f"cc{step.defect_index}:B-end", None)
-            self.kinds.pop(f"cc{step.defect_index}:B-end", None)
-        elif isinstance(step, Move):
-            op = self.solve_move(step)
-            self.tab.apply_weyl(op)
-        elif isinstance(step, Snapshot):
-            self.frames.append(self._snapshot(step.label))
+        circ = Circuit(lat.d, lat.n_sites, 0)
+        for _, frag in self._steps():
+            circ.extend(frag)
+        return circ
 
     def solve_move(self, step: Move) -> WeylOp:
         changed = {key for key, _ in step.changes}
@@ -248,52 +233,6 @@ class ScriptRunner:
             else:
                 defects.append(snap)
         return Frame(label, plaq, defects)
-
-    # -- compilation ---------------------------------------------------------------
-
-    def to_circuit(self) -> Circuit:
-        """Flatten the script to a plain circuit (moves become gate blocks)."""
-        lat = self.lattice
-        circ = Circuit(lat.d, lat.n_sites, 0)
-        self._init_frame()
-        self.defect_specs = []
-        n_meas = 0
-        for step in self.script.steps:
-            if isinstance(step, Prepare):
-                circ.extend(ground_state_circuit(lat))
-            elif isinstance(step, InsertPF):
-                frag, spec = pf_defect_circuit(lat, step.site, step.species, n_meas)
-                n_meas += 1
-                circ.n_cregs = max(circ.n_cregs, n_meas)
-                circ.extend(frag)
-                self.defect_specs.append(spec)
-                idx = len(self.defect_specs) - 1
-                for pos in spec.transformed:
-                    self.observables.pop(face_key(lat.plaquette_at(*pos).kind, pos), None)
-                self.observables[f"pf{idx}:west"] = spec.endpoint_stabilizers[0]
-                self.observables[f"pf{idx}:east"] = spec.endpoint_stabilizers[1]
-                self.observables[f"pf{idx}:nonlocal"] = spec.nonlocal_stabilizers[0]
-                self.observables[f"pf{idx}:measured"] = spec.measured[0]
-            elif isinstance(step, InsertCC):
-                frag, spec = cc_defect_circuit(lat, step.ribbon)
-                circ.extend(frag)
-                self.defect_specs.append(spec)
-                idx = len(self.defect_specs) - 1
-                for pos, img in spec.transformed.items():
-                    p = lat.plaquette_at(*pos)
-                    if len(img.support) > 4:
-                        self.observables.pop(face_key(p.kind, pos), None)
-                        self.observables[f"cc{idx}:{p.kind}-end"] = img
-                    else:
-                        self.observables[face_key(p.kind, pos)] = img
-            elif isinstance(step, Fuse):
-                spec = self.defect_specs[step.defect_index]
-                frag, _ = cc_defect_circuit(lat, spec.ribbon)
-                circ.extend(frag)
-            elif isinstance(step, Move):
-                op = self.solve_move(step)
-                circ.gates(weyl_gates(op))
-        return circ
 
 
 def run_braid(script: Script, seed: int = 0) -> tuple[list[Frame], ScriptRunner]:
@@ -495,12 +434,7 @@ class TopologicalQutritProtocol:
     def run(self, force_outcome: int | None = None, seed: int = 0) -> TopologicalQutritResult:
         circ = self.circuit()
         tab = StabilizerTableau(circ.d, circ.n_qudits, np.random.default_rng(seed))
-        outcome = 0
-        for ins in circ.instructions:
-            if isinstance(ins, Gate):
-                tab.apply_gate(ins.gate)
-            elif isinstance(ins, Measure):
-                outcome = tab.measure_weyl(ins.observable, force=force_outcome).value
+        (outcome,) = execute(circ, tab, force=force_outcome)
         braid = self.lift(self.braid_loop)
         return TopologicalQutritResult(
             outcome=outcome,

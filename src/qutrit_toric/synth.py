@@ -313,7 +313,3 @@ def synthesize_two_qubit(U: np.ndarray) -> list[NativeOp]:
     ops += on_qubit(euler_zyz(A1 @ loc_hi), {0: 0})
     ops += on_qubit(euler_zyz(A0 @ loc_lo), {0: 1})
     return ops
-
-
-def synthesize_one_qubit(u: np.ndarray, qubit: int = 0) -> list[NativeOp]:
-    return on_qubit(euler_zyz(u), {0: qubit})

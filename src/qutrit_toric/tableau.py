@@ -25,7 +25,6 @@ from .weyl import (
     ONE_QUDIT_KINDS,
     WeylOp,
     check_dimension,
-    symplectic_product,
 )
 
 DEBUG_VALIDATE = bool(os.environ.get("QUTRIT_TORIC_DEBUG"))
@@ -294,7 +293,3 @@ class StabilizerTableau:
 def new_computational(d: int, n: int, seed=None) -> StabilizerTableau:
     """State |0>^n: stabilizers Z_i, destabilizers X_i, phases 0."""
     return StabilizerTableau.computational(d, n, seed)
-
-
-def sp_check(a: WeylOp, b: WeylOp) -> int:
-    return symplectic_product(a, b)

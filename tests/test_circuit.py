@@ -5,8 +5,14 @@ import pytest
 
 from qutrit_toric import weyl
 from qutrit_toric.circuit import (
+    CondGate,
     Circuit,
+    Gate,
+    Measure,
+    Noise,
     NoiseChannel,
+    ShotRecord,
+    _sample_weyl_error,
     exact_outcome_distribution,
     run_shot,
     run_shots,
@@ -15,6 +21,7 @@ from qutrit_toric.circuit import (
 from qutrit_toric.dense import DenseState
 from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
 from qutrit_toric.serialize import circuit_from_json, circuit_to_json
+from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import WeylOp
 
 
@@ -86,6 +93,90 @@ class TestDeterminism:
         batch = run_shots(c, 200, base_seed=9)  # tree-accelerated
         direct = [run_shot(c, shot_seed(9, i)) for i in range(200)]
         assert batch.records == direct
+
+
+def reference_run_shot(circuit, seed):
+    """Straight-line shot loop, written out here as the reference for execute."""
+    rng = np.random.default_rng(seed)
+    tab = StabilizerTableau(circuit.d, circuit.n_qudits, rng)
+    creg = [0] * circuit.n_cregs
+    for ins in circuit.instructions:
+        if isinstance(ins, Gate):
+            tab.apply_gate(ins.gate)
+        elif isinstance(ins, Measure):
+            creg[ins.creg] = tab.measure_weyl(ins.observable).value
+        elif isinstance(ins, CondGate):
+            for g in ins.predicate[creg[ins.creg]]:
+                tab.apply_gate(g)
+        elif isinstance(ins, Noise):
+            err = _sample_weyl_error(ins.channel, ins.sites, circuit.d, circuit.n_qudits, rng)
+            if err is not None:
+                tab.apply_weyl(err)
+    return ShotRecord(tuple(creg), False, seed)
+
+
+def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
+    """Gates, measurements, feed-forward blocks, all three noise kinds, barriers."""
+    kinds1 = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
+    kinds2 = sorted(weyl.TWO_QUDIT_KINDS, key=lambda k: k.value)
+
+    def gate():
+        if n > 1 and rng.random() < 0.4:
+            q = rng.choice(n, 2, replace=False)
+            return weyl.CliffordGate(kinds2[rng.integers(len(kinds2))], (int(q[0]), int(q[1])))
+        return weyl.CliffordGate(kinds1[rng.integers(len(kinds1))], (int(rng.integers(n)),))
+
+    channels = [
+        NoiseChannel("depolarizing1", 0.3),
+        NoiseChannel("depolarizing2", 0.5),
+        NoiseChannel("weyl_custom", weights=((0.3, {0: (1, 0)}), (0.4, {0: (0, 2), 1: (1, 1)}))),
+    ]
+    c = Circuit(3, n, n_cregs)
+    written = []
+    for _ in range(int(rng.integers(15, 30))):
+        r = rng.random()
+        if r < 0.35:
+            c.gate(gate())
+        elif r < 0.55:
+            x, z = rng.integers(3, size=n), rng.integers(3, size=n)
+            if not (x.any() or z.any()):
+                z[0] = 1
+            k = int(rng.integers(n_cregs))
+            c.measure(WeylOp(3, x, z, int(rng.integers(3))), k)
+            written.append(k)
+        elif r < 0.65 and written:
+            k = written[int(rng.integers(len(written)))]
+            c.cond(k, {t: tuple(gate() for _ in range(int(rng.integers(3)))) for t in range(3)})
+        elif r < 0.9:
+            ch = channels[int(rng.integers(3 if n > 1 else 1))]
+            if ch.kind == "depolarizing1":
+                sites = tuple(int(s) for s in rng.choice(n, min(n, 2), replace=False))
+            else:
+                sites = tuple(int(s) for s in rng.choice(n, 2, replace=False))
+            c.noise(ch, sites)
+        else:
+            c.barrier()
+    c.validate()
+    return c
+
+
+class TestSingleInterpreter:
+    def test_run_shot_matches_straight_line_reference(self):
+        """execute draws noise and outcomes exactly as the straight-line loop did."""
+        rng = np.random.default_rng(2024)
+        kinds = set()
+        for trial in range(12):
+            c = random_mixed_circuit(rng, int(rng.integers(1, 5)))
+            kinds.update(type(i).__name__ for i in c.instructions)
+            kinds.update(i.channel.kind for i in c.instructions if isinstance(i, Noise))
+            for seed in range(5):
+                s = shot_seed(trial, seed)
+                assert run_shot(c, s) == reference_run_shot(c, s), (trial, seed)
+            batch = run_shots(c, 20, base_seed=trial)
+            assert batch.records == [reference_run_shot(c, shot_seed(trial, i))
+                                     for i in range(20)]
+        assert kinds >= {"Gate", "Measure", "CondGate", "Noise", "Barrier",
+                         "depolarizing1", "depolarizing2", "weyl_custom"}
 
 
 class TestStatistics:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from qutrit_toric import cli
 from qutrit_toric.cli import main
 
 
@@ -118,3 +119,51 @@ class TestVerifyAndBounds:
         # explicit flags win over the config file
         assert doc["results"]["bound"]["tr_p"] == 0.75
         assert doc["config"]["sites"] == 24
+
+
+class TestInputValidation:
+    def run_with_config(self, tmp_path, conf, *argv):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        return run_cli(tmp_path, "--config", str(path), *argv)
+
+    def test_config_values_parsed_by_option_type(self, tmp_path):
+        code, doc, _ = self.run_with_config(tmp_path, {"lx": "4", "ly": "2", "noise": "off"},
+                                            "prepare")
+        assert code == 0
+        assert doc["config"]["lx"] == 4 and doc["results"]["lattice"] == [4, 2]
+
+    @pytest.mark.parametrize("conf", [
+        {"lx": "six"}, {"lx": 6.5}, {"lx": True}, {"noise": "loud"}, {"noise": 1},
+        {"herald_discard": "yes"}, {"shots": -5},
+    ], ids=["lx-word", "lx-float", "lx-bool", "noise-choice", "noise-number",
+            "flag-string", "shots-negative"])
+    def test_config_value_that_does_not_parse(self, tmp_path, capsys, conf):
+        code, doc, _ = self.run_with_config(tmp_path, conf, "prepare")
+        assert code == 2 and doc is None
+        assert "--config" in capsys.readouterr().err
+
+    def test_config_unknown_key(self, tmp_path, capsys):
+        code, doc, _ = self.run_with_config(tmp_path, {"shot": 100}, "prepare")
+        assert code == 2 and doc is None
+        assert "unknown key 'shot'" in capsys.readouterr().err
+
+    def test_config_file_not_json(self, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text("{lx: 6")
+        code, _, _ = run_cli(tmp_path, "--config", str(path), "prepare")
+        assert code == 2
+
+    def test_negative_shots(self, tmp_path, capsys):
+        code, doc, _ = run_cli(tmp_path, "prepare", "--shots", "-5", "--noise", "default")
+        assert code == 2 and doc is None
+        assert "--shots" in capsys.readouterr().err
+
+    def test_topo_rejects_size_before_building_a_layout(self, tmp_path, monkeypatch):
+        def unexpected():
+            raise AssertionError("layout built for an unsupported size")
+
+        monkeypatch.setattr(cli, "topo_layout_6x4", unexpected)
+        monkeypatch.setattr(cli, "topo_layout_6x2", unexpected)
+        code, _, _ = run_cli(tmp_path, "topo-qutrit", "--lx", "4", "--ly", "4")
+        assert code == 2

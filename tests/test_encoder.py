@@ -173,10 +173,6 @@ class TestCompileCounts:
         assert rep.budget_table["h"] == 3
         assert sum(rep.per_qutrit_two_qubit) == 2 * rep.two_qubit_count
 
-    def test_schedule_policy_validated(self):
-        with pytest.raises(ValueError):
-            encode_circuit(Circuit(3, 1, 0), schedule_policy="magic")
-
     def test_noise_instructions_rejected(self):
         circ = Circuit(3, 2, 0).with_noise(p1=0.1)
         circ.gate(weyl.fourier(0))

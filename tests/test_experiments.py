@@ -128,6 +128,7 @@ class TestCCBraid:
         assert len(exc) == 2
         revealed = [t for (k, p), t in exc.items() if p == (3, 2)]
         assert revealed and revealed[0][1] == 1.0  # a flux at the endpoint face
+        assert not final.defects  # both endpoint observables left with the pair
 
     def test_internal_state_toggles_once(self):
         crossed = frame_by_label(self.frames, "crossed-conjugated")
@@ -235,16 +236,24 @@ class TestScriptInfrastructure:
         with pytest.raises(ValueError, match="not realizable"):
             run_braid(script, seed=0)
 
-    def test_compiled_script_matches_interactive_run(self):
-        script = cc_braid_script(fuse=False)
+    @pytest.mark.parametrize("script", [
+        pf_braid_script(), cc_braid_script(), pf_pfstar_script(), cc_braid_script(fuse=False),
+    ], ids=["braid-pf", "braid-cc", "fuse-pf-pfstar", "braid-cc-unfused"])
+    def test_compiled_script_matches_run(self, script):
         frames, runner = run_braid(script, seed=4)
-        circ = ScriptRunner(script, seed=4).to_circuit()
+        compiled = ScriptRunner(script, seed=4)
+        circ = compiled.to_circuit()
+        # one walker: both paths leave the same observable frame
+        assert compiled.observables == runner.observables
+        assert compiled.kinds == runner.kinds
         tab, _ = final_tableau(circ, seed=4)
         final = frames[-1]
-        for snap in final.plaquettes:
-            key = face_key(snap.kind, snap.pos)
-            op = runner.observables[key]
-            assert tab.projector_triple(op) == snap.triple
+        for snap in final.plaquettes + final.defects:
+            assert tab.projector_triple(runner.observables[snap.label]) == snap.triple
+        # a second run starts from a fresh frame and reproduces every frame
+        again = runner.run()
+        assert [[s.triple for s in f.plaquettes + f.defects] for f in again] == \
+            [[s.triple for s in f.plaquettes + f.defects] for f in frames]
 
 
 @pytest.mark.parametrize("layout_fn", [topo_layout_6x2, topo_layout_6x4])
