@@ -177,12 +177,12 @@ def forward_noise(distribution: dict[tuple[int, ...], float],
     return {idx: float(out[idx]) for idx in np.ndindex(out.shape) if out[idx] != 0.0}
 
 
-def mitigated_plaquette_triple(qubit_records: list[tuple[int, ...]],
+def mitigated_plaquette_triple(bits: np.ndarray,
                                corner_sites: tuple[int, ...],
                                exponents: tuple[int, ...],
                                kind: str,
                                cm: ConfusionMatrix) -> tuple[float, float, float]:
-    """Projector triple of one face from raw qubit records with mitigation.
+    """Projector triple of one face from retained (N, 2n) qubit bits with mitigation.
 
     Marginalizing to the face's eight bits commutes with the product
     channel inversion, so correcting the marginal is exact. Strings
@@ -191,15 +191,15 @@ def mitigated_plaquette_triple(qubit_records: list[tuple[int, ...]],
     """
     from .encoder import DECODE_BITS
 
-    marginal: dict[tuple[int, ...], float] = {}
-    n = len(qubit_records)
-    for rec in qubit_records:
-        bits = tuple(b for s in corner_sites for b in (rec[2 * s], rec[2 * s + 1]))
-        marginal[bits] = marginal.get(bits, 0.0) + 1.0 / n
+    bits = np.asarray(bits)
+    columns = [b for s in corner_sites for b in (2 * s, 2 * s + 1)]
+    strings, counts = np.unique(bits[:, columns], axis=0, return_counts=True)
+    n = len(bits)
+    marginal = {tuple(k): c / n for k, c in zip(strings.tolist(), counts.tolist())}
     corrected, _ = spam_mitigate(marginal, cm)
     sectors = np.zeros(3)
-    for bits, weight in corrected.items():
-        pairs = [tuple(bits[2 * i:2 * i + 2]) for i in range(len(corner_sites))]
+    for string, weight in corrected.items():
+        pairs = [tuple(string[2 * i:2 * i + 2]) for i in range(len(corner_sites))]
         if any(p not in DECODE_BITS for p in pairs):
             continue
         values = [DECODE_BITS[p] for p in pairs]

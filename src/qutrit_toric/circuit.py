@@ -9,7 +9,7 @@ so aggregation is independent of execution order and parallelism.
 
 Noiseless circuits with few random measurements run through an exact
 branch tree: the tableau is forked once per possible outcome and shots
-just replay rng draws down the tree. This produces records identical,
+just replay rng draws down the tree. This produces creg values identical,
 draw for draw, to `execute` (verified in tests) while removing the
 per-shot simulation cost.
 """
@@ -83,30 +83,19 @@ class Barrier:
 Instruction = Gate | Measure | CondGate | Noise | Barrier
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    creg_values: tuple[int, ...]
-    herald_discard: bool = False
-    seed: int = 0
-
-
 @dataclass
 class ShotBatch:
-    records: list[ShotRecord]
-    base_seed: int
-    n_cregs: int
+    """Creg values of a batch of shots, one row per shot in shot-index order."""
+
+    values: np.ndarray  # (n_shots, n_cregs), uint8
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.values)
 
-    def retained(self) -> list[ShotRecord]:
-        return [r for r in self.records if not r.herald_discard]
-
-    def counts(self) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for r in self.records:
-            out[r.creg_values] = out.get(r.creg_values, 0) + 1
-        return out
+    @property
+    def records(self) -> list[list[int]]:
+        """Rows as lists; benchmarks/probes.py compares batches with this."""
+        return self.values.tolist()
 
 
 class Circuit:
@@ -267,10 +256,9 @@ def final_tableau(circuit: Circuit, seed: int = 0) -> tuple[StabilizerTableau, l
     return tab, execute(circuit, tab)
 
 
-def run_shot(circuit: Circuit, seed: int) -> ShotRecord:
-    """Execute all instructions on a fresh tableau; pure function of (circuit, seed)."""
-    _, creg = final_tableau(circuit, seed)
-    return ShotRecord(tuple(creg), False, seed)
+def run_shot(circuit: Circuit, seed: int) -> list[int]:
+    """Creg values of one shot on a fresh tableau; pure function of (circuit, seed)."""
+    return final_tableau(circuit, seed)[1]
 
 
 @dataclass
@@ -278,7 +266,6 @@ class _TreeNode:
     creg: list[int]
     tab: StabilizerTableau | None
     children: dict[int, "_TreeNode"] = field(default_factory=dict)
-    random_here: bool = False
 
 
 def _build_outcome_tree(circuit: Circuit) -> _TreeNode | None:
@@ -300,48 +287,50 @@ def _build_outcome_tree(circuit: Circuit) -> _TreeNode | None:
                 for g in ins.predicate[node.creg[ins.creg]]:
                     node.tab.apply_gate(g)
         elif isinstance(ins, Measure):
-            new_frontier = []
-            any_random = False
-            for node in frontier:
-                det = node.tab.deterministic_outcome(ins.observable)
-                if det is not None:
-                    node.creg[ins.creg] = det
-                    new_frontier.append(node)
-                else:
-                    any_random = True
-                    node.random_here = True
-                    for s in range(circuit.d):
-                        child_tab = node.tab.copy(np.random.default_rng())
-                        child_tab.measure_weyl(ins.observable, force=s)
-                        child_creg = list(node.creg)
-                        child_creg[ins.creg] = s
-                        child = _TreeNode(child_creg, child_tab)
-                        node.children[s] = child
-                        new_frontier.append(child)
-                    node.tab = None
-            if any_random:
+            dets = [node.tab.deterministic_outcome(ins.observable) for node in frontier]
+            if any(det is None for det in dets):
                 random_count += 1
                 if random_count > TREE_MAX_RANDOM_MEASUREMENTS:
                     return None
+            new_frontier = []
+            for node, det in zip(frontier, dets):
+                if det is not None:
+                    node.creg[ins.creg] = det
+                    new_frontier.append(node)
+                    continue
+                for s in range(circuit.d):
+                    child_tab = node.tab.copy(np.random.default_rng())
+                    child_tab.measure_weyl(ins.observable, force=s)
+                    child_creg = list(node.creg)
+                    child_creg[ins.creg] = s
+                    child = _TreeNode(child_creg, child_tab)
+                    node.children[s] = child
+                    new_frontier.append(child)
+                node.tab = None
             frontier = new_frontier
     for node in frontier:
         node.tab = None  # free state; only creg values are needed for replay
     return root
 
 
-def _replay_tree(root: _TreeNode, circuit: Circuit, seed: int) -> ShotRecord:
+def _replay_tree(root: _TreeNode, circuit: Circuit, seed: int) -> list[int]:
     """Walk the branch tree with the shot rng; draw pattern matches run_shot."""
     rng = np.random.default_rng(seed)
     node = root
     while node.children:
         s = int(rng.integers(circuit.d))
         node = node.children[s]
-    return ShotRecord(tuple(node.creg), False, seed)
+    return node.creg
 
 
-def _run_chunk(args) -> list[ShotRecord]:
+def _values(rows: list[list[int]], n_cregs: int) -> np.ndarray:
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), n_cregs)
+
+
+def _run_chunk(args) -> np.ndarray:
     circuit, base_seed, lo, hi = args
-    return [run_shot(circuit, shot_seed(base_seed, i)) for i in range(lo, hi)]
+    return _values([run_shot(circuit, shot_seed(base_seed, i)) for i in range(lo, hi)],
+                   circuit.n_cregs)
 
 
 def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
@@ -349,25 +338,22 @@ def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
     """Run n_shots; shot i uses seed derived from (base_seed, i).
 
     The result is a pure function of (circuit, n_shots, base_seed): the
-    same multiset (indeed the same list) of records for any parallelism.
+    same values array for any parallelism.
     """
     circuit.validate()
     tree = _build_outcome_tree(circuit)
     if tree is not None:
-        records = [_replay_tree(tree, circuit, shot_seed(base_seed, i)) for i in range(n_shots)]
-        return ShotBatch(records, base_seed, circuit.n_cregs)
-    if parallelism <= 1:
-        records = [run_shot(circuit, shot_seed(base_seed, i)) for i in range(n_shots)]
-        return ShotBatch(records, base_seed, circuit.n_cregs)
+        rows = [_replay_tree(tree, circuit, shot_seed(base_seed, i)) for i in range(n_shots)]
+        return ShotBatch(_values(rows, circuit.n_cregs))
+    if parallelism <= 1 or n_shots == 0:
+        return ShotBatch(_run_chunk((circuit, base_seed, 0, n_shots)))
     chunk = (n_shots + parallelism - 1) // parallelism
     jobs = [
         (circuit, base_seed, lo, min(lo + chunk, n_shots))
         for lo in range(0, n_shots, chunk)
     ]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        parts = list(pool.map(_run_chunk, jobs))
-    records = [r for part in parts for r in part]
-    return ShotBatch(records, base_seed, circuit.n_cregs)
+        return ShotBatch(np.concatenate(list(pool.map(_run_chunk, jobs))))
 
 
 def exact_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]:

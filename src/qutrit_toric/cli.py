@@ -117,19 +117,15 @@ def cmd_prepare(args) -> dict:
         circ = prep.with_noise(p1=args.p1, p2=args.p2) if args.noise != "off" else \
             prep.with_noise()
         circ.extend(measure_all_circuit(lat, basis))
-        batch = run_shots(circ, shots, base_seed=args.seed, parallelism=args.threads)
+        values = run_shots(circ, shots, base_seed=args.seed, parallelism=args.threads).values
         if args.noise != "off":
             _, rep = encode_circuit(prep, basis=basis, optimization_level=1)
-            qrecs = simulate_readout(batch, rep.per_qutrit_two_qubit,
-                                     p01=args.spam_p01, p10=args.spam_p10,
-                                     leak_per_two_qubit=args.leak, seed=args.seed + 1)
-            if args.herald_discard:
-                qrecs, herald[basis] = herald_filter(qrecs)
-            records = decode_qubit_records(qrecs)
-            records = [r for r in records if not r.herald_discard]
-        else:
-            records = batch.records
-        snaps_all.extend(estimate_plaquette_projectors(records, basis, lat))
+            bits = simulate_readout(values, rep.per_qutrit_two_qubit,
+                                    p01=args.spam_p01, p10=args.spam_p10,
+                                    leak_per_two_qubit=args.leak, seed=args.seed + 1)
+            bits, herald[basis] = herald_filter(bits)
+            values = decode_qubit_records(bits)
+        snaps_all.extend(estimate_plaquette_projectors(values, basis, lat))
     payload["mode"] = "shots"
     payload["shots_per_basis"] = shots
     payload["plaquettes"] = [snapshot_to_json(s) for s in snaps_all]
@@ -235,6 +231,9 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_bounds(args) -> dict:
+    missing = [f"--{k}" for k in ("trp", "trq", "sites") if getattr(args, k) is None]
+    if missing:
+        raise ConfigError(f"bounds needs {', '.join(missing)} (flag or --config)")
     bound = fidelity_bounds(args.trp, args.trq, args.sites,
                             se_p=args.se_p, se_q=args.se_q)
     return {"bound": bound.as_dict(), "inputs_clamped": bound.inputs_clamped}
@@ -243,11 +242,19 @@ def cmd_bounds(args) -> dict:
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _non_negative_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lx", type=int, default=6)
             p.add_argument("--ly", type=int, default=4)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1)
         p.add_argument("--output", "-o", help="output path ('-' for stdout)")
         p.add_argument("--csv", help="also write a CSV table to this path")
 
@@ -279,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spam-p10", type=float, default=0.82e-3, dest="spam_p10")
     p.add_argument("--leak", type=float, default=2.5e-4,
                    help="leak probability per entangler per qubit")
-    p.add_argument("--herald-discard", action="store_true", default=True)
-    p.add_argument("--no-herald-discard", dest="herald_discard", action="store_false")
 
     for name in ("braid-pf", "braid-cc", "fuse-pf-pfstar"):
         p = sub.add_parser(name, help=f"{name} braiding preset (noiseless frames)")
@@ -302,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="two-projector fidelity bound")
     common(p, lattice=False)
-    p.add_argument("--trp", type=float, required=True)
-    p.add_argument("--trq", type=float, required=True)
-    p.add_argument("--sites", type=int, required=True)
+    p.add_argument("--trp", type=float)
+    p.add_argument("--trq", type=float)
+    p.add_argument("--sites", type=int)
     p.add_argument("--se-p", type=float, default=0.0, dest="se_p")
     p.add_argument("--se-q", type=float, default=0.0, dest="se_q")
     return parser
@@ -382,8 +387,7 @@ def main(argv=None) -> int:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3
     config_keys = ["lx", "ly", "seed", "shots", "noise", "p1", "p2", "trp", "trq",
-                   "sites", "basis", "optimization", "preset", "threads",
-                   "leak", "herald_discard"]
+                   "sites", "basis", "optimization", "preset", "threads", "leak"]
     doc = result_document(name, _config_echo(args, config_keys), payload)
     path = _write_output(args, doc, f"{name}-result.json")
     if getattr(args, "csv", None) and "plaquettes" in payload:

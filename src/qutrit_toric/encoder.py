@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Barrier, Circuit, CondGate, Gate, Measure, Noise, ShotBatch, ShotRecord
+from .circuit import Barrier, Circuit, CondGate, Gate, Measure, Noise
 from .weyl import GateKind
 from .synth import NativeOp, ops_unitary, phase_distance, synthesize_two_qubit
 
@@ -579,67 +579,62 @@ def qubit_circuit_to_json(qc: QubitCircuit) -> dict:
 # -- heralding and readout ------------------------------------------------------------
 
 
-def herald_filter(qubit_records: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], float]:
-    """Drop shots where any qutrit pair reads the herald state |01>."""
-    retained = []
-    discarded = 0
-    for rec in qubit_records:
-        if len(rec) % 2:
-            raise ValueError("qubit records must hold two bits per qutrit")
-        pairs = [(rec[2 * i], rec[2 * i + 1]) for i in range(len(rec) // 2)]
-        if NC_BITS in pairs:
-            discarded += 1
-        else:
-            retained.append(rec)
-    total = len(qubit_records)
-    return retained, (discarded / total if total else 0.0)
+def _pair_index(bits: np.ndarray) -> np.ndarray:
+    """(N, 2n) qubit bits -> (N, n) basis index 2*hi + lo of each qutrit pair."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim != 2 or bits.shape[1] % 2:
+        raise ValueError("qubit records must hold two bits per qutrit")
+    return 2 * bits[:, 0::2] + bits[:, 1::2]
 
 
-def decode_qubit_records(qubit_records: list[tuple[int, ...]]) -> list[ShotRecord]:
-    """Qubit bit-records back to qutrit records; herald states flag discards."""
-    out = []
-    for rec in qubit_records:
-        pairs = [(rec[2 * i], rec[2 * i + 1]) for i in range(len(rec) // 2)]
-        if NC_BITS in pairs:
-            out.append(ShotRecord(tuple(0 for _ in pairs), True, 0))
-        else:
-            out.append(ShotRecord(tuple(DECODE_BITS[p] for p in pairs), False, 0))
-    return out
+def herald_filter(bits: np.ndarray) -> tuple[np.ndarray, float]:
+    """Drop shots where any qutrit pair reads the herald state |01>.
+
+    Returns the retained rows and the discarded fraction.
+    """
+    heralded = (_pair_index(bits) == NC_INDEX).any(axis=1)
+    total = len(heralded)
+    return np.asarray(bits)[~heralded], (int(heralded.sum()) / total if total else 0.0)
 
 
-def simulate_readout(batch: ShotBatch, per_qutrit_two_qubit: list[int],
+# pair index 2*hi + lo -> qutrit value (the herald index maps to 0 and is never read)
+_DECODE_INDEX = np.array([DECODE_BITS.get(divmod(i, 2), 0) for i in range(4)], dtype=np.uint8)
+_ENCODE_ARRAY = np.array([ENCODE_BITS[q] for q in range(3)], dtype=np.uint8)
+
+
+def decode_qubit_records(bits: np.ndarray) -> np.ndarray:
+    """Herald-free (M, 2n) qubit bits back to (M, n) qutrit values."""
+    index = _pair_index(bits)
+    if (index == NC_INDEX).any():
+        raise ValueError("herald state in a record; apply herald_filter first")
+    return _DECODE_INDEX[index]
+
+
+def simulate_readout(values: np.ndarray, per_qutrit_two_qubit: list[int],
                      p01: float = 2.37e-3, p10: float = 0.82e-3,
                      leak_per_two_qubit: float = 2.5e-4,
-                     seed: int = 0) -> list[tuple[int, ...]]:
-    """Overlay gate leakage and readout confusion onto ideal qutrit records.
+                     seed: int = 0) -> np.ndarray:
+    """Overlay gate leakage and readout confusion onto ideal qutrit values.
 
-    Each qubit of every entangling gate leaks its qutrit to the herald
-    state independently with probability leak_per_two_qubit (the
-    default reproduces roughly the observed discard fraction on the
-    large lattice workload); surviving bits are flipped with the
-    readout confusion rates.
+    values is an (N, n) qutrit array; returns (N, 2n) qubit bits. Each
+    qubit of every entangling gate leaks its qutrit to the herald state
+    independently with probability leak_per_two_qubit (the default
+    reproduces roughly the observed discard fraction on the large
+    lattice workload); surviving bits are flipped with the readout
+    confusion rates. Per shot, the draws are n leak uniforms, then a hi
+    and a lo uniform for each unleaked qutrit in site order.
     """
     rng = np.random.default_rng(seed)
+    values = np.asarray(values)
     n = len(per_qutrit_two_qubit)
     # per_qutrit_two_qubit already counts qubit-level involvements
     leak_p = 1.0 - (1.0 - leak_per_two_qubit) ** np.asarray(per_qutrit_two_qubit)
-    out = []
-    for rec in batch.records:
-        leaked = rng.random(n) < leak_p
-        bits = []
-        for i, v in enumerate(rec.creg_values):
-            if leaked[i]:
-                bits.extend(NC_BITS)
-                continue
-            hi, lo = ENCODE_BITS[int(v)]
-            if hi == 1:
-                hi = 0 if rng.random() < p01 else 1
-            else:
-                hi = 1 if rng.random() < p10 else 0
-            if lo == 1:
-                lo = 0 if rng.random() < p01 else 1
-            else:
-                lo = 1 if rng.random() < p10 else 0
-            bits.extend((hi, lo))
-        out.append(tuple(bits))
-    return out
+    leaked = np.empty((len(values), n), dtype=bool)
+    uniforms = np.ones((len(values), n, 2))
+    for shot_leaked, shot_uniforms in zip(leaked, uniforms):
+        shot_leaked[:] = rng.random(n) < leak_p
+        shot_uniforms[~shot_leaked] = rng.random((n - int(shot_leaked.sum()), 2))
+    ideal = _ENCODE_ARRAY[values]
+    bits = ideal ^ (uniforms < np.array([p10, p01])[ideal])
+    bits[leaked] = NC_BITS
+    return bits.reshape(len(values), 2 * n)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ShotRecord
 from .lattice import Plaquette, TorusLattice
 from .weyl import WeylOp
 
@@ -51,48 +50,41 @@ def snapshot_from_tableau(tab, op: WeylOp, kind: str, pos, transformed=False,
                                  transformed=transformed, label=label)
 
 
-def outcome_sector(op: WeylOp, basis_obs: list[WeylOp], outcomes) -> int:
-    """Eigenvalue exponent of op given per-site outcomes of basis_obs.
+def basis_exponents(op: WeylOp, basis_obs: list[WeylOp]) -> tuple[np.ndarray, int]:
+    """Factor op site by site over the measured per-site observables.
 
-    op must factor site-by-site into powers of the measured observables:
-    op = omega^kappa * prod_i basis_obs[i]^{m_i}. Returns
-    kappa + sum m_i * outcome_i (mod d).
+    Returns (m, kappa) with op = omega^kappa * prod_i basis_obs[i]^{m_i},
+    so a shot with per-site outcomes s has op-sector kappa + m . s (mod d).
     """
     d = op.d
     total = WeylOp.identity(d, op.n)
-    sector = 0
+    m = np.zeros(op.n, dtype=np.int64)
     for i in op.support:
         w = basis_obs[i]
-        m = None
         for cand in range(1, d):
             if (w.x[i] * cand - op.x[i]) % d == 0 and (w.z[i] * cand - op.z[i]) % d == 0:
-                m = cand
+                m[i] = cand
                 break
-        if m is None:
+        else:
             raise ValueError(f"operator not diagonal in the measured basis at site {i}")
-        sector = (sector + m * int(outcomes[i])) % d
-        total = total @ w.power(m)
+        total = total @ w.power(int(m[i]))
     if not total.same_string(op):
         raise ValueError("operator does not factor over the measured basis")
-    kappa = (op.phase - total.phase) % d
-    return (sector + kappa) % d
+    return m, (op.phase - total.phase) % d
 
 
-def estimate_operator(records: list[ShotRecord], op: WeylOp,
+def estimate_operator(values: np.ndarray, op: WeylOp,
                       basis_obs: list[WeylOp]) -> tuple[np.ndarray, int]:
-    """Empirical distribution over omega-sectors of op, plus shot count."""
-    d = op.d
-    counts = np.zeros(d, dtype=np.int64)
-    for r in records:
-        if r.herald_discard:
-            continue
-        counts[outcome_sector(op, basis_obs, r.creg_values)] += 1
+    """Counts over omega-sectors of op from (N, n) per-site outcomes, plus shot count."""
+    m, kappa = basis_exponents(op, basis_obs)
+    sectors = (np.asarray(values, dtype=np.int64) @ m + kappa) % op.d
+    counts = np.bincount(sectors, minlength=op.d)
     return counts, int(counts.sum())
 
 
-def estimate_plaquette_projectors(records: list[ShotRecord], basis: str,
+def estimate_plaquette_projectors(values: np.ndarray, basis: str,
                                   lattice: TorusLattice) -> list[PlaquetteSnapshot]:
-    """Per-plaquette projector estimates from destructive measure-all records.
+    """Per-plaquette projector estimates from (N, n) destructive measure-all outcomes.
 
     Shift-type (A) faces require shift-basis ('x') records; clock-type
     (B) faces require clock-basis ('z') records.
@@ -109,7 +101,7 @@ def estimate_plaquette_projectors(records: list[ShotRecord], basis: str,
     for p in lattice.plaquettes:
         if p.kind != wanted:
             continue
-        counts, total = estimate_operator(records, p.operator(n, d), basis_obs)
+        counts, total = estimate_operator(values, p.operator(n, d), basis_obs)
         if total == 0:
             raise ValueError("no retained shots")
         triple = tuple(counts / total)

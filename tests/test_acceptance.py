@@ -178,9 +178,9 @@ def test_criterion_2_oracle_equivalence():
         worst_exact = max(worst_exact, tvd_exact)
         batch = run_shots(circ, 10_000, base_seed=trial)
         emp = {}
-        for r in batch.records:
-            emp[r.creg_values] = emp.get(r.creg_values, 0) + 1
-        emp = {k: v / len(batch.records) for k, v in emp.items()}
+        for r in map(tuple, batch.values.tolist()):
+            emp[r] = emp.get(r, 0) + 1
+        emp = {k: v / len(batch.values) for k, v in emp.items()}
         tvd_emp = 0.5 * sum(abs(emp.get(k, 0) - dense.get(k, 0)) for k in set(emp) | set(dense))
         bound = 0.5 * sum(
             3 * np.sqrt(dense.get(k, 0) * (1 - dense.get(k, 0)) / 10_000)
@@ -437,12 +437,12 @@ def test_criterion_9_spam_mitigation():
         circ.extend(measure_all_circuit(lat, basis))
         batch = run_shots(circ, 4000, base_seed=31)
         _, rep = encode_circuit(prep, basis=basis)
-        qrecs = simulate_readout(batch, rep.per_qutrit_two_qubit,
-                                 p01=cm_big.p01, p10=cm_big.p10,
-                                 leak_per_two_qubit=1e-4, seed=5)
-        retained, _ = herald_filter(qrecs)
-        records = decode_qubit_records(retained)
-        snaps = estimate_plaquette_projectors(records, basis, lat)
+        bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+                                p01=cm_big.p01, p10=cm_big.p10,
+                                leak_per_two_qubit=1e-4, seed=5)
+        retained, _ = herald_filter(bits)
+        values = decode_qubit_records(retained)
+        snaps = estimate_plaquette_projectors(values, basis, lat)
         raw.extend(s.pi1 for s in snaps)
         want = "A" if basis == "x" else "B"
         for p in lat.plaquettes:
@@ -469,11 +469,11 @@ def test_criterion_10_noisy_ballpark():
         circ.extend(measure_all_circuit(lat, basis))
         batch = run_shots(circ, 5000, base_seed=42)
         _, rep = encode_circuit(prep, basis=basis, optimization_level=1)
-        qrecs = simulate_readout(batch, rep.per_qutrit_two_qubit, seed=7)
-        retained, frac = herald_filter(qrecs)
+        bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit, seed=7)
+        retained, frac = herald_filter(bits)
         fracs.append(frac)
-        records = decode_qubit_records(retained)
-        snaps.extend(estimate_plaquette_projectors(records, basis, lat))
+        values = decode_qubit_records(retained)
+        snaps.extend(estimate_plaquette_projectors(values, basis, lat))
     energy = energy_density(snaps, len(lat.plaquettes))
     elapsed = time.time() - t0
     energy_ok = -0.99 <= energy <= -0.90

@@ -132,12 +132,12 @@ class TestSpamMitigation:
             circ.extend(measure_all_circuit(lat, basis))
             batch = run_shots(circ, 4000, base_seed=17)
             _, rep = encode_circuit(prep, basis=basis)
-            qrecs = simulate_readout(batch, rep.per_qutrit_two_qubit,
-                                     p01=cm.p01, p10=cm.p10,
-                                     leak_per_two_qubit=1e-4, seed=3)
-            retained, _ = herald_filter(qrecs)
-            records = decode_qubit_records(retained)
-            snaps = estimate_plaquette_projectors(records, basis, lat)
+            bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+                                    p01=cm.p01, p10=cm.p10,
+                                    leak_per_two_qubit=1e-4, seed=3)
+            retained, _ = herald_filter(bits)
+            values = decode_qubit_records(retained)
+            snaps = estimate_plaquette_projectors(values, basis, lat)
             raw_means.extend(s.pi1 for s in snaps)
             want = "A" if basis == "x" else "B"
             for p in lat.plaquettes:

@@ -11,7 +11,8 @@ from qutrit_toric.circuit import (
     Measure,
     Noise,
     NoiseChannel,
-    ShotRecord,
+    TREE_MAX_RANDOM_MEASUREMENTS,
+    _build_outcome_tree,
     _sample_weyl_error,
     exact_outcome_distribution,
     run_shot,
@@ -69,7 +70,7 @@ class TestDeterminism:
         c = bell_like_circuit()
         for i in range(50):
             r = run_shot(c, shot_seed(7, i))
-            assert r.creg_values[0] == r.creg_values[1]
+            assert r[0] == r[1]
 
     def test_feed_forward_replays(self):
         c = Circuit(3, 1, 1)
@@ -86,13 +87,40 @@ class TestDeterminism:
         c = bell_like_circuit().with_noise(p1=0.1)
         a = run_shots(c, 40, base_seed=3, parallelism=1)
         b = run_shots(c, 40, base_seed=3, parallelism=4)
-        assert a.records == b.records
+        assert np.array_equal(a.values, b.values)
 
     def test_tree_path_matches_straight_line_engine(self):
         c = bell_like_circuit()
         batch = run_shots(c, 200, base_seed=9)  # tree-accelerated
         direct = [run_shot(c, shot_seed(9, i)) for i in range(200)]
-        assert batch.records == direct
+        assert np.array_equal(batch.values, direct)
+
+    def test_values_array_shape(self):
+        c = bell_like_circuit().with_noise(p1=0.1)
+        for shots, parallelism in ((0, 1), (0, 3), (7, 1), (7, 3)):
+            batch = run_shots(c, shots, base_seed=1, parallelism=parallelism)
+            assert batch.values.shape == (shots, 2) and batch.values.dtype == np.uint8
+            assert len(batch) == shots
+
+
+class TestOutcomeTree:
+    def test_refuses_before_forking_past_the_budget(self, monkeypatch):
+        """Each fresh qudit measured in X is random on every branch: the
+        tree forks levels 1..budget and refuses the next one unforked."""
+        n = TREE_MAX_RANDOM_MEASUREMENTS + 1
+        c = Circuit(3, n, n)
+        for i in range(n):
+            c.measure(WeylOp.from_site(3, n, i, 1, 0), i)
+        copies = []
+        copy = StabilizerTableau.copy
+
+        def counting_copy(self, *args, **kwargs):
+            copies.append(1)
+            return copy(self, *args, **kwargs)
+
+        monkeypatch.setattr(StabilizerTableau, "copy", counting_copy)
+        assert _build_outcome_tree(c) is None
+        assert len(copies) == sum(3**k for k in range(1, n))
 
 
 def reference_run_shot(circuit, seed):
@@ -112,7 +140,7 @@ def reference_run_shot(circuit, seed):
             err = _sample_weyl_error(ins.channel, ins.sites, circuit.d, circuit.n_qudits, rng)
             if err is not None:
                 tab.apply_weyl(err)
-    return ShotRecord(tuple(creg), False, seed)
+    return creg
 
 
 def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
@@ -173,8 +201,8 @@ class TestSingleInterpreter:
                 s = shot_seed(trial, seed)
                 assert run_shot(c, s) == reference_run_shot(c, s), (trial, seed)
             batch = run_shots(c, 20, base_seed=trial)
-            assert batch.records == [reference_run_shot(c, shot_seed(trial, i))
-                                     for i in range(20)]
+            assert np.array_equal(batch.values, [reference_run_shot(c, shot_seed(trial, i))
+                                                 for i in range(20)])
         assert kinds >= {"Gate", "Measure", "CondGate", "Noise", "Barrier",
                          "depolarizing1", "depolarizing2", "weyl_custom"}
 
@@ -185,8 +213,8 @@ class TestStatistics:
         c.measure(WeylOp.from_site(3, 1, 0, 1, 0), 0)
         batch = run_shots(c, 10_000, base_seed=11)
         counts = np.zeros(3)
-        for r in batch.records:
-            counts[r.creg_values[0]] += 1
+        for r in batch.values:
+            counts[r[0]] += 1
         p = counts / counts.sum()
         assert np.all(np.abs(p - 1 / 3) < 3 * np.sqrt((1 / 3) * (2 / 3) / 10_000))
 
@@ -288,10 +316,10 @@ class TestNoiselessInvariants:
         circ = ground_state_circuit(lat)
         circ.extend(measure_all_circuit(lat, "z"))
         batch = run_shots(circ, 100, base_seed=5)
-        for r in batch.records:
+        for r in batch.values:
             for p in lat.b_plaquettes:
                 total = sum(
-                    e * r.creg_values[s] for s, e in zip(p.corners, p.exponents)
+                    e * int(r[s]) for s, e in zip(p.corners, p.exponents)
                 ) % 3
                 assert total == 0
 
@@ -310,4 +338,4 @@ class TestSerialization:
         back = circuit_from_json(circuit_to_json(c))
         a = run_shots(c, 50, base_seed=2)
         b = run_shots(back, 50, base_seed=2)
-        assert a.records == b.records
+        assert np.array_equal(a.values, b.values)

@@ -133,13 +133,15 @@ class TestInputValidation:
         assert code == 0
         assert doc["config"]["lx"] == 4 and doc["results"]["lattice"] == [4, 2]
 
-    @pytest.mark.parametrize("conf", [
-        {"lx": "six"}, {"lx": 6.5}, {"lx": True}, {"noise": "loud"}, {"noise": 1},
-        {"herald_discard": "yes"}, {"shots": -5},
+    @pytest.mark.parametrize("conf, command", [
+        ({"lx": "six"}, "prepare"), ({"lx": 6.5}, "prepare"), ({"lx": True}, "prepare"),
+        ({"noise": "loud"}, "prepare"), ({"noise": 1}, "prepare"),
+        ({"dump_ops": "yes"}, "compile"), ({"shots": -5}, "prepare"),
+        ({"threads": 0}, "prepare"),
     ], ids=["lx-word", "lx-float", "lx-bool", "noise-choice", "noise-number",
-            "flag-string", "shots-negative"])
-    def test_config_value_that_does_not_parse(self, tmp_path, capsys, conf):
-        code, doc, _ = self.run_with_config(tmp_path, conf, "prepare")
+            "flag-string", "shots-negative", "threads-zero"])
+    def test_config_value_that_does_not_parse(self, tmp_path, capsys, conf, command):
+        code, doc, _ = self.run_with_config(tmp_path, conf, command)
         assert code == 2 and doc is None
         assert "--config" in capsys.readouterr().err
 
@@ -158,6 +160,25 @@ class TestInputValidation:
         code, doc, _ = run_cli(tmp_path, "prepare", "--shots", "-5", "--noise", "default")
         assert code == 2 and doc is None
         assert "--shots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        code, doc, _ = run_cli(tmp_path, "prepare", "--threads", threads, "--shots", "5")
+        assert code == 2 and doc is None
+        assert "--threads" in capsys.readouterr().err
+
+    def test_bounds_inputs_from_config(self, tmp_path):
+        _, flags, _ = run_cli(tmp_path, "bounds", "--trp", "0.75", "--trq", "0.68",
+                              "--sites", "24")
+        code, doc, _ = self.run_with_config(tmp_path, {"trp": 0.75, "trq": 0.68, "sites": 24},
+                                            "bounds")
+        assert code == 0
+        assert doc["results"]["bound"] == flags["results"]["bound"]
+
+    def test_bounds_missing_input(self, tmp_path, capsys):
+        code, doc, _ = self.run_with_config(tmp_path, {"trp": 0.75, "trq": 0.68}, "bounds")
+        assert code == 2 and doc is None
+        assert "--sites" in capsys.readouterr().err
 
     def test_topo_rejects_size_before_building_a_layout(self, tmp_path, monkeypatch):
         def unexpected():

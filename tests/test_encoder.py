@@ -7,6 +7,8 @@ from qutrit_toric import weyl
 from qutrit_toric.circuit import Circuit, run_shots
 from qutrit_toric.dense import DenseState
 from qutrit_toric.encoder import (
+    ENCODE_BITS,
+    NC_BITS,
     SUPPORTED_GATES,
     CompileReport,
     decode_qubit_records,
@@ -189,12 +191,12 @@ class TestHeralding:
         circ.extend(measure_all_circuit(lat, "z"))
         batch = run_shots(circ, 200, base_seed=3)
         _, rep = encode_circuit(ground_state_circuit(lat), basis="z")
-        qrecs = simulate_readout(batch, rep.per_qutrit_two_qubit,
-                                 p01=0, p10=0, leak_per_two_qubit=0, seed=0)
-        retained, frac = herald_filter(qrecs)
+        bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+                                p01=0, p10=0, leak_per_two_qubit=0, seed=0)
+        retained, frac = herald_filter(bits)
         assert frac == 0.0
         decoded = decode_qubit_records(retained)
-        assert [r.creg_values for r in decoded] == [r.creg_values for r in batch.records]
+        assert np.array_equal(decoded, batch.values)
 
     def test_discard_fraction_monotone_in_leak_rate(self):
         lat = build_lattice(4, 2)
@@ -204,9 +206,9 @@ class TestHeralding:
         _, rep = encode_circuit(ground_state_circuit(lat), basis="z")
         fractions = []
         for p in (1e-3, 5e-3, 1e-2):
-            qrecs = simulate_readout(batch, rep.per_qutrit_two_qubit,
-                                     p01=0, p10=0, leak_per_two_qubit=p, seed=11)
-            _, frac = herald_filter(qrecs)
+            bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+                                    p01=0, p10=0, leak_per_two_qubit=p, seed=11)
+            _, frac = herald_filter(bits)
             fractions.append(frac)
             # analytic small-p expectation: 1 - (1-p)^(total involvements)
             expected = 1 - (1 - p) ** sum(rep.per_qutrit_two_qubit)
@@ -219,10 +221,74 @@ class TestHeralding:
         circ.extend(measure_all_circuit(lat, "z"))
         batch = run_shots(circ, 1200, base_seed=6)
         _, rep = encode_circuit(ground_state_circuit(lat), basis="z")
-        qrecs = simulate_readout(batch, rep.per_qutrit_two_qubit, seed=13)
-        _, frac = herald_filter(qrecs)
+        bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit, seed=13)
+        _, frac = herald_filter(bits)
         assert 0.05 <= frac <= 0.20
 
     def test_malformed_record_width(self):
         with pytest.raises(ValueError, match="two bits"):
             herald_filter([(0, 1, 0)])
+
+    def test_decode_refuses_herald_pairs(self):
+        with pytest.raises(ValueError, match="herald"):
+            decode_qubit_records(np.array([[0, 0, *NC_BITS]]))
+
+
+def reference_simulate_readout(rows, per_qutrit_two_qubit, p01, p10, leak_per_two_qubit,
+                               seed):
+    """The per-qutrit readout loop, written out here as the reference for the array version."""
+    rng = np.random.default_rng(seed)
+    n = len(per_qutrit_two_qubit)
+    leak_p = 1.0 - (1.0 - leak_per_two_qubit) ** np.asarray(per_qutrit_two_qubit)
+    out = []
+    for rec in rows:
+        leaked = rng.random(n) < leak_p
+        bits = []
+        for i, v in enumerate(rec):
+            if leaked[i]:
+                bits.extend(NC_BITS)
+                continue
+            hi, lo = ENCODE_BITS[int(v)]
+            if hi == 1:
+                hi = 0 if rng.random() < p01 else 1
+            else:
+                hi = 1 if rng.random() < p10 else 0
+            if lo == 1:
+                lo = 0 if rng.random() < p01 else 1
+            else:
+                lo = 1 if rng.random() < p10 else 0
+            bits.extend((hi, lo))
+        out.append(tuple(bits))
+    return out
+
+
+def reference_herald_split(rows):
+    """Per-record herald check: retained rows, decoded qutrit rows, discard fraction."""
+    decode = {bits: q for q, bits in ENCODE_BITS.items()}
+    retained, decoded = [], []
+    for rec in rows:
+        pairs = [(rec[2 * i], rec[2 * i + 1]) for i in range(len(rec) // 2)]
+        if NC_BITS not in pairs:
+            retained.append(rec)
+            decoded.append([decode[p] for p in pairs])
+    return retained, decoded, (len(rows) - len(retained)) / len(rows)
+
+
+class TestArrayReadout:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_qutrit_reference(self, seed):
+        """Same draws in the same order: identical bits, retained rows and decodes."""
+        rng = np.random.default_rng(100 + seed)
+        n, shots = int(rng.integers(1, 9)), 300
+        values = rng.integers(3, size=(shots, n)).astype(np.uint8)
+        per_qutrit = [int(k) for k in rng.integers(0, 40, size=n)]
+        rates = dict(p01=0.05, p10=0.03, leak_per_two_qubit=0.01, seed=seed)
+        bits = simulate_readout(values, per_qutrit, **rates)
+        ref = reference_simulate_readout(values, per_qutrit, **rates)
+        assert bits.dtype == np.uint8 and bits.shape == (shots, 2 * n)
+        assert [tuple(r) for r in bits.tolist()] == ref
+        retained, frac = herald_filter(bits)
+        ref_retained, ref_decoded, ref_frac = reference_herald_split(ref)
+        assert 0 < frac < 1 and frac == ref_frac
+        assert [tuple(r) for r in retained.tolist()] == ref_retained
+        assert decode_qubit_records(retained).tolist() == ref_decoded
