@@ -257,6 +257,13 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qutrit-toric",
@@ -280,11 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=_non_negative_int, default=0,
                    help="0 = exact noiseless expectations")
     p.add_argument("--noise", choices=["off", "default"], default="off")
-    p.add_argument("--p1", type=float, default=0.0)
-    p.add_argument("--p2", type=float, default=2e-3)
-    p.add_argument("--spam-p01", type=float, default=2.37e-3, dest="spam_p01")
-    p.add_argument("--spam-p10", type=float, default=0.82e-3, dest="spam_p10")
-    p.add_argument("--leak", type=float, default=2.5e-4,
+    p.add_argument("--p1", type=_probability, default=0.0)
+    p.add_argument("--p2", type=_probability, default=2e-3)
+    p.add_argument("--spam-p01", type=_probability, default=2.37e-3, dest="spam_p01")
+    p.add_argument("--spam-p10", type=_probability, default=0.82e-3, dest="spam_p10")
+    p.add_argument("--leak", type=_probability, default=2.5e-4,
                    help="leak probability per entangler per qubit")
 
     for name in ("braid-pf", "braid-cc", "fuse-pf-pfstar"):

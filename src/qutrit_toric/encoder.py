@@ -43,40 +43,17 @@ def _embed_qutrit(mat3: np.ndarray, nc_phase: complex = 1.0) -> np.ndarray:
     return out
 
 
-def qutrit_matrix(kind: GateKind) -> np.ndarray:
-    w = OMEGA
-    X = np.zeros((3, 3), dtype=np.complex128)
-    for i in range(3):
-        X[(i + 1) % 3, i] = 1
-    Z = np.diag([1, w, w**2])
-    H = np.array([[w ** (i * j) for j in range(3)] for i in range(3)]) / np.sqrt(3)
-    C = np.zeros((3, 3), dtype=np.complex128)
-    for i in range(3):
-        C[(-i) % 3, i] = 1
-    return {
-        GateKind.SHIFT_X: X,
-        GateKind.SHIFT_X_DAG: X.conj().T,
-        GateKind.CLOCK_Z: Z,
-        GateKind.CLOCK_Z_DAG: Z.conj().T,
-        GateKind.CONJ: C,
-        GateKind.FOURIER: H,
-        GateKind.FOURIER_DAG: H.conj().T,
-    }[kind]
-
-
 def encoded_target(kind: GateKind) -> np.ndarray:
     """4x4 target on a qubit pair. The clock gate carries an omega phase on
     the herald state (making it a local RZ pair); the conjugation gate
     carries the -1 there (making it a single-entangler gate); all other
     kinds leave the herald state strictly unchanged."""
+    from .dense import gate_matrix
+
     kind = GateKind(kind)
-    if kind is GateKind.CLOCK_Z:
-        return _embed_qutrit(qutrit_matrix(kind), nc_phase=OMEGA)
-    if kind is GateKind.CLOCK_Z_DAG:
-        return _embed_qutrit(qutrit_matrix(kind), nc_phase=OMEGA.conjugate())
-    if kind is GateKind.CONJ:
-        return _embed_qutrit(qutrit_matrix(kind), nc_phase=-1.0)
-    return _embed_qutrit(qutrit_matrix(kind), nc_phase=1.0)
+    nc_phase = {GateKind.CLOCK_Z: OMEGA, GateKind.CLOCK_Z_DAG: OMEGA.conjugate(),
+                GateKind.CONJ: -1.0}.get(kind, 1.0)
+    return _embed_qutrit(gate_matrix(kind, 3), nc_phase=nc_phase)
 
 
 MPREP_TARGET = np.zeros(4, dtype=np.complex128)
@@ -200,8 +177,10 @@ def verify_decomposition(name: str) -> float:
 def weyl_basis_rotation(xe: int, ze: int) -> np.ndarray:
     """4x4 unitary V with V W V^dag diagonal as diag(1, omega, omega^2) on the
     encoded triple (herald state untouched); W = X^xe Z^ze single-qutrit."""
-    X = qutrit_matrix(GateKind.SHIFT_X)
-    Z = qutrit_matrix(GateKind.CLOCK_Z)
+    from .dense import gate_matrix
+
+    X = gate_matrix(GateKind.SHIFT_X, 3)
+    Z = gate_matrix(GateKind.CLOCK_Z, 3)
     W = np.linalg.matrix_power(X, xe % 3) @ np.linalg.matrix_power(Z, ze % 3)
     vals, vecs = np.linalg.eig(W)
     order = []

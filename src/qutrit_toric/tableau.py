@@ -7,27 +7,20 @@ stabilizer then w = omega^s * prod_i S_i^{e_i} with e_i read off as
 symplectic products against the destabilizer rows, no elimination
 needed.
 
-Generators are stored as rows of int64 exponent matrices; gates update
-columns, so applying a gate touches all 2n rows at once.
+All 2n generators are rows of one store: int64 exponent matrices x, z
+of shape (2n, n) and a phase vector ph of shape (2n,). Rows 0..n-1 are
+the destabilizers D_i and rows n..2n-1 the stabilizers S_i. Gates
+update columns, so applying a gate touches all 2n rows at once.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .modmath import mod_inverse, rank
-from .weyl import (
-    CliffordGate,
-    GateKind,
-    ONE_QUDIT_KINDS,
-    WeylOp,
-    check_dimension,
-)
-
-DEBUG_VALIDATE = bool(os.environ.get("QUTRIT_TORIC_DEBUG"))
+from .weyl import CliffordGate, WeylOp, check_dimension, conjugate_rows
 
 
 @dataclass(frozen=True)
@@ -47,147 +40,80 @@ class StabilizerTableau:
             raise ValueError("need at least one qudit")
         self.d = d
         self.n = n
-        # |0>^n : stabilizers Z_i, destabilizers X_i, phases 0
-        self.sx = np.zeros((n, n), dtype=np.int64)
-        self.sz = np.eye(n, dtype=np.int64)
-        self.sp = np.zeros(n, dtype=np.int64)
-        self.dx = np.eye(n, dtype=np.int64)
-        self.dz = np.zeros((n, n), dtype=np.int64)
-        self.dp = np.zeros(n, dtype=np.int64)
+        # |0>^n : destabilizers X_i, stabilizers Z_i, phases 0
+        eye = np.eye(n, dtype=np.int64)
+        zero = np.zeros((n, n), dtype=np.int64)
+        self.x = np.concatenate([eye, zero])
+        self.z = np.concatenate([zero, eye])
+        self.ph = np.zeros(2 * n, dtype=np.int64)
         self.rng = rng if rng is not None else np.random.default_rng()
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def computational(cls, d: int, n: int, seed=None) -> "StabilizerTableau":
-        return cls(d, n, np.random.default_rng(seed))
 
     def copy(self, rng: np.random.Generator | None = None) -> "StabilizerTableau":
         other = StabilizerTableau.__new__(StabilizerTableau)
         other.d, other.n = self.d, self.n
-        other.sx = self.sx.copy()
-        other.sz = self.sz.copy()
-        other.sp = self.sp.copy()
-        other.dx = self.dx.copy()
-        other.dz = self.dz.copy()
-        other.dp = self.dp.copy()
+        other.x, other.z, other.ph = self.x.copy(), self.z.copy(), self.ph.copy()
         other.rng = rng if rng is not None else self.rng
         return other
 
+    def _row(self, r: int) -> WeylOp:
+        return WeylOp(self.d, self.x[r], self.z[r], int(self.ph[r]))
+
     def stabilizer(self, i: int) -> WeylOp:
-        return WeylOp(self.d, self.sx[i], self.sz[i], int(self.sp[i]))
+        return self._row(self.n + i)
 
     def destabilizer(self, i: int) -> WeylOp:
-        return WeylOp(self.d, self.dx[i], self.dz[i], int(self.dp[i]))
-
-    def stabilizers(self) -> list[WeylOp]:
-        return [self.stabilizer(i) for i in range(self.n)]
+        return self._row(i)
 
     # -- gates ---------------------------------------------------------------
 
     def apply_gate(self, g: CliffordGate) -> None:
-        d = self.d
-        for t in g.targets:
-            if not (0 <= t < self.n):
-                raise ValueError(f"gate target {t} out of range for n={self.n}")
-        kind = g.kind
-        for x, z, ph in ((self.sx, self.sz, self.sp), (self.dx, self.dz, self.dp)):
-            if kind in ONE_QUDIT_KINDS:
-                t = g.targets[0]
-                if kind is GateKind.SHIFT_X:
-                    ph -= z[:, t]
-                elif kind is GateKind.SHIFT_X_DAG:
-                    ph += z[:, t]
-                elif kind is GateKind.CLOCK_Z:
-                    ph += x[:, t]
-                elif kind is GateKind.CLOCK_Z_DAG:
-                    ph -= x[:, t]
-                elif kind is GateKind.CONJ:
-                    x[:, t] = -x[:, t] % d
-                    z[:, t] = -z[:, t] % d
-                elif kind is GateKind.FOURIER:
-                    ph -= x[:, t] * z[:, t]
-                    xt = x[:, t].copy()
-                    x[:, t] = -z[:, t] % d
-                    z[:, t] = xt
-                elif kind is GateKind.FOURIER_DAG:
-                    ph -= x[:, t] * z[:, t]
-                    xt = x[:, t].copy()
-                    x[:, t] = z[:, t]
-                    z[:, t] = -xt % d
-            else:
-                c, t = g.targets
-                if kind is GateKind.CX:
-                    x[:, t] = (x[:, t] + x[:, c]) % d
-                    z[:, c] = (z[:, c] - z[:, t]) % d
-                elif kind is GateKind.CX_DAG:
-                    x[:, t] = (x[:, t] - x[:, c]) % d
-                    z[:, c] = (z[:, c] + z[:, t]) % d
-                elif kind is GateKind.CZ:
-                    ph += x[:, c] * x[:, t]
-                    z[:, c] = (z[:, c] + x[:, t]) % d
-                    z[:, t] = (z[:, t] + x[:, c]) % d
-                elif kind is GateKind.CZ_DAG:
-                    ph -= x[:, c] * x[:, t]
-                    z[:, c] = (z[:, c] - x[:, t]) % d
-                    z[:, t] = (z[:, t] - x[:, c]) % d
-            ph %= d
-        if DEBUG_VALIDATE:
-            self.validate()
+        conjugate_rows(g, self.x, self.z, self.ph, self.d)
+
+    def _check_shape(self, w: WeylOp) -> None:
+        if w.d != self.d or w.n != self.n:
+            raise ValueError("operator shape mismatch")
+
+    def _commutation(self, w: WeylOp) -> np.ndarray:
+        """sp(row_r, w) for all 2n rows: destabilizers first, then stabilizers."""
+        return (self.x @ w.z - self.z @ w.x) % self.d
 
     def apply_weyl(self, w: WeylOp) -> None:
         """Apply a Weyl operator as an error/frame update (phase-only action)."""
-        if w.d != self.d or w.n != self.n:
-            raise ValueError("operator shape mismatch")
-        # conj: E S E^dag = omega^{sp(S, E)} S
-        for x, z, ph in ((self.sx, self.sz, self.sp), (self.dx, self.dz, self.dp)):
-            s = (x @ w.z - z @ w.x) % self.d
-            ph += s
-            ph %= self.d
-        if DEBUG_VALIDATE:
-            self.validate()
+        self._check_shape(w)
+        # conj: E R E^dag = omega^{sp(R, E)} R
+        self.ph += self._commutation(w)
+        self.ph %= self.d
 
     # -- measurement -----------------------------------------------------------
 
-    def _commutation_vector(self, w: WeylOp, destab: bool = False) -> np.ndarray:
-        """sp(row_i, w) for all stabilizer (or destabilizer) rows."""
-        if destab:
-            return (self.dx @ w.z - self.dz @ w.x) % self.d
-        return (self.sx @ w.z - self.sz @ w.x) % self.d
-
-    def _row_times_stab(self, x, z, ph, p: int, m: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Compose row (x,z,ph) with S_p^m, returning new (x,z,ph)."""
-        d = self.d
-        m %= d
-        cross = int(np.dot(self.sx[p], self.sz[p])) % d
-        pow_ph = (m * int(self.sp[p]) + (m * (m - 1) // 2) * cross) % d
-        new_ph = (int(ph) + pow_ph + int(np.dot(z, (m * self.sx[p]) % d))) % d
-        return (x + m * self.sx[p]) % d, (z + m * self.sz[p]) % d, new_ph
-
-    def deterministic_outcome(self, w: WeylOp) -> int | None:
-        """Outcome exponent when w is (proportional to) a stabilizer element.
+    def _lookup(self, w: WeylOp, c: np.ndarray) -> int | None:
+        """Outcome exponent of w from its commutation vector c over all rows.
 
         Returns None when w does not commute with the stabilizer group.
         The in-order product prod_i S_i^{e_i} is accumulated in closed
         form: power phases per row plus the pairwise reordering phases
         e^T triu(SZ SX^T) e.
         """
-        d = self.d
-        if np.any(self._commutation_vector(w)):
+        d, n = self.d, self.n
+        if np.any(c[n:]):
             return None
-        e = self._commutation_vector(w, destab=True)
-        x = (e @ self.sx) % d
-        z = (e @ self.sz) % d
+        e = c[:n]
+        sx, sz, sp = self.x[n:], self.z[n:], self.ph[n:]
+        x = (e @ sx) % d
+        z = (e @ sz) % d
         if not (np.array_equal(x, w.x) and np.array_equal(z, w.z)):
             # commutes with the whole maximal group yet is not in it: impossible
             # for a valid tableau, so surface loudly.
             raise AssertionError("tableau invariant violated in deterministic lookup")
-        cross_rows = np.einsum("ij,ij->i", self.sx, self.sz) % d
-        pow_ph = (e * self.sp + (e * (e - 1) // 2) * cross_rows) % d
-        M = self.sz @ self.sx.T
-        reorder = e @ np.triu(M, 1) @ e
+        cross_rows = np.einsum("ij,ij->i", sx, sz) % d
+        pow_ph = (e * sp + (e * (e - 1) // 2) * cross_rows) % d
+        reorder = e @ np.triu(sz @ sx.T, 1) @ e
         ph = (int(pow_ph.sum()) + int(reorder)) % d
         return (w.phase - ph) % d
+
+    def deterministic_outcome(self, w: WeylOp) -> int | None:
+        """Outcome exponent when w is (proportional to) a stabilizer element, else None."""
+        return self._lookup(w, self._commutation(w))
 
     def measure_weyl(self, w: WeylOp, force: int | None = None) -> MeasurementOutcome:
         """Measure a Weyl observable; collapses the state on random outcomes.
@@ -195,48 +121,34 @@ class StabilizerTableau:
         force pins the random branch (used by exact branch enumeration);
         it must be None for deterministic outcomes to keep statistics honest.
         """
-        if w.d != self.d or w.n != self.n:
-            raise ValueError("operator shape mismatch")
-        det = self.deterministic_outcome(w)
+        self._check_shape(w)
+        d, n = self.d, self.n
+        c = self._commutation(w)
+        det = self._lookup(w, c)
         if det is not None:
             return MeasurementOutcome(det, True)
-        c = self._commutation_vector(w)
-        p = int(np.nonzero(c)[0][0])
-        cp = int(c[p])
-        s = int(self.rng.integers(self.d)) if force is None else int(force) % self.d
-        d = self.d
-        inv_cp = mod_inverse(cp, d)
-        sx_p, sz_p, sp_p = self.sx[p].copy(), self.sz[p].copy(), int(self.sp[p])
+        p = int(np.nonzero(c[n:])[0][0])
+        q = n + p  # row of S_p
+        s = int(self.rng.integers(d)) if force is None else int(force) % d
+        inv_cp = mod_inverse(int(c[q]), d)
+        sx_p, sz_p, sp_p = self.x[q].copy(), self.z[q].copy(), int(self.ph[q])
         cross_p = int(np.dot(sx_p, sz_p)) % d
-
-        def mix_rows(x, z, ph, m):
-            """Rows <- rows . S_p^m, vectorized over the row index."""
-            pow_ph = (m * sp_p + (m * (m - 1) // 2) * cross_p) % d
-            ph += pow_ph + m * (z @ sx_p)
-            ph %= d
-            x += np.outer(m, sx_p)
-            x %= d
-            z += np.outer(m, sz_p)
-            z %= d
-
-        # fix the other anticommuting stabilizers: S_i <- S_i S_p^{-c_i/c_p}
-        m_s = (-c * inv_cp) % d
-        m_s[p] = 0
-        mix_rows(self.sx, self.sz, self.sp, m_s)
-        # fix destabilizers: D_i <- D_i S_p^{-sp(D_i,w)/sp(S_p,w)}
-        cd = self._commutation_vector(w, destab=True)
-        m_d = (-cd * inv_cp) % d
-        mix_rows(self.dx, self.dz, self.dp, m_d)
+        # every other row R: R <- R S_p^{-sp(R,w)/sp(S_p,w)}
+        m = (-c * inv_cp) % d
+        m[q] = 0
+        self.ph += (m * sp_p + (m * (m - 1) // 2) * cross_p) % d + m * (self.z @ sx_p)
+        self.ph %= d
+        self.x += np.outer(m, sx_p)
+        self.x %= d
+        self.z += np.outer(m, sz_p)
+        self.z %= d
         # new destabilizer at p: S_p^{1/sp(S_p,w)}; new stabilizer: omega^{-s} w
-        m = inv_cp % d
-        self.dx[p] = (m * sx_p) % d
-        self.dz[p] = (m * sz_p) % d
-        self.dp[p] = (m * sp_p + (m * (m - 1) // 2) * cross_p) % d
-        self.sx[p] = w.x
-        self.sz[p] = w.z
-        self.sp[p] = (w.phase - s) % d
-        if DEBUG_VALIDATE:
-            self.validate()
+        self.x[p] = (inv_cp * sx_p) % d
+        self.z[p] = (inv_cp * sz_p) % d
+        self.ph[p] = (inv_cp * sp_p + (inv_cp * (inv_cp - 1) // 2) * cross_p) % d
+        self.x[q] = w.x
+        self.z[q] = w.z
+        self.ph[q] = (w.phase - s) % d
         return MeasurementOutcome(s, False)
 
     # -- expectations ----------------------------------------------------------
@@ -255,29 +167,28 @@ class StabilizerTableau:
         """
         if not (0 <= alpha < self.d):
             raise ValueError(f"alpha must be an exponent in [0,{self.d})")
-        det = self.deterministic_outcome(w)
-        if det is None:
-            return 1.0 / self.d
-        return 1.0 if det == alpha else 0.0
+        return self.projector_triple(w)[alpha]
 
     def projector_triple(self, w: WeylOp) -> tuple[float, ...]:
-        return tuple(self.projector_expectation(w, a) for a in range(self.d))
+        """projector_expectation(w, alpha) for every alpha, from one lookup."""
+        det = self.deterministic_outcome(w)
+        if det is None:
+            return (1.0 / self.d,) * self.d
+        return tuple(1.0 if a == det else 0.0 for a in range(self.d))
 
     # -- invariants --------------------------------------------------------------
 
     def validate(self) -> None:
         """Assert commutation, independence and canonical pairing."""
         d, n = self.d, self.n
-        comm = (self.sx @ self.sz.T - self.sz @ self.sx.T) % d
-        if np.any(comm):
+        form = (self.x @ self.z.T - self.z @ self.x.T) % d
+        if np.any(form[n:, n:]):
             raise AssertionError("stabilizer generators do not commute")
-        if rank(np.concatenate([self.sx, self.sz], axis=1), d) != n:
+        if rank(np.concatenate([self.x[n:], self.z[n:]], axis=1), d) != n:
             raise AssertionError("stabilizer generators are dependent")
-        pair = (self.dx @ self.sz.T - self.dz @ self.sx.T) % d
-        if not np.array_equal(pair, np.eye(n, dtype=np.int64)):
+        if not np.array_equal(form[:n, n:], np.eye(n, dtype=np.int64)):
             raise AssertionError("destabilizer pairing is not canonical")
-        dd = (self.dx @ self.dz.T - self.dz @ self.dx.T) % d
-        if np.any(dd):
+        if np.any(form[:n, :n]):
             raise AssertionError("destabilizers do not commute among themselves")
 
     def stabilizer_group_equals(self, other: "StabilizerTableau") -> bool:
@@ -292,4 +203,4 @@ class StabilizerTableau:
 
 def new_computational(d: int, n: int, seed=None) -> StabilizerTableau:
     """State |0>^n: stabilizers Z_i, destabilizers X_i, phases 0."""
-    return StabilizerTableau.computational(d, n, seed)
+    return StabilizerTableau(d, n, np.random.default_rng(seed))

@@ -284,58 +284,65 @@ def weyl_power_gates(site: int, xe: int, ze: int, d: int) -> list[CliffordGate]:
     return gates
 
 
-def conjugate_by_gate(g: CliffordGate, w: WeylOp) -> WeylOp:
-    """Exact Heisenberg image g w g^dagger, including the phase exponent.
+def conjugate_rows(g: CliffordGate, x: np.ndarray, z: np.ndarray, ph: np.ndarray, d: int) -> None:
+    """Conjugate every row of a Weyl-string array by g, in place, mod d.
 
-    Single-site tableau:  H: X->Z, Z->X^dag;  C: X->X^dag, Z->Z^dag;
+    x and z are (rows, n) int64 exponent arrays and ph the (rows,) phase
+    vector; row r becomes the exact Heisenberg image g w_r g^dagger.
+    Single-site rules:  H: X->Z, Z->X^dag;  C: X->X^dag, Z->Z^dag;
     two-site: CX: X@1 -> X@X, 1@Z -> Z^dag@Z;  CZ: X@1 -> X@Z, 1@X -> Z@X.
     Phase increments follow from the compose convention; X and Z gates
     act by pure phases (Z X Z^dag = omega X, X Z X^dag = omega^dag Z).
     """
-    d = w.d
     for t in g.targets:
-        if not (0 <= t < w.n):
-            raise ValueError(f"gate target {t} out of range for n={w.n}")
-    x = w.x.copy()
-    z = w.z.copy()
-    ph = w.phase
+        if not (0 <= t < x.shape[1]):
+            raise ValueError(f"gate target {t} out of range for n={x.shape[1]}")
     k = g.kind
     if k in ONE_QUDIT_KINDS:
         t = g.targets[0]
         if k is GateKind.SHIFT_X:
-            ph -= z[t]
+            ph -= z[:, t]
         elif k is GateKind.SHIFT_X_DAG:
-            ph += z[t]
+            ph += z[:, t]
         elif k is GateKind.CLOCK_Z:
-            ph += x[t]
+            ph += x[:, t]
         elif k is GateKind.CLOCK_Z_DAG:
-            ph -= x[t]
+            ph -= x[:, t]
         elif k is GateKind.CONJ:
-            x[t] = -x[t]
-            z[t] = -z[t]
+            x[:, t] = -x[:, t] % d
+            z[:, t] = -z[:, t] % d
         elif k is GateKind.FOURIER:
-            ph -= x[t] * z[t]
-            x[t], z[t] = -z[t], x[t]
+            ph -= x[:, t] * z[:, t]
+            xt = x[:, t].copy()
+            x[:, t] = -z[:, t] % d
+            z[:, t] = xt
         elif k is GateKind.FOURIER_DAG:
-            ph -= x[t] * z[t]
-            x[t], z[t] = z[t], -x[t]
+            ph -= x[:, t] * z[:, t]
+            xt = x[:, t].copy()
+            x[:, t] = z[:, t]
+            z[:, t] = -xt % d
     else:
         c, t = g.targets
         if k is GateKind.CX:
-            x[t] += x[c]
-            z[c] -= z[t]
+            x[:, t] = (x[:, t] + x[:, c]) % d
+            z[:, c] = (z[:, c] - z[:, t]) % d
         elif k is GateKind.CX_DAG:
-            x[t] -= x[c]
-            z[c] += z[t]
+            x[:, t] = (x[:, t] - x[:, c]) % d
+            z[:, c] = (z[:, c] + z[:, t]) % d
         elif k is GateKind.CZ:
-            ph += x[c] * x[t]
-            z[c] += x[t]
-            z[t] += x[c]
+            ph += x[:, c] * x[:, t]
+            z[:, c] = (z[:, c] + x[:, t]) % d
+            z[:, t] = (z[:, t] + x[:, c]) % d
         elif k is GateKind.CZ_DAG:
-            ph -= x[c] * x[t]
-            z[c] -= x[t]
-            z[t] -= x[c]
-    return WeylOp(d, x, z, ph)
+            ph -= x[:, c] * x[:, t]
+            z[:, c] = (z[:, c] - x[:, t]) % d
+            z[:, t] = (z[:, t] - x[:, c]) % d
+    ph %= d
+
+
+def conjugate_by_gate(g: CliffordGate, w: WeylOp) -> WeylOp:
+    """Exact Heisenberg image g w g^dagger, including the phase exponent."""
+    return conjugate_through((g,), w)
 
 
 def conjugate_through(gates, w: WeylOp, inverse: bool = False) -> WeylOp:
@@ -345,9 +352,8 @@ def conjugate_through(gates, w: WeylOp, inverse: bool = False) -> WeylOp:
     inverse=True returns U^dag w U (conjugate by g_m^dag first).
     """
     if inverse:
-        for g in reversed(list(gates)):
-            w = conjugate_by_gate(g.inverse(), w)
-    else:
-        for g in gates:
-            w = conjugate_by_gate(g, w)
-    return w
+        gates = [g.inverse() for g in reversed(list(gates))]
+    x, z, ph = w.x[None].copy(), w.z[None].copy(), np.array([w.phase], dtype=np.int64)
+    for g in gates:
+        conjugate_rows(g, x, z, ph, w.d)
+    return WeylOp(w.d, x[0], z[0], int(ph[0]))

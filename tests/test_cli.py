@@ -137,9 +137,10 @@ class TestInputValidation:
         ({"lx": "six"}, "prepare"), ({"lx": 6.5}, "prepare"), ({"lx": True}, "prepare"),
         ({"noise": "loud"}, "prepare"), ({"noise": 1}, "prepare"),
         ({"dump_ops": "yes"}, "compile"), ({"shots": -5}, "prepare"),
-        ({"threads": 0}, "prepare"),
+        ({"threads": 0}, "prepare"), ({"leak": -1}, "prepare"), ({"spam_p01": 1.5}, "prepare"),
     ], ids=["lx-word", "lx-float", "lx-bool", "noise-choice", "noise-number",
-            "flag-string", "shots-negative", "threads-zero"])
+            "flag-string", "shots-negative", "threads-zero", "leak-negative",
+            "spam-above-one"])
     def test_config_value_that_does_not_parse(self, tmp_path, capsys, conf, command):
         code, doc, _ = self.run_with_config(tmp_path, conf, command)
         assert code == 2 and doc is None
@@ -166,6 +167,16 @@ class TestInputValidation:
         code, doc, _ = run_cli(tmp_path, "prepare", "--threads", threads, "--shots", "5")
         assert code == 2 and doc is None
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--p1", "-0.1"), ("--p2", "1.5"), ("--spam-p01", "1.5"), ("--spam-p10", "-1"),
+        ("--leak", "-1"), ("--leak", "1.5"),
+    ])
+    def test_probability_outside_unit_interval(self, tmp_path, capsys, flag, value):
+        code, doc, _ = run_cli(tmp_path, "prepare", "--noise", "default", "--shots", "5",
+                               flag, value)
+        assert code == 2 and doc is None
+        assert flag in capsys.readouterr().err
 
     def test_bounds_inputs_from_config(self, tmp_path):
         _, flags, _ = run_cli(tmp_path, "bounds", "--trp", "0.75", "--trq", "0.68",

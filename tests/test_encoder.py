@@ -82,10 +82,11 @@ class TestDecompositions:
     def test_basis_rotation_diagonalizes(self):
         for xe, ze in ((1, 1), (1, 2)):
             V = weyl_basis_rotation(xe, ze)
-            from qutrit_toric.encoder import qutrit_matrix, _embed_qutrit
+            from qutrit_toric.dense import gate_matrix
+            from qutrit_toric.encoder import _embed_qutrit
 
-            X = qutrit_matrix(GateKind.SHIFT_X)
-            Z = qutrit_matrix(GateKind.CLOCK_Z)
+            X = gate_matrix(GateKind.SHIFT_X, 3)
+            Z = gate_matrix(GateKind.CLOCK_Z, 3)
             W = _embed_qutrit(np.linalg.matrix_power(X, xe) @ np.linalg.matrix_power(Z, ze))
             D = V @ W @ V.conj().T
             off = D - np.diag(np.diag(D))

@@ -5,7 +5,8 @@ import pytest
 
 from qutrit_toric import weyl
 from qutrit_toric.dense import DenseState, gate_matrix, state_from_tableau
-from qutrit_toric.tableau import StabilizerTableau, new_computational
+from qutrit_toric.modmath import mod_inverse
+from qutrit_toric.tableau import MeasurementOutcome, StabilizerTableau, new_computational
 from qutrit_toric.weyl import CliffordGate, WeylOp
 
 
@@ -229,3 +230,146 @@ class TestGroupEquality:
         assert tab.stabilizer_group_equals(other)
         other.apply_gate(weyl.shift_x(0))
         assert not tab.stabilizer_group_equals(other)
+
+
+class ReferenceTableau:
+    """The six-array tableau (stabilizer and destabilizer blocks kept apart,
+    each gate rule written out on the columns) that the 2n-row store
+    replaced; kept as an independent implementation to compare against."""
+
+    def __init__(self, d, n, rng):
+        self.d, self.n, self.rng = d, n, rng
+        self.sx = np.zeros((n, n), dtype=np.int64)
+        self.sz = np.eye(n, dtype=np.int64)
+        self.sp = np.zeros(n, dtype=np.int64)
+        self.dx = np.eye(n, dtype=np.int64)
+        self.dz = np.zeros((n, n), dtype=np.int64)
+        self.dp = np.zeros(n, dtype=np.int64)
+
+    def apply_gate(self, g):
+        d, kind = self.d, g.kind
+        K = weyl.GateKind
+        for x, z, ph in ((self.sx, self.sz, self.sp), (self.dx, self.dz, self.dp)):
+            if kind in weyl.ONE_QUDIT_KINDS:
+                t = g.targets[0]
+                if kind is K.SHIFT_X:
+                    ph -= z[:, t]
+                elif kind is K.SHIFT_X_DAG:
+                    ph += z[:, t]
+                elif kind is K.CLOCK_Z:
+                    ph += x[:, t]
+                elif kind is K.CLOCK_Z_DAG:
+                    ph -= x[:, t]
+                elif kind is K.CONJ:
+                    x[:, t] = -x[:, t] % d
+                    z[:, t] = -z[:, t] % d
+                elif kind is K.FOURIER:
+                    ph -= x[:, t] * z[:, t]
+                    xt = x[:, t].copy()
+                    x[:, t] = -z[:, t] % d
+                    z[:, t] = xt
+                elif kind is K.FOURIER_DAG:
+                    ph -= x[:, t] * z[:, t]
+                    xt = x[:, t].copy()
+                    x[:, t] = z[:, t]
+                    z[:, t] = -xt % d
+            else:
+                c, t = g.targets
+                if kind is K.CX:
+                    x[:, t] = (x[:, t] + x[:, c]) % d
+                    z[:, c] = (z[:, c] - z[:, t]) % d
+                elif kind is K.CX_DAG:
+                    x[:, t] = (x[:, t] - x[:, c]) % d
+                    z[:, c] = (z[:, c] + z[:, t]) % d
+                elif kind is K.CZ:
+                    ph += x[:, c] * x[:, t]
+                    z[:, c] = (z[:, c] + x[:, t]) % d
+                    z[:, t] = (z[:, t] + x[:, c]) % d
+                elif kind is K.CZ_DAG:
+                    ph -= x[:, c] * x[:, t]
+                    z[:, c] = (z[:, c] - x[:, t]) % d
+                    z[:, t] = (z[:, t] - x[:, c]) % d
+            ph %= d
+
+    def apply_weyl(self, w):
+        for x, z, ph in ((self.sx, self.sz, self.sp), (self.dx, self.dz, self.dp)):
+            ph += (x @ w.z - z @ w.x) % self.d
+            ph %= self.d
+
+    def _commutation_vector(self, w, destab=False):
+        if destab:
+            return (self.dx @ w.z - self.dz @ w.x) % self.d
+        return (self.sx @ w.z - self.sz @ w.x) % self.d
+
+    def deterministic_outcome(self, w):
+        d = self.d
+        if np.any(self._commutation_vector(w)):
+            return None
+        e = self._commutation_vector(w, destab=True)
+        assert np.array_equal((e @ self.sx) % d, w.x) and np.array_equal((e @ self.sz) % d, w.z)
+        cross_rows = np.einsum("ij,ij->i", self.sx, self.sz) % d
+        pow_ph = (e * self.sp + (e * (e - 1) // 2) * cross_rows) % d
+        reorder = e @ np.triu(self.sz @ self.sx.T, 1) @ e
+        return (w.phase - (int(pow_ph.sum()) + int(reorder))) % d
+
+    def measure_weyl(self, w, force=None):
+        det = self.deterministic_outcome(w)
+        if det is not None:
+            return MeasurementOutcome(det, True)
+        d = self.d
+        c = self._commutation_vector(w)
+        p = int(np.nonzero(c)[0][0])
+        s = int(self.rng.integers(d)) if force is None else int(force) % d
+        inv_cp = mod_inverse(int(c[p]), d)
+        sx_p, sz_p, sp_p = self.sx[p].copy(), self.sz[p].copy(), int(self.sp[p])
+        cross_p = int(np.dot(sx_p, sz_p)) % d
+
+        def mix_rows(x, z, ph, m):
+            ph += (m * sp_p + (m * (m - 1) // 2) * cross_p) % d + m * (z @ sx_p)
+            ph %= d
+            x += np.outer(m, sx_p)
+            x %= d
+            z += np.outer(m, sz_p)
+            z %= d
+
+        m_s = (-c * inv_cp) % d
+        m_s[p] = 0
+        mix_rows(self.sx, self.sz, self.sp, m_s)
+        m_d = (-self._commutation_vector(w, destab=True) * inv_cp) % d
+        mix_rows(self.dx, self.dz, self.dp, m_d)
+        m = inv_cp
+        self.dx[p] = (m * sx_p) % d
+        self.dz[p] = (m * sz_p) % d
+        self.dp[p] = (m * sp_p + (m * (m - 1) // 2) * cross_p) % d
+        self.sx[p], self.sz[p], self.sp[p] = w.x, w.z, (w.phase - s) % d
+        return MeasurementOutcome(s, False)
+
+
+class TestAgainstSixArrayReference:
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_random_sequences_agree_step_by_step(self, d, n):
+        driver = np.random.default_rng(100 * d + n)
+        for trial in range(3):
+            tab = StabilizerTableau(d, n, np.random.default_rng(trial))
+            ref = ReferenceTableau(d, n, np.random.default_rng(trial))
+            for _ in range(40):
+                op = driver.integers(4)
+                if op == 0:
+                    g = random_gate(driver, n)
+                    tab.apply_gate(g)
+                    ref.apply_gate(g)
+                elif op == 1:
+                    w = random_weyl(driver, d, n)
+                    tab.apply_weyl(w)
+                    ref.apply_weyl(w)
+                else:  # free measurement, or one forced onto a random branch
+                    w = random_weyl(driver, d, n)
+                    force = None
+                    if op == 3 and ref.deterministic_outcome(w) is None:
+                        force = int(driver.integers(d))
+                    assert tab.measure_weyl(w, force) == ref.measure_weyl(w, force)
+                assert np.array_equal(tab.x, np.concatenate([ref.dx, ref.sx]))
+                assert np.array_equal(tab.z, np.concatenate([ref.dz, ref.sz]))
+                assert np.array_equal(tab.ph, np.concatenate([ref.dp, ref.sp]))
+                tab.validate()
