@@ -142,37 +142,24 @@ def spam_mitigate(distribution: dict[tuple[int, ...], float] | dict[str, float],
             f"direct inversion is capped at {MAX_MITIGATION_WIDTH} bits; "
             "mitigate per-plaquette marginals instead"
         )
-    inv = cm.inverse
-    out = np.zeros((2,) * width, dtype=float)
-    for bits, prob in items:
-        factors = [inv[:, b] for b in bits]
-        kron = factors[0]
-        for f in factors[1:]:
-            kron = np.multiply.outer(kron, f)
-        out += prob * kron
-    corrected = {}
-    negatives = False
-    for idx in np.ndindex(out.shape):
-        v = float(out[idx])
-        if v != 0.0:
-            corrected[idx] = v
-            if v < 0:
-                negatives = True
-    return corrected, negatives
+    corrected = _product_channel(items, cm.inverse)
+    return corrected, any(v < 0 for v in corrected.values())
 
 
 def forward_noise(distribution: dict[tuple[int, ...], float],
                   cm: ConfusionMatrix) -> dict[tuple[int, ...], float]:
     """Push an exact distribution through the confusion channel (test helper)."""
     items = [(tuple(int(b) for b in k), float(p)) for k, p in distribution.items()]
-    width = len(items[0][0])
-    m = cm.matrix
-    out = np.zeros((2,) * width, dtype=float)
+    return _product_channel(items, cm.matrix)
+
+
+def _product_channel(items, m: np.ndarray) -> dict[tuple[int, ...], float]:
+    """sum of prob * (m[:, b_1] x ... x m[:, b_w]) over (bits, prob) items; nonzero entries."""
+    out = np.zeros((2,) * len(items[0][0]), dtype=float)
     for bits, prob in items:
-        factors = [m[:, b] for b in bits]
-        kron = factors[0]
-        for f in factors[1:]:
-            kron = np.multiply.outer(kron, f)
+        kron = m[:, bits[0]]
+        for b in bits[1:]:
+            kron = np.multiply.outer(kron, m[:, b])
         out += prob * kron
     return {idx: float(out[idx]) for idx in np.ndindex(out.shape) if out[idx] != 0.0}
 

@@ -2,22 +2,25 @@
 
 Instructions are gates, Weyl-observable measurements into classical
 registers, outcome-conditioned gate blocks (feed-forward), stochastic
-Weyl noise, and barriers. `execute` is the one interpreter that
-applies them to a tableau. Execution is exactly reproducible: shot i of
-a batch uses a seed derived from (base_seed, i) with a splittable hash,
-so aggregation is independent of execution order and parallelism.
+Weyl noise, and barriers. `_apply` is the one place an instruction
+acts on a tableau; `execute` loops over it. Execution is exactly
+reproducible: shot i of a batch uses a seed derived from (base_seed, i)
+with a splittable hash, so aggregation is independent of execution
+order and parallelism.
 
-Noiseless circuits with few random measurements run through an exact
-branch tree: the tableau is forked once per possible outcome and shots
-just replay rng draws down the tree. This produces creg values identical,
-draw for draw, to `execute` (verified in tests) while removing the
-per-shot simulation cost.
+Noiseless circuits with few random measurements per branch run through
+an exact outcome tree: a depth-first walk forks the tableau once per
+outcome of each random measurement and keeps only the leaves, a table
+from the outcomes on the path to the creg values. A shot draws outcomes
+as `execute` would until its path is a leaf, so its creg values are
+identical, draw for draw (verified in tests), without per-shot
+simulation. A branch past the budget is refused before it forks.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,27 +229,32 @@ def _sample_weyl_error(channel: NoiseChannel, sites: tuple[int, ...], d: int,
     return None
 
 
+def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
+           force: int | None = None) -> None:
+    """Apply one instruction to tab; a measurement writes its outcome into creg."""
+    if isinstance(ins, Gate):
+        tab.apply_gate(ins.gate)
+    elif isinstance(ins, Measure):
+        creg[ins.creg] = tab.measure_weyl(ins.observable, force).value
+    elif isinstance(ins, CondGate):
+        for g in ins.predicate[creg[ins.creg]]:
+            tab.apply_gate(g)
+    elif isinstance(ins, Noise):
+        err = _sample_weyl_error(ins.channel, ins.sites, tab.d, tab.n, tab.rng)
+        if err is not None:
+            tab.apply_weyl(err)
+    # Barrier: nothing
+
+
 def execute(circuit: Circuit, tab: StabilizerTableau, force: int | None = None) -> list[int]:
     """Apply the circuit's instructions to tab in order; return the creg values.
 
     Noise and random measurement outcomes are drawn from tab.rng, in
     instruction order. force pins every random measurement outcome.
     """
-    d, n, rng = circuit.d, circuit.n_qudits, tab.rng
     creg = [0] * circuit.n_cregs
     for ins in circuit.instructions:
-        if isinstance(ins, Gate):
-            tab.apply_gate(ins.gate)
-        elif isinstance(ins, Measure):
-            creg[ins.creg] = tab.measure_weyl(ins.observable, force).value
-        elif isinstance(ins, CondGate):
-            for g in ins.predicate[creg[ins.creg]]:
-                tab.apply_gate(g)
-        elif isinstance(ins, Noise):
-            err = _sample_weyl_error(ins.channel, ins.sites, d, n, rng)
-            if err is not None:
-                tab.apply_weyl(err)
-        # Barrier: nothing
+        _apply(ins, tab, creg, force)
     return creg
 
 
@@ -261,66 +269,42 @@ def run_shot(circuit: Circuit, seed: int) -> list[int]:
     return final_tableau(circuit, seed)[1]
 
 
-@dataclass
-class _TreeNode:
-    creg: list[int]
-    tab: StabilizerTableau | None
-    children: dict[int, "_TreeNode"] = field(default_factory=dict)
+def _outcome_leaves(circuit: Circuit) -> dict[tuple[int, ...], list[int]] | None:
+    """Leaves of the exact outcome tree: {random outcomes on the path: creg values}.
 
-
-def _build_outcome_tree(circuit: Circuit) -> _TreeNode | None:
-    """Exact branch tree over random measurement outcomes (noiseless only).
-
-    Returns None when the circuit is noisy or branches too much.
+    Depth first, holding one tableau per level. Returns None when the
+    circuit is noisy or a branch reaches a random measurement with
+    TREE_MAX_RANDOM_MEASUREMENTS outcomes already on its path; that
+    branch is refused before it forks.
     """
     if circuit.has_noise():
         return None
-    root = _TreeNode([0] * circuit.n_cregs, StabilizerTableau(circuit.d, circuit.n_qudits))
-    frontier = [root]
-    random_count = 0
-    for ins in circuit.instructions:
-        if isinstance(ins, Gate):
-            for node in frontier:
-                node.tab.apply_gate(ins.gate)
-        elif isinstance(ins, CondGate):
-            for node in frontier:
-                for g in ins.predicate[node.creg[ins.creg]]:
-                    node.tab.apply_gate(g)
-        elif isinstance(ins, Measure):
-            dets = [node.tab.deterministic_outcome(ins.observable) for node in frontier]
-            if any(det is None for det in dets):
-                random_count += 1
-                if random_count > TREE_MAX_RANDOM_MEASUREMENTS:
-                    return None
-            new_frontier = []
-            for node, det in zip(frontier, dets):
-                if det is not None:
-                    node.creg[ins.creg] = det
-                    new_frontier.append(node)
-                    continue
-                for s in range(circuit.d):
-                    child_tab = node.tab.copy(np.random.default_rng())
-                    child_tab.measure_weyl(ins.observable, force=s)
-                    child_creg = list(node.creg)
-                    child_creg[ins.creg] = s
-                    child = _TreeNode(child_creg, child_tab)
-                    node.children[s] = child
-                    new_frontier.append(child)
-                node.tab = None
-            frontier = new_frontier
-    for node in frontier:
-        node.tab = None  # free state; only creg values are needed for replay
-    return root
+    instructions = circuit.instructions
+    leaves: dict[tuple[int, ...], list[int]] = {}
 
+    def walk(start: int, tab: StabilizerTableau, creg: list[int], path: tuple[int, ...]) -> bool:
+        for i in range(start, len(instructions)):
+            ins = instructions[i]
+            if not isinstance(ins, Measure):
+                _apply(ins, tab, creg)
+                continue
+            det = tab.deterministic_outcome(ins.observable)
+            if det is not None:
+                creg[ins.creg] = det
+                continue
+            if len(path) == TREE_MAX_RANDOM_MEASUREMENTS:
+                return False
+            for s in range(circuit.d):
+                child, child_creg = tab.copy(), list(creg)
+                _apply(ins, child, child_creg, force=s)
+                if not walk(i + 1, child, child_creg, path + (s,)):
+                    return False
+            return True
+        leaves[path] = creg
+        return True
 
-def _replay_tree(root: _TreeNode, circuit: Circuit, seed: int) -> list[int]:
-    """Walk the branch tree with the shot rng; draw pattern matches run_shot."""
-    rng = np.random.default_rng(seed)
-    node = root
-    while node.children:
-        s = int(rng.integers(circuit.d))
-        node = node.children[s]
-    return node.creg
+    root = StabilizerTableau(circuit.d, circuit.n_qudits)
+    return leaves if walk(0, root, [0] * circuit.n_cregs, ()) else None
 
 
 def _values(rows: list[list[int]], n_cregs: int) -> np.ndarray:
@@ -341,9 +325,15 @@ def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
     same values array for any parallelism.
     """
     circuit.validate()
-    tree = _build_outcome_tree(circuit)
-    if tree is not None:
-        rows = [_replay_tree(tree, circuit, shot_seed(base_seed, i)) for i in range(n_shots)]
+    leaves = _outcome_leaves(circuit)
+    if leaves is not None:
+        # the draws execute would make, walked down the tree to a leaf
+        rows = []
+        for i in range(n_shots):
+            rng, path = np.random.default_rng(shot_seed(base_seed, i)), ()
+            while path not in leaves:
+                path += (int(rng.integers(circuit.d)),)
+            rows.append(leaves[path])
         return ShotBatch(_values(rows, circuit.n_cregs))
     if parallelism <= 1 or n_shots == 0:
         return ShotBatch(_run_chunk((circuit, base_seed, 0, n_shots)))
@@ -358,18 +348,11 @@ def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
 
 def exact_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]:
     """Exact joint creg distribution of a noiseless circuit via branch enumeration."""
-    tree = _build_outcome_tree(circuit)
-    if tree is None:
+    leaves = _outcome_leaves(circuit)
+    if leaves is None:
         raise ValueError("exact distribution needs a noiseless, low-branching circuit")
     dist: dict[tuple[int, ...], float] = {}
-
-    def walk(node: _TreeNode, prob: float):
-        if not node.children:
-            key = tuple(node.creg)
-            dist[key] = dist.get(key, 0.0) + prob
-            return
-        for child in node.children.values():
-            walk(child, prob / circuit.d)
-
-    walk(tree, 1.0)
+    for path, creg in leaves.items():
+        key = tuple(creg)
+        dist[key] = dist.get(key, 0.0) + circuit.d ** -len(path)
     return dist

@@ -332,15 +332,10 @@ def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
 
 
 def _touched_qutrits(tok) -> set[int]:
-    if tok[0] in ("h", "hdg", "mprep"):
-        return {tok[1]}
+    """Qutrits a gate or measurement token acts on (not barrier or cond)."""
     if tok[0] in ("cz", "czdg", "cxcopy"):
         return {tok[1], tok[2]}
-    if tok[0] in ("measure", "rotmeas"):
-        return {tok[1]}
-    if tok[0] in ("x", "xdg", "z", "zdg", "c"):
-        return {tok[1]}
-    return set(range(1 << 30)) if tok[0] in ("barrier", "cond") else set()
+    return {tok[1]}
 
 
 def _cancel_fourier_pairs(tokens):

@@ -55,14 +55,9 @@ class StabilizerTableau:
         other.rng = rng if rng is not None else self.rng
         return other
 
-    def _row(self, r: int) -> WeylOp:
-        return WeylOp(self.d, self.x[r], self.z[r], int(self.ph[r]))
-
     def stabilizer(self, i: int) -> WeylOp:
-        return self._row(self.n + i)
-
-    def destabilizer(self, i: int) -> WeylOp:
-        return self._row(i)
+        r = self.n + i
+        return WeylOp(self.d, self.x[r], self.z[r], int(self.ph[r]))
 
     # -- gates ---------------------------------------------------------------
 
@@ -91,8 +86,9 @@ class StabilizerTableau:
 
         Returns None when w does not commute with the stabilizer group.
         The in-order product prod_i S_i^{e_i} is accumulated in closed
-        form: power phases per row plus the pairwise reordering phases
-        e^T triu(SZ SX^T) e.
+        form: power phases per row plus the reordering phases
+        sum_{i<j} e_i e_j z_i . x_j, taken as the prefix sum
+        sum_j e_j (sum_{i<j} e_i z_i) . x_j in O(n^2).
         """
         d, n = self.d, self.n
         if np.any(c[n:]):
@@ -107,7 +103,8 @@ class StabilizerTableau:
             raise AssertionError("tableau invariant violated in deterministic lookup")
         cross_rows = np.einsum("ij,ij->i", sx, sz) % d
         pow_ph = (e * sp + (e * (e - 1) // 2) * cross_rows) % d
-        reorder = e @ np.triu(sz @ sx.T, 1) @ e
+        ez = e[:, None] * sz
+        reorder = e @ np.einsum("ij,ij->i", np.cumsum(ez, axis=0) - ez, sx)
         ph = (int(pow_ph.sum()) + int(reorder)) % d
         return (w.phase - ph) % d
 

@@ -12,7 +12,6 @@ from qutrit_toric.circuit import (
     Noise,
     NoiseChannel,
     TREE_MAX_RANDOM_MEASUREMENTS,
-    _build_outcome_tree,
     _sample_weyl_error,
     exact_outcome_distribution,
     run_shot,
@@ -106,7 +105,8 @@ class TestDeterminism:
 class TestOutcomeTree:
     def test_refuses_before_forking_past_the_budget(self, monkeypatch):
         """Each fresh qudit measured in X is random on every branch: the
-        tree forks levels 1..budget and refuses the next one unforked."""
+        depth-first walk copies one tableau per level down its first branch
+        and refuses the next random measurement unforked."""
         n = TREE_MAX_RANDOM_MEASUREMENTS + 1
         c = Circuit(3, n, n)
         for i in range(n):
@@ -119,8 +119,9 @@ class TestOutcomeTree:
             return copy(self, *args, **kwargs)
 
         monkeypatch.setattr(StabilizerTableau, "copy", counting_copy)
-        assert _build_outcome_tree(c) is None
-        assert len(copies) == sum(3**k for k in range(1, n))
+        with pytest.raises(ValueError, match="low-branching"):
+            exact_outcome_distribution(c)
+        assert len(copies) == TREE_MAX_RANDOM_MEASUREMENTS
 
 
 def reference_run_shot(circuit, seed):
@@ -188,23 +189,87 @@ def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
     return c
 
 
+def without_noise(circuit: Circuit) -> Circuit:
+    out = Circuit(circuit.d, circuit.n_qudits, circuit.n_cregs)
+    for ins in circuit.instructions:
+        if not isinstance(ins, Noise):
+            out.add(ins)
+    return out
+
+
+def dense_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]:
+    """Joint creg distribution of a noiseless circuit by projecting a dense state
+    onto each eigenspace, P_s = (1/d) sum_m omega^(-s m) w^m."""
+    d, n = circuit.d, circuit.n_qudits
+    omega = np.exp(2j * np.pi / d)
+    dist = {}
+
+    def walk(state, start, creg, prob):
+        for i in range(start, len(circuit.instructions)):
+            ins = circuit.instructions[i]
+            if isinstance(ins, Gate):
+                state.apply_gate(ins.gate)
+            elif isinstance(ins, CondGate):
+                for g in ins.predicate[creg[ins.creg]]:
+                    state.apply_gate(g)
+            elif isinstance(ins, Measure):
+                powers = []
+                for m in range(d):
+                    st = state.copy()
+                    st.apply_weyl(ins.observable.power(m))
+                    powers.append(st.amp)
+                for s in range(d):
+                    amp = sum(omega ** (-s * m) * powers[m] for m in range(d)) / d
+                    p = float(np.vdot(amp, amp).real)
+                    if p > 1e-12:
+                        walk(DenseState(d, n, amp), i + 1,
+                             creg[:ins.creg] + [s] + creg[ins.creg + 1:], prob * p)
+                return
+        dist[tuple(creg)] = dist.get(tuple(creg), 0.0) + prob
+
+    walk(DenseState(circuit.d, circuit.n_qudits), 0, [0] * circuit.n_cregs, 1.0)
+    return dist
+
+
 class TestSingleInterpreter:
-    def test_run_shot_matches_straight_line_reference(self):
-        """execute draws noise and outcomes exactly as the straight-line loop did."""
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-stripped"])
+    def test_run_shot_matches_straight_line_reference(self, noisy):
+        """execute draws noise and outcomes exactly as the straight-line loop
+        did, and so does the outcome tree that run_shots walks on noiseless
+        circuits; where the tree stays within its budget, its exact
+        distribution matches the dense oracle."""
         rng = np.random.default_rng(2024)
         kinds = set()
-        for trial in range(12):
+        trees = 0
+        for trial in range(40):
             c = random_mixed_circuit(rng, int(rng.integers(1, 5)))
+            if not noisy:
+                c = without_noise(c)
+            try:
+                exact = exact_outcome_distribution(c)
+            except ValueError:
+                pass
+            else:
+                trees += 1
+                dense = dense_outcome_distribution(c)
+                tvd = 0.5 * sum(abs(exact.get(k, 0) - dense.get(k, 0))
+                                for k in set(exact) | set(dense))
+                assert tvd < 1e-9, (trial, tvd)
             kinds.update(type(i).__name__ for i in c.instructions)
             kinds.update(i.channel.kind for i in c.instructions if isinstance(i, Noise))
+            kinds.update("multi-site" for i in c.instructions
+                         if isinstance(i, Measure) and len(i.observable.support) > 1)
             for seed in range(5):
                 s = shot_seed(trial, seed)
                 assert run_shot(c, s) == reference_run_shot(c, s), (trial, seed)
             batch = run_shots(c, 20, base_seed=trial)
             assert np.array_equal(batch.values, [reference_run_shot(c, shot_seed(trial, i))
                                                  for i in range(20)])
-        assert kinds >= {"Gate", "Measure", "CondGate", "Noise", "Barrier",
-                         "depolarizing1", "depolarizing2", "weyl_custom"}
+        expected = {"Gate", "Measure", "CondGate", "Barrier", "multi-site"}
+        if noisy:
+            expected |= {"Noise", "depolarizing1", "depolarizing2", "weyl_custom"}
+        assert kinds == expected
+        assert trees == (0 if noisy else 39)
 
 
 class TestStatistics:

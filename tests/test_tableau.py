@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qutrit_toric import weyl
+from qutrit_toric.circuit import final_tableau
 from qutrit_toric.dense import DenseState, gate_matrix, state_from_tableau
+from qutrit_toric.lattice import build_lattice, ground_state_circuit
 from qutrit_toric.modmath import mod_inverse
 from qutrit_toric.tableau import MeasurementOutcome, StabilizerTableau, new_computational
 from qutrit_toric.weyl import CliffordGate, WeylOp
@@ -373,3 +375,39 @@ class TestAgainstSixArrayReference:
                 assert np.array_equal(tab.z, np.concatenate([ref.dz, ref.sz]))
                 assert np.array_equal(tab.ph, np.concatenate([ref.dp, ref.sp]))
                 tab.validate()
+
+
+class TestLookupAtScale:
+    def test_prefix_sum_reorder_matches_triu_formula_at_96_qutrits(self):
+        """The deterministic lookup on a 12x8 ground state under a random
+        Clifford layer (so rows mix x and z) and Weyl frames agrees with the
+        six-array reference (the n x n x n triu reordering phase) and with
+        outcomes built by composing stabilizer rows."""
+        lat = build_lattice(12, 8)
+        n, d = lat.n_sites, lat.d
+        assert n == 96
+        rng = np.random.default_rng(96)
+        tab, _ = final_tableau(ground_state_circuit(lat), seed=0)
+        layer = [random_gate(rng, n) for _ in range(200)]
+        for g in layer:
+            tab.apply_gate(g)
+        for _ in range(5):
+            tab.apply_weyl(random_weyl(rng, d, n))
+        assert np.any(np.einsum("ij,ij->i", tab.x[n:], tab.z[n:]) % d)
+        ref = ReferenceTableau(d, n, None)
+        ref.dx, ref.sx = tab.x[:n].copy(), tab.x[n:].copy()
+        ref.dz, ref.sz = tab.z[:n].copy(), tab.z[n:].copy()
+        ref.dp, ref.sp = tab.ph[:n].copy(), tab.ph[n:].copy()
+        for p in lat.plaquettes:
+            w = weyl.conjugate_through(layer, p.operator(n))
+            assert tab.deterministic_outcome(w) == ref.deterministic_outcome(w) is not None
+        for _ in range(20):
+            w = WeylOp.identity(d, n)
+            for i in rng.permutation(n):
+                w = w @ tab.stabilizer(int(i)).power(int(rng.integers(d)))
+            k = int(rng.integers(d))
+            w = w.with_phase(w.phase + k)
+            assert tab.deterministic_outcome(w) == ref.deterministic_outcome(w) == k
+        random_ops = [random_weyl(rng, d, n) for _ in range(5)]
+        assert all(tab.deterministic_outcome(w) is ref.deterministic_outcome(w) is None
+                   for w in random_ops)
