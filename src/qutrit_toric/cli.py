@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .analysis import energy_density, fidelity_bounds
+from .analysis import energy_density, fidelity_bounds, topological_qutrit_bounds
 from .circuit import execute, run_shots
 from .encoder import (
     decode_qubit_records,
@@ -156,7 +156,7 @@ def cmd_topo(args) -> dict:
     rows = []
     for j in range(3):
         res = proto.run(force_outcome=j, seed=args.seed)
-        bound = fidelity_bounds(res.braid_triple[j], res.neutrality_triple[0], 1)
+        bound = topological_qutrit_bounds(res.braid_triple, res.neutrality_triple, j)
         rows.append({
             "ancilla_outcome": j,
             "braid_triple": list(res.braid_triple),

@@ -16,12 +16,13 @@ state, so leakage observed at readout always signals an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .circuit import Barrier, Circuit, CondGate, Gate, Measure, Noise
 from .weyl import GateKind
-from .synth import NativeOp, ops_unitary, phase_distance, synthesize_two_qubit
+from .synth import NativeOp, on_qubit, ops_unitary, phase_distance, synthesize_two_qubit
 
 OMEGA = np.exp(2j * np.pi / 3)
 ENCODE_BITS = {0: (0, 0), 1: (1, 0), 2: (1, 1)}
@@ -33,14 +34,19 @@ NC_INDEX = 2 * NC_BITS[0] + NC_BITS[1]
 
 # -- gate targets --------------------------------------------------------------
 
+# 4x3 isometry of one qubit pair: column q is the encoded basis state of qutrit q
+_PAIR = np.eye(4)[:, [ENC_INDEX[q] for q in range(3)]]
+
 
 def _embed_qutrit(mat3: np.ndarray, nc_phase: complex = 1.0) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for a in range(3):
-        for b in range(3):
-            out[ENC_INDEX[a], ENC_INDEX[b]] = mat3[a, b]
+    out = _PAIR @ mat3 @ _PAIR.T
     out[NC_INDEX, NC_INDEX] = nc_phase
     return out
+
+
+def encoding_isometry(n_qutrits: int) -> np.ndarray:
+    """3^n -> 4^n isometry mapping qutrit basis states to encoded bit states."""
+    return reduce(np.kron, [_PAIR] * n_qutrits, np.ones((1, 1)))
 
 
 def encoded_target(kind: GateKind) -> np.ndarray:
@@ -56,13 +62,12 @@ def encoded_target(kind: GateKind) -> np.ndarray:
     return _embed_qutrit(gate_matrix(kind, 3), nc_phase=nc_phase)
 
 
-MPREP_TARGET = np.zeros(4, dtype=np.complex128)
-for _q in range(3):
-    MPREP_TARGET[ENC_INDEX[_q]] = 1 / np.sqrt(3)
+MPREP_TARGET = _PAIR.sum(1) / np.sqrt(3)
 
 
-def _cp_matrix(phase: complex) -> np.ndarray:
-    return np.diag([1, 1, 1, phase]).astype(np.complex128)
+def _place(ops: list[NativeOp], qutrits) -> list[NativeOp]:
+    """Local pair qubits (2k, 2k+1) of ops onto the pair of qutrits[k]."""
+    return on_qubit(ops, {2 * k + j: 2 * qt + j for k, qt in enumerate(qutrits) for j in (0, 1)})
 
 
 def _mprep_ops() -> list[NativeOp]:
@@ -75,8 +80,7 @@ def _mprep_ops() -> list[NativeOp]:
         [[np.cos(a / 2), -np.sin(a / 2)], [np.sin(a / 2), np.cos(a / 2)]]
     )
     ops += synthesize_two_qubit(cry)
-    built = ops_unitary(ops, 2) @ np.array([1, 0, 0, 0], dtype=np.complex128)
-    overlap = np.vdot(built, MPREP_TARGET)
+    overlap = np.vdot(ops_unitary(ops, 2)[:, 0], MPREP_TARGET)
     if abs(abs(overlap) - 1) > 1e-9:
         raise AssertionError("plus-state preparation synthesis failed")
     return ops
@@ -86,16 +90,21 @@ _DECOMPOSE_CACHE: dict[str, list[NativeOp]] = {}
 
 
 def decompose_gate(kind) -> list[NativeOp]:
-    """Native sequence for a supported qutrit gate or the plus-state prep.
+    """Native sequence for a supported qutrit gate, the plus-state prep
+    ("mprep") or the two-CNOT copy onto a fresh target ("cxcopy").
 
     One-qutrit results act on local qubits (0, 1) = (hi, lo); two-qutrit
-    results act on (0, 1, 2, 3) = control pair then target pair.
+    results act on (0, 1, 2, 3) = control pair then target pair. Each
+    sequence is synthesized once per process.
     """
     name = kind if isinstance(kind, str) else GateKind(kind).value
     if name in _DECOMPOSE_CACHE:
         return list(_DECOMPOSE_CACHE[name])
     if name == "mprep":
         ops = _mprep_ops()
+    elif name == "cxcopy":
+        cnot = synthesize_two_qubit(np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]])
+        ops = on_qubit(cnot, {0: 0, 1: 2}) + on_qubit(cnot, {0: 1, 1: 3})
     elif name in ("cx", "cxdg", "cz", "czdg"):
         ops = _two_qutrit_ops(name)
     else:
@@ -108,17 +117,10 @@ def _two_qutrit_ops(name: str) -> list[NativeOp]:
     """Controlled clock: four cross-pair controlled phases. Controlled
     shift: Fourier-conjugate the controlled clock on the target pair."""
     phase = OMEGA if name in ("cz", "cx") else OMEGA.conjugate()
-    cp = synthesize_two_qubit(_cp_matrix(phase))
-    ops: list[NativeOp] = []
+    cp = synthesize_two_qubit(np.diag([1, 1, 1, phase]))
+    ops = [o for a in (0, 1) for b in (2, 3) for o in on_qubit(cp, {0: a, 1: b})]
     if name in ("cx", "cxdg"):
-        h = decompose_gate("h")
-        ops += [NativeOp(o.kind, tuple(q + 2 for q in o.qubits), o.params) for o in h]
-    for a in (0, 1):
-        for b in (2, 3):
-            ops += [NativeOp(o.kind, tuple((a, b)[q] for q in o.qubits), o.params) for o in cp]
-    if name in ("cx", "cxdg"):
-        hdg = decompose_gate("hdg")
-        ops += [NativeOp(o.kind, tuple(q + 2 for q in o.qubits), o.params) for o in hdg]
+        ops = _place(decompose_gate("h"), (1,)) + ops + _place(decompose_gate("hdg"), (1,))
     return ops
 
 
@@ -129,26 +131,6 @@ def zz_budget(name: str) -> int:
     return sum(1 for op in decompose_gate(name) if op.kind == "zzphase")
 
 
-def two_qutrit_target(name: str) -> np.ndarray:
-    """16x16 target for the controlled gates, control pair = qubits 0,1."""
-    from .dense import gate_matrix
-
-    kind = {"cx": GateKind.CX, "cxdg": GateKind.CX_DAG,
-            "cz": GateKind.CZ, "czdg": GateKind.CZ_DAG}[name]
-    g9 = gate_matrix(kind, 3)
-    out = np.zeros((16, 16), dtype=np.complex128)
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for e in range(3):
-                    out[4 * ENC_INDEX[a] + ENC_INDEX[b], 4 * ENC_INDEX[c] + ENC_INDEX[e]] = \
-                        g9[3 * a + b, 3 * c + e]
-    # herald sectors: anything involving |nc> keeps its encoded-partner action
-    # only through diagonal phases in the clock-type gates; verification is
-    # restricted to the encoded subspace.
-    return out
-
-
 def verify_decomposition(name: str) -> float:
     """Max entrywise deviation from the target after global-phase alignment.
 
@@ -156,18 +138,16 @@ def verify_decomposition(name: str) -> float:
     on the encoded 9-dimensional subspace; the state preparation
     compares its output column.
     """
+    from .dense import gate_matrix
+
     ops = decompose_gate(name)
     if name == "mprep":
-        built = ops_unitary(ops, 2) @ np.array([1, 0, 0, 0], dtype=np.complex128)
+        built = ops_unitary(ops, 2)[:, 0]
         overlap = np.vdot(MPREP_TARGET, built)
         return float(np.abs(built - (overlap / abs(overlap)) * MPREP_TARGET).max())
     if name in ("cx", "cxdg", "cz", "czdg"):
-        built = ops_unitary(ops, 4)
-        target = two_qutrit_target(name)
-        rows = [4 * ENC_INDEX[a] + ENC_INDEX[b] for a in range(3) for b in range(3)]
-        sub_b = built[np.ix_(rows, rows)]
-        sub_t = target[np.ix_(rows, rows)]
-        return phase_distance(sub_t, sub_b)
+        iso = encoding_isometry(2)
+        return phase_distance(gate_matrix(GateKind(name), 3), iso.T @ ops_unitary(ops, 4) @ iso)
     return phase_distance(encoded_target(GateKind(name)), ops_unitary(ops, 2))
 
 
@@ -189,10 +169,7 @@ def weyl_basis_rotation(xe: int, ze: int) -> np.ndarray:
         k = int(np.argmin(np.abs(vals - target)))
         order.append(k)
         vals[k] = 99  # consume
-    V3 = np.zeros((3, 3), dtype=np.complex128)
-    for s, k in enumerate(order):
-        V3[s, :] = vecs[:, k].conj()
-    return _embed_qutrit(V3, nc_phase=1.0)
+    return _embed_qutrit(vecs[:, order].conj().T)
 
 
 # -- qubit-level circuit -----------------------------------------------------------
@@ -383,65 +360,37 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
     qc = QubitCircuit(n_qubits, n_qubits)
     gate_counts: dict[str, int] = {}
 
-    def emit(name: str, qutrits: tuple[int, ...]):
+    def emit(name: str, qutrits: tuple[int, ...], ops=None):
         gate_counts[name] = gate_counts.get(name, 0) + 1
-        base = decompose_gate(name)
-        mapping = {}
-        for k, qt in enumerate(qutrits):
-            mapping[2 * k] = 2 * qt
-            mapping[2 * k + 1] = 2 * qt + 1
-        for op in base:
-            qc.ops.append(NativeOp(op.kind, tuple(mapping[q] for q in op.qubits), op.params))
+        qc.ops.extend(_place(decompose_gate(name) if ops is None else ops, qutrits))
 
-    def emit_matrix(mat: np.ndarray, qutrit: int, name: str):
-        gate_counts[name] = gate_counts.get(name, 0) + 1
-        for op in synthesize_two_qubit(mat):
-            qc.ops.append(NativeOp(op.kind, tuple(2 * qutrit + q for q in op.qubits), op.params))
-
-    def emit_cnot_copy(c: int, t: int):
-        gate_counts["cxcopy"] = gate_counts.get("cxcopy", 0) + 1
-        cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                        dtype=np.complex128)
-        for hi_lo in (0, 1):
-            for op in synthesize_two_qubit(cnot):
-                pair = (2 * c + hi_lo, 2 * t + hi_lo)
-                qc.ops.append(NativeOp(op.kind, tuple(pair[q] for q in op.qubits), op.params))
+    def measure(site: int, creg: int):
+        qc.ops.append(NativeOp("measz", (2 * site,), (), (2 * creg,)))
+        qc.ops.append(NativeOp("measz", (2 * site + 1,), (), (2 * creg + 1,)))
 
     for tok in tokens:
         if tok[0] == "barrier":
             qc.ops.append(NativeOp("barrier", tuple(range(n_qubits))))
         elif tok[0] == "measure":
-            _, site, creg, _ = tok
-            qc.ops.append(NativeOp("measz", (2 * site,), (), (2 * creg,)))
-            qc.ops.append(NativeOp("measz", (2 * site + 1,), (), (2 * creg + 1,)))
+            measure(tok[1], tok[2])
         elif tok[0] == "rotmeas":
             _, site, creg, (xe, ze) = tok
             V = weyl_basis_rotation(xe, ze)
-            emit_matrix(V, site, f"basis-rot")
-            qc.ops.append(NativeOp("measz", (2 * site,), (), (2 * creg,)))
-            qc.ops.append(NativeOp("measz", (2 * site + 1,), (), (2 * creg + 1,)))
-            emit_matrix(V.conj().T, site, "basis-rot-undo")
+            emit("basis-rot", (site,), synthesize_two_qubit(V))
+            measure(site, creg)
+            emit("basis-rot-undo", (site,), synthesize_two_qubit(V.conj().T))
         elif tok[0] == "cond":
             _, creg, predicate = tok
-            cases = {}
-            for outcome, gates in predicate.items():
-                seq: list[NativeOp] = []
-                for g in gates:
-                    base = decompose_gate(g.kind.value)
-                    for op in base:
-                        seq.append(NativeOp(op.kind,
-                                            tuple(2 * g.targets[0] + q for q in op.qubits),
-                                            op.params))
-                cases[ENCODE_BITS[outcome]] = tuple(seq)
+            cases = {
+                ENCODE_BITS[outcome]: tuple(
+                    op for g in gates for op in _place(decompose_gate(g.kind.value), g.targets))
+                for outcome, gates in predicate.items()
+            }
             cases[NC_BITS] = ()
             qc.ops.append(CondNative((2 * creg, 2 * creg + 1), cases))
             gate_counts["cond"] = gate_counts.get("cond", 0) + 1
-        elif tok[0] == "cxcopy":
-            emit_cnot_copy(tok[1], tok[2])
-        elif tok[0] in ("cz", "czdg"):
-            emit(tok[0], (tok[1], tok[2]))
         else:
-            emit(tok[0], (tok[1],))
+            emit(tok[0], tok[1:])
 
     per_qutrit = [0] * circuit.n_qudits
     for op in qc.ops:
@@ -461,20 +410,6 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
 
 
 # -- encoded-subspace verification helpers ----------------------------------------
-
-
-def encoding_isometry(n_qutrits: int) -> np.ndarray:
-    """3^n -> 4^n isometry mapping qutrit basis states to encoded bit states."""
-    dim_q = 3**n_qutrits
-    dim_b = 4**n_qutrits
-    E = np.zeros((dim_b, dim_q), dtype=np.complex128)
-    for q in range(dim_q):
-        digits = np.unravel_index(q, (3,) * n_qutrits)
-        b = 0
-        for dgt in digits:
-            b = (b << 2) | ENC_INDEX[dgt]
-        E[b, q] = 1
-    return E
 
 
 def qubit_circuit_unitary(qc: QubitCircuit) -> np.ndarray:

@@ -27,6 +27,7 @@ from .defects import (
     CCRibbon,
     DefectSpec,
     cc_defect_circuit,
+    fuse_cc_pair,
     pf_defect_circuit,
     solve_weyl_op,
     weyl_gates,
@@ -181,7 +182,7 @@ class ScriptRunner:
                         put(face_key(kind, pos), img, kind, pos)
             elif isinstance(step, Fuse):
                 spec = self.defect_specs[step.defect_index]
-                frag, _ = cc_defect_circuit(lat, spec.ribbon)
+                frag = fuse_cc_pair(lat, spec)
                 # defects gone: faces return to their plain operators
                 for pos in spec.transformed:
                     plain(pos)

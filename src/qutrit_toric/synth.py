@@ -82,27 +82,15 @@ def ops_unitary(ops: list[NativeOp], n_qubits: int) -> np.ndarray:
 
 
 def _embed(m: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    k = len(qubits)
-    dim = 1 << n
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    rest = [q for q in range(n) if q not in qubits]
-    for idx in range(dim):
-        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-        sub = 0
-        for q in qubits:
-            sub = (sub << 1) | bits[q]
-        for sub2 in range(1 << k):
-            amp = m[sub2, sub]
-            if abs(amp) < 1e-16:
-                continue
-            bits2 = list(bits)
-            for j, q in enumerate(qubits):
-                bits2[q] = (sub2 >> (k - 1 - j)) & 1
-            idx2 = 0
-            for q in range(n):
-                idx2 = (idx2 << 1) | bits2[q]
-            full[idx2, idx] += amp
-    return full
+    """m acting on `qubits` (first listed = most significant) of n qubits.
+
+    Entries of m below 1e-16 in magnitude are taken as exact zeros.
+    """
+    m = np.where(np.abs(m) < 1e-16, 0, m)
+    full = np.kron(m, np.eye(1 << (n - len(qubits))))  # axes: qubits, then the rest
+    order = np.argsort([*qubits, *(q for q in range(n) if q not in qubits)])
+    full = full.reshape((2,) * (2 * n)).transpose([*order, *(order + n)])
+    return full.reshape(1 << n, 1 << n)
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -194,10 +182,10 @@ def _orthogonal_diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kak_decompose(U: np.ndarray):
-    """U = phase * (A1 (x) A0) . exp(i sum c_k s_k s_k) . (B1 (x) B0).
+    """U = (A1 (x) A0) . exp(i sum c_k s_k s_k) . (B1 (x) B0) up to global phase.
 
-    Returns (phase, (A_hi, A_lo), c, (B_hi, B_lo)) with qubit 0 = the
-    most significant tensor factor.
+    Returns ((A_hi, A_lo), c, (B_hi, B_lo)) with qubit 0 = the most
+    significant tensor factor.
     """
     if U.shape != (4, 4):
         raise ValueError("kak_decompose needs a 4x4 unitary")
@@ -218,23 +206,18 @@ def kak_decompose(U: np.ndarray):
     K2 = K2.real
     if np.linalg.det(K2) < 0:
         # det(P) and det(K2) flip together; one column/row sign fixes both
-        P = P.copy()
         P[:, 0] = -P[:, 0]
         K2[0, :] = -K2[0, :]
-        t = t.copy()
     L1 = MAGIC @ P.astype(np.complex128) @ MAGIC.conj().T
     L2 = MAGIC @ K2.astype(np.complex128) @ MAGIC.conj().T
     # t = S c with rows of S from the canonical diagonal ordering
     S = np.array([[1, -1, 1], [1, 1, -1], [-1, -1, -1], [-1, 1, 1]], dtype=float)
-    c, residual, *_ = np.linalg.lstsq(S, t, rcond=None)
+    c = np.linalg.lstsq(S, t, rcond=None)[0]
     if phase_distance(canonical_matrix(c), MAGIC @ np.diag(np.exp(1j * t)) @ MAGIC.conj().T) > 1e-7:
         raise RuntimeError("canonical coefficients do not reproduce the core")
     A1, A0 = factor_local(L1)
     B1, B0 = factor_local(L2)
-    built = np.kron(A1, A0) @ canonical_matrix(c) @ np.kron(B1, B0)
-    tr = np.trace(built.conj().T @ U)
-    phase = tr / abs(tr)
-    return phase, (A1, A0), c, (B1, B0)
+    return (A1, A0), c, (B1, B0)
 
 
 def factor_local(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,17 +243,16 @@ _AXIS_ROT = {
 }
 
 
-def canonical_to_native(c: np.ndarray) -> tuple[list[NativeOp], np.ndarray, np.ndarray, complex]:
-    """Native ops for exp(i sum c_k s_k s_k), plus local/phase corrections.
+def canonical_to_native(c: np.ndarray) -> tuple[list[NativeOp], np.ndarray, np.ndarray]:
+    """Native ops for exp(i sum c_k s_k s_k), plus local corrections.
 
     Coefficients are first reduced mod pi/2 into (-pi/4, pi/4]; each
-    reduction contributes a Pauli (x) Pauli factor that is returned as
-    left-multiplying local corrections (loc_hi, loc_lo) and a phase.
+    reduction contributes a Pauli (x) Pauli factor (up to global phase)
+    that is returned as left-multiplying local corrections (loc_hi, loc_lo).
     """
     ops: list[NativeOp] = []
     loc_hi = np.eye(2, dtype=np.complex128)
     loc_lo = np.eye(2, dtype=np.complex128)
-    phase = 1.0 + 0j
     paulis = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
     for axis, ck in zip(("x", "y", "z"), c):
         k = np.round(ck / (np.pi / 2))
@@ -280,9 +262,7 @@ def canonical_to_native(c: np.ndarray) -> tuple[list[NativeOp], np.ndarray, np.n
             k -= 1
         if k % 4:
             # exp(i (pi/2) s s) = i * s (x) s
-            reps = int(k % 4)
-            for _ in range(reps):
-                phase *= 1j
+            for _ in range(int(k % 4)):
                 loc_hi = loc_hi @ paulis[axis]
                 loc_lo = loc_lo @ paulis[axis]
         if abs(ck_red) < TOL:
@@ -299,16 +279,16 @@ def canonical_to_native(c: np.ndarray) -> tuple[list[NativeOp], np.ndarray, np.n
             ops.append(NativeOp("zzphase", (0, 1), (theta,)))
             ops.extend(on_qubit(post, {0: 0}))
             ops.extend(on_qubit(post, {0: 1}))
-    return ops, loc_hi, loc_lo, phase
+    return ops, loc_hi, loc_lo
 
 
 def synthesize_two_qubit(U: np.ndarray) -> list[NativeOp]:
     """Native sequence (qubits 0 = hi, 1 = lo) equal to U up to global phase."""
-    phase, (A1, A0), c, (B1, B0) = kak_decompose(U)
+    (A1, A0), c, (B1, B0) = kak_decompose(U)
     ops: list[NativeOp] = []
     ops += on_qubit(euler_zyz(B1), {0: 0})
     ops += on_qubit(euler_zyz(B0), {0: 1})
-    core, loc_hi, loc_lo, _ = canonical_to_native(c)
+    core, loc_hi, loc_lo = canonical_to_native(c)
     ops += core
     ops += on_qubit(euler_zyz(A1 @ loc_hi), {0: 0})
     ops += on_qubit(euler_zyz(A0 @ loc_lo), {0: 1})

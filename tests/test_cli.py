@@ -121,6 +121,41 @@ class TestVerifyAndBounds:
         assert doc["config"]["sites"] == 24
 
 
+REFERENCE_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "benchmarks", "reference", "exact_suite.json")
+
+# label in the reference file -> argv; the compile document is left out, since
+# a better compiler may lower its counts
+EXACT_SUITE = {
+    "braid_pf": ("braid-pf",),
+    "braid_cc": ("braid-cc",),
+    "fuse_pf_pfstar": ("fuse-pf-pfstar",),
+    "topo_6x2": ("topo-qutrit", "--lx", "6", "--ly", "2"),
+    "topo_6x4": ("topo-qutrit", "--lx", "6", "--ly", "4"),
+    "prepare_exact": ("prepare", "--lx", "6", "--ly", "4", "--noise", "off"),
+    "verify": ("verify",),
+}
+
+
+class TestExactSuiteReference:
+    """The exact (shot-free) documents, verify's float errors included, equal
+    the recorded reference; topo's sampled outcome is drawn, so it is left out."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with open(REFERENCE_PATH) as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("label", sorted(EXACT_SUITE))
+    def test_document_equals_reference(self, tmp_path, reference, label):
+        code, doc, _ = run_cli(tmp_path, *EXACT_SUITE[label])
+        assert code == 0
+        results = doc["results"]
+        if label.startswith("topo_"):
+            assert results.pop("sampled_outcome") in (0, 1, 2)
+        assert results == reference[label]
+
+
 class TestInputValidation:
     def run_with_config(self, tmp_path, conf, *argv):
         path = tmp_path / "conf.json"

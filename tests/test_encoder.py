@@ -1,12 +1,16 @@
 """Native-gate compilation: decompositions, budgets, equivalence, heralding."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from qutrit_toric import weyl
-from qutrit_toric.circuit import Circuit, run_shots
-from qutrit_toric.dense import DenseState
+from qutrit_toric import encoder, weyl
+from qutrit_toric.circuit import Circuit, CondGate, run_shots
+from qutrit_toric.defects import pf_defect_circuit
+from qutrit_toric.dense import DenseState, gate_matrix
 from qutrit_toric.encoder import (
+    DECODE_BITS,
     ENCODE_BITS,
     NC_BITS,
     SUPPORTED_GATES,
@@ -24,8 +28,15 @@ from qutrit_toric.encoder import (
     zz_budget,
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
-from qutrit_toric.synth import NativeOp, ops_unitary, phase_distance
-from qutrit_toric.weyl import GateKind
+from qutrit_toric.synth import (
+    NativeOp,
+    _embed,
+    on_qubit,
+    ops_unitary,
+    phase_distance,
+    synthesize_two_qubit,
+)
+from qutrit_toric.weyl import GateKind, WeylOp
 
 
 class TestDecompositions:
@@ -95,6 +106,47 @@ class TestDecompositions:
             assert D[0, 0] == pytest.approx(1)
             assert D[2, 2] == pytest.approx(w)
             assert D[3, 3] == pytest.approx(w**2)
+
+
+def kron_reference(m, qubits, n):
+    """m on `qubits` (first listed = most significant) of n qubits, summed from
+    explicit np.kron products of one |row bit><col bit| factor per qubit."""
+    k = len(qubits)
+    out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for row in range(1 << k):
+        for col in range(1 << k):
+            factors = [np.eye(2)] * n
+            for j, q in enumerate(qubits):
+                shift = k - 1 - j
+                factors[q] = np.outer(np.eye(2)[(row >> shift) & 1], np.eye(2)[(col >> shift) & 1])
+            out += m[row, col] * reduce(np.kron, factors)
+    return out
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestOpsUnitary:
+    PLACEMENTS = [((2, 0), 3), ((3, 1), 4), ((0, 2), 3), ((1, 2), 3), ((1,), 3), ((3,), 4)]
+
+    @pytest.mark.parametrize("qubits,n", PLACEMENTS)
+    def test_embed_matches_kron_products(self, qubits, n):
+        """Placement only copies entries, so the match is exact; entries below
+        1e-16 in magnitude are dropped."""
+        m = random_unitary(np.random.default_rng(n + 7 * qubits[0]), 1 << len(qubits))
+        assert np.array_equal(_embed(m, qubits, n), kron_reference(m, qubits, n))
+        m[0, 1] = 1e-17
+        assert _embed(m, qubits, n)[0, 1 << (n - 1 - qubits[-1])] == 0
+
+    @pytest.mark.parametrize("qubits,n", [p for p in PLACEMENTS if len(p[0]) == 2])
+    def test_placed_synthesis_matches_kron_products(self, qubits, n):
+        """A synthesized non-symmetric two-qubit unitary, placed on reversed or
+        non-adjacent qubits, composes to the explicit Kronecker embedding."""
+        U = random_unitary(np.random.default_rng(3 + n), 4)
+        ops = on_qubit(synthesize_two_qubit(U), dict(enumerate(qubits)))
+        assert phase_distance(kron_reference(U, qubits, n), ops_unitary(ops, n)) < 1e-10
 
 
 class TestEncodedEquivalence:
@@ -183,6 +235,89 @@ class TestCompileCounts:
         noisy.validate()
         with pytest.raises(ValueError, match="noise"):
             encode_circuit(noisy)
+
+
+    def test_second_compile_synthesizes_nothing(self, monkeypatch):
+        """Every token comes from the decomposition cache once it is warm."""
+        prep = ground_state_circuit(build_lattice(6, 4))
+        first, _ = encode_circuit(prep, basis="z")
+        calls = []
+        synthesize = encoder.synthesize_two_qubit
+        monkeypatch.setattr(encoder, "synthesize_two_qubit",
+                            lambda U: calls.append(U) or synthesize(U))
+        second, rep = encode_circuit(prep, basis="z")
+        assert rep.gate_counts["cxcopy"] > 0
+        assert len(calls) == 0
+        assert second.ops == first.ops
+
+
+class TestRotatedMeasurementAndCond:
+    """A parafermion defect measures X Z on one site and feeds the outcome
+    forward into Weyl corrections: the basis-rot and cond compile paths."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        lat = build_lattice(4, 4)
+        frag, _ = pf_defect_circuit(lat, (1, 1), "PF", 0)
+        qc, rep = encode_circuit(frag)
+        return lat.site_index(1, 1), frag, qc, rep
+
+    @staticmethod
+    def local_unitary(ops, qutrit):
+        """4x4 unitary of ops that all act on the pair of one qutrit."""
+        assert all(q // 2 == qutrit for op in ops for q in op.qubits)
+        return ops_unitary(on_qubit(ops, {2 * qutrit: 0, 2 * qutrit + 1: 1}), 2)
+
+    def test_basis_rotations_compose_to_the_weyl_rotation(self, compiled):
+        site, _, qc, _ = compiled
+        kinds = [getattr(op, "kind", "cond") for op in qc.ops]
+        first = kinds.index("measz")
+        assert kinds[first:first + 2] == ["measz", "measz"] and kinds[-1] == "cond"
+        assert [op.qubits for op in qc.ops[first:first + 2]] == [(2 * site,), (2 * site + 1,)]
+        V = weyl_basis_rotation(1, 1)
+        rot = self.local_unitary(qc.ops[:first], site)
+        undo = self.local_unitary(qc.ops[first + 2:-1], site)
+        assert phase_distance(V, rot) < 1e-10
+        assert phase_distance(V.conj().T, undo) < 1e-10
+
+    def test_cond_cases_act_as_encoded_predicate_gates(self, compiled):
+        _, frag, qc, _ = compiled
+        cond_gate = next(ins for ins in frag.instructions if isinstance(ins, CondGate))
+        cond = qc.ops[-1]
+        assert cond.cbits == (2 * cond_gate.creg, 2 * cond_gate.creg + 1)
+        assert set(cond.cases) == {*ENCODE_BITS.values(), NC_BITS}
+        assert cond.cases[NC_BITS] == ()
+        E = encoding_isometry(1)
+        for bits, seq in cond.cases.items():
+            if bits == NC_BITS:
+                continue
+            gates = cond_gate.predicate[DECODE_BITS[bits]]
+            qutrits = sorted({q for g in gates for q in g.targets})
+            assert sorted({q // 2 for op in seq for q in op.qubits}) == qutrits
+            for qt in qutrits:
+                want = np.eye(3, dtype=np.complex128)
+                for g in gates:
+                    if g.targets == (qt,):
+                        want = gate_matrix(g.kind, 3) @ want
+                ops = [op for op in seq if op.qubits[0] // 2 == qt]
+                assert phase_distance(want, E.T @ self.local_unitary(ops, qt) @ E) < 1e-10
+
+    def test_gate_counts_name_both_paths(self, compiled):
+        _, _, _, rep = compiled
+        assert rep.gate_counts == {"basis-rot": 1, "basis-rot-undo": 1, "cond": 1}
+
+    def test_two_qutrit_cond_gate_lands_on_both_pairs(self):
+        """A controlled gate in a cond branch acts on its control and target
+        pairs, also when they are not neighbours."""
+        circ = Circuit(3, 3, 1)
+        circ.measure(WeylOp.from_site(3, 3, 1, 0, 1), 0)
+        circ.cond(0, {0: (), 1: (weyl.cz(2, 0),), 2: ()})
+        qc, _ = encode_circuit(circ)
+        seq = qc.ops[-1].cases[ENCODE_BITS[1]]
+        assert {q // 2 for op in seq for q in op.qubits} == {0, 2}
+        E = encoding_isometry(2)
+        local = on_qubit(list(seq), {4: 0, 5: 1, 0: 2, 1: 3})
+        assert phase_distance(gate_matrix(GateKind.CZ, 3), E.T @ ops_unitary(local, 4) @ E) < 1e-10
 
 
 class TestHeralding:

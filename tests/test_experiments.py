@@ -175,6 +175,17 @@ class TestCCBraid:
         assert trip[0] == 0.0 and 1.0 in (trip[1], trip[2])
 
 
+class TestFuseStep:
+    def test_fusing_a_pf_defect_is_refused(self):
+        """Fuse applies only to CC pairs: a PF defect has no ribbon to re-apply."""
+        from qutrit_toric.experiments import Fuse, InsertPF, Prepare, Script
+
+        s = Script("fuse-pf", 4, 4)
+        s.steps = [Prepare(), InsertPF((1, 1), "PF"), Fuse(0)]
+        with pytest.raises(ValueError, match="CC defect spec"):
+            ScriptRunner(s, seed=0).run()
+
+
 class TestFusionIdentity:
     """The stacked opposite-species pair composite acts as conjugation."""
 
