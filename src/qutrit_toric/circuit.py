@@ -3,18 +3,22 @@
 Instructions are gates, Weyl-observable measurements into classical
 registers, outcome-conditioned gate blocks (feed-forward), stochastic
 Weyl noise, and barriers. `_apply` is the one place an instruction
-acts on a tableau; `execute` loops over it. Execution is exactly
-reproducible: shot i of a batch uses a seed derived from (base_seed, i)
-with a splittable hash, so aggregation is independent of execution
-order and parallelism.
+acts on a tableau; `execute` loops over it.
 
-Noiseless circuits with few random measurements per branch run through
-an exact outcome tree: a depth-first walk forks the tableau once per
-outcome of each random measurement and keeps only the leaves, a table
-from the outcomes on the path to the creg values. A shot draws outcomes
-as `execute` would until its path is a leaf, so its creg values are
-identical, draw for draw (verified in tests), without per-shot
-simulation. A branch past the budget is refused before it forks.
+`run_shots` samples with Weyl frames (Pauli-frame sampling carried over
+to Z_d): one reference shot on the tableau, noise stripped and every
+random outcome forced to 0, and then all shots at once as phase-free
+Weyl frames, (shots, n) exponent arrays conjugated by the same rule
+table as the tableau. Feed-forward whose branches are X/Z shifts is a
+per-shot frame update. `_frame_compatible` is the one engine choice:
+any other feed-forward runs per shot through `execute`, shot i seeded
+by (base_seed, i). Either way the values are a pure function of
+(circuit, n_shots, base_seed), whatever the parallelism.
+
+`exact_outcome_distribution` enumerates noiseless circuits exactly: a
+depth-first walk forks the tableau once per outcome of each random
+measurement (refused before forking past a budget) and weights the
+leaves. It is the enumeration oracle the samplers are tested against.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tableau import StabilizerTableau
-from .weyl import CliffordGate, WeylOp
+from .weyl import CliffordGate, GateKind, WeylOp, conjugate_rows
 
 TREE_MAX_RANDOM_MEASUREMENTS = 8
+FRAME_BLOCK = 1024  # shots per block of frame draws
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,8 @@ class NoiseChannel:
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("probability must be in [0,1]")
         if self.kind == "weyl_custom":
+            if any(w < 0 for w, _ in self.weights):
+                raise ValueError("weyl_custom weights must be non-negative")
             total = sum(w for w, _ in self.weights)
             if total > 1.0 + 1e-12:
                 raise ValueError("weyl_custom weights must sum to at most 1")
@@ -165,9 +172,15 @@ class Circuit:
                 k = ins.channel.kind
                 if k == "depolarizing2" and len(ins.sites) != 2:
                     raise ValueError("depolarizing2 needs a site pair")
+                if len(set(ins.sites)) != len(ins.sites):
+                    raise ValueError(f"noise sites {ins.sites} repeat a site")
                 for s in ins.sites:
                     if not (0 <= s < self.n_qudits):
                         raise ValueError(f"noise site {s} out of range")
+                for _, pattern in ins.channel.weights:
+                    if not set(pattern) <= set(range(len(ins.sites))):
+                        raise ValueError(f"weyl_custom pattern keys {sorted(pattern)} "
+                                         f"outside the {len(ins.sites)} noise sites")
 
     def has_noise(self) -> bool:
         return any(isinstance(i, Noise) for i in self.instructions)
@@ -201,32 +214,26 @@ def shot_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
 
 
-def _sample_weyl_error(channel: NoiseChannel, sites: tuple[int, ...], d: int,
-                       n: int, rng: np.random.Generator) -> WeylOp | None:
+def _noise_exponents(channel: NoiseChannel, width: int, d: int, draw) -> np.ndarray:
+    """Sampled error exponents on the channel's sites, shape (shots, 2, width): x then z.
+
+    draw(fn) stacks fn(rng, m) over the generators of the shots, m each.
+    """
     if channel.kind == "depolarizing1":
-        pattern = {}
-        for s in sites:
-            if rng.random() < channel.p:
-                k = int(rng.integers(1, d * d))
-                pattern[s] = (k % d, k // d)
-        if not pattern:
-            return None
-        return WeylOp.from_pattern(d, n, pattern)
+        hit = draw(lambda rng, m: rng.random((m, width))) < channel.p
+        k = hit * draw(lambda rng, m: rng.integers(1, d * d, (m, width)))
+        return np.stack([k % d, k // d], axis=1)
     if channel.kind == "depolarizing2":
-        if rng.random() >= channel.p:
-            return None
-        k = int(rng.integers(1, d**4))
-        digits = (k % d, (k // d) % d, (k // d**2) % d, (k // d**3) % d)
-        a, b = sites
-        return WeylOp.from_pattern(d, n, {a: (digits[0], digits[1]), b: (digits[2], digits[3])})
-    # weyl_custom
-    u = rng.random()
-    acc = 0.0
-    for prob, pattern in channel.weights:
-        acc += prob
-        if u < acc:
-            return WeylOp.from_pattern(d, n, {sites[i]: xz for i, xz in pattern.items()})
-    return None
+        hit = draw(lambda rng, m: rng.random(m)) < channel.p
+        k = hit * draw(lambda rng, m: rng.integers(1, d**4, m))
+        return (k[:, None] // d ** np.arange(4) % d).reshape(-1, 2, 2).transpose(0, 2, 1)
+    # weyl_custom: pattern i where the cumulative weights first pass u; none past the last
+    table = np.zeros((len(channel.weights) + 1, 2, width), dtype=np.int64)
+    for i, (_, pattern) in enumerate(channel.weights):
+        for j, xz in pattern.items():
+            table[i, :, j] = xz
+    acc = np.cumsum([w for w, _ in channel.weights])
+    return table[np.searchsorted(acc, draw(lambda rng, m: rng.random(m)), side="right")]
 
 
 def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
@@ -240,9 +247,9 @@ def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
         for g in ins.predicate[creg[ins.creg]]:
             tab.apply_gate(g)
     elif isinstance(ins, Noise):
-        err = _sample_weyl_error(ins.channel, ins.sites, tab.d, tab.n, tab.rng)
-        if err is not None:
-            tab.apply_weyl(err)
+        (xz,) = _noise_exponents(ins.channel, len(ins.sites), tab.d, lambda fn: fn(tab.rng, 1))
+        if xz.any():
+            tab.apply_weyl(WeylOp.from_pattern(tab.d, tab.n, dict(zip(ins.sites, xz.T))))
     # Barrier: nothing
 
 
@@ -317,24 +324,79 @@ def _run_chunk(args) -> np.ndarray:
                    circuit.n_cregs)
 
 
+# (x, z) exponent step of each Weyl gate kind; these act on a phase-free frame as 1
+_SHIFTS = {GateKind.SHIFT_X: (1, 0), GateKind.SHIFT_X_DAG: (-1, 0),
+           GateKind.CLOCK_Z: (0, 1), GateKind.CLOCK_Z_DAG: (0, -1)}
+
+
+def _frame_compatible(circuit: Circuit) -> bool:
+    """True when every feed-forward branch is X/Z shifts only, so frames can run it."""
+    return all(g.kind in _SHIFTS for ins in circuit.instructions if isinstance(ins, CondGate)
+               for gates in ins.predicate.values() for g in gates)
+
+
+def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
+    """Creg values of n_shots Weyl-frame shots around one reference shot.
+
+    A shot is the reference (noise stripped, random outcomes forced to 0)
+    times a phase-free Weyl frame, its x and z exponents one row of an
+    (n_shots, 2, n) array. Frames start as uniform Z strings, random
+    elements of the initial stabilizer group. A measurement of W reads
+    ref + s(frame, W) and then multiplies the frame by W^k, k uniform.
+    Shots are drawn in blocks of FRAME_BLOCK, block b from
+    SeedSequence([base_seed, b]).
+    """
+    d, n = circuit.d, circuit.n_qudits
+    # zero shots still make one (empty) block, so every draw has an array to stack
+    blocks = [(np.random.default_rng(np.random.SeedSequence([base_seed, b])),
+               min(FRAME_BLOCK, n_shots - lo))
+              for b, lo in enumerate(range(0, max(n_shots, 1), FRAME_BLOCK))]
+
+    def draw(fn):
+        return np.concatenate([fn(rng, m) for rng, m in blocks])
+
+    ref, ref_creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
+    values = np.zeros((n_shots, circuit.n_cregs), dtype=np.int64)
+    # x then z exponents of each frame, (shots, 2, n) with the shot axis contiguous
+    xz = np.zeros((2, n, n_shots), dtype=np.int64).transpose(2, 0, 1)
+    xz[:, 1] = draw(lambda rng, m: rng.integers(d, size=(m, n)))
+    ph = np.zeros(n_shots, dtype=np.int64)  # scratch for conjugate_rows, never read
+    for ins in circuit.instructions:
+        if isinstance(ins, Noise):
+            sites = list(ins.sites)
+            err = _noise_exponents(ins.channel, len(sites), d, draw)
+            xz[:, :, sites] = (xz[:, :, sites] + err) % d
+            continue
+        if isinstance(ins, CondGate):
+            shift = np.zeros((d, 2, n), dtype=np.int64)  # x, z exponents of each branch
+            for k, gates in ins.predicate.items():
+                for g in gates:
+                    shift[k, :, g.targets[0]] += _SHIFTS[g.kind]
+            xz[:] = (xz + (shift - shift[ref_creg[ins.creg]])[values[:, ins.creg]]) % d
+        _apply(ins, ref, ref_creg, force=0)
+        if isinstance(ins, Gate):
+            conjugate_rows(ins.gate, xz[:, 0], xz[:, 1], ph, d)
+        elif isinstance(ins, Measure):
+            sup = list(ins.observable.support)
+            wx, wz = ins.observable.x[sup], ins.observable.z[sup]
+            s = xz[:, 0, sup] @ wz - xz[:, 1, sup] @ wx
+            values[:, ins.creg] = (ref_creg[ins.creg] + s) % d
+            k = draw(lambda rng, m: rng.integers(d, size=(m, 1, 1)))
+            xz[:, :, sup] = (xz[:, :, sup] + k * np.stack([wx, wz])) % d
+    return values.astype(np.uint8)
+
+
 def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
               parallelism: int = 1) -> ShotBatch:
-    """Run n_shots; shot i uses seed derived from (base_seed, i).
+    """Run n_shots; the values are a pure function of (circuit, n_shots, base_seed).
 
-    The result is a pure function of (circuit, n_shots, base_seed): the
-    same values array for any parallelism.
+    Frame-compatible circuits run as Weyl frames in one process. Others
+    run per shot, shot i on a tableau seeded by shot_seed(base_seed, i),
+    in parallelism worker processes; the values do not depend on it.
     """
     circuit.validate()
-    leaves = _outcome_leaves(circuit)
-    if leaves is not None:
-        # the draws execute would make, walked down the tree to a leaf
-        rows = []
-        for i in range(n_shots):
-            rng, path = np.random.default_rng(shot_seed(base_seed, i)), ()
-            while path not in leaves:
-                path += (int(rng.integers(circuit.d)),)
-            rows.append(leaves[path])
-        return ShotBatch(_values(rows, circuit.n_cregs))
+    if _frame_compatible(circuit):
+        return ShotBatch(_run_frames(circuit, n_shots, base_seed))
     if parallelism <= 1 or n_shots == 0:
         return ShotBatch(_run_chunk((circuit, base_seed, 0, n_shots)))
     chunk = (n_shots + parallelism - 1) // parallelism

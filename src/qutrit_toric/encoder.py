@@ -530,19 +530,17 @@ def simulate_readout(values: np.ndarray, per_qutrit_two_qubit: list[int],
     independently with probability leak_per_two_qubit (the default
     reproduces roughly the observed discard fraction on the large
     lattice workload); surviving bits are flipped with the readout
-    confusion rates. Per shot, the draws are n leak uniforms, then a hi
-    and a lo uniform for each unleaked qutrit in site order.
+    confusion rates. The draws are one (N, n) array of leak uniforms,
+    then one (N, n, 2) array of hi and lo uniforms, drawn for every
+    qutrit, leaked or not.
     """
     rng = np.random.default_rng(seed)
     values = np.asarray(values)
     n = len(per_qutrit_two_qubit)
     # per_qutrit_two_qubit already counts qubit-level involvements
     leak_p = 1.0 - (1.0 - leak_per_two_qubit) ** np.asarray(per_qutrit_two_qubit)
-    leaked = np.empty((len(values), n), dtype=bool)
-    uniforms = np.ones((len(values), n, 2))
-    for shot_leaked, shot_uniforms in zip(leaked, uniforms):
-        shot_leaked[:] = rng.random(n) < leak_p
-        shot_uniforms[~shot_leaked] = rng.random((n - int(shot_leaked.sum()), 2))
+    leaked = rng.random((len(values), n)) < leak_p
+    uniforms = rng.random((len(values), n, 2))
     ideal = _ENCODE_ARRAY[values]
     bits = ideal ^ (uniforms < np.array([p10, p01])[ideal])
     bits[leaked] = NC_BITS

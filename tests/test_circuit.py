@@ -1,8 +1,11 @@
 """Circuit IR: replay determinism, noise statistics, serialization."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from qutrit_toric import circuit as circuit_module
 from qutrit_toric import weyl
 from qutrit_toric.circuit import (
     CondGate,
@@ -12,13 +15,15 @@ from qutrit_toric.circuit import (
     Noise,
     NoiseChannel,
     TREE_MAX_RANDOM_MEASUREMENTS,
-    _sample_weyl_error,
+    _frame_compatible,
+    _noise_exponents,
     exact_outcome_distribution,
     run_shot,
     run_shots,
     shot_seed,
 )
 from qutrit_toric.dense import DenseState
+from qutrit_toric.dense import weyl_matrix as dense_weyl_matrix
 from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
 from qutrit_toric.serialize import circuit_from_json, circuit_to_json
 from qutrit_toric.tableau import StabilizerTableau
@@ -57,6 +62,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="pair"):
             c.validate()
 
+    def test_depolarizing2_pair_must_be_distinct(self):
+        c = Circuit(3, 2, 0)
+        c.noise(NoiseChannel("depolarizing2", 0.5), (1, 1))
+        with pytest.raises(ValueError, match="repeat"):
+            c.validate()
+
+    def test_weyl_custom_weights_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            NoiseChannel("weyl_custom", weights=((-0.5, {0: (1, 0)}), (1.2, {0: (0, 1)})))
+
+    def test_weyl_custom_pattern_keys_index_the_sites(self):
+        c = Circuit(3, 3, 0)
+        c.noise(NoiseChannel("weyl_custom", weights=((0.5, {2: (1, 0)}),)), (0, 1))
+        with pytest.raises(ValueError, match="outside"):
+            c.validate()
+        with pytest.raises(ValueError, match="outside"):
+            run_shots(c, 5)
+
 
 class TestDeterminism:
     def test_same_seed_same_record(self):
@@ -83,16 +106,28 @@ class TestDeterminism:
             assert run_shot(c, seed) == r
 
     def test_parallelism_identical_records(self):
-        c = bell_like_circuit().with_noise(p1=0.1)
-        a = run_shots(c, 40, base_seed=3, parallelism=1)
-        b = run_shots(c, 40, base_seed=3, parallelism=4)
-        assert np.array_equal(a.values, b.values)
+        frames = bell_like_circuit().with_noise(p1=0.1)
+        per_shot = bell_like_circuit().with_noise(p1=0.1)
+        per_shot.cond(0, {0: (), 1: (weyl.fourier(1),), 2: ()})
+        per_shot.measure(WeylOp.from_site(3, 2, 1, 1, 0), 1)
+        assert not _frame_compatible(per_shot)
+        for c in (frames, per_shot):
+            a = run_shots(c, 40, base_seed=3, parallelism=1)
+            b = run_shots(c, 40, base_seed=3, parallelism=4)
+            assert np.array_equal(a.values, b.values)
 
-    def test_tree_path_matches_straight_line_engine(self):
+    def test_frame_path_matches_straight_line_engine(self):
+        """Frames and per-shot tableaus draw differently, so they agree in
+        distribution: both keep the Bell correlation and sit within 3 sigma
+        of the exact distribution."""
         c = bell_like_circuit()
-        batch = run_shots(c, 200, base_seed=9)  # tree-accelerated
-        direct = [run_shot(c, shot_seed(9, i)) for i in range(200)]
-        assert np.array_equal(batch.values, direct)
+        exact = exact_outcome_distribution(c)
+        batch = run_shots(c, 3000, base_seed=9)
+        direct = np.array([run_shot(c, shot_seed(9, i)) for i in range(3000)])
+        for values in (batch.values, direct):
+            assert np.array_equal(values[:, 0], values[:, 1])
+            tvd, bound = sampled_tvd(values, exact)
+            assert tvd <= bound
 
     def test_values_array_shape(self):
         c = bell_like_circuit().with_noise(p1=0.1)
@@ -138,22 +173,32 @@ def reference_run_shot(circuit, seed):
             for g in ins.predicate[creg[ins.creg]]:
                 tab.apply_gate(g)
         elif isinstance(ins, Noise):
-            err = _sample_weyl_error(ins.channel, ins.sites, circuit.d, circuit.n_qudits, rng)
-            if err is not None:
-                tab.apply_weyl(err)
+            (xz,) = _noise_exponents(ins.channel, len(ins.sites), circuit.d,
+                                     lambda fn: fn(rng, 1))
+            pattern = {s: (int(a), int(b)) for s, (a, b) in zip(ins.sites, xz.T) if a or b}
+            if pattern:
+                tab.apply_weyl(WeylOp.from_pattern(circuit.d, circuit.n_qudits, pattern))
     return creg
 
 
-def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
-    """Gates, measurements, feed-forward blocks, all three noise kinds, barriers."""
+def random_mixed_circuit(rng, n: int, n_cregs: int = 3, weyl_branches: bool = False) -> Circuit:
+    """Gates, measurements, feed-forward blocks, all three noise kinds, barriers.
+
+    weyl_branches draws every feed-forward gate from the X/Z shifts."""
     kinds1 = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
     kinds2 = sorted(weyl.TWO_QUDIT_KINDS, key=lambda k: k.value)
+    shifts = (weyl.shift_x, weyl.shift_x_dag, weyl.clock_z, weyl.clock_z_dag)
 
     def gate():
         if n > 1 and rng.random() < 0.4:
             q = rng.choice(n, 2, replace=False)
             return weyl.CliffordGate(kinds2[rng.integers(len(kinds2))], (int(q[0]), int(q[1])))
         return weyl.CliffordGate(kinds1[rng.integers(len(kinds1))], (int(rng.integers(n)),))
+
+    def branch_gate():
+        if weyl_branches:
+            return shifts[int(rng.integers(4))](int(rng.integers(n)))
+        return gate()
 
     channels = [
         NoiseChannel("depolarizing1", 0.3),
@@ -175,7 +220,8 @@ def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
             written.append(k)
         elif r < 0.65 and written:
             k = written[int(rng.integers(len(written)))]
-            c.cond(k, {t: tuple(gate() for _ in range(int(rng.integers(3)))) for t in range(3)})
+            c.cond(k, {t: tuple(branch_gate() for _ in range(int(rng.integers(3))))
+                       for t in range(3)})
         elif r < 0.9:
             ch = channels[int(rng.integers(3 if n > 1 else 1))]
             if ch.kind == "depolarizing1":
@@ -231,16 +277,117 @@ def dense_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]
     return dist
 
 
+def sampled_tvd(values: np.ndarray, dist: dict) -> tuple[float, float]:
+    """TVD of the rows' empirical distribution from dist, and its 3 sigma bound;
+    a row dist gives no weight adds to the TVD and nothing to the bound."""
+    n = len(values)
+    rows, counts = np.unique(values, axis=0, return_counts=True)
+    emp = {tuple(int(v) for v in r): c / n for r, c in zip(rows, counts)}
+    keys = set(emp) | set(dist)
+    tvd = 0.5 * sum(abs(emp.get(k, 0) - dist.get(k, 0)) for k in keys)
+    bound = 0.5 * sum(3 * np.sqrt(max(dist.get(k, 0) * (1 - dist.get(k, 0)), 0) / n)
+                      for k in keys)
+    return tvd, bound + 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def pattern_matrix(d: int, n: int, pattern: tuple) -> np.ndarray:
+    """Dense matrix of the Weyl string with ((site, (x, z)), ...) exponents."""
+    return dense_weyl_matrix(WeylOp.from_pattern(d, n, dict(pattern)))
+
+
+@functools.lru_cache(maxsize=None)
+def gates_matrix(d: int, n: int, gates: tuple) -> np.ndarray:
+    """Dense matrix of a gate sequence, built column by column through DenseState."""
+    cols = []
+    for i in range(d ** n):
+        st = DenseState(d, n, np.eye(d ** n)[i])
+        for g in gates:
+            st.apply_gate(g)
+        cols.append(st.amp)
+    return np.array(cols).T
+
+
+def density_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]:
+    """Joint creg distribution of a noisy circuit, every noise pattern weighted.
+
+    One density matrix per creg record. Gates are matrices built column by
+    column through DenseState, error patterns and Weyl powers dense Weyl
+    matrices. A noise channel is sum_k p_k E_k rho E_k^dag over all its
+    patterns: each site's d^2 for depolarizing1, the pair's d^4 for
+    depolarizing2, the listed ones plus the identity for weyl_custom."""
+    d, n = circuit.d, circuit.n_qudits
+    dim = d ** n
+    omega = np.exp(2j * np.pi / d)
+
+    def channel_terms(ch, sites):
+        if ch.kind == "depolarizing1":
+            terms = [(1.0, ())]
+            for s in sites:
+                terms = [(p * q, pat + ((s, (k % d, k // d)),)) for p, pat in terms
+                         for q, k in [(1 - ch.p, 0)] + [(ch.p / (d * d - 1), k)
+                                                         for k in range(1, d * d)]]
+            return terms
+        if ch.kind == "depolarizing2":
+            a, b = sites
+            return [(1 - ch.p, ())] + [
+                (ch.p / (d**4 - 1), ((a, (k % d, k // d % d)), (b, (k // d**2 % d, k // d**3))))
+                for k in range(1, d**4)]
+        rest = 1 - sum(w for w, _ in ch.weights)
+        return [(rest, ())] + [(w, tuple((sites[i], xz) for i, xz in pat.items()))
+                               for w, pat in ch.weights]
+
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1
+    states = {(0,) * circuit.n_cregs: rho}
+    for ins in circuit.instructions:
+        if isinstance(ins, (Gate, CondGate)):
+            out = {}
+            for key, r in states.items():
+                gates = (ins.gate,) if isinstance(ins, Gate) else ins.predicate[key[ins.creg]]
+                u = gates_matrix(d, n, gates)
+                out[key] = u @ r @ u.conj().T
+            states = out
+        elif isinstance(ins, Noise):
+            terms = channel_terms(ins.channel, ins.sites)
+            p = np.array([t[0] for t in terms])[:, None, None]
+            e = np.array([pattern_matrix(d, n, t[1]) for t in terms])
+            states = {key: (p * (e @ r @ e.conj().transpose(0, 2, 1))).sum(0)
+                      for key, r in states.items()}
+        elif isinstance(ins, Measure):
+            powers = [dense_weyl_matrix(ins.observable.power(m)) for m in range(d)]
+            projs = [sum(omega ** (-s * m) * powers[m] for m in range(d)) / d for s in range(d)]
+            out = {}
+            for key, r in states.items():
+                for s, proj in enumerate(projs):
+                    k2 = key[:ins.creg] + (s,) + key[ins.creg + 1:]
+                    out[k2] = out.get(k2, 0) + proj @ r @ proj.conj().T
+            states = out
+    dist = {key: float(np.trace(r).real) for key, r in states.items()}
+    return {key: p for key, p in dist.items() if p > 1e-12}
+
+
+SHIFT_KINDS = {weyl.GateKind.SHIFT_X, weyl.GateKind.SHIFT_X_DAG,
+               weyl.GateKind.CLOCK_Z, weyl.GateKind.CLOCK_Z_DAG}
+
+
+def has_non_weyl_feed_forward(circuit: Circuit) -> bool:
+    return any(g.kind not in SHIFT_KINDS for ins in circuit.instructions
+               if isinstance(ins, CondGate) for gates in ins.predicate.values() for g in gates)
+
+
 class TestSingleInterpreter:
     @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-stripped"])
     def test_run_shot_matches_straight_line_reference(self, noisy):
         """execute draws noise and outcomes exactly as the straight-line loop
-        did, and so does the outcome tree that run_shots walks on noiseless
-        circuits; where the tree stays within its budget, its exact
+        did; run_shots equals that loop row for row where it runs per shot
+        and, where frames run it, gives only outcomes the exact distribution
+        allows; where the tree stays within its budget, its exact
         distribution matches the dense oracle."""
         rng = np.random.default_rng(2024)
         kinds = set()
         trees = 0
+        routes = {"frames": 0, "per-shot": 0}
         for trial in range(40):
             c = random_mixed_circuit(rng, int(rng.integers(1, 5)))
             if not noisy:
@@ -248,7 +395,7 @@ class TestSingleInterpreter:
             try:
                 exact = exact_outcome_distribution(c)
             except ValueError:
-                pass
+                exact = None
             else:
                 trees += 1
                 dense = dense_outcome_distribution(c)
@@ -263,13 +410,120 @@ class TestSingleInterpreter:
                 s = shot_seed(trial, seed)
                 assert run_shot(c, s) == reference_run_shot(c, s), (trial, seed)
             batch = run_shots(c, 20, base_seed=trial)
-            assert np.array_equal(batch.values, [reference_run_shot(c, shot_seed(trial, i))
-                                                 for i in range(20)])
+            if not _frame_compatible(c):
+                routes["per-shot"] += 1
+                assert np.array_equal(batch.values, [reference_run_shot(c, shot_seed(trial, i))
+                                                     for i in range(20)])
+            else:
+                routes["frames"] += 1
+                if exact is not None:
+                    assert {tuple(r) for r in batch.values.tolist()} <= set(exact), trial
         expected = {"Gate", "Measure", "CondGate", "Barrier", "multi-site"}
         if noisy:
             expected |= {"Noise", "depolarizing1", "depolarizing2", "weyl_custom"}
         assert kinds == expected
         assert trees == (0 if noisy else 39)
+        assert min(routes.values()) > 0, routes
+
+
+class TestFrameSampler:
+    def test_noiseless_weyl_feed_forward_matches_dense(self):
+        rng = np.random.default_rng(31)
+        conds = 0
+        for trial in range(30):
+            c = without_noise(random_mixed_circuit(rng, int(rng.integers(1, 5)),
+                                                   weyl_branches=True))
+            assert _frame_compatible(c)
+            conds += sum(1 for i in c.instructions if isinstance(i, CondGate)
+                         and any(i.predicate.values()))
+            dense = dense_outcome_distribution(c)
+            tvd, bound = sampled_tvd(run_shots(c, 10_000, base_seed=trial).values, dense)
+            assert tvd <= bound, (trial, tvd, bound)
+        assert conds > 10
+
+    def test_noisy_matches_noise_pattern_enumeration(self):
+        rng = np.random.default_rng(32)
+        kinds = set()
+        for trial in range(30):
+            c = random_mixed_circuit(rng, int(rng.integers(1, 4)), weyl_branches=True)
+            assert _frame_compatible(c)
+            kinds.update(i.channel.kind for i in c.instructions if isinstance(i, Noise))
+            kinds.update("feed-forward" for i in c.instructions
+                         if isinstance(i, CondGate) and any(i.predicate.values()))
+            exact = density_outcome_distribution(c)
+            assert sum(exact.values()) == pytest.approx(1.0)
+            tvd, bound = sampled_tvd(run_shots(c, 10_000, base_seed=trial).values, exact)
+            assert tvd <= bound, (trial, tvd, bound)
+        assert kinds == {"depolarizing1", "depolarizing2", "weyl_custom", "feed-forward"}
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_each_noise_kind_matches_enumeration_on_basis_readout(self, basis):
+        """Noise on a basis state read out in that basis: the outcomes show
+        the error's x (z basis) or z (x basis) exponents site by site."""
+        channels = [
+            NoiseChannel("depolarizing1", 0.3),
+            NoiseChannel("depolarizing2", 0.5),
+            NoiseChannel("weyl_custom", weights=((0.3, {0: (1, 2)}), (0.4, {1: (2, 1)}))),
+        ]
+        for ch in channels:
+            c = Circuit(3, 3, 3)
+            turn = [weyl.fourier(q) for q in range(3)] if basis == "x" else []
+            c.gates(turn)
+            c.noise(ch, (2, 0))
+            c.gates(g.inverse() for g in turn)
+            for q in range(3):
+                c.measure(WeylOp.from_site(3, 3, q, 0, 1), q)
+            exact = density_outcome_distribution(c)
+            assert len(exact) > 2
+            tvd, bound = sampled_tvd(run_shots(c, 10_000, base_seed=8).values, exact)
+            assert tvd <= bound, (ch.kind, tvd, bound)
+
+    def test_density_oracle_matches_tree_without_noise(self):
+        rng = np.random.default_rng(33)
+        compared = 0
+        for _ in range(10):
+            c = without_noise(random_mixed_circuit(rng, int(rng.integers(1, 4))))
+            try:
+                tree = exact_outcome_distribution(c)
+            except ValueError:
+                continue
+            compared += 1
+            exact = density_outcome_distribution(c)
+            assert set(exact) == set(tree)
+            assert all(exact[k] == pytest.approx(tree[k], abs=1e-9) for k in tree)
+        assert compared >= 8
+
+    def test_non_weyl_feed_forward_runs_per_shot(self, monkeypatch):
+        """Every circuit with a non-Weyl feed-forward gate takes the per-shot
+        path, row for row the straight-line loop; every other one takes frames."""
+        def frames_refused(*args):
+            raise AssertionError("frame engine ran")
+
+        rng = np.random.default_rng(34)
+        per_shot = 0
+        for trial in range(40):
+            c = random_mixed_circuit(rng, int(rng.integers(1, 5)))
+            non_weyl = has_non_weyl_feed_forward(c)
+            assert _frame_compatible(c) is not non_weyl
+            if non_weyl:
+                per_shot += 1
+                with monkeypatch.context() as m:
+                    m.setattr(circuit_module, "_run_frames", frames_refused)
+                    batch = run_shots(c, 20, base_seed=trial)
+                assert np.array_equal(batch.values, [reference_run_shot(c, shot_seed(trial, i))
+                                                     for i in range(20)])
+        assert per_shot >= 10
+
+    def test_block_draws(self):
+        """Values are a pure function of (circuit, n_shots, base_seed): each
+        block of FRAME_BLOCK shots draws from its own generator, so the
+        blocks before a partial last block do not depend on n_shots."""
+        c = bell_like_circuit().with_noise(p1=0.2, p2=0.2)
+        block = circuit_module.FRAME_BLOCK
+        a = run_shots(c, block + 1, base_seed=5).values
+        assert np.array_equal(a, run_shots(c, block + 1, base_seed=5).values)
+        assert np.array_equal(a[:block], run_shots(c, block + 7, base_seed=5).values[:block])
+        assert not np.array_equal(a, run_shots(c, block + 1, base_seed=6).values)
 
 
 class TestStatistics:

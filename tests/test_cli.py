@@ -6,6 +6,7 @@ import os
 import pytest
 
 from qutrit_toric import cli
+from qutrit_toric.circuit import FRAME_BLOCK
 from qutrit_toric.cli import main
 
 
@@ -36,6 +37,19 @@ class TestPrepare:
         _, _, out2 = run_cli(tmp_path, "prepare", "--lx", "4", "--ly", "2",
                              "--shots", "50", "--noise", "default", "--seed", "9")
         assert out2.read_text() == text1
+
+    def test_threads_leave_noisy_document_unchanged(self, tmp_path):
+        """Over more than one block of frame draws, --threads 1 and 2 give the
+        same document apart from the threads echo."""
+        docs = []
+        for threads in (1, 2):
+            code, doc, _ = run_cli(tmp_path, "prepare", "--lx", "6", "--ly", "4",
+                                   "--noise", "default", "--shots", str(FRAME_BLOCK + 1),
+                                   "--seed", "4", "--threads", str(threads))
+            assert code == 0 and doc["config"].pop("threads") == threads
+            docs.append(doc)
+        assert docs[0]["results"]["shots_per_basis"] == FRAME_BLOCK + 1
+        assert docs[0] == docs[1]
 
     def test_csv_emission(self, tmp_path):
         csv = tmp_path / "table.csv"

@@ -372,28 +372,27 @@ class TestHeralding:
 
 def reference_simulate_readout(rows, per_qutrit_two_qubit, p01, p10, leak_per_two_qubit,
                                seed):
-    """The per-qutrit readout loop, written out here as the reference for the array version."""
+    """The per-qutrit readout loop, written out here as the reference for the array version.
+
+    Uniforms come in the array version's order: (N, n) leak draws, then
+    (N, n, 2) hi and lo draws for every qutrit."""
     rng = np.random.default_rng(seed)
     n = len(per_qutrit_two_qubit)
     leak_p = 1.0 - (1.0 - leak_per_two_qubit) ** np.asarray(per_qutrit_two_qubit)
+    leak_u = rng.random((len(rows), n))
+    flip_u = rng.random((len(rows), n, 2))
     out = []
-    for rec in rows:
-        leaked = rng.random(n) < leak_p
+    for rec, leak_row, flip_row in zip(rows, leak_u, flip_u):
         bits = []
         for i, v in enumerate(rec):
-            if leaked[i]:
+            if leak_row[i] < leak_p[i]:
                 bits.extend(NC_BITS)
                 continue
-            hi, lo = ENCODE_BITS[int(v)]
-            if hi == 1:
-                hi = 0 if rng.random() < p01 else 1
-            else:
-                hi = 1 if rng.random() < p10 else 0
-            if lo == 1:
-                lo = 0 if rng.random() < p01 else 1
-            else:
-                lo = 1 if rng.random() < p10 else 0
-            bits.extend((hi, lo))
+            for bit, u in zip(ENCODE_BITS[int(v)], flip_row[i]):
+                if bit == 1:
+                    bits.append(0 if u < p01 else 1)
+                else:
+                    bits.append(1 if u < p10 else 0)
         out.append(tuple(bits))
     return out
 
