@@ -7,9 +7,9 @@ acts on a tableau; `execute` loops over it.
 
 `run_shots` samples with Weyl frames (Pauli-frame sampling carried over
 to Z_d): one reference shot on the tableau, noise stripped and every
-random outcome forced to 0, and then all shots at once as phase-free
-Weyl frames, (shots, n) exponent arrays conjugated by the same rule
-table as the tableau. Feed-forward whose branches are X/Z shifts is a
+random outcome forced to 0, and then the shots as phase-free Weyl
+frames, FRAME_BLOCK at a time in one (shots, 2, n) exponent array,
+conjugated by the same rule table as the tableau. Feed-forward whose branches are X/Z shifts is a
 per-shot frame update. `_frame_compatible` is the one engine choice:
 any other feed-forward runs per shot through `execute`, shot i seeded
 by (base_seed, i). Either way the values are a pure function of
@@ -214,18 +214,16 @@ def shot_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
 
 
-def _noise_exponents(channel: NoiseChannel, width: int, d: int, draw) -> np.ndarray:
-    """Sampled error exponents on the channel's sites, shape (shots, 2, width): x then z.
-
-    draw(fn) stacks fn(rng, m) over the generators of the shots, m each.
-    """
+def _noise_exponents(channel: NoiseChannel, width: int, d: int, rng: np.random.Generator,
+                     m: int) -> np.ndarray:
+    """Error exponents of m shots on the channel's sites, shape (m, 2, width): x then z."""
     if channel.kind == "depolarizing1":
-        hit = draw(lambda rng, m: rng.random((m, width))) < channel.p
-        k = hit * draw(lambda rng, m: rng.integers(1, d * d, (m, width)))
+        hit = rng.random((m, width)) < channel.p
+        k = hit * rng.integers(1, d * d, (m, width))
         return np.stack([k % d, k // d], axis=1)
     if channel.kind == "depolarizing2":
-        hit = draw(lambda rng, m: rng.random(m)) < channel.p
-        k = hit * draw(lambda rng, m: rng.integers(1, d**4, m))
+        hit = rng.random(m) < channel.p
+        k = hit * rng.integers(1, d**4, m)
         return (k[:, None] // d ** np.arange(4) % d).reshape(-1, 2, 2).transpose(0, 2, 1)
     # weyl_custom: pattern i where the cumulative weights first pass u; none past the last
     table = np.zeros((len(channel.weights) + 1, 2, width), dtype=np.int64)
@@ -233,7 +231,7 @@ def _noise_exponents(channel: NoiseChannel, width: int, d: int, draw) -> np.ndar
         for j, xz in pattern.items():
             table[i, :, j] = xz
     acc = np.cumsum([w for w, _ in channel.weights])
-    return table[np.searchsorted(acc, draw(lambda rng, m: rng.random(m)), side="right")]
+    return table[np.searchsorted(acc, rng.random(m), side="right")]
 
 
 def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
@@ -247,7 +245,7 @@ def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
         for g in ins.predicate[creg[ins.creg]]:
             tab.apply_gate(g)
     elif isinstance(ins, Noise):
-        (xz,) = _noise_exponents(ins.channel, len(ins.sites), tab.d, lambda fn: fn(tab.rng, 1))
+        (xz,) = _noise_exponents(ins.channel, len(ins.sites), tab.d, tab.rng, 1)
         if xz.any():
             tab.apply_weyl(WeylOp.from_pattern(tab.d, tab.n, dict(zip(ins.sites, xz.T))))
     # Barrier: nothing
@@ -314,17 +312,13 @@ def _outcome_leaves(circuit: Circuit) -> dict[tuple[int, ...], list[int]] | None
     return leaves if walk(0, root, [0] * circuit.n_cregs, ()) else None
 
 
-def _values(rows: list[list[int]], n_cregs: int) -> np.ndarray:
-    return np.array(rows, dtype=np.uint8).reshape(len(rows), n_cregs)
-
-
 def _run_chunk(args) -> np.ndarray:
     circuit, base_seed, lo, hi = args
-    return _values([run_shot(circuit, shot_seed(base_seed, i)) for i in range(lo, hi)],
-                   circuit.n_cregs)
+    rows = [run_shot(circuit, shot_seed(base_seed, i)) for i in range(lo, hi)]
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), circuit.n_cregs)
 
 
-# (x, z) exponent step of each Weyl gate kind; these act on a phase-free frame as 1
+# (x, z) exponents of each Weyl gate kind; conjugating a frame by one only moves its phase
 _SHIFTS = {GateKind.SHIFT_X: (1, 0), GateKind.SHIFT_X_DAG: (-1, 0),
            GateKind.CLOCK_Z: (0, 1), GateKind.CLOCK_Z_DAG: (0, -1)}
 
@@ -339,51 +333,57 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     """Creg values of n_shots Weyl-frame shots around one reference shot.
 
     A shot is the reference (noise stripped, random outcomes forced to 0)
-    times a phase-free Weyl frame, its x and z exponents one row of an
-    (n_shots, 2, n) array. Frames start as uniform Z strings, random
-    elements of the initial stabilizer group. A measurement of W reads
-    ref + s(frame, W) and then multiplies the frame by W^k, k uniform.
-    Shots are drawn in blocks of FRAME_BLOCK, block b from
-    SeedSequence([base_seed, b]).
+    times a phase-free Weyl frame. Shots run in blocks of FRAME_BLOCK,
+    block b drawing from SeedSequence([base_seed, b]).
+    """
+    ref, creg = StabilizerTableau(circuit.d, circuit.n_qudits), [0] * circuit.n_cregs
+    ref_values = []  # the reference's value of the creg each instruction writes or reads
+    for ins in circuit.instructions:
+        if not isinstance(ins, Noise):
+            _apply(ins, ref, creg, force=0)
+        ref_values.append(creg[ins.creg] if isinstance(ins, (Measure, CondGate)) else None)
+    values = np.empty((n_shots, circuit.n_cregs), dtype=np.uint8)
+    for b, lo in enumerate(range(0, n_shots, FRAME_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
+        values[lo:lo + FRAME_BLOCK] = _frame_block(circuit, ref_values, rng,
+                                                   min(FRAME_BLOCK, n_shots - lo))
+    return values
+
+
+def _frame_block(circuit: Circuit, ref_values: list, rng: np.random.Generator,
+                 m: int) -> np.ndarray:
+    """Creg values of m frame shots drawn from rng.
+
+    Frames start as uniform Z strings, random elements of the initial
+    stabilizer group. A measurement of W reads ref + s(frame, W) and then
+    multiplies the frame by W^k, k uniform.
     """
     d, n = circuit.d, circuit.n_qudits
-    # zero shots still make one (empty) block, so every draw has an array to stack
-    blocks = [(np.random.default_rng(np.random.SeedSequence([base_seed, b])),
-               min(FRAME_BLOCK, n_shots - lo))
-              for b, lo in enumerate(range(0, max(n_shots, 1), FRAME_BLOCK))]
-
-    def draw(fn):
-        return np.concatenate([fn(rng, m) for rng, m in blocks])
-
-    ref, ref_creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
-    values = np.zeros((n_shots, circuit.n_cregs), dtype=np.int64)
-    # x then z exponents of each frame, (shots, 2, n) with the shot axis contiguous
-    xz = np.zeros((2, n, n_shots), dtype=np.int64).transpose(2, 0, 1)
-    xz[:, 1] = draw(lambda rng, m: rng.integers(d, size=(m, n)))
-    ph = np.zeros(n_shots, dtype=np.int64)  # scratch for conjugate_rows, never read
-    for ins in circuit.instructions:
-        if isinstance(ins, Noise):
+    values = np.zeros((m, circuit.n_cregs), dtype=np.int64)
+    # x then z exponents of each frame, (m, 2, n) with the shot axis contiguous
+    xz = np.zeros((2, n, m), dtype=np.int64).transpose(2, 0, 1)
+    xz[:, 1] = rng.integers(d, size=(m, n))
+    ph = np.zeros(m, dtype=np.int64)  # scratch for conjugate_rows, never read
+    for ins, ref in zip(circuit.instructions, ref_values):
+        if isinstance(ins, Gate):
+            conjugate_rows(ins.gate, xz[:, 0], xz[:, 1], ph, d)
+        elif isinstance(ins, Noise):
             sites = list(ins.sites)
-            err = _noise_exponents(ins.channel, len(sites), d, draw)
+            err = _noise_exponents(ins.channel, len(sites), d, rng, m)
             xz[:, :, sites] = (xz[:, :, sites] + err) % d
-            continue
-        if isinstance(ins, CondGate):
+        elif isinstance(ins, CondGate):
             shift = np.zeros((d, 2, n), dtype=np.int64)  # x, z exponents of each branch
             for k, gates in ins.predicate.items():
                 for g in gates:
                     shift[k, :, g.targets[0]] += _SHIFTS[g.kind]
-            xz[:] = (xz + (shift - shift[ref_creg[ins.creg]])[values[:, ins.creg]]) % d
-        _apply(ins, ref, ref_creg, force=0)
-        if isinstance(ins, Gate):
-            conjugate_rows(ins.gate, xz[:, 0], xz[:, 1], ph, d)
+            xz[:] = (xz + (shift - shift[ref])[values[:, ins.creg]]) % d
         elif isinstance(ins, Measure):
             sup = list(ins.observable.support)
             wx, wz = ins.observable.x[sup], ins.observable.z[sup]
-            s = xz[:, 0, sup] @ wz - xz[:, 1, sup] @ wx
-            values[:, ins.creg] = (ref_creg[ins.creg] + s) % d
-            k = draw(lambda rng, m: rng.integers(d, size=(m, 1, 1)))
+            values[:, ins.creg] = (ref + xz[:, 0, sup] @ wz - xz[:, 1, sup] @ wx) % d
+            k = rng.integers(d, size=(m, 1, 1))
             xz[:, :, sup] = (xz[:, :, sup] + k * np.stack([wx, wz])) % d
-    return values.astype(np.uint8)
+    return values
 
 
 def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,

@@ -173,8 +173,7 @@ def reference_run_shot(circuit, seed):
             for g in ins.predicate[creg[ins.creg]]:
                 tab.apply_gate(g)
         elif isinstance(ins, Noise):
-            (xz,) = _noise_exponents(ins.channel, len(ins.sites), circuit.d,
-                                     lambda fn: fn(rng, 1))
+            (xz,) = _noise_exponents(ins.channel, len(ins.sites), circuit.d, rng, 1)
             pattern = {s: (int(a), int(b)) for s, (a, b) in zip(ins.sites, xz.T) if a or b}
             if pattern:
                 tab.apply_weyl(WeylOp.from_pattern(circuit.d, circuit.n_qudits, pattern))
