@@ -99,8 +99,7 @@ def fidelity_bounds(tr_p: float, tr_q: float, n_sites: int,
                          n_sites, lower_se, upper_se, clamped)
 
 
-def topological_qutrit_bounds(stab_x_triple, stab_z_triple, outcome: int,
-                              se_x=None, se_z=None) -> FidelityBound:
+def topological_qutrit_bounds(stab_x_triple, stab_z_triple, outcome: int) -> FidelityBound:
     """Bound for the entangled defect-pair state given the ancilla outcome.
 
     P projects onto the omega^outcome sector of the charge-braid loop,
@@ -108,9 +107,7 @@ def topological_qutrit_bounds(stab_x_triple, stab_z_triple, outcome: int,
     """
     if not (0 <= outcome < len(stab_x_triple)):
         raise ValueError(f"invalid ancilla outcome {outcome}")
-    se_p = se_x[outcome] if se_x is not None else 0.0
-    se_q = se_z[0] if se_z is not None else 0.0
-    return fidelity_bounds(stab_x_triple[outcome], stab_z_triple[0], 1, se_p, se_q)
+    return fidelity_bounds(stab_x_triple[outcome], stab_z_triple[0], 1)
 
 
 # -- readout mitigation ----------------------------------------------------------

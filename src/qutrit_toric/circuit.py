@@ -152,11 +152,16 @@ class Circuit:
 
     def validate(self) -> None:
         written: set[int] = set()
-        for ins in self.instructions:
-            if isinstance(ins, Gate):
-                for t in ins.gate.targets:
+
+        def check_targets(gates):
+            for g in gates:
+                for t in g.targets:
                     if not (0 <= t < self.n_qudits):
                         raise ValueError(f"gate target {t} out of range")
+
+        for ins in self.instructions:
+            if isinstance(ins, Gate):
+                check_targets((ins.gate,))
             elif isinstance(ins, Measure):
                 if ins.observable.n != self.n_qudits or ins.observable.d != self.d:
                     raise ValueError("measurement observable shape mismatch")
@@ -168,6 +173,7 @@ class Circuit:
                     raise ValueError(f"creg {ins.creg} read before written")
                 if set(ins.predicate.keys()) != set(range(self.d)):
                     raise ValueError("conditional predicate must cover all outcomes")
+                check_targets(g for branch in ins.predicate.values() for g in branch)
             elif isinstance(ins, Noise):
                 k = ins.channel.kind
                 if k == "depolarizing2" and len(ins.sites) != 2:

@@ -257,6 +257,20 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -273,17 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, lattice=True):
+    def common(p, lattice=True, csv=False):
         if lattice:
             p.add_argument("--lx", type=int, default=6)
             p.add_argument("--ly", type=int, default=4)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=_positive_int, default=1)
         p.add_argument("--output", "-o", help="output path ('-' for stdout)")
-        p.add_argument("--csv", help="also write a CSV table to this path")
+        if csv:
+            p.add_argument("--csv", help="also write a CSV table to this path")
 
     p = sub.add_parser("prepare", help="ground-state preparation experiment")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--shots", type=_non_negative_int, default=0,
                    help="0 = exact noiseless expectations")
     p.add_argument("--noise", choices=["off", "default"], default="off")
@@ -299,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p, lattice=False)
 
     p = sub.add_parser("topo-qutrit", help="entangled defect-pair protocol")
-    common(p)
+    common(p, csv=True)
     p.set_defaults(ly=2)
 
     p = sub.add_parser("compile", help="compile a preset to the native gate set")
@@ -314,11 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="two-projector fidelity bound")
     common(p, lattice=False)
-    p.add_argument("--trp", type=float)
-    p.add_argument("--trq", type=float)
+    p.add_argument("--trp", type=_finite_float)
+    p.add_argument("--trq", type=_finite_float)
     p.add_argument("--sites", type=int)
-    p.add_argument("--se-p", type=float, default=0.0, dest="se_p")
-    p.add_argument("--se-q", type=float, default=0.0, dest="se_q")
+    p.add_argument("--se-p", type=_non_negative_float, default=0.0, dest="se_p")
+    p.add_argument("--se-q", type=_non_negative_float, default=0.0, dest="se_q")
     return parser
 
 

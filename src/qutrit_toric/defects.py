@@ -20,7 +20,7 @@ pair's internal state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +42,16 @@ from .weyl import (
 
 @dataclass(frozen=True)
 class DefectSpec:
+    """What a defect does to the observable frame.
+
+    transformed: face position -> operator that replaces the plain face.
+    stabilizers: name -> (operator, position it is reported at). A face
+    whose image is one of these is read under that name only.
+    """
+
     kind: str  # "PF" | "PFstar" | "CC"
-    sites: tuple[tuple[int, int], ...]
-    endpoint_stabilizers: tuple[WeylOp, ...]
-    nonlocal_stabilizers: tuple[WeylOp, ...]
-    # face position -> operator that replaces the plain face after creation
-    transformed: dict[tuple[int, int], WeylOp] = field(default_factory=dict)
-    measured: tuple[WeylOp, ...] = ()
-    creg: int | None = None
+    transformed: dict[tuple[int, int], WeylOp]
+    stabilizers: dict[str, tuple[WeylOp, tuple[int, int]]]
     ribbon: "CCRibbon | None" = None
 
 
@@ -167,12 +169,9 @@ def pf_defect_circuit(lattice: TorusLattice, site: tuple[int, int], species: str
     circ.cond(creg, predicate)
     spec = DefectSpec(
         kind=species,
-        sites=(site,),
-        endpoint_stabilizers=(e_west, e_east),
-        nonlocal_stabilizers=(nonlocal_op,),
         transformed={nw.pos: e_west, sw.pos: e_west, ne.pos: e_east, se.pos: e_east},
-        measured=(W,),
-        creg=creg,
+        stabilizers={name: (op, site) for name, op in (
+            ("west", e_west), ("east", e_east), ("nonlocal", nonlocal_op), ("measured", W))},
     )
     return circ, spec
 
@@ -218,41 +217,35 @@ def cc_ribbon_gates(lattice: TorusLattice, ribbon: CCRibbon) -> list[CliffordGat
 def cc_defect_circuit(lattice: TorusLattice, ribbon: CCRibbon) -> tuple[Circuit, DefectSpec]:
     """Unitary-only fragment inserting a charge-conjugation defect pair.
 
-    Raises when the ribbon does not produce exactly one shift-type and
-    one clock-type nonlocal endpoint (malformed geometry).
+    The deformed faces whose image outgrows a single face are the pair's
+    nonlocal endpoints, named `A-end` and `B-end` at their faces. Raises
+    when the ribbon does not produce exactly one shift-type and one
+    clock-type endpoint (malformed geometry).
     """
     n, d = lattice.n_sites, lattice.d
     gates = cc_ribbon_gates(lattice, ribbon)
     transformed: dict[tuple[int, int], WeylOp] = {}
-    nonlocal_ops: list[tuple[str, WeylOp]] = []
+    ends: list[tuple[str, tuple[WeylOp, tuple[int, int]]]] = []
     for p in lattice.plaquettes:
         img = conjugate_through(gates, p.operator(n, d))
         if img != p.operator(n, d):
             transformed[p.pos] = img
             if len(img.support) > 4:
-                nonlocal_ops.append((p.kind, img))
-    kinds = sorted(k for k, _ in nonlocal_ops)
+                ends.append((f"{p.kind}-end", (img, p.pos)))
+    kinds = sorted(name[0] for name, _ in ends)
     if kinds != ["A", "B"]:
         raise ValueError(
             f"malformed ribbon: expected one shift-type and one clock-type endpoint, got {kinds}"
         )
-    endpoints = tuple(op for _, op in sorted(nonlocal_ops, key=lambda t: t[0]))
     circ = Circuit(d, n, 0)
     circ.gates(gates)
-    spec = DefectSpec(
-        kind="CC",
-        sites=tuple(ribbon.schain) + tuple(s for _, s, _ in ribbon.steps),
-        endpoint_stabilizers=endpoints,
-        nonlocal_stabilizers=endpoints,
-        transformed=transformed,
-        ribbon=ribbon,
-    )
-    return circ, spec
+    return circ, DefectSpec("CC", transformed, dict(ends), ribbon)
 
 
 def fuse_cc_pair(lattice: TorusLattice, spec: DefectSpec) -> Circuit:
     """Re-apply the ribbon unitary; reveals any non-vacuum internal state."""
-    if spec.kind != "CC" or spec.ribbon is None:
+    if spec.ribbon is None:
         raise ValueError("fuse_cc_pair needs a CC defect spec")
-    circ, _ = cc_defect_circuit(lattice, spec.ribbon)
+    circ = Circuit(lattice.d, lattice.n_sites, 0)
+    circ.gates(cc_ribbon_gates(lattice, spec.ribbon))
     return circ

@@ -114,6 +114,37 @@ def face_key(kind: str, pos: tuple[int, int]) -> str:
     return f"{kind}@{pos[0]},{pos[1]}"
 
 
+def observable_frame(lattice: TorusLattice, defects: dict[int, DefectSpec]
+                     ) -> tuple[dict[str, WeylOp], dict[str, tuple[str, tuple[int, int], bool]]]:
+    """Observable frame of the lattice with the given live defects (index -> spec).
+
+    Each face is read through the last live defect that deforms it (plain
+    when none does) under face_key(kind, pos); a face whose image is one
+    of that defect's named stabilizers is read under the name instead.
+    Named stabilizers are keyed pf<i>:<name> or cc<i>:<name>. Returns the
+    operators and, per key, (kind, position, transformed).
+    """
+    n, d = lattice.n_sites, lattice.d
+    images: dict[tuple[int, int], tuple[WeylOp, bool]] = {}
+    for spec in defects.values():
+        named = [op for op, _ in spec.stabilizers.values()]
+        images.update((pos, (img, img in named)) for pos, img in spec.transformed.items())
+    observables: dict[str, WeylOp] = {}
+    kinds: dict[str, tuple[str, tuple[int, int], bool]] = {}
+    for p in lattice.plaquettes:
+        op, named = images.get(p.pos, (p.operator(n, d), False))
+        if not named:
+            key = face_key(p.kind, p.pos)
+            observables[key] = op
+            kinds[key] = (p.kind, p.pos, p.pos in images)
+    for i, spec in defects.items():
+        prefix = "cc" if spec.kind == "CC" else "pf"
+        for name, (op, pos) in spec.stabilizers.items():
+            observables[f"{prefix}{i}:{name}"] = op
+            kinds[f"{prefix}{i}:{name}"] = ("defect", pos, True)
+    return observables, kinds
+
+
 class ScriptRunner:
     """Executes a script on a tableau, emitting frames at snapshot steps."""
 
@@ -131,27 +162,15 @@ class ScriptRunner:
         """Yield each step with its circuit fragment, keeping the frame current.
 
         The observable frame (observables, kinds, defect_specs) is written
-        here and nowhere else; it is up to date for the steps done so far
-        whenever a step is yielded.
+        here and nowhere else: observable_frame rebuilds it from the live
+        defects at each insert and fuse, so it is up to date for the steps
+        done so far whenever a step is yielded.
         """
         lat = self.lattice
         n, d = lat.n_sites, lat.d
-        self.observables, self.kinds, self.defect_specs = {}, {}, []
-
-        def put(key, op, kind, pos, transformed=True):
-            self.observables[key] = op
-            self.kinds[key] = (kind, pos, transformed)
-
-        def drop(key):
-            self.observables.pop(key, None)
-            self.kinds.pop(key, None)
-
-        def plain(pos):
-            p = lat.plaquette_at(*pos)
-            put(face_key(p.kind, p.pos), p.operator(n, d), p.kind, p.pos, False)
-
-        for p in lat.plaquettes:
-            plain(p.pos)
+        self.defect_specs = []
+        live: dict[int, DefectSpec] = {}
+        self.observables, self.kinds = observable_frame(lat, live)
         n_meas = 0
         for step in self.script.steps:
             frag = Circuit(d, n, 0)
@@ -160,36 +179,18 @@ class ScriptRunner:
             elif isinstance(step, InsertPF):
                 frag, spec = pf_defect_circuit(lat, step.site, step.species, n_meas)
                 n_meas += 1
-                idx = len(self.defect_specs)
-                self.defect_specs.append(spec)
-                for pos in spec.transformed:
-                    drop(face_key(lat.plaquette_at(*pos).kind, pos))
-                for name, op in (("west", spec.endpoint_stabilizers[0]),
-                                 ("east", spec.endpoint_stabilizers[1]),
-                                 ("nonlocal", spec.nonlocal_stabilizers[0]),
-                                 ("measured", spec.measured[0])):
-                    put(f"pf{idx}:{name}", op, "defect", step.site)
             elif isinstance(step, InsertCC):
                 frag, spec = cc_defect_circuit(lat, step.ribbon)
-                idx = len(self.defect_specs)
-                self.defect_specs.append(spec)
-                for pos, img in spec.transformed.items():
-                    kind = lat.plaquette_at(*pos).kind
-                    if len(img.support) > 4:
-                        drop(face_key(kind, pos))
-                        put(f"cc{idx}:{kind}-end", img, "defect", pos)
-                    else:
-                        put(face_key(kind, pos), img, kind, pos)
             elif isinstance(step, Fuse):
-                spec = self.defect_specs[step.defect_index]
-                frag = fuse_cc_pair(lat, spec)
-                # defects gone: faces return to their plain operators
-                for pos in spec.transformed:
-                    plain(pos)
-                drop(f"cc{step.defect_index}:A-end")
-                drop(f"cc{step.defect_index}:B-end")
+                frag = fuse_cc_pair(lat, self.defect_specs[step.defect_index])
+                live.pop(step.defect_index, None)
             elif isinstance(step, Move):
                 frag.gates(weyl_gates(self.solve_move(step)))
+            if isinstance(step, (InsertPF, InsertCC)):
+                live[len(self.defect_specs)] = spec
+                self.defect_specs.append(spec)
+            if isinstance(step, (InsertPF, InsertCC, Fuse)):
+                self.observables, self.kinds = observable_frame(lat, live)
             yield step, frag
 
     def run(self) -> list[Frame]:
@@ -403,8 +404,9 @@ class TopologicalQutritProtocol:
         self.braid_loop = conjugate_through(gates, raw)
         if np.any(self.braid_loop.x):
             raise AssertionError("braid loop is not clock-type; bad layout")
-        self.a_ends = tuple(spec.endpoint_stabilizers[0] for spec in self.specs)
-        self.b_ends = tuple(spec.endpoint_stabilizers[1] for spec in self.specs)
+        self.a_ends = tuple(spec.stabilizers["A-end"][0] for spec in self.specs)
+        self.b_ends = tuple(spec.stabilizers["B-end"][0] for spec in self.specs)
+        self.observables, _ = observable_frame(lat, dict(enumerate(self.specs)))
         s1 = symplectic_product(self.braid_loop, self.a_ends[0])
         s2 = symplectic_product(self.braid_loop, self.a_ends[1])
         if s1 == 0 or s2 == 0:
@@ -457,19 +459,7 @@ class TopologicalQutritProtocol:
         but addresses the braid loop once.
         """
         lat = self.lattice
-        keep = []
-        locals_ = set()
-        for spec in self.specs:
-            locals_.update(pos for pos, img in spec.transformed.items()
-                           if len(img.support) > 4)
-        frame = {}
-        for p in lat.plaquettes:
-            frame[p.pos] = p.operator(lat.n_sites, lat.d)
-        for spec in self.specs:
-            for pos, img in spec.transformed.items():
-                frame[pos] = img
-        keep = [op for pos, op in frame.items() if pos not in locals_]
-        keep += [self.b_ends[0], self.b_ends[1]]
+        keep = [op for key, op in self.observables.items() if not key.endswith(":A-end")]
         change = [(self.braid_loop, 1)]
         support = tuple((x, y) for x in range(lat.lx) for y in range(lat.ly))
         op = solve_weyl_op(lat, support, keep, change)

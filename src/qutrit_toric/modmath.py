@@ -1,4 +1,4 @@
-"""Linear algebra over Z_d for prime d: solve, rank, nullspace.
+"""Linear algebra over Z_d for prime d: modular inverse, row reduction, rank, solve.
 
 Pivot inverses always exist because d is prime; everything is plain
 Gaussian elimination on small int64 matrices.
@@ -59,16 +59,3 @@ def solve(mat: np.ndarray, rhs: np.ndarray, d: int) -> np.ndarray | None:
         v[c] = red[r, cols]
     return v
 
-
-def nullspace(mat: np.ndarray, d: int) -> np.ndarray:
-    """Basis (rows) of the kernel of mat over Z_d."""
-    mat = np.asarray(mat, dtype=np.int64) % d
-    rows, cols = mat.shape
-    red, pivots = row_reduce(mat, d)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-red[r, fc]) % d
-    return basis

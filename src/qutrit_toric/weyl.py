@@ -20,15 +20,11 @@ from enum import Enum
 
 import numpy as np
 
-_SMALL_PRIMES = {3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-
 
 def check_dimension(d: int) -> None:
     """Reject dimensions that are not odd primes (in particular d=2)."""
     if d == 2:
         raise ValueError("qubit dimension d=2 is not supported (needs 4th-root phases)")
-    if d in _SMALL_PRIMES:
-        return
     if d < 2 or any(d % p == 0 for p in range(2, int(d**0.5) + 1)):
         raise ValueError(f"dimension must be an odd prime, got {d}")
 

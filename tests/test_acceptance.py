@@ -300,10 +300,10 @@ def test_criterion_5_fusion_identity_physical():
         _, spec = pf_defect_circuit(lat, site, species, i)
         for pos in spec.transformed:
             stabs.pop(("face", pos), None)
-        stabs[(f"pf{i}", "west")] = spec.endpoint_stabilizers[0]
-        stabs[(f"pf{i}", "east")] = spec.endpoint_stabilizers[1]
-        stabs[(f"pf{i}", "W")] = spec.measured[0]
-        stabs[(f"pf{i}", "nl")] = spec.nonlocal_stabilizers[0]
+        stabs[(f"pf{i}", "west")] = spec.stabilizers["west"][0]
+        stabs[(f"pf{i}", "east")] = spec.stabilizers["east"][0]
+        stabs[(f"pf{i}", "W")] = spec.stabilizers["measured"][0]
+        stabs[(f"pf{i}", "nl")] = spec.stabilizers["nonlocal"][0]
         frees.append((f"pf{i}", "nl"))
     occupied = {(1, 1), (1, 3)}
     covered = set()

@@ -80,6 +80,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             run_shots(c, 5)
 
+    @pytest.mark.parametrize("target", [-1, 5])
+    @pytest.mark.parametrize("frames", [True, False], ids=["frames", "per-shot"])
+    def test_feed_forward_targets_in_range(self, monkeypatch, target, frames):
+        """A branch gate off the register is refused by both engines before any
+        shot is drawn."""
+        c = Circuit(3, 2, 1)
+        c.gate(weyl.fourier(0)).measure(WeylOp.from_site(3, 2, 0, 0, 1), 0)
+        other = weyl.clock_z(1) if frames else weyl.fourier(1)
+        c.cond(0, {0: (), 1: (weyl.shift_x(target),), 2: (other,)})
+        assert _frame_compatible(c) == frames
+
+        def sampled(*args):
+            raise AssertionError("sampled an invalid circuit")
+
+        monkeypatch.setattr(circuit_module, "_run_frames", sampled)
+        monkeypatch.setattr(circuit_module, "_run_chunk", sampled)
+        with pytest.raises(ValueError, match=f"gate target {target} out of range"):
+            c.validate()
+        with pytest.raises(ValueError, match=f"gate target {target} out of range"):
+            run_shots(c, 5)
+
 
 class TestDeterminism:
     def test_same_seed_same_record(self):

@@ -135,6 +135,21 @@ class TestVerifyAndBounds:
         assert doc["config"]["sites"] == 24
 
 
+README_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "README.md")
+
+
+def test_readme_examples_parse():
+    """Every qutrit-toric command line in the README parses."""
+    with open(README_PATH) as fh:
+        lines = [line.split("#")[0].split() for line in fh
+                 if line.startswith("qutrit-toric ")]
+    assert len(lines) == 10
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
+
+
 REFERENCE_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                               "benchmarks", "reference", "exact_suite.json")
 
@@ -234,6 +249,38 @@ class TestInputValidation:
                                             "bounds")
         assert code == 0
         assert doc["results"]["bound"] == flags["results"]["bound"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trp", "nan"), ("--trp", "inf"), ("--trq", "Infinity"), ("--se-p", "-1"),
+        ("--se-q", "nan"),
+    ])
+    def test_bounds_input_not_finite_or_negative_error(self, tmp_path, capsys, flag, value):
+        argv = {"--trp": "0.75", "--trq": "0.68", "--sites": "2", flag: value}
+        code, doc, _ = run_cli(tmp_path, "bounds", *[t for kv in argv.items() for t in kv])
+        assert code == 2 and doc is None
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conf", [{"trp": float("nan")}, {"trq": float("inf")},
+                                      {"se_p": -1}, {"se_q": -0.5}])
+    def test_bounds_config_value_not_finite_or_negative_error(self, tmp_path, capsys, conf):
+        conf = {"trp": 0.75, "trq": 0.68, "sites": 2, **conf}
+        code, doc, _ = self.run_with_config(tmp_path, conf, "bounds")
+        assert code == 2 and doc is None
+        assert "--config" in capsys.readouterr().err
+
+    def test_bounds_accepts_slightly_out_of_range_trace(self, tmp_path):
+        """Values a little outside [0, 1] are clamped and flagged, not refused."""
+        code, doc, _ = run_cli(tmp_path, "bounds", "--trp", "1.01", "--trq", "0.68",
+                               "--sites", "2")
+        assert code == 0 and doc["results"]["inputs_clamped"]
+
+    @pytest.mark.parametrize("command", ["braid-pf", "braid-cc", "fuse-pf-pfstar", "compile",
+                                         "verify", "bounds"])
+    def test_csv_offered_only_where_written(self, tmp_path, capsys, command):
+        code, doc, _ = run_cli(tmp_path, command, "--csv", str(tmp_path / "t.csv"))
+        assert code == 2 and doc is None
+        assert "--csv" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_bounds_missing_input(self, tmp_path, capsys):
         code, doc, _ = self.run_with_config(tmp_path, {"trp": 0.75, "trq": 0.68}, "bounds")

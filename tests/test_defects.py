@@ -43,7 +43,7 @@ class TestParafermionDefect:
         prep = ground_state_circuit(lat)
         frag, spec = pf_defect_circuit(lat, (2, 1), species, 0)
         tab = run_fragment(lat, prep, frag, seed=seed)
-        for op in spec.endpoint_stabilizers + spec.nonlocal_stabilizers + spec.measured:
+        for op, _ in spec.stabilizers.values():
             assert tab.expectation_weyl(op) == pytest.approx(1)
         for p in lat.plaquettes:
             if p.pos in spec.transformed:
@@ -56,8 +56,8 @@ class TestParafermionDefect:
     def test_fused_stabilizers_are_weight_five(self):
         lat = build_lattice(6, 4)
         _, spec = pf_defect_circuit(lat, (2, 1), "PF", 0)
-        for op in spec.endpoint_stabilizers + spec.nonlocal_stabilizers:
-            assert len(op.support) == 5
+        for name in ("west", "east", "nonlocal"):
+            assert len(spec.stabilizers[name][0].support) == 5
 
     def test_occupied_site_rejected(self):
         lat = build_lattice(6, 4)
@@ -75,8 +75,8 @@ class TestParafermionDefect:
             dense = state_from_tableau(tab)
             from qutrit_toric.dense import weyl_matrix
 
-            for op in spec.endpoint_stabilizers + spec.nonlocal_stabilizers:
-                val = dense.expectation_weyl(op)
+            for name in ("west", "east", "nonlocal"):
+                val = dense.expectation_weyl(spec.stabilizers[name][0])
                 assert val == pytest.approx(1, abs=1e-8)
 
 
@@ -244,11 +244,11 @@ class TestTransmutationTable:
             if p.pos in spec.transformed:
                 continue
             stabs[(p.kind, p.pos)] = p.operator(lat.n_sites)
-        stabs[("defect", "west")] = spec.endpoint_stabilizers[0]
-        stabs[("defect", "east")] = spec.endpoint_stabilizers[1]
-        stabs[("defect", "W")] = spec.measured[0]
+        stabs[("defect", "west")] = spec.stabilizers["west"][0]
+        stabs[("defect", "east")] = spec.stabilizers["east"][0]
+        stabs[("defect", "W")] = spec.stabilizers["measured"][0]
         free = [("defect", "nonlocal")]
-        stabs[("defect", "nonlocal")] = spec.nonlocal_stabilizers[0]
+        stabs[("defect", "nonlocal")] = spec.stabilizers["nonlocal"][0]
         # a flux north of the line becomes a charge south of it (and the
         # value consistently maps accordingly)
         hits = crossing_map(lat, stabs, free, ("B", (3, 0)),
@@ -270,10 +270,10 @@ class TestTransmutationTable:
                 if p.pos in spec.transformed:
                     continue
                 stabs[(p.kind, p.pos)] = p.operator(lat.n_sites)
-            stabs[("defect", "west")] = spec.endpoint_stabilizers[0]
-            stabs[("defect", "east")] = spec.endpoint_stabilizers[1]
-            stabs[("defect", "W")] = spec.measured[0]
-            stabs[("defect", "nonlocal")] = spec.nonlocal_stabilizers[0]
+            stabs[("defect", "west")] = spec.stabilizers["west"][0]
+            stabs[("defect", "east")] = spec.stabilizers["east"][0]
+            stabs[("defect", "W")] = spec.stabilizers["measured"][0]
+            stabs[("defect", "nonlocal")] = spec.stabilizers["nonlocal"][0]
             hits = crossing_map(lat, stabs, [("defect", "nonlocal")], ("B", (3, 0)),
                                 [(("A", (2, 2)), v) for v in (1, 2)], 2)
             assert len(hits) == 1

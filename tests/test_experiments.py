@@ -176,6 +176,16 @@ class TestCCBraid:
 
 
 class TestFuseStep:
+    def test_fused_braid_cc_frame_is_defect_free(self):
+        """After Fuse(0) every face is read plain again and no defect
+        stabilizer is left."""
+        _, runner = run_braid(cc_braid_script(), seed=5)
+        lat = runner.lattice
+        assert runner.observables == {face_key(p.kind, p.pos): p.operator(lat.n_sites)
+                                      for p in lat.plaquettes}
+        assert runner.kinds == {face_key(p.kind, p.pos): (p.kind, p.pos, False)
+                                for p in lat.plaquettes}
+
     def test_fusing_a_pf_defect_is_refused(self):
         """Fuse applies only to CC pairs: a PF defect has no ribbon to re-apply."""
         from qutrit_toric.experiments import Fuse, InsertPF, Prepare, Script
@@ -307,6 +317,44 @@ class TestTopologicalQutrit:
             deltas.add((sector - j) % 3)
         assert len(deltas) == 1
         assert deltas.pop() in (1, 2)
+
+    def test_runner_frame_matches_protocol_frame(self, layout_fn, monkeypatch):
+        """Inserting the layout's two ribbons in a script gives the protocol's
+        frame; the shift loop keeps all of it except the two A-type ends."""
+        from qutrit_toric import experiments
+        from qutrit_toric.experiments import InsertCC, Script
+
+        layout = layout_fn()
+        lat = layout.lattice
+        proto = TopologicalQutritProtocol(layout)
+        script = Script("two-ribbons", lat.lx, lat.ly, [InsertCC(r) for r in layout.ribbons])
+        runner = ScriptRunner(script)
+        runner.run()
+        assert runner.observables == proto.observables
+        ends = {pos for spec in proto.specs for pos, img in spec.transformed.items()
+                if len(img.support) > 4}
+        assert {runner.kinds[k][1] for k in runner.kinds if k.endswith("-end")} == ends
+
+        seen = []
+        solve = experiments.solve_weyl_op
+
+        def recording_solve(lattice, support, keep, change):
+            seen.append(keep)
+            return solve(lattice, support, keep, change)
+
+        monkeypatch.setattr(experiments, "solve_weyl_op", recording_solve)
+        proto.logical_shift_loop()
+        (keep,) = seen
+        expected = [op for key, op in proto.observables.items() if not key.endswith(":A-end")]
+        assert keep == expected
+        # independent oracle, as the loop was once derived: every face as the
+        # ribbons leave it except the nonlocal endpoints, plus the B-type ends
+        faces = {p.pos: p.operator(lat.n_sites) for p in lat.plaquettes}
+        for spec in proto.specs:
+            faces.update(spec.transformed)
+        oracle = [op for pos, op in faces.items() if pos not in ends]
+        oracle += [faces[pos] for pos in ends if lat.plaquette_at(*pos).kind == "B"]
+        assert len(keep) == len(oracle) and set(keep) == set(oracle)
 
     def test_braid_loop_commutes_with_every_local_stabilizer(self, layout_fn):
         layout = layout_fn()
