@@ -26,6 +26,7 @@ from .encoder import (
     decode_qubit_records,
     encode_circuit,
     herald_filter,
+    per_qutrit_two_qubit,
     simulate_readout,
     SUPPORTED_GATES,
     verify_decomposition,
@@ -119,8 +120,7 @@ def cmd_prepare(args) -> dict:
         circ.extend(measure_all_circuit(lat, basis))
         values = run_shots(circ, shots, base_seed=args.seed, parallelism=args.threads).values
         if args.noise != "off":
-            _, rep = encode_circuit(prep, basis=basis, optimization_level=1)
-            bits = simulate_readout(values, rep.per_qutrit_two_qubit,
+            bits = simulate_readout(values, per_qutrit_two_qubit(prep, basis),
                                     p01=args.spam_p01, p10=args.spam_p10,
                                     leak_per_two_qubit=args.leak, seed=args.seed + 1)
             bits, herald[basis] = herald_filter(bits)

@@ -134,7 +134,9 @@ class DenseState:
 
 
 def gate_matrix(kind: GateKind, d: int) -> np.ndarray:
-    """Dense matrix of a Clifford gate kind (d x d or d^2 x d^2)."""
+    """Dense matrix of a Clifford gate kind (d x d or d^2 x d^2); a dagger
+    kind is the adjoint of its base kind."""
+    kind = GateKind(kind)
     w = np.exp(2j * np.pi / d)
     X = np.zeros((d, d), dtype=np.complex128)
     for i in range(d):
@@ -144,36 +146,15 @@ def gate_matrix(kind: GateKind, d: int) -> np.ndarray:
     C = np.zeros((d, d), dtype=np.complex128)
     for i in range(d):
         C[(-i) % d, i] = 1
-    kind = GateKind(kind)
-    if kind is GateKind.SHIFT_X:
-        return X
-    if kind is GateKind.SHIFT_X_DAG:
-        return X.conj().T
-    if kind is GateKind.CLOCK_Z:
-        return Z
-    if kind is GateKind.CLOCK_Z_DAG:
-        return Z.conj().T
-    if kind is GateKind.CONJ:
-        return C
-    if kind is GateKind.FOURIER:
-        return H
-    if kind is GateKind.FOURIER_DAG:
-        return H.conj().T
     # two-qudit kinds, control = first site
     CXm = np.zeros((d * d, d * d), dtype=np.complex128)
     for i in range(d):
         for j in range(d):
             CXm[d * i + (i + j) % d, d * i + j] = 1
     CZm = np.diag([w ** (i * j) for i in range(d) for j in range(d)])
-    if kind is GateKind.CX:
-        return CXm
-    if kind is GateKind.CX_DAG:
-        return CXm.conj().T
-    if kind is GateKind.CZ:
-        return CZm
-    if kind is GateKind.CZ_DAG:
-        return CZm.conj().T
-    raise ValueError(f"unknown gate kind {kind}")
+    mats = {"x": X, "z": Z, "c": C, "h": H, "cx": CXm, "cz": CZm}
+    base = kind.value.removesuffix("dg")
+    return mats[base] if base == kind.value else mats[base].conj().T
 
 
 def weyl_matrix(w: WeylOp) -> np.ndarray:
@@ -181,17 +162,12 @@ def weyl_matrix(w: WeylOp) -> np.ndarray:
     dim = w.d**w.n
     if dim > 4096:
         raise ValueError("weyl_matrix is for small systems only")
-    omega = np.exp(2j * np.pi / w.d)
+    shape = (w.d,) * w.n
+    digits = np.indices(shape).reshape(w.n, dim)  # column j's site digits
+    rows = np.ravel_multi_index((digits + w.x[:, None]) % w.d, shape)
+    powers = np.array([np.exp(2j * np.pi / w.d) ** k for k in range(w.d)])
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    digits = np.array(
-        [np.unravel_index(j, (w.d,) * w.n) for j in range(dim)], dtype=np.int64
-    )
-    for j in range(dim):
-        jd = digits[j]
-        target = (jd + w.x) % w.d
-        tj = int(np.ravel_multi_index(tuple(target), (w.d,) * w.n))
-        ph = (w.phase + int(np.dot(w.z, jd))) % w.d
-        mat[tj, j] = omega**ph
+    mat[rows, np.arange(dim)] = powers[(w.phase + w.z @ digits) % w.d]
     return mat
 
 

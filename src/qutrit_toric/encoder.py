@@ -16,7 +16,7 @@ state, so leakage observed at readout always signals an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -170,6 +170,13 @@ def weyl_basis_rotation(xe: int, ze: int) -> np.ndarray:
         order.append(k)
         vals[k] = 99  # consume
     return _embed_qutrit(vecs[:, order].conj().T)
+
+
+@lru_cache(maxsize=None)
+def _basis_rotation_ops(xe: int, ze: int) -> tuple[tuple[NativeOp, ...], tuple[NativeOp, ...]]:
+    """Native measurement-basis rotation and its undo, synthesized once per process."""
+    V = weyl_basis_rotation(xe, ze)
+    return tuple(synthesize_two_qubit(V)), tuple(synthesize_two_qubit(V.conj().T))
 
 
 # -- qubit-level circuit -----------------------------------------------------------
@@ -344,6 +351,27 @@ def _cancel_fourier_pairs(tokens):
     return out
 
 
+def per_qutrit_two_qubit(circuit: Circuit, basis: str | None = None,
+                         optimization_level: int = 1) -> list[int]:
+    """Entangler (zzphase) involvements per qutrit of the compiled circuit's
+    unconditional ops, counted from the token stream and the cached
+    decompositions without building the qubit circuit. A rotated
+    measurement counts both of its basis rotations; a cond counts nothing."""
+    counts = [0] * circuit.n_qudits
+    for tok in _token_stream(circuit, basis, optimization_level):
+        if tok[0] in ("measure", "cond", "barrier"):
+            continue
+        if tok[0] == "rotmeas":
+            qutrits, ops = tok[1:2], sum(_basis_rotation_ops(*tok[3]), ())
+        else:
+            qutrits, ops = tok[1:], decompose_gate(tok[0])
+        for op in ops:
+            if op.kind == "zzphase":
+                for q in op.qubits:
+                    counts[qutrits[q // 2]] += 1
+    return counts
+
+
 def encode_circuit(circuit: Circuit, basis: str | None = None,
                    optimization_level: int = 1) -> tuple[QubitCircuit, CompileReport]:
     """Compile a qutrit circuit to the native set.
@@ -374,11 +402,10 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
         elif tok[0] == "measure":
             measure(tok[1], tok[2])
         elif tok[0] == "rotmeas":
-            _, site, creg, (xe, ze) = tok
-            V = weyl_basis_rotation(xe, ze)
-            emit("basis-rot", (site,), synthesize_two_qubit(V))
-            measure(site, creg)
-            emit("basis-rot-undo", (site,), synthesize_two_qubit(V.conj().T))
+            rot, undo = _basis_rotation_ops(*tok[3])
+            emit("basis-rot", (tok[1],), rot)
+            measure(tok[1], tok[2])
+            emit("basis-rot-undo", (tok[1],), undo)
         elif tok[0] == "cond":
             _, creg, predicate = tok
             cases = {
@@ -392,17 +419,12 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
         else:
             emit(tok[0], tok[1:])
 
-    per_qutrit = [0] * circuit.n_qudits
-    for op in qc.ops:
-        if isinstance(op, NativeOp) and op.kind == "zzphase":
-            for q in op.qubits:
-                per_qutrit[q // 2] += 1
     report = CompileReport(
         two_qubit_count=qc.two_qubit_count(),
         depth=qc.depth(),
         budget_table={name: zz_budget(name) for name in SUPPORTED_GATES},
         gate_counts=gate_counts,
-        per_qutrit_two_qubit=per_qutrit,
+        per_qutrit_two_qubit=per_qutrit_two_qubit(circuit, basis, optimization_level),
         optimization_level=optimization_level,
         basis=basis,
     )
@@ -525,7 +547,9 @@ def simulate_readout(values: np.ndarray, per_qutrit_two_qubit: list[int],
                      seed: int = 0) -> np.ndarray:
     """Overlay gate leakage and readout confusion onto ideal qutrit values.
 
-    values is an (N, n) qutrit array; returns (N, 2n) qubit bits. Each
+    values is an (N, n) qutrit array; returns (N, 2n) qubit bits.
+    per_qutrit_two_qubit is per_qutrit_two_qubit(circuit, basis) of the
+    measured circuit, also the compile report's field of that name. Each
     qubit of every entangling gate leaks its qutrit to the herald state
     independently with probability leak_per_two_qubit (the default
     reproduces roughly the observed discard fraction on the large

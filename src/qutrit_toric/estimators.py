@@ -92,18 +92,19 @@ def estimate_plaquette_projectors(values: np.ndarray, basis: str,
     if basis not in ("x", "z"):
         raise ValueError("basis must be 'x' or 'z'")
     d, n = lattice.d, lattice.n_sites
-    basis_obs = [
-        WeylOp.from_site(d, n, i, 1 if basis == "x" else 0, 0 if basis == "x" else 1)
-        for i in range(n)
-    ]
-    wanted = "A" if basis == "x" else "B"
-    out = []
-    for p in lattice.plaquettes:
-        if p.kind != wanted:
-            continue
-        counts, total = estimate_operator(values, p.operator(n, d), basis_obs)
-        if total == 0:
-            raise ValueError("no retained shots")
-        triple = tuple(counts / total)
-        out.append(_snapshot_from_triple(p.kind, p.pos, triple, n_shots=total))
-    return out
+    faces = [p for p in lattice.plaquettes if p.kind == ("A" if basis == "x" else "B")]
+    ops = [p.operator(n, d) for p in faces]
+    # (faces, 2, n) exponents; the measured X_i or Z_i carry no phase, so a face
+    # is omega^phase * prod_i obs_i^M[i] when its other exponents vanish
+    exps = np.array([(op.x, op.z) for op in ops], dtype=np.int64)
+    M, off = (exps[:, 0], exps[:, 1]) if basis == "x" else (exps[:, 1], exps[:, 0])
+    if off.any():
+        site = np.nonzero(off)[1][0]
+        raise ValueError(f"operator not diagonal in the measured basis at site {site}")
+    total = len(values)
+    if total == 0:
+        raise ValueError("no retained shots")
+    kappa = np.array([op.phase for op in ops], dtype=np.int64)
+    sectors = (np.asarray(values, dtype=np.int64) @ M.T + kappa) % d
+    return [_snapshot_from_triple(p.kind, p.pos, tuple(np.bincount(col, minlength=d) / total),
+                                  n_shots=total) for p, col in zip(faces, sectors.T)]

@@ -8,6 +8,13 @@ import pytest
 from qutrit_toric import cli
 from qutrit_toric.circuit import FRAME_BLOCK
 from qutrit_toric.cli import main
+from qutrit_toric.encoder import NativeOp, encode_circuit
+from qutrit_toric.lattice import build_lattice, ground_state_circuit
+
+NOISY_4X2_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                              "noisy_prepare_4x2_seed9.json")
+NOISY_4X2_ARGV = ("prepare", "--lx", "4", "--ly", "2", "--noise", "default",
+                  "--shots", "300", "--seed", "9")
 
 
 def run_cli(tmp_path, *argv):
@@ -65,6 +72,30 @@ class TestPrepare:
         assert code == 2
 
 
+class TestNoisyDocumentPin:
+    """The noisy 4x2 results (leak counts, readout, heralding, estimators)
+    equal the document recorded before the readout counts stopped compiling."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        with open(NOISY_4X2_PATH) as fh:
+            return json.load(fh)
+
+    def test_results_equal_pinned_document(self, tmp_path, pinned):
+        code, doc, _ = run_cli(tmp_path, *NOISY_4X2_ARGV)
+        assert code == 0
+        assert doc["results"] == pinned
+
+    def test_noisy_prepare_compiles_no_qubit_circuit(self, tmp_path, pinned, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("noisy prepare built a qubit circuit")
+
+        monkeypatch.setattr(cli, "encode_circuit", refuse)
+        code, doc, _ = run_cli(tmp_path, *NOISY_4X2_ARGV)
+        assert code == 0
+        assert doc["results"] == pinned
+
+
 class TestBraids:
     @pytest.mark.parametrize("name", ["braid-pf", "braid-cc", "fuse-pf-pfstar"])
     def test_presets_emit_frames(self, tmp_path, name):
@@ -102,6 +133,17 @@ class TestCompile:
         assert 214 <= rep["two_qubit_count"] <= 289
         assert rep["budget_table"]["c"] == 1
         assert rep["basis"] == "z"
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_per_qutrit_counts_match_compiled_ops(self, tmp_path, basis):
+        code, doc, _ = run_cli(tmp_path, "compile", "--lx", "6", "--ly", "4",
+                               "--basis", basis)
+        assert code == 0
+        qc, _ = encode_circuit(ground_state_circuit(build_lattice(6, 4)), basis=basis)
+        involved = [q // 2 for op in qc.ops
+                    if isinstance(op, NativeOp) and op.kind == "zzphase" for q in op.qubits]
+        counts = [involved.count(k) for k in range(24)]
+        assert doc["results"]["report"]["per_qutrit_two_qubit"] == counts
 
     def test_unknown_preset(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "compile", "--preset", "nothing")

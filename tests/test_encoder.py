@@ -21,6 +21,7 @@ from qutrit_toric.encoder import (
     encoded_target,
     encoding_isometry,
     herald_filter,
+    per_qutrit_two_qubit,
     qubit_circuit_unitary,
     simulate_readout,
     verify_decomposition,
@@ -318,6 +319,52 @@ class TestRotatedMeasurementAndCond:
         E = encoding_isometry(2)
         local = on_qubit(list(seq), {4: 0, 5: 1, 0: 2, 1: 3})
         assert phase_distance(gate_matrix(GateKind.CZ, 3), E.T @ ops_unitary(local, 4) @ E) < 1e-10
+
+
+def compiled_ops_count(qc, n_qutrits):
+    """Entangler involvements per qutrit counted over the compiled circuit's
+    unconditional ops."""
+    counts = [0] * n_qutrits
+    for op in qc.ops:
+        if isinstance(op, NativeOp) and op.kind == "zzphase":
+            for q in op.qubits:
+                counts[q // 2] += 1
+    return counts
+
+
+class TestPerQutritTwoQubit:
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    @pytest.mark.parametrize("lx,ly", [(2, 2), (4, 2), (6, 2), (4, 4), (6, 4), (8, 4), (6, 6)])
+    def test_equals_compiled_ops_count(self, lx, ly, basis, level):
+        prep = ground_state_circuit(build_lattice(lx, ly))
+        qc, rep = encode_circuit(prep, basis=basis, optimization_level=level)
+        counts = per_qutrit_two_qubit(prep, basis, level)
+        assert counts == compiled_ops_count(qc, prep.n_qudits) == rep.per_qutrit_two_qubit
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_rotated_measurement_and_cond(self, level):
+        """An X Z measurement counts both basis rotations; a cond branch counts nothing."""
+        def circuit(xe, ze, with_cond):
+            circ = Circuit(3, 3, 1)
+            circ.gates([weyl.fourier(0), weyl.cx(0, 1), weyl.cz(1, 2)])
+            circ.measure(WeylOp.from_site(3, 3, 1, xe, ze), 0)
+            if with_cond:
+                circ.cond(0, {0: (), 1: (weyl.cz(2, 0),), 2: (weyl.fourier(2),)})
+            return circ
+
+        circ = circuit(1, 1, True)
+        qc, rep = encode_circuit(circ, optimization_level=level)
+        assert rep.gate_counts["basis-rot"] == 1 and rep.gate_counts["cond"] == 1
+        counts = per_qutrit_two_qubit(circ, None, level)
+        assert counts == compiled_ops_count(qc, 3)
+        assert counts == per_qutrit_two_qubit(circuit(1, 1, False), None, level)
+        V = weyl_basis_rotation(1, 1)
+        rotation = sum(2 for U in (V, V.conj().T) for op in synthesize_two_qubit(U)
+                       if op.kind == "zzphase")
+        plain = per_qutrit_two_qubit(circuit(0, 1, False), None, level)
+        assert rotation > 0
+        assert counts == [plain[0], plain[1] + rotation, plain[2]]
 
 
 class TestHeralding:

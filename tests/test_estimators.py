@@ -1,9 +1,15 @@
 """Sector counting from outcome arrays against the per-shot reference."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from qutrit_toric.estimators import estimate_operator, estimate_plaquette_projectors
+from qutrit_toric.estimators import (
+    _snapshot_from_triple,
+    estimate_operator,
+    estimate_plaquette_projectors,
+)
 from qutrit_toric.lattice import build_lattice
 from qutrit_toric.weyl import WeylOp
 
@@ -66,3 +72,32 @@ class TestEstimateOperator:
         lat = build_lattice(4, 2)
         with pytest.raises(ValueError, match="no retained shots"):
             estimate_plaquette_projectors(np.zeros((0, lat.n_sites), np.uint8), "z", lat)
+
+
+class TestBatchedPlaquetteEstimates:
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    @pytest.mark.parametrize("lx,ly", [(4, 2), (6, 4)])
+    def test_equals_per_face_operator_estimates(self, lx, ly, basis):
+        lat = build_lattice(lx, ly)
+        n = lat.n_sites
+        rng = np.random.default_rng(lx * 10 + ly)
+        values = rng.integers(3, size=(257, n)).astype(np.uint8)
+        xe, ze = (1, 0) if basis == "x" else (0, 1)
+        basis_obs = [WeylOp.from_site(3, n, i, xe, ze) for i in range(n)]
+        expected = []
+        for p in lat.plaquettes:
+            if p.kind == ("A" if basis == "x" else "B"):
+                counts, total = estimate_operator(values, p.operator(n), basis_obs)
+                expected.append(_snapshot_from_triple(p.kind, p.pos, tuple(counts / total),
+                                                      n_shots=total))
+        snaps = estimate_plaquette_projectors(values, basis, lat)
+        assert len(snaps) == len(lat.plaquettes) // 2
+        assert snaps == expected
+        assert all(s.n_shots == 257 and s.std_errors != (0.0, 0.0, 0.0) for s in snaps)
+
+    def test_face_off_the_measured_basis(self):
+        face = SimpleNamespace(kind="B", pos=(0, 0),
+                               operator=lambda n, d: WeylOp.from_site(d, n, 1, 1, 1))
+        lat = SimpleNamespace(d=3, n_sites=2, plaquettes=[face])
+        with pytest.raises(ValueError, match="not diagonal"):
+            estimate_plaquette_projectors(np.zeros((5, 2), np.uint8), "z", lat)
