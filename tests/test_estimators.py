@@ -95,6 +95,24 @@ class TestBatchedPlaquetteEstimates:
         assert snaps == expected
         assert all(s.n_shots == 257 and s.std_errors != (0.0, 0.0, 0.0) for s in snaps)
 
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_face_phase_shifts_its_sectors(self, basis):
+        """A face operator with a phase omega^k reads every shot k sectors on."""
+        lat = build_lattice(4, 2)
+        faces = [SimpleNamespace(kind=p.kind, pos=p.pos,
+                                 operator=lambda n, d, p=p, k=k: p.operator(n, d).with_phase(k))
+                 for same in (lat.a_plaquettes, lat.b_plaquettes) for k, p in enumerate(same)]
+        phased = SimpleNamespace(d=3, n_sites=lat.n_sites, plaquettes=faces)
+        values = np.random.default_rng(7).integers(3, size=(101, lat.n_sites)).astype(np.uint8)
+        xe, ze = (1, 0) if basis == "x" else (0, 1)
+        basis_obs = [WeylOp.from_site(3, lat.n_sites, i, xe, ze) for i in range(lat.n_sites)]
+        snaps = estimate_plaquette_projectors(values, basis, phased)
+        wanted = [f for f in faces if f.kind == ("A" if basis == "x" else "B")]
+        assert {f.operator(lat.n_sites, 3).phase for f in wanted} == {0, 1, 2}
+        for snap, face in zip(snaps, wanted, strict=True):
+            counts, total = estimate_operator(values, face.operator(lat.n_sites, 3), basis_obs)
+            assert snap.triple == tuple(counts / total)
+
     def test_face_off_the_measured_basis(self):
         face = SimpleNamespace(kind="B", pos=(0, 0),
                                operator=lambda n, d: WeylOp.from_site(d, n, 1, 1, 1))
