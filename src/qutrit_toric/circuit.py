@@ -6,14 +6,14 @@ Weyl noise, and barriers. `_apply` is the one place an instruction
 acts on a tableau; `execute` loops over it.
 
 `run_shots` samples with Weyl frames (Pauli-frame sampling carried over
-to Z_d): one reference shot on the tableau, noise stripped and every
-random outcome forced to 0, and then the shots as phase-free Weyl
-frames, FRAME_BLOCK at a time in one (shots, 2, n) exponent array,
-conjugated by the same rule table as the tableau. Feed-forward whose branches are X/Z shifts is a
-per-shot frame update. `_frame_compatible` is the one engine choice:
-any other feed-forward runs per shot through `execute`, shot i seeded
-by (base_seed, i). Either way the values are a pure function of
-(circuit, n_shots, base_seed), whatever the parallelism.
+to Z_d). One reference shot on the tableau (noise stripped, random
+outcomes forced to 0) and one backward pass through the gates compile
+each random draw into a fixed linear mod-d form over the outcomes; then
+FRAME_BLOCK shots at a time make the draws and add their forms. X/Z-shift
+feed-forward is a table over the value read. `_frame_compatible` is the
+one engine choice: any other feed-forward runs per shot through
+`execute`, shot i seeded by (base_seed, i). Either way the values are a
+pure function of (circuit, n_shots, base_seed), whatever the parallelism.
 
 `exact_outcome_distribution` enumerates noiseless circuits exactly: a
 depth-first walk forks the tableau once per outcome of each random
@@ -230,7 +230,10 @@ def _noise_exponents(channel: NoiseChannel, width: int, d: int, rng: np.random.G
     if channel.kind == "depolarizing2":
         hit = rng.random(m) < channel.p
         k = hit * rng.integers(1, d**4, m)
-        return (k[:, None] // d ** np.arange(4) % d).reshape(-1, 2, 2).transpose(0, 2, 1)
+        err = np.zeros((m, 2, 2), dtype=np.int64)
+        nz = np.flatnonzero(k)  # decode only the shots that drew an error
+        err[nz] = (k[nz, None] // d ** np.arange(4) % d).reshape(-1, 2, 2).transpose(0, 2, 1)
+        return err
     # weyl_custom: pattern i where the cumulative weights first pass u; none past the last
     table = np.zeros((len(channel.weights) + 1, 2, width), dtype=np.int64)
     for i, (_, pattern) in enumerate(channel.weights):
@@ -339,57 +342,87 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     """Creg values of n_shots Weyl-frame shots around one reference shot.
 
     A shot is the reference (noise stripped, random outcomes forced to 0)
-    times a phase-free Weyl frame. Shots run in blocks of FRAME_BLOCK,
-    block b drawing from SeedSequence([base_seed, b]).
+    times a phase-free Weyl frame; each random draw moves its outcomes by
+    the draw times its form from `_compile_frames`. Block b of FRAME_BLOCK
+    shots draws from SeedSequence([base_seed, b]) in instruction order.
     """
-    ref, creg = StabilizerTableau(circuit.d, circuit.n_qudits), [0] * circuit.n_cregs
-    ref_values = []  # the reference's value of the creg each instruction writes or reads
-    for ins in circuit.instructions:
-        if not isinstance(ins, Noise):
-            _apply(ins, ref, creg, force=0)
-        ref_values.append(creg[ins.creg] if isinstance(ins, (Measure, CondGate)) else None)
-    values = np.empty((n_shots, circuit.n_cregs), dtype=np.uint8)
+    ref, init, steps, reads, writer = _compile_frames(circuit)
+    d, n = circuit.d, circuit.n_qudits
+    written = writer >= 0
+    values = np.zeros((n_shots, circuit.n_cregs), dtype=np.uint8)
     for b, lo in enumerate(range(0, n_shots, FRAME_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
-        values[lo:lo + FRAME_BLOCK] = _frame_block(circuit, ref_values, rng,
-                                                   min(FRAME_BLOCK, n_shots - lo))
+        m = min(FRAME_BLOCK, n_shots - lo)
+        # frames start as uniform Z strings; the float product of small ints is exact
+        out = ref + (rng.integers(d, size=(m, n)) @ init).astype(np.int64)
+        for channel, width, cols, form in steps:
+            if channel is None:  # a measurement multiplies the frame by W^k, k uniform
+                err = rng.integers(d, size=(m, 1, 1)).reshape(m, 1)
+            else:
+                err = _noise_exponents(channel, width, d, rng, m).reshape(m, 2 * width)
+            if cols.size:
+                hit = np.flatnonzero(err.any(axis=1))
+                out[np.ix_(hit, cols)] += err[hit] @ form
+        for src, cols, table in reads:
+            out[:, cols] += table[out[:, src] % d]
+        values[lo:lo + m, written] = out[:, writer[written]] % d
     return values
 
 
-def _frame_block(circuit: Circuit, ref_values: list, rng: np.random.Generator,
-                 m: int) -> np.ndarray:
-    """Creg values of m frame shots drawn from rng.
+def _compile_frames(circuit: Circuit) -> tuple:
+    """Linear mod-d outcome forms of the random draws, over the M measurements.
 
-    Frames start as uniform Z strings, random elements of the initial
-    stabilizer group. A measurement of W reads ref + s(frame, W) and then
-    multiplies the frame by W^k, k uniform.
+    Returns the measurements' reference values; the (n, M) form of the
+    initial Z frame; per Noise and Measure in order (channel or None,
+    width, cols, form), form rows over the draw's x then z exponents (a
+    Measure's kick exponent); per shift feed-forward (source measurement,
+    cols, (d, M) table over the value read); and each creg's last writer
+    (-1: none). cols are a form's nonzero columns. Walking back, rows of
+    bx, bz hold each measured W conjugated back to here (zero before W is
+    measured); s(g F g^dag, W) = s(F, g^dag W g), so a draw F here moves
+    the outcomes by F.x . bz - F.z . bx.
     """
     d, n = circuit.d, circuit.n_qudits
-    values = np.zeros((m, circuit.n_cregs), dtype=np.int64)
-    # x then z exponents of each frame, (m, 2, n) with the shot axis contiguous
-    xz = np.zeros((2, n, m), dtype=np.int64).transpose(2, 0, 1)
-    xz[:, 1] = rng.integers(d, size=(m, n))
-    ph = np.zeros(m, dtype=np.int64)  # scratch for conjugate_rows, never read
-    for ins, ref in zip(circuit.instructions, ref_values):
-        if isinstance(ins, Gate):
-            conjugate_rows(ins.gate, xz[:, 0], xz[:, 1], ph, d)
-        elif isinstance(ins, Noise):
-            sites = list(ins.sites)
-            err = _noise_exponents(ins.channel, len(sites), d, rng, m)
-            xz[:, :, sites] = (xz[:, :, sites] + err) % d
+    tab, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
+    writer = [-1] * circuit.n_cregs
+    ref, read_at = [], []  # read_at: (source measurement, its reference value) per CondGate
+    for ins in circuit.instructions:
+        if not isinstance(ins, Noise):
+            _apply(ins, tab, creg, force=0)
+        if isinstance(ins, Measure):
+            writer[ins.creg] = len(ref)
+            ref.append(creg[ins.creg])
         elif isinstance(ins, CondGate):
+            read_at.append((writer[ins.creg], creg[ins.creg]))
+
+    def sparse(form):
+        cols = np.flatnonzero(form.any(axis=0))
+        return cols, form[:, cols]
+
+    bx, bz = np.zeros((2, len(ref), n), dtype=np.int64)
+    ph = np.zeros(len(ref), dtype=np.int64)  # scratch for conjugate_rows, never read
+    steps, reads, j = [], [], len(ref)
+    for ins in reversed(circuit.instructions):
+        if isinstance(ins, Gate):
+            conjugate_rows(ins.gate.inverse(), bx, bz, ph, d)
+        elif isinstance(ins, Noise):
+            s = list(ins.sites)
+            steps.append((ins.channel, len(s), *sparse(np.concatenate([bz[:, s].T, -bx[:, s].T]))))
+        elif isinstance(ins, Measure):
+            w = ins.observable
+            steps.append((None, 1, *sparse((bz @ w.x - bx @ w.z)[None])))
+            j -= 1
+            bx[j], bz[j] = w.x, w.z
+        elif isinstance(ins, CondGate):
+            src, at = read_at.pop()
             shift = np.zeros((d, 2, n), dtype=np.int64)  # x, z exponents of each branch
             for k, gates in ins.predicate.items():
                 for g in gates:
                     shift[k, :, g.targets[0]] += _SHIFTS[g.kind]
-            xz[:] = (xz + (shift - shift[ref])[values[:, ins.creg]]) % d
-        elif isinstance(ins, Measure):
-            sup = list(ins.observable.support)
-            wx, wz = ins.observable.x[sup], ins.observable.z[sup]
-            values[:, ins.creg] = (ref + xz[:, 0, sup] @ wz - xz[:, 1, sup] @ wx) % d
-            k = rng.integers(d, size=(m, 1, 1))
-            xz[:, :, sup] = (xz[:, :, sup] + k * np.stack([wx, wz])) % d
-    return values
+            shift = shift - shift[at]
+            reads.append((src, *sparse(shift[:, 0] @ bz.T - shift[:, 1] @ bx.T)))
+    return (np.array(ref, dtype=np.int64), -bx.T.astype(float), steps[::-1], reads[::-1],
+            np.array(writer, dtype=np.int64))
 
 
 def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,

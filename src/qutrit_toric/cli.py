@@ -196,26 +196,23 @@ def cmd_compile(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    from .dense import DenseState, gate_matrix, weyl_matrix
-    from .weyl import CliffordGate, GateKind, WeylOp, conjugate_by_gate
-    from . import weyl as weyl_mod
+    from . import weyl
+    from .dense import gate_matrix, weyl_matrices
 
     failures = []
-    # conjugation tables against dense matrices
-    for kind in sorted(k.value for k in GateKind):
-        k = GateKind(kind)
-        targets = (0,) if k in weyl_mod.ONE_QUDIT_KINDS else (0, 1)
-        g = CliffordGate(k, targets)
+    # conjugation tables against dense matrices: every exponent row of a kind at once
+    for kind in sorted(k.value for k in weyl.GateKind):
+        k = weyl.GateKind(kind)
+        n = 1 if k in weyl.ONE_QUDIT_KINDS else 2
+        code = np.arange(9**n)
+        x = np.stack([code % 3, code // 9 % 3][:n], axis=1)
+        z = np.stack([code // 3 % 3, code // 27 % 3][:n], axis=1)
+        img = [x.copy(), z.copy(), np.zeros_like(code)]
+        weyl.conjugate_rows(weyl.CliffordGate(k, tuple(range(n))), *img, 3)
         U = gate_matrix(k, 3)
-        n = len(targets)
-        for code in range(9**n):
-            xe = [code % 3, (code // 9) % 3][:n]
-            ze = [(code // 3) % 3, (code // 27) % 3][:n]
-            w = WeylOp(3, xe, ze)
-            img = conjugate_by_gate(g, w)
-            err = np.abs(weyl_matrix(img) - U @ weyl_matrix(w) @ U.conj().T).max()
-            if err > 1e-10:
-                failures.append(f"conjugation {kind} on {w}")
+        err = np.abs(weyl_matrices(3, *img) - U @ weyl_matrices(3, x, z, 0 * code) @ U.conj().T)
+        for c in np.flatnonzero(err.max(axis=(1, 2)) > 1e-10):
+            failures.append(f"conjugation {kind} on {weyl.WeylOp(3, x[c], z[c])}")
     # decomposition suite
     decomp = {}
     for name in SUPPORTED_GATES:

@@ -1,9 +1,9 @@
 """Reference statevector simulator for small qudit systems.
 
-This is a test asset, not a product path: hard size caps, no
-performance work. It exists so the tableau, the defect constructions,
-and the encoder can all be validated against brute-force linear
-algebra.
+An oracle, not a simulation path: hard size caps keep it to a few
+qutrits. It validates the tableau, the defect constructions and the
+encoder against brute-force linear algebra, in the tests and in the
+`verify` command, which builds its matrices in stacks.
 """
 
 from __future__ import annotations
@@ -159,16 +159,22 @@ def gate_matrix(kind: GateKind, d: int) -> np.ndarray:
 
 def weyl_matrix(w: WeylOp) -> np.ndarray:
     """Full d^n x d^n matrix of a Weyl operator (small n only)."""
-    dim = w.d**w.n
+    return weyl_matrices(w.d, w.x[None], w.z[None], np.array([w.phase]))[0]
+
+
+def weyl_matrices(d: int, x: np.ndarray, z: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """(k, d^n, d^n) matrices of the Weyl strings (x[i], z[i], phase[i]), small n only."""
+    k, n = x.shape
+    dim = d**n
     if dim > 4096:
         raise ValueError("weyl_matrix is for small systems only")
-    shape = (w.d,) * w.n
-    digits = np.indices(shape).reshape(w.n, dim)  # column j's site digits
-    rows = np.ravel_multi_index((digits + w.x[:, None]) % w.d, shape)
-    powers = np.array([np.exp(2j * np.pi / w.d) ** k for k in range(w.d)])
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[rows, np.arange(dim)] = powers[(w.phase + w.z @ digits) % w.d]
-    return mat
+    digits = np.indices((d,) * n).reshape(n, dim)  # column j's site digits
+    place = d ** np.arange(n - 1, -1, -1)  # row-major place value of each site
+    rows = place @ ((digits + x[:, :, None]) % d)  # (k, dim)
+    powers = np.array([np.exp(2j * np.pi / d) ** m for m in range(d)])
+    mats = np.zeros((k, dim, dim), dtype=np.complex128)
+    mats[np.arange(k)[:, None], rows, np.arange(dim)] = powers[(phase[:, None] + z @ digits) % d]
+    return mats
 
 
 def state_from_tableau(tab) -> DenseState:

@@ -201,6 +201,53 @@ def reference_run_shot(circuit, seed):
     return creg
 
 
+def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
+    """Forward Weyl-frame propagation, written out here as the reference for run_shots.
+
+    A reference shot (noise stripped, random outcomes forced to 0), then
+    every block of FRAME_BLOCK shots pushes a (shots, 2, n) frame array
+    through each instruction, drawing from SeedSequence([base_seed, b]).
+    """
+    d, n = circuit.d, circuit.n_qudits
+    ref, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
+    ref_values = []  # the reference's value of the creg each instruction writes or reads
+    for ins in circuit.instructions:
+        if not isinstance(ins, Noise):
+            circuit_module._apply(ins, ref, creg, force=0)
+        ref_values.append(creg[ins.creg] if isinstance(ins, (Measure, CondGate)) else None)
+    shift_xz = {weyl.GateKind.SHIFT_X: (1, 0), weyl.GateKind.SHIFT_X_DAG: (-1, 0),
+                weyl.GateKind.CLOCK_Z: (0, 1), weyl.GateKind.CLOCK_Z_DAG: (0, -1)}
+    blocks = []
+    for b, lo in enumerate(range(0, n_shots, circuit_module.FRAME_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
+        m = min(circuit_module.FRAME_BLOCK, n_shots - lo)
+        values = np.zeros((m, circuit.n_cregs), dtype=np.int64)
+        xz = np.zeros((2, n, m), dtype=np.int64).transpose(2, 0, 1)
+        xz[:, 1] = rng.integers(d, size=(m, n))
+        ph = np.zeros(m, dtype=np.int64)
+        for ins, r in zip(circuit.instructions, ref_values):
+            if isinstance(ins, Gate):
+                weyl.conjugate_rows(ins.gate, xz[:, 0], xz[:, 1], ph, d)
+            elif isinstance(ins, Noise):
+                sites = list(ins.sites)
+                err = _noise_exponents(ins.channel, len(sites), d, rng, m)
+                xz[:, :, sites] = (xz[:, :, sites] + err) % d
+            elif isinstance(ins, CondGate):
+                shift = np.zeros((d, 2, n), dtype=np.int64)
+                for k, gates in ins.predicate.items():
+                    for g in gates:
+                        shift[k, :, g.targets[0]] += shift_xz[g.kind]
+                xz[:] = (xz + (shift - shift[r])[values[:, ins.creg]]) % d
+            elif isinstance(ins, Measure):
+                sup = list(ins.observable.support)
+                wx, wz = ins.observable.x[sup], ins.observable.z[sup]
+                values[:, ins.creg] = (r + xz[:, 0, sup] @ wz - xz[:, 1, sup] @ wx) % d
+                k = rng.integers(d, size=(m, 1, 1))
+                xz[:, :, sup] = (xz[:, :, sup] + k * np.stack([wx, wz])) % d
+        blocks.append(values)
+    return np.concatenate(blocks or [np.zeros((0, circuit.n_cregs), dtype=np.int64)])
+
+
 def random_mixed_circuit(rng, n: int, n_cregs: int = 3, weyl_branches: bool = False) -> Circuit:
     """Gates, measurements, feed-forward blocks, all three noise kinds, barriers.
 
@@ -544,6 +591,94 @@ class TestFrameSampler:
         assert np.array_equal(a, run_shots(c, block + 1, base_seed=5).values)
         assert np.array_equal(a[:block], run_shots(c, block + 7, base_seed=5).values[:block])
         assert not np.array_equal(a, run_shots(c, block + 1, base_seed=6).values)
+
+
+def dense_noise_exponents(channel, width, d, rng, m):
+    """The noise draw with every shot's code decoded, written out as the reference."""
+    if channel.kind == "depolarizing1":
+        hit = rng.random((m, width)) < channel.p
+        k = hit * rng.integers(1, d * d, (m, width))
+        return np.stack([k % d, k // d], axis=1)
+    if channel.kind == "depolarizing2":
+        hit = rng.random(m) < channel.p
+        k = hit * rng.integers(1, d**4, m)
+        return (k[:, None] // d ** np.arange(4) % d).reshape(-1, 2, 2).transpose(0, 2, 1)
+    table = np.zeros((len(channel.weights) + 1, 2, width), dtype=np.int64)
+    for i, (_, pattern) in enumerate(channel.weights):
+        for j, xz in pattern.items():
+            table[i, :, j] = xz
+    acc = np.cumsum([w for w, _ in channel.weights])
+    return table[np.searchsorted(acc, rng.random(m), side="right")]
+
+
+def edge_circuits() -> dict[str, Circuit]:
+    def z(q):
+        return WeylOp.from_site(3, 2, q, 0, 1)
+
+    dep1 = NoiseChannel("depolarizing1", 0.3)
+    rewritten = Circuit(3, 2, 2).gate(weyl.fourier(0)).measure(z(0), 0).noise(dep1, (0, 1))
+    rewritten.cond(0, {0: (), 1: (weyl.shift_x(1),), 2: (weyl.shift_x_dag(1), weyl.clock_z(0))})
+    rewritten.gate(weyl.fourier(0)).measure(z(0), 0)  # creg 0 rewritten after the read
+    rewritten.cond(0, {0: (weyl.shift_x(1),), 1: (), 2: (weyl.shift_x(1),)})
+    rewritten.measure(z(1), 1)
+    return {
+        "no-measurement": Circuit(3, 2, 2).gate(weyl.fourier(0)).noise(dep1, (0, 1)),
+        "no-cregs": Circuit(3, 2, 0).gate(weyl.cx(0, 1))
+                                    .noise(NoiseChannel("depolarizing2", 0.5), (0, 1)),
+        "unwritten-creg": Circuit(3, 2, 3).gate(weyl.fourier(0)).measure(z(0), 0)
+                                          .noise(dep1, (1,)).measure(z(1), 2),
+        "rewritten-creg": rewritten,
+    }
+
+
+class TestCompiledFrames:
+    """run_shots equals the forward frame propagation it replaced, bit for bit."""
+
+    def test_random_weyl_feed_forward_circuits(self):
+        rng = np.random.default_rng(41)
+        kinds = set()
+        for trial in range(200):
+            c = random_mixed_circuit(rng, int(rng.integers(1, 5)), weyl_branches=True)
+            kinds.update(type(i).__name__ for i in c.instructions)
+            for n_shots in (5, circuit_module.FRAME_BLOCK + 3):
+                assert np.array_equal(run_shots(c, n_shots, base_seed=trial).values,
+                                      reference_frames(c, n_shots, trial)), (trial, n_shots)
+        assert kinds == {"Gate", "Measure", "CondGate", "Noise", "Barrier"}
+
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_default_noise_prepare_6x4(self, basis):
+        """The CLI's default noise (p1 = 0, p2 = 2e-3) on the 6x4 prepare circuit."""
+        lat = build_lattice(6, 4)
+        c = ground_state_circuit(lat).with_noise(p1=0.0, p2=2e-3)
+        c.extend(measure_all_circuit(lat, basis))
+        n_shots = 2 * circuit_module.FRAME_BLOCK + 100
+        assert np.array_equal(run_shots(c, n_shots, base_seed=4).values,
+                              reference_frames(c, n_shots, 4))
+
+    @pytest.mark.parametrize("name", sorted(edge_circuits()))
+    def test_edge_circuits(self, name):
+        c = edge_circuits()[name]
+        assert _frame_compatible(c)
+        for n_shots in (0, 7, circuit_module.FRAME_BLOCK + 1):
+            values = run_shots(c, n_shots, base_seed=2).values
+            assert values.shape == (n_shots, c.n_cregs)
+            assert np.array_equal(values, reference_frames(c, n_shots, 2)), n_shots
+
+    @pytest.mark.parametrize("p", [0.0, 2e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["depolarizing1", "depolarizing2", "weyl_custom"])
+    def test_noise_exponents_stream(self, kind, p):
+        """The sparse decode returns the dense formula's errors and leaves the
+        generator in the same state."""
+        if kind == "weyl_custom":
+            channel = NoiseChannel(kind, weights=((p / 2, {0: (1, 0)}),
+                                                  (p / 2, {0: (2, 1), 1: (0, 2)})))
+        else:
+            channel = NoiseChannel(kind, p)
+        got_rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = _noise_exponents(channel, 2, 3, got_rng, 3000)
+        want = dense_noise_exponents(channel, 2, 3, want_rng, 3000)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestStatistics:

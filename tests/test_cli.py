@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from qutrit_toric import cli
+from qutrit_toric import cli, weyl
 from qutrit_toric.circuit import FRAME_BLOCK
 from qutrit_toric.cli import main
 from qutrit_toric.encoder import NativeOp, encode_circuit
@@ -155,6 +155,22 @@ class TestVerifyAndBounds:
         code, doc, _ = run_cli(tmp_path, "verify")
         assert code == 0
         assert doc["results"]["passed"] is True
+
+    def test_verify_catches_a_wrong_rule(self, monkeypatch, capsys):
+        """A CZ rule whose phase is one off fails verify with exit 3, and the
+        message names the rule."""
+        rule = weyl.conjugate_rows
+
+        def wrong_cz(g, x, z, ph, d):
+            rule(g, x, z, ph, d)
+            if g.kind is weyl.GateKind.CZ:
+                ph += 1
+
+        monkeypatch.setattr(weyl, "conjugate_rows", wrong_cz)
+        assert main(["verify", "-o", "-"]) == 3
+        err = capsys.readouterr().err
+        assert "conjugation cz on" in err
+        assert "conjugation czdg" not in err
 
     def test_bounds_reference(self, tmp_path):
         code, doc, _ = run_cli(tmp_path, "bounds", "--trp", "0.75",
