@@ -32,7 +32,7 @@ from .encoder import (
     verify_decomposition,
     zz_budget,
 )
-from .estimators import estimate_plaquette_projectors, snapshot_from_tableau
+from .estimators import estimate_plaquette_projectors, snapshots_from_outcomes
 from .experiments import (
     ScriptRunner,
     TopologicalQutritProtocol,
@@ -50,7 +50,7 @@ from .serialize import (
     snapshot_to_json,
     to_native_json,
 )
-from .tableau import StabilizerTableau
+from .tableau import StabilizerTableau, outcome_triple
 
 DEFAULT_SHOTS = 517  # max binomial standard error of a projector ~ 0.022
 
@@ -95,16 +95,12 @@ def cmd_prepare(args) -> dict:
     if args.noise == "off" and args.shots == 0:
         tab = StabilizerTableau(lat.d, lat.n_sites, np.random.default_rng(args.seed))
         execute(prep, tab)
-        snaps = [
-            snapshot_from_tableau(tab, p.operator(lat.n_sites), p.kind, p.pos)
-            for p in lat.plaquettes
-        ]
-        logi = {
-            "z_horizontal": tab.projector_expectation(lat.logical_z_horizontal(0), 0),
-            "z_vertical": tab.projector_expectation(lat.logical_z_vertical(0), 0),
-            "x_horizontal": tab.projector_expectation(lat.logical_x_horizontal(0), 0),
-            "x_vertical": tab.projector_expectation(lat.logical_x_vertical(0), 0),
-        }
+        faces = lat.plaquettes
+        logicals = {f"{t}_{o}": getattr(lat, f"logical_{t}_{o}")(0)
+                    for t in "zx" for o in ("horizontal", "vertical")}
+        det = tab.outcomes_of([p.operator(lat.n_sites) for p in faces] + list(logicals.values()))
+        snaps = snapshots_from_outcomes(det, lat.d, [(p.kind, p.pos, False, None) for p in faces])
+        logi = {k: outcome_triple(int(s), lat.d)[0] for k, s in zip(logicals, det[len(faces):])}
         payload["mode"] = "exact"
         payload["plaquettes"] = [snapshot_to_json(s) for s in snaps]
         payload["logical_projectors"] = logi

@@ -435,8 +435,7 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
 
 
 def qubit_circuit_unitary(qc: QubitCircuit) -> np.ndarray:
-    ops = [op for op in qc.ops if isinstance(op, NativeOp) and op.kind not in ("measz", "barrier")]
-    return ops_unitary(ops, qc.n_qubits)
+    return ops_unitary([op for op in qc.ops if isinstance(op, NativeOp)], qc.n_qubits)
 
 
 # -- emission formats --------------------------------------------------------------

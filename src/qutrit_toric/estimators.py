@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Plaquette, TorusLattice
+from .lattice import TorusLattice
+from .tableau import outcome_triple
 from .weyl import WeylOp
 
 
@@ -44,10 +45,11 @@ def _snapshot_from_triple(kind, pos, triple, n_shots=0, transformed=False, label
                              complex(expectation), arg, ses, n_shots, transformed, label)
 
 
-def snapshot_from_tableau(tab, op: WeylOp, kind: str, pos, transformed=False,
-                          label=None) -> PlaquetteSnapshot:
-    return _snapshot_from_triple(kind, pos, tab.projector_triple(op),
-                                 transformed=transformed, label=label)
+def snapshots_from_outcomes(outcomes, d: int, keys) -> list[PlaquetteSnapshot]:
+    """Exact snapshots from tableau lookup outcomes; keys[f] = (kind, pos, transformed, label)."""
+    return [_snapshot_from_triple(kind, pos, outcome_triple(int(det), d),
+                                  transformed=transformed, label=label)
+            for det, (kind, pos, transformed, label) in zip(outcomes, keys)]
 
 
 def basis_exponents(op: WeylOp, basis_obs: list[WeylOp]) -> tuple[np.ndarray, int]:

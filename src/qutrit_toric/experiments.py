@@ -32,10 +32,10 @@ from .defects import (
     solve_weyl_op,
     weyl_gates,
 )
-from .estimators import PlaquetteSnapshot, snapshot_from_tableau
+from .estimators import PlaquetteSnapshot, snapshots_from_outcomes
 from .lattice import TorusLattice, ground_state_circuit
 from .modmath import mod_inverse
-from .tableau import StabilizerTableau
+from .tableau import StabilizerTableau, outcome_expectation, outcome_triple
 from .weyl import (
     WeylOp,
     compose,
@@ -225,16 +225,11 @@ class ScriptRunner:
         return op
 
     def _snapshot(self, label: str) -> Frame:
-        plaq, defects = [], []
-        for key, op in sorted(self.observables.items()):
-            kind, pos, transformed = self.kinds[key]
-            snap = snapshot_from_tableau(self.tab, op, kind, pos,
-                                         transformed=transformed, label=key)
-            if kind in ("A", "B"):
-                plaq.append(snap)
-            else:
-                defects.append(snap)
-        return Frame(label, plaq, defects)
+        keys = sorted(self.observables)
+        det = self.tab.outcomes_of([self.observables[k] for k in keys])
+        snaps = snapshots_from_outcomes(det, self.lattice.d, [(*self.kinds[k], k) for k in keys])
+        plaq = [s for s in snaps if s.kind in ("A", "B")]
+        return Frame(label, plaq, [s for s in snaps if s.kind not in ("A", "B")])
 
 
 def run_braid(script: Script, seed: int = 0) -> tuple[list[Frame], ScriptRunner]:
@@ -438,17 +433,14 @@ class TopologicalQutritProtocol:
         circ = self.circuit()
         tab = StabilizerTableau(circ.d, circ.n_qudits, np.random.default_rng(seed))
         (outcome,) = execute(circ, tab, force=force_outcome)
-        braid = self.lift(self.braid_loop)
+        ops = [self.braid_loop, self.neutrality_op, *self.a_ends, *self.b_ends]
+        braid, neutral, *ends = (int(s) for s in tab.outcomes_of([self.lift(w) for w in ops]))
         return TopologicalQutritResult(
             outcome=outcome,
-            braid_triple=tab.projector_triple(braid),
-            neutrality_triple=tab.projector_triple(self.lift(self.neutrality_op)),
-            end_pi1=tuple(
-                tab.projector_expectation(self.lift(a), 0) for a in self.a_ends
-            ),
-            flux_end_values=tuple(
-                tab.expectation_weyl(self.lift(b)) for b in self.b_ends
-            ),
+            braid_triple=outcome_triple(braid, circ.d),
+            neutrality_triple=outcome_triple(neutral, circ.d),
+            end_pi1=tuple(outcome_triple(s, circ.d)[0] for s in ends[:len(self.a_ends)]),
+            flux_end_values=tuple(outcome_expectation(s, circ.d) for s in ends[len(self.a_ends):]),
             correlator_exponent=self.correlator_exponent,
         )
 

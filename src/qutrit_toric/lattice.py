@@ -38,8 +38,6 @@ CORNER_NAMES = ("TL", "TR", "BL", "BR")
 A_EXPONENTS = (1, 1, -1, -1)  # X, X, Xdag, Xdag
 B_EXPONENTS = (-1, 1, -1, 1)  # Zdag, Z, Zdag, Z
 
-SPECIES_CHARGE = ("e", "ebar")
-SPECIES_FLUX = ("m", "mbar")
 # species -> (face kind, eigenvalue exponent of the violated face)
 SPECIES_SIGNATURE = {"e": ("A", 1), "ebar": ("A", 2), "m": ("B", 1), "mbar": ("B", 2)}
 

@@ -70,27 +70,20 @@ def native_matrix(op: NativeOp) -> np.ndarray:
 
 
 def ops_unitary(ops: list[NativeOp], n_qubits: int) -> np.ndarray:
-    """Dense unitary of a native op list (time order = list order)."""
+    """Dense unitary of a native op list (time order = list order).
+
+    Each op is contracted into the (2,)*n row axes (first listed qubit = most
+    significant); entries of its matrix below 1e-16 are taken as exact zeros.
+    """
     dim = 1 << n_qubits
-    U = np.eye(dim, dtype=np.complex128)
+    U = np.eye(dim, dtype=np.complex128).reshape((2,) * n_qubits + (dim,))
     for op in ops:
         if op.kind in ("measz", "barrier"):
             continue
-        m = native_matrix(op)
-        U = _embed(m, op.qubits, n_qubits) @ U
-    return U
-
-
-def _embed(m: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """m acting on `qubits` (first listed = most significant) of n qubits.
-
-    Entries of m below 1e-16 in magnitude are taken as exact zeros.
-    """
-    m = np.where(np.abs(m) < 1e-16, 0, m)
-    full = np.kron(m, np.eye(1 << (n - len(qubits))))  # axes: qubits, then the rest
-    order = np.argsort([*qubits, *(q for q in range(n) if q not in qubits)])
-    full = full.reshape((2,) * (2 * n)).transpose([*order, *(order + n)])
-    return full.reshape(1 << n, 1 << n)
+        m, k = native_matrix(op), len(op.qubits)
+        m = np.where(np.abs(m) < 1e-16, 0, m).reshape((2,) * (2 * k))
+        U = np.moveaxis(np.tensordot(m, U, axes=(range(k, 2 * k), op.qubits)), range(k), op.qubits)
+    return U.reshape(dim, dim)
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,10 +2,12 @@
 
 State = n commuting independent stabilizer generators plus n paired
 destabilizers (generalized Aaronson-Gottesman layout). Destabilizers
-make deterministic-outcome extraction O(n^2): if w commutes with every
-stabilizer then w = omega^s * prod_i S_i^{e_i} with e_i read off as
-symplectic products against the destabilizer rows, no elimination
-needed.
+make deterministic-outcome extraction O(n^2) per operator: if w
+commutes with every stabilizer then w = omega^s * prod_i S_i^{e_i} with
+e_i read off as symplectic products against the destabilizer rows, no
+elimination needed. The lookup runs on a stack of F operators at once
+(one (2n, F) commutation product); measurement and the one-operator
+expectations are its one-row case.
 
 All 2n generators are rows of one store: int64 exponent matrices x, z
 of shape (2n, n) and a phase vector ph of shape (2n,). Rows 0..n-1 are
@@ -32,7 +34,7 @@ class MeasurementOutcome:
 
 
 class StabilizerTableau:
-    """Single-owner mutable stabilizer state; clone per shot for parallel runs."""
+    """Single-owner mutable stabilizer state; the exact outcome tree forks it by `copy`."""
 
     def __init__(self, d: int, n: int, rng: np.random.Generator | None = None):
         check_dimension(d)
@@ -81,36 +83,53 @@ class StabilizerTableau:
 
     # -- measurement -----------------------------------------------------------
 
-    def _lookup(self, w: WeylOp, c: np.ndarray) -> int | None:
-        """Outcome exponent of w from its commutation vector c over all rows.
+    def deterministic_outcomes(self, x: np.ndarray, z: np.ndarray, ph: np.ndarray) -> np.ndarray:
+        """Outcome exponents of F stacked operators omega^ph[f] X^x[f] Z^z[f].
 
-        Returns None when w does not commute with the stabilizer group.
-        The in-order product prod_i S_i^{e_i} is accumulated in closed
-        form: power phases per row plus the reordering phases
-        sum_{i<j} e_i e_j z_i . x_j, taken as the prefix sum
-        sum_j e_j (sum_{i<j} e_i z_i) . x_j in O(n^2).
+        x, z: (F, n) exponents; ph: (F,) phases. Returns (F,) int64, -1 where
+        the operator is outside the stabilizer group (a random outcome).
+        """
+        x, z, ph = (np.asarray(a, dtype=np.int64) for a in (x, z, ph))
+        if x.shape[1:] != (self.n,) or z.shape != x.shape or ph.shape != x.shape[:1]:
+            raise ValueError("operator shape mismatch")
+        return self._lookup(x, z, ph, (self.x @ z.T - self.z @ x.T) % self.d)
+
+    def outcomes_of(self, ops: list[WeylOp]) -> np.ndarray:
+        """deterministic_outcomes of a list of operators, stacked."""
+        xz = np.array([(w.x, w.z) for w in ops], dtype=np.int64).reshape(-1, 2, self.n)
+        return self.deterministic_outcomes(xz[:, 0], xz[:, 1], [w.phase for w in ops])
+
+    def _lookup(self, x, z, ph, c: np.ndarray) -> np.ndarray:
+        """deterministic_outcomes given the (2n, F) commutation c with every row.
+
+        Operator f is in the group iff it commutes with every stabilizer;
+        then it is omega^s prod_i S_i^{e_i} with e = c[:n, f]. For odd d,
+        X^x Z^z = omega^{-x.z/2} W(x, z) with W(a)^e = W(e a) and W(a) W(b)
+        = W(a + b) for commuting a, b, so the product's phase is linear in e:
+        sum_i e_i (s_i - x_i.z_i/2) + x.z/2 (mod d), halves as (d+1)/2.
         """
         d, n = self.d, self.n
-        if np.any(c[n:]):
-            return None
-        e = c[:n]
-        sx, sz, sp = self.x[n:], self.z[n:], self.ph[n:]
-        x = (e @ sx) % d
-        z = (e @ sz) % d
-        if not (np.array_equal(x, w.x) and np.array_equal(z, w.z)):
+        member = ~c[n:].any(axis=0)
+        e, sx, sz = c[:n].T, self.x[n:], self.z[n:]
+        if np.any(((e @ sx - x) % d | (e @ sz - z) % d)[member]):
             # commutes with the whole maximal group yet is not in it: impossible
             # for a valid tableau, so surface loudly.
             raise AssertionError("tableau invariant violated in deterministic lookup")
-        cross_rows = np.einsum("ij,ij->i", sx, sz) % d
-        pow_ph = (e * sp + (e * (e - 1) // 2) * cross_rows) % d
-        ez = e[:, None] * sz
-        reorder = e @ np.einsum("ij,ij->i", np.cumsum(ez, axis=0) - ez, sx)
-        ph = (int(pow_ph.sum()) + int(reorder)) % d
-        return (w.phase - ph) % d
+        half = (d + 1) // 2
+        rows = self.ph[n:] - half * np.einsum("ij,ij->i", sx, sz)
+        return np.where(member, (ph - e @ rows - half * np.einsum("fk,fk->f", x, z)) % d, -1)
+
+    def _outcome(self, w: WeylOp, c: np.ndarray | None = None) -> int:
+        """The one-row lookup; -1 when w is outside the stabilizer group."""
+        c = self._commutation(w) if c is None else c
+        if c[self.n:].any():
+            return -1
+        return int(self._lookup(w.x[None], w.z[None], np.array([w.phase]), c[:, None])[0])
 
     def deterministic_outcome(self, w: WeylOp) -> int | None:
         """Outcome exponent when w is (proportional to) a stabilizer element, else None."""
-        return self._lookup(w, self._commutation(w))
+        det = self._outcome(w)
+        return None if det < 0 else det
 
     def measure_weyl(self, w: WeylOp, force: int | None = None) -> MeasurementOutcome:
         """Measure a Weyl observable; collapses the state on random outcomes.
@@ -121,8 +140,8 @@ class StabilizerTableau:
         self._check_shape(w)
         d, n = self.d, self.n
         c = self._commutation(w)
-        det = self._lookup(w, c)
-        if det is not None:
+        det = self._outcome(w, c)
+        if det >= 0:
             return MeasurementOutcome(det, True)
         p = int(np.nonzero(c[n:])[0][0])
         q = n + p  # row of S_p
@@ -152,10 +171,7 @@ class StabilizerTableau:
 
     def expectation_weyl(self, w: WeylOp) -> complex:
         """Exactly one of 0 or omega^k."""
-        det = self.deterministic_outcome(w)
-        if det is None:
-            return 0j
-        return complex(np.exp(2j * np.pi * det / self.d))
+        return outcome_expectation(self._outcome(w), self.d)
 
     def projector_expectation(self, w: WeylOp, alpha: int) -> float:
         """<Pi^{omega^alpha}(w)> = (1/d) sum_m omega^{-alpha m} <w^m>.
@@ -168,10 +184,7 @@ class StabilizerTableau:
 
     def projector_triple(self, w: WeylOp) -> tuple[float, ...]:
         """projector_expectation(w, alpha) for every alpha, from one lookup."""
-        det = self.deterministic_outcome(w)
-        if det is None:
-            return (1.0 / self.d,) * self.d
-        return tuple(1.0 if a == det else 0.0 for a in range(self.d))
+        return outcome_triple(self._outcome(w), self.d)
 
     # -- invariants --------------------------------------------------------------
 
@@ -190,12 +203,19 @@ class StabilizerTableau:
 
     def stabilizer_group_equals(self, other: "StabilizerTableau") -> bool:
         """True when both tableaus stabilize the same state (exact phases)."""
-        if (self.d, self.n) != (other.d, other.n):
-            return False
-        for i in range(other.n):
-            if self.deterministic_outcome(other.stabilizer(i)) != 0:
-                return False
-        return True
+        n = self.n
+        return (self.d, n) == (other.d, other.n) and not self.deterministic_outcomes(
+            other.x[n:], other.z[n:], other.ph[n:]).any()
+
+
+def outcome_triple(det: int, d: int) -> tuple[float, ...]:
+    """<Pi^{omega^a}> for a = 0..d-1 from a lookup outcome (-1: random, 1/d each)."""
+    return (1.0 / d,) * d if det < 0 else tuple(float(a == det) for a in range(d))
+
+
+def outcome_expectation(det: int, d: int) -> complex:
+    """<w> from its lookup outcome: omega^det, or 0 when random (-1)."""
+    return 0j if det < 0 else complex(np.exp(2j * np.pi * det / d))
 
 
 def new_computational(d: int, n: int, seed=None) -> StabilizerTableau:

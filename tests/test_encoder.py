@@ -29,9 +29,10 @@ from qutrit_toric.encoder import (
     zz_budget,
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
+from qutrit_toric import synth
 from qutrit_toric.synth import (
     NativeOp,
-    _embed,
+    native_matrix,
     on_qubit,
     ops_unitary,
     phase_distance,
@@ -133,13 +134,29 @@ class TestOpsUnitary:
     PLACEMENTS = [((2, 0), 3), ((3, 1), 4), ((0, 2), 3), ((1, 2), 3), ((1,), 3), ((3,), 4)]
 
     @pytest.mark.parametrize("qubits,n", PLACEMENTS)
-    def test_embed_matches_kron_products(self, qubits, n):
-        """Placement only copies entries, so the match is exact; entries below
-        1e-16 in magnitude are dropped."""
+    def test_embed_matches_kron_products(self, qubits, n, monkeypatch):
+        """One op placed by ops_unitary only copies entries, so the match is
+        exact; entries below 1e-16 in magnitude are dropped. The op's matrix
+        is a random non-symmetric unitary, so a swapped placement shows."""
         m = random_unitary(np.random.default_rng(n + 7 * qubits[0]), 1 << len(qubits))
-        assert np.array_equal(_embed(m, qubits, n), kron_reference(m, qubits, n))
+        monkeypatch.setattr(synth, "native_matrix", lambda op: m)
+        op = NativeOp("zzphase" if len(qubits) == 2 else "u1q", qubits)
+        assert np.array_equal(ops_unitary([op], n), kron_reference(m, qubits, n))
         m[0, 1] = 1e-17
-        assert _embed(m, qubits, n)[0, 1 << (n - 1 - qubits[-1])] == 0
+        assert ops_unitary([op], n)[0, 1 << (n - 1 - qubits[-1])] == 0
+
+    @pytest.mark.parametrize("name", SUPPORTED_GATES)
+    def test_decomposition_unitary_matches_kron_fold(self, name):
+        """Every shipped decomposition's unitary equals, bit for bit, the
+        product of explicit Kronecker embeddings taken in time order (the
+        dense form that verify's float errors were first recorded with)."""
+        ops = decompose_gate(name)
+        n = 4 if name in ("cx", "cxdg", "cz", "czdg") else 2
+        fold = np.eye(1 << n, dtype=np.complex128)
+        for op in ops:
+            m = native_matrix(op)
+            fold = kron_reference(np.where(np.abs(m) < 1e-16, 0, m), op.qubits, n) @ fold
+        assert np.array_equal(ops_unitary(ops, n), fold)
 
     @pytest.mark.parametrize("qubits,n", [p for p in PLACEMENTS if len(p[0]) == 2])
     def test_placed_synthesis_matches_kron_products(self, qubits, n):

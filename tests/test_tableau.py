@@ -411,3 +411,110 @@ class TestLookupAtScale:
         random_ops = [random_weyl(rng, d, n) for _ in range(5)]
         assert all(tab.deterministic_outcome(w) is ref.deterministic_outcome(w) is None
                    for w in random_ops)
+
+
+def reference_lookup(tab, w):
+    """The per-row deterministic lookup that the batched one replaced: the
+    in-order product's phase from power phases plus the prefix-sum reordering
+    phase sum_j e_j (sum_{i<j} e_i z_i) . x_j; kept as an oracle."""
+    d, n = tab.d, tab.n
+    c = (tab.x @ w.z - tab.z @ w.x) % d
+    if np.any(c[n:]):
+        return None
+    e = c[:n]
+    sx, sz, sp = tab.x[n:], tab.z[n:], tab.ph[n:]
+    if not (np.array_equal((e @ sx) % d, w.x) and np.array_equal((e @ sz) % d, w.z)):
+        raise AssertionError("tableau invariant violated in deterministic lookup")
+    cross_rows = np.einsum("ij,ij->i", sx, sz) % d
+    pow_ph = (e * sp + (e * (e - 1) // 2) * cross_rows) % d
+    ez = e[:, None] * sz
+    reorder = e @ np.einsum("ij,ij->i", np.cumsum(ez, axis=0) - ez, sx)
+    return (w.phase - (int(pow_ph.sum()) + int(reorder))) % d
+
+
+def random_clifford_state(d, n, seed):
+    """A tableau after random gates, measurements and a Weyl frame."""
+    rng = np.random.default_rng(seed)
+    tab = StabilizerTableau(d, n, np.random.default_rng(seed))
+    for _ in range(3 * n + 10):
+        tab.apply_gate(random_gate(rng, n))
+    for _ in range(3):
+        tab.measure_weyl(random_weyl(rng, d, n))
+        tab.apply_gate(random_gate(rng, n))
+    tab.apply_weyl(random_weyl(rng, d, n))
+    return tab, rng
+
+
+def phased_element(tab, rng, k):
+    """omega^k times a product of random stabilizer powers, in random order."""
+    w = WeylOp.identity(tab.d, tab.n)
+    for i in rng.permutation(tab.n):
+        w = w @ tab.stabilizer(int(i)).power(int(rng.integers(tab.d)))
+    return w.with_phase(w.phase + k)
+
+
+def stacked(ops, n):
+    x = np.array([w.x for w in ops], dtype=np.int64).reshape(len(ops), n)
+    z = np.array([w.z for w in ops], dtype=np.int64).reshape(len(ops), n)
+    return x, z, np.array([w.phase for w in ops], dtype=np.int64)
+
+
+class TestBatchedLookup:
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("n", [1, 24, 96])
+    def test_matches_reference_lookup_on_random_states(self, d, n):
+        tab, rng = random_clifford_state(d, n, seed=10 * d + n)
+        ks = [int(rng.integers(d)) for _ in range(8)]
+        ops = [random_weyl(rng, d, n) for _ in range(4)]
+        ops[2:2] = [phased_element(tab, rng, k) for k in ks]
+        want = [reference_lookup(tab, w) for w in ops]
+        got = tab.deterministic_outcomes(*stacked(ops, n))
+        assert got.dtype == np.int64 and got.shape == (len(ops),)
+        assert got.tolist() == [-1 if v is None else v for v in want]
+        assert got[2:10].tolist() == ks
+        assert np.array_equal(tab.outcomes_of(ops), got)
+        for w, v in zip(ops, want):
+            assert tab.deterministic_outcome(w) == v
+
+    def test_mixed_stacks_and_edge_sizes(self):
+        tab, rng = random_clifford_state(3, 24, seed=5)
+        members = [phased_element(tab, rng, k) for k in (0, 1, 2)]
+        stray = [w for w in (random_weyl(rng, 3, 24) for _ in range(6))
+                 if reference_lookup(tab, w) is None][:3]
+        assert len(stray) == 3
+        stack = [stray[0], members[0], members[1], stray[1], stray[2], members[2]]
+        assert tab.outcomes_of(stack).tolist() == [-1, 0, 1, -1, -1, 2]
+        assert tab.outcomes_of(stray).tolist() == [-1] * 3
+        empty = tab.outcomes_of([])
+        assert empty.shape == (0,) and empty.dtype == np.int64
+        assert tab.deterministic_outcomes(*stacked([], 24)).shape == (0,)
+        for w in (members[1], stray[0]):
+            (one,) = tab.outcomes_of([w])
+            assert one == (-1 if reference_lookup(tab, w) is None else reference_lookup(tab, w))
+        with pytest.raises(ValueError):
+            tab.deterministic_outcomes(*stacked(members, 24)[:2], np.zeros(2, dtype=np.int64))
+
+    def test_corrupted_tableau_raises_like_the_reference(self):
+        tab, rng = random_clifford_state(3, 24, seed=6)
+        stack = [random_weyl(rng, 3, 24), tab.stabilizer(0), phased_element(tab, rng, 1)]
+        tab.x[0] = 0  # destabilizer D_0 becomes the identity
+        tab.z[0] = 0
+        with pytest.raises(AssertionError, match="tableau invariant"):
+            reference_lookup(tab, tab.stabilizer(0))
+        with pytest.raises(AssertionError, match="tableau invariant"):
+            tab.outcomes_of(stack)
+
+    def test_corrupted_tableau_exits_3_from_the_cli(self, monkeypatch, capsys):
+        from qutrit_toric import cli
+
+        run = cli.execute
+
+        def corrupting(circ, tab, **kwargs):
+            out = run(circ, tab, **kwargs)
+            tab.x[: tab.n] = 0  # every destabilizer becomes the identity
+            tab.z[: tab.n] = 0
+            return out
+
+        monkeypatch.setattr(cli, "execute", corrupting)
+        assert cli.main(["prepare", "--lx", "6", "--ly", "4", "--noise", "off", "-o", "-"]) == 3
+        assert "tableau invariant violated" in capsys.readouterr().err
