@@ -120,7 +120,7 @@ class StabilizerTableau:
         return np.where(member, (ph - e @ rows - half * np.einsum("fk,fk->f", x, z)) % d, -1)
 
     def _outcome(self, w: WeylOp, c: np.ndarray | None = None) -> int:
-        """The one-row lookup; -1 when w is outside the stabilizer group."""
+        """The one-row lookup; -1 (returned before the batched body) when w is random."""
         c = self._commutation(w) if c is None else c
         if c[self.n:].any():
             return -1
