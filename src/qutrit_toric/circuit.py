@@ -5,24 +5,20 @@ registers, outcome-conditioned gate blocks (feed-forward), stochastic
 Weyl noise, and barriers. `_apply` is the one place an instruction
 acts on a tableau; `execute` loops over it.
 
-`run_shots` samples with Weyl frames (Pauli-frame sampling carried over
-to Z_d). One reference shot on the tableau (noise stripped, random
-outcomes forced to 0) and one backward pass through the gates compile
-each random draw into a fixed linear mod-d form over the outcomes; then
-FRAME_BLOCK shots at a time make the draws and add their forms. X/Z-shift
-feed-forward is a table over the value read. `_frame_compatible` is the
-one engine choice: any other feed-forward runs per shot through
-`execute`, shot i seeded by (base_seed, i). Either way the values are a
-pure function of (circuit, n_shots, base_seed), whatever the parallelism.
-
-`exact_outcome_distribution` enumerates noiseless circuits exactly: a
-depth-first walk forks the tableau once per outcome of each random
-measurement (refused before forking past a budget) and weights the
-leaves. It is the enumeration oracle the samplers are tested against.
+`run_shots` samples Weyl frames (Pauli-frame sampling carried over to
+Z_d): one reference shot and one backward pass compile every random draw
+into a linear mod-d form over the outcomes, and each block of FRAME_BLOCK
+shots draws its frames, kicks and noise in a few array calls and adds
+their forms. `_frame_compatible` is the one engine choice: other
+feed-forward runs per shot through `execute`, shot i seeded by
+(base_seed, i). Values are a pure function of (circuit, n_shots,
+base_seed), whatever the parallelism. `exact_outcome_distribution`, the
+enumeration oracle, forks the tableau at each random measurement.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -175,8 +171,7 @@ class Circuit:
                     raise ValueError("conditional predicate must cover all outcomes")
                 check_targets(g for branch in ins.predicate.values() for g in branch)
             elif isinstance(ins, Noise):
-                k = ins.channel.kind
-                if k == "depolarizing2" and len(ins.sites) != 2:
+                if ins.channel.kind == "depolarizing2" and len(ins.sites) != 2:
                     raise ValueError("depolarizing2 needs a site pair")
                 if len(set(ins.sites)) != len(ins.sites):
                     raise ValueError(f"noise sites {ins.sites} repeat a site")
@@ -187,9 +182,6 @@ class Circuit:
                     if not set(pattern) <= set(range(len(ins.sites))):
                         raise ValueError(f"weyl_custom pattern keys {sorted(pattern)} "
                                          f"outside the {len(ins.sites)} noise sites")
-
-    def has_noise(self) -> bool:
-        return any(isinstance(i, Noise) for i in self.instructions)
 
     def with_noise(self, p1: float = 0.0, p2: float = 0.0) -> "Circuit":
         """Copy with depolarizing noise appended after each gate."""
@@ -207,9 +199,7 @@ class Circuit:
         return out
 
     def two_qudit_gate_count(self) -> int:
-        return sum(
-            1 for i in self.instructions if isinstance(i, Gate) and len(i.gate.targets) == 2
-        )
+        return sum(isinstance(i, Gate) and len(i.gate.targets) == 2 for i in self.instructions)
 
 
 # -- execution ---------------------------------------------------------------
@@ -220,27 +210,25 @@ def shot_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
 
 
-def _noise_exponents(channel: NoiseChannel, width: int, d: int, rng: np.random.Generator,
-                     m: int) -> np.ndarray:
-    """Error exponents of m shots on the channel's sites, shape (m, 2, width): x then z."""
-    if channel.kind == "depolarizing1":
-        hit = rng.random((m, width)) < channel.p
-        k = hit * rng.integers(1, d * d, (m, width))
-        return np.stack([k % d, k // d], axis=1)
-    if channel.kind == "depolarizing2":
-        hit = rng.random(m) < channel.p
-        k = hit * rng.integers(1, d**4, m)
-        err = np.zeros((m, 2, 2), dtype=np.int64)
-        nz = np.flatnonzero(k)  # decode only the shots that drew an error
-        err[nz] = (k[nz, None] // d ** np.arange(4) % d).reshape(-1, 2, 2).transpose(0, 2, 1)
-        return err
-    # weyl_custom: pattern i where the cumulative weights first pass u; none past the last
-    table = np.zeros((len(channel.weights) + 1, 2, width), dtype=np.int64)
-    for i, (_, pattern) in enumerate(channel.weights):
-        for j, xz in pattern.items():
-            table[i, :, j] = xz
-    acc = np.cumsum([w for w, _ in channel.weights])
-    return table[np.searchsorted(acc, rng.random(m), side="right")]
+def _noise_exponents(channel: NoiseChannel, width: int, d: int, u: np.ndarray,
+                     code: np.ndarray | None) -> np.ndarray:
+    """Error exponents of k draws on the channel's sites, shape (k, 2, width): x then z.
+
+    u and code are the draws' (k, tests) hit uniforms and codes, a test per
+    site for depolarizing1, else one. A hit's code, uniform in [1, d^(2 sites)),
+    holds its sites' x, z exponents as base-d digits. A weyl_custom draw
+    reads u only: pattern i where the cumulative weights first pass u.
+    """
+    if channel.kind == "weyl_custom":
+        table = np.zeros((len(channel.weights) + 1, 2, width), dtype=np.int64)
+        for i, (_, pattern) in enumerate(channel.weights):
+            for j, xz in pattern.items():
+                table[i, :, j] = xz
+        acc = np.cumsum([w for w, _ in channel.weights])
+        return table[np.searchsorted(acc, u[:, 0], side="right")]
+    k = (u < channel.p) * code
+    digits = k[..., None] // d ** np.arange(2 if channel.kind == "depolarizing1" else 4) % d
+    return digits.reshape(len(k), width, 2).transpose(0, 2, 1)
 
 
 def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
@@ -254,7 +242,11 @@ def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
         for g in ins.predicate[creg[ins.creg]]:
             tab.apply_gate(g)
     elif isinstance(ins, Noise):
-        (xz,) = _noise_exponents(ins.channel, len(ins.sites), tab.d, tab.rng, 1)
+        ch, one = ins.channel, ins.channel.kind == "depolarizing1"
+        u = tab.rng.random((1, len(ins.sites) if one else 1))
+        code = None if ch.kind == "weyl_custom" else \
+            tab.rng.integers(1, tab.d ** (2 if one else 4), u.shape)
+        (xz,) = _noise_exponents(ch, len(ins.sites), tab.d, u, code)
         if xz.any():
             tab.apply_weyl(WeylOp.from_pattern(tab.d, tab.n, dict(zip(ins.sites, xz.T))))
     # Barrier: nothing
@@ -291,7 +283,7 @@ def _outcome_leaves(circuit: Circuit) -> dict[tuple[int, ...], list[int]] | None
     TREE_MAX_RANDOM_MEASUREMENTS outcomes already on its path; that
     branch is refused before it forks.
     """
-    if circuit.has_noise():
+    if any(isinstance(i, Noise) for i in circuit.instructions):
         return None
     instructions = circuit.instructions
     leaves: dict[tuple[int, ...], list[int]] = {}
@@ -338,49 +330,63 @@ def _frame_compatible(circuit: Circuit) -> bool:
                for gates in ins.predicate.values() for g in gates)
 
 
+# a circuit's random draws as forms over its M measurements; see _compile_frames
+_FramePlan = namedtuple("_FramePlan", "d ref source p high forms kinds group reads writer")
+
+
+def _draw_block(plan: _FramePlan, rng: np.random.Generator, m: int) -> tuple:
+    """Draws of m shots: (m, n + K) source integers, (m, C) hit uniforms, and
+    the hits' shots, tests and codes, shot by shot (a weyl_custom hit's is 0)."""
+    src = rng.integers(plan.d, size=(m, len(plan.source)), dtype=np.uint8)
+    u = rng.random((m, len(plan.p)))
+    shot, test = np.divmod(np.flatnonzero(u < plan.p), len(plan.p))
+    code, coded = np.zeros(len(test), dtype=np.int64), plan.high[test] > 0
+    code[coded] = rng.integers(1, plan.high[test[coded]])
+    return src, u, shot, test, code
+
+
 def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     """Creg values of n_shots Weyl-frame shots around one reference shot.
 
     A shot is the reference (noise stripped, random outcomes forced to 0)
-    times a phase-free Weyl frame; each random draw moves its outcomes by
-    the draw times its form from `_compile_frames`. Block b of FRAME_BLOCK
-    shots draws from SeedSequence([base_seed, b]) in instruction order.
+    times a phase-free Weyl frame. Block b of FRAME_BLOCK shots takes
+    `_draw_block`'s draws from SeedSequence([base_seed, b]), adds the source
+    draws' forms by one float32 product (exact on these small integers) and
+    the hits' form rows by one scatter-add, then the feed-forward tables.
     """
-    ref, init, steps, reads, writer = _compile_frames(circuit)
-    d, n = circuit.d, circuit.n_qudits
-    written = writer >= 0
+    plan = _compile_frames(circuit)
+    written = plan.writer >= 0
     values = np.zeros((n_shots, circuit.n_cregs), dtype=np.uint8)
     for b, lo in enumerate(range(0, n_shots, FRAME_BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
         m = min(FRAME_BLOCK, n_shots - lo)
-        # frames start as uniform Z strings; the float product of small ints is exact
-        out = ref + (rng.integers(d, size=(m, n)) @ init).astype(np.int64)
-        for channel, width, cols, form in steps:
-            if channel is None:  # a measurement multiplies the frame by W^k, k uniform
-                err = rng.integers(d, size=(m, 1, 1)).reshape(m, 1)
-            else:
-                err = _noise_exponents(channel, width, d, rng, m).reshape(m, 2 * width)
-            if cols.size:
-                hit = np.flatnonzero(err.any(axis=1))
-                out[np.ix_(hit, cols)] += err[hit] @ form
-        for src, cols, table in reads:
-            out[:, cols] += table[out[:, src] % d]
-        values[lo:lo + m, written] = out[:, writer[written]] % d
+        rng = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
+        src, u, shot, test, code = _draw_block(plan, rng, m)
+        out = plan.ref + (src @ plan.source).astype(np.int64)
+        err = np.zeros((len(test), plan.forms.shape[1]), dtype=np.int64)
+        for g, (channel, width) in enumerate(plan.kinds):
+            h = np.flatnonzero(plan.group[test] == g)
+            xz = _noise_exponents(channel, width, plan.d, u[shot[h], test[h], None], code[h, None])
+            err[h, :2 * width] = xz.reshape(len(h), 2 * width)
+        np.add.at(out, shot, np.einsum("hr,hrm->hm", err, plan.forms[test]))
+        for read, table in plan.reads:
+            out += table[out[:, read] % plan.d]
+        values[lo:lo + m, written] = out[:, plan.writer[written]] % plan.d
     return values
 
 
-def _compile_frames(circuit: Circuit) -> tuple:
+def _compile_frames(circuit: Circuit) -> _FramePlan:
     """Linear mod-d outcome forms of the random draws, over the M measurements.
 
-    Returns the measurements' reference values; the (n, M) form of the
-    initial Z frame; per Noise and Measure in order (channel or None,
-    width, cols, form), form rows over the draw's x then z exponents (a
-    Measure's kick exponent); per shift feed-forward (source measurement,
-    cols, (d, M) table over the value read); and each creg's last writer
-    (-1: none). cols are a form's nonzero columns. Walking back, rows of
-    bx, bz hold each measured W conjugated back to here (zero before W is
-    measured); s(g F g^dag, W) = s(F, g^dag W g), so a draw F here moves
-    the outcomes by F.x . bz - F.z . bx.
+    A reference shot (noise stripped, random outcomes forced to 0) gives
+    `ref` and the value each CondGate reads. Walking back, rows of bx, bz
+    hold each measured W conjugated back to here (zero before W is
+    measured); s(g F g^dag, W) = s(F, g^dag W g), so a draw F here moves the
+    outcomes by F.x . bz - F.z . bx. `source`: (n + K, M) float forms of the
+    initial Z frame, then of each kick. Per noise hit test (a depolarizing1
+    site, else a channel): hit probability `p`, code range end `high` (0:
+    weyl_custom, decoded from u), `group` in `kinds` (channel, sites per
+    test) and (R, M) `forms` over its sites' x then z exponents. `reads`:
+    per shift feed-forward, the measurement read and a (d, M) table.
     """
     d, n = circuit.d, circuit.n_qudits
     tab, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
@@ -394,23 +400,19 @@ def _compile_frames(circuit: Circuit) -> tuple:
             ref.append(creg[ins.creg])
         elif isinstance(ins, CondGate):
             read_at.append((writer[ins.creg], creg[ins.creg]))
-
-    def sparse(form):
-        cols = np.flatnonzero(form.any(axis=0))
-        return cols, form[:, cols]
-
     bx, bz = np.zeros((2, len(ref), n), dtype=np.int64)
     ph = np.zeros(len(ref), dtype=np.int64)  # scratch for conjugate_rows, never read
-    steps, reads, j = [], [], len(ref)
+    kicks, tests, reads, j = [], [], [], len(ref)
     for ins in reversed(circuit.instructions):
         if isinstance(ins, Gate):
             conjugate_rows(ins.gate.inverse(), bx, bz, ph, d)
         elif isinstance(ins, Noise):
-            s = list(ins.sites)
-            steps.append((ins.channel, len(s), *sparse(np.concatenate([bz[:, s].T, -bx[:, s].T]))))
+            one = ins.channel.kind == "depolarizing1"  # a hit test per site, else one
+            for s in np.reshape(ins.sites, (-1, 1) if one else (1, -1))[::-1]:
+                tests.append(((ins.channel, len(s)), np.concatenate([bz[:, s].T, -bx[:, s].T])))
         elif isinstance(ins, Measure):
             w = ins.observable
-            steps.append((None, 1, *sparse((bz @ w.x - bx @ w.z)[None])))
+            kicks.append(bz @ w.x - bx @ w.z)
             j -= 1
             bx[j], bz[j] = w.x, w.z
         elif isinstance(ins, CondGate):
@@ -420,9 +422,20 @@ def _compile_frames(circuit: Circuit) -> tuple:
                 for g in gates:
                     shift[k, :, g.targets[0]] += _SHIFTS[g.kind]
             shift = shift - shift[at]
-            reads.append((src, *sparse(shift[:, 0] @ bz.T - shift[:, 1] @ bx.T)))
-    return (np.array(ref, dtype=np.int64), -bx.T.astype(float), steps[::-1], reads[::-1],
-            np.array(writer, dtype=np.int64))
+            reads.append((src, shift[:, 0] @ bz.T - shift[:, 1] @ bx.T))
+    kinds = []  # (channel, sites per test) of each group; channels hold dicts, so no hashing
+    forms = np.zeros((len(tests), max((len(f) for _, f in tests), default=0), len(ref)), np.int64)
+    group = np.zeros(len(tests), dtype=np.int64)
+    for i, (key, form) in enumerate(tests[::-1]):
+        kinds += [] if key in kinds else [key]
+        group[i], forms[i, :len(form)] = kinds.index(key), form
+    p = [sum(w for w, _ in ch.weights) if ch.kind == "weyl_custom" else ch.p for ch, _ in kinds]
+    high = [0 if ch.kind == "weyl_custom" else d ** (2 * w) for ch, w in kinds]
+    source = np.concatenate([-bx.T, np.reshape(kicks[::-1], (len(kicks), len(ref)))]) % d
+    exact = np.float32 if len(source) * d * d < 2 ** 24 else float  # every sum stays exact
+    return _FramePlan(d, np.array(ref, dtype=np.int64), source.astype(exact),
+                      np.array(p, dtype=float)[group], np.array(high, dtype=np.int64)[group],
+                      forms, kinds, group, reads[::-1], np.array(writer, dtype=np.int64))
 
 
 def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
@@ -439,10 +452,7 @@ def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
     if parallelism <= 1 or n_shots == 0:
         return ShotBatch(_run_chunk((circuit, base_seed, 0, n_shots)))
     chunk = (n_shots + parallelism - 1) // parallelism
-    jobs = [
-        (circuit, base_seed, lo, min(lo + chunk, n_shots))
-        for lo in range(0, n_shots, chunk)
-    ]
+    jobs = [(circuit, base_seed, lo, min(lo + chunk, n_shots)) for lo in range(0, n_shots, chunk)]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         return ShotBatch(np.concatenate(list(pool.map(_run_chunk, jobs))))
 

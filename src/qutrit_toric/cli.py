@@ -110,15 +110,16 @@ def cmd_prepare(args) -> dict:
     shots = args.shots or DEFAULT_SHOTS
     snaps_all = []
     herald = {}
-    for basis in ("z", "x"):
+    for b, basis in enumerate(("z", "x")):  # separate experiments: seeds from (seed, basis)
+        frame_seed, readout_seed = np.random.SeedSequence([args.seed, b]).generate_state(2).tolist()
         circ = prep.with_noise(p1=args.p1, p2=args.p2) if args.noise != "off" else \
             prep.with_noise()
         circ.extend(measure_all_circuit(lat, basis))
-        values = run_shots(circ, shots, base_seed=args.seed, parallelism=args.threads).values
+        values = run_shots(circ, shots, base_seed=frame_seed, parallelism=args.threads).values
         if args.noise != "off":
             bits = simulate_readout(values, per_qutrit_two_qubit(prep, basis),
                                     p01=args.spam_p01, p10=args.spam_p10,
-                                    leak_per_two_qubit=args.leak, seed=args.seed + 1)
+                                    leak_per_two_qubit=args.leak, seed=readout_seed)
             bits, herald[basis] = herald_filter(bits)
             values = decode_qubit_records(bits)
         snaps_all.extend(estimate_plaquette_projectors(values, basis, lat))
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="ground-state preparation experiment")
     common(p, csv=True)
     p.add_argument("--shots", type=_non_negative_int, default=0,
-                   help="0 = exact noiseless expectations")
+                   help=f"0 = exact expectations (--noise off) or {DEFAULT_SHOTS} shots per basis")
     p.add_argument("--noise", choices=["off", "default"], default="off")
     p.add_argument("--p1", type=_probability, default=0.0)
     p.add_argument("--p2", type=_probability, default=2e-3)

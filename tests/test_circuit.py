@@ -150,6 +150,26 @@ class TestDeterminism:
             tvd, bound = sampled_tvd(values, exact)
             assert tvd <= bound
 
+    def test_per_shot_values_pinned(self):
+        """The per-shot engine's draws (noise uniforms, then codes, in
+        instruction order) give the values recorded before the frame sampler
+        drew a block's noise at once."""
+        c = Circuit(3, 3, 3)
+        c.gate(weyl.fourier(0)).gate(weyl.cx(0, 1))
+        c.noise(NoiseChannel("depolarizing1", 0.3), (0, 2))
+        c.noise(NoiseChannel("depolarizing2", 0.4), (1, 2))
+        c.measure(WeylOp.from_site(3, 3, 0, 0, 1), 0)
+        c.cond(0, {0: (), 1: (weyl.fourier(2),), 2: (weyl.cx(2, 1),)})
+        c.noise(NoiseChannel("weyl_custom", weights=((0.3, {0: (1, 0)}), (0.2, {1: (2, 1)}))),
+                (1, 2))
+        c.measure(WeylOp.from_site(3, 3, 1, 0, 1), 1)
+        c.measure(WeylOp.from_site(3, 3, 2, 1, 0), 2)
+        assert not _frame_compatible(c)
+        pinned = [[2, 2, 2], [2, 1, 1], [1, 1, 2], [1, 1, 2], [0, 0, 0], [2, 0, 0], [2, 0, 2],
+                  [1, 0, 2], [2, 0, 1], [0, 1, 2], [1, 1, 1], [2, 2, 0], [2, 1, 1], [1, 1, 0],
+                  [1, 0, 0], [1, 2, 0]]
+        assert run_shots(c, 16, base_seed=11).values.tolist() == pinned
+
     def test_values_array_shape(self):
         c = bell_like_circuit().with_noise(p1=0.1)
         for shots, parallelism in ((0, 1), (0, 3), (7, 1), (7, 3)):
@@ -194,7 +214,14 @@ def reference_run_shot(circuit, seed):
             for g in ins.predicate[creg[ins.creg]]:
                 tab.apply_gate(g)
         elif isinstance(ins, Noise):
-            (xz,) = _noise_exponents(ins.channel, len(ins.sites), circuit.d, rng, 1)
+            ch, width = ins.channel, len(ins.sites)
+            if ch.kind == "depolarizing1":  # a hit test and a code per site
+                u, code = rng.random((1, width)), rng.integers(1, circuit.d ** 2, (1, width))
+            elif ch.kind == "depolarizing2":  # one hit test and one code for the pair
+                u, code = rng.random((1, 1)), rng.integers(1, circuit.d ** 4, (1, 1))
+            else:  # one uniform picks the pattern
+                u, code = rng.random((1, 1)), None
+            (xz,) = _noise_exponents(ch, width, circuit.d, u, code)
             pattern = {s: (int(a), int(b)) for s, (a, b) in zip(ins.sites, xz.T) if a or b}
             if pattern:
                 tab.apply_weyl(WeylOp.from_pattern(circuit.d, circuit.n_qudits, pattern))
@@ -206,7 +233,11 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
 
     A reference shot (noise stripped, random outcomes forced to 0), then
     every block of FRAME_BLOCK shots pushes a (shots, 2, n) frame array
-    through each instruction, drawing from SeedSequence([base_seed, b]).
+    through each instruction. It takes the block's draws from
+    `_draw_block` on SeedSequence([base_seed, b]): the initial Z frame,
+    then one kick per Measure, then one hit uniform per noise test (a
+    depolarizing1 site, or one per channel otherwise) in instruction
+    order, and a code for each depolarizing hit.
     """
     d, n = circuit.d, circuit.n_qudits
     ref, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
@@ -217,20 +248,32 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
         ref_values.append(creg[ins.creg] if isinstance(ins, (Measure, CondGate)) else None)
     shift_xz = {weyl.GateKind.SHIFT_X: (1, 0), weyl.GateKind.SHIFT_X_DAG: (-1, 0),
                 weyl.GateKind.CLOCK_Z: (0, 1), weyl.GateKind.CLOCK_Z_DAG: (0, -1)}
+    plan = circuit_module._compile_frames(circuit)
     blocks = []
     for b, lo in enumerate(range(0, n_shots, circuit_module.FRAME_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
         m = min(circuit_module.FRAME_BLOCK, n_shots - lo)
+        src, u, shot, test, code = circuit_module._draw_block(plan, rng, m)
+        codes = np.zeros(u.shape, dtype=np.int64)
+        codes[shot, test] = code
+        kicks = iter(src[:, n:].T)
+        tests = 0
         values = np.zeros((m, circuit.n_cregs), dtype=np.int64)
         xz = np.zeros((2, n, m), dtype=np.int64).transpose(2, 0, 1)
-        xz[:, 1] = rng.integers(d, size=(m, n))
+        xz[:, 1] = src[:, :n]
         ph = np.zeros(m, dtype=np.int64)
         for ins, r in zip(circuit.instructions, ref_values):
             if isinstance(ins, Gate):
                 weyl.conjugate_rows(ins.gate, xz[:, 0], xz[:, 1], ph, d)
             elif isinstance(ins, Noise):
                 sites = list(ins.sites)
-                err = _noise_exponents(ins.channel, len(sites), d, rng, m)
+                n_tests = len(sites) if ins.channel.kind == "depolarizing1" else 1
+                cols = slice(tests, tests + n_tests)
+                tests += n_tests
+                # a code for each depolarizing hit, and for nothing else
+                hits = (ins.channel.kind != "weyl_custom") & (u[:, cols] < ins.channel.p)
+                assert np.array_equal(codes[:, cols] > 0, hits)
+                err = _noise_exponents(ins.channel, len(sites), d, u[:, cols], codes[:, cols])
                 xz[:, :, sites] = (xz[:, :, sites] + err) % d
             elif isinstance(ins, CondGate):
                 shift = np.zeros((d, 2, n), dtype=np.int64)
@@ -242,8 +285,9 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
                 sup = list(ins.observable.support)
                 wx, wz = ins.observable.x[sup], ins.observable.z[sup]
                 values[:, ins.creg] = (r + xz[:, 0, sup] @ wz - xz[:, 1, sup] @ wx) % d
-                k = rng.integers(d, size=(m, 1, 1))
+                k = next(kicks)[:, None, None]
                 xz[:, :, sup] = (xz[:, :, sup] + k * np.stack([wx, wz])) % d
+        assert tests == u.shape[1] and next(kicks, None) is None
         blocks.append(values)
     return np.concatenate(blocks or [np.zeros((0, circuit.n_cregs), dtype=np.int64)])
 
@@ -593,22 +637,20 @@ class TestFrameSampler:
         assert not np.array_equal(a, run_shots(c, block + 1, base_seed=6).values)
 
 
-def dense_noise_exponents(channel, width, d, rng, m):
-    """The noise draw with every shot's code decoded, written out as the reference."""
+def dense_noise_exponents(channel, width, d, u, code):
+    """The noise decode with every draw's code decoded, written out as the reference."""
     if channel.kind == "depolarizing1":
-        hit = rng.random((m, width)) < channel.p
-        k = hit * rng.integers(1, d * d, (m, width))
+        k = (u < channel.p) * code
         return np.stack([k % d, k // d], axis=1)
     if channel.kind == "depolarizing2":
-        hit = rng.random(m) < channel.p
-        k = hit * rng.integers(1, d**4, m)
+        k = (u[:, 0] < channel.p) * code[:, 0]
         return (k[:, None] // d ** np.arange(4) % d).reshape(-1, 2, 2).transpose(0, 2, 1)
     table = np.zeros((len(channel.weights) + 1, 2, width), dtype=np.int64)
     for i, (_, pattern) in enumerate(channel.weights):
         for j, xz in pattern.items():
             table[i, :, j] = xz
     acc = np.cumsum([w for w, _ in channel.weights])
-    return table[np.searchsorted(acc, rng.random(m), side="right")]
+    return table[np.searchsorted(acc, u[:, 0], side="right")]
 
 
 def edge_circuits() -> dict[str, Circuit]:
@@ -621,7 +663,28 @@ def edge_circuits() -> dict[str, Circuit]:
     rewritten.gate(weyl.fourier(0)).measure(z(0), 0)  # creg 0 rewritten after the read
     rewritten.cond(0, {0: (weyl.shift_x(1),), 1: (), 2: (weyl.shift_x(1),)})
     rewritten.measure(z(1), 1)
+
+    def only_noise(channels) -> Circuit:
+        """Feed-forward and a multi-site measurement between noise of the given channels."""
+        c = Circuit(3, 3, 3).gate(weyl.fourier(0)).gate(weyl.cx(0, 1))
+        if channels:
+            c.noise(channels[0], (0, 1))
+        c.measure(WeylOp.from_site(3, 3, 0, 0, 1), 0)
+        c.cond(0, {0: (), 1: (weyl.shift_x(2),), 2: (weyl.clock_z(1), weyl.shift_x_dag(2))})
+        c.gate(weyl.fourier(1)).gate(weyl.cz(1, 2))
+        if channels:
+            c.noise(channels[-1], (2, 1, 0))
+        c.measure(WeylOp(3, np.array([1, 0, 1]), np.array([0, 2, 1])), 1)
+        c.measure(WeylOp.from_site(3, 3, 2, 0, 1), 2)
+        return c
+
+    pair = NoiseChannel("weyl_custom", weights=((0.4, {0: (1, 2), 1: (0, 1)}),))
+    triple = NoiseChannel("weyl_custom",
+                          weights=((0.2, {0: (1, 2)}), (0.3, {1: (2, 0), 2: (1, 1)})))
     return {
+        "noiseless": only_noise(()),
+        "depolarizing1-only": only_noise((dep1, NoiseChannel("depolarizing1", 0.5))),
+        "weyl_custom-only": only_noise((pair, triple)),
         "no-measurement": Circuit(3, 2, 2).gate(weyl.fourier(0)).noise(dep1, (0, 1)),
         "no-cregs": Circuit(3, 2, 0).gate(weyl.cx(0, 1))
                                     .noise(NoiseChannel("depolarizing2", 0.5), (0, 1)),
@@ -667,18 +730,22 @@ class TestCompiledFrames:
     @pytest.mark.parametrize("p", [0.0, 2e-3, 0.5, 1.0])
     @pytest.mark.parametrize("kind", ["depolarizing1", "depolarizing2", "weyl_custom"])
     def test_noise_exponents_stream(self, kind, p):
-        """The sparse decode returns the dense formula's errors and leaves the
-        generator in the same state."""
+        """On the same pre-drawn uniforms and codes, the one digit decode returns
+        each kind's own formula's errors."""
         if kind == "weyl_custom":
             channel = NoiseChannel(kind, weights=((p / 2, {0: (1, 0)}),
                                                   (p / 2, {0: (2, 1), 1: (0, 2)})))
         else:
             channel = NoiseChannel(kind, p)
-        got_rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
-        got = _noise_exponents(channel, 2, 3, got_rng, 3000)
-        want = dense_noise_exponents(channel, 2, 3, want_rng, 3000)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        rng = np.random.default_rng(6)
+        tests, covered = (2, 1) if kind == "depolarizing1" else (1, 2)
+        u = rng.random((3000, tests))
+        code = rng.integers(1, 3 ** (2 * covered), (3000, tests))
+        got = _noise_exponents(channel, 2, 3, u, code)
+        want = dense_noise_exponents(channel, 2, 3, u, code)
+        assert got.shape == (3000, 2, 2) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.any() == (p > 0)
 
 
 class TestStatistics:

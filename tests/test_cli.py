@@ -58,6 +58,34 @@ class TestPrepare:
         assert docs[0]["results"]["shots_per_basis"] == FRAME_BLOCK + 1
         assert docs[0] == docs[1]
 
+    def test_bases_draw_from_their_own_seeds(self, tmp_path, monkeypatch):
+        """Each basis's frame and readout seeds come from (seed, basis): they
+        differ between the bases and repeat on a rerun."""
+        seen = []
+        run_shots, simulate_readout = cli.run_shots, cli.simulate_readout
+
+        def frames(*args, **kwargs):
+            seen.append(("frames", kwargs["base_seed"]))
+            return run_shots(*args, **kwargs)
+
+        def readout(*args, **kwargs):
+            seen.append(("readout", kwargs["seed"]))
+            return simulate_readout(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_shots", frames)
+        monkeypatch.setattr(cli, "simulate_readout", readout)
+        runs = []
+        for _ in range(2):
+            seen.clear()
+            code, _, _ = run_cli(tmp_path, "prepare", "--lx", "4", "--ly", "2", "--noise",
+                                 "default", "--shots", "20", "--seed", "9")
+            assert code == 0
+            runs.append(list(seen))
+        assert runs[0] == runs[1]
+        assert [kind for kind, _ in runs[0]] == ["frames", "readout"] * 2
+        (_, frame_z), (_, readout_z), (_, frame_x), (_, readout_x) = runs[0]
+        assert frame_z != frame_x and readout_z != readout_x
+
     def test_csv_emission(self, tmp_path):
         csv = tmp_path / "table.csv"
         code = main(["prepare", "--lx", "4", "--ly", "2", "--noise", "off",
@@ -74,7 +102,8 @@ class TestPrepare:
 
 class TestNoisyDocumentPin:
     """The noisy 4x2 results (leak counts, readout, heralding, estimators)
-    equal the document recorded before the readout counts stopped compiling."""
+    equal the recorded document. It was last recorded when frame blocks
+    began to draw their noise at once and each basis got its own seeds."""
 
     @pytest.fixture(scope="class")
     def pinned(self):
