@@ -5,15 +5,21 @@ registers, outcome-conditioned gate blocks (feed-forward), stochastic
 Weyl noise, and barriers. `_apply` is the one place an instruction
 acts on a tableau; `execute` loops over it.
 
-`run_shots` samples Weyl frames (Pauli-frame sampling carried over to
-Z_d): one reference shot and one backward pass compile every random draw
-into a linear mod-d form over the outcomes, and each block of FRAME_BLOCK
-shots draws its frames, kicks and noise in a few array calls and adds
-their forms. `_frame_compatible` is the one engine choice: other
-feed-forward runs per shot through `execute`, shot i seeded by
-(base_seed, i). Values are a pure function of (circuit, n_shots,
-base_seed), whatever the parallelism. `exact_outcome_distribution`, the
-enumeration oracle, forks the tableau at each random measurement.
+`run_shots` samples with Weyl frames (Pauli-frame sampling carried over
+to Z_d). One reference shot on the tableau (noise stripped, random
+outcomes forced to 0) and one backward pass through the gates compile
+each random draw into a fixed linear mod-d form over the outcomes; then
+FRAME_BLOCK shots at a time draw their initial frames, measurement kicks
+and noise hits in a few array calls and add the draws' forms. X/Z-shift
+feed-forward is a table over the value read. `_frame_compatible` is the
+one engine choice: any other feed-forward runs per shot through
+`execute`, shot i seeded by (base_seed, i). Either way the values are a
+pure function of (circuit, n_shots, base_seed), whatever the parallelism.
+
+`exact_outcome_distribution` enumerates noiseless circuits exactly: a
+depth-first walk forks the tableau once per outcome of each random
+measurement (refused before forking past a budget) and weights the
+leaves. It is the enumeration oracle the samplers are tested against.
 """
 
 from __future__ import annotations
@@ -171,7 +177,8 @@ class Circuit:
                     raise ValueError("conditional predicate must cover all outcomes")
                 check_targets(g for branch in ins.predicate.values() for g in branch)
             elif isinstance(ins, Noise):
-                if ins.channel.kind == "depolarizing2" and len(ins.sites) != 2:
+                k = ins.channel.kind
+                if k == "depolarizing2" and len(ins.sites) != 2:
                     raise ValueError("depolarizing2 needs a site pair")
                 if len(set(ins.sites)) != len(ins.sites):
                     raise ValueError(f"noise sites {ins.sites} repeat a site")
@@ -182,6 +189,9 @@ class Circuit:
                     if not set(pattern) <= set(range(len(ins.sites))):
                         raise ValueError(f"weyl_custom pattern keys {sorted(pattern)} "
                                          f"outside the {len(ins.sites)} noise sites")
+
+    def has_noise(self) -> bool:
+        return any(isinstance(i, Noise) for i in self.instructions)
 
     def with_noise(self, p1: float = 0.0, p2: float = 0.0) -> "Circuit":
         """Copy with depolarizing noise appended after each gate."""
@@ -199,7 +209,9 @@ class Circuit:
         return out
 
     def two_qudit_gate_count(self) -> int:
-        return sum(isinstance(i, Gate) and len(i.gate.targets) == 2 for i in self.instructions)
+        return sum(
+            1 for i in self.instructions if isinstance(i, Gate) and len(i.gate.targets) == 2
+        )
 
 
 # -- execution ---------------------------------------------------------------
@@ -283,7 +295,7 @@ def _outcome_leaves(circuit: Circuit) -> dict[tuple[int, ...], list[int]] | None
     TREE_MAX_RANDOM_MEASUREMENTS outcomes already on its path; that
     branch is refused before it forks.
     """
-    if any(isinstance(i, Noise) for i in circuit.instructions):
+    if circuit.has_noise():
         return None
     instructions = circuit.instructions
     leaves: dict[tuple[int, ...], list[int]] = {}
@@ -331,12 +343,13 @@ def _frame_compatible(circuit: Circuit) -> bool:
 
 
 # a circuit's random draws as forms over its M measurements; see _compile_frames
-_FramePlan = namedtuple("_FramePlan", "d ref source p high forms kinds group reads writer")
+_FramePlan = namedtuple("_FramePlan",
+                        "d ref source drawn p high start entries kinds group reads writer")
 
 
 def _draw_block(plan: _FramePlan, rng: np.random.Generator, m: int) -> tuple:
-    """Draws of m shots: (m, n + K) source integers, (m, C) hit uniforms, and
-    the hits' shots, tests and codes, shot by shot (a weyl_custom hit's is 0)."""
+    """Draws of m shots: an integer per drawn source row, (m, C) hit uniforms,
+    and the hits' shots, tests and codes, shot by shot (a weyl_custom hit's is 0)."""
     src = rng.integers(plan.d, size=(m, len(plan.source)), dtype=np.uint8)
     u = rng.random((m, len(plan.p)))
     shot, test = np.divmod(np.flatnonzero(u < plan.p), len(plan.p))
@@ -345,14 +358,22 @@ def _draw_block(plan: _FramePlan, rng: np.random.Generator, m: int) -> tuple:
     return src, u, shot, test, code
 
 
+def _hit_entries(plan: _FramePlan, test: np.ndarray) -> tuple:
+    """For each nonzero form entry of hits on these tests: the hit, row, column, value."""
+    k = plan.start[test + 1] - plan.start[test]
+    e = np.arange(k.sum()) + np.repeat(plan.start[test] - np.cumsum(k) + k, k)
+    return np.repeat(np.arange(len(test)), k), *plan.entries.take(e, axis=1)
+
+
 def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     """Creg values of n_shots Weyl-frame shots around one reference shot.
 
     A shot is the reference (noise stripped, random outcomes forced to 0)
     times a phase-free Weyl frame. Block b of FRAME_BLOCK shots takes
     `_draw_block`'s draws from SeedSequence([base_seed, b]), adds the source
-    draws' forms by one float32 product (exact on these small integers) and
-    the hits' form rows by one scatter-add, then the feed-forward tables.
+    draws' forms by one float product (exact on these small integers) and
+    the hits' nonzero form entries by a scatter-add per FRAME_BLOCK hits,
+    then the feed-forward tables.
     """
     plan = _compile_frames(circuit)
     written = plan.writer >= 0
@@ -361,13 +382,16 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
         m = min(FRAME_BLOCK, n_shots - lo)
         rng = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
         src, u, shot, test, code = _draw_block(plan, rng, m)
-        out = plan.ref + (src @ plan.source).astype(np.int64)
-        err = np.zeros((len(test), plan.forms.shape[1]), dtype=np.int64)
+        out = plan.ref + (src.astype(float) @ plan.source).astype(np.int64)
+        flat = out.reshape(-1)  # a view: shot i's measurement j sits at i * M + j
         for g, (channel, width) in enumerate(plan.kinds):
-            h = np.flatnonzero(plan.group[test] == g)
-            xz = _noise_exponents(channel, width, plan.d, u[shot[h], test[h], None], code[h, None])
-            err[h, :2 * width] = xz.reshape(len(h), 2 * width)
-        np.add.at(out, shot, np.einsum("hr,hrm->hm", err, plan.forms[test]))
+            hits = np.flatnonzero(plan.group[test] == g)
+            # FRAME_BLOCK hits at a time, so memory stays bounded at any hit rate
+            for h in np.split(hits, range(FRAME_BLOCK, len(hits), FRAME_BLOCK)):
+                xz = _noise_exponents(channel, width, plan.d, u[shot[h], test[h], None],
+                                      code[h, None]).reshape(len(h), 2 * width)
+                i, row, col, val = _hit_entries(plan, test[h])
+                np.add.at(flat, shot[h][i] * out.shape[1] + col, xz[i, row] * val)
         for read, table in plan.reads:
             out += table[out[:, read] % plan.d]
         values[lo:lo + m, written] = out[:, plan.writer[written]] % plan.d
@@ -381,12 +405,15 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
     `ref` and the value each CondGate reads. Walking back, rows of bx, bz
     hold each measured W conjugated back to here (zero before W is
     measured); s(g F g^dag, W) = s(F, g^dag W g), so a draw F here moves the
-    outcomes by F.x . bz - F.z . bx. `source`: (n + K, M) float forms of the
-    initial Z frame, then of each kick. Per noise hit test (a depolarizing1
-    site, else a channel): hit probability `p`, code range end `high` (0:
-    weyl_custom, decoded from u), `group` in `kinds` (channel, sites per
-    test) and (R, M) `forms` over its sites' x then z exponents. `reads`:
-    per shift feed-forward, the measurement read and a (d, M) table.
+    outcomes by F.x . bz - F.z . bx. `source`: float forms of the `drawn`
+    rows among the initial Z frame's n rows and the K kicks, those with a
+    nonzero form (the others move no outcome). Per noise hit test (a
+    depolarizing1 site, else a channel): hit probability `p`, code range
+    end `high` (0: weyl_custom, decoded from u), `group` in `kinds`
+    (channel, sites per test), and the nonzero entries of its form over its
+    sites' x then z exponents, as (row, column, value) columns of `entries`
+    from `start[test]` to `start[test + 1]`. `reads`: per shift
+    feed-forward, the measurement read and a (d, M) table.
     """
     d, n = circuit.d, circuit.n_qudits
     tab, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
@@ -432,10 +459,13 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
     p = [sum(w for w, _ in ch.weights) if ch.kind == "weyl_custom" else ch.p for ch, _ in kinds]
     high = [0 if ch.kind == "weyl_custom" else d ** (2 * w) for ch, w in kinds]
     source = np.concatenate([-bx.T, np.reshape(kicks[::-1], (len(kicks), len(ref)))]) % d
-    exact = np.float32 if len(source) * d * d < 2 ** 24 else float  # every sum stays exact
-    return _FramePlan(d, np.array(ref, dtype=np.int64), source.astype(exact),
+    drawn = np.flatnonzero(source.any(axis=1))  # a row of zeros moves no outcome
+    t, r, c = np.nonzero(forms)  # the forms' nonzero entries, test by test
+    return _FramePlan(d, np.array(ref, dtype=np.int64), source[drawn].astype(float), drawn,
                       np.array(p, dtype=float)[group], np.array(high, dtype=np.int64)[group],
-                      forms, kinds, group, reads[::-1], np.array(writer, dtype=np.int64))
+                      np.searchsorted(t, np.arange(len(tests) + 1)),
+                      np.stack([r, c, forms[t, r, c]]), kinds, group, reads[::-1],
+                      np.array(writer, dtype=np.int64))
 
 
 def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
@@ -452,7 +482,10 @@ def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
     if parallelism <= 1 or n_shots == 0:
         return ShotBatch(_run_chunk((circuit, base_seed, 0, n_shots)))
     chunk = (n_shots + parallelism - 1) // parallelism
-    jobs = [(circuit, base_seed, lo, min(lo + chunk, n_shots)) for lo in range(0, n_shots, chunk)]
+    jobs = [
+        (circuit, base_seed, lo, min(lo + chunk, n_shots))
+        for lo in range(0, n_shots, chunk)
+    ]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         return ShotBatch(np.concatenate(list(pool.map(_run_chunk, jobs))))
 

@@ -235,7 +235,9 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
     every block of FRAME_BLOCK shots pushes a (shots, 2, n) frame array
     through each instruction. It takes the block's draws from
     `_draw_block` on SeedSequence([base_seed, b]): the initial Z frame,
-    then one kick per Measure, then one hit uniform per noise test (a
+    then one kick per Measure, each where the plan draws it (the rows it
+    leaves undrawn take values from another generator, which checks that
+    they move no outcome), then one hit uniform per noise test (a
     depolarizing1 site, or one per channel otherwise) in instruction
     order, and a code for each depolarizing hit.
     """
@@ -249,6 +251,7 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
     shift_xz = {weyl.GateKind.SHIFT_X: (1, 0), weyl.GateKind.SHIFT_X_DAG: (-1, 0),
                 weyl.GateKind.CLOCK_Z: (0, 1), weyl.GateKind.CLOCK_Z_DAG: (0, -1)}
     plan = circuit_module._compile_frames(circuit)
+    n_kicks = sum(isinstance(ins, Measure) for ins in circuit.instructions)
     blocks = []
     for b, lo in enumerate(range(0, n_shots, circuit_module.FRAME_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
@@ -256,11 +259,14 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
         src, u, shot, test, code = circuit_module._draw_block(plan, rng, m)
         codes = np.zeros(u.shape, dtype=np.int64)
         codes[shot, test] = code
-        kicks = iter(src[:, n:].T)
+        # a source row the plan leaves undrawn moves no outcome, so any value does
+        sources = np.random.default_rng(b).integers(d, size=(m, n + n_kicks))
+        sources[:, plan.drawn] = src
+        kicks = iter(sources[:, n:].T)
         tests = 0
         values = np.zeros((m, circuit.n_cregs), dtype=np.int64)
         xz = np.zeros((2, n, m), dtype=np.int64).transpose(2, 0, 1)
-        xz[:, 1] = src[:, :n]
+        xz[:, 1] = sources[:, :n]
         ph = np.zeros(m, dtype=np.int64)
         for ins, r in zip(circuit.instructions, ref_values):
             if isinstance(ins, Gate):

@@ -103,7 +103,8 @@ class TestPrepare:
 class TestNoisyDocumentPin:
     """The noisy 4x2 results (leak counts, readout, heralding, estimators)
     equal the recorded document. It was last recorded when frame blocks
-    began to draw their noise at once and each basis got its own seeds."""
+    began to draw their noise at once, skipping source rows whose form is
+    zero, and each basis got its own seeds."""
 
     @pytest.fixture(scope="class")
     def pinned(self):
