@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import NC_INDEX, _DECODE_INDEX, _pair_index
 from .estimators import PlaquetteSnapshot
 
 
@@ -123,42 +124,42 @@ def spam_mitigate(distribution: dict[tuple[int, ...], float] | dict[str, float],
     Keys are bit tuples (or '01' strings) of a fixed width. Returns the
     corrected quasi-distribution and a flag marking negative entries.
     """
-    items = []
-    width = None
-    for key, prob in distribution.items():
-        bits = tuple(int(b) for b in key)
-        if width is None:
-            width = len(bits)
-        elif len(bits) != width:
-            raise ValueError("all strings must share a width")
-        items.append((bits, float(prob)))
-    if width is None:
-        return {}, False
-    if width > MAX_MITIGATION_WIDTH:
-        raise ValueError(
-            f"direct inversion is capped at {MAX_MITIGATION_WIDTH} bits; "
-            "mitigate per-plaquette marginals instead"
-        )
-    corrected = _product_channel(items, cm.inverse)
+    corrected = _product_channel(distribution, cm.inverse)
     return corrected, any(v < 0 for v in corrected.values())
 
 
 def forward_noise(distribution: dict[tuple[int, ...], float],
                   cm: ConfusionMatrix) -> dict[tuple[int, ...], float]:
     """Push an exact distribution through the confusion channel (test helper)."""
-    items = [(tuple(int(b) for b in k), float(p)) for k, p in distribution.items()]
-    return _product_channel(items, cm.matrix)
+    return _product_channel(distribution, cm.matrix)
 
 
-def _product_channel(items, m: np.ndarray) -> dict[tuple[int, ...], float]:
-    """sum of prob * (m[:, b_1] x ... x m[:, b_w]) over (bits, prob) items; nonzero entries."""
-    out = np.zeros((2,) * len(items[0][0]), dtype=float)
-    for bits, prob in items:
-        kron = m[:, bits[0]]
-        for b in bits[1:]:
-            kron = np.multiply.outer(kron, m[:, b])
-        out += prob * kron
-    return {idx: float(out[idx]) for idx in np.ndindex(out.shape) if out[idx] != 0.0}
+def _product_channel(distribution, m: np.ndarray) -> dict[tuple[int, ...], float]:
+    """m on every bit of a fixed-width distribution; the nonzero entries of the result."""
+    keys = [tuple(int(b) for b in key) for key in distribution]
+    if not keys:
+        return {}
+    if len({len(k) for k in keys}) > 1:
+        raise ValueError("all strings must share a width")
+    dense = np.zeros((2,) * len(keys[0]))
+    for key, prob in zip(keys, distribution.values()):
+        dense[key] += float(prob)
+    out = _per_bit(dense, m)
+    return {tuple(idx): float(out[tuple(idx)]) for idx in np.argwhere(out).tolist()}
+
+
+def _per_bit(dense: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Apply the 2x2 matrix m along every axis of a (2,) * width array."""
+    if dense.ndim > MAX_MITIGATION_WIDTH:
+        raise ValueError(
+            f"direct inversion is capped at {MAX_MITIGATION_WIDTH} bits; "
+            "mitigate per-plaquette marginals instead"
+        )
+    # each step contracts the leading axis and appends the result last,
+    # so after width steps the axes are back in their original order
+    for _ in range(dense.ndim):
+        dense = np.tensordot(dense, m, axes=(0, 1))
+    return dense
 
 
 def mitigated_plaquette_triple(bits: np.ndarray,
@@ -168,27 +169,19 @@ def mitigated_plaquette_triple(bits: np.ndarray,
                                cm: ConfusionMatrix) -> tuple[float, float, float]:
     """Projector triple of one face from retained (N, 2n) qubit bits with mitigation.
 
-    Marginalizing to the face's eight bits commutes with the product
-    channel inversion, so correcting the marginal is exact. Strings
-    decoding to the herald state carry no sector and their (possibly
-    negative) weight is excluded before renormalizing.
+    Marginalizing to the face's 2k bits commutes with the product
+    channel inversion, so correcting the marginal is exact. Pair
+    combinations holding the herald state carry no sector and their
+    (possibly negative) weight is excluded before renormalizing.
     """
-    from .encoder import DECODE_BITS
-
-    bits = np.asarray(bits)
-    columns = [b for s in corner_sites for b in (2 * s, 2 * s + 1)]
-    strings, counts = np.unique(bits[:, columns], axis=0, return_counts=True)
-    n = len(bits)
-    marginal = {tuple(k): c / n for k, c in zip(strings.tolist(), counts.tolist())}
-    corrected, _ = spam_mitigate(marginal, cm)
-    sectors = np.zeros(3)
-    for string, weight in corrected.items():
-        pairs = [tuple(string[2 * i:2 * i + 2]) for i in range(len(corner_sites))]
-        if any(p not in DECODE_BITS for p in pairs):
-            continue
-        values = [DECODE_BITS[p] for p in pairs]
-        sector = sum(e * v for e, v in zip(exponents, values)) % 3
-        sectors[sector] += weight
+    k = len(corner_sites)
+    pairs = _pair_index(bits)[:, list(corner_sites)]
+    counts = np.bincount(np.ravel_multi_index(tuple(pairs.T), (4,) * k), minlength=4**k)
+    weights = _per_bit(counts.reshape((2,) * (2 * k)).astype(float), cm.inverse).ravel()
+    combos = np.indices((4,) * k).reshape(k, -1)  # pair indices of each flat entry
+    kept = (combos != NC_INDEX).all(axis=0)
+    sector = (np.asarray(exponents) @ _DECODE_INDEX[combos]) % 3
+    sectors = np.bincount(sector[kept], weights=weights[kept], minlength=3)
     total = sectors.sum()
     if total <= 0:
         raise ValueError("no decodable weight after mitigation")

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .serialize import (
     result_document,
     script_to_json,
     snapshot_to_json,
-    to_native_json,
 )
 from .tableau import StabilizerTableau, outcome_triple
 
@@ -59,30 +59,42 @@ class ConfigError(Exception):
     pass
 
 
+@contextmanager
+def _writing(flag: str, path: str):
+    """Report an OSError while writing path as a configuration error naming flag."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {flag} {path}: {exc.strerror or exc}") from exc
+
+
 def _write_output(args, doc: dict, default_name: str) -> str:
     out = args.output
     if out is None:
         outdir = os.environ.get("QUTRIT_TORIC_OUTDIR", ".")
         out = os.path.join(outdir, default_name)
-    text = dumps(to_native_json(doc))
+    text = dumps(doc)
     if out == "-":
         print(text)
         return "-"
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    with open(out, "w") as fh:
-        fh.write(text + "\n")
+    with _writing("--output", out):
+        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
     return out
 
 
 def _csv_from_rows(path: str, header: list[str], rows: list[list]):
-    with open(path, "w") as fh:
+    with _writing("--csv", path), open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def _config_echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+def _config_echo(args) -> dict:
+    """Every option of the subcommand but --config, --output and --csv (no result reads them)."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("subcommand", "config", "output", "csv")}
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -396,36 +408,34 @@ def main(argv=None) -> int:
             payload = cmd_bounds(args)
         else:
             raise ConfigError(f"unknown subcommand {name}")
+        doc = result_document(name, _config_echo(args), payload)
+        path = _write_output(args, doc, f"{name}-result.json")
+        if getattr(args, "csv", None) and "plaquettes" in payload:
+            rows = [
+                [s["kind"], s["pos"][0], s["pos"][1], s["pi1"], s["pi_omega"],
+                 s["pi_omegabar"], s["arg_deg"]]
+                for s in payload["plaquettes"]
+            ]
+            _csv_from_rows(args.csv, ["kind", "x", "y", "pi1", "pi_omega",
+                                      "pi_omegabar", "arg_deg"], rows)
+        elif getattr(args, "csv", None) and "per_outcome" in payload:
+            rows = [
+                [r["ancilla_outcome"], *r["braid_triple"], *r["neutrality_triple"],
+                 *r["pair_projectors"], r["fidelity_bound"]["lower"],
+                 r["fidelity_bound"]["upper"]]
+                for r in payload["per_outcome"]
+            ]
+            _csv_from_rows(args.csv,
+                           ["ancilla_outcome", "braid_pi1", "braid_pi_omega",
+                            "braid_pi_omegabar", "neutral_pi1", "neutral_pi_omega",
+                            "neutral_pi_omegabar", "pair1_pi1", "pair2_pi1",
+                            "bound_lower", "bound_upper"], rows)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3
-    config_keys = ["lx", "ly", "seed", "shots", "noise", "p1", "p2", "trp", "trq",
-                   "sites", "basis", "optimization", "preset", "threads", "leak"]
-    doc = result_document(name, _config_echo(args, config_keys), payload)
-    path = _write_output(args, doc, f"{name}-result.json")
-    if getattr(args, "csv", None) and "plaquettes" in payload:
-        rows = [
-            [s["kind"], s["pos"][0], s["pos"][1], s["pi1"], s["pi_omega"],
-             s["pi_omegabar"], s["arg_deg"]]
-            for s in payload["plaquettes"]
-        ]
-        _csv_from_rows(args.csv, ["kind", "x", "y", "pi1", "pi_omega",
-                                  "pi_omegabar", "arg_deg"], rows)
-    elif getattr(args, "csv", None) and "per_outcome" in payload:
-        rows = [
-            [r["ancilla_outcome"], *r["braid_triple"], *r["neutrality_triple"],
-             *r["pair_projectors"], r["fidelity_bound"]["lower"],
-             r["fidelity_bound"]["upper"]]
-            for r in payload["per_outcome"]
-        ]
-        _csv_from_rows(args.csv,
-                       ["ancilla_outcome", "braid_pi1", "braid_pi_omega",
-                        "braid_pi_omegabar", "neutral_pi1", "neutral_pi_omega",
-                        "neutral_pi_omegabar", "pair1_pi1", "pair2_pi1",
-                        "bound_lower", "bound_upper"], rows)
     if path != "-":
         print(f"wrote {path}")
     return 0

@@ -117,18 +117,16 @@ class TorusLattice:
     def _check_construction(self) -> None:
         n, d = self.n_sites, self.d
         ops = [p.operator(n, d) for p in self.plaquettes]
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if symplectic_product(ops[i], ops[j]) != 0:
-                    raise AssertionError(f"faces {i} and {j} do not commute")
+        x = np.array([op.x for op in ops])
+        z = np.array([op.z for op in ops])
+        form = (x @ z.T - z @ x.T) % d  # symplectic product of every face pair
+        clashes = np.argwhere(np.triu(form, 1))
+        if len(clashes):
+            i, j = clashes[0]
+            raise AssertionError(f"faces {i} and {j} do not commute")
         for kind in ("A", "B"):
-            exps = np.zeros(n, dtype=np.int64)
-            for p in self.plaquettes:
-                if p.kind != kind:
-                    continue
-                for site, e in zip(p.corners, p.exponents):
-                    exps[site] += e
-            if np.any(exps % d):
+            rows = [p.kind == kind for p in self.plaquettes]
+            if np.any(x[rows].sum(axis=0) % d) or np.any(z[rows].sum(axis=0) % d):
                 raise AssertionError(f"product of all {kind}-faces is not the identity")
 
     # -- logical string operators -----------------------------------------------

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .circuit import (
     Barrier,
     Circuit,
@@ -246,18 +244,3 @@ def result_document(subcommand: str, config: dict, payload: dict) -> dict:
         "config": config,
         "results": payload,
     }
-
-
-def to_native_json(obj):
-    """Recursively convert numpy scalars for json serialization."""
-    if isinstance(obj, dict):
-        return {k: to_native_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_native_json(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj

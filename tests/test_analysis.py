@@ -16,7 +16,9 @@ from qutrit_toric.analysis import (
     standard_errors,
     topological_qutrit_bounds,
 )
+from qutrit_toric.encoder import DECODE_BITS
 from qutrit_toric.estimators import PlaquetteSnapshot, _snapshot_from_triple
+from qutrit_toric.lattice import A_EXPONENTS, B_EXPONENTS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "prep_6x4_summary.json")
 
@@ -147,6 +149,71 @@ class TestSpamMitigation:
                                                   p.exponents, p.kind, cm)
                 mit_means.append(trip[0])
         assert np.mean(mit_means) > np.mean(raw_means)
+
+
+def reference_mitigated_triple(bits, corner_sites, exponents, cm):
+    """Per-string oracle: invert the face's marginal string by string as a sum
+    of outer products, then decode each corrected string pair by pair."""
+    columns = [b for s in corner_sites for b in (2 * s, 2 * s + 1)]
+    strings, counts = np.unique(np.asarray(bits)[:, columns], axis=0, return_counts=True)
+    inverse = cm.inverse
+    corrected = np.zeros((2,) * len(columns))
+    for string, count in zip(strings.tolist(), counts.tolist()):
+        kron = inverse[:, string[0]]
+        for b in string[1:]:
+            kron = np.multiply.outer(kron, inverse[:, b])
+        corrected += count / len(bits) * kron
+    sectors = np.zeros(3)
+    for string in np.ndindex(corrected.shape):
+        pairs = [tuple(string[2 * i:2 * i + 2]) for i in range(len(corner_sites))]
+        if any(p not in DECODE_BITS for p in pairs):
+            continue
+        values = [DECODE_BITS[p] for p in pairs]
+        sectors[sum(e * v for e, v in zip(exponents, values)) % 3] += corrected[string]
+    total = sectors.sum()
+    if total <= 0:
+        raise ValueError("no decodable weight after mitigation")
+    return tuple(sectors / total)
+
+
+class TestMitigationOracle:
+    """mitigated_plaquette_triple against the per-string oracle."""
+
+    @pytest.mark.parametrize("rates", [(0.0, 0.0), (2.37e-3, 0.82e-3), (0.03, 0.01), (0.2, 0.1)])
+    @pytest.mark.parametrize("kind", ["A", "B"])
+    @pytest.mark.parametrize("n_shots", [1, 500])
+    def test_matches_reference(self, rates, kind, n_shots):
+        cm = ConfusionMatrix(*rates)
+        exponents = A_EXPONENTS if kind == "A" else B_EXPONENTS
+        rng = np.random.default_rng([n_shots, int(1e4 * rates[0]), ord(kind)])
+        for trial in range(6):
+            # uniform bits hold herald pairs; every other trial is herald-free
+            bits = rng.integers(0, 2, size=(n_shots, 12), dtype=np.uint8)
+            if trial % 2:
+                bits[:, 1::2] &= bits[:, 0::2]
+            corners = tuple(int(s) for s in rng.permutation(6)[:4])
+            try:
+                want = reference_mitigated_triple(bits, corners, exponents, cm)
+            except ValueError:
+                with pytest.raises(ValueError, match="no decodable weight"):
+                    mitigated_plaquette_triple(bits, corners, exponents, kind, cm)
+                continue
+            got = mitigated_plaquette_triple(bits, corners, exponents, kind, cm)
+            assert got == pytest.approx(want, abs=1e-12, rel=0)
+
+    def test_no_shots_has_no_decodable_weight(self):
+        with pytest.raises(ValueError, match="no decodable weight"):
+            mitigated_plaquette_triple(np.zeros((0, 8), dtype=np.uint8), (0, 1, 2, 3),
+                                       A_EXPONENTS, "A", ConfusionMatrix())
+
+    def test_nine_corners_capped(self):
+        bits = np.zeros((5, 18), dtype=np.uint8)
+        with pytest.raises(ValueError, match="capped"):
+            mitigated_plaquette_triple(bits, tuple(range(9)), (1,) * 9, "A", ConfusionMatrix())
+
+    def test_forward_noise_capped(self):
+        with pytest.raises(ValueError, match="capped"):
+            forward_noise({tuple([0] * 20): 1.0}, ConfusionMatrix())
 
 
 class TestEnergyDensity:

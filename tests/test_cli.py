@@ -273,6 +273,29 @@ class TestExactSuiteReference:
         assert results == reference[label]
 
 
+class TestConfigEcho:
+    def test_spam_rate_is_echoed(self, tmp_path):
+        """Runs that differ only in --spam-p01 differ in config as well as in results."""
+        docs = [run_cli(tmp_path, *NOISY_4X2_ARGV, "--spam-p01", p)[1] for p in ("0.01", "0.2")]
+        assert docs[0]["results"] != docs[1]["results"]
+        assert [d["config"]["spam_p01"] for d in docs] == [0.01, 0.2]
+        assert docs[0]["config"] != docs[1]["config"]
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["braid-pf"], {"seed", "threads"}),
+        (["topo-qutrit", "--csv", "t.csv"], {"lx", "ly", "seed", "threads"}),
+        (["verify", "-o", "v.json"], {"seed", "threads"}),
+        (["prepare"], {"lx", "ly", "seed", "threads", "shots", "noise", "p1", "p2",
+                       "spam_p01", "spam_p10", "leak"}),
+        (["compile"], {"lx", "ly", "seed", "threads", "preset", "basis", "optimization",
+                       "dump_ops"}),
+        (["bounds"], {"seed", "threads", "trp", "trq", "sites", "se_p", "se_q"}),
+    ])
+    def test_every_option_but_output_is_echoed(self, argv, keys):
+        args = cli.build_parser().parse_args(["--config", "c.json", *argv])
+        assert cli._config_echo(args).keys() == keys
+
+
 class TestInputValidation:
     def run_with_config(self, tmp_path, conf, *argv):
         path = tmp_path / "conf.json"
@@ -369,6 +392,21 @@ class TestInputValidation:
         assert code == 2 and doc is None
         assert "--csv" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("flag, where, command", [
+        ("--output", "{file}/x.json", ("bounds", "--trp", ".7", "--trq", ".6", "--sites", "2")),
+        ("--output", "{dir}/", ("bounds", "--trp", ".7", "--trq", ".6", "--sites", "2")),
+        ("--csv", "{file}/x.csv", ("prepare", "--lx", "4", "--ly", "2")),
+    ], ids=["output-under-file", "output-is-directory", "csv-under-file"])
+    def test_unwritable_path(self, tmp_path, capsys, flag, where, command):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        path = where.format(file=plain, dir=tmp_path)
+        extra = ["-o", str(tmp_path / "r.json")] if flag == "--csv" else []
+        assert main([*command, flag, path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {flag} {path}: ")
+        assert "Traceback" not in err
 
     def test_bounds_missing_input(self, tmp_path, capsys):
         code, doc, _ = self.run_with_config(tmp_path, {"trp": 0.75, "trq": 0.68}, "bounds")

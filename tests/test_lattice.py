@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qutrit_toric.circuit import final_tableau
+from qutrit_toric import lattice
 from qutrit_toric.dense import DenseState, state_from_tableau
 from qutrit_toric.lattice import (
     anyon_string,
@@ -64,6 +65,23 @@ class TestGeometry:
                     for s, e in zip(p.corners, p.exponents):
                         exps[s] += e
                 assert not np.any(exps % 3)
+
+    def test_construction_check_names_first_clashing_pair(self, monkeypatch):
+        faces = build_lattice(6, 4).plaquettes
+        monkeypatch.setattr(lattice, "A_EXPONENTS", (1, 0, 0, 0))
+        ops = [p.operator(24) for p in faces]
+        first = next((i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))
+                     if symplectic_product(ops[i], ops[j]))
+        message = rf"^faces {first[0]} and {first[1]} do not commute$"
+        with pytest.raises(AssertionError, match=message):
+            build_lattice(6, 4)
+
+    def test_construction_check_rejects_face_product(self, monkeypatch):
+        # these exponents keep every face pair commuting, but no corner sum vanishes
+        monkeypatch.setattr(lattice, "A_EXPONENTS", (1, -1, -1, 1))
+        monkeypatch.setattr(lattice, "B_EXPONENTS", (1, 1, 1, 1))
+        with pytest.raises(AssertionError, match="product of all A-faces is not the identity"):
+            build_lattice(6, 4)
 
     def test_logicals_commute_with_faces(self):
         lat = build_lattice(6, 4)
