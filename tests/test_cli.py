@@ -279,7 +279,6 @@ class TestConfigEcho:
         docs = [run_cli(tmp_path, *NOISY_4X2_ARGV, "--spam-p01", p)[1] for p in ("0.01", "0.2")]
         assert docs[0]["results"] != docs[1]["results"]
         assert [d["config"]["spam_p01"] for d in docs] == [0.01, 0.2]
-        assert docs[0]["config"] != docs[1]["config"]
 
     @pytest.mark.parametrize("argv, keys", [
         (["braid-pf"], {"seed", "threads"}),
@@ -404,9 +403,8 @@ class TestInputValidation:
         path = where.format(file=plain, dir=tmp_path)
         extra = ["-o", str(tmp_path / "r.json")] if flag == "--csv" else []
         assert main([*command, flag, path, *extra]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: cannot write {flag} {path}: ")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot write {flag} {path}: ")
 
     def test_bounds_missing_input(self, tmp_path, capsys):
         code, doc, _ = self.run_with_config(tmp_path, {"trp": 0.75, "trq": 0.68}, "bounds")
