@@ -1,7 +1,7 @@
 """Circuit representation and shot-execution engine.
 
 Instructions are gates, Weyl-observable measurements into classical
-registers, outcome-conditioned gate blocks (feed-forward), stochastic
+registers, outcome-conditioned gate blocks (feed-forward), depolarizing
 Weyl noise, and barriers. `_apply` is the one place an instruction
 acts on a tableau; `execute` loops over it.
 
@@ -10,16 +10,19 @@ to Z_d). One reference shot on the tableau (noise stripped, random
 outcomes forced to 0) and one backward pass through the gates compile
 each random draw into a fixed linear mod-d form over the outcomes; then
 FRAME_BLOCK shots at a time draw their initial frames, measurement kicks
-and noise hits in a few array calls and add the draws' forms. X/Z-shift
-feed-forward is a table over the value read. `_frame_compatible` is the
-one engine choice: any other feed-forward runs per shot through
-`execute`, shot i seeded by (base_seed, i). Either way the values are a
-pure function of (circuit, n_shots, base_seed), whatever the parallelism.
+and noise hits in a few array calls and add the draws' forms. A noise
+hit's code holds its error exponents as base-d digits, and
+`_hit_exponents` decodes them for both engines. X/Z-shift feed-forward
+is a table over the value read. `_frame_compatible` is the one engine
+choice: any other feed-forward runs per shot through `execute`, shot i
+seeded by (base_seed, i). Either way the values are a pure function of
+(circuit, n_shots, base_seed), whatever the parallelism.
 
 `exact_outcome_distribution` enumerates noiseless circuits exactly: a
 depth-first walk forks the tableau once per outcome of each random
-measurement (refused before forking past a budget) and weights the
-leaves. It is the enumeration oracle the samplers are tested against.
+measurement (refused before forking past a budget); a leaf reached
+through r random outcomes has probability d^-r. It is the enumeration
+oracle the samplers are tested against.
 """
 
 from __future__ import annotations
@@ -62,23 +65,17 @@ class CondGate:
 
 @dataclass(frozen=True)
 class NoiseChannel:
-    kind: str  # depolarizing1 | depolarizing2 | weyl_custom
+    """Depolarizing noise: with probability p, a uniformly random non-identity
+    Weyl error on each site (depolarizing1) or on the site pair (depolarizing2)."""
+
+    kind: str  # depolarizing1 | depolarizing2
     p: float = 0.0
-    # weyl_custom: list of (probability, pattern) with pattern mapping the
-    # local site position to (x_exponent, z_exponent)
-    weights: tuple[tuple[float, dict[int, tuple[int, int]]], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("depolarizing1", "depolarizing2", "weyl_custom"):
+        if self.kind not in ("depolarizing1", "depolarizing2"):
             raise ValueError(f"unknown noise kind {self.kind}")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("probability must be in [0,1]")
-        if self.kind == "weyl_custom":
-            if any(w < 0 for w, _ in self.weights):
-                raise ValueError("weyl_custom weights must be non-negative")
-            total = sum(w for w, _ in self.weights)
-            if total > 1.0 + 1e-12:
-                raise ValueError("weyl_custom weights must sum to at most 1")
 
 
 @dataclass(frozen=True)
@@ -177,18 +174,13 @@ class Circuit:
                     raise ValueError("conditional predicate must cover all outcomes")
                 check_targets(g for branch in ins.predicate.values() for g in branch)
             elif isinstance(ins, Noise):
-                k = ins.channel.kind
-                if k == "depolarizing2" and len(ins.sites) != 2:
+                if ins.channel.kind == "depolarizing2" and len(ins.sites) != 2:
                     raise ValueError("depolarizing2 needs a site pair")
                 if len(set(ins.sites)) != len(ins.sites):
                     raise ValueError(f"noise sites {ins.sites} repeat a site")
                 for s in ins.sites:
                     if not (0 <= s < self.n_qudits):
                         raise ValueError(f"noise site {s} out of range")
-                for _, pattern in ins.channel.weights:
-                    if not set(pattern) <= set(range(len(ins.sites))):
-                        raise ValueError(f"weyl_custom pattern keys {sorted(pattern)} "
-                                         f"outside the {len(ins.sites)} noise sites")
 
     def has_noise(self) -> bool:
         return any(isinstance(i, Noise) for i in self.instructions)
@@ -222,25 +214,14 @@ def shot_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
 
 
-def _noise_exponents(channel: NoiseChannel, width: int, d: int, u: np.ndarray,
-                     code: np.ndarray | None) -> np.ndarray:
-    """Error exponents of k draws on the channel's sites, shape (k, 2, width): x then z.
+def _hit_exponents(code: np.ndarray, d: int, width: int) -> np.ndarray:
+    """Error exponents of noise hit codes, shape (..., 2 * width): x0, z0, x1, z1.
 
-    u and code are the draws' (k, tests) hit uniforms and codes, a test per
-    site for depolarizing1, else one. A hit's code, uniform in [1, d^(2 sites)),
-    holds its sites' x, z exponents as base-d digits. A weyl_custom draw
-    reads u only: pattern i where the cumulative weights first pass u.
+    A hit's code, uniform in [1, d^(2 width)) over its test's width sites
+    (1 for a depolarizing1 site, 2 for a depolarizing2 pair), holds the
+    sites' x, z exponents as base-d digits, site by site; a code of 0 is no error.
     """
-    if channel.kind == "weyl_custom":
-        table = np.zeros((len(channel.weights) + 1, 2, width), dtype=np.int64)
-        for i, (_, pattern) in enumerate(channel.weights):
-            for j, xz in pattern.items():
-                table[i, :, j] = xz
-        acc = np.cumsum([w for w, _ in channel.weights])
-        return table[np.searchsorted(acc, u[:, 0], side="right")]
-    k = (u < channel.p) * code
-    digits = k[..., None] // d ** np.arange(2 if channel.kind == "depolarizing1" else 4) % d
-    return digits.reshape(len(k), width, 2).transpose(0, 2, 1)
+    return code[..., None] // d ** np.arange(2 * width) % d
 
 
 def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
@@ -254,13 +235,12 @@ def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
         for g in ins.predicate[creg[ins.creg]]:
             tab.apply_gate(g)
     elif isinstance(ins, Noise):
-        ch, one = ins.channel, ins.channel.kind == "depolarizing1"
-        u = tab.rng.random((1, len(ins.sites) if one else 1))
-        code = None if ch.kind == "weyl_custom" else \
-            tab.rng.integers(1, tab.d ** (2 if one else 4), u.shape)
-        (xz,) = _noise_exponents(ch, len(ins.sites), tab.d, u, code)
+        width = 1 if ins.channel.kind == "depolarizing1" else 2  # sites per hit test
+        u = tab.rng.random(len(ins.sites) // width)
+        code = tab.rng.integers(1, tab.d ** (2 * width), len(u))
+        xz = _hit_exponents((u < ins.channel.p) * code, tab.d, width).reshape(-1, 2)
         if xz.any():
-            tab.apply_weyl(WeylOp.from_pattern(tab.d, tab.n, dict(zip(ins.sites, xz.T))))
+            tab.apply_weyl(WeylOp.from_pattern(tab.d, tab.n, dict(zip(ins.sites, xz))))
     # Barrier: nothing
 
 
@@ -343,19 +323,16 @@ def _frame_compatible(circuit: Circuit) -> bool:
 
 
 # a circuit's random draws as forms over its M measurements; see _compile_frames
-_FramePlan = namedtuple("_FramePlan",
-                        "d ref source drawn p high start entries kinds group reads writer")
+_FramePlan = namedtuple("_FramePlan", "d ref source drawn p high start entries reads writer")
 
 
 def _draw_block(plan: _FramePlan, rng: np.random.Generator, m: int) -> tuple:
-    """Draws of m shots: an integer per drawn source row, (m, C) hit uniforms,
-    and the hits' shots, tests and codes, shot by shot (a weyl_custom hit's is 0)."""
+    """Draws of m shots: an integer per drawn source row, then a hit uniform per
+    shot and noise test, then a code per hit; returns the integers and the
+    hits' shots, tests and codes, shot by shot."""
     src = rng.integers(plan.d, size=(m, len(plan.source)), dtype=np.uint8)
-    u = rng.random((m, len(plan.p)))
-    shot, test = np.divmod(np.flatnonzero(u < plan.p), len(plan.p))
-    code, coded = np.zeros(len(test), dtype=np.int64), plan.high[test] > 0
-    code[coded] = rng.integers(1, plan.high[test[coded]])
-    return src, u, shot, test, code
+    shot, test = np.divmod(np.flatnonzero(rng.random((m, len(plan.p))) < plan.p), len(plan.p))
+    return src, shot, test, rng.integers(1, plan.high[test])
 
 
 def _hit_entries(plan: _FramePlan, test: np.ndarray) -> tuple:
@@ -372,8 +349,8 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     times a phase-free Weyl frame. Block b of FRAME_BLOCK shots takes
     `_draw_block`'s draws from SeedSequence([base_seed, b]), adds the source
     draws' forms by one float product (exact on these small integers) and
-    the hits' nonzero form entries by a scatter-add per FRAME_BLOCK hits,
-    then the feed-forward tables.
+    the hits' nonzero form entries, times their codes' digits, by a
+    scatter-add per FRAME_BLOCK hits, then the feed-forward tables.
     """
     plan = _compile_frames(circuit)
     written = plan.writer >= 0
@@ -381,17 +358,15 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     for b, lo in enumerate(range(0, n_shots, FRAME_BLOCK)):
         m = min(FRAME_BLOCK, n_shots - lo)
         rng = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
-        src, u, shot, test, code = _draw_block(plan, rng, m)
+        src, shot, test, code = _draw_block(plan, rng, m)
         out = plan.ref + (src.astype(float) @ plan.source).astype(np.int64)
         flat = out.reshape(-1)  # a view: shot i's measurement j sits at i * M + j
-        for g, (channel, width) in enumerate(plan.kinds):
-            hits = np.flatnonzero(plan.group[test] == g)
-            # FRAME_BLOCK hits at a time, so memory stays bounded at any hit rate
-            for h in np.split(hits, range(FRAME_BLOCK, len(hits), FRAME_BLOCK)):
-                xz = _noise_exponents(channel, width, plan.d, u[shot[h], test[h], None],
-                                      code[h, None]).reshape(len(h), 2 * width)
-                i, row, col, val = _hit_entries(plan, test[h])
-                np.add.at(flat, shot[h][i] * out.shape[1] + col, xz[i, row] * val)
+        # FRAME_BLOCK hits at a time, so memory stays bounded at any hit rate
+        for h in range(0, len(test), FRAME_BLOCK):
+            hits = slice(h, h + FRAME_BLOCK)
+            i, row, col, val = _hit_entries(plan, test[hits])
+            xz = _hit_exponents(code[hits], plan.d, 2)  # a site's code leaves digits 2, 3 at 0
+            np.add.at(flat, shot[hits][i] * out.shape[1] + col, xz[i, row] * val)
         for read, table in plan.reads:
             out += table[out[:, read] % plan.d]
         values[lo:lo + m, written] = out[:, plan.writer[written]] % plan.d
@@ -408,12 +383,12 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
     outcomes by F.x . bz - F.z . bx. `source`: float forms of the `drawn`
     rows among the initial Z frame's n rows and the K kicks, those with a
     nonzero form (the others move no outcome). Per noise hit test (a
-    depolarizing1 site, else a channel): hit probability `p`, code range
-    end `high` (0: weyl_custom, decoded from u), `group` in `kinds`
-    (channel, sites per test), and the nonzero entries of its form over its
-    sites' x then z exponents, as (row, column, value) columns of `entries`
-    from `start[test]` to `start[test + 1]`. `reads`: per shift
-    feed-forward, the measurement read and a (d, M) table.
+    depolarizing1 site or a depolarizing2 pair): hit probability `p`, code
+    range end `high` (d^2 or d^4), and the nonzero entries of its form over
+    its sites' exponents x0, z0, x1, z1 (the code's digits), as (row,
+    column, value) columns of `entries` from `start[test]` to
+    `start[test + 1]`. `reads`: per shift feed-forward, the measurement
+    read and a (d, M) table.
     """
     d, n = circuit.d, circuit.n_qudits
     tab, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
@@ -429,14 +404,18 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
             read_at.append((writer[ins.creg], creg[ins.creg]))
     bx, bz = np.zeros((2, len(ref), n), dtype=np.int64)
     ph = np.zeros(len(ref), dtype=np.int64)  # scratch for conjugate_rows, never read
-    kicks, tests, reads, j = [], [], [], len(ref)
+    kicks, p, high, forms, reads, j = [], [], [], [], [], len(ref)
     for ins in reversed(circuit.instructions):
         if isinstance(ins, Gate):
             conjugate_rows(ins.gate.inverse(), bx, bz, ph, d)
         elif isinstance(ins, Noise):
-            one = ins.channel.kind == "depolarizing1"  # a hit test per site, else one
-            for s in np.reshape(ins.sites, (-1, 1) if one else (1, -1))[::-1]:
-                tests.append(((ins.channel, len(s)), np.concatenate([bz[:, s].T, -bx[:, s].T])))
+            width = 1 if ins.channel.kind == "depolarizing1" else 2  # sites per hit test
+            for s in np.reshape(ins.sites, (-1, width))[::-1]:
+                form = np.zeros((4, len(ref)), dtype=np.int64)  # rows x0, z0, x1, z1
+                form[0:2 * width:2], form[1:2 * width:2] = bz[:, s].T, -bx[:, s].T
+                p.append(ins.channel.p)
+                high.append(d ** (2 * width))
+                forms.append(form)
         elif isinstance(ins, Measure):
             w = ins.observable
             kicks.append(bz @ w.x - bx @ w.z)
@@ -450,21 +429,14 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
                     shift[k, :, g.targets[0]] += _SHIFTS[g.kind]
             shift = shift - shift[at]
             reads.append((src, shift[:, 0] @ bz.T - shift[:, 1] @ bx.T))
-    kinds = []  # (channel, sites per test) of each group; channels hold dicts, so no hashing
-    forms = np.zeros((len(tests), max((len(f) for _, f in tests), default=0), len(ref)), np.int64)
-    group = np.zeros(len(tests), dtype=np.int64)
-    for i, (key, form) in enumerate(tests[::-1]):
-        kinds += [] if key in kinds else [key]
-        group[i], forms[i, :len(form)] = kinds.index(key), form
-    p = [sum(w for w, _ in ch.weights) if ch.kind == "weyl_custom" else ch.p for ch, _ in kinds]
-    high = [0 if ch.kind == "weyl_custom" else d ** (2 * w) for ch, w in kinds]
     source = np.concatenate([-bx.T, np.reshape(kicks[::-1], (len(kicks), len(ref)))]) % d
     drawn = np.flatnonzero(source.any(axis=1))  # a row of zeros moves no outcome
+    forms = np.reshape(forms[::-1], (len(forms), 4, len(ref)))
     t, r, c = np.nonzero(forms)  # the forms' nonzero entries, test by test
     return _FramePlan(d, np.array(ref, dtype=np.int64), source[drawn].astype(float), drawn,
-                      np.array(p, dtype=float)[group], np.array(high, dtype=np.int64)[group],
-                      np.searchsorted(t, np.arange(len(tests) + 1)),
-                      np.stack([r, c, forms[t, r, c]]), kinds, group, reads[::-1],
+                      np.array(p[::-1], dtype=float), np.array(high[::-1], dtype=np.int64),
+                      np.searchsorted(t, np.arange(len(forms) + 1)),
+                      np.stack([r, c, forms[t, r, c]]), reads[::-1],
                       np.array(writer, dtype=np.int64))
 
 

@@ -84,6 +84,20 @@ def _write_output(args, doc: dict, default_name: str) -> str:
     return out
 
 
+def _csv_table(payload: dict) -> tuple[list[str], list[list]]:
+    """Header and rows of the CSV table: prepare's plaquettes or topo-qutrit's outcomes."""
+    if "plaquettes" in payload:
+        return (["kind", "x", "y", "pi1", "pi_omega", "pi_omegabar", "arg_deg"],
+                [[s["kind"], s["pos"][0], s["pos"][1], s["pi1"], s["pi_omega"],
+                  s["pi_omegabar"], s["arg_deg"]] for s in payload["plaquettes"]])
+    return (["ancilla_outcome", "braid_pi1", "braid_pi_omega", "braid_pi_omegabar",
+             "neutral_pi1", "neutral_pi_omega", "neutral_pi_omegabar", "pair1_pi1",
+             "pair2_pi1", "bound_lower", "bound_upper"],
+            [[r["ancilla_outcome"], *r["braid_triple"], *r["neutrality_triple"],
+              *r["pair_projectors"], r["fidelity_bound"]["lower"],
+              r["fidelity_bound"]["upper"]] for r in payload["per_outcome"]])
+
+
 def _csv_from_rows(path: str, header: list[str], rows: list[list]):
     with _writing("--csv", path), open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -184,15 +198,11 @@ def cmd_topo(args) -> dict:
 
 
 def cmd_compile(args) -> dict:
-    if args.preset == "prepare":
-        lat = build_lattice(args.lx, args.ly)
-        circ = ground_state_circuit(lat)
-    else:
-        raise ConfigError(f"unknown compile preset {args.preset}")
+    circ = ground_state_circuit(build_lattice(args.lx, args.ly))
     qc, report = encode_circuit(circ, basis=args.basis,
                                 optimization_level=args.optimization)
     payload = {
-        "preset": f"{args.preset}-{args.lx}x{args.ly}",
+        "preset": f"prepare-{args.lx}x{args.ly}",
         "report": report.to_dict(),
         "qutrit_circuit": circuit_to_json(circ),
     }
@@ -323,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, csv=True)
     p.set_defaults(ly=2)
 
-    p = sub.add_parser("compile", help="compile a preset to the native gate set")
+    p = sub.add_parser("compile", help="compile the ground-state preparation to native gates")
     common(p)
-    p.add_argument("--preset", default="prepare")
     p.add_argument("--basis", choices=["z", "x"], default="z")
     p.add_argument("--optimization", type=int, default=1, choices=[0, 1])
     p.add_argument("--dump-ops", action="store_true")
@@ -409,27 +418,15 @@ def main(argv=None) -> int:
         else:
             raise ConfigError(f"unknown subcommand {name}")
         doc = result_document(name, _config_echo(args), payload)
-        path = _write_output(args, doc, f"{name}-result.json")
-        if getattr(args, "csv", None) and "plaquettes" in payload:
-            rows = [
-                [s["kind"], s["pos"][0], s["pos"][1], s["pi1"], s["pi_omega"],
-                 s["pi_omegabar"], s["arg_deg"]]
-                for s in payload["plaquettes"]
-            ]
-            _csv_from_rows(args.csv, ["kind", "x", "y", "pi1", "pi_omega",
-                                      "pi_omegabar", "arg_deg"], rows)
-        elif getattr(args, "csv", None) and "per_outcome" in payload:
-            rows = [
-                [r["ancilla_outcome"], *r["braid_triple"], *r["neutrality_triple"],
-                 *r["pair_projectors"], r["fidelity_bound"]["lower"],
-                 r["fidelity_bound"]["upper"]]
-                for r in payload["per_outcome"]
-            ]
-            _csv_from_rows(args.csv,
-                           ["ancilla_outcome", "braid_pi1", "braid_pi_omega",
-                            "braid_pi_omegabar", "neutral_pi1", "neutral_pi_omega",
-                            "neutral_pi_omegabar", "pair1_pi1", "pair2_pi1",
-                            "bound_lower", "bound_upper"], rows)
+        csv = getattr(args, "csv", None)
+        if csv:  # before the document, so a run that fails leaves neither file
+            _csv_from_rows(csv, *_csv_table(payload))
+        try:
+            path = _write_output(args, doc, f"{name}-result.json")
+        except ConfigError:
+            if csv:
+                os.remove(csv)
+            raise
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -201,16 +201,15 @@ def validate_preparation_order(lattice: TorusLattice,
         raise ValueError(f"ordering must cover exactly {n_a - 1} A-faces, got {len(seen_faces)}")
 
 
-def ground_state_circuit(lattice: TorusLattice,
-                         order: list[tuple[tuple[int, int], str]] | None = None) -> Circuit:
+def ground_state_circuit(lattice: TorusLattice) -> Circuit:
     """Unitary preparation of the +1 logical sector ground state.
 
-    Per ordered face: Fourier on the representative corner, then CX (to X
-    corners) or CXdag (to Xdag corners) from the representative, with the
-    gate sense flipped when the representative itself carries Xdag.
+    Per face of the default order: Fourier on the representative corner,
+    then CX (to X corners) or CXdag (to Xdag corners) from the
+    representative, with the gate sense flipped when the representative
+    itself carries Xdag.
     """
-    if order is None:
-        order = default_preparation_order(lattice)
+    order = default_preparation_order(lattice)
     validate_preparation_order(lattice, order)
     circ = Circuit(lattice.d, lattice.n_sites, 0)
     for pos, corner in order:
@@ -227,11 +226,9 @@ def ground_state_circuit(lattice: TorusLattice,
     return circ
 
 
-def implicit_plaquette(lattice: TorusLattice,
-                       order: list[tuple[tuple[int, int], str]] | None = None) -> Plaquette:
-    if order is None:
-        order = default_preparation_order(lattice)
-    listed = {pos for pos, _ in order}
+def implicit_plaquette(lattice: TorusLattice) -> Plaquette:
+    """The A-face the default preparation order leaves implicit."""
+    listed = {pos for pos, _ in default_preparation_order(lattice)}
     for p in lattice.a_plaquettes:
         if p.pos not in listed:
             return p

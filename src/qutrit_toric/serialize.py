@@ -82,11 +82,6 @@ def circuit_to_json(circ: Circuit) -> dict:
             instrs.append({"kind": "cond", "creg": ins.creg, "cases": cases})
         elif isinstance(ins, Noise):
             ch = {"kind": ins.channel.kind, "p": ins.channel.p}
-            if ins.channel.weights:
-                ch["weights"] = [
-                    {"p": p, "pattern": {str(k): list(v) for k, v in pat.items()}}
-                    for p, pat in ins.channel.weights
-                ]
             instrs.append({"kind": "noise", "channel": ch, "sites": list(ins.sites)})
         elif isinstance(ins, Barrier):
             instrs.append({"kind": "barrier"})
@@ -121,12 +116,7 @@ def circuit_from_json(doc: dict) -> Circuit:
             circ.cond(ins["creg"], predicate)
         elif kind == "noise":
             ch = ins["channel"]
-            weights = tuple(
-                (wdoc["p"], {int(k): tuple(v) for k, v in wdoc["pattern"].items()})
-                for wdoc in ch.get("weights", [])
-            )
-            circ.noise(NoiseChannel(ch["kind"], ch.get("p", 0.0), weights),
-                       tuple(ins["sites"]))
+            circ.noise(NoiseChannel(ch["kind"], ch.get("p", 0.0)), tuple(ins["sites"]))
         elif kind == "barrier":
             circ.barrier()
         else:

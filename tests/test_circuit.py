@@ -16,7 +16,7 @@ from qutrit_toric.circuit import (
     NoiseChannel,
     TREE_MAX_RANDOM_MEASUREMENTS,
     _frame_compatible,
-    _noise_exponents,
+    _hit_exponents,
     exact_outcome_distribution,
     run_shot,
     run_shots,
@@ -68,17 +68,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="repeat"):
             c.validate()
 
-    def test_weyl_custom_weights_non_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            NoiseChannel("weyl_custom", weights=((-0.5, {0: (1, 0)}), (1.2, {0: (0, 1)})))
-
-    def test_weyl_custom_pattern_keys_index_the_sites(self):
-        c = Circuit(3, 3, 0)
-        c.noise(NoiseChannel("weyl_custom", weights=((0.5, {2: (1, 0)}),)), (0, 1))
-        with pytest.raises(ValueError, match="outside"):
-            c.validate()
-        with pytest.raises(ValueError, match="outside"):
-            run_shots(c, 5)
+    def test_unknown_noise_kind(self):
+        with pytest.raises(ValueError, match="unknown noise kind weyl_custom"):
+            NoiseChannel("weyl_custom")
 
     @pytest.mark.parametrize("target", [-1, 5])
     @pytest.mark.parametrize("frames", [True, False], ids=["frames", "per-shot"])
@@ -152,22 +144,21 @@ class TestDeterminism:
 
     def test_per_shot_values_pinned(self):
         """The per-shot engine's draws (noise uniforms, then codes, in
-        instruction order) give the values recorded before the frame sampler
-        drew a block's noise at once."""
+        instruction order) give the values recorded for this circuit before
+        both engines read noise through one digit decoder."""
         c = Circuit(3, 3, 3)
         c.gate(weyl.fourier(0)).gate(weyl.cx(0, 1))
         c.noise(NoiseChannel("depolarizing1", 0.3), (0, 2))
         c.noise(NoiseChannel("depolarizing2", 0.4), (1, 2))
         c.measure(WeylOp.from_site(3, 3, 0, 0, 1), 0)
         c.cond(0, {0: (), 1: (weyl.fourier(2),), 2: (weyl.cx(2, 1),)})
-        c.noise(NoiseChannel("weyl_custom", weights=((0.3, {0: (1, 0)}), (0.2, {1: (2, 1)}))),
-                (1, 2))
+        c.noise(NoiseChannel("depolarizing2", 0.5), (1, 2))
         c.measure(WeylOp.from_site(3, 3, 1, 0, 1), 1)
         c.measure(WeylOp.from_site(3, 3, 2, 1, 0), 2)
         assert not _frame_compatible(c)
-        pinned = [[2, 2, 2], [2, 1, 1], [1, 1, 2], [1, 1, 2], [0, 0, 0], [2, 0, 0], [2, 0, 2],
-                  [1, 0, 2], [2, 0, 1], [0, 1, 2], [1, 1, 1], [2, 2, 0], [2, 1, 1], [1, 1, 0],
-                  [1, 0, 0], [1, 2, 0]]
+        pinned = [[2, 1, 0], [2, 1, 0], [1, 0, 0], [1, 1, 0], [0, 2, 2], [2, 0, 1], [2, 0, 2],
+                  [1, 0, 2], [2, 0, 2], [0, 0, 0], [1, 2, 1], [2, 2, 2], [2, 1, 2], [1, 1, 0],
+                  [1, 1, 0], [1, 2, 0]]
         assert run_shots(c, 16, base_seed=11).values.tolist() == pinned
 
     def test_values_array_shape(self):
@@ -217,12 +208,10 @@ def reference_run_shot(circuit, seed):
             ch, width = ins.channel, len(ins.sites)
             if ch.kind == "depolarizing1":  # a hit test and a code per site
                 u, code = rng.random((1, width)), rng.integers(1, circuit.d ** 2, (1, width))
-            elif ch.kind == "depolarizing2":  # one hit test and one code for the pair
+            else:  # one hit test and one code for the pair
                 u, code = rng.random((1, 1)), rng.integers(1, circuit.d ** 4, (1, 1))
-            else:  # one uniform picks the pattern
-                u, code = rng.random((1, 1)), None
-            (xz,) = _noise_exponents(ch, width, circuit.d, u, code)
-            pattern = {s: (int(a), int(b)) for s, (a, b) in zip(ins.sites, xz.T) if a or b}
+            (xz,) = dense_noise_exponents(ch, circuit.d, u, code)
+            pattern = {s: (int(a), int(b)) for s, (a, b) in zip(ins.sites, xz) if a or b}
             if pattern:
                 tab.apply_weyl(WeylOp.from_pattern(circuit.d, circuit.n_qudits, pattern))
     return creg
@@ -238,8 +227,8 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
     then one kick per Measure, each where the plan draws it (the rows it
     leaves undrawn take values from another generator, which checks that
     they move no outcome), then one hit uniform per noise test (a
-    depolarizing1 site, or one per channel otherwise) in instruction
-    order, and a code for each depolarizing hit.
+    depolarizing1 site or a depolarizing2 pair) in instruction order,
+    read back by replaying the block's generator, and a code per hit.
     """
     d, n = circuit.d, circuit.n_qudits
     ref, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
@@ -256,7 +245,10 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
     for b, lo in enumerate(range(0, n_shots, circuit_module.FRAME_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
         m = min(circuit_module.FRAME_BLOCK, n_shots - lo)
-        src, u, shot, test, code = circuit_module._draw_block(plan, rng, m)
+        src, shot, test, code = circuit_module._draw_block(plan, rng, m)
+        replay = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
+        replay.integers(d, size=src.shape, dtype=np.uint8)
+        u = replay.random((m, len(plan.p)))
         codes = np.zeros(u.shape, dtype=np.int64)
         codes[shot, test] = code
         # a source row the plan leaves undrawn moves no outcome, so any value does
@@ -273,14 +265,13 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
                 weyl.conjugate_rows(ins.gate, xz[:, 0], xz[:, 1], ph, d)
             elif isinstance(ins, Noise):
                 sites = list(ins.sites)
-                n_tests = len(sites) if ins.channel.kind == "depolarizing1" else 1
-                cols = slice(tests, tests + n_tests)
-                tests += n_tests
-                # a code for each depolarizing hit, and for nothing else
-                hits = (ins.channel.kind != "weyl_custom") & (u[:, cols] < ins.channel.p)
-                assert np.array_equal(codes[:, cols] > 0, hits)
-                err = _noise_exponents(ins.channel, len(sites), d, u[:, cols], codes[:, cols])
-                xz[:, :, sites] = (xz[:, :, sites] + err) % d
+                width = 1 if ins.channel.kind == "depolarizing1" else 2
+                cols = slice(tests, tests + len(sites) // width)
+                tests += len(sites) // width
+                # a code for each hit, and for nothing else
+                assert np.array_equal(codes[:, cols] > 0, u[:, cols] < ins.channel.p)
+                err = _hit_exponents(codes[:, cols], d, width).reshape(m, len(sites), 2)
+                xz[:, :, sites] = (xz[:, :, sites] + err.transpose(0, 2, 1)) % d
             elif isinstance(ins, CondGate):
                 shift = np.zeros((d, 2, n), dtype=np.int64)
                 for k, gates in ins.predicate.items():
@@ -299,7 +290,7 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
 
 
 def random_mixed_circuit(rng, n: int, n_cregs: int = 3, weyl_branches: bool = False) -> Circuit:
-    """Gates, measurements, feed-forward blocks, all three noise kinds, barriers.
+    """Gates, measurements, feed-forward blocks, both noise kinds, barriers.
 
     weyl_branches draws every feed-forward gate from the X/Z shifts."""
     kinds1 = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
@@ -320,7 +311,7 @@ def random_mixed_circuit(rng, n: int, n_cregs: int = 3, weyl_branches: bool = Fa
     channels = [
         NoiseChannel("depolarizing1", 0.3),
         NoiseChannel("depolarizing2", 0.5),
-        NoiseChannel("weyl_custom", weights=((0.3, {0: (1, 0)}), (0.4, {0: (0, 2), 1: (1, 1)}))),
+        NoiseChannel("depolarizing2", 0.2),
     ]
     c = Circuit(3, n, n_cregs)
     written = []
@@ -432,7 +423,7 @@ def density_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], floa
     column through DenseState, error patterns and Weyl powers dense Weyl
     matrices. A noise channel is sum_k p_k E_k rho E_k^dag over all its
     patterns: each site's d^2 for depolarizing1, the pair's d^4 for
-    depolarizing2, the listed ones plus the identity for weyl_custom."""
+    depolarizing2."""
     d, n = circuit.d, circuit.n_qudits
     dim = d ** n
     omega = np.exp(2j * np.pi / d)
@@ -445,14 +436,10 @@ def density_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], floa
                          for q, k in [(1 - ch.p, 0)] + [(ch.p / (d * d - 1), k)
                                                          for k in range(1, d * d)]]
             return terms
-        if ch.kind == "depolarizing2":
-            a, b = sites
-            return [(1 - ch.p, ())] + [
-                (ch.p / (d**4 - 1), ((a, (k % d, k // d % d)), (b, (k // d**2 % d, k // d**3))))
-                for k in range(1, d**4)]
-        rest = 1 - sum(w for w, _ in ch.weights)
-        return [(rest, ())] + [(w, tuple((sites[i], xz) for i, xz in pat.items()))
-                               for w, pat in ch.weights]
+        a, b = sites
+        return [(1 - ch.p, ())] + [
+            (ch.p / (d**4 - 1), ((a, (k % d, k // d % d)), (b, (k // d**2 % d, k // d**3))))
+            for k in range(1, d**4)]
 
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1
@@ -537,7 +524,7 @@ class TestSingleInterpreter:
                     assert {tuple(r) for r in batch.values.tolist()} <= set(exact), trial
         expected = {"Gate", "Measure", "CondGate", "Barrier", "multi-site"}
         if noisy:
-            expected |= {"Noise", "depolarizing1", "depolarizing2", "weyl_custom"}
+            expected |= {"Noise", "depolarizing1", "depolarizing2"}
         assert kinds == expected
         assert trees == (0 if noisy else 39)
         assert min(routes.values()) > 0, routes
@@ -571,18 +558,13 @@ class TestFrameSampler:
             assert sum(exact.values()) == pytest.approx(1.0)
             tvd, bound = sampled_tvd(run_shots(c, 10_000, base_seed=trial).values, exact)
             assert tvd <= bound, (trial, tvd, bound)
-        assert kinds == {"depolarizing1", "depolarizing2", "weyl_custom", "feed-forward"}
+        assert kinds == {"depolarizing1", "depolarizing2", "feed-forward"}
 
     @pytest.mark.parametrize("basis", ["z", "x"])
     def test_each_noise_kind_matches_enumeration_on_basis_readout(self, basis):
         """Noise on a basis state read out in that basis: the outcomes show
         the error's x (z basis) or z (x basis) exponents site by site."""
-        channels = [
-            NoiseChannel("depolarizing1", 0.3),
-            NoiseChannel("depolarizing2", 0.5),
-            NoiseChannel("weyl_custom", weights=((0.3, {0: (1, 2)}), (0.4, {1: (2, 1)}))),
-        ]
-        for ch in channels:
+        for ch in (NoiseChannel("depolarizing1", 0.3), NoiseChannel("depolarizing2", 0.5)):
             c = Circuit(3, 3, 3)
             turn = [weyl.fourier(q) for q in range(3)] if basis == "x" else []
             c.gates(turn)
@@ -643,20 +625,14 @@ class TestFrameSampler:
         assert not np.array_equal(a, run_shots(c, block + 1, base_seed=6).values)
 
 
-def dense_noise_exponents(channel, width, d, u, code):
-    """The noise decode with every draw's code decoded, written out as the reference."""
-    if channel.kind == "depolarizing1":
+def dense_noise_exponents(channel, d, u, code):
+    """Each kind's noise decode written out: (draws, sites, 2) x, z exponents."""
+    if channel.kind == "depolarizing1":  # a hit test and a code per site
         k = (u < channel.p) * code
-        return np.stack([k % d, k // d], axis=1)
-    if channel.kind == "depolarizing2":
-        k = (u[:, 0] < channel.p) * code[:, 0]
-        return (k[:, None] // d ** np.arange(4) % d).reshape(-1, 2, 2).transpose(0, 2, 1)
-    table = np.zeros((len(channel.weights) + 1, 2, width), dtype=np.int64)
-    for i, (_, pattern) in enumerate(channel.weights):
-        for j, xz in pattern.items():
-            table[i, :, j] = xz
-    acc = np.cumsum([w for w, _ in channel.weights])
-    return table[np.searchsorted(acc, u[:, 0], side="right")]
+        return np.stack([k % d, k // d], axis=2)
+    k = (u[:, 0] < channel.p) * code[:, 0]  # one for the pair
+    return np.stack([np.stack([k % d, k // d % d], axis=1),
+                     np.stack([k // d**2 % d, k // d**3], axis=1)], axis=1)
 
 
 def edge_circuits() -> dict[str, Circuit]:
@@ -670,27 +646,27 @@ def edge_circuits() -> dict[str, Circuit]:
     rewritten.cond(0, {0: (weyl.shift_x(1),), 1: (), 2: (weyl.shift_x(1),)})
     rewritten.measure(z(1), 1)
 
-    def only_noise(channels) -> Circuit:
-        """Feed-forward and a multi-site measurement between noise of the given channels."""
+    def only_noise(first=None, last=None) -> Circuit:
+        """Feed-forward and a multi-site measurement between two noise
+        instructions, given as (channel, sites)."""
         c = Circuit(3, 3, 3).gate(weyl.fourier(0)).gate(weyl.cx(0, 1))
-        if channels:
-            c.noise(channels[0], (0, 1))
+        if first:
+            c.noise(*first)
         c.measure(WeylOp.from_site(3, 3, 0, 0, 1), 0)
         c.cond(0, {0: (), 1: (weyl.shift_x(2),), 2: (weyl.clock_z(1), weyl.shift_x_dag(2))})
         c.gate(weyl.fourier(1)).gate(weyl.cz(1, 2))
-        if channels:
-            c.noise(channels[-1], (2, 1, 0))
+        if last:
+            c.noise(*last)
         c.measure(WeylOp(3, np.array([1, 0, 1]), np.array([0, 2, 1])), 1)
         c.measure(WeylOp.from_site(3, 3, 2, 0, 1), 2)
         return c
 
-    pair = NoiseChannel("weyl_custom", weights=((0.4, {0: (1, 2), 1: (0, 1)}),))
-    triple = NoiseChannel("weyl_custom",
-                          weights=((0.2, {0: (1, 2)}), (0.3, {1: (2, 0), 2: (1, 1)})))
     return {
-        "noiseless": only_noise(()),
-        "depolarizing1-only": only_noise((dep1, NoiseChannel("depolarizing1", 0.5))),
-        "weyl_custom-only": only_noise((pair, triple)),
+        "noiseless": only_noise(),
+        "depolarizing1-only": only_noise((dep1, (0, 1)),
+                                         (NoiseChannel("depolarizing1", 0.5), (2, 1, 0))),
+        "depolarizing2-only": only_noise((NoiseChannel("depolarizing2", 0.4), (0, 1)),
+                                         (NoiseChannel("depolarizing2", 0.5), (2, 0))),
         "no-measurement": Circuit(3, 2, 2).gate(weyl.fourier(0)).noise(dep1, (0, 1)),
         "no-cregs": Circuit(3, 2, 0).gate(weyl.cx(0, 1))
                                     .noise(NoiseChannel("depolarizing2", 0.5), (0, 1)),
@@ -734,21 +710,17 @@ class TestCompiledFrames:
             assert np.array_equal(values, reference_frames(c, n_shots, 2)), n_shots
 
     @pytest.mark.parametrize("p", [0.0, 2e-3, 0.5, 1.0])
-    @pytest.mark.parametrize("kind", ["depolarizing1", "depolarizing2", "weyl_custom"])
+    @pytest.mark.parametrize("kind", ["depolarizing1", "depolarizing2"])
     def test_noise_exponents_stream(self, kind, p):
         """On the same pre-drawn uniforms and codes, the one digit decode returns
         each kind's own formula's errors."""
-        if kind == "weyl_custom":
-            channel = NoiseChannel(kind, weights=((p / 2, {0: (1, 0)}),
-                                                  (p / 2, {0: (2, 1), 1: (0, 2)})))
-        else:
-            channel = NoiseChannel(kind, p)
+        channel = NoiseChannel(kind, p)
         rng = np.random.default_rng(6)
-        tests, covered = (2, 1) if kind == "depolarizing1" else (1, 2)
+        tests, width = (2, 1) if kind == "depolarizing1" else (1, 2)
         u = rng.random((3000, tests))
-        code = rng.integers(1, 3 ** (2 * covered), (3000, tests))
-        got = _noise_exponents(channel, 2, 3, u, code)
-        want = dense_noise_exponents(channel, 2, 3, u, code)
+        code = rng.integers(1, 3 ** (2 * width), (3000, tests))
+        got = _hit_exponents((u < p) * code, 3, width).reshape(3000, 2, 2)
+        want = dense_noise_exponents(channel, 3, u, code)
         assert got.shape == (3000, 2, 2) and got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert got.any() == (p > 0)

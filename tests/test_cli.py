@@ -175,10 +175,6 @@ class TestCompile:
         counts = [involved.count(k) for k in range(24)]
         assert doc["results"]["report"]["per_qutrit_two_qubit"] == counts
 
-    def test_unknown_preset(self, tmp_path):
-        code, _, _ = run_cli(tmp_path, "compile", "--preset", "nothing")
-        assert code == 2
-
 
 class TestVerifyAndBounds:
     def test_verify_passes(self, tmp_path):
@@ -286,8 +282,7 @@ class TestConfigEcho:
         (["verify", "-o", "v.json"], {"seed", "threads"}),
         (["prepare"], {"lx", "ly", "seed", "threads", "shots", "noise", "p1", "p2",
                        "spam_p01", "spam_p10", "leak"}),
-        (["compile"], {"lx", "ly", "seed", "threads", "preset", "basis", "optimization",
-                       "dump_ops"}),
+        (["compile"], {"lx", "ly", "seed", "threads", "basis", "optimization", "dump_ops"}),
         (["bounds"], {"seed", "threads", "trp", "trq", "sites", "se_p", "se_q"}),
     ])
     def test_every_option_but_output_is_echoed(self, argv, keys):
@@ -395,16 +390,20 @@ class TestInputValidation:
     @pytest.mark.parametrize("flag, where, command", [
         ("--output", "{file}/x.json", ("bounds", "--trp", ".7", "--trq", ".6", "--sites", "2")),
         ("--output", "{dir}/", ("bounds", "--trp", ".7", "--trq", ".6", "--sites", "2")),
-        ("--csv", "{file}/x.csv", ("prepare", "--lx", "4", "--ly", "2")),
-    ], ids=["output-under-file", "output-is-directory", "csv-under-file"])
+        ("--output", "{file}/x.json", ("prepare", "--lx", "4", "--ly", "2", "--csv", "{other}")),
+        ("--csv", "{file}/x.csv", ("prepare", "--lx", "4", "--ly", "2", "-o", "{other}")),
+    ], ids=["output-under-file", "output-is-directory", "output-under-file-with-csv",
+            "csv-under-file"])
     def test_unwritable_path(self, tmp_path, capsys, flag, where, command):
-        plain = tmp_path / "plain"
+        """A write that fails exits 2 and leaves no file of the run behind."""
+        plain, other = tmp_path / "plain", tmp_path / "other"
         plain.write_text("")
-        path = where.format(file=plain, dir=tmp_path)
-        extra = ["-o", str(tmp_path / "r.json")] if flag == "--csv" else []
-        assert main([*command, flag, path, *extra]) == 2
+        paths = {"file": plain, "dir": tmp_path, "other": other}
+        path = where.format(**paths)
+        assert main([*(a.format(**paths) for a in command), flag, path]) == 2
         assert capsys.readouterr().err.startswith(
             f"configuration error: cannot write {flag} {path}: ")
+        assert not other.exists()
 
     def test_bounds_missing_input(self, tmp_path, capsys):
         code, doc, _ = self.run_with_config(tmp_path, {"trp": 0.75, "trq": 0.68}, "bounds")
