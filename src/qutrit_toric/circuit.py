@@ -12,11 +12,10 @@ each random draw into a fixed linear mod-d form over the outcomes; then
 FRAME_BLOCK shots at a time draw their initial frames, measurement kicks
 and noise hits in a few array calls and add the draws' forms. A noise
 hit's code holds its error exponents as base-d digits, and
-`_hit_exponents` decodes them for both engines. X/Z-shift feed-forward
-is a table over the value read. `_frame_compatible` is the one engine
-choice: any other feed-forward runs per shot through `execute`, shot i
-seeded by (base_seed, i). Either way the values are a pure function of
-(circuit, n_shots, base_seed), whatever the parallelism.
+`_hit_exponents` decodes them for frames and `_apply` alike. X/Z-shift
+feed-forward is a table over the value read; `run_shots` refuses any
+other feed-forward before a draw. The values are a pure function of
+(circuit, n_shots, base_seed).
 
 `exact_outcome_distribution` enumerates noiseless circuits exactly: a
 depth-first walk forks the tableau once per outcome of each random
@@ -28,7 +27,6 @@ oracle the samplers are tested against.
 from __future__ import annotations
 
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,18 +198,8 @@ class Circuit:
                     out.noise(ch1, tg)
         return out
 
-    def two_qudit_gate_count(self) -> int:
-        return sum(
-            1 for i in self.instructions if isinstance(i, Gate) and len(i.gate.targets) == 2
-        )
-
 
 # -- execution ---------------------------------------------------------------
-
-
-def shot_seed(base_seed: int, index: int) -> int:
-    """Stable per-shot seed via SeedSequence hashing of (base_seed, index)."""
-    return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
 
 
 def _hit_exponents(code: np.ndarray, d: int, width: int) -> np.ndarray:
@@ -262,11 +250,6 @@ def final_tableau(circuit: Circuit, seed: int = 0) -> tuple[StabilizerTableau, l
     return tab, execute(circuit, tab)
 
 
-def run_shot(circuit: Circuit, seed: int) -> list[int]:
-    """Creg values of one shot on a fresh tableau; pure function of (circuit, seed)."""
-    return final_tableau(circuit, seed)[1]
-
-
 def _outcome_leaves(circuit: Circuit) -> dict[tuple[int, ...], list[int]] | None:
     """Leaves of the exact outcome tree: {random outcomes on the path: creg values}.
 
@@ -305,21 +288,19 @@ def _outcome_leaves(circuit: Circuit) -> dict[tuple[int, ...], list[int]] | None
     return leaves if walk(0, root, [0] * circuit.n_cregs, ()) else None
 
 
-def _run_chunk(args) -> np.ndarray:
-    circuit, base_seed, lo, hi = args
-    rows = [run_shot(circuit, shot_seed(base_seed, i)) for i in range(lo, hi)]
-    return np.array(rows, dtype=np.uint8).reshape(len(rows), circuit.n_cregs)
-
-
 # (x, z) exponents of each Weyl gate kind; conjugating a frame by one only moves its phase
 _SHIFTS = {GateKind.SHIFT_X: (1, 0), GateKind.SHIFT_X_DAG: (-1, 0),
            GateKind.CLOCK_Z: (0, 1), GateKind.CLOCK_Z_DAG: (0, -1)}
 
 
-def _frame_compatible(circuit: Circuit) -> bool:
-    """True when every feed-forward branch is X/Z shifts only, so frames can run it."""
-    return all(g.kind in _SHIFTS for ins in circuit.instructions if isinstance(ins, CondGate)
-               for gates in ins.predicate.values() for g in gates)
+def _check_feed_forward(circuit: Circuit) -> None:
+    """Raise ValueError naming the first feed-forward gate that is not an X/Z shift."""
+    kinds = (g.kind for ins in circuit.instructions if isinstance(ins, CondGate)
+             for gates in ins.predicate.values() for g in gates)
+    other = next((k for k in kinds if k not in _SHIFTS), None)
+    if other is not None:
+        raise ValueError(f"feed-forward gate {other.value!r} is not an X/Z shift; "
+                         "run_shots samples Weyl frames only")
 
 
 # a circuit's random draws as forms over its M measurements; see _compile_frames
@@ -442,24 +423,15 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
 
 def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
               parallelism: int = 1) -> ShotBatch:
-    """Run n_shots; the values are a pure function of (circuit, n_shots, base_seed).
+    """Run n_shots as Weyl frames; the values are a pure function of
+    (circuit, n_shots, base_seed).
 
-    Frame-compatible circuits run as Weyl frames in one process. Others
-    run per shot, shot i on a tableau seeded by shot_seed(base_seed, i),
-    in parallelism worker processes; the values do not depend on it.
+    Feed-forward other than X/Z shifts is refused with ValueError before
+    any draw. parallelism is not read; benchmarks/probes.py still passes it.
     """
     circuit.validate()
-    if _frame_compatible(circuit):
-        return ShotBatch(_run_frames(circuit, n_shots, base_seed))
-    if parallelism <= 1 or n_shots == 0:
-        return ShotBatch(_run_chunk((circuit, base_seed, 0, n_shots)))
-    chunk = (n_shots + parallelism - 1) // parallelism
-    jobs = [
-        (circuit, base_seed, lo, min(lo + chunk, n_shots))
-        for lo in range(0, n_shots, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return ShotBatch(np.concatenate(list(pool.map(_run_chunk, jobs))))
+    _check_feed_forward(circuit)
+    return ShotBatch(_run_frames(circuit, n_shots, base_seed))
 
 
 def exact_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]:

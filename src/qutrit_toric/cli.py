@@ -141,7 +141,7 @@ def cmd_prepare(args) -> dict:
         circ = prep.with_noise(p1=args.p1, p2=args.p2) if args.noise != "off" else \
             prep.with_noise()
         circ.extend(measure_all_circuit(lat, basis))
-        values = run_shots(circ, shots, base_seed=frame_seed, parallelism=args.threads).values
+        values = run_shots(circ, shots, base_seed=frame_seed).values
         if args.noise != "off":
             bits = simulate_readout(values, per_qutrit_two_qubit(prep, basis),
                                     p01=args.spam_p01, p10=args.spam_p10,
@@ -307,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         if lattice:
             p.add_argument("--lx", type=int, default=6)
             p.add_argument("--ly", type=int, default=4)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=_positive_int, default=1)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="accepted and echoed; shot sampling runs in one process")
         p.add_argument("--output", "-o", help="output path ('-' for stdout)")
         if csv:
             p.add_argument("--csv", help="also write a CSV table to this path")
@@ -402,7 +403,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     name = args.subcommand
+    csv = getattr(args, "csv", None)
     try:
+        if csv == "-":
+            raise ConfigError("cannot write --csv -: stdout carries the result document")
         if name == "prepare":
             payload = cmd_prepare(args)
         elif name in ("braid-pf", "braid-cc", "fuse-pf-pfstar"):
@@ -418,7 +422,6 @@ def main(argv=None) -> int:
         else:
             raise ConfigError(f"unknown subcommand {name}")
         doc = result_document(name, _config_echo(args), payload)
-        csv = getattr(args, "csv", None)
         if csv:  # before the document, so a run that fails leaves neither file
             _csv_from_rows(csv, *_csv_table(payload))
         try:

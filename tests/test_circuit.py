@@ -15,12 +15,10 @@ from qutrit_toric.circuit import (
     Noise,
     NoiseChannel,
     TREE_MAX_RANDOM_MEASUREMENTS,
-    _frame_compatible,
     _hit_exponents,
     exact_outcome_distribution,
-    run_shot,
+    final_tableau,
     run_shots,
-    shot_seed,
 )
 from qutrit_toric.dense import DenseState
 from qutrit_toric.dense import weyl_matrix as dense_weyl_matrix
@@ -28,6 +26,16 @@ from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_al
 from qutrit_toric.serialize import circuit_from_json, circuit_to_json
 from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import WeylOp
+
+
+def shot_seed(base_seed, index):
+    """Seed of shot index in a per-shot batch: SeedSequence hashing of (base_seed, index)."""
+    return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
+
+
+def tableau_shot(circuit, seed):
+    """Creg values of one shot on a fresh tableau seeded by seed: the per-shot sampler."""
+    return final_tableau(circuit, seed)[1]
 
 
 def bell_like_circuit():
@@ -75,19 +83,18 @@ class TestValidation:
     @pytest.mark.parametrize("target", [-1, 5])
     @pytest.mark.parametrize("frames", [True, False], ids=["frames", "per-shot"])
     def test_feed_forward_targets_in_range(self, monkeypatch, target, frames):
-        """A branch gate off the register is refused by both engines before any
-        shot is drawn."""
+        """A branch gate off the register is refused as such before any shot is
+        drawn, also where a non-shift branch gate would refuse the circuit."""
         c = Circuit(3, 2, 1)
         c.gate(weyl.fourier(0)).measure(WeylOp.from_site(3, 2, 0, 0, 1), 0)
         other = weyl.clock_z(1) if frames else weyl.fourier(1)
         c.cond(0, {0: (), 1: (weyl.shift_x(target),), 2: (other,)})
-        assert _frame_compatible(c) == frames
+        assert has_non_weyl_feed_forward(c) is not frames
 
         def sampled(*args):
             raise AssertionError("sampled an invalid circuit")
 
         monkeypatch.setattr(circuit_module, "_run_frames", sampled)
-        monkeypatch.setattr(circuit_module, "_run_chunk", sampled)
         with pytest.raises(ValueError, match=f"gate target {target} out of range"):
             c.validate()
         with pytest.raises(ValueError, match=f"gate target {target} out of range"):
@@ -97,14 +104,14 @@ class TestValidation:
 class TestDeterminism:
     def test_same_seed_same_record(self):
         c = bell_like_circuit()
-        r1 = run_shot(c, 12345)
-        r2 = run_shot(c, 12345)
+        r1 = tableau_shot(c, 12345)
+        r2 = tableau_shot(c, 12345)
         assert r1 == r2
 
     def test_correlated_measurements(self):
         c = bell_like_circuit()
         for i in range(50):
-            r = run_shot(c, shot_seed(7, i))
+            r = tableau_shot(c, shot_seed(7, i))
             assert r[0] == r[1]
 
     def test_feed_forward_replays(self):
@@ -114,20 +121,9 @@ class TestDeterminism:
         c.cond(0, {0: (), 1: (weyl.shift_x_dag(0),), 2: (weyl.shift_x(0),)})
         c.measure(WeylOp.from_site(3, 1, 0, 0, 1), 0)
         for seed in range(30):
-            r = run_shot(c, seed)
+            r = tableau_shot(c, seed)
             # correction maps outcome 1 -> 0 via Xdag? verify stable replay only
-            assert run_shot(c, seed) == r
-
-    def test_parallelism_identical_records(self):
-        frames = bell_like_circuit().with_noise(p1=0.1)
-        per_shot = bell_like_circuit().with_noise(p1=0.1)
-        per_shot.cond(0, {0: (), 1: (weyl.fourier(1),), 2: ()})
-        per_shot.measure(WeylOp.from_site(3, 2, 1, 1, 0), 1)
-        assert not _frame_compatible(per_shot)
-        for c in (frames, per_shot):
-            a = run_shots(c, 40, base_seed=3, parallelism=1)
-            b = run_shots(c, 40, base_seed=3, parallelism=4)
-            assert np.array_equal(a.values, b.values)
+            assert tableau_shot(c, seed) == r
 
     def test_frame_path_matches_straight_line_engine(self):
         """Frames and per-shot tableaus draw differently, so they agree in
@@ -136,16 +132,17 @@ class TestDeterminism:
         c = bell_like_circuit()
         exact = exact_outcome_distribution(c)
         batch = run_shots(c, 3000, base_seed=9)
-        direct = np.array([run_shot(c, shot_seed(9, i)) for i in range(3000)])
+        direct = np.array([tableau_shot(c, shot_seed(9, i)) for i in range(3000)])
         for values in (batch.values, direct):
             assert np.array_equal(values[:, 0], values[:, 1])
             tvd, bound = sampled_tvd(values, exact)
             assert tvd <= bound
 
     def test_per_shot_values_pinned(self):
-        """The per-shot engine's draws (noise uniforms, then codes, in
+        """The per-shot sampler's draws (noise uniforms, then codes, in
         instruction order) give the values recorded for this circuit before
-        both engines read noise through one digit decoder."""
+        both engines read noise through one digit decoder; run_shots refuses
+        the circuit, naming its first non-shift branch gate."""
         c = Circuit(3, 3, 3)
         c.gate(weyl.fourier(0)).gate(weyl.cx(0, 1))
         c.noise(NoiseChannel("depolarizing1", 0.3), (0, 2))
@@ -155,16 +152,17 @@ class TestDeterminism:
         c.noise(NoiseChannel("depolarizing2", 0.5), (1, 2))
         c.measure(WeylOp.from_site(3, 3, 1, 0, 1), 1)
         c.measure(WeylOp.from_site(3, 3, 2, 1, 0), 2)
-        assert not _frame_compatible(c)
         pinned = [[2, 1, 0], [2, 1, 0], [1, 0, 0], [1, 1, 0], [0, 2, 2], [2, 0, 1], [2, 0, 2],
                   [1, 0, 2], [2, 0, 2], [0, 0, 0], [1, 2, 1], [2, 2, 2], [2, 1, 2], [1, 1, 0],
                   [1, 1, 0], [1, 2, 0]]
-        assert run_shots(c, 16, base_seed=11).values.tolist() == pinned
+        assert [tableau_shot(c, shot_seed(11, i)) for i in range(16)] == pinned
+        with pytest.raises(ValueError, match="feed-forward gate 'h' is not an X/Z shift"):
+            run_shots(c, 16, base_seed=11)
 
     def test_values_array_shape(self):
         c = bell_like_circuit().with_noise(p1=0.1)
-        for shots, parallelism in ((0, 1), (0, 3), (7, 1), (7, 3)):
-            batch = run_shots(c, shots, base_seed=1, parallelism=parallelism)
+        for shots in (0, 7):
+            batch = run_shots(c, shots, base_seed=1)
             assert batch.values.shape == (shots, 2) and batch.values.dtype == np.uint8
             assert len(batch) == shots
 
@@ -484,14 +482,14 @@ class TestSingleInterpreter:
     @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-stripped"])
     def test_run_shot_matches_straight_line_reference(self, noisy):
         """execute draws noise and outcomes exactly as the straight-line loop
-        did; run_shots equals that loop row for row where it runs per shot
-        and, where frames run it, gives only outcomes the exact distribution
-        allows; where the tree stays within its budget, its exact
-        distribution matches the dense oracle."""
+        did; run_shots refuses a circuit with non-shift feed-forward and on
+        the others gives only outcomes the exact distribution allows; where
+        the tree stays within its budget, its exact distribution matches the
+        dense oracle."""
         rng = np.random.default_rng(2024)
         kinds = set()
         trees = 0
-        routes = {"frames": 0, "per-shot": 0}
+        routes = {"frames": 0, "refused": 0}
         for trial in range(40):
             c = random_mixed_circuit(rng, int(rng.integers(1, 5)))
             if not noisy:
@@ -512,14 +510,14 @@ class TestSingleInterpreter:
                          if isinstance(i, Measure) and len(i.observable.support) > 1)
             for seed in range(5):
                 s = shot_seed(trial, seed)
-                assert run_shot(c, s) == reference_run_shot(c, s), (trial, seed)
-            batch = run_shots(c, 20, base_seed=trial)
-            if not _frame_compatible(c):
-                routes["per-shot"] += 1
-                assert np.array_equal(batch.values, [reference_run_shot(c, shot_seed(trial, i))
-                                                     for i in range(20)])
+                assert tableau_shot(c, s) == reference_run_shot(c, s), (trial, seed)
+            if has_non_weyl_feed_forward(c):
+                routes["refused"] += 1
+                with pytest.raises(ValueError, match="is not an X/Z shift"):
+                    run_shots(c, 20, base_seed=trial)
             else:
                 routes["frames"] += 1
+                batch = run_shots(c, 20, base_seed=trial)
                 if exact is not None:
                     assert {tuple(r) for r in batch.values.tolist()} <= set(exact), trial
         expected = {"Gate", "Measure", "CondGate", "Barrier", "multi-site"}
@@ -537,7 +535,7 @@ class TestFrameSampler:
         for trial in range(30):
             c = without_noise(random_mixed_circuit(rng, int(rng.integers(1, 5)),
                                                    weyl_branches=True))
-            assert _frame_compatible(c)
+            assert not has_non_weyl_feed_forward(c)
             conds += sum(1 for i in c.instructions if isinstance(i, CondGate)
                          and any(i.predicate.values()))
             dense = dense_outcome_distribution(c)
@@ -550,7 +548,7 @@ class TestFrameSampler:
         kinds = set()
         for trial in range(30):
             c = random_mixed_circuit(rng, int(rng.integers(1, 4)), weyl_branches=True)
-            assert _frame_compatible(c)
+            assert not has_non_weyl_feed_forward(c)
             kinds.update(i.channel.kind for i in c.instructions if isinstance(i, Noise))
             kinds.update("feed-forward" for i in c.instructions
                          if isinstance(i, CondGate) and any(i.predicate.values()))
@@ -592,26 +590,25 @@ class TestFrameSampler:
             assert all(exact[k] == pytest.approx(tree[k], abs=1e-9) for k in tree)
         assert compared >= 8
 
-    def test_non_weyl_feed_forward_runs_per_shot(self, monkeypatch):
-        """Every circuit with a non-Weyl feed-forward gate takes the per-shot
-        path, row for row the straight-line loop; every other one takes frames."""
-        def frames_refused(*args):
-            raise AssertionError("frame engine ran")
+    def test_non_weyl_feed_forward_refused(self, monkeypatch):
+        """run_shots refuses every circuit with a non-shift feed-forward gate
+        before any draw, naming the first such gate's kind."""
+        def sampled(*args):
+            raise AssertionError("sampled a circuit with non-shift feed-forward")
 
+        monkeypatch.setattr(circuit_module, "_run_frames", sampled)
         rng = np.random.default_rng(34)
-        per_shot = 0
+        refused = 0
         for trial in range(40):
             c = random_mixed_circuit(rng, int(rng.integers(1, 5)))
-            non_weyl = has_non_weyl_feed_forward(c)
-            assert _frame_compatible(c) is not non_weyl
-            if non_weyl:
-                per_shot += 1
-                with monkeypatch.context() as m:
-                    m.setattr(circuit_module, "_run_frames", frames_refused)
-                    batch = run_shots(c, 20, base_seed=trial)
-                assert np.array_equal(batch.values, [reference_run_shot(c, shot_seed(trial, i))
-                                                     for i in range(20)])
-        assert per_shot >= 10
+            if has_non_weyl_feed_forward(c):
+                refused += 1
+                first = next(g.kind for i in c.instructions if isinstance(i, CondGate)
+                             for gates in i.predicate.values() for g in gates
+                             if g.kind not in SHIFT_KINDS)
+                with pytest.raises(ValueError, match=f"feed-forward gate '{first.value}'"):
+                    run_shots(c, 20, base_seed=trial)
+        assert refused >= 10
 
     def test_block_draws(self):
         """Values are a pure function of (circuit, n_shots, base_seed): each
@@ -703,7 +700,7 @@ class TestCompiledFrames:
     @pytest.mark.parametrize("name", sorted(edge_circuits()))
     def test_edge_circuits(self, name):
         c = edge_circuits()[name]
-        assert _frame_compatible(c)
+        assert not has_non_weyl_feed_forward(c)
         for n_shots in (0, 7, circuit_module.FRAME_BLOCK + 1):
             values = run_shots(c, n_shots, base_seed=2).values
             assert values.shape == (n_shots, c.n_cregs)

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import qutrit_toric
 from qutrit_toric import cli, weyl
 from qutrit_toric.circuit import FRAME_BLOCK
 from qutrit_toric.cli import main
@@ -22,6 +25,17 @@ def run_cli(tmp_path, *argv):
     code = main([*argv, "-o", str(out)])
     doc = json.loads(out.read_text()) if out.exists() else None
     return code, doc, out
+
+
+def test_import_loads_no_process_pool():
+    """Shots run in one process: importing the CLI loads neither
+    multiprocessing nor concurrent.futures."""
+    code = ("import sys, qutrit_toric.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qutrit_toric.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestPrepare:
@@ -307,9 +321,10 @@ class TestInputValidation:
         ({"noise": "loud"}, "prepare"), ({"noise": 1}, "prepare"),
         ({"dump_ops": "yes"}, "compile"), ({"shots": -5}, "prepare"),
         ({"threads": 0}, "prepare"), ({"leak": -1}, "prepare"), ({"spam_p01": 1.5}, "prepare"),
+        ({"seed": -1}, "braid-pf"),
     ], ids=["lx-word", "lx-float", "lx-bool", "noise-choice", "noise-number",
             "flag-string", "shots-negative", "threads-zero", "leak-negative",
-            "spam-above-one"])
+            "spam-above-one", "seed-negative"])
     def test_config_value_that_does_not_parse(self, tmp_path, capsys, conf, command):
         code, doc, _ = self.run_with_config(tmp_path, conf, command)
         assert code == 2 and doc is None
@@ -331,11 +346,15 @@ class TestInputValidation:
         assert code == 2 and doc is None
         assert "--shots" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one(self, tmp_path, capsys, threads):
-        code, doc, _ = run_cli(tmp_path, "prepare", "--threads", threads, "--shots", "5")
+    @pytest.mark.parametrize("command, flag, value", [
+        ("prepare", "--threads", "0"), ("prepare", "--threads", "-3"),
+        ("prepare", "--seed", "-1"), ("braid-pf", "--seed", "-1"), ("topo-qutrit", "--seed", "-1"),
+    ], ids=["0", "-3", "seed-prepare", "seed-braid-pf", "seed-topo-qutrit"])
+    def test_threads_below_one(self, tmp_path, capsys, command, flag, value):
+        """--threads below 1 and a negative --seed exit 2 naming the flag."""
+        code, doc, _ = run_cli(tmp_path, command, flag, value)
         assert code == 2 and doc is None
-        assert "--threads" in capsys.readouterr().err
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--p1", "-0.1"), ("--p2", "1.5"), ("--spam-p01", "1.5"), ("--spam-p10", "-1"),
@@ -392,10 +411,13 @@ class TestInputValidation:
         ("--output", "{dir}/", ("bounds", "--trp", ".7", "--trq", ".6", "--sites", "2")),
         ("--output", "{file}/x.json", ("prepare", "--lx", "4", "--ly", "2", "--csv", "{other}")),
         ("--csv", "{file}/x.csv", ("prepare", "--lx", "4", "--ly", "2", "-o", "{other}")),
+        ("--csv", "-", ("prepare", "--lx", "4", "--ly", "2", "-o", "{other}")),
     ], ids=["output-under-file", "output-is-directory", "output-under-file-with-csv",
-            "csv-under-file"])
-    def test_unwritable_path(self, tmp_path, capsys, flag, where, command):
-        """A write that fails exits 2 and leaves no file of the run behind."""
+            "csv-under-file", "csv-to-stdout"])
+    def test_unwritable_path(self, tmp_path, capsys, monkeypatch, flag, where, command):
+        """A write that fails exits 2 and leaves no file of the run behind.
+        --csv - is refused: stdout carries the result document."""
+        monkeypatch.chdir(tmp_path)
         plain, other = tmp_path / "plain", tmp_path / "other"
         plain.write_text("")
         paths = {"file": plain, "dir": tmp_path, "other": other}
@@ -403,7 +425,7 @@ class TestInputValidation:
         assert main([*(a.format(**paths) for a in command), flag, path]) == 2
         assert capsys.readouterr().err.startswith(
             f"configuration error: cannot write {flag} {path}: ")
-        assert not other.exists()
+        assert os.listdir(tmp_path) == ["plain"]
 
     def test_bounds_missing_input(self, tmp_path, capsys):
         code, doc, _ = self.run_with_config(tmp_path, {"trp": 0.75, "trq": 0.68}, "bounds")

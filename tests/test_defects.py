@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qutrit_toric.circuit import Gate, final_tableau, shot_seed
+from qutrit_toric.circuit import Gate, final_tableau
 from qutrit_toric.defects import (
     CCRibbon,
     cc_defect_circuit,
