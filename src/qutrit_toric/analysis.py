@@ -7,7 +7,8 @@ measured values bound the fidelity by
 
 with per-site bounds given by n-th roots. Readout errors are undone by
 applying the inverted per-qubit confusion matrix as a tensor product to
-the empirical distribution; this is exact for product confusion models.
+the empirical distribution of the encoder's (N, n) pair indices, read
+as bits; this is exact for product confusion models.
 Mitigated quasi-probabilities may be slightly negative and are reported
 unclipped (the downstream estimators are linear, so clipping would bias
 them).
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import NC_INDEX, _DECODE_INDEX, _pair_index
+from .encoder import DECODE_INDEX, NC_INDEX
 from .estimators import PlaquetteSnapshot
 
 
@@ -162,25 +163,26 @@ def _per_bit(dense: np.ndarray, m: np.ndarray) -> np.ndarray:
     return dense
 
 
-def mitigated_plaquette_triple(bits: np.ndarray,
+def mitigated_plaquette_triple(pairs: np.ndarray,
                                corner_sites: tuple[int, ...],
                                exponents: tuple[int, ...],
                                kind: str,
                                cm: ConfusionMatrix) -> tuple[float, float, float]:
-    """Projector triple of one face from retained (N, 2n) qubit bits with mitigation.
+    """Projector triple of one face from retained (N, n) pair indices with mitigation.
 
-    Marginalizing to the face's 2k bits commutes with the product
-    channel inversion, so correcting the marginal is exact. Pair
-    combinations holding the herald state carry no sector and their
-    (possibly negative) weight is excluded before renormalizing.
+    Each pair index 2*hi + lo is two bit axes (hi, lo). Marginalizing to
+    the face's 2k bits commutes with the product channel inversion, so
+    correcting the marginal is exact. Pair combinations holding the
+    herald state carry no sector and their (possibly negative) weight is
+    excluded before renormalizing.
     """
     k = len(corner_sites)
-    pairs = _pair_index(bits)[:, list(corner_sites)]
-    counts = np.bincount(np.ravel_multi_index(tuple(pairs.T), (4,) * k), minlength=4**k)
+    face = np.asarray(pairs)[:, list(corner_sites)]
+    counts = np.bincount(np.ravel_multi_index(tuple(face.T), (4,) * k), minlength=4**k)
     weights = _per_bit(counts.reshape((2,) * (2 * k)).astype(float), cm.inverse).ravel()
     combos = np.indices((4,) * k).reshape(k, -1)  # pair indices of each flat entry
     kept = (combos != NC_INDEX).all(axis=0)
-    sector = (np.asarray(exponents) @ _DECODE_INDEX[combos]) % 3
+    sector = (np.asarray(exponents) @ DECODE_INDEX[combos]) % 3
     sectors = np.bincount(sector[kept], weights=weights[kept], minlength=3)
     total = sectors.sum()
     if total <= 0:

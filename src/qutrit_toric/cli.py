@@ -143,11 +143,14 @@ def cmd_prepare(args) -> dict:
         circ.extend(measure_all_circuit(lat, basis))
         values = run_shots(circ, shots, base_seed=frame_seed).values
         if args.noise != "off":
-            bits = simulate_readout(values, per_qutrit_two_qubit(prep, basis),
-                                    p01=args.spam_p01, p10=args.spam_p10,
-                                    leak_per_two_qubit=args.leak, seed=readout_seed)
-            bits, herald[basis] = herald_filter(bits)
-            values = decode_qubit_records(bits)
+            pairs = simulate_readout(values, per_qutrit_two_qubit(prep, basis),
+                                     p01=args.spam_p01, p10=args.spam_p10,
+                                     leak_per_two_qubit=args.leak, seed=readout_seed)
+            pairs, herald[basis] = herald_filter(pairs)
+            if not len(pairs):
+                raise ConfigError(f"all {shots} {basis}-basis shots failed the herald check "
+                                  "(a qutrit pair read |01>)")
+            values = decode_qubit_records(pairs)
         snaps_all.extend(estimate_plaquette_projectors(values, basis, lat))
     payload["mode"] = "shots"
     payload["shots_per_basis"] = shots

@@ -28,14 +28,16 @@ OMEGA = np.exp(2j * np.pi / 3)
 ENCODE_BITS = {0: (0, 0), 1: (1, 0), 2: (1, 1)}
 NC_BITS = (0, 1)
 DECODE_BITS = {v: k for k, v in ENCODE_BITS.items()}
-ENC_INDEX = {q: 2 * b[0] + b[1] for q, b in ENCODE_BITS.items()}
+# pair index 2*hi + lo of each qutrit value, and back (herald index -> 0, never read)
+ENCODE_INDEX = np.array([2 * hi + lo for hi, lo in ENCODE_BITS.values()], dtype=np.uint8)
 NC_INDEX = 2 * NC_BITS[0] + NC_BITS[1]
+DECODE_INDEX = np.array([DECODE_BITS.get(divmod(i, 2), 0) for i in range(4)], dtype=np.uint8)
 
 
 # -- gate targets --------------------------------------------------------------
 
 # 4x3 isometry of one qubit pair: column q is the encoded basis state of qutrit q
-_PAIR = np.eye(4)[:, [ENC_INDEX[q] for q in range(3)]]
+_PAIR = np.eye(4)[:, ENCODE_INDEX]
 
 
 def _embed_qutrit(mat3: np.ndarray, nc_phase: complex = 1.0) -> np.ndarray:
@@ -509,35 +511,23 @@ def qubit_circuit_to_json(qc: QubitCircuit) -> dict:
 # -- heralding and readout ------------------------------------------------------------
 
 
-def _pair_index(bits: np.ndarray) -> np.ndarray:
-    """(N, 2n) qubit bits -> (N, n) basis index 2*hi + lo of each qutrit pair."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 2 or bits.shape[1] % 2:
-        raise ValueError("qubit records must hold two bits per qutrit")
-    return 2 * bits[:, 0::2] + bits[:, 1::2]
-
-
-def herald_filter(bits: np.ndarray) -> tuple[np.ndarray, float]:
-    """Drop shots where any qutrit pair reads the herald state |01>.
+def herald_filter(pairs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Drop (N, n) pair-index rows where any qutrit pair reads the herald state |01>.
 
     Returns the retained rows and the discarded fraction.
     """
-    heralded = (_pair_index(bits) == NC_INDEX).any(axis=1)
+    pairs = np.asarray(pairs)
+    heralded = (pairs == NC_INDEX).any(axis=1)
     total = len(heralded)
-    return np.asarray(bits)[~heralded], (int(heralded.sum()) / total if total else 0.0)
+    return pairs[~heralded], (int(heralded.sum()) / total if total else 0.0)
 
 
-# pair index 2*hi + lo -> qutrit value (the herald index maps to 0 and is never read)
-_DECODE_INDEX = np.array([DECODE_BITS.get(divmod(i, 2), 0) for i in range(4)], dtype=np.uint8)
-_ENCODE_ARRAY = np.array([ENCODE_BITS[q] for q in range(3)], dtype=np.uint8)
-
-
-def decode_qubit_records(bits: np.ndarray) -> np.ndarray:
-    """Herald-free (M, 2n) qubit bits back to (M, n) qutrit values."""
-    index = _pair_index(bits)
-    if (index == NC_INDEX).any():
+def decode_qubit_records(pairs: np.ndarray) -> np.ndarray:
+    """Herald-free (M, n) pair indices back to (M, n) qutrit values."""
+    pairs = np.asarray(pairs)
+    if (pairs == NC_INDEX).any():
         raise ValueError("herald state in a record; apply herald_filter first")
-    return _DECODE_INDEX[index]
+    return DECODE_INDEX[pairs]
 
 
 def simulate_readout(values: np.ndarray, per_qutrit_two_qubit: list[int],
@@ -546,16 +536,17 @@ def simulate_readout(values: np.ndarray, per_qutrit_two_qubit: list[int],
                      seed: int = 0) -> np.ndarray:
     """Overlay gate leakage and readout confusion onto ideal qutrit values.
 
-    values is an (N, n) qutrit array; returns (N, 2n) qubit bits.
-    per_qutrit_two_qubit is per_qutrit_two_qubit(circuit, basis) of the
-    measured circuit, also the compile report's field of that name. Each
-    qubit of every entangling gate leaks its qutrit to the herald state
-    independently with probability leak_per_two_qubit (the default
-    reproduces roughly the observed discard fraction on the large
-    lattice workload); surviving bits are flipped with the readout
-    confusion rates. The draws are one (N, n) array of leak uniforms,
-    then one (N, n, 2) array of hi and lo uniforms, drawn for every
-    qutrit, leaked or not.
+    values is an (N, n) qutrit array; returns the (N, n) uint8 pair index
+    2*hi + lo read from each qutrit's qubit pair, NC_INDEX for a leaked
+    qutrit. per_qutrit_two_qubit is per_qutrit_two_qubit(circuit, basis)
+    of the measured circuit, also the compile report's field of that
+    name. Each qubit of every entangling gate leaks its qutrit to the
+    herald state independently with probability leak_per_two_qubit (the
+    default reproduces roughly the observed discard fraction on the
+    large lattice workload); surviving hi and lo bits are flipped with
+    the readout confusion rates. The draws are one (N, n) array of leak
+    uniforms, then one (N, n, 2) array of hi and lo uniforms, drawn for
+    every qutrit, leaked or not.
     """
     rng = np.random.default_rng(seed)
     values = np.asarray(values)
@@ -564,7 +555,9 @@ def simulate_readout(values: np.ndarray, per_qutrit_two_qubit: list[int],
     leak_p = 1.0 - (1.0 - leak_per_two_qubit) ** np.asarray(per_qutrit_two_qubit)
     leaked = rng.random((len(values), n)) < leak_p
     uniforms = rng.random((len(values), n, 2))
-    ideal = _ENCODE_ARRAY[values]
-    bits = ideal ^ (uniforms < np.array([p10, p01])[ideal])
-    bits[leaked] = NC_BITS
-    return bits.reshape(len(values), 2 * n)
+    pairs = ENCODE_INDEX[values]
+    flip_p = np.array([p10, p01])  # indexed by the ideal bit
+    flips = 2 * (uniforms[..., 0] < flip_p[pairs >> 1]) + (uniforms[..., 1] < flip_p[pairs & 1])
+    pairs ^= flips.astype(np.uint8)
+    pairs[leaked] = NC_INDEX
+    return pairs

@@ -437,10 +437,10 @@ def test_criterion_9_spam_mitigation():
         circ.extend(measure_all_circuit(lat, basis))
         batch = run_shots(circ, 4000, base_seed=31)
         _, rep = encode_circuit(prep, basis=basis)
-        bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
-                                p01=cm_big.p01, p10=cm_big.p10,
-                                leak_per_two_qubit=1e-4, seed=5)
-        retained, _ = herald_filter(bits)
+        pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+                                 p01=cm_big.p01, p10=cm_big.p10,
+                                 leak_per_two_qubit=1e-4, seed=5)
+        retained, _ = herald_filter(pairs)
         values = decode_qubit_records(retained)
         snaps = estimate_plaquette_projectors(values, basis, lat)
         raw.extend(s.pi1 for s in snaps)
@@ -469,8 +469,8 @@ def test_criterion_10_noisy_ballpark():
         circ.extend(measure_all_circuit(lat, basis))
         batch = run_shots(circ, 5000, base_seed=42)
         _, rep = encode_circuit(prep, basis=basis, optimization_level=1)
-        bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit, seed=7)
-        retained, frac = herald_filter(bits)
+        pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit, seed=7)
+        retained, frac = herald_filter(pairs)
         fracs.append(frac)
         values = decode_qubit_records(retained)
         snaps.extend(estimate_plaquette_projectors(values, basis, lat))

@@ -134,10 +134,10 @@ class TestSpamMitigation:
             circ.extend(measure_all_circuit(lat, basis))
             batch = run_shots(circ, 4000, base_seed=17)
             _, rep = encode_circuit(prep, basis=basis)
-            bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
-                                    p01=cm.p01, p10=cm.p10,
-                                    leak_per_two_qubit=1e-4, seed=3)
-            retained, _ = herald_filter(bits)
+            pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+                                     p01=cm.p01, p10=cm.p10,
+                                     leak_per_two_qubit=1e-4, seed=3)
+            retained, _ = herald_filter(pairs)
             values = decode_qubit_records(retained)
             snaps = estimate_plaquette_projectors(values, basis, lat)
             raw_means.extend(s.pi1 for s in snaps)
@@ -191,25 +191,26 @@ class TestMitigationOracle:
             bits = rng.integers(0, 2, size=(n_shots, 12), dtype=np.uint8)
             if trial % 2:
                 bits[:, 1::2] &= bits[:, 0::2]
+            pairs = 2 * bits[:, 0::2] + bits[:, 1::2]  # the encoder's pair index 2*hi + lo
             corners = tuple(int(s) for s in rng.permutation(6)[:4])
             try:
                 want = reference_mitigated_triple(bits, corners, exponents, cm)
             except ValueError:
                 with pytest.raises(ValueError, match="no decodable weight"):
-                    mitigated_plaquette_triple(bits, corners, exponents, kind, cm)
+                    mitigated_plaquette_triple(pairs, corners, exponents, kind, cm)
                 continue
-            got = mitigated_plaquette_triple(bits, corners, exponents, kind, cm)
+            got = mitigated_plaquette_triple(pairs, corners, exponents, kind, cm)
             assert got == pytest.approx(want, abs=1e-12, rel=0)
 
     def test_no_shots_has_no_decodable_weight(self):
         with pytest.raises(ValueError, match="no decodable weight"):
-            mitigated_plaquette_triple(np.zeros((0, 8), dtype=np.uint8), (0, 1, 2, 3),
+            mitigated_plaquette_triple(np.zeros((0, 4), dtype=np.uint8), (0, 1, 2, 3),
                                        A_EXPONENTS, "A", ConfusionMatrix())
 
     def test_nine_corners_capped(self):
-        bits = np.zeros((5, 18), dtype=np.uint8)
+        pairs = np.zeros((5, 9), dtype=np.uint8)
         with pytest.raises(ValueError, match="capped"):
-            mitigated_plaquette_triple(bits, tuple(range(9)), (1,) * 9, "A", ConfusionMatrix())
+            mitigated_plaquette_triple(pairs, tuple(range(9)), (1,) * 9, "A", ConfusionMatrix())
 
     def test_forward_noise_capped(self):
         with pytest.raises(ValueError, match="capped"):

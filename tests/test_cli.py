@@ -366,6 +366,14 @@ class TestInputValidation:
         assert code == 2 and doc is None
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--leak", "1"), ("--spam-p01", "0.6")])
+    def test_every_shot_heralded(self, tmp_path, capsys, flag, value):
+        """A basis that keeps no shot exits 2 naming the basis and the herald check."""
+        code, doc, _ = run_cli(tmp_path, "prepare", "--noise", "default", "--shots", "10",
+                               flag, value)
+        assert code == 2 and doc is None
+        assert "all 10 z-basis shots failed the herald check" in capsys.readouterr().err
+
     def test_bounds_inputs_from_config(self, tmp_path):
         _, flags, _ = run_cli(tmp_path, "bounds", "--trp", "0.75", "--trq", "0.68",
                               "--sites", "24")

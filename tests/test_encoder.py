@@ -13,6 +13,7 @@ from qutrit_toric.encoder import (
     DECODE_BITS,
     ENCODE_BITS,
     NC_BITS,
+    NC_INDEX,
     SUPPORTED_GATES,
     CompileReport,
     decode_qubit_records,
@@ -391,9 +392,9 @@ class TestHeralding:
         circ.extend(measure_all_circuit(lat, "z"))
         batch = run_shots(circ, 200, base_seed=3)
         _, rep = encode_circuit(ground_state_circuit(lat), basis="z")
-        bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
-                                p01=0, p10=0, leak_per_two_qubit=0, seed=0)
-        retained, frac = herald_filter(bits)
+        pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+                                 p01=0, p10=0, leak_per_two_qubit=0, seed=0)
+        retained, frac = herald_filter(pairs)
         assert frac == 0.0
         decoded = decode_qubit_records(retained)
         assert np.array_equal(decoded, batch.values)
@@ -406,9 +407,9 @@ class TestHeralding:
         _, rep = encode_circuit(ground_state_circuit(lat), basis="z")
         fractions = []
         for p in (1e-3, 5e-3, 1e-2):
-            bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
-                                    p01=0, p10=0, leak_per_two_qubit=p, seed=11)
-            _, frac = herald_filter(bits)
+            pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+                                     p01=0, p10=0, leak_per_two_qubit=p, seed=11)
+            _, frac = herald_filter(pairs)
             fractions.append(frac)
             # analytic small-p expectation: 1 - (1-p)^(total involvements)
             expected = 1 - (1 - p) ** sum(rep.per_qutrit_two_qubit)
@@ -421,17 +422,13 @@ class TestHeralding:
         circ.extend(measure_all_circuit(lat, "z"))
         batch = run_shots(circ, 1200, base_seed=6)
         _, rep = encode_circuit(ground_state_circuit(lat), basis="z")
-        bits = simulate_readout(batch.values, rep.per_qutrit_two_qubit, seed=13)
-        _, frac = herald_filter(bits)
+        pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit, seed=13)
+        _, frac = herald_filter(pairs)
         assert 0.05 <= frac <= 0.20
-
-    def test_malformed_record_width(self):
-        with pytest.raises(ValueError, match="two bits"):
-            herald_filter([(0, 1, 0)])
 
     def test_decode_refuses_herald_pairs(self):
         with pytest.raises(ValueError, match="herald"):
-            decode_qubit_records(np.array([[0, 0, *NC_BITS]]))
+            decode_qubit_records(np.array([[0, NC_INDEX]], dtype=np.uint8))
 
 
 def reference_simulate_readout(rows, per_qutrit_two_qubit, p01, p10, leak_per_two_qubit,
@@ -461,6 +458,11 @@ def reference_simulate_readout(rows, per_qutrit_two_qubit, p01, p10, leak_per_tw
     return out
 
 
+def pair_indices(rows):
+    """Bit rows (hi, lo, hi, lo, ...) -> rows of pair indices 2*hi + lo."""
+    return [tuple(2 * hi + lo for hi, lo in zip(rec[0::2], rec[1::2])) for rec in rows]
+
+
 def reference_herald_split(rows):
     """Per-record herald check: retained rows, decoded qutrit rows, discard fraction."""
     decode = {bits: q for q, bits in ENCODE_BITS.items()}
@@ -476,18 +478,18 @@ def reference_herald_split(rows):
 class TestArrayReadout:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_qutrit_reference(self, seed):
-        """Same draws in the same order: identical bits, retained rows and decodes."""
+        """Same draws in the same order: identical pair indices, retained rows and decodes."""
         rng = np.random.default_rng(100 + seed)
         n, shots = int(rng.integers(1, 9)), 300
         values = rng.integers(3, size=(shots, n)).astype(np.uint8)
         per_qutrit = [int(k) for k in rng.integers(0, 40, size=n)]
         rates = dict(p01=0.05, p10=0.03, leak_per_two_qubit=0.01, seed=seed)
-        bits = simulate_readout(values, per_qutrit, **rates)
+        pairs = simulate_readout(values, per_qutrit, **rates)
         ref = reference_simulate_readout(values, per_qutrit, **rates)
-        assert bits.dtype == np.uint8 and bits.shape == (shots, 2 * n)
-        assert [tuple(r) for r in bits.tolist()] == ref
-        retained, frac = herald_filter(bits)
+        assert pairs.dtype == np.uint8 and pairs.shape == (shots, n)
+        assert [tuple(r) for r in pairs.tolist()] == pair_indices(ref)
+        retained, frac = herald_filter(pairs)
         ref_retained, ref_decoded, ref_frac = reference_herald_split(ref)
         assert 0 < frac < 1 and frac == ref_frac
-        assert [tuple(r) for r in retained.tolist()] == ref_retained
+        assert [tuple(r) for r in retained.tolist()] == pair_indices(ref_retained)
         assert decode_qubit_records(retained).tolist() == ref_decoded
