@@ -36,12 +36,6 @@ class ConfusionMatrix:
             raise ValueError("confusion rates must lie in [0, 0.5)")
 
     @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[1 - self.p10, self.p01], [self.p10, 1 - self.p01]], dtype=float
-        )
-
-    @property
     def inverse(self) -> np.ndarray:
         det = 1.0 - self.p01 - self.p10
         if det <= 0:
@@ -116,37 +110,6 @@ def topological_qutrit_bounds(stab_x_triple, stab_z_triple, outcome: int) -> Fid
 
 
 MAX_MITIGATION_WIDTH = 16
-
-
-def spam_mitigate(distribution: dict[tuple[int, ...], float] | dict[str, float],
-                  cm: ConfusionMatrix) -> tuple[dict[tuple[int, ...], float], bool]:
-    """Apply the tensor-product inverse confusion matrix to a distribution.
-
-    Keys are bit tuples (or '01' strings) of a fixed width. Returns the
-    corrected quasi-distribution and a flag marking negative entries.
-    """
-    corrected = _product_channel(distribution, cm.inverse)
-    return corrected, any(v < 0 for v in corrected.values())
-
-
-def forward_noise(distribution: dict[tuple[int, ...], float],
-                  cm: ConfusionMatrix) -> dict[tuple[int, ...], float]:
-    """Push an exact distribution through the confusion channel (test helper)."""
-    return _product_channel(distribution, cm.matrix)
-
-
-def _product_channel(distribution, m: np.ndarray) -> dict[tuple[int, ...], float]:
-    """m on every bit of a fixed-width distribution; the nonzero entries of the result."""
-    keys = [tuple(int(b) for b in key) for key in distribution]
-    if not keys:
-        return {}
-    if len({len(k) for k in keys}) > 1:
-        raise ValueError("all strings must share a width")
-    dense = np.zeros((2,) * len(keys[0]))
-    for key, prob in zip(keys, distribution.values()):
-        dense[key] += float(prob)
-    out = _per_bit(dense, m)
-    return {tuple(idx): float(out[tuple(idx)]) for idx in np.argwhere(out).tolist()}
 
 
 def _per_bit(dense: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -244,12 +244,6 @@ def execute(circuit: Circuit, tab: StabilizerTableau, force: int | None = None) 
     return creg
 
 
-def final_tableau(circuit: Circuit, seed: int = 0) -> tuple[StabilizerTableau, list[int]]:
-    """Run a shot and also return the post-circuit tableau (for snapshots)."""
-    tab = StabilizerTableau(circuit.d, circuit.n_qudits, np.random.default_rng(seed))
-    return tab, execute(circuit, tab)
-
-
 def _outcome_leaves(circuit: Circuit) -> dict[tuple[int, ...], list[int]] | None:
     """Leaves of the exact outcome tree: {random outcomes on the path: creg values}.
 

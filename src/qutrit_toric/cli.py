@@ -14,6 +14,7 @@ defaults. QUTRIT_TORIC_OUTDIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -165,12 +166,11 @@ def cmd_braid(args, name: str) -> dict:
     script = braid_scripts()[name]
     runner = ScriptRunner(script, seed=args.seed)
     frames = runner.run()
-    doc = frames_to_json(frames)
     return {
         "preset": script.name,
         "lattice": [script.lx, script.ly],
         "script": script_to_json(script),
-        "frames": doc["frames"],
+        "frames": frames_to_json(frames),
     }
 
 
@@ -206,7 +206,7 @@ def cmd_compile(args) -> dict:
                                 optimization_level=args.optimization)
     payload = {
         "preset": f"prepare-{args.lx}x{args.ly}",
-        "report": report.to_dict(),
+        "report": dataclasses.asdict(report),
         "qutrit_circuit": circuit_to_json(circ),
     }
     if args.dump_ops:

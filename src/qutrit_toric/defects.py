@@ -139,12 +139,7 @@ def pf_defect_circuit(lattice: TorusLattice, site: tuple[int, int], species: str
     n, d = lattice.n_sites, lattice.d
     s = lattice.site_index(x, y)
     W = WeylOp.from_site(d, n, s, 1, PF_BASIS[species])
-    nw, ne, sw, se = (
-        lattice.plaquette_at(x - 1, y - 1),
-        lattice.plaquette_at(x, y - 1),
-        lattice.plaquette_at(x - 1, y),
-        lattice.plaquette_at(x, y),
-    )
+    nw, ne, sw, se = lattice.faces_of_site(x, y)
     e_west, m_west = _fused_pair(lattice, W, nw, sw)
     e_east, m_east = _fused_pair(lattice, W, ne, se)
     nonlocal_op, m_nonlocal = _fused_pair(lattice, W, nw, ne)

@@ -241,17 +241,6 @@ class CompileReport:
     optimization_level: int
     basis: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "two_qubit_count": self.two_qubit_count,
-            "depth": self.depth,
-            "budget_table": dict(self.budget_table),
-            "gate_counts": dict(self.gate_counts),
-            "per_qutrit_two_qubit": list(self.per_qutrit_two_qubit),
-            "optimization_level": self.optimization_level,
-            "basis": self.basis,
-        }
-
 
 def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
     """Qutrit-level token stream with Fourier-expansion and peephole passes."""
@@ -431,13 +420,6 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
         basis=basis,
     )
     return qc, report
-
-
-# -- encoded-subspace verification helpers ----------------------------------------
-
-
-def qubit_circuit_unitary(qc: QubitCircuit) -> np.ndarray:
-    return ops_unitary([op for op in qc.ops if isinstance(op, NativeOp)], qc.n_qubits)
 
 
 # -- emission formats --------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 A snapshot records, per face, the projector triple (Pi^1, Pi^omega,
 Pi^omega-bar), the complex stabilizer expectation, its argument in
-degrees, and binomial standard errors when estimated from shots.
+degrees, and binomial standard errors when estimated from shots. Shot
+estimates cover every face of a basis in one matrix product; the
+general per-operator form the tests check it against,
+`estimate_operator`, lives in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import numpy as np
 
 from .lattice import TorusLattice
 from .tableau import outcome_triple
-from .weyl import WeylOp
 
 
 @dataclass(frozen=True)
@@ -50,38 +52,6 @@ def snapshots_from_outcomes(outcomes, d: int, keys) -> list[PlaquetteSnapshot]:
     return [_snapshot_from_triple(kind, pos, outcome_triple(int(det), d),
                                   transformed=transformed, label=label)
             for det, (kind, pos, transformed, label) in zip(outcomes, keys)]
-
-
-def basis_exponents(op: WeylOp, basis_obs: list[WeylOp]) -> tuple[np.ndarray, int]:
-    """Factor op site by site over the measured per-site observables.
-
-    Returns (m, kappa) with op = omega^kappa * prod_i basis_obs[i]^{m_i},
-    so a shot with per-site outcomes s has op-sector kappa + m . s (mod d).
-    """
-    d = op.d
-    total = WeylOp.identity(d, op.n)
-    m = np.zeros(op.n, dtype=np.int64)
-    for i in op.support:
-        w = basis_obs[i]
-        for cand in range(1, d):
-            if (w.x[i] * cand - op.x[i]) % d == 0 and (w.z[i] * cand - op.z[i]) % d == 0:
-                m[i] = cand
-                break
-        else:
-            raise ValueError(f"operator not diagonal in the measured basis at site {i}")
-        total = total @ w.power(int(m[i]))
-    if not total.same_string(op):
-        raise ValueError("operator does not factor over the measured basis")
-    return m, (op.phase - total.phase) % d
-
-
-def estimate_operator(values: np.ndarray, op: WeylOp,
-                      basis_obs: list[WeylOp]) -> tuple[np.ndarray, int]:
-    """Counts over omega-sectors of op from (N, n) per-site outcomes, plus shot count."""
-    m, kappa = basis_exponents(op, basis_obs)
-    sectors = (np.asarray(values, dtype=np.int64) @ m + kappa) % op.d
-    counts = np.bincount(sectors, minlength=op.d)
-    return counts, int(counts.sum())
 
 
 def estimate_plaquette_projectors(values: np.ndarray, basis: str,

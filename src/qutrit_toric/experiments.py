@@ -232,12 +232,6 @@ class ScriptRunner:
         return Frame(label, plaq, [s for s in snaps if s.kind not in ("A", "B")])
 
 
-def run_braid(script: Script, seed: int = 0) -> tuple[list[Frame], ScriptRunner]:
-    runner = ScriptRunner(script, seed)
-    frames = runner.run()
-    return frames, runner
-
-
 # -- shipped braid presets -------------------------------------------------------
 
 
@@ -381,7 +375,6 @@ class TopologicalQutritProtocol:
 
     def __init__(self, layout: TopologicalQutritLayout):
         lat = layout.lattice
-        self.layout = layout
         self.lattice = lat
         n, d = lat.n_sites, lat.d
         self.n_total = n + 1
@@ -401,7 +394,6 @@ class TopologicalQutritProtocol:
             raise AssertionError("braid loop is not clock-type; bad layout")
         self.a_ends = tuple(spec.stabilizers["A-end"][0] for spec in self.specs)
         self.b_ends = tuple(spec.stabilizers["B-end"][0] for spec in self.specs)
-        self.observables, _ = observable_frame(lat, dict(enumerate(self.specs)))
         s1 = symplectic_product(self.braid_loop, self.a_ends[0])
         s2 = symplectic_product(self.braid_loop, self.a_ends[1])
         if s1 == 0 or s2 == 0:
@@ -451,7 +443,8 @@ class TopologicalQutritProtocol:
         but addresses the braid loop once.
         """
         lat = self.lattice
-        keep = [op for key, op in self.observables.items() if not key.endswith(":A-end")]
+        observables, _ = observable_frame(lat, dict(enumerate(self.specs)))
+        keep = [op for key, op in observables.items() if not key.endswith(":A-end")]
         change = [(self.braid_loop, 1)]
         support = tuple((x, y) for x in range(lat.lx) for y in range(lat.ly))
         op = solve_weyl_op(lat, support, keep, change)

@@ -226,15 +226,6 @@ def ground_state_circuit(lattice: TorusLattice) -> Circuit:
     return circ
 
 
-def implicit_plaquette(lattice: TorusLattice) -> Plaquette:
-    """The A-face the default preparation order leaves implicit."""
-    listed = {pos for pos, _ in default_preparation_order(lattice)}
-    for p in lattice.a_plaquettes:
-        if p.pos not in listed:
-            return p
-    raise ValueError("ordering covers every A-face; none left implicit")
-
-
 # -- anyon strings -----------------------------------------------------------------
 
 

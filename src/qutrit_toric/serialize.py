@@ -1,8 +1,10 @@
 """Versioned JSON schemas: circuits, scripts, frames, compile reports.
 
-Every document carries a "schema" tag. Serialization is loss-free for
-circuits (round-trips through from_json) and deterministic: dict keys
-are emitted in sorted order so identical inputs give identical bytes.
+Every document carries a "schema" tag; a frame list is not a document
+of its own but the "frames" entry of a braid result. Serialization is
+loss-free for circuits (round-trips through from_json) and
+deterministic: dict keys are emitted in sorted order so identical
+inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .weyl import CliffordGate, GateKind, WeylOp
 
 CIRCUIT_SCHEMA = "qutrit-toric/circuit/v1"
 SCRIPT_SCHEMA = "qutrit-toric/script/v1"
-FRAMES_SCHEMA = "qutrit-toric/frames/v1"
 RESULT_SCHEMA = "qutrit-toric/result/v1"
 
 
@@ -213,18 +214,15 @@ def snapshot_to_json(snap: PlaquetteSnapshot) -> dict:
     }
 
 
-def frames_to_json(frames: list[Frame]) -> dict:
-    return {
-        "schema": FRAMES_SCHEMA,
-        "frames": [
-            {
-                "label": f.label,
-                "plaquettes": [snapshot_to_json(s) for s in f.plaquettes],
-                "defect_stabilizers": [snapshot_to_json(s) for s in f.defects],
-            }
-            for f in frames
-        ],
-    }
+def frames_to_json(frames: list[Frame]) -> list[dict]:
+    return [
+        {
+            "label": f.label,
+            "plaquettes": [snapshot_to_json(s) for s in f.plaquettes],
+            "defect_stabilizers": [snapshot_to_json(s) for s in f.defects],
+        }
+        for f in frames
+    ]
 
 
 def result_document(subcommand: str, config: dict, payload: dict) -> dict:

@@ -6,8 +6,9 @@ make deterministic-outcome extraction O(n^2) per operator: if w
 commutes with every stabilizer then w = omega^s * prod_i S_i^{e_i} with
 e_i read off as symplectic products against the destabilizer rows, no
 elimination needed. The lookup runs on a stack of F operators at once
-(one (2n, F) commutation product); measurement and the one-operator
-expectations are its one-row case.
+(one (2n, F) commutation product); measurement, `deterministic_outcome`
+and `projector_triple` are its one-row case. Helpers that only tests
+use (one-row expectations, group equality) live in `tests/oracles.py`.
 
 All 2n generators are rows of one store: int64 exponent matrices x, z
 of shape (2n, n) and a phase vector ph of shape (2n,). Rows 0..n-1 are
@@ -56,10 +57,6 @@ class StabilizerTableau:
         other.x, other.z, other.ph = self.x.copy(), self.z.copy(), self.ph.copy()
         other.rng = rng if rng is not None else self.rng
         return other
-
-    def stabilizer(self, i: int) -> WeylOp:
-        r = self.n + i
-        return WeylOp(self.d, self.x[r], self.z[r], int(self.ph[r]))
 
     # -- gates ---------------------------------------------------------------
 
@@ -169,21 +166,11 @@ class StabilizerTableau:
 
     # -- expectations ----------------------------------------------------------
 
-    def expectation_weyl(self, w: WeylOp) -> complex:
-        """Exactly one of 0 or omega^k."""
-        return outcome_expectation(self._outcome(w), self.d)
-
-    def projector_expectation(self, w: WeylOp, alpha: int) -> float:
-        """<Pi^{omega^alpha}(w)> = (1/d) sum_m omega^{-alpha m} <w^m>.
-
-        For stabilizer states this is exactly 1, 0 or 1/d.
-        """
-        if not (0 <= alpha < self.d):
-            raise ValueError(f"alpha must be an exponent in [0,{self.d})")
-        return self.projector_triple(w)[alpha]
-
     def projector_triple(self, w: WeylOp) -> tuple[float, ...]:
-        """projector_expectation(w, alpha) for every alpha, from one lookup."""
+        """<Pi^{omega^alpha}(w)> for alpha = 0..d-1, from one lookup.
+
+        For stabilizer states each entry is exactly 1, 0 or 1/d.
+        """
         return outcome_triple(self._outcome(w), self.d)
 
     # -- invariants --------------------------------------------------------------
@@ -201,12 +188,6 @@ class StabilizerTableau:
         if np.any(form[:n, :n]):
             raise AssertionError("destabilizers do not commute among themselves")
 
-    def stabilizer_group_equals(self, other: "StabilizerTableau") -> bool:
-        """True when both tableaus stabilize the same state (exact phases)."""
-        n = self.n
-        return (self.d, n) == (other.d, other.n) and not self.deterministic_outcomes(
-            other.x[n:], other.z[n:], other.ph[n:]).any()
-
 
 def outcome_triple(det: int, d: int) -> tuple[float, ...]:
     """<Pi^{omega^a}> for a = 0..d-1 from a lookup outcome (-1: random, 1/d each)."""
@@ -217,7 +198,3 @@ def outcome_expectation(det: int, d: int) -> complex:
     """<w> from its lookup outcome: omega^det, or 0 when random (-1)."""
     return 0j if det < 0 else complex(np.exp(2j * np.pi * det / d))
 
-
-def new_computational(d: int, n: int, seed=None) -> StabilizerTableau:
-    """State |0>^n: stabilizers Z_i, destabilizers X_i, phases 0."""
-    return StabilizerTableau(d, n, np.random.default_rng(seed))

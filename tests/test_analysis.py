@@ -10,15 +10,15 @@ from qutrit_toric.analysis import (
     ConfusionMatrix,
     energy_density,
     fidelity_bounds,
-    forward_noise,
     mitigated_plaquette_triple,
-    spam_mitigate,
     standard_errors,
     topological_qutrit_bounds,
 )
 from qutrit_toric.encoder import DECODE_BITS
 from qutrit_toric.estimators import PlaquetteSnapshot, _snapshot_from_triple
 from qutrit_toric.lattice import A_EXPONENTS, B_EXPONENTS
+
+from oracles import forward_noise, spam_mitigate
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "prep_6x4_summary.json")
 

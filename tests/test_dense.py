@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from qutrit_toric import weyl
-from qutrit_toric.dense import DenseState, gate_matrix, state_from_tableau, weyl_matrix
+from qutrit_toric.dense import gate_matrix
 from qutrit_toric.defects import CCRibbon, cc_ribbon_gates
 from qutrit_toric.lattice import build_lattice, ground_state_circuit
-from qutrit_toric.circuit import final_tableau
 from qutrit_toric.weyl import GateKind, WeylOp
+
+from oracles import DenseState, final_tableau, state_from_tableau, weyl_matrix
 
 
 class TestApplication:

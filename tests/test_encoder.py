@@ -8,7 +8,7 @@ import pytest
 from qutrit_toric import encoder, weyl
 from qutrit_toric.circuit import Circuit, CondGate, run_shots
 from qutrit_toric.defects import pf_defect_circuit
-from qutrit_toric.dense import DenseState, gate_matrix
+from qutrit_toric.dense import gate_matrix
 from qutrit_toric.encoder import (
     DECODE_BITS,
     ENCODE_BITS,
@@ -23,7 +23,6 @@ from qutrit_toric.encoder import (
     encoding_isometry,
     herald_filter,
     per_qutrit_two_qubit,
-    qubit_circuit_unitary,
     simulate_readout,
     verify_decomposition,
     weyl_basis_rotation,
@@ -40,6 +39,8 @@ from qutrit_toric.synth import (
     synthesize_two_qubit,
 )
 from qutrit_toric.weyl import GateKind, WeylOp
+
+from oracles import DenseState, qubit_circuit_unitary
 
 
 class TestDecompositions:

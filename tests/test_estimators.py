@@ -7,11 +7,12 @@ import pytest
 
 from qutrit_toric.estimators import (
     _snapshot_from_triple,
-    estimate_operator,
     estimate_plaquette_projectors,
 )
 from qutrit_toric.lattice import build_lattice
 from qutrit_toric.weyl import WeylOp
+
+from oracles import estimate_operator
 
 
 def reference_outcome_sector(op, basis_obs, outcomes):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qutrit_toric.circuit import Gate, Measure, final_tableau
+from qutrit_toric.circuit import Gate, Measure
 from qutrit_toric.experiments import (
     Move,
     ScriptRunner,
@@ -13,13 +13,14 @@ from qutrit_toric.experiments import (
     face_key,
     pf_braid_script,
     pf_pfstar_script,
-    run_braid,
     topo_layout_6x2,
     topo_layout_6x4,
 )
 from qutrit_toric.serialize import script_from_json, script_to_json
 from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import WeylOp, symplectic_product
+
+from oracles import final_tableau, run_braid, stabilizer_group_equals
 
 
 def frame_by_label(frames, label):
@@ -231,7 +232,7 @@ class TestFusionIdentity:
         frag, _ = cc_defect_circuit(lat, CCRibbon.canonical(lat, (1, 1), 2))
         for ins in frag.instructions:
             cc_tab.apply_gate(ins.gate)
-        assert not pf_tab.stabilizer_group_equals(cc_tab)
+        assert not stabilizer_group_equals(pf_tab, cc_tab)
 
 
 class TestScriptInfrastructure:
@@ -319,8 +320,8 @@ class TestTopologicalQutrit:
         assert deltas.pop() in (1, 2)
 
     def test_runner_frame_matches_protocol_frame(self, layout_fn, monkeypatch):
-        """Inserting the layout's two ribbons in a script gives the protocol's
-        frame; the shift loop keeps all of it except the two A-type ends."""
+        """Inserting the layout's two ribbons in a script gives the frame of the
+        protocol's defects; the shift loop keeps all of it except the two A-type ends."""
         from qutrit_toric import experiments
         from qutrit_toric.experiments import InsertCC, Script
 
@@ -330,7 +331,8 @@ class TestTopologicalQutrit:
         script = Script("two-ribbons", lat.lx, lat.ly, [InsertCC(r) for r in layout.ribbons])
         runner = ScriptRunner(script)
         runner.run()
-        assert runner.observables == proto.observables
+        frame, _ = experiments.observable_frame(lat, dict(enumerate(proto.specs)))
+        assert runner.observables == frame
         ends = {pos for spec in proto.specs for pos, img in spec.transformed.items()
                 if len(img.support) > 4}
         assert {runner.kinds[k][1] for k in runner.kinds if k.endswith("-end")} == ends
@@ -345,7 +347,7 @@ class TestTopologicalQutrit:
         monkeypatch.setattr(experiments, "solve_weyl_op", recording_solve)
         proto.logical_shift_loop()
         (keep,) = seen
-        expected = [op for key, op in proto.observables.items() if not key.endswith(":A-end")]
+        expected = [op for key, op in frame.items() if not key.endswith(":A-end")]
         assert keep == expected
         # independent oracle, as the loop was once derived: every face as the
         # ribbons leave it except the nonlocal endpoints, plus the B-type ends

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qutrit_toric import weyl
-from qutrit_toric.dense import gate_matrix, weyl_matrix
+from qutrit_toric.dense import gate_matrix
 from qutrit_toric.weyl import (
     CliffordGate,
     GateKind,
@@ -14,6 +14,8 @@ from qutrit_toric.weyl import (
     conjugate_by_gate,
     symplectic_product,
 )
+
+from oracles import weyl_matrix
 
 
 def random_weyl(rng, d=3, n=2):
