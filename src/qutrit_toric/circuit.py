@@ -8,7 +8,10 @@ acts on a tableau; `execute` loops over it.
 `run_shots` samples with Weyl frames (Pauli-frame sampling carried over
 to Z_d). One reference shot on the tableau (noise stripped, random
 outcomes forced to 0) and one backward pass through the gates compile
-each random draw into a fixed linear mod-d form over the outcomes; then
+each random draw into a fixed linear mod-d form over the outcomes. The
+reference runs `_apply` up to the last gate or feed-forward; the
+longest run of pairwise commuting measurements after it takes one
+batched lookup (`StabilizerTableau.reference_outcomes`), no collapse. Then
 FRAME_BLOCK shots at a time draw their initial frames, measurement kicks
 and noise hits in a few array calls and add the draws' forms. A noise
 hit's code holds its error exponents as base-d digits, and
@@ -74,6 +77,11 @@ class NoiseChannel:
             raise ValueError(f"unknown noise kind {self.kind}")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("probability must be in [0,1]")
+
+    @property
+    def width(self) -> int:
+        """Sites per hit test: a depolarizing1 site or a depolarizing2 pair."""
+        return 1 if self.kind == "depolarizing1" else 2
 
 
 @dataclass(frozen=True)
@@ -223,7 +231,7 @@ def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
         for g in ins.predicate[creg[ins.creg]]:
             tab.apply_gate(g)
     elif isinstance(ins, Noise):
-        width = 1 if ins.channel.kind == "depolarizing1" else 2  # sites per hit test
+        width = ins.channel.width
         u = tab.rng.random(len(ins.sites) // width)
         code = tab.rng.integers(1, tab.d ** (2 * width), len(u))
         xz = _hit_exponents((u < ins.channel.p) * code, tab.d, width).reshape(-1, 2)
@@ -348,28 +356,52 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     return values
 
 
+def _reference_tail(circuit: Circuit) -> int:
+    """Index of the instruction where the reference shot's batched tail starts.
+
+    The tail is the longest run of measurements after the last Gate or
+    CondGate (Noise and Barrier aside) whose observables commute pairwise:
+    nothing after them acts on the state, so one
+    `StabilizerTableau.reference_outcomes` call gives their forced-0
+    values without a collapse. Returns len(instructions) for no tail.
+    """
+    ins = circuit.instructions
+    start = len(ins)
+    while start and not isinstance(ins[start - 1], (Gate, CondGate)):
+        start -= 1
+    at = [i for i in range(start, len(ins)) if isinstance(ins[i], Measure)]
+    if not at:
+        return len(ins)
+    x, z = np.array([ins[i].observable.x for i in at]), np.array([ins[i].observable.z for i in at])
+    clash = np.flatnonzero(np.triu((x @ z.T - z @ x.T) % circuit.d, 1).any(axis=1))
+    return at[clash[-1] + 1 if len(clash) else 0]
+
+
 def _compile_frames(circuit: Circuit) -> _FramePlan:
     """Linear mod-d outcome forms of the random draws, over the M measurements.
 
     A reference shot (noise stripped, random outcomes forced to 0) gives
-    `ref` and the value each CondGate reads. Walking back, rows of bx, bz
-    hold each measured W conjugated back to here (zero before W is
-    measured); s(g F g^dag, W) = s(F, g^dag W g), so a draw F here moves the
-    outcomes by F.x . bz - F.z . bx. `source`: float forms of the `drawn`
-    rows among the initial Z frame's n rows and the K kicks, those with a
-    nonzero form (the others move no outcome). Per noise hit test (a
-    depolarizing1 site or a depolarizing2 pair): hit probability `p`, code
-    range end `high` (d^2 or d^4), and the nonzero entries of its form over
-    its sites' exponents x0, z0, x1, z1 (the code's digits), as (row,
-    column, value) columns of `entries` from `start[test]` to
-    `start[test + 1]`. `reads`: per shift feed-forward, the measurement
-    read and a (d, M) table.
+    `ref` and the value each CondGate reads: `_apply` up to
+    `_reference_tail`, then one batched lookup of the tail's measurements.
+    Walking back, rows of bx, bz hold each measured W conjugated back to
+    here (zero before W is measured); s(g F g^dag, W) = s(F, g^dag W g), so
+    a draw F here moves the outcomes by F.x . bz - F.z . bx. A tail
+    measurement's kick is zero (it commutes with every later one).
+    `source`: float forms of the `drawn` rows among the initial Z frame's
+    n rows and the M kicks, those with a nonzero form (the others move no
+    outcome). Per noise hit test (a depolarizing1 site or a depolarizing2
+    pair): hit probability `p`, code range end `high` (d^2 or d^4), and
+    the nonzero entries of its form over its sites' exponents x0, z0, x1,
+    z1 (the code's digits), as (row, column, value) columns of `entries`
+    from `start[test]` to `start[test + 1]`. `reads`: per shift
+    feed-forward, the measurement read and a (d, M) table.
     """
     d, n = circuit.d, circuit.n_qudits
+    tail = _reference_tail(circuit)
     tab, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
     writer = [-1] * circuit.n_cregs
     ref, read_at = [], []  # read_at: (source measurement, its reference value) per CondGate
-    for ins in circuit.instructions:
+    for ins in circuit.instructions[:tail]:
         if not isinstance(ins, Noise):
             _apply(ins, tab, creg, force=0)
         if isinstance(ins, Measure):
@@ -377,24 +409,34 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
             ref.append(creg[ins.creg])
         elif isinstance(ins, CondGate):
             read_at.append((writer[ins.creg], creg[ins.creg]))
-    bx, bz = np.zeros((2, len(ref), n), dtype=np.int64)
+    head = len(ref)  # measurements before the tail
+    batch = [ins for ins in circuit.instructions[tail:] if isinstance(ins, Measure)]
+    if batch:
+        xz = np.array([(ins.observable.x, ins.observable.z) for ins in batch])
+        ref += tab.reference_outcomes(xz[:, 0], xz[:, 1],
+                                      [ins.observable.phase for ins in batch]).tolist()
+        for k, ins in enumerate(batch):
+            writer[ins.creg] = head + k
+    tests = [ins.channel for ins in circuit.instructions if isinstance(ins, Noise)
+             for _ in range(len(ins.sites) // ins.channel.width)]  # a channel per hit test
+    bxz = np.zeros((2, len(ref), n), dtype=np.int64)
+    bx, bz = bxz  # views
     ph = np.zeros(len(ref), dtype=np.int64)  # scratch for conjugate_rows, never read
-    kicks, p, high, forms, reads, j = [], [], [], [], [], len(ref)
+    kicks = np.zeros((len(ref), len(ref)), dtype=np.int64)
+    forms = np.zeros((len(tests), 2, 2, len(ref)), dtype=np.int64)  # per site: bz, bx rows
+    reads, j, t = [], len(ref), len(tests)
     for ins in reversed(circuit.instructions):
         if isinstance(ins, Gate):
             conjugate_rows(ins.gate.inverse(), bx, bz, ph, d)
         elif isinstance(ins, Noise):
-            width = 1 if ins.channel.kind == "depolarizing1" else 2  # sites per hit test
-            for s in np.reshape(ins.sites, (-1, width))[::-1]:
-                form = np.zeros((4, len(ref)), dtype=np.int64)  # rows x0, z0, x1, z1
-                form[0:2 * width:2], form[1:2 * width:2] = bz[:, s].T, -bx[:, s].T
-                p.append(ins.channel.p)
-                high.append(d ** (2 * width))
-                forms.append(form)
+            sites = np.array(ins.sites).reshape(-1, ins.channel.width)
+            t -= len(sites)
+            forms[t:t + len(sites), :sites.shape[1]] = bxz[::-1, :, sites].transpose(2, 3, 0, 1)
         elif isinstance(ins, Measure):
-            w = ins.observable
-            kicks.append(bz @ w.x - bx @ w.z)
             j -= 1
+            w = ins.observable
+            if j < head:  # a tail kick commutes with every later measurement: zero
+                kicks[j] = bz @ w.x - bx @ w.z
             bx[j], bz[j] = w.x, w.z
         elif isinstance(ins, CondGate):
             src, at = read_at.pop()
@@ -404,12 +446,14 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
                     shift[k, :, g.targets[0]] += _SHIFTS[g.kind]
             shift = shift - shift[at]
             reads.append((src, shift[:, 0] @ bz.T - shift[:, 1] @ bx.T))
-    source = np.concatenate([-bx.T, np.reshape(kicks[::-1], (len(kicks), len(ref)))]) % d
+    forms[:, :, 1] *= -1  # a site's rows: x (bz) and z (-bx)
+    forms = forms.reshape(len(tests), 4, len(ref))  # rows x0, z0, x1, z1
+    source = np.concatenate([-bx.T, kicks]) % d
     drawn = np.flatnonzero(source.any(axis=1))  # a row of zeros moves no outcome
-    forms = np.reshape(forms[::-1], (len(forms), 4, len(ref)))
     t, r, c = np.nonzero(forms)  # the forms' nonzero entries, test by test
     return _FramePlan(d, np.array(ref, dtype=np.int64), source[drawn].astype(float), drawn,
-                      np.array(p[::-1], dtype=float), np.array(high[::-1], dtype=np.int64),
+                      np.array([ch.p for ch in tests], dtype=float),
+                      np.array([d ** (2 * ch.width) for ch in tests], dtype=np.int64),
                       np.searchsorted(t, np.arange(len(forms) + 1)),
                       np.stack([r, c, forms[t, r, c]]), reads[::-1],
                       np.array(writer, dtype=np.int64))

@@ -178,10 +178,9 @@ def cmd_topo(args) -> dict:
     if (args.lx, args.ly) not in ((6, 2), (6, 4)):
         raise ConfigError("topological qutrit presets exist for 6x2 and 6x4")
     layout = topo_layout_6x2() if (args.lx, args.ly) == (6, 2) else topo_layout_6x4()
-    proto = TopologicalQutritProtocol(layout)
+    run = TopologicalQutritProtocol(layout).run(args.seed)
     rows = []
-    for j in range(3):
-        res = proto.run(force_outcome=j, seed=args.seed)
+    for j, res in enumerate(run.per_outcome):
         bound = topological_qutrit_bounds(res.braid_triple, res.neutrality_triple, j)
         rows.append({
             "ancilla_outcome": j,
@@ -191,11 +190,10 @@ def cmd_topo(args) -> dict:
             "flux_endpoints": [[v.real, v.imag] for v in res.flux_end_values],
             "fidelity_bound": bound.as_dict(),
         })
-    sampled = proto.run(seed=args.seed)
     return {
         "preset": f"topo-qutrit-{args.lx}x{args.ly}",
         "lattice": [args.lx, args.ly],
-        "sampled_outcome": sampled.outcome,
+        "sampled_outcome": run.sampled.outcome,
         "per_outcome": rows,
     }
 

@@ -360,6 +360,12 @@ class TopologicalQutritResult:
     correlator_exponent: int
 
 
+@dataclass
+class TopologicalQutritRun:
+    per_outcome: tuple[TopologicalQutritResult, ...]  # ancilla forced to 0, ..., d - 1
+    sampled: TopologicalQutritResult                  # ancilla drawn from the seed
+
+
 class TopologicalQutritProtocol:
     """Two CC pairs entangled through an ancilla-controlled charge braid.
 
@@ -421,18 +427,34 @@ class TopologicalQutritProtocol:
         circ.measure(WeylOp.from_site(lat.d, self.n_total, self.ancilla, 0, 1), 0)
         return circ
 
-    def run(self, force_outcome: int | None = None, seed: int = 0) -> TopologicalQutritResult:
+    def run(self, seed: int = 0) -> TopologicalQutritRun:
+        """Every forced ancilla outcome and one sampled from seed, forked from one prefix.
+
+        The gates before the ancilla measurement draw nothing, so the
+        prefix tableau's generator, fresh from seed, samples the outcome.
+        """
         circ = self.circuit()
+        ancilla = circ.instructions.pop()  # the measurement; circ is now the prefix
         tab = StabilizerTableau(circ.d, circ.n_qudits, np.random.default_rng(seed))
-        (outcome,) = execute(circ, tab, force=force_outcome)
-        ops = [self.braid_loop, self.neutrality_op, *self.a_ends, *self.b_ends]
-        braid, neutral, *ends = (int(s) for s in tab.outcomes_of([self.lift(w) for w in ops]))
+        execute(circ, tab)
+        forks = [(tab.copy(), j) for j in range(circ.d)] + [(tab, None)]
+        ops = [self.lift(w) for w in (self.braid_loop, self.neutrality_op, *self.a_ends,
+                                      *self.b_ends)]
+        results = [self._result(fork, fork.measure_weyl(ancilla.observable, force).value, ops)
+                   for fork, force in forks]
+        return TopologicalQutritRun(tuple(results[:-1]), results[-1])
+
+    def _result(self, tab: StabilizerTableau, outcome: int,
+                ops: list[WeylOp]) -> TopologicalQutritResult:
+        """Readings of ops (lifted braid loop, neutrality, A ends, B ends) on tab."""
+        d, k = tab.d, len(self.a_ends)
+        braid, neutral, *ends = (int(s) for s in tab.outcomes_of(ops))
         return TopologicalQutritResult(
             outcome=outcome,
-            braid_triple=outcome_triple(braid, circ.d),
-            neutrality_triple=outcome_triple(neutral, circ.d),
-            end_pi1=tuple(outcome_triple(s, circ.d)[0] for s in ends[:len(self.a_ends)]),
-            flux_end_values=tuple(outcome_expectation(s, circ.d) for s in ends[len(self.a_ends):]),
+            braid_triple=outcome_triple(braid, d),
+            neutrality_triple=outcome_triple(neutral, d),
+            end_pi1=tuple(outcome_triple(s, d)[0] for s in ends[:k]),
+            flux_end_values=tuple(outcome_expectation(s, d) for s in ends[k:]),
             correlator_exponent=self.correlator_exponent,
         )
 

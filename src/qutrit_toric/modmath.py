@@ -32,9 +32,10 @@ def row_reduce(mat: np.ndarray, d: int) -> tuple[np.ndarray, list[int]]:
         if p != r:
             m[[r, p]] = m[[p, r]]
         m[r] = (m[r] * mod_inverse(int(m[r, c]), d)) % d
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % d
+        col = m[:, c].copy()  # clear column c from every other row at once
+        col[r] = 0
+        m -= np.outer(col, m[r])
+        m %= d
         pivots.append(c)
         r += 1
     return m, pivots

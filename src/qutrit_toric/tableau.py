@@ -7,8 +7,11 @@ commutes with every stabilizer then w = omega^s * prod_i S_i^{e_i} with
 e_i read off as symplectic products against the destabilizer rows, no
 elimination needed. The lookup runs on a stack of F operators at once
 (one (2n, F) commutation product); measurement, `deterministic_outcome`
-and `projector_triple` are its one-row case. Helpers that only tests
-use (one-row expectations, group equality) live in `tests/oracles.py`.
+and `projector_triple` are its one-row case. `reference_outcomes` gives
+the outcomes of measuring pairwise commuting operators in turn, random
+ones forced to 0, from one row reduction and one lookup, without a
+collapse. Helpers that only tests use (one-row expectations, group
+equality) live in `tests/oracles.py`.
 
 All 2n generators are rows of one store: int64 exponent matrices x, z
 of shape (2n, n) and a phase vector ph of shape (2n,). Rows 0..n-1 are
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modmath import mod_inverse, rank
+from .modmath import mod_inverse, rank, row_reduce
 from .weyl import CliffordGate, WeylOp, check_dimension, conjugate_rows
 
 
@@ -128,11 +131,42 @@ class StabilizerTableau:
         det = self._outcome(w)
         return None if det < 0 else det
 
+    def reference_outcomes(self, x: np.ndarray, z: np.ndarray, ph: np.ndarray) -> np.ndarray:
+        """Outcomes of measuring M pairwise commuting operators in order, every
+        random one forced to 0, without collapsing the state.
+
+        x, z: (M, n) exponents; ph: (M,) phases. Returns (M,) int64, the
+        values `measure_weyl(w, force=0)` would give one after another.
+        Operator k is random iff its commutation column with the stabilizers
+        is independent of the earlier columns: the pivots of their row
+        reduction. Any other column is sum_j coef_j times the pivot columns,
+        so the residual a_k - sum_j coef_j a_pj commutes with every
+        stabilizer; with phi = ph - x.z/2 and W additive on commuting
+        strings, outcome k is the lookup of that residual at phase
+        phi_k - sum_j coef_j phi_pj (the pivots read 0), all in one call.
+        """
+        x, z, ph = (np.asarray(a, dtype=np.int64) for a in (x, z, ph))
+        d, n = self.d, self.n
+        if np.any((x @ z.T - z @ x.T) % d):
+            raise ValueError("reference outcomes need pairwise commuting operators")
+        red, pivots = row_reduce((self.x[n:] @ z.T - self.z[n:] @ x.T) % d, d)
+        # coef[k, j]: column k over pivot column j; a pivot's row is a unit
+        # vector, so its residual is the identity at phase 0, outcome 0
+        coef = red[:len(pivots)].T
+        half = (d + 1) // 2
+        phi = ph - half * np.einsum("mk,mk->m", x, z)
+        rx, rz = (x - coef @ x[pivots]) % d, (z - coef @ z[pivots]) % d
+        rph = phi - coef @ phi[pivots] + half * np.einsum("mk,mk->m", rx, rz)
+        out = self.deterministic_outcomes(rx, rz, rph)
+        if np.any(out < 0):
+            raise AssertionError("tableau invariant violated in reference lookup")
+        return out
+
     def measure_weyl(self, w: WeylOp, force: int | None = None) -> MeasurementOutcome:
         """Measure a Weyl observable; collapses the state on random outcomes.
 
-        force pins the random branch (used by exact branch enumeration);
-        it must be None for deterministic outcomes to keep statistics honest.
+        force pins a random outcome (the exact outcome tree and the frame
+        sampler's reference shot pass it); a deterministic outcome ignores it.
         """
         self._check_shape(w)
         d, n = self.d, self.n

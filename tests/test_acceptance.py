@@ -50,7 +50,6 @@ from qutrit_toric.experiments import (
     topo_layout_6x4,
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
-from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import CliffordGate, GateKind, WeylOp, conjugate_by_gate
 
 from oracles import (
@@ -338,10 +337,9 @@ def test_criterion_5_fusion_identity_literal_group_equality():
 
 def test_criterion_6_topological_qutrit():
     for name, layout in (("6x2", topo_layout_6x2()), ("6x4", topo_layout_6x4())):
-        proto = TopologicalQutritProtocol(layout)
-        ok = True
-        for j in range(3):
-            res = proto.run(force_outcome=j)
+        per_outcome = TopologicalQutritProtocol(layout).run().per_outcome
+        ok = len(per_outcome) == 3
+        for j, res in enumerate(per_outcome):
             ok &= res.braid_triple == tuple(1.0 if k == j else 0.0 for k in range(3))
             ok &= res.neutrality_triple == (1.0, 0.0, 0.0)
             ok &= res.end_pi1 == (pytest.approx(1 / 3), pytest.approx(1 / 3))

@@ -15,7 +15,7 @@ from qutrit_toric.analysis import (
     topological_qutrit_bounds,
 )
 from qutrit_toric.encoder import DECODE_BITS
-from qutrit_toric.estimators import PlaquetteSnapshot, _snapshot_from_triple
+from qutrit_toric.estimators import _snapshot_from_triple
 from qutrit_toric.lattice import A_EXPONENTS, B_EXPONENTS
 
 from oracles import forward_noise, spam_mitigate

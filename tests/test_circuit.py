@@ -17,6 +17,7 @@ from qutrit_toric.circuit import (
     TREE_MAX_RANDOM_MEASUREMENTS,
     _hit_exponents,
     exact_outcome_distribution,
+    execute,
     run_shots,
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
@@ -682,6 +683,85 @@ class TestCompiledFrames:
         assert got.shape == (3000, 2, 2) and got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert got.any() == (p > 0)
+
+
+def circuit_with_tail(rng, n: int, clash: bool) -> tuple[Circuit, int]:
+    """A random head (Clifford gates, mid-circuit measurements, X/Z
+    feed-forward, noise, barriers) ending in a gate, then a tail of phased
+    multi-site commuting measurements, one repeated and one dependent, with
+    noise and a barrier among them; every measurement writes a creg of its
+    own. clash puts a measurement that does not commute with the tail's last
+    right before the tail. Returns the circuit and the index of its tail."""
+    head = random_mixed_circuit(rng, n, weyl_branches=True)
+    head.gate(weyl.fourier(int(rng.integers(n))))
+    group = StabilizerTableau(3, n)
+    for _ in range(4 * n):
+        group.apply_gate(weyl.cx(0, 1) if n > 1 and rng.random() < 0.3 else
+                         weyl.fourier(int(rng.integers(n))))
+        group.apply_gate(weyl.conj_c(int(rng.integers(n))))
+    e = rng.integers(1, 3, size=(int(rng.integers(1, n + 2)), n))
+    x, z = e @ group.x[n:] % 3, e @ group.z[n:] % 3
+    tail = [WeylOp(3, a, b, int(rng.integers(3))) for a, b in zip(x, z)]
+    tail.append(tail[0].with_phase(int(rng.integers(3))))
+    tail.append(tail[-1] @ tail[int(rng.integers(len(tail)))])
+    tail = [w for w in tail if w.x.any() or w.z.any()]
+    if clash:
+        w = tail[-1]
+        site = int(np.flatnonzero(w.x | w.z)[0])
+        tail.insert(0, WeylOp.from_site(3, n, site, int(w.z[site] != 0), int(w.z[site] == 0)))
+    c, latest = Circuit(3, n, 0), {}
+    for ins in head.instructions:
+        if isinstance(ins, Measure):
+            latest[ins.creg] = c.n_cregs
+            c.n_cregs += 1
+            c.measure(ins.observable, latest[ins.creg])
+        else:
+            c.add(CondGate(latest[ins.creg], ins.predicate) if isinstance(ins, CondGate) else ins)
+    c.noise(NoiseChannel("depolarizing1", 0.3), (0,))
+    at = []
+    for k, w in enumerate(tail):
+        at.append(len(c.instructions))
+        c.n_cregs += 1
+        c.measure(w, c.n_cregs - 1)
+        if k == len(tail) // 2:
+            c.barrier().noise(NoiseChannel("depolarizing1", 0.3), (n - 1,))
+    c.validate()
+    return c, at[int(clash)]
+
+
+class TestBatchedReference:
+    """The frame compile's reference shot: _apply up to the tail, then one lookup."""
+
+    def test_matches_forced_execute_on_random_circuits(self, monkeypatch):
+        measure, calls = StabilizerTableau.measure_weyl, []
+
+        def counting(self, w, force=None):
+            calls.append(w)
+            return measure(self, w, force)
+
+        monkeypatch.setattr(StabilizerTableau, "measure_weyl", counting)
+        rng = np.random.default_rng(23)
+        for trial in range(120):
+            n, clash = int(rng.integers(1, 5)), trial % 2 == 1
+            c, start = circuit_with_tail(rng, n, clash)
+            assert circuit_module._reference_tail(c) == start, trial
+            calls.clear()
+            plan = circuit_module._compile_frames(c)
+            # a collapse per measurement before the tail (the clashing one too), none after
+            assert len(calls) == sum(isinstance(i, Measure) for i in c.instructions[:start])
+            want = execute(without_noise(c), StabilizerTableau(3, n), force=0)
+            assert plan.ref.tolist() == want, trial
+
+    def test_tail_bounds(self):
+        z0, x0 = WeylOp.from_site(3, 2, 0, 0, 1), WeylOp.from_site(3, 2, 0, 1, 0)
+        c = Circuit(3, 2, 3).measure(z0, 0).gate(weyl.fourier(0))
+        assert circuit_module._reference_tail(c) == 2  # no measurement after the last gate
+        c.measure(x0, 1).barrier().measure(z0, 2)
+        assert circuit_module._reference_tail(c) == 4  # x0 clashes with z0: only z0 is batched
+        c.instructions[-1] = Measure(x0.with_phase(1), 2)
+        assert circuit_module._reference_tail(c) == 2  # both x0: all batched
+        c.cond(2, {0: (), 1: (), 2: ()})
+        assert circuit_module._reference_tail(c) == 6
 
 
 class TestStatistics:

@@ -14,7 +14,7 @@ from qutrit_toric.defects import (
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit
 from qutrit_toric.tableau import StabilizerTableau
-from qutrit_toric.weyl import WeylOp, conjugate_through, symplectic_product
+from qutrit_toric.weyl import conjugate_through
 
 from oracles import (
     DenseState,
@@ -128,8 +128,6 @@ class TestCCDefect:
         lat = build_lattice(2, 4)
         ribbon = CCRibbon.canonical(lat, (0, 1), 1)
         gates = cc_ribbon_gates(lat, ribbon)
-        from qutrit_toric.dense import gate_matrix
-
         state = DenseState(3, lat.n_sites, np.ones(3**lat.n_sites))
         ref = state.copy()
         for g in gates + gates:

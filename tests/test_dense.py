@@ -98,8 +98,6 @@ class TestFidelity:
         tab, _ = final_tableau(ground_state_circuit(lat), seed=0)
         via_projectors = state_from_tableau(tab)
         dense = DenseState(3, 4)
-        from qutrit_toric.circuit import Gate
-
         for ins in ground_state_circuit(lat).instructions:
             dense.apply_gate(ins.gate)
         assert via_projectors.fidelity(dense) == pytest.approx(1, abs=1e-10)

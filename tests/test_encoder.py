@@ -15,7 +15,6 @@ from qutrit_toric.encoder import (
     NC_BITS,
     NC_INDEX,
     SUPPORTED_GATES,
-    CompileReport,
     decode_qubit_records,
     decompose_gate,
     encode_circuit,
@@ -191,8 +190,6 @@ class TestEncodedEquivalence:
             n = int(rng.integers(1, 4))
             circ = self.random_circuit(rng, n, 12)
             state = DenseState(3, n)
-            from qutrit_toric.circuit import Gate
-
             for ins in circ.instructions:
                 state.apply_gate(ins.gate)
             qc, _ = encode_circuit(circ, optimization_level=level)
@@ -209,8 +206,6 @@ class TestEncodedEquivalence:
         lat = build_lattice(2, 2)
         circ = ground_state_circuit(lat)
         state = DenseState(3, 4)
-        from qutrit_toric.circuit import Gate
-
         for ins in circ.instructions:
             state.apply_gate(ins.gate)
         qc, _ = encode_circuit(circ, optimization_level=1)

@@ -18,7 +18,7 @@ from qutrit_toric.experiments import (
 )
 from qutrit_toric.serialize import script_from_json, script_to_json
 from qutrit_toric.tableau import StabilizerTableau
-from qutrit_toric.weyl import WeylOp, symplectic_product
+from qutrit_toric.weyl import symplectic_product
 
 from oracles import final_tableau, run_braid, stabilizer_group_equals
 
@@ -282,8 +282,10 @@ class TestScriptInfrastructure:
 class TestTopologicalQutrit:
     def test_ideal_values_per_outcome(self, layout_fn):
         proto = TopologicalQutritProtocol(layout_fn())
-        for j in range(3):
-            res = proto.run(force_outcome=j)
+        run = proto.run()
+        assert len(run.per_outcome) == 3
+        for j, res in enumerate(run.per_outcome):
+            assert res.outcome == j
             expected = tuple(1.0 if k == j else 0.0 for k in range(3))
             assert res.braid_triple == expected
             assert res.neutrality_triple == (1.0, 0.0, 0.0)
@@ -295,8 +297,16 @@ class TestTopologicalQutrit:
         proto = TopologicalQutritProtocol(layout_fn())
         counts = [0, 0, 0]
         for seed in range(120):
-            counts[proto.run(seed=seed).outcome] += 1
+            counts[proto.run(seed).sampled.outcome] += 1
         assert min(counts) > 15
+
+    def test_sampled_outcomes_pinned(self, layout_fn):
+        """The sampled ancilla outcome for seeds 0-29, recorded when each
+        outcome took its own run; forking one prefix draws the same."""
+        proto = TopologicalQutritProtocol(layout_fn())
+        pinned = [2, 1, 2, 2, 2, 2, 1, 2, 2, 1, 2, 0, 1, 2, 0, 2, 1, 2, 2, 1, 2, 0, 2, 0, 1,
+                  1, 2, 0, 1, 2]
+        assert [proto.run(seed).sampled.outcome for seed in range(30)] == pinned
 
     def test_logical_shift_loop_cycles_sectors(self, layout_fn):
         """A flux braid around one defect pair advances the fusion-channel

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qutrit_toric import weyl
-from qutrit_toric.dense import gate_matrix
 from qutrit_toric.lattice import build_lattice, ground_state_circuit
 from qutrit_toric.modmath import mod_inverse
 from qutrit_toric.tableau import MeasurementOutcome, StabilizerTableau
@@ -527,3 +526,35 @@ class TestBatchedLookup:
         monkeypatch.setattr(cli, "execute", corrupting)
         assert cli.main(["prepare", "--lx", "6", "--ly", "4", "--noise", "off", "-o", "-"]) == 3
         assert "tableau invariant violated" in capsys.readouterr().err
+
+
+class TestReferenceOutcomes:
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_matches_sequential_forced_measurements(self, d):
+        """Pairwise commuting, phased, multi-site stacks with repeated and
+        dependent operators: one lookup gives what measure_weyl(force=0) gives
+        one after another, and the state is left as it was."""
+        kinds = set()
+        for seed in range(60):
+            n = 1 + seed % 6
+            tab, rng = random_clifford_state(d, n, seed)
+            group, _ = random_clifford_state(d, n, seed + 1000)  # ops from its stabilizer group
+            ops = [phased_element(group, rng, int(rng.integers(d)))
+                   for _ in range(int(rng.integers(1, 2 * n + 2)))]
+            ops = [w for w in ops if not w.is_identity] or [stabilizer(group, 0)]
+            ops.append(ops[int(rng.integers(len(ops)))].with_phase(int(rng.integers(d))))
+            ops.append((ops[0] @ ops[-1]).power(2))
+            before = (tab.x.copy(), tab.z.copy(), tab.ph.copy())
+            got = tab.reference_outcomes(*stacked(ops, n))
+            assert all(np.array_equal(a, b) for a, b in zip(before, (tab.x, tab.z, tab.ph)))
+            seq = tab.copy()
+            want = [seq.measure_weyl(w, force=0) for w in ops]
+            assert got.dtype == np.int64 and got.tolist() == [m.value for m in want], seed
+            kinds.update((m.deterministic, m.value) for m in want)
+        assert kinds == {(False, 0)} | {(True, v) for v in range(d)}
+
+    def test_refuses_non_commuting_operators(self):
+        tab = StabilizerTableau(3, 2)
+        ops = [WeylOp.from_site(3, 2, 0, 0, 1), WeylOp.from_site(3, 2, 0, 1, 0)]
+        with pytest.raises(ValueError, match="commuting"):
+            tab.reference_outcomes(*stacked(ops, 2))
