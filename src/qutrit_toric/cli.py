@@ -25,6 +25,7 @@ import numpy as np
 from .analysis import energy_density, fidelity_bounds, topological_qutrit_bounds
 from .circuit import execute, run_shots
 from .encoder import (
+    compile_report,
     decode_qubit_records,
     encode_circuit,
     herald_filter,
@@ -200,8 +201,10 @@ def cmd_topo(args) -> dict:
 
 def cmd_compile(args) -> dict:
     circ = ground_state_circuit(build_lattice(args.lx, args.ly))
-    qc, report = encode_circuit(circ, basis=args.basis,
-                                optimization_level=args.optimization)
+    if args.dump_ops:
+        qc, report = encode_circuit(circ, args.basis, args.optimization)
+    else:  # the report alone needs no qubit circuit
+        report = compile_report(circ, args.basis, args.optimization)
     payload = {
         "preset": f"prepare-{args.lx}x{args.ly}",
         "report": dataclasses.asdict(report),

@@ -15,8 +15,10 @@ state, so leakage observed at readout always signals an error.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 
@@ -67,9 +69,15 @@ def encoded_target(kind: GateKind) -> np.ndarray:
 MPREP_TARGET = _PAIR.sum(1) / np.sqrt(3)
 
 
-def _place(ops: list[NativeOp], qutrits) -> list[NativeOp]:
-    """Local pair qubits (2k, 2k+1) of ops onto the pair of qutrits[k]."""
-    return on_qubit(ops, {2 * k + j: 2 * qt + j for k, qt in enumerate(qutrits) for j in (0, 1)})
+def _placed(local, qutrits) -> list[int]:
+    """Local pair qubits (2k, 2k+1) onto the pair of qutrits[k]."""
+    return [2 * qutrits[q // 2] + q % 2 for q in local]
+
+
+def _place(ops: list[NativeOp], qutrits, creg: int = 0) -> list[NativeOp]:
+    """ops with _placed qubits, and local cbits (0, 1) on the pair of creg."""
+    return [NativeOp(op.kind, tuple(_placed(op.qubits, qutrits)), op.params,
+                     tuple(2 * creg + c for c in op.cbits)) for op in ops]
 
 
 def _mprep_ops() -> list[NativeOp]:
@@ -122,15 +130,63 @@ def _two_qutrit_ops(name: str) -> list[NativeOp]:
     cp = synthesize_two_qubit(np.diag([1, 1, 1, phase]))
     ops = [o for a in (0, 1) for b in (2, 3) for o in on_qubit(cp, {0: a, 1: b})]
     if name in ("cx", "cxdg"):
-        ops = _place(decompose_gate("h"), (1,)) + ops + _place(decompose_gate("hdg"), (1,))
+        ops = (on_qubit(decompose_gate("h"), {0: 2, 1: 3}) + ops
+               + on_qubit(decompose_gate("hdg"), {0: 2, 1: 3}))
     return ops
+
+
+@dataclass(frozen=True)
+class TokenSummary:
+    """What one token adds to a compile report. depth_into[j][i] is the
+    longest op chain from local input qubits[i] to output qubits[j], -inf
+    where none joins them, so levels advance as max_i(level[i] + depth_into[j][i])."""
+    names: tuple[str, ...]  # gate_counts entries
+    qubits: tuple[int, ...]  # local qubits touched
+    ops: int
+    zz: int
+    zz_per_qutrit: tuple[int, ...]  # zzphase involvements per local qutrit
+    depth_into: tuple[tuple[float, ...], ...]
+
+
+def _token_ops(key) -> list[NativeOp]:
+    """Local sequence of a decompose_gate name, or of ("measure", None) and
+    ("rotmeas", (xe, ze)): basis rotation, measz of both qubits into local
+    cbits (0, 1), undo."""
+    if isinstance(key, str):
+        return decompose_gate(key)
+    rot, undo = _basis_rotation_ops(*key[1]) if key[0] == "rotmeas" else ((), ())
+    return [*rot, NativeOp("measz", (0,), (), (0,)), NativeOp("measz", (1,), (), (1,)), *undo]
+
+
+@lru_cache(maxsize=None)
+def token_summary(key) -> TokenSummary:
+    """Summary of a _token_ops key, computed once per process."""
+    ops = _token_ops(key)
+    qubits = sorted({q for op in ops for q in op.qubits})
+    pos = {q: k for k, q in enumerate(qubits)}
+    # reach[i][j]: longest chain from input qubits[i] to the latest op on qubits[j]
+    reach = [[0 if i == j else -np.inf for j in range(len(qubits))] for i in range(len(qubits))]
+    zz_per_qutrit = [0] * (qubits[-1] // 2 + 1 if qubits else 0)
+    for op in ops:
+        cols = [pos[q] for q in op.qubits]
+        for row in reach:
+            top = max(row[c] for c in cols) + 1
+            for c in cols:
+                row[c] = top
+        if op.kind == "zzphase":
+            for q in op.qubits:
+                zz_per_qutrit[q // 2] += 1
+    names = ((key,) if isinstance(key, str) else ("basis-rot", "basis-rot-undo")
+             if key[0] == "rotmeas" else ())
+    return TokenSummary(names, tuple(qubits), len(ops), sum(zz_per_qutrit) // 2,
+                        tuple(zz_per_qutrit), tuple(zip(*reach)))
 
 
 SUPPORTED_GATES = ("z", "zdg", "x", "xdg", "c", "h", "hdg", "cx", "cxdg", "cz", "czdg", "mprep")
 
 
 def zz_budget(name: str) -> int:
-    return sum(1 for op in decompose_gate(name) if op.kind == "zzphase")
+    return token_summary(name).zz
 
 
 def verify_decomposition(name: str) -> float:
@@ -196,40 +252,6 @@ class QubitCircuit:
     n_cbits: int
     ops: list = field(default_factory=list)
 
-    def two_qubit_count(self) -> int:
-        total = 0
-        for op in self.ops:
-            if isinstance(op, NativeOp) and op.kind == "zzphase":
-                total += 1
-            elif isinstance(op, CondNative):
-                total += max(
-                    sum(1 for o in seq if o.kind == "zzphase") for seq in op.cases.values()
-                )
-        return total
-
-    def depth(self) -> int:
-        level = [0] * self.n_qubits
-        for op in self.ops:
-            if isinstance(op, NativeOp):
-                if op.kind == "barrier":
-                    top = max(level)
-                    level = [top] * self.n_qubits
-                    continue
-                qs = op.qubits
-                layer = max(level[q] for q in qs) + 1
-                for q in qs:
-                    level[q] = layer
-            elif isinstance(op, CondNative):
-                seqs = [s for s in op.cases.values() if s]
-                if not seqs:
-                    continue
-                qs = sorted({q for s in seqs for o in s for q in o.qubits})
-                width = max(len(s) for s in seqs)
-                layer = max(level[q] for q in qs) + width
-                for q in qs:
-                    level[q] = layer
-        return max(level)
-
 
 @dataclass
 class CompileReport:
@@ -246,33 +268,21 @@ def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
     """Qutrit-level token stream with Fourier-expansion and peephole passes."""
     tokens: list[tuple] = []
     fresh = set(range(circuit.n_qudits))
-
-    def touch(*qs):
-        fresh.difference_update(qs)
-
     for ins in circuit.instructions:
         if isinstance(ins, Gate):
-            kind = ins.gate.kind.value
-            tg = ins.gate.targets
-            if kind == "h" and optimization_level >= 1 and tg[0] in fresh:
-                tokens.append(("mprep", tg[0]))
-                touch(*tg)
-                continue
-            if kind in ("cx", "cxdg"):
-                c, t = tg
-                if optimization_level >= 1 and t in fresh:
-                    tokens.append(("cxcopy", c, t))
-                    if kind == "cxdg":
-                        tokens.append(("c", t))  # copy then conjugate = inverse copy
-                    touch(c, t)
-                    continue
-                tokens.append(("h", t))
-                tokens.append(("cz" if kind == "cx" else "czdg", c, t))
-                tokens.append(("hdg", t))
-                touch(c, t)
+            kind, tg = ins.gate.kind.value, ins.gate.targets
+            fresh_target = optimization_level >= 1 and tg[-1] in fresh
+            if kind == "h" and fresh_target:
+                tokens.append(("mprep", *tg))
+            elif kind in ("cx", "cxdg") and fresh_target:
+                tokens.append(("cxcopy", *tg))
+                if kind == "cxdg":
+                    tokens.append(("c", tg[1]))  # copy then conjugate = inverse copy
+            elif kind in ("cx", "cxdg"):
+                tokens += [("h", tg[1]), ("cz" if kind == "cx" else "czdg", *tg), ("hdg", tg[1])]
             else:
                 tokens.append((kind, *tg))
-                touch(*tg)
+            fresh.difference_update(tg)
         elif isinstance(ins, Measure):
             obs = ins.observable
             sites = obs.support
@@ -280,14 +290,11 @@ def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
                 raise ValueError("only single-site measurement observables compile")
             s = int(sites[0])
             xe, ze = int(obs.x[s]), int(obs.z[s])
-            if (xe, ze) == (0, 1):
-                tokens.append(("measure", s, ins.creg, None))
-            elif (xe, ze) == (1, 0):
+            if (xe, ze) == (1, 0):
                 tokens.append(("h", s))
-                tokens.append(("measure", s, ins.creg, None))
-            else:
-                tokens.append(("rotmeas", s, ins.creg, (xe, ze)))
-            touch(s)
+            tokens.append(("measure", s, ins.creg, None) if (xe, ze) in ((0, 1), (1, 0))
+                          else ("rotmeas", s, ins.creg, (xe, ze)))
+            fresh.discard(s)
         elif isinstance(ins, CondGate):
             tokens.append(("cond", ins.creg, ins.predicate))
         elif isinstance(ins, Barrier):
@@ -297,20 +304,11 @@ def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
     if basis is not None:
         tokens.append(("barrier",))
         if basis == "x":
-            for i in range(circuit.n_qudits):
-                tokens.append(("h", i))
-        for i in range(circuit.n_qudits):
-            tokens.append(("measure", i, i, None))
+            tokens += [("h", i) for i in range(circuit.n_qudits)]
+        tokens += [("measure", i, i, None) for i in range(circuit.n_qudits)]
     if optimization_level >= 1:
         tokens = _cancel_fourier_pairs(tokens)
     return tokens
-
-
-def _touched_qutrits(tok) -> set[int]:
-    """Qutrits a gate or measurement token acts on (not barrier or cond)."""
-    if tok[0] in ("cz", "czdg", "cxcopy"):
-        return {tok[1], tok[2]}
-    return {tok[1]}
 
 
 def _cancel_fourier_pairs(tokens):
@@ -318,54 +316,94 @@ def _cancel_fourier_pairs(tokens):
     not touch that qutrit. Barriers are transparent to this identity (a
     trailing Fourier merges with the measurement-basis rotation across
     the pre-measurement barrier); conditionals block it."""
-    out = []
+    out: list = []
+    on = defaultdict(list)  # qutrit -> indices into out of the tokens on it
+    cond = -1  # index of the latest cond
     for tok in tokens:
-        if tok[0] in ("h", "hdg"):
-            site = tok[1]
-            partner = "hdg" if tok[0] == "h" else "h"
-            cancelled = False
-            for k in range(len(out) - 1, -1, -1):
-                prev = out[k]
-                if prev[0] == "barrier":
-                    continue
-                if prev[0] == "cond":
-                    break
-                if site in _touched_qutrits(prev):
-                    if prev[0] == partner and prev[1] == site:
-                        out.pop(k)
-                        cancelled = True
-                    break
-            if not cancelled:
-                out.append(tok)
+        stack = on[tok[1]] if tok[0] in ("h", "hdg") else None
+        if stack and stack[-1] > cond and out[stack[-1]] == ({"h": "hdg", "hdg": "h"}[tok[0]], tok[1]):
+            out[stack.pop()] = None
             continue
+        if tok[0] == "cond":
+            cond = len(out)
+        elif tok[0] != "barrier":
+            for q in _token_key(tok)[1]:
+                on[q].append(len(out))
         out.append(tok)
-    return out
+    return [tok for tok in out if tok is not None]
+
+
+def _token_key(tok) -> tuple:
+    """token_summary key and qutrits of a gate or measurement token."""
+    if tok[0] in ("measure", "rotmeas"):
+        return (tok[0], tok[3]), tok[1:2]
+    return tok[0], tok[1:]
 
 
 def per_qutrit_two_qubit(circuit: Circuit, basis: str | None = None,
                          optimization_level: int = 1) -> list[int]:
     """Entangler (zzphase) involvements per qutrit of the compiled circuit's
-    unconditional ops, counted from the token stream and the cached
-    decompositions without building the qubit circuit. A rotated
-    measurement counts both of its basis rotations; a cond counts nothing."""
+    unconditional ops, summed from the token summaries without a depth
+    walk. A rotated measurement counts both of its basis rotations; a
+    cond counts nothing."""
     counts = [0] * circuit.n_qudits
     for tok in _token_stream(circuit, basis, optimization_level):
-        if tok[0] in ("measure", "cond", "barrier"):
-            continue
-        if tok[0] == "rotmeas":
-            qutrits, ops = tok[1:2], sum(_basis_rotation_ops(*tok[3]), ())
-        else:
-            qutrits, ops = tok[1:], decompose_gate(tok[0])
-        for op in ops:
-            if op.kind == "zzphase":
-                for q in op.qubits:
-                    counts[qutrits[q // 2]] += 1
+        if tok[0] not in ("cond", "barrier"):
+            key, qutrits = _token_key(tok)
+            for qt, k in zip(qutrits, token_summary(key).zz_per_qutrit):
+                counts[qt] += k
     return counts
+
+
+def compile_report(circuit: Circuit, basis: str | None = None,
+                   optimization_level: int = 1) -> CompileReport:
+    """encode_circuit's report from one walk over the token stream and the
+    token summaries, without building the qubit circuit. A barrier levels
+    every qubit; a cond advances every qubit its branches touch by the op
+    count of its longest branch, and adds its largest branch zzphase count."""
+    circuit.validate()
+    level = [0] * (2 * circuit.n_qudits)
+    per_qutrit = [0] * circuit.n_qudits
+    gate_counts: Counter[str] = Counter()
+    two_qubit = 0
+    for tok in _token_stream(circuit, basis, optimization_level):
+        if tok[0] == "barrier":
+            level = [max(level, default=0)] * len(level)
+        elif tok[0] == "cond":
+            gate_counts["cond"] += 1
+            branches = [[(token_summary(g.kind.value), g.targets) for g in gates]
+                        for gates in tok[2].values()]
+            two_qubit += max(sum(s.zz for s, _ in br) for br in branches)
+            qs = {q for br in branches for s, qt in br for q in _placed(s.qubits, qt)}
+            top = max((level[q] for q in qs), default=0) + max(
+                sum(s.ops for s, _ in br) for br in branches)
+            for q in qs:
+                level[q] = top
+        else:
+            key, qutrits = _token_key(tok)
+            summary = token_summary(key)
+            gate_counts.update(summary.names)
+            two_qubit += summary.zz
+            for qt, k in zip(qutrits, summary.zz_per_qutrit):
+                per_qutrit[qt] += k
+            qs = _placed(summary.qubits, qutrits)
+            before = [level[q] for q in qs]
+            for q, into in zip(qs, summary.depth_into):
+                level[q] = max(map(add, before, into))
+    return CompileReport(
+        two_qubit_count=two_qubit,
+        depth=max(level, default=0),
+        budget_table={name: zz_budget(name) for name in SUPPORTED_GATES},
+        gate_counts=dict(gate_counts),
+        per_qutrit_two_qubit=per_qutrit,
+        optimization_level=optimization_level,
+        basis=basis,
+    )
 
 
 def encode_circuit(circuit: Circuit, basis: str | None = None,
                    optimization_level: int = 1) -> tuple[QubitCircuit, CompileReport]:
-    """Compile a qutrit circuit to the native set.
+    """Compile a qutrit circuit to the native set, with its compile_report.
 
     basis 'z' or 'x' appends a barrier plus a destructive measure-all.
     Optimization level 0 uses the plain per-gate decompositions (a lone
@@ -373,30 +411,11 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
     for fresh Fourier targets, two-CNOT copies onto fresh CX targets,
     and Fourier-pair cancellation into measurement rotations.
     """
-    circuit.validate()
-    tokens = _token_stream(circuit, basis, optimization_level)
-    n_qubits = 2 * circuit.n_qudits
-    qc = QubitCircuit(n_qubits, n_qubits)
-    gate_counts: dict[str, int] = {}
-
-    def emit(name: str, qutrits: tuple[int, ...], ops=None):
-        gate_counts[name] = gate_counts.get(name, 0) + 1
-        qc.ops.extend(_place(decompose_gate(name) if ops is None else ops, qutrits))
-
-    def measure(site: int, creg: int):
-        qc.ops.append(NativeOp("measz", (2 * site,), (), (2 * creg,)))
-        qc.ops.append(NativeOp("measz", (2 * site + 1,), (), (2 * creg + 1,)))
-
-    for tok in tokens:
+    report = compile_report(circuit, basis, optimization_level)
+    qc = QubitCircuit(2 * circuit.n_qudits, 2 * circuit.n_qudits)
+    for tok in _token_stream(circuit, basis, optimization_level):
         if tok[0] == "barrier":
-            qc.ops.append(NativeOp("barrier", tuple(range(n_qubits))))
-        elif tok[0] == "measure":
-            measure(tok[1], tok[2])
-        elif tok[0] == "rotmeas":
-            rot, undo = _basis_rotation_ops(*tok[3])
-            emit("basis-rot", (tok[1],), rot)
-            measure(tok[1], tok[2])
-            emit("basis-rot-undo", (tok[1],), undo)
+            qc.ops.append(NativeOp("barrier", tuple(range(qc.n_qubits))))
         elif tok[0] == "cond":
             _, creg, predicate = tok
             cases = {
@@ -406,19 +425,10 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
             }
             cases[NC_BITS] = ()
             qc.ops.append(CondNative((2 * creg, 2 * creg + 1), cases))
-            gate_counts["cond"] = gate_counts.get("cond", 0) + 1
         else:
-            emit(tok[0], tok[1:])
-
-    report = CompileReport(
-        two_qubit_count=qc.two_qubit_count(),
-        depth=qc.depth(),
-        budget_table={name: zz_budget(name) for name in SUPPORTED_GATES},
-        gate_counts=gate_counts,
-        per_qutrit_two_qubit=per_qutrit_two_qubit(circuit, basis, optimization_level),
-        optimization_level=optimization_level,
-        basis=basis,
-    )
+            key, qutrits = _token_key(tok)
+            creg = tok[2] if isinstance(key, tuple) else 0  # measurements carry their creg
+            qc.ops.extend(_place(_token_ops(key), qutrits, creg))
     return qc, report
 
 
@@ -437,9 +447,7 @@ def qubit_circuit_text(qc: QubitCircuit) -> str:
         qubits   := "q[" INT "]" ("," "q[" INT "]")*
     Angles are in turns.
     """
-    lines = [f"qubits {qc.n_qubits}; cbits {qc.n_cbits};"]
-    for op in qc.ops:
-        lines.append(_op_text(op))
+    lines = [f"qubits {qc.n_qubits}; cbits {qc.n_cbits};", *map(_op_text, qc.ops)]
     return "\n".join(lines) + "\n"
 
 
@@ -453,41 +461,29 @@ def _op_text(op) -> str:
         return f"cond {cb} {{ {' '.join(cases)} }}"
     if op.kind == "barrier":
         return "barrier;"
-    if op.kind == "measz":
-        qs = ",".join(f"q[{q}]" for q in op.qubits)
-        cs = ",".join(f"c[{c}]" for c in op.cbits)
-        return f"measz {qs} -> {cs};"
-    params = ",".join(f"{p:.12g}" for p in op.params)
     qs = ",".join(f"q[{q}]" for q in op.qubits)
-    return f"{op.kind}({params}) {qs};"
+    if op.kind == "measz":
+        return f"measz {qs} -> {','.join(f'c[{c}]' for c in op.cbits)};"
+    return f"{op.kind}({','.join(f'{p:.12g}' for p in op.params)}) {qs};"
 
 
 QUBIT_CIRCUIT_SCHEMA = "qutrit-toric/qubit-circuit/v1"
 
 
+def _op_doc(op) -> dict:
+    if isinstance(op, CondNative):
+        return {"kind": "cond", "cbits": list(op.cbits),
+                "cases": {f"{b[0]}{b[1]}": [_op_doc(o) for o in seq]
+                          for b, seq in sorted(op.cases.items())}}
+    doc = {"kind": op.kind, "qubits": list(op.qubits), "params": list(op.params)}
+    if op.cbits:
+        doc["cbits"] = list(op.cbits)
+    return doc
+
+
 def qubit_circuit_to_json(qc: QubitCircuit) -> dict:
-    ops = []
-    for op in qc.ops:
-        if isinstance(op, CondNative):
-            ops.append({
-                "kind": "cond",
-                "cbits": list(op.cbits),
-                "cases": {
-                    f"{b[0]}{b[1]}": [
-                        {"kind": o.kind, "qubits": list(o.qubits),
-                         "params": list(o.params)} for o in seq
-                    ]
-                    for b, seq in sorted(op.cases.items())
-                },
-            })
-        else:
-            doc = {"kind": op.kind, "qubits": list(op.qubits),
-                   "params": list(op.params)}
-            if op.cbits:
-                doc["cbits"] = list(op.cbits)
-            ops.append(doc)
     return {"schema": QUBIT_CIRCUIT_SCHEMA, "n_qubits": qc.n_qubits,
-            "n_cbits": qc.n_cbits, "ops": ops}
+            "n_cbits": qc.n_cbits, "ops": [_op_doc(op) for op in qc.ops]}
 
 
 # -- heralding and readout ------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from qutrit_toric.analysis import ConfusionMatrix, _per_bit
 from qutrit_toric.circuit import Circuit, CondGate, Gate, Measure, execute
 from qutrit_toric.dense import gate_matrix, weyl_matrices
-from qutrit_toric.encoder import QubitCircuit
+from qutrit_toric.encoder import CondNative, QubitCircuit
 from qutrit_toric.experiments import Frame, Script, ScriptRunner
 from qutrit_toric.lattice import Plaquette, TorusLattice, default_preparation_order
 from qutrit_toric.synth import NativeOp, ops_unitary
@@ -330,6 +330,44 @@ def estimate_operator(values: np.ndarray, op: WeylOp,
 
 def qubit_circuit_unitary(qc: QubitCircuit) -> np.ndarray:
     return ops_unitary([op for op in qc.ops if isinstance(op, NativeOp)], qc.n_qubits)
+
+
+def qubit_circuit_two_qubit_count(qc: QubitCircuit) -> int:
+    """zzphase ops of a built qubit circuit; a cond counts its largest branch."""
+    total = 0
+    for op in qc.ops:
+        if isinstance(op, NativeOp) and op.kind == "zzphase":
+            total += 1
+        elif isinstance(op, CondNative):
+            total += max(
+                sum(1 for o in seq if o.kind == "zzphase") for seq in op.cases.values()
+            )
+    return total
+
+
+def qubit_circuit_depth(qc: QubitCircuit) -> int:
+    """Longest op chain of a built qubit circuit, op by op."""
+    level = [0] * qc.n_qubits
+    for op in qc.ops:
+        if isinstance(op, NativeOp):
+            if op.kind == "barrier":
+                top = max(level)
+                level = [top] * qc.n_qubits
+                continue
+            qs = op.qubits
+            layer = max(level[q] for q in qs) + 1
+            for q in qs:
+                level[q] = layer
+        elif isinstance(op, CondNative):
+            seqs = [s for s in op.cases.values() if s]
+            if not seqs:
+                continue
+            qs = sorted({q for s in seqs for o in s for q in o.qubits})
+            width = max(len(s) for s in seqs)
+            layer = max(level[q] for q in qs) + width
+            for q in qs:
+                level[q] = layer
+    return max(level)
 
 
 def implicit_plaquette(lattice: TorusLattice) -> Plaquette:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import qutrit_toric
-from qutrit_toric import cli, weyl
+from qutrit_toric import cli, encoder, weyl
 from qutrit_toric.circuit import FRAME_BLOCK
 from qutrit_toric.cli import main
 from qutrit_toric.encoder import NativeOp, encode_circuit
@@ -188,6 +188,24 @@ class TestCompile:
                     if isinstance(op, NativeOp) and op.kind == "zzphase" for q in op.qubits]
         counts = [involved.count(k) for k in range(24)]
         assert doc["results"]["report"]["per_qutrit_two_qubit"] == counts
+
+    def test_plain_compile_builds_no_qubit_circuit(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile without --dump-ops built a qubit circuit")
+
+        monkeypatch.setattr(encoder, "_place", refuse)
+        code, doc, _ = run_cli(tmp_path, "compile", "--lx", "6", "--ly", "4")
+        assert code == 0
+        assert "qubit_circuit" not in doc["results"]
+
+    @pytest.mark.parametrize("basis,level", [("z", "0"), ("z", "1"), ("x", "1")])
+    def test_dump_ops_gives_the_plain_report(self, tmp_path, basis, level):
+        argv = ("compile", "--lx", "6", "--ly", "4", "--basis", basis, "--optimization", level)
+        code, plain, _ = run_cli(tmp_path, *argv)
+        dump_code, dumped, _ = run_cli(tmp_path, *argv, "--dump-ops")
+        assert code == dump_code == 0
+        assert dumped["results"]["report"] == plain["results"]["report"]
+        assert dumped["results"]["qubit_circuit"]["ops"]
 
 
 class TestVerifyAndBounds:

@@ -1,5 +1,6 @@
 """Native-gate compilation: decompositions, budgets, equivalence, heralding."""
 
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -15,6 +16,7 @@ from qutrit_toric.encoder import (
     NC_BITS,
     NC_INDEX,
     SUPPORTED_GATES,
+    compile_report,
     decode_qubit_records,
     decompose_gate,
     encode_circuit,
@@ -39,7 +41,12 @@ from qutrit_toric.synth import (
 )
 from qutrit_toric.weyl import GateKind, WeylOp
 
-from oracles import DenseState, qubit_circuit_unitary
+from oracles import (
+    DenseState,
+    qubit_circuit_depth,
+    qubit_circuit_two_qubit_count,
+    qubit_circuit_unitary,
+)
 
 
 class TestDecompositions:
@@ -221,6 +228,13 @@ class TestCompileCounts:
         assert rep.two_qubit_count == 0
         assert rep.depth == 0
 
+    @pytest.mark.parametrize("basis", [None, "z", "x"])
+    def test_zero_qudits(self, basis):
+        qc, rep = encode_circuit(Circuit(3, 0, 0), basis=basis)
+        assert (rep.depth, rep.two_qubit_count, rep.per_qutrit_two_qubit) == (0, 0, [])
+        assert per_qutrit_two_qubit(Circuit(3, 0, 0), basis) == []
+        assert all(op.kind == "barrier" for op in qc.ops)
+
     def test_single_cx_matches_budget(self):
         circ = Circuit(3, 2, 0)
         circ.gate(weyl.cx(0, 1))
@@ -355,6 +369,8 @@ class TestPerQutritTwoQubit:
         qc, rep = encode_circuit(prep, basis=basis, optimization_level=level)
         counts = per_qutrit_two_qubit(prep, basis, level)
         assert counts == compiled_ops_count(qc, prep.n_qudits) == rep.per_qutrit_two_qubit
+        assert rep.depth == qubit_circuit_depth(qc)
+        assert rep.two_qubit_count == qubit_circuit_two_qubit_count(qc)
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_rotated_measurement_and_cond(self, level):
@@ -379,6 +395,93 @@ class TestPerQutritTwoQubit:
         plain = per_qutrit_two_qubit(circuit(0, 1, False), None, level)
         assert rotation > 0
         assert counts == [plain[0], plain[1] + rotation, plain[2]]
+
+
+ONE_QUTRIT = ("x", "xdg", "z", "zdg", "c", "h", "hdg")
+TWO_QUTRIT = ("cx", "cxdg", "cz", "czdg")
+MEASURED = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (0, 2))
+
+
+def random_gate(rng, n):
+    if n > 1 and rng.random() < 0.4:
+        c, t = (int(q) for q in rng.choice(n, 2, replace=False))
+        return weyl.CliffordGate(TWO_QUTRIT[rng.integers(4)], (c, t))
+    return weyl.CliffordGate(ONE_QUTRIT[rng.integers(7)], (int(rng.integers(n)),))
+
+
+def random_feed_forward_circuit(rng, n, length):
+    """Gates, barriers, single-site measurements in every Weyl basis, and conds
+    whose branches are random, sometimes empty, sometimes all empty."""
+    circ = Circuit(3, n, n)
+    measured = []
+    for _ in range(length):
+        r = rng.random()
+        if r < 0.1:
+            circ.barrier()
+        elif r < 0.25:
+            site = int(rng.integers(n))
+            circ.measure(WeylOp.from_site(3, n, site, *MEASURED[rng.integers(6)]), site)
+            measured.append(site)
+        elif r < 0.4 and measured:
+            width = 1 if rng.random() < 0.25 else 3  # branches of 0 to width - 1 gates
+            circ.cond(measured[rng.integers(len(measured))],
+                      {k: tuple(random_gate(rng, n) for _ in range(rng.integers(width)))
+                       for k in range(3)})
+        else:
+            circ.gate(random_gate(rng, n))
+    return circ
+
+
+def token_gate_counts(circ, basis, level):
+    """Gate counts tallied from the token stream, one name per emitted sequence."""
+    counts = Counter()
+    for tok in encoder._token_stream(circ, basis, level):
+        if tok[0] == "rotmeas":
+            counts.update(["basis-rot", "basis-rot-undo"])
+        elif tok[0] not in ("measure", "barrier"):
+            counts[tok[0]] += 1
+    return dict(counts)
+
+
+class TestCompileReportAgainstOracle:
+    """The token walk's report equals the counts and depth of the built qubit circuit."""
+
+    def check(self, circ, basis, level):
+        qc, _ = encode_circuit(circ, basis=basis, optimization_level=level)
+        rep = compile_report(circ, basis, level)
+        assert rep.depth == qubit_circuit_depth(qc)
+        assert rep.two_qubit_count == qubit_circuit_two_qubit_count(qc)
+        assert rep.per_qutrit_two_qubit == compiled_ops_count(qc, circ.n_qudits)
+        assert rep.per_qutrit_two_qubit == per_qutrit_two_qubit(circ, basis, level)
+        assert rep.gate_counts == token_gate_counts(circ, basis, level)
+        return rep
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("basis", [None, "z", "x"])
+    def test_random_circuits(self, basis, level):
+        rng = np.random.default_rng(71 + level)
+        seen = Counter()
+        for _ in range(30):
+            rep = self.check(random_feed_forward_circuit(rng, int(rng.integers(1, 5)), 16),
+                             basis, level)
+            seen.update(rep.gate_counts)
+        covered = {"cond", "basis-rot", "h", "cz", "c"} | ({"mprep", "cxcopy"} if level else set())
+        assert covered <= set(seen)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_conds_with_empty_branches(self, level):
+        """An all-empty cond moves nothing; one with an empty branch advances
+        the qubits of its other branches by the longest branch."""
+        circ = Circuit(3, 3, 1)
+        circ.gates([weyl.fourier(0), weyl.cx(0, 1)])
+        circ.measure(WeylOp.from_site(3, 3, 0, 1, 1), 0)
+        circ.cond(0, {0: (), 1: (), 2: ()})
+        circ.barrier()
+        circ.cond(0, {0: (), 1: (weyl.cz(2, 1),), 2: (weyl.fourier(2), weyl.fourier(2))})
+        circ.gate(weyl.cx(1, 2))
+        rep = self.check(circ, None, level)
+        assert rep.gate_counts["cond"] == 2
+        assert rep.two_qubit_count == sum(rep.per_qutrit_two_qubit) // 2 + 2 * zz_budget("h")
 
 
 class TestHeralding:
