@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import DECODE_INDEX, NC_INDEX
+from .encoder import DECODE_INDEX, NC_INDEX, READOUT_P01, READOUT_P10
 from .estimators import PlaquetteSnapshot
 
 
@@ -28,8 +28,8 @@ from .estimators import PlaquetteSnapshot
 class ConfusionMatrix:
     """p01 = P(read 0 | qubit is 1), p10 = P(read 1 | qubit is 0)."""
 
-    p01: float = 2.37e-3
-    p10: float = 0.82e-3
+    p01: float = READOUT_P01
+    p10: float = READOUT_P10
 
     def __post_init__(self):
         if not (0 <= self.p01 < 0.5 and 0 <= self.p10 < 0.5):

@@ -20,16 +20,17 @@ feed-forward is a table over the value read; `run_shots` refuses any
 other feed-forward before a draw. The values are a pure function of
 (circuit, n_shots, base_seed).
 
-`exact_outcome_distribution` enumerates noiseless circuits exactly: a
-depth-first walk forks the tableau once per outcome of each random
-measurement (refused before forking past a budget); a leaf reached
-through r random outcomes has probability d^-r. It is the enumeration
-oracle the samplers are tested against.
+`outcome_leaves` walks the exact outcome tree of a noiseless circuit,
+forking the tableau once per outcome of each random measurement
+(refused before forking past a budget). `exact_outcome_distribution`,
+the oracle the samplers are tested against, and the topological-qutrit
+protocol both read its leaves.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,32 +241,31 @@ def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
     # Barrier: nothing
 
 
-def execute(circuit: Circuit, tab: StabilizerTableau, force: int | None = None) -> list[int]:
+def execute(circuit: Circuit, tab: StabilizerTableau) -> list[int]:
     """Apply the circuit's instructions to tab in order; return the creg values.
 
     Noise and random measurement outcomes are drawn from tab.rng, in
-    instruction order. force pins every random measurement outcome.
+    instruction order.
     """
     creg = [0] * circuit.n_cregs
     for ins in circuit.instructions:
-        _apply(ins, tab, creg, force)
+        _apply(ins, tab, creg)
     return creg
 
 
-def _outcome_leaves(circuit: Circuit) -> dict[tuple[int, ...], list[int]] | None:
-    """Leaves of the exact outcome tree: {random outcomes on the path: creg values}.
+def outcome_leaves(circuit: Circuit) -> Iterator[tuple]:
+    """Leaves of the exact outcome tree in path order: (path, creg values, tableau).
 
-    Depth first, holding one tableau per level. Returns None when the
-    circuit is noisy or a branch reaches a random measurement with
-    TREE_MAX_RANDOM_MEASUREMENTS outcomes already on its path; that
-    branch is refused before it forks.
+    Depth first, holding one tableau per level; a path lists the random
+    outcomes down to its leaf. Raises ValueError for a noisy circuit, and
+    before a branch would fork past TREE_MAX_RANDOM_MEASUREMENTS outcomes.
     """
+    refusal = "the exact outcome tree needs a noiseless, low-branching circuit: "
     if circuit.has_noise():
-        return None
+        raise ValueError(refusal + "this circuit has noise")
     instructions = circuit.instructions
-    leaves: dict[tuple[int, ...], list[int]] = {}
 
-    def walk(start: int, tab: StabilizerTableau, creg: list[int], path: tuple[int, ...]) -> bool:
+    def walk(start: int, tab: StabilizerTableau, creg: list[int], path: tuple[int, ...]):
         for i in range(start, len(instructions)):
             ins = instructions[i]
             if not isinstance(ins, Measure):
@@ -276,18 +276,16 @@ def _outcome_leaves(circuit: Circuit) -> dict[tuple[int, ...], list[int]] | None
                 creg[ins.creg] = det
                 continue
             if len(path) == TREE_MAX_RANDOM_MEASUREMENTS:
-                return False
+                raise ValueError(refusal + f"instruction {i} would fork past the budget of "
+                                 f"{TREE_MAX_RANDOM_MEASUREMENTS} random outcomes")
             for s in range(circuit.d):
                 child, child_creg = tab.copy(), list(creg)
                 _apply(ins, child, child_creg, force=s)
-                if not walk(i + 1, child, child_creg, path + (s,)):
-                    return False
-            return True
-        leaves[path] = creg
-        return True
+                yield from walk(i + 1, child, child_creg, path + (s,))
+            return
+        yield path, creg, tab
 
-    root = StabilizerTableau(circuit.d, circuit.n_qudits)
-    return leaves if walk(0, root, [0] * circuit.n_cregs, ()) else None
+    yield from walk(0, StabilizerTableau(circuit.d, circuit.n_qudits), [0] * circuit.n_cregs, ())
 
 
 # (x, z) exponents of each Weyl gate kind; conjugating a frame by one only moves its phase
@@ -473,12 +471,9 @@ def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
 
 
 def exact_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]:
-    """Exact joint creg distribution of a noiseless circuit via branch enumeration."""
-    leaves = _outcome_leaves(circuit)
-    if leaves is None:
-        raise ValueError("exact distribution needs a noiseless, low-branching circuit")
+    """Exact joint creg distribution of a noiseless circuit, from its outcome tree."""
     dist: dict[tuple[int, ...], float] = {}
-    for path, creg in leaves.items():
+    for path, creg, _ in outcome_leaves(circuit):
         key = tuple(creg)
         dist[key] = dist.get(key, 0.0) + circuit.d ** -len(path)
     return dist

@@ -29,7 +29,10 @@ from .encoder import (
     decode_qubit_records,
     encode_circuit,
     herald_filter,
+    LEAK_PER_TWO_QUBIT,
     per_qutrit_two_qubit,
+    READOUT_P01,
+    READOUT_P10,
     simulate_readout,
     SUPPORTED_GATES,
     verify_decomposition,
@@ -325,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=["off", "default"], default="off")
     p.add_argument("--p1", type=_probability, default=0.0)
     p.add_argument("--p2", type=_probability, default=2e-3)
-    p.add_argument("--spam-p01", type=_probability, default=2.37e-3, dest="spam_p01")
-    p.add_argument("--spam-p10", type=_probability, default=0.82e-3, dest="spam_p10")
-    p.add_argument("--leak", type=_probability, default=2.5e-4,
+    p.add_argument("--spam-p01", type=_probability, default=READOUT_P01, dest="spam_p01")
+    p.add_argument("--spam-p10", type=_probability, default=READOUT_P10, dest="spam_p10")
+    p.add_argument("--leak", type=_probability, default=LEAK_PER_TWO_QUBIT,
                    help="leak probability per entangler per qubit")
 
     for name in ("braid-pf", "braid-cc", "fuse-pf-pfstar"):

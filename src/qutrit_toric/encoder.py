@@ -34,6 +34,7 @@ DECODE_BITS = {v: k for k, v in ENCODE_BITS.items()}
 ENCODE_INDEX = np.array([2 * hi + lo for hi, lo in ENCODE_BITS.values()], dtype=np.uint8)
 NC_INDEX = 2 * NC_BITS[0] + NC_BITS[1]
 DECODE_INDEX = np.array([DECODE_BITS.get(divmod(i, 2), 0) for i in range(4)], dtype=np.uint8)
+READOUT_P01, READOUT_P10, LEAK_PER_TWO_QUBIT = 2.37e-3, 0.82e-3, 2.5e-4  # characterized rates
 
 
 # -- gate targets --------------------------------------------------------------
@@ -509,8 +510,8 @@ def decode_qubit_records(pairs: np.ndarray) -> np.ndarray:
 
 
 def simulate_readout(values: np.ndarray, per_qutrit_two_qubit: list[int],
-                     p01: float = 2.37e-3, p10: float = 0.82e-3,
-                     leak_per_two_qubit: float = 2.5e-4,
+                     p01: float = READOUT_P01, p10: float = READOUT_P10,
+                     leak_per_two_qubit: float = LEAK_PER_TWO_QUBIT,
                      seed: int = 0) -> np.ndarray:
     """Overlay gate leakage and readout confusion onto ideal qutrit values.
 

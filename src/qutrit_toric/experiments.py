@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, execute
+from .circuit import Circuit, Gate, execute, outcome_leaves
 from .defects import (
     CCRibbon,
     DefectSpec,
@@ -362,7 +362,7 @@ class TopologicalQutritResult:
 
 @dataclass
 class TopologicalQutritRun:
-    per_outcome: tuple[TopologicalQutritResult, ...]  # ancilla forced to 0, ..., d - 1
+    per_outcome: tuple[TopologicalQutritResult, ...]  # ancilla 0, ..., d - 1, a tree leaf each
     sampled: TopologicalQutritResult                  # ancilla drawn from the seed
 
 
@@ -428,21 +428,18 @@ class TopologicalQutritProtocol:
         return circ
 
     def run(self, seed: int = 0) -> TopologicalQutritRun:
-        """Every forced ancilla outcome and one sampled from seed, forked from one prefix.
-
-        The gates before the ancilla measurement draw nothing, so the
-        prefix tableau's generator, fresh from seed, samples the outcome.
-        """
-        circ = self.circuit()
-        ancilla = circ.instructions.pop()  # the measurement; circ is now the prefix
-        tab = StabilizerTableau(circ.d, circ.n_qudits, np.random.default_rng(seed))
-        execute(circ, tab)
-        forks = [(tab.copy(), j) for j in range(circ.d)] + [(tab, None)]
+        """A tree leaf per ancilla outcome, and the one the seed's first draw samples."""
+        d = self.lattice.d
+        leaves = list(outcome_leaves(self.circuit()))
+        paths = [path for path, _, _ in leaves]
+        if paths != [(j,) for j in range(d)]:
+            raise AssertionError("the ancilla measurement is not the protocol circuit's one "
+                                 f"random outcome: its outcome tree has leaves {paths}")
         ops = [self.lift(w) for w in (self.braid_loop, self.neutrality_op, *self.a_ends,
                                       *self.b_ends)]
-        results = [self._result(fork, fork.measure_weyl(ancilla.observable, force).value, ops)
-                   for fork, force in forks]
-        return TopologicalQutritRun(tuple(results[:-1]), results[-1])
+        per_outcome = tuple(self._result(tab, creg[0], ops) for _, creg, tab in leaves)
+        return TopologicalQutritRun(per_outcome,
+                                    per_outcome[int(np.random.default_rng(seed).integers(d))])
 
     def _result(self, tab: StabilizerTableau, outcome: int,
                 ops: list[WeylOp]) -> TopologicalQutritResult:

@@ -341,14 +341,8 @@ def conjugate_by_gate(g: CliffordGate, w: WeylOp) -> WeylOp:
     return conjugate_through((g,), w)
 
 
-def conjugate_through(gates, w: WeylOp, inverse: bool = False) -> WeylOp:
-    """Image of w under the full circuit U = g_m ... g_1 (g_1 applied first).
-
-    inverse=False returns U w U^dag (conjugate by g_1 first);
-    inverse=True returns U^dag w U (conjugate by g_m^dag first).
-    """
-    if inverse:
-        gates = [g.inverse() for g in reversed(list(gates))]
+def conjugate_through(gates, w: WeylOp) -> WeylOp:
+    """U w U^dag for the full circuit U = g_m ... g_1 (conjugate by g_1 first)."""
     x, z, ph = w.x[None].copy(), w.z[None].copy(), np.array([w.phase], dtype=np.int64)
     for g in gates:
         conjugate_rows(g, x, z, ph, w.d)

@@ -17,7 +17,7 @@ from qutrit_toric.circuit import (
     TREE_MAX_RANDOM_MEASUREMENTS,
     _hit_exponents,
     exact_outcome_distribution,
-    execute,
+    outcome_leaves,
     run_shots,
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
@@ -183,6 +183,34 @@ class TestOutcomeTree:
         with pytest.raises(ValueError, match="low-branching"):
             exact_outcome_distribution(c)
         assert len(copies) == TREE_MAX_RANDOM_MEASUREMENTS
+
+    def test_refusal_names_the_noise(self):
+        c = bell_like_circuit().with_noise(p1=0.1)
+        with pytest.raises(ValueError,
+                           match="noiseless, low-branching circuit: this circuit has noise"):
+            list(outcome_leaves(c))
+
+    def test_refusal_names_the_instruction_and_budget(self):
+        n = TREE_MAX_RANDOM_MEASUREMENTS + 1
+        c = Circuit(3, n, n).barrier()
+        for i in range(n):
+            c.measure(WeylOp.from_site(3, n, i, 1, 0), i)
+        with pytest.raises(ValueError, match=rf"noiseless, low-branching circuit: instruction {n} "
+                           rf"would fork past the budget of {n - 1} random outcomes"):
+            exact_outcome_distribution(c)
+
+    def test_leaves_in_path_order(self):
+        """Two X measurements on fresh qutrits: d^2 leaves in path order, each
+        with its path as creg values and a tableau that holds those outcomes."""
+        c = Circuit(3, 2, 2)
+        xs = [WeylOp.from_site(3, 2, i, 1, 0) for i in range(2)]
+        for i, w in enumerate(xs):
+            c.measure(w, i)
+        leaves = list(outcome_leaves(c))
+        assert [path for path, _, _ in leaves] == [(a, b) for a in range(3) for b in range(3)]
+        for path, creg, tab in leaves:
+            assert creg == list(path)
+            assert [tab.deterministic_outcome(w) for w in xs] == list(path)
 
 
 def reference_run_shot(circuit, seed):
@@ -749,7 +777,9 @@ class TestBatchedReference:
             plan = circuit_module._compile_frames(c)
             # a collapse per measurement before the tail (the clashing one too), none after
             assert len(calls) == sum(isinstance(i, Measure) for i in c.instructions[:start])
-            want = execute(without_noise(c), StabilizerTableau(3, n), force=0)
+            want, tab = [0] * c.n_cregs, StabilizerTableau(3, n)
+            for ins in without_noise(c).instructions:
+                circuit_module._apply(ins, tab, want, force=0)
             assert plan.ref.tolist() == want, trial
 
     def test_tail_bounds(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qutrit_toric.circuit import Gate, Measure
+from qutrit_toric.cli import main
 from qutrit_toric.experiments import (
     Move,
     ScriptRunner,
@@ -307,6 +308,42 @@ class TestTopologicalQutrit:
         pinned = [2, 1, 2, 2, 2, 2, 1, 2, 2, 1, 2, 0, 1, 2, 0, 2, 1, 2, 2, 1, 2, 0, 2, 0, 1,
                   1, 2, 0, 1, 2]
         assert [proto.run(seed).sampled.outcome for seed in range(30)] == pinned
+
+    def test_one_lookup_per_leaf(self, layout_fn, monkeypatch):
+        """run reads the d leaves of the outcome tree, one batched lookup each;
+        the sampled outcome takes no extra fork."""
+        proto = TopologicalQutritProtocol(layout_fn())
+        lookup, calls = StabilizerTableau.outcomes_of, []
+
+        def counting(self, ops):
+            calls.append(len(ops))
+            return lookup(self, ops)
+
+        monkeypatch.setattr(StabilizerTableau, "outcomes_of", counting)
+        proto.run(7)
+        assert len(calls) == proto.lattice.d
+
+    def test_deterministic_ancilla_is_an_invariant_failure(self, layout_fn, monkeypatch, capsys):
+        """Without the Fourier sandwich on the ancilla its measurement reads 0 on
+        every branch: one leaf with an empty path, refused by name (CLI exit 3)."""
+        layout = layout_fn()
+        proto = TopologicalQutritProtocol(layout)
+        circuit = TopologicalQutritProtocol.circuit
+
+        def without_ancilla_fourier(self):
+            circ = circuit(self)
+            alone = (self.ancilla,)
+            circ.instructions = [ins for ins in circ.instructions
+                                 if not (isinstance(ins, Gate) and ins.gate.targets == alone)]
+            return circ
+
+        monkeypatch.setattr(TopologicalQutritProtocol, "circuit", without_ancilla_fourier)
+        with pytest.raises(AssertionError, match=r"not the protocol circuit's one random outcome: "
+                           r"its outcome tree has leaves \[\(\)\]"):
+            proto.run(0)
+        lat = layout.lattice
+        assert main(["topo-qutrit", "--lx", str(lat.lx), "--ly", str(lat.ly), "-o", "-"]) == 3
+        assert "one random outcome" in capsys.readouterr().err
 
     def test_logical_shift_loop_cycles_sectors(self, layout_fn):
         """A flux braid around one defect pair advances the fusion-channel
