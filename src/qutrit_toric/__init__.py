@@ -3,7 +3,7 @@
 from .weyl import WeylOp, CliffordGate, GateKind, compose, symplectic_product, conjugate_by_gate
 from .tableau import StabilizerTableau, MeasurementOutcome
 from .circuit import Circuit, NoiseChannel, ShotBatch, run_shots
-from .lattice import TorusLattice, build_lattice, ground_state_circuit, anyon_string
+from .lattice import TorusLattice, build_lattice, ground_state_circuit
 from .defects import DefectSpec, CCRibbon, pf_defect_circuit, cc_defect_circuit, fuse_cc_pair
 
 __all__ = [
@@ -11,7 +11,7 @@ __all__ = [
     "conjugate_by_gate", "StabilizerTableau", "MeasurementOutcome",
     "Circuit", "NoiseChannel", "ShotBatch", "run_shots",
     "TorusLattice", "build_lattice", "ground_state_circuit",
-    "anyon_string", "DefectSpec", "CCRibbon", "pf_defect_circuit",
+    "DefectSpec", "CCRibbon", "pf_defect_circuit",
     "cc_defect_circuit", "fuse_cc_pair",
 ]
 

@@ -429,12 +429,12 @@ def main(argv=None) -> int:
         else:
             raise ConfigError(f"unknown subcommand {name}")
         doc = result_document(name, _config_echo(args), payload)
-        if csv:  # before the document, so a run that fails leaves neither file
+        if csv is not None:  # before the document, so a run that fails leaves neither file
             _csv_from_rows(csv, *_csv_table(payload))
         try:
             path = _write_output(args, doc, f"{name}-result.json")
         except ConfigError:
-            if csv:
+            if csv is not None:
                 os.remove(csv)
             raise
     except (ConfigError, ValueError) as exc:

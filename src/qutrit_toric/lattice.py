@@ -31,15 +31,11 @@ from .weyl import (
     cx,
     cx_dag,
     fourier,
-    symplectic_product,
 )
 
 CORNER_NAMES = ("TL", "TR", "BL", "BR")
 A_EXPONENTS = (1, 1, -1, -1)  # X, X, Xdag, Xdag
 B_EXPONENTS = (-1, 1, -1, 1)  # Zdag, Z, Zdag, Z
-
-# species -> (face kind, eigenvalue exponent of the violated face)
-SPECIES_SIGNATURE = {"e": ("A", 1), "ebar": ("A", 2), "m": ("B", 1), "mbar": ("B", 2)}
 
 
 @dataclass(frozen=True)
@@ -224,97 +220,6 @@ def ground_state_circuit(lattice: TorusLattice) -> Circuit:
             sense = (p.exponents[k] * e_rep) % 3
             circ.gate(cx(rep, site) if sense == 1 else cx_dag(rep, site))
     return circ
-
-
-# -- anyon strings -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnyonString:
-    species: str
-    path: tuple[tuple[int, int], ...]
-    operator: WeylOp
-    head: tuple[int, int]  # face position carrying `species`
-    tail: tuple[int, int]  # face position carrying the conjugate species
-
-
-def _diagonal_faces(lattice: TorusLattice, path: list[tuple[int, int]]) -> str:
-    """Face kind shared by consecutive diagonal sites; validates the walk."""
-    kinds = set()
-    for (x0, y0), (x1, y1) in zip(path, path[1:]):
-        dx = (x1 - x0) % lattice.lx
-        dy = (y1 - y0) % lattice.ly
-        if dx not in (1, lattice.lx - 1) or dy not in (1, lattice.ly - 1):
-            raise ValueError(f"path step {(x0, y0)} -> {(x1, y1)} is not diagonal")
-        fx = x0 if dx == 1 else x1
-        fy = y0 if dy == 1 else y1
-        kinds.add(lattice.plaquette_at(fx, fy).kind)
-    if len(kinds) > 1:
-        raise AssertionError("diagonal walk mixes face types")  # parity forbids this
-    if not kinds:
-        # single site: both same-type faces work; species decides the type
-        return ""
-    return kinds.pop()
-
-
-def string_excitations(lattice: TorusLattice, op: WeylOp) -> dict[tuple[int, int], int]:
-    """Map face position -> eigenvalue exponent the operator imprints on it."""
-    out = {}
-    for p in lattice.plaquettes:
-        s = symplectic_product(op, p.operator(lattice.n_sites, lattice.d))
-        if s:
-            out[p.pos] = s
-    return out
-
-
-def anyon_string(lattice: TorusLattice, species: str,
-                 path: list[tuple[int, int]]) -> AnyonString:
-    """Uniform-exponent diagonal string creating `species` at the head face.
-
-    Charges are Z-strings along A-face diagonals, fluxes X-strings along
-    B-face diagonals; the two end faces carry the species and its
-    conjugate. A closed loop yields no excitations.
-    """
-    if species not in SPECIES_SIGNATURE:
-        raise ValueError(f"unknown species {species}")
-    kind, want = SPECIES_SIGNATURE[species]
-    if not path:
-        raise ValueError("empty path")
-    shared = _diagonal_faces(lattice, path)
-    if shared and shared != kind:
-        raise ValueError(
-            f"{species} strings need {kind}-face diagonals, path runs along {shared}-faces"
-        )
-    is_charge = kind == "A"
-    closed = len(path) > 1 and path[0] == path[-1]
-    sites = path[:-1] if closed else path
-    for a in (1, 2):
-        pattern = {
-            lattice.site_index(x, y): ((0, a) if is_charge else (a, 0)) for x, y in sites
-        }
-        op = WeylOp.from_pattern(lattice.d, lattice.n_sites, pattern)
-        exc = string_excitations(lattice, op)
-        if closed:
-            if exc:
-                raise AssertionError("closed diagonal loop should not excite anything")
-            return AnyonString(species, tuple(path), op, path[0], path[0])
-        if len(exc) != 2:
-            raise ValueError(f"path does not create a clean pair (excites {len(exc)} faces)")
-        (f1, v1), (f2, v2) = sorted(exc.items())
-        if v1 == want and v2 == (-want) % 3:
-            head, tail = f1, f2
-        elif v2 == want and v1 == (-want) % 3:
-            head, tail = f2, f1
-        else:
-            continue
-        # orient: the head face should touch the last path site
-        last_faces = {p.pos for p in lattice.faces_of_site(*path[-1])}
-        if head not in last_faces and tail in last_faces:
-            head, tail = tail, head
-            if exc[head] != want:
-                continue
-        return AnyonString(species, tuple(path), op, head, tail)
-    raise ValueError(f"no uniform exponent realizes {species} on this path")
 
 
 # -- measurement circuits -----------------------------------------------------------

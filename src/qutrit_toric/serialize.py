@@ -1,10 +1,9 @@
 """Versioned JSON schemas: circuits, scripts, frames, compile reports.
 
 Every document carries a "schema" tag; a frame list is not a document
-of its own but the "frames" entry of a braid result. Serialization is
-loss-free for circuits (round-trips through from_json) and
-deterministic: dict keys are emitted in sorted order so identical
-inputs give identical bytes.
+of its own but the "frames" entry of a braid result. Documents are
+written, not read back. Serialization is deterministic: dict keys are
+emitted in sorted order so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from .circuit import (
     Gate,
     Measure,
     Noise,
-    NoiseChannel,
 )
-from .defects import CCRibbon
 from .estimators import PlaquetteSnapshot
 from .experiments import (
     Frame,
@@ -32,7 +29,7 @@ from .experiments import (
     Script,
     Snapshot,
 )
-from .weyl import CliffordGate, GateKind, WeylOp
+from .weyl import WeylOp
 
 CIRCUIT_SCHEMA = "qutrit-toric/circuit/v1"
 SCRIPT_SCHEMA = "qutrit-toric/script/v1"
@@ -54,11 +51,6 @@ def weyl_to_json(w: WeylOp) -> dict:
         "z": [int(w.z[s]) for s in sites],
         "phase": int(w.phase),
     }
-
-
-def weyl_from_json(doc: dict, d: int, n: int) -> WeylOp:
-    pattern = {s: (x, z) for s, x, z in zip(doc["sites"], doc["x"], doc["z"])}
-    return WeylOp.from_pattern(d, n, pattern, doc.get("phase", 0))
 
 
 # -- circuits ----------------------------------------------------------------------
@@ -95,36 +87,6 @@ def circuit_to_json(circ: Circuit) -> dict:
     }
 
 
-def circuit_from_json(doc: dict) -> Circuit:
-    if doc.get("schema") != CIRCUIT_SCHEMA:
-        raise ValueError(f"unexpected schema {doc.get('schema')}")
-    circ = Circuit(doc["d"], doc["n_qudits"], doc["n_cregs"])
-    for ins in doc["instructions"]:
-        kind = ins["kind"]
-        if kind == "gate":
-            circ.gate(CliffordGate(GateKind(ins["gate"]), tuple(ins["targets"])))
-        elif kind == "measure":
-            circ.measure(weyl_from_json(ins["observable"], circ.d, circ.n_qudits),
-                         ins["creg"])
-        elif kind == "cond":
-            predicate = {
-                int(outcome): tuple(
-                    CliffordGate(GateKind(g["gate"]), tuple(g["targets"]))
-                    for g in gates
-                )
-                for outcome, gates in ins["cases"].items()
-            }
-            circ.cond(ins["creg"], predicate)
-        elif kind == "noise":
-            ch = ins["channel"]
-            circ.noise(NoiseChannel(ch["kind"], ch.get("p", 0.0)), tuple(ins["sites"]))
-        elif kind == "barrier":
-            circ.barrier()
-        else:
-            raise ValueError(f"unknown instruction kind {kind}")
-    return circ
-
-
 # -- scripts -----------------------------------------------------------------------
 
 
@@ -159,39 +121,6 @@ def script_to_json(script: Script) -> dict:
             steps.append({"op": "snapshot", "label": step.label})
     return {"schema": SCRIPT_SCHEMA, "name": script.name,
             "lattice": [script.lx, script.ly], "steps": steps}
-
-
-def script_from_json(doc: dict) -> Script:
-    if doc.get("schema") != SCRIPT_SCHEMA:
-        raise ValueError(f"unexpected schema {doc.get('schema')}")
-    lx, ly = doc["lattice"]
-    script = Script(doc["name"], lx, ly)
-    for step in doc["steps"]:
-        op = step["op"]
-        if op == "prepare":
-            script.steps.append(Prepare())
-        elif op == "pf-defect":
-            script.steps.append(InsertPF(tuple(step["site"]), step["species"]))
-        elif op == "cc-defect":
-            ribbon = CCRibbon(
-                tuple(tuple(s) for s in step["schain"]),
-                tuple((tuple(s["s"]), tuple(s["sigma"]), s["eta"]) for s in step["steps"]),
-            )
-            script.steps.append(InsertCC(ribbon))
-        elif op == "move":
-            script.steps.append(Move(
-                tuple(tuple(q) for q in step["support"]),
-                tuple((key, delta) for key, delta in step["changes"]),
-                tuple(step.get("free", ())),
-                step.get("label", ""),
-            ))
-        elif op == "fuse":
-            script.steps.append(Fuse(step["defect"]))
-        elif op == "snapshot":
-            script.steps.append(Snapshot(step["label"]))
-        else:
-            raise ValueError(f"unknown script op {op}")
-    return script
 
 
 # -- frames and results ----------------------------------------------------------------

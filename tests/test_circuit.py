@@ -21,7 +21,7 @@ from qutrit_toric.circuit import (
     run_shots,
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
-from qutrit_toric.serialize import circuit_from_json, circuit_to_json
+from qutrit_toric.serialize import circuit_to_json
 from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import WeylOp
 
@@ -908,17 +908,31 @@ class TestNoiselessInvariants:
 
 
 class TestSerialization:
-    def test_round_trip(self):
+    def test_every_instruction_kind_written_as_documented(self):
         c = bell_like_circuit().with_noise(p1=0.01, p2=0.02)
         c.cond(0, {0: (), 1: (weyl.clock_z(0),), 2: (weyl.clock_z_dag(0),)})
         c.barrier()
-        doc = circuit_to_json(c)
-        back = circuit_from_json(doc)
-        assert circuit_to_json(back) == doc
-
-    def test_executes_identically_after_round_trip(self):
-        c = bell_like_circuit()
-        back = circuit_from_json(circuit_to_json(c))
-        a = run_shots(c, 50, base_seed=2)
-        b = run_shots(back, 50, base_seed=2)
-        assert np.array_equal(a.values, b.values)
+        assert circuit_to_json(c) == {
+            "schema": "qutrit-toric/circuit/v1",
+            "d": 3,
+            "n_qudits": 2,
+            "n_cregs": 2,
+            "instructions": [
+                {"kind": "gate", "gate": "h", "targets": [0]},
+                {"kind": "noise", "channel": {"kind": "depolarizing1", "p": 0.01},
+                 "sites": [0]},
+                {"kind": "gate", "gate": "cx", "targets": [0, 1]},
+                {"kind": "noise", "channel": {"kind": "depolarizing2", "p": 0.02},
+                 "sites": [0, 1]},
+                {"kind": "measure", "creg": 0,
+                 "observable": {"sites": [0], "x": [0], "z": [1], "phase": 0}},
+                {"kind": "measure", "creg": 1,
+                 "observable": {"sites": [1], "x": [0], "z": [1], "phase": 0}},
+                {"kind": "cond", "creg": 0, "cases": {
+                    "0": [],
+                    "1": [{"gate": "z", "targets": [0]}],
+                    "2": [{"gate": "zdg", "targets": [0]}],
+                }},
+                {"kind": "barrier"},
+            ],
+        }

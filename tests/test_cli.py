@@ -438,11 +438,13 @@ class TestInputValidation:
         ("--output", "{file}/x.json", ("prepare", "--lx", "4", "--ly", "2", "--csv", "{other}")),
         ("--csv", "{file}/x.csv", ("prepare", "--lx", "4", "--ly", "2", "-o", "{other}")),
         ("--csv", "-", ("prepare", "--lx", "4", "--ly", "2", "-o", "{other}")),
+        ("--csv", "", ("prepare", "--lx", "4", "--ly", "2", "-o", "{other}")),
     ], ids=["output-under-file", "output-is-directory", "output-under-file-with-csv",
-            "csv-under-file", "csv-to-stdout"])
+            "csv-under-file", "csv-to-stdout", "csv-empty"])
     def test_unwritable_path(self, tmp_path, capsys, monkeypatch, flag, where, command):
         """A write that fails exits 2 and leaves no file of the run behind.
-        --csv - is refused: stdout carries the result document."""
+        --csv - is refused: stdout carries the result document. An empty
+        --csv path is a path that cannot be written, not an absent flag."""
         monkeypatch.chdir(tmp_path)
         plain, other = tmp_path / "plain", tmp_path / "other"
         plain.write_text("")

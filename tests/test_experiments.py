@@ -9,7 +9,6 @@ from qutrit_toric.experiments import (
     Move,
     ScriptRunner,
     TopologicalQutritProtocol,
-    braid_scripts,
     cc_braid_script,
     face_key,
     pf_braid_script,
@@ -17,7 +16,6 @@ from qutrit_toric.experiments import (
     topo_layout_6x2,
     topo_layout_6x4,
 )
-from qutrit_toric.serialize import script_from_json, script_to_json
 from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import symplectic_product
 
@@ -237,21 +235,6 @@ class TestFusionIdentity:
 
 
 class TestScriptInfrastructure:
-    def test_scripts_serialize_round_trip(self):
-        for name, script in braid_scripts().items():
-            doc = script_to_json(script)
-            back = script_from_json(doc)
-            assert script_to_json(back) == doc
-
-    def test_round_tripped_script_runs_identically(self):
-        script = cc_braid_script()
-        back = script_from_json(script_to_json(script))
-        f1, _ = run_braid(script, seed=2)
-        f2, _ = run_braid(back, seed=2)
-        for a, b in zip(f1, f2):
-            assert a.label == b.label
-            assert [s.triple for s in a.plaquettes] == [s.triple for s in b.plaquettes]
-
     def test_unrealizable_move_raises(self):
         script = pf_braid_script()
         script.steps.insert(3, Move(((0, 0),), ((face_key("A", (3, 3)), 1),),

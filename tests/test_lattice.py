@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from qutrit_toric import lattice
+from qutrit_toric.defects import solve_weyl_op
 from qutrit_toric.lattice import (
-    anyon_string,
     build_lattice,
     default_preparation_order,
     ground_state_circuit,
-    string_excitations,
     validate_preparation_order,
 )
-from qutrit_toric.weyl import symplectic_product
+from qutrit_toric.weyl import WeylOp, symplectic_product
 
 from oracles import (
     DenseState,
@@ -175,54 +174,69 @@ class TestPreparation:
         assert state.fidelity(dense) == pytest.approx(1, abs=1e-10)
 
 
+def diagonal_string(lat, kind, a, sites):
+    """Uniform string on sites: Z^a for charges (A-face diagonals), X^a for fluxes (B-face)."""
+    pattern = {lat.site_index(*q): (0, a) if kind == "A" else (a, 0) for q in sites}
+    return WeylOp.from_pattern(lat.d, lat.n_sites, pattern)
+
+
+def solved_move(lat, support, ends):
+    """The presets' move: solve_weyl_op on support shifting each end face by its
+    exponent and keeping every other face."""
+    n = lat.n_sites
+    keep = [p.operator(n) for p in lat.plaquettes if p.pos not in ends]
+    change = [(lat.plaquette_at(*pos).operator(n), e) for pos, e in ends.items()]
+    return solve_weyl_op(lat, support, keep, change)
+
+
+def excited_sectors(lat, tab):
+    """Face position -> sector of every face that does not read +1."""
+    out = {}
+    for p in lat.plaquettes:
+        trip = tab.projector_triple(p.operator(lat.n_sites))
+        if trip[0] != 1.0:
+            out[p.pos] = trip.index(1.0)
+    return out
+
+
 class TestAnyonStrings:
     def test_single_site_charge_pair(self):
         lat, tab = prepared(6, 4)
-        s = anyon_string(lat, "e", [(2, 1)])
-        tab.apply_weyl(s.operator)
-        excited = {}
-        for p in lat.plaquettes:
-            trip = tab.projector_triple(p.operator(lat.n_sites))
-            if trip[0] != 1.0:
-                excited[p.pos] = trip
-        assert len(excited) == 2
-        assert excited[s.head][1] == 1.0        # charge at the head
-        assert excited[s.tail][2] == 1.0        # conjugate at the tail
-        assert all(lat.plaquette_at(*pos).kind == "A" for pos in excited)
+        # Z on (2, 1): the BL corner (Xdag) of A-face (2, 0), the TR corner (X) of A-face (1, 1)
+        ends = {(2, 0): 1, (1, 1): 2}
+        op = solved_move(lat, [(2, 1)], ends)
+        assert op == diagonal_string(lat, "A", 1, [(2, 1)])
+        tab.apply_weyl(op)
+        assert excited_sectors(lat, tab) == ends
 
     @pytest.mark.parametrize("species,kind,sector", [
         ("e", "A", 1), ("ebar", "A", 2), ("m", "B", 1), ("mbar", "B", 2),
     ])
     def test_species_signature_table(self, species, kind, sector):
         lat, tab = prepared(6, 4)
-        start = (2, 2) if kind == "A" else (2, 1)
-        path = [start, ((start[0] + 1) % 6, (start[1] + 1) % 4)]
-        s = anyon_string(lat, species, path)
-        tab.apply_weyl(s.operator)
-        head_face = lat.plaquette_at(*s.head)
-        assert head_face.kind == kind
-        trip = tab.projector_triple(head_face.operator(lat.n_sites))
-        assert trip[sector] == 1.0
-
-    def test_species_path_type_mismatch(self):
-        lat = build_lattice(6, 4)
-        with pytest.raises(ValueError, match="diagonal"):
-            anyon_string(lat, "e", [(2, 1), (3, 1)])
-        with pytest.raises(ValueError, match="strings need"):
-            anyon_string(lat, "m", [(2, 2), (3, 3)])
+        x, y = (2, 2) if kind == "A" else (2, 1)
+        path = [(x, y), (x + 1, y + 1)]
+        head, tail = (x + 1, y + 1), (x - 1, y - 1)  # the faces past each end of the diagonal
+        assert lat.plaquette_at(*head).kind == lat.plaquette_at(*tail).kind == kind
+        ends = {head: sector, tail: -sector % 3}
+        # the head's TL corner carries X (A) or Zdag (B), so the exponent is minus its sector
+        op = diagonal_string(lat, kind, -sector % 3, path)
+        assert solved_move(lat, path, ends) == op
+        tab.apply_weyl(op)
+        assert excited_sectors(lat, tab) == ends
 
     def test_closed_loop_trivial(self):
         lat, tab = prepared(6, 2)
         # diagonal orbit on 6x2 closes after 6 steps
-        path = [((2 + k) % 6, k % 2) for k in range(7)]
-        s = anyon_string(lat, "e", path)
+        loop = [((2 + k) % 6, k % 2) for k in range(6)]
+        op = diagonal_string(lat, "A", 1, loop)
+        assert all(symplectic_product(op, p.operator(lat.n_sites)) == 0 for p in lat.plaquettes)
         before = [expectation_weyl(tab, p.operator(lat.n_sites)) for p in lat.plaquettes]
         zh = expectation_weyl(tab, lat.logical_z_horizontal(0))
-        tab.apply_weyl(s.operator)
+        tab.apply_weyl(op)
         after = [expectation_weyl(tab, p.operator(lat.n_sites)) for p in lat.plaquettes]
         assert before == after
         assert expectation_weyl(tab, lat.logical_z_horizontal(0)) == zh
-        assert not string_excitations(lat, s.operator)
 
     def test_noisy_prep_concentrates_on_implicit_face(self):
         """Depolarizing noise drags spurious charges toward the face that is

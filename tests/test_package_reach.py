@@ -1,0 +1,79 @@
+"""Everything the package defines is reached from the package, or says why not.
+
+An `ast` scan over `src/`: each top-level function and class, and each
+non-dunder method of a top-level class, must be read by name (a `Name`
+or an attribute) somewhere in the package outside its own definition,
+or be exported in `__all__`, or be listed in KEPT with a one-line
+reason. A name that only the tests reach then has to state why it stays
+in the package.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import qutrit_toric
+
+PACKAGE = Path(qutrit_toric.__file__).parent
+
+# name -> why the package keeps it though no other package code reads it
+KEPT = {
+    "ShotBatch.records": "benchmarks/probes.py compares batches with it until ROADMAP item 2",
+    "StabilizerTableau.projector_triple": "benchmarks/probes.py times it until ROADMAP item 2",
+    "mitigated_plaquette_triple": "benchmarks/probes.py times it until ROADMAP item 2",
+    "exact_outcome_distribution": "benchmarks/probes.py times it; the tests' enumeration oracle",
+    "TopologicalQutritProtocol.logical_shift_loop": "library: the paper's logical shift",
+    "Frame.excited": "library: the faces a frame shows excited",
+    "ScriptRunner.to_circuit": "library: a script flattened to one plain circuit",
+    "TorusLattice.b_plaquettes": "library: the clock-type faces, partner of a_plaquettes",
+    "TorusLattice.logical_x_horizontal": "library: the X-type logical strings",
+    "TorusLattice.logical_x_vertical": "library: the X-type logical strings",
+    "WeylOp.identity": "library: small WeylOp helper",
+    "WeylOp.is_identity": "library: small WeylOp helper",
+    "WeylOp.with_phase": "library: small WeylOp helper",
+    "WeylOp.same_string": "library: small WeylOp helper",
+    "shift_x_dag": "library: completes the one-qudit gate constructors",
+    "clock_z_dag": "library: completes the one-qudit gate constructors",
+    "standard_errors": "library: binomial standard errors of raw sector counts",
+}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, bare name, node) for top-level defs and class methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def names_read(node: ast.AST) -> Counter:
+    """How often each name is read in node, as a `Name` or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreached() -> dict[str, str]:
+    """Qualified name -> 'module:line' of each definition the package never reads elsewhere."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    everywhere = sum((names_read(t) for t in trees.values()), Counter())
+    return {qualified: f"{module}:{node.lineno}"
+            for module, tree in trees.items() for qualified, name, node in definitions(tree)
+            if everywhere[name] == names_read(node)[name]}
+
+
+def test_every_package_definition_is_reached_or_kept_for_a_reason():
+    exported = set(qutrit_toric.__all__)
+    found = unreached()
+    assert "TorusLattice.b_plaquettes" in found  # the scan sees methods
+    assert {name: where for name, where in found.items()
+            if name not in exported and name not in KEPT} == {}
+
+
+def test_every_kept_name_is_defined_and_unreached():
+    """A KEPT entry whose name is gone, or that the package now reads, is stale."""
+    assert sorted(set(KEPT) - set(unreached())) == []
