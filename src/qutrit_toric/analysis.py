@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import DECODE_INDEX, NC_INDEX, READOUT_P01, READOUT_P10
-from .estimators import PlaquetteSnapshot
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ def mitigated_plaquette_triple(pairs: np.ndarray,
 # -- aggregate statistics -----------------------------------------------------------
 
 
-def energy_density(snapshots: list[PlaquetteSnapshot],
+def energy_density(snapshots: list[dict],
                    expected_plaquettes: int | None = None) -> float:
     """Mean negated +1-sector weight over all faces; lies in [-1, 0]."""
     if not snapshots:
@@ -165,18 +164,4 @@ def energy_density(snapshots: list[PlaquetteSnapshot],
         raise ValueError(
             f"expected {expected_plaquettes} plaquettes, got {len(snapshots)}"
         )
-    return -float(np.mean([s.pi1 for s in snapshots]))
-
-
-def standard_errors(counts) -> tuple[list[float], float]:
-    """Binomial standard errors per sector plus the maximum.
-
-    counts: sector counts of one estimator (total N = sum).
-    """
-    counts = np.asarray(counts, dtype=float)
-    n = counts.sum()
-    if n == 0:
-        raise ValueError("no shots")
-    p = counts / n
-    ses = np.sqrt(p * (1 - p) / n)
-    return [float(s) for s in ses], float(ses.max())
+    return -float(np.mean([s["pi1"] for s in snapshots]))

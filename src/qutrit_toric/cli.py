@@ -18,7 +18,6 @@ import dataclasses
 import json
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from .serialize import (
     frames_to_json,
     result_document,
     script_to_json,
-    snapshot_to_json,
 )
 from .tableau import StabilizerTableau, outcome_triple
 
@@ -64,11 +62,12 @@ class ConfigError(Exception):
     pass
 
 
-@contextmanager
-def _writing(flag: str, path: str):
-    """Report an OSError while writing path as a configuration error naming flag."""
+def _write_text(flag: str, path: str, text: str):
+    """Write text to path, creating its directory; an OSError is a ConfigError naming flag."""
     try:
-        yield
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {flag} {path}: {exc.strerror or exc}") from exc
 
@@ -82,10 +81,7 @@ def _write_output(args, doc: dict, default_name: str) -> str:
     if out == "-":
         print(text)
         return "-"
-    with _writing("--output", out):
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+    _write_text("--output", out, text + "\n")
     return out
 
 
@@ -103,11 +99,8 @@ def _csv_table(payload: dict) -> tuple[list[str], list[list]]:
               r["fidelity_bound"]["upper"]] for r in payload["per_outcome"]])
 
 
-def _csv_from_rows(path: str, header: list[str], rows: list[list]):
-    with _writing("--csv", path), open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    return "".join(",".join(str(v) for v in row) + "\n" for row in [header, *rows])
 
 
 def _config_echo(args) -> dict:
@@ -127,19 +120,23 @@ def cmd_prepare(args) -> dict:
         tab = StabilizerTableau(lat.d, lat.n_sites, np.random.default_rng(args.seed))
         execute(prep, tab)
         faces = lat.plaquettes
-        logicals = {f"{t}_{o}": getattr(lat, f"logical_{t}_{o}")(0)
-                    for t in "zx" for o in ("horizontal", "vertical")}
+        logicals = {"z_horizontal": lat.logical_z_horizontal(0),
+                    "z_vertical": lat.logical_z_vertical(0),
+                    "x_horizontal": lat.logical_x_horizontal(0),
+                    "x_vertical": lat.logical_x_vertical(0)}
         det = tab.outcomes_of([p.operator(lat.n_sites) for p in faces] + list(logicals.values()))
-        snaps = snapshots_from_outcomes(det, lat.d, [(p.kind, p.pos, False, None) for p in faces])
-        logi = {k: outcome_triple(int(s), lat.d)[0] for k, s in zip(logicals, det[len(faces):])}
         payload["mode"] = "exact"
-        payload["plaquettes"] = [snapshot_to_json(s) for s in snaps]
-        payload["logical_projectors"] = logi
-        payload["energy_density"] = energy_density(snaps, len(lat.plaquettes))
+        payload["plaquettes"] = snapshots_from_outcomes(
+            det, lat.d, [(p.kind, p.pos, False, None) for p in faces])
+        payload["logical_projectors"] = {k: outcome_triple(int(s), lat.d)[0]
+                                         for k, s in zip(logicals, det[len(faces):])}
+        payload["energy_density"] = energy_density(payload["plaquettes"], len(faces))
         return payload
     # shot-based (optionally noisy) run with encoded readout
     shots = args.shots or DEFAULT_SHOTS
-    snaps_all = []
+    payload["mode"] = "shots"
+    payload["shots_per_basis"] = shots
+    payload["plaquettes"] = []
     herald = {}
     for b, basis in enumerate(("z", "x")):  # separate experiments: seeds from (seed, basis)
         frame_seed, readout_seed = np.random.SeedSequence([args.seed, b]).generate_state(2).tolist()
@@ -156,11 +153,8 @@ def cmd_prepare(args) -> dict:
                 raise ConfigError(f"all {shots} {basis}-basis shots failed the herald check "
                                   "(a qutrit pair read |01>)")
             values = decode_qubit_records(pairs)
-        snaps_all.extend(estimate_plaquette_projectors(values, basis, lat))
-    payload["mode"] = "shots"
-    payload["shots_per_basis"] = shots
-    payload["plaquettes"] = [snapshot_to_json(s) for s in snaps_all]
-    payload["energy_density"] = energy_density(snaps_all, len(lat.plaquettes))
+        payload["plaquettes"].extend(estimate_plaquette_projectors(values, basis, lat))
+    payload["energy_density"] = energy_density(payload["plaquettes"], len(lat.plaquettes))
     if herald:
         payload["herald_discard_fraction"] = herald
     return payload
@@ -430,7 +424,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown subcommand {name}")
         doc = result_document(name, _config_echo(args), payload)
         if csv is not None:  # before the document, so a run that fails leaves neither file
-            _csv_from_rows(csv, *_csv_table(payload))
+            _write_text("--csv", csv, _csv_text(*_csv_table(payload)))
         try:
             path = _write_output(args, doc, f"{name}-result.json")
         except ConfigError:

@@ -30,13 +30,14 @@ from .modmath import mod_inverse, solve
 from .weyl import (
     CliffordGate,
     WeylOp,
+    clock_z,
     compose,
     conj_c,
     conjugate_through,
     cx,
     cx_dag,
+    shift_x,
     symplectic_product,
-    weyl_power_gates,
 )
 
 
@@ -64,37 +65,25 @@ def solve_weyl_op(lattice: TorusLattice, support, keep, change) -> WeylOp | None
     """
     d, n = lattice.d, lattice.n_sites
     sites = [lattice.site_index(*q) if isinstance(q, tuple) else int(q) for q in support]
-    rows, rhs = [], []
-
-    def add(op: WeylOp, r: int):
-        row = np.zeros(2 * len(sites), dtype=np.int64)
-        for k, site in enumerate(sites):
-            row[2 * k] = op.z[site] % d          # coefficient of F.x[site]
-            row[2 * k + 1] = (-op.x[site]) % d   # coefficient of F.z[site]
-        rows.append(row)
-        rhs.append(r % d)
-
-    for op in keep:
-        add(op, 0)
-    for op, delta in change:
-        add(op, delta)
-    sol = solve(np.array(rows), np.array(rhs), d)
+    ops = [*keep, *(op for op, _ in change)]
+    rhs = [0] * len(keep) + [delta for _, delta in change]
+    # sp(F, op) = sum_site F.x op.z - F.z op.x; columns alternate F.x[site], F.z[site]
+    rows = np.stack([np.array([op.z for op in ops])[:, sites],
+                     -np.array([op.x for op in ops])[:, sites]], axis=2)
+    sol = solve(rows.reshape(len(ops), -1), np.array(rhs), d)
     if sol is None:
         return None
-    pattern = {}
-    for k, site in enumerate(sites):
-        fx, fz = int(sol[2 * k]), int(sol[2 * k + 1])
-        if fx or fz:
-            pattern[site] = (fx, fz)
-    return WeylOp.from_pattern(d, n, pattern)
+    # a site listed twice has two columns; F is the product, so the exponents add
+    fx, fz = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    np.add.at(fx, sites, sol[0::2])
+    np.add.at(fz, sites, sol[1::2])
+    return WeylOp(d, fx, fz)
 
 
 def weyl_gates(op: WeylOp) -> list[CliffordGate]:
-    """Gate sequence realizing op up to a global phase."""
-    gates: list[CliffordGate] = []
-    for site in op.support:
-        gates.extend(weyl_power_gates(int(site), int(op.x[site]), int(op.z[site]), op.d))
-    return gates
+    """Gate sequence realizing op up to a global phase: X^x then Z^z on each site."""
+    return [g for site in op.support
+            for g in [shift_x(site)] * int(op.x[site]) + [clock_z(site)] * int(op.z[site])]
 
 
 # -- parafermion defects -------------------------------------------------------

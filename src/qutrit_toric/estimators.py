@@ -1,16 +1,17 @@
 """Plaquette projector estimation from shot records and from tableaus.
 
-A snapshot records, per face, the projector triple (Pi^1, Pi^omega,
-Pi^omega-bar), the complex stabilizer expectation, its argument in
-degrees, and binomial standard errors when estimated from shots. Shot
-estimates cover every face of a basis in one matrix product; the
-general per-operator form the tests check it against,
-`estimate_operator`, lives in `tests/oracles.py`.
+A face reading is its result-document entry: a dict holding the face's
+kind and position, the projector triple (Pi^1, Pi^omega, Pi^omega-bar)
+as `pi1`, `pi_omega` and `pi_omegabar`, the complex stabilizer
+expectation as `expectation_re` and `expectation_im`, its argument in
+degrees, and the binomial standard errors (from `standard_errors` when
+estimated from shots, zeros when exact). Shot estimates cover every
+face of a basis in one matrix product; the general per-operator form
+the tests check it against, `estimate_operator`, lives in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,44 +19,51 @@ from .lattice import TorusLattice
 from .tableau import outcome_triple
 
 
-@dataclass(frozen=True)
-class PlaquetteSnapshot:
-    kind: str
-    pos: tuple[int, int]
-    triple: tuple[float, float, float]
-    expectation: complex
-    arg_deg: float
-    std_errors: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    n_shots: int = 0
-    transformed: bool = False
-    label: str | None = None
+def standard_errors(counts) -> tuple[list[float], float]:
+    """Binomial standard errors per sector plus the maximum.
 
-    @property
-    def pi1(self) -> float:
-        return self.triple[0]
+    counts: sector counts of one estimator (total N = sum).
+    """
+    counts = np.asarray(counts, dtype=float)
+    n = counts.sum()
+    if n == 0:
+        raise ValueError("no shots")
+    p = counts / n
+    ses = np.sqrt(p * (1 - p) / n)
+    return [float(s) for s in ses], float(ses.max())
 
 
-def _snapshot_from_triple(kind, pos, triple, n_shots=0, transformed=False, label=None):
-    d = len(triple)
-    omega = np.exp(2j * np.pi / d)
-    expectation = sum(triple[k] * omega**k for k in range(d))
+def _snapshot_from_triple(kind, pos, triple, std_errors=(0.0, 0.0, 0.0), n_shots=0,
+                          transformed=False, label=None) -> dict:
+    """The document entry of one d = 3 face reading."""
+    omega = np.exp(2j * np.pi / 3)
+    expectation = complex(sum(triple[k] * omega**k for k in range(3)))
     arg = float(np.degrees(np.angle(expectation))) % 360.0 if abs(expectation) > 1e-12 else 0.0
-    ses = tuple(
-        float(np.sqrt(p * (1 - p) / n_shots)) if n_shots else 0.0 for p in triple
-    )
-    return PlaquetteSnapshot(kind, pos, tuple(float(p) for p in triple),
-                             complex(expectation), arg, ses, n_shots, transformed, label)
+    return {
+        "kind": kind,
+        "pos": list(pos),
+        "pi1": float(triple[0]),
+        "pi_omega": float(triple[1]),
+        "pi_omegabar": float(triple[2]),
+        "expectation_re": expectation.real,
+        "expectation_im": expectation.imag,
+        "arg_deg": arg,
+        "std_errors": list(std_errors),
+        "n_shots": n_shots,
+        "transformed": transformed,
+        "label": label,
+    }
 
 
-def snapshots_from_outcomes(outcomes, d: int, keys) -> list[PlaquetteSnapshot]:
-    """Exact snapshots from tableau lookup outcomes; keys[f] = (kind, pos, transformed, label)."""
+def snapshots_from_outcomes(outcomes, d: int, keys) -> list[dict]:
+    """Exact face entries from tableau lookups; keys[f] = (kind, pos, transformed, label)."""
     return [_snapshot_from_triple(kind, pos, outcome_triple(int(det), d),
                                   transformed=transformed, label=label)
             for det, (kind, pos, transformed, label) in zip(outcomes, keys)]
 
 
 def estimate_plaquette_projectors(values: np.ndarray, basis: str,
-                                  lattice: TorusLattice) -> list[PlaquetteSnapshot]:
+                                  lattice: TorusLattice) -> list[dict]:
     """Per-plaquette projector estimates from (N, n) destructive measure-all outcomes.
 
     Shift-type (A) faces require shift-basis ('x') records; clock-type
@@ -78,5 +86,6 @@ def estimate_plaquette_projectors(values: np.ndarray, basis: str,
         raise ValueError("no retained shots")
     kappa = np.array([op.phase for op in ops], dtype=np.int64)
     sectors = (np.asarray(values, dtype=np.int64) @ M.T + kappa) % d
-    return [_snapshot_from_triple(p.kind, p.pos, tuple(np.bincount(col, minlength=d) / total),
-                                  n_shots=total) for p, col in zip(faces, sectors.T)]
+    counts = [np.bincount(col, minlength=d) for col in sectors.T]
+    return [_snapshot_from_triple(p.kind, p.pos, tuple(c / total), standard_errors(c)[0],
+                                  n_shots=total) for p, c in zip(faces, counts)]

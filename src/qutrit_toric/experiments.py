@@ -32,7 +32,7 @@ from .defects import (
     solve_weyl_op,
     weyl_gates,
 )
-from .estimators import PlaquetteSnapshot, snapshots_from_outcomes
+from .estimators import snapshots_from_outcomes
 from .lattice import TorusLattice, ground_state_circuit
 from .modmath import mod_inverse
 from .tableau import StabilizerTableau, outcome_expectation, outcome_triple
@@ -101,13 +101,12 @@ class Script:
 @dataclass
 class Frame:
     label: str
-    plaquettes: list[PlaquetteSnapshot]
-    defects: list[PlaquetteSnapshot]
+    plaquettes: list[dict]  # face entries, as written to the result document
+    defects: list[dict]
 
     def excited(self) -> dict[tuple[str, tuple[int, int]], tuple[float, ...]]:
-        return {
-            (r.kind, r.pos): r.triple for r in self.plaquettes if r.triple[0] != 1.0
-        }
+        return {(r["kind"], tuple(r["pos"])): (r["pi1"], r["pi_omega"], r["pi_omegabar"])
+                for r in self.plaquettes if r["pi1"] != 1.0}
 
 
 def face_key(kind: str, pos: tuple[int, int]) -> str:
@@ -228,8 +227,8 @@ class ScriptRunner:
         keys = sorted(self.observables)
         det = self.tab.outcomes_of([self.observables[k] for k in keys])
         snaps = snapshots_from_outcomes(det, self.lattice.d, [(*self.kinds[k], k) for k in keys])
-        plaq = [s for s in snaps if s.kind in ("A", "B")]
-        return Frame(label, plaq, [s for s in snaps if s.kind not in ("A", "B")])
+        plaq = [s for s in snaps if s["kind"] in ("A", "B")]
+        return Frame(label, plaq, [s for s in snaps if s["kind"] not in ("A", "B")])
 
 
 # -- shipped braid presets -------------------------------------------------------

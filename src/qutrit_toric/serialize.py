@@ -18,7 +18,6 @@ from .circuit import (
     Measure,
     Noise,
 )
-from .estimators import PlaquetteSnapshot
 from .experiments import (
     Frame,
     Fuse,
@@ -126,29 +125,12 @@ def script_to_json(script: Script) -> dict:
 # -- frames and results ----------------------------------------------------------------
 
 
-def snapshot_to_json(snap: PlaquetteSnapshot) -> dict:
-    return {
-        "kind": snap.kind,
-        "pos": list(snap.pos),
-        "pi1": snap.triple[0],
-        "pi_omega": snap.triple[1],
-        "pi_omegabar": snap.triple[2],
-        "expectation_re": snap.expectation.real,
-        "expectation_im": snap.expectation.imag,
-        "arg_deg": snap.arg_deg,
-        "std_errors": list(snap.std_errors),
-        "n_shots": snap.n_shots,
-        "transformed": snap.transformed,
-        "label": snap.label,
-    }
-
-
 def frames_to_json(frames: list[Frame]) -> list[dict]:
     return [
         {
             "label": f.label,
-            "plaquettes": [snapshot_to_json(s) for s in f.plaquettes],
-            "defect_stabilizers": [snapshot_to_json(s) for s in f.defects],
+            "plaquettes": f.plaquettes,
+            "defect_stabilizers": f.defects,
         }
         for f in frames
     ]

@@ -270,16 +270,6 @@ def cz_dag(c: int, t: int) -> CliffordGate:
     return CliffordGate(GateKind.CZ_DAG, (c, t))
 
 
-def weyl_power_gates(site: int, xe: int, ze: int, d: int) -> list[CliffordGate]:
-    """Gate sequence applying X_site^xe Z_site^ze (normal order, any phase)."""
-    gates: list[CliffordGate] = []
-    for _ in range(xe % d):
-        gates.append(shift_x(site))
-    for _ in range(ze % d):
-        gates.append(clock_z(site))
-    return gates
-
-
 def conjugate_rows(g: CliffordGate, x: np.ndarray, z: np.ndarray, ph: np.ndarray, d: int) -> None:
     """Conjugate every row of a Weyl-string array by g, in place, mod d.
 

@@ -412,7 +412,7 @@ def test_criterion_9_spam_mitigation():
         retained, _ = herald_filter(pairs)
         values = decode_qubit_records(retained)
         snaps = estimate_plaquette_projectors(values, basis, lat)
-        raw.extend(s.pi1 for s in snaps)
+        raw.extend(s["pi1"] for s in snaps)
         want = "A" if basis == "x" else "B"
         for p in lat.plaquettes:
             if p.kind == want:

@@ -11,11 +11,10 @@ from qutrit_toric.analysis import (
     energy_density,
     fidelity_bounds,
     mitigated_plaquette_triple,
-    standard_errors,
     topological_qutrit_bounds,
 )
 from qutrit_toric.encoder import DECODE_BITS
-from qutrit_toric.estimators import _snapshot_from_triple
+from qutrit_toric.estimators import _snapshot_from_triple, standard_errors
 from qutrit_toric.lattice import A_EXPONENTS, B_EXPONENTS
 
 from oracles import forward_noise, spam_mitigate
@@ -140,7 +139,7 @@ class TestSpamMitigation:
             retained, _ = herald_filter(pairs)
             values = decode_qubit_records(retained)
             snaps = estimate_plaquette_projectors(values, basis, lat)
-            raw_means.extend(s.pi1 for s in snaps)
+            raw_means.extend(s["pi1"] for s in snaps)
             want = "A" if basis == "x" else "B"
             for p in lat.plaquettes:
                 if p.kind != want:

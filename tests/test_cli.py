@@ -109,6 +109,14 @@ class TestPrepare:
         assert lines[0].startswith("kind,")
         assert len(lines) == 1 + 8
 
+    def test_csv_and_output_create_missing_directories(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["prepare", "--lx", "4", "--ly", "2", "--csv", "new/t.csv",
+                     "-o", "new2/r.json"]) == 0
+        assert len((tmp_path / "new" / "t.csv").read_text().splitlines()) == 1 + 8
+        assert len(json.loads((tmp_path / "new2" / "r.json").read_text())
+                   ["results"]["plaquettes"]) == 8
+
     def test_invalid_lattice_is_config_error(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "prepare", "--lx", "5", "--ly", "4")
         assert code == 2

@@ -14,7 +14,7 @@ from qutrit_toric.defects import (
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit
 from qutrit_toric.tableau import StabilizerTableau
-from qutrit_toric.weyl import conjugate_through
+from qutrit_toric.weyl import GateKind, WeylOp, conjugate_through, symplectic_product
 
 from oracles import (
     DenseState,
@@ -83,6 +83,37 @@ class TestParafermionDefect:
             for name in ("west", "east", "nonlocal"):
                 val = dense.expectation_weyl(spec.stabilizers[name][0])
                 assert val == pytest.approx(1, abs=1e-8)
+
+    @pytest.mark.parametrize("lx,ly", [(2, 2), (4, 2), (2, 4)])
+    def test_correction_meets_every_constraint_on_small_tori(self, lx, ly):
+        """On a torus of side 2 the 3x3 correction block lists sites twice; the
+        solved correction F (outcome 1's gate block) must still keep every
+        untouched face and Z logical and shift W by -1 and each fused
+        operator P Q^b W^-m by m."""
+        lat = build_lattice(lx, ly)
+        n, d = lat.n_sites, lat.d
+        for x, y in ((x, y) for x in range(lx) for y in range(ly)):
+            nw, ne, sw, se = lat.faces_of_site(x, y)
+            for species in ("PF", "PFstar"):
+                frag, spec = pf_defect_circuit(lat, (x, y), species, 0)
+                fx, fz = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+                for g in frag.instructions[1].predicate[1]:
+                    (fx if g.kind is GateKind.SHIFT_X else fz)[g.targets[0]] += 1
+                F = WeylOp(d, fx, fz)
+                W = spec.stabilizers["measured"][0]
+                where = (lx, ly, x, y, species)
+                assert symplectic_product(F, W) == d - 1, where
+                keep = [p.operator(n) for p in lat.plaquettes
+                        if p.pos not in {nw.pos, ne.pos, sw.pos, se.pos}]
+                keep += [lat.logical_z_horizontal(r) for r in range(ly)]
+                keep += [lat.logical_z_vertical(c) for c in range(lx)]
+                assert all(symplectic_product(F, op) == 0 for op in keep), where
+                for name, P, Q in (("west", nw, sw), ("east", ne, se), ("nonlocal", nw, ne)):
+                    fused = spec.stabilizers[name][0]
+                    P, Q = P.operator(n), Q.operator(n)
+                    m, = {m for m in range(d) for b in range(d)
+                          if (fused @ W.power(m)).same_string(P @ Q.power(b))}
+                    assert symplectic_product(F, fused) == m, (*where, name)
 
 
 class TestCCDefect:

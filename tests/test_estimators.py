@@ -89,12 +89,14 @@ class TestBatchedPlaquetteEstimates:
         for p in lat.plaquettes:
             if p.kind == ("A" if basis == "x" else "B"):
                 counts, total = estimate_operator(values, p.operator(n), basis_obs)
-                expected.append(_snapshot_from_triple(p.kind, p.pos, tuple(counts / total),
+                probs = counts / total
+                ses = [float(np.sqrt(q * (1 - q) / total)) for q in probs]
+                expected.append(_snapshot_from_triple(p.kind, p.pos, tuple(probs), ses,
                                                       n_shots=total))
         snaps = estimate_plaquette_projectors(values, basis, lat)
         assert len(snaps) == len(lat.plaquettes) // 2
         assert snaps == expected
-        assert all(s.n_shots == 257 and s.std_errors != (0.0, 0.0, 0.0) for s in snaps)
+        assert all(s["n_shots"] == 257 and s["std_errors"] != [0.0, 0.0, 0.0] for s in snaps)
 
     @pytest.mark.parametrize("basis", ["z", "x"])
     def test_face_phase_shifts_its_sectors(self, basis):
@@ -112,7 +114,7 @@ class TestBatchedPlaquetteEstimates:
         assert {f.operator(lat.n_sites, 3).phase for f in wanted} == {0, 1, 2}
         for snap, face in zip(snaps, wanted, strict=True):
             counts, total = estimate_operator(values, face.operator(lat.n_sites, 3), basis_obs)
-            assert snap.triple == tuple(counts / total)
+            assert (snap["pi1"], snap["pi_omega"], snap["pi_omegabar"]) == tuple(counts / total)
 
     def test_face_off_the_measured_basis(self):
         face = SimpleNamespace(kind="B", pos=(0, 0),

@@ -26,6 +26,11 @@ def frame_by_label(frames, label):
     return next(f for f in frames if f.label == label)
 
 
+def triple(entry):
+    """A face entry's projector triple (Pi^1, Pi^omega, Pi^omega-bar)."""
+    return entry["pi1"], entry["pi_omega"], entry["pi_omegabar"]
+
+
 class TestPFBraid:
     def setup_method(self):
         self.frames, self.runner = run_braid(pf_braid_script(), seed=5)
@@ -33,7 +38,7 @@ class TestPFBraid:
     def test_defect_frame_clean(self):
         f0 = frame_by_label(self.frames, "defect-inserted")
         assert not f0.excited()
-        assert all(r.triple[0] == 1.0 for r in f0.defects)
+        assert all(r["pi1"] == 1.0 for r in f0.defects)
 
     def test_final_frame_is_conjugate_charge_flux_dyon(self):
         final = frame_by_label(self.frames, "final")
@@ -63,17 +68,17 @@ class TestPFBraid:
     def test_nonlocal_stabilizer_toggles_on_crossing(self):
         before = frame_by_label(self.frames, "charge-at-line")
         after = frame_by_label(self.frames, "crossed-as-flux")
-        nb = next(r for r in before.defects if r.label == "pf0:nonlocal")
-        na = next(r for r in after.defects if r.label == "pf0:nonlocal")
-        assert nb.triple[0] == 1.0
-        assert na.triple[0] == 0.0
-        assert na.arg_deg == pytest.approx(240, abs=1)
+        nb = next(r for r in before.defects if r["label"] == "pf0:nonlocal")
+        na = next(r for r in after.defects if r["label"] == "pf0:nonlocal")
+        assert nb["pi1"] == 1.0
+        assert na["pi1"] == 0.0
+        assert na["arg_deg"] == pytest.approx(240, abs=1)
 
     def test_endpoint_stabilizers_never_excited(self):
         for f in self.frames:
             for r in f.defects:
-                if r.label in ("pf0:west", "pf0:east", "pf0:measured"):
-                    assert r.triple[0] == 1.0, (f.label, r.label)
+                if r["label"] in ("pf0:west", "pf0:east", "pf0:measured"):
+                    assert r["pi1"] == 1.0, (f.label, r["label"])
 
     def test_charge_and_flux_neutrality_every_frame(self):
         """Visible anyon content plus the dyon absorbed by the defect line
@@ -86,8 +91,8 @@ class TestPFBraid:
                        if k == kind) % 3
 
         def nl_sector(frame):
-            r = next(x for x in frame.defects if x.label == "pf0:nonlocal")
-            return r.triple.index(1.0)
+            r = next(x for x in frame.defects if x["label"] == "pf0:nonlocal")
+            return triple(r).index(1.0)
 
         for kind in ("A", "B"):
             weights = [
@@ -132,10 +137,10 @@ class TestCCBraid:
 
     def test_internal_state_toggles_once(self):
         crossed = frame_by_label(self.frames, "crossed-conjugated")
-        b_end = next(r for r in crossed.defects if r.label == "cc0:B-end")
-        assert b_end.triple[1] == 1.0
-        a_end = next(r for r in crossed.defects if r.label == "cc0:A-end")
-        assert a_end.triple[0] == 1.0
+        b_end = next(r for r in crossed.defects if r["label"] == "cc0:B-end")
+        assert b_end["pi_omega"] == 1.0
+        a_end = next(r for r in crossed.defects if r["label"] == "cc0:A-end")
+        assert a_end["pi1"] == 1.0
 
     def test_charge_crossing_reveals_conjugate_charge(self):
         """A charge braid through the line leaves a single residual charge
@@ -160,10 +165,10 @@ class TestCCBraid:
         braided = frame_by_label(frames, "braided")
         exc = braided.excited()
         assert set(exc) == {("A", (2, 2))}
-        a_end = next(r for r in braided.defects if r.label == "cc0:A-end")
-        assert a_end.triple[0] == 0.0   # internal charge state toggled
-        b_end = next(r for r in braided.defects if r.label == "cc0:B-end")
-        assert b_end.triple[0] == 1.0   # flux sector untouched
+        a_end = next(r for r in braided.defects if r["label"] == "cc0:A-end")
+        assert a_end["pi1"] == 0.0   # internal charge state toggled
+        b_end = next(r for r in braided.defects if r["label"] == "cc0:B-end")
+        assert b_end["pi1"] == 1.0   # flux sector untouched
         final = frame_by_label(frames, "defects-fused")
         endpoint_positions = [p for p, img in runner.defect_specs[0].transformed.items()
                               if len(img.support) > 4]
@@ -255,11 +260,11 @@ class TestScriptInfrastructure:
         tab, _ = final_tableau(circ, seed=4)
         final = frames[-1]
         for snap in final.plaquettes + final.defects:
-            assert tab.projector_triple(runner.observables[snap.label]) == snap.triple
+            assert tab.projector_triple(runner.observables[snap["label"]]) == triple(snap)
         # a second run starts from a fresh frame and reproduces every frame
         again = runner.run()
-        assert [[s.triple for s in f.plaquettes + f.defects] for f in again] == \
-            [[s.triple for s in f.plaquettes + f.defects] for f in frames]
+        assert [[triple(s) for s in f.plaquettes + f.defects] for f in again] == \
+            [[triple(s) for s in f.plaquettes + f.defects] for f in frames]
 
 
 @pytest.mark.parametrize("layout_fn", [topo_layout_6x2, topo_layout_6x4])

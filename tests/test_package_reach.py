@@ -26,15 +26,12 @@ KEPT = {
     "Frame.excited": "library: the faces a frame shows excited",
     "ScriptRunner.to_circuit": "library: a script flattened to one plain circuit",
     "TorusLattice.b_plaquettes": "library: the clock-type faces, partner of a_plaquettes",
-    "TorusLattice.logical_x_horizontal": "library: the X-type logical strings",
-    "TorusLattice.logical_x_vertical": "library: the X-type logical strings",
     "WeylOp.identity": "library: small WeylOp helper",
     "WeylOp.is_identity": "library: small WeylOp helper",
     "WeylOp.with_phase": "library: small WeylOp helper",
     "WeylOp.same_string": "library: small WeylOp helper",
     "shift_x_dag": "library: completes the one-qudit gate constructors",
     "clock_z_dag": "library: completes the one-qudit gate constructors",
-    "standard_errors": "library: binomial standard errors of raw sector counts",
 }
 
 
