@@ -3,7 +3,9 @@
 Every document carries a "schema" tag; a frame list is not a document
 of its own but the "frames" entry of a braid result. Documents are
 written, not read back. Serialization is deterministic: dict keys are
-emitted in sorted order so identical inputs give identical bytes.
+emitted in sorted order so identical inputs give identical bytes. A
+document is one line of compact JSON (no whitespace between tokens),
+which json's C encoder writes; `python -m json.tool` pretty-prints it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ RESULT_SCHEMA = "qutrit-toric/result/v1"
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 # -- weyl operators ---------------------------------------------------------------

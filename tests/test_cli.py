@@ -13,6 +13,7 @@ from qutrit_toric.circuit import FRAME_BLOCK
 from qutrit_toric.cli import main
 from qutrit_toric.encoder import NativeOp, encode_circuit
 from qutrit_toric.lattice import build_lattice, ground_state_circuit
+from qutrit_toric.serialize import dumps
 
 NOISY_4X2_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                               "noisy_prepare_4x2_seed9.json")
@@ -307,6 +308,37 @@ class TestExactSuiteReference:
         if label.startswith("topo_"):
             assert results.pop("sampled_outcome") in (0, 1, 2)
         assert results == reference[label]
+
+
+# one small run of every subcommand
+EVERY_SUBCOMMAND = [
+    ("prepare", "--lx", "4", "--ly", "2"),
+    ("prepare", "--lx", "4", "--ly", "2", "--noise", "default", "--shots", "50"),
+    ("braid-pf",), ("braid-cc",), ("fuse-pf-pfstar",),
+    ("topo-qutrit", "--lx", "6", "--ly", "2"),
+    ("compile", "--lx", "4", "--ly", "2"),
+    ("verify",),
+    ("bounds", "--trp", "0.7", "--trq", "0.6", "--sites", "2"),
+]
+
+
+class TestDocumentForm:
+    """A document is one line of compact JSON with sorted keys."""
+
+    def test_dumps_is_compact_with_sorted_keys(self):
+        doc = {"b": [1, 2.5, {"z": None, "y": True}], "a": {"d": "x y", "c": -3}}
+        text = dumps(doc)
+        assert text == '{"a":{"c":-3,"d":"x y"},"b":[1,2.5,{"y":true,"z":null}]}'
+        assert json.loads(text) == doc
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda a: " ".join(a))
+    def test_stdout_is_one_line_and_file_ends_in_one_newline(self, tmp_path, capsys, argv):
+        assert main([*argv, "-o", "-"]) == 0
+        out = capsys.readouterr().out
+        assert out == dumps(json.loads(out)) + "\n"
+        code, doc, path = run_cli(tmp_path, *argv)
+        assert code == 0
+        assert path.read_text() == dumps(doc) + "\n"
 
 
 class TestConfigEcho:
