@@ -72,17 +72,21 @@ def native_matrix(op: NativeOp) -> np.ndarray:
 def ops_unitary(ops: list[NativeOp], n_qubits: int) -> np.ndarray:
     """Dense unitary of a native op list (time order = list order).
 
-    Each op is contracted into the (2,)*n row axes (first listed qubit = most
-    significant); entries of its matrix below 1e-16 are taken as exact zeros.
+    Each op's matrix multiplies the (2,)*n row axes of its qubits (first listed
+    = most significant), moved to the front, in one np.dot: the product that
+    np.tensordot makes, so U is bit-identical to full Kronecker embeddings
+    multiplied in order. Entries below 1e-16 are taken as exact zeros.
     """
     dim = 1 << n_qubits
     U = np.eye(dim, dtype=np.complex128).reshape((2,) * n_qubits + (dim,))
     for op in ops:
         if op.kind in ("measz", "barrier"):
             continue
-        m, k = native_matrix(op), len(op.qubits)
-        m = np.where(np.abs(m) < 1e-16, 0, m).reshape((2,) * (2 * k))
-        U = np.moveaxis(np.tensordot(m, U, axes=(range(k, 2 * k), op.qubits)), range(k), op.qubits)
+        m = native_matrix(op)
+        order = [*op.qubits, *(a for a in range(n_qubits + 1) if a not in op.qubits)]
+        moved = U.transpose(order)
+        U = np.dot(np.where(np.abs(m) < 1e-16, 0, m), moved.reshape(len(m), -1))
+        U = U.reshape(moved.shape).transpose(np.argsort(order))
     return U.reshape(dim, dim)
 
 

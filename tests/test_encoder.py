@@ -166,6 +166,27 @@ class TestOpsUnitary:
             fold = kron_reference(np.where(np.abs(m) < 1e-16, 0, m), op.qubits, n) @ fold
         assert np.array_equal(ops_unitary(ops, n), fold)
 
+    @pytest.mark.parametrize("seed,n", [(0, 3), (1, 3), (2, 3), (3, 4), (4, 4), (5, 4)])
+    def test_random_op_list_matches_kron_fold(self, seed, n):
+        """Seeded random u1q/rz/zzphase lists, with pairs taken in either order
+        and non-adjacent ((2, 0), (3, 1), ...), equal the Kronecker fold bit for bit."""
+        rng = np.random.default_rng(seed)
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        assert (2, 0) in pairs and (n != 4 or (3, 1) in pairs)
+        ops = []
+        for i in range(40):
+            kind = ("u1q", "rz", "zzphase")[i % 3]
+            if kind == "zzphase":
+                ops.append(NativeOp(kind, pairs[i // 3 % len(pairs)], (rng.uniform(-2, 2),)))
+            else:
+                ops.append(NativeOp(kind, (int(rng.integers(n)),),
+                                    tuple(rng.uniform(-2, 2, 2 if kind == "u1q" else 1))))
+        fold = np.eye(1 << n, dtype=np.complex128)
+        for op in ops:
+            m = native_matrix(op)
+            fold = kron_reference(np.where(np.abs(m) < 1e-16, 0, m), op.qubits, n) @ fold
+        assert np.array_equal(ops_unitary(ops, n), fold)
+
     @pytest.mark.parametrize("qubits,n", [p for p in PLACEMENTS if len(p[0]) == 2])
     def test_placed_synthesis_matches_kron_products(self, qubits, n):
         """A synthesized non-symmetric two-qubit unitary, placed on reversed or
