@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -62,14 +63,27 @@ class ConfigError(Exception):
     pass
 
 
-def _write_text(flag: str, path: str, text: str):
-    """Write text to path, creating its directory; an OSError is a ConfigError naming flag."""
+def _write_text(flag: str, path: str, text: str) -> str:
+    """Write text to path ('-' is stdout), creating its directory; returns the topmost
+    path it created. An OSError removes what it created and is a ConfigError naming flag."""
+    top = path
+    while not os.path.lexists(os.path.dirname(top) or "."):
+        top = os.path.dirname(top)
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
+        if path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write(text)
     except OSError as exc:
+        if path == "-":  # the reader is gone: send the exit-time flush to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if top != path:
+            shutil.rmtree(top, ignore_errors=True)
         raise ConfigError(f"cannot write {flag} {path}: {exc.strerror or exc}") from exc
+    return top
 
 
 def _write_output(args, doc: dict, default_name: str) -> str:
@@ -77,11 +91,7 @@ def _write_output(args, doc: dict, default_name: str) -> str:
     if out is None:
         outdir = os.environ.get("QUTRIT_TORIC_OUTDIR", ".")
         out = os.path.join(outdir, default_name)
-    text = dumps(doc)
-    if out == "-":
-        print(text)
-        return "-"
-    _write_text("--output", out, text + "\n")
+    _write_text("--output", out, dumps(doc) + "\n")
     return out
 
 
@@ -424,12 +434,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown subcommand {name}")
         doc = result_document(name, _config_echo(args), payload)
         if csv is not None:  # before the document, so a run that fails leaves neither file
-            _write_text("--csv", csv, _csv_text(*_csv_table(payload)))
+            made = _write_text("--csv", csv, _csv_text(*_csv_table(payload)))
         try:
             path = _write_output(args, doc, f"{name}-result.json")
         except ConfigError:
             if csv is not None:
-                os.remove(csv)
+                (shutil.rmtree if os.path.isdir(made) else os.remove)(made)
             raise
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -335,7 +335,7 @@ class TestDocumentForm:
     def test_stdout_is_one_line_and_file_ends_in_one_newline(self, tmp_path, capsys, argv):
         assert main([*argv, "-o", "-"]) == 0
         out = capsys.readouterr().out
-        assert out == dumps(json.loads(out)) + "\n"
+        assert out == dumps(json.loads(out)) + "\n" and out.count("\n") == 1
         code, doc, path = run_cli(tmp_path, *argv)
         assert code == 0
         assert path.read_text() == dumps(doc) + "\n"
@@ -479,12 +479,16 @@ class TestInputValidation:
         ("--csv", "{file}/x.csv", ("prepare", "--lx", "4", "--ly", "2", "-o", "{other}")),
         ("--csv", "-", ("prepare", "--lx", "4", "--ly", "2", "-o", "{other}")),
         ("--csv", "", ("prepare", "--lx", "4", "--ly", "2", "-o", "{other}")),
+        ("--output", "{file}/x.json", ("prepare", "--lx", "4", "--ly", "2", "--csv", "new/t.csv")),
+        ("--output", "new/x/", ("bounds", "--trp", ".7", "--trq", ".6", "--sites", "2")),
+        ("--csv", "new/sub/", ("prepare", "--lx", "4", "--ly", "2", "-o", "{other}")),
     ], ids=["output-under-file", "output-is-directory", "output-under-file-with-csv",
-            "csv-under-file", "csv-to-stdout", "csv-empty"])
+            "csv-under-file", "csv-to-stdout", "csv-empty", "output-under-file-with-csv-in-new-dir",
+            "output-is-new-directory", "csv-is-new-directory"])
     def test_unwritable_path(self, tmp_path, capsys, monkeypatch, flag, where, command):
-        """A write that fails exits 2 and leaves no file of the run behind.
-        --csv - is refused: stdout carries the result document. An empty
-        --csv path is a path that cannot be written, not an absent flag."""
+        """A write that fails exits 2 and leaves no file or directory of the run
+        behind. --csv - is refused: stdout carries the result document. An
+        empty --csv path is a path that cannot be written, not an absent flag."""
         monkeypatch.chdir(tmp_path)
         plain, other = tmp_path / "plain", tmp_path / "other"
         plain.write_text("")
@@ -494,6 +498,23 @@ class TestInputValidation:
         assert capsys.readouterr().err.startswith(
             f"configuration error: cannot write {flag} {path}: ")
         assert os.listdir(tmp_path) == ["plain"]
+
+    @pytest.mark.parametrize("argv", [("verify",), ("prepare", "--lx", "4", "--ly", "2",
+                                                    "--csv", "new/t.csv")])
+    def test_stdout_closed_by_reader(self, tmp_path, argv):
+        """-o - into a pipe whose reader has gone exits 2 with one message line,
+        no traceback and no exit-time flush error, and removes the CSV and the
+        directory made for it."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qutrit_toric.__file__)))
+        with subprocess.Popen(
+                [sys.executable, "-c", "import sys; from qutrit_toric.cli import main; "
+                 "sys.exit(main())", *argv, "-o", "-"], cwd=tmp_path, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src}) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 2
+        assert err == "configuration error: cannot write --output -: Broken pipe\n"
+        assert os.listdir(tmp_path) == []
 
     def test_bounds_missing_input(self, tmp_path, capsys):
         code, doc, _ = self.run_with_config(tmp_path, {"trp": 0.75, "trq": 0.68}, "bounds")
