@@ -2,10 +2,8 @@
 
 Every document carries a "schema" tag; a frame list is not a document
 of its own but the "frames" entry of a braid result. Documents are
-written, not read back. Serialization is deterministic: dict keys are
-emitted in sorted order so identical inputs give identical bytes. A
-document is one line of compact JSON (no whitespace between tokens),
-which json's C encoder writes; `python -m json.tool` pretty-prints it.
+written, not read back, each as one line of compact JSON (json's C
+encoder) with keys in sorted order, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
