@@ -16,7 +16,7 @@ them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,17 +58,7 @@ class FidelityBound:
     inputs_clamped: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "tr_p": self.tr_p,
-            "tr_q": self.tr_q,
-            "lower": self.lower,
-            "upper": self.upper,
-            "per_site_lower": self.per_site_lower,
-            "per_site_upper": self.per_site_upper,
-            "n_sites": self.n_sites,
-            "lower_se": self.lower_se,
-            "upper_se": self.upper_se,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "inputs_clamped"}
 
 
 def fidelity_bounds(tr_p: float, tr_q: float, n_sites: int,

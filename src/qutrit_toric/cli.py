@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .analysis import energy_density, fidelity_bounds, topological_qutrit_bounds
+from .analysis import energy_density, fidelity_bounds
 from .circuit import execute, run_shots
 from .encoder import (
     compile_report,
@@ -50,7 +50,6 @@ from .lattice import build_lattice, ground_state_circuit, measure_all_circuit
 from .serialize import (
     circuit_to_json,
     dumps,
-    frames_to_json,
     result_document,
     script_to_json,
 )
@@ -172,13 +171,11 @@ def cmd_prepare(args) -> dict:
 
 def cmd_braid(args, name: str) -> dict:
     script = braid_scripts()[name]
-    runner = ScriptRunner(script, seed=args.seed)
-    frames = runner.run()
     return {
         "preset": script.name,
         "lattice": [script.lx, script.ly],
         "script": script_to_json(script),
-        "frames": frames_to_json(frames),
+        "frames": ScriptRunner(script, seed=args.seed).run(),
     }
 
 
@@ -186,23 +183,10 @@ def cmd_topo(args) -> dict:
     if (args.lx, args.ly) not in ((6, 2), (6, 4)):
         raise ConfigError("topological qutrit presets exist for 6x2 and 6x4")
     layout = topo_layout_6x2() if (args.lx, args.ly) == (6, 2) else topo_layout_6x4()
-    run = TopologicalQutritProtocol(layout).run(args.seed)
-    rows = []
-    for j, res in enumerate(run.per_outcome):
-        bound = topological_qutrit_bounds(res.braid_triple, res.neutrality_triple, j)
-        rows.append({
-            "ancilla_outcome": j,
-            "braid_triple": list(res.braid_triple),
-            "neutrality_triple": list(res.neutrality_triple),
-            "pair_projectors": list(res.end_pi1),
-            "flux_endpoints": [[v.real, v.imag] for v in res.flux_end_values],
-            "fidelity_bound": bound.as_dict(),
-        })
     return {
         "preset": f"topo-qutrit-{args.lx}x{args.ly}",
         "lattice": [args.lx, args.ly],
-        "sampled_outcome": run.sampled.outcome,
-        "per_outcome": rows,
+        **TopologicalQutritProtocol(layout).run(args.seed),
     }
 
 
@@ -448,7 +432,7 @@ def main(argv=None) -> int:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3
     if path != "-":
-        print(f"wrote {path}")
+        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 

@@ -8,6 +8,9 @@ run time as Weyl operators satisfying linear commutation constraints
 against that frame: kill the excitation here, recreate it there, leave
 everything else alone (nonlocal defect stabilizers are left free so
 crossings can toggle them, which is the physics being demonstrated).
+Runs return their result-document entries as they are written: the
+runner one frame per snapshot, the topological-qutrit protocol one row
+per ancilla outcome.
 
 Shipped presets pin the geometries of the braiding and
 topological-qutrit experiments; anyon paths are fixed up to topology
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import topological_qutrit_bounds
 from .circuit import Circuit, Gate, execute, outcome_leaves
 from .defects import (
     CCRibbon,
@@ -98,17 +102,6 @@ class Script:
     steps: list[Step] = field(default_factory=list)
 
 
-@dataclass
-class Frame:
-    label: str
-    plaquettes: list[dict]  # face entries, as written to the result document
-    defects: list[dict]
-
-    def excited(self) -> dict[tuple[str, tuple[int, int]], tuple[float, ...]]:
-        return {(r["kind"], tuple(r["pos"])): (r["pi1"], r["pi_omega"], r["pi_omegabar"])
-                for r in self.plaquettes if r["pi1"] != 1.0}
-
-
 def face_key(kind: str, pos: tuple[int, int]) -> str:
     return f"{kind}@{pos[0]},{pos[1]}"
 
@@ -155,7 +148,6 @@ class ScriptRunner:
         self.observables: dict[str, WeylOp] = {}
         self.kinds: dict[str, tuple[str, tuple[int, int], bool]] = {}
         self.defect_specs: list[DefectSpec] = []
-        self.frames: list[Frame] = []
 
     def _steps(self) -> Iterator[tuple[Step, Circuit]]:
         """Yield each step with its circuit fragment, keeping the frame current.
@@ -192,15 +184,16 @@ class ScriptRunner:
                 self.observables, self.kinds = observable_frame(lat, live)
             yield step, frag
 
-    def run(self) -> list[Frame]:
+    def run(self) -> list[dict]:
+        """The frame entries of the result document, one per snapshot step."""
         lat = self.lattice
         self.tab = StabilizerTableau(lat.d, lat.n_sites, np.random.default_rng(self.seed))
-        self.frames = []
+        frames = []
         for step, frag in self._steps():
             execute(frag, self.tab)
             if isinstance(step, Snapshot):
-                self.frames.append(self._snapshot(step.label))
-        return self.frames
+                frames.append(self._snapshot(step.label))
+        return frames
 
     def to_circuit(self) -> Circuit:
         """Flatten the script to a plain circuit (moves become gate blocks)."""
@@ -223,12 +216,13 @@ class ScriptRunner:
             raise ValueError(f"move '{step.label}' is not realizable on its support")
         return op
 
-    def _snapshot(self, label: str) -> Frame:
+    def _snapshot(self, label: str) -> dict:
         keys = sorted(self.observables)
         det = self.tab.outcomes_of([self.observables[k] for k in keys])
         snaps = snapshots_from_outcomes(det, self.lattice.d, [(*self.kinds[k], k) for k in keys])
-        plaq = [s for s in snaps if s["kind"] in ("A", "B")]
-        return Frame(label, plaq, [s for s in snaps if s["kind"] not in ("A", "B")])
+        return {"label": label,
+                "plaquettes": [s for s in snaps if s["kind"] in ("A", "B")],
+                "defect_stabilizers": [s for s in snaps if s["kind"] not in ("A", "B")]}
 
 
 # -- shipped braid presets -------------------------------------------------------
@@ -349,22 +343,6 @@ def topo_layout_6x4() -> TopologicalQutritLayout:
     return TopologicalQutritLayout(lat, (r1, r2), ((1, 1), (2, 2), (3, 3)))
 
 
-@dataclass
-class TopologicalQutritResult:
-    outcome: int
-    braid_triple: tuple[float, float, float]      # sectors of the charge braid loop
-    neutrality_triple: tuple[float, float, float]  # joint charge-neutrality reading
-    end_pi1: tuple[float, float]                   # single-pair projector values
-    flux_end_values: tuple[complex, complex]
-    correlator_exponent: int
-
-
-@dataclass
-class TopologicalQutritRun:
-    per_outcome: tuple[TopologicalQutritResult, ...]  # ancilla 0, ..., d - 1, a tree leaf each
-    sampled: TopologicalQutritResult                  # ancilla drawn from the seed
-
-
 class TopologicalQutritProtocol:
     """Two CC pairs entangled through an ancilla-controlled charge braid.
 
@@ -426,8 +404,9 @@ class TopologicalQutritProtocol:
         circ.measure(WeylOp.from_site(lat.d, self.n_total, self.ancilla, 0, 1), 0)
         return circ
 
-    def run(self, seed: int = 0) -> TopologicalQutritRun:
-        """A tree leaf per ancilla outcome, and the one the seed's first draw samples."""
+    def run(self, seed: int = 0) -> dict:
+        """Result entries: a row per ancilla outcome (a tree leaf each), and the
+        outcome the seed's first draw samples."""
         d = self.lattice.d
         leaves = list(outcome_leaves(self.circuit()))
         paths = [path for path, _, _ in leaves]
@@ -436,23 +415,25 @@ class TopologicalQutritProtocol:
                                  f"random outcome: its outcome tree has leaves {paths}")
         ops = [self.lift(w) for w in (self.braid_loop, self.neutrality_op, *self.a_ends,
                                       *self.b_ends)]
-        per_outcome = tuple(self._result(tab, creg[0], ops) for _, creg, tab in leaves)
-        return TopologicalQutritRun(per_outcome,
-                                    per_outcome[int(np.random.default_rng(seed).integers(d))])
+        return {"per_outcome": [self._row(tab, creg[0], ops) for _, creg, tab in leaves],
+                "sampled_outcome": int(np.random.default_rng(seed).integers(d))}
 
-    def _result(self, tab: StabilizerTableau, outcome: int,
-                ops: list[WeylOp]) -> TopologicalQutritResult:
-        """Readings of ops (lifted braid loop, neutrality, A ends, B ends) on tab."""
+    def _row(self, tab: StabilizerTableau, outcome: int, ops: list[WeylOp]) -> dict:
+        """Row of one ancilla outcome from ops (lifted braid loop, neutrality, A ends,
+        B ends) read on tab: sector triples, pair projectors, flux ends, bound."""
         d, k = tab.d, len(self.a_ends)
         braid, neutral, *ends = (int(s) for s in tab.outcomes_of(ops))
-        return TopologicalQutritResult(
-            outcome=outcome,
-            braid_triple=outcome_triple(braid, d),
-            neutrality_triple=outcome_triple(neutral, d),
-            end_pi1=tuple(outcome_triple(s, d)[0] for s in ends[:k]),
-            flux_end_values=tuple(outcome_expectation(s, d) for s in ends[k:]),
-            correlator_exponent=self.correlator_exponent,
-        )
+        braid_triple, neutrality_triple = outcome_triple(braid, d), outcome_triple(neutral, d)
+        flux = [outcome_expectation(s, d) for s in ends[k:]]
+        return {
+            "ancilla_outcome": outcome,
+            "braid_triple": list(braid_triple),
+            "neutrality_triple": list(neutrality_triple),
+            "pair_projectors": [outcome_triple(s, d)[0] for s in ends[:k]],
+            "flux_endpoints": [[v.real, v.imag] for v in flux],
+            "fidelity_bound": topological_qutrit_bounds(braid_triple, neutrality_triple,
+                                                        outcome).as_dict(),
+        }
 
     def logical_shift_loop(self) -> WeylOp:
         """Flux loop around one defect pair: cycles the fusion-channel sectors.

@@ -1,7 +1,8 @@
-"""Versioned JSON schemas: circuits, scripts, frames, compile reports.
+"""Versioned JSON schemas: circuits, scripts and the result document.
 
-Every document carries a "schema" tag; a frame list is not a document
-of its own but the "frames" entry of a braid result. Documents are
+Every document carries a "schema" tag. A result document wraps the
+entries its run built (braid frames and topological-qutrit rows come
+from `experiments` already in document form). Documents are
 written, not read back, each as one line of compact JSON (json's C
 encoder) with keys in sorted order, so identical inputs give identical bytes.
 """
@@ -19,7 +20,6 @@ from .circuit import (
     Noise,
 )
 from .experiments import (
-    Frame,
     Fuse,
     InsertCC,
     InsertPF,
@@ -122,18 +122,7 @@ def script_to_json(script: Script) -> dict:
             "lattice": [script.lx, script.ly], "steps": steps}
 
 
-# -- frames and results ----------------------------------------------------------------
-
-
-def frames_to_json(frames: list[Frame]) -> list[dict]:
-    return [
-        {
-            "label": f.label,
-            "plaquettes": f.plaquettes,
-            "defect_stabilizers": f.defects,
-        }
-        for f in frames
-    ]
+# -- results ----------------------------------------------------------------------
 
 
 def result_document(subcommand: str, config: dict, payload: dict) -> dict:

@@ -16,7 +16,7 @@ from qutrit_toric.analysis import ConfusionMatrix, _per_bit
 from qutrit_toric.circuit import Circuit, CondGate, Gate, Measure, execute
 from qutrit_toric.dense import gate_matrix, weyl_matrices
 from qutrit_toric.encoder import CondNative, QubitCircuit
-from qutrit_toric.experiments import Frame, Script, ScriptRunner
+from qutrit_toric.experiments import Script, ScriptRunner
 from qutrit_toric.lattice import Plaquette, TorusLattice, default_preparation_order
 from qutrit_toric.synth import NativeOp, ops_unitary
 from qutrit_toric.tableau import StabilizerTableau, outcome_expectation
@@ -379,7 +379,13 @@ def implicit_plaquette(lattice: TorusLattice) -> Plaquette:
     raise ValueError("ordering covers every A-face; none left implicit")
 
 
-def run_braid(script: Script, seed: int = 0) -> tuple[list[Frame], ScriptRunner]:
+def excited(frame: dict) -> dict[tuple[str, tuple[int, int]], tuple[float, ...]]:
+    """A frame entry's excited faces: (kind, position) -> projector triple."""
+    return {(r["kind"], tuple(r["pos"])): (r["pi1"], r["pi_omega"], r["pi_omegabar"])
+            for r in frame["plaquettes"] if r["pi1"] != 1.0}
+
+
+def run_braid(script: Script, seed: int = 0) -> tuple[list[dict], ScriptRunner]:
     runner = ScriptRunner(script, seed)
     frames = runner.run()
     return frames, runner

@@ -54,6 +54,7 @@ from qutrit_toric.weyl import CliffordGate, GateKind, WeylOp, conjugate_by_gate
 
 from oracles import (
     dense_outcome_distribution,
+    excited,
     final_tableau,
     forward_noise,
     projector_expectation,
@@ -184,8 +185,8 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_pf_braid():
     frames, runner = run_braid(pf_braid_script(), seed=0)
-    final = next(f for f in frames if f.label == "final")
-    exc = final.excited()
+    final = next(f for f in frames if f["label"] == "final")
+    exc = excited(final)
     a = [(p, t) for (k, p), t in exc.items() if k == "A"]
     b = [(p, t) for (k, p), t in exc.items() if k == "B"]
     dyon = (
@@ -199,10 +200,10 @@ def test_criterion_3_pf_braid():
     ) == 2
     # transmutation pattern: charge-type excitations before the crossing,
     # flux-type after
-    before = next(f for f in frames if f.label == "charge-at-line")
-    after = next(f for f in frames if f.label == "crossed-as-flux")
-    moving_before = {k for (k, _), t in before.excited().items() if t[1] == 1.0}
-    moving_after = {k for (k, _), t in after.excited().items() if t[1] == 1.0}
+    before = next(f for f in frames if f["label"] == "charge-at-line")
+    after = next(f for f in frames if f["label"] == "crossed-as-flux")
+    moving_before = {k for (k, _), t in excited(before).items() if t[1] == 1.0}
+    moving_after = {k for (k, _), t in excited(after).items() if t[1] == 1.0}
     pattern = moving_before == {"A"} and moving_after == {"B"}
     report("3 parafermion braid", dyon and adjacent and pattern,
            f"final excitations {sorted(exc)}")
@@ -210,20 +211,20 @@ def test_criterion_3_pf_braid():
 
 def test_criterion_4_cc_braid_and_fusion():
     frames, runner = run_braid(cc_braid_script(), seed=0)
-    created = next(f for f in frames if f.label == "pair-created")
-    crossed = next(f for f in frames if f.label == "crossed-conjugated")
+    created = next(f for f in frames if f["label"] == "pair-created")
+    crossed = next(f for f in frames if f["label"] == "crossed-conjugated")
     args_before = {p: round(np.degrees(np.angle(
         sum(t[k] * np.exp(2j * np.pi * k / 3) for k in range(3))))) % 360
-        for (kk, p), t in created.excited().items()}
+        for (kk, p), t in excited(created).items()}
     args_after = {p: round(np.degrees(np.angle(
         sum(t[k] * np.exp(2j * np.pi * k / 3) for k in range(3))))) % 360
-        for (kk, p), t in crossed.excited().items()}
+        for (kk, p), t in excited(crossed).items()}
     flip = 240 in args_before.values() and 120 in args_after.values()
-    fused = next(f for f in frames if f.label == "fused")
-    single = list(fused.excited().items())
+    fused = next(f for f in frames if f["label"] == "fused")
+    single = list(excited(fused).items())
     single_ok = len(single) == 1 and single[0][0][0] == "B" and single[0][1][2] == 1.0
-    final = next(f for f in frames if f.label == "defects-fused")
-    revealed = [t for (k, p), t in final.excited().items()
+    final = next(f for f in frames if f["label"] == "defects-fused")
+    revealed = [t for (k, p), t in excited(final).items()
                 if p in [pos for pos, img in runner.defect_specs[0].transformed.items()
                          if len(img.support) > 4]]
     reveal_ok = len(revealed) == 1 and revealed[0][1] == 1.0
@@ -251,8 +252,8 @@ def test_criterion_5_fusion_identity_physical():
     the composite match the conjugation table for all four species."""
     frames_pf, _ = run_braid(pf_pfstar_script(), seed=0)
     frames_cc, _ = run_braid(cc_braid_script(fuse=False), seed=0)
-    end_pf = list(next(f for f in frames_pf if f.label == "fused").excited().items())
-    end_cc = list(next(f for f in frames_cc if f.label == "fused").excited().items())
+    end_pf = list(excited(next(f for f in frames_pf if f["label"] == "fused")).items())
+    end_cc = list(excited(next(f for f in frames_cc if f["label"] == "fused")).items())
     same_content = (
         len(end_pf) == 1 and len(end_cc) == 1
         and end_pf[0][0][0] == end_cc[0][0][0] == "B"
@@ -337,13 +338,13 @@ def test_criterion_5_fusion_identity_literal_group_equality():
 
 def test_criterion_6_topological_qutrit():
     for name, layout in (("6x2", topo_layout_6x2()), ("6x4", topo_layout_6x4())):
-        per_outcome = TopologicalQutritProtocol(layout).run().per_outcome
+        per_outcome = TopologicalQutritProtocol(layout).run()["per_outcome"]
         ok = len(per_outcome) == 3
         for j, res in enumerate(per_outcome):
-            ok &= res.braid_triple == tuple(1.0 if k == j else 0.0 for k in range(3))
-            ok &= res.neutrality_triple == (1.0, 0.0, 0.0)
-            ok &= res.end_pi1 == (pytest.approx(1 / 3), pytest.approx(1 / 3))
-            ok &= all(v == pytest.approx(1) for v in res.flux_end_values)
+            ok &= res["braid_triple"] == [1.0 if k == j else 0.0 for k in range(3)]
+            ok &= res["neutrality_triple"] == [1.0, 0.0, 0.0]
+            ok &= res["pair_projectors"] == [pytest.approx(1 / 3), pytest.approx(1 / 3)]
+            ok &= all(complex(*v) == pytest.approx(1) for v in res["flux_endpoints"])
         report(f"6 topological qutrit {name}", bool(ok))
 
 

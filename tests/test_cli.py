@@ -12,6 +12,13 @@ from qutrit_toric import cli, encoder, weyl
 from qutrit_toric.circuit import FRAME_BLOCK
 from qutrit_toric.cli import main
 from qutrit_toric.encoder import NativeOp, encode_circuit
+from qutrit_toric.experiments import (
+    ScriptRunner,
+    TopologicalQutritProtocol,
+    braid_scripts,
+    topo_layout_6x2,
+    topo_layout_6x4,
+)
 from qutrit_toric.lattice import build_lattice, ground_state_circuit
 from qutrit_toric.serialize import dumps
 
@@ -19,6 +26,8 @@ NOISY_4X2_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data"
                               "noisy_prepare_4x2_seed9.json")
 NOISY_4X2_ARGV = ("prepare", "--lx", "4", "--ly", "2", "--noise", "default",
                   "--shots", "300", "--seed", "9")
+BOUND_KEYS = {"tr_p", "tr_q", "lower", "upper", "per_site_lower", "per_site_upper",
+              "n_sites", "lower_se", "upper_se"}
 
 
 def run_cli(tmp_path, *argv):
@@ -26,6 +35,18 @@ def run_cli(tmp_path, *argv):
     code = main([*argv, "-o", str(out)])
     doc = json.loads(out.read_text()) if out.exists() else None
     return code, doc, out
+
+
+def run_with_stdout_closed(tmp_path, *argv):
+    """Run the CLI in tmp_path with its stdout reader closed; (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qutrit_toric.__file__)))
+    with subprocess.Popen(
+            [sys.executable, "-c", "import sys; from qutrit_toric.cli import main; "
+             "sys.exit(main())", *argv], cwd=tmp_path, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src}) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    return proc.returncode, err
 
 
 def test_import_loads_no_process_pool():
@@ -177,6 +198,21 @@ class TestTopoQutrit:
         assert code == 2
 
 
+def test_results_are_the_library_entries(tmp_path):
+    """Braid frames and topological-qutrit rows reach the document as the
+    library built them: no converter sits between a run and its results."""
+    for name, script in braid_scripts().items():
+        code, doc, _ = run_cli(tmp_path, name, "--seed", "7")
+        assert code == 0
+        assert doc["results"]["frames"] == ScriptRunner(script, seed=7).run()
+    for ly, layout in ((2, topo_layout_6x2), (4, topo_layout_6x4)):
+        code, doc, _ = run_cli(tmp_path, "topo-qutrit", "--lx", "6", "--ly", str(ly),
+                               "--seed", "5")
+        assert code == 0
+        assert doc["results"] == {"preset": f"topo-qutrit-6x{ly}", "lattice": [6, ly],
+                                  **TopologicalQutritProtocol(layout()).run(5)}
+
+
 class TestCompile:
     def test_report_contents(self, tmp_path):
         code, doc, _ = run_cli(tmp_path, "compile", "--lx", "6", "--ly", "4",
@@ -244,6 +280,7 @@ class TestVerifyAndBounds:
                                "--trq", "0.68", "--sites", "24")
         assert code == 0
         b = doc["results"]["bound"]
+        assert set(b) == BOUND_KEYS
         assert b["per_site_lower"] == pytest.approx(0.9654, abs=5e-4)
         assert b["per_site_upper"] == pytest.approx(0.9841, abs=5e-4)
 
@@ -339,6 +376,7 @@ class TestDocumentForm:
         code, doc, path = run_cli(tmp_path, *argv)
         assert code == 0
         assert path.read_text() == dumps(doc) + "\n"
+        assert capsys.readouterr() == ("", f"wrote {path}\n")  # stdout carries documents only
 
 
 class TestConfigEcho:
@@ -459,10 +497,14 @@ class TestInputValidation:
         assert "--config" in capsys.readouterr().err
 
     def test_bounds_accepts_slightly_out_of_range_trace(self, tmp_path):
-        """Values a little outside [0, 1] are clamped and flagged, not refused."""
-        code, doc, _ = run_cli(tmp_path, "bounds", "--trp", "1.01", "--trq", "0.68",
-                               "--sites", "2")
-        assert code == 0 and doc["results"]["inputs_clamped"]
+        """Values a little outside [0, 1] are clamped and flagged, not refused;
+        the flag sits beside the bound, whose keys stay the same."""
+        for trp in ("1.01", "1.2"):
+            code, doc, _ = run_cli(tmp_path, "bounds", "--trp", trp, "--trq", "0.68",
+                                   "--sites", "2")
+            assert code == 0 and doc["results"]["inputs_clamped"]
+            assert set(doc["results"]["bound"]) == BOUND_KEYS
+            assert doc["results"]["bound"]["tr_p"] == float(trp)
 
     @pytest.mark.parametrize("command", ["braid-pf", "braid-cc", "fuse-pf-pfstar", "compile",
                                          "verify", "bounds"])
@@ -505,16 +547,19 @@ class TestInputValidation:
         """-o - into a pipe whose reader has gone exits 2 with one message line,
         no traceback and no exit-time flush error, and removes the CSV and the
         directory made for it."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(qutrit_toric.__file__)))
-        with subprocess.Popen(
-                [sys.executable, "-c", "import sys; from qutrit_toric.cli import main; "
-                 "sys.exit(main())", *argv, "-o", "-"], cwd=tmp_path, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src}) as proc:
-            proc.stdout.close()
-            err = proc.stderr.read()
-        assert proc.returncode == 2
+        code, err = run_with_stdout_closed(tmp_path, *argv, "-o", "-")
+        assert code == 2
         assert err == "configuration error: cannot write --output -: Broken pipe\n"
         assert os.listdir(tmp_path) == []
+
+    def test_status_line_survives_closed_stdout(self, tmp_path):
+        """The 'wrote <path>' line goes to stderr: a file run whose stdout reader
+        has gone exits 0 with its file written and no traceback."""
+        code, err = run_with_stdout_closed(tmp_path, "bounds", "--trp", ".7", "--trq", ".6",
+                                           "--sites", "2", "-o", "b.json")
+        assert code == 0
+        assert "Traceback" not in err and err == "wrote b.json\n"
+        assert json.loads((tmp_path / "b.json").read_text())["results"]["bound"]
 
     def test_bounds_missing_input(self, tmp_path, capsys):
         code, doc, _ = self.run_with_config(tmp_path, {"trp": 0.75, "trq": 0.68}, "bounds")

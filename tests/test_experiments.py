@@ -19,11 +19,11 @@ from qutrit_toric.experiments import (
 from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import symplectic_product
 
-from oracles import final_tableau, run_braid, stabilizer_group_equals
+from oracles import excited, final_tableau, run_braid, stabilizer_group_equals
 
 
 def frame_by_label(frames, label):
-    return next(f for f in frames if f.label == label)
+    return next(f for f in frames if f["label"] == label)
 
 
 def triple(entry):
@@ -37,12 +37,12 @@ class TestPFBraid:
 
     def test_defect_frame_clean(self):
         f0 = frame_by_label(self.frames, "defect-inserted")
-        assert not f0.excited()
-        assert all(r["pi1"] == 1.0 for r in f0.defects)
+        assert not excited(f0)
+        assert all(r["pi1"] == 1.0 for r in f0["defect_stabilizers"])
 
     def test_final_frame_is_conjugate_charge_flux_dyon(self):
         final = frame_by_label(self.frames, "final")
-        exc = final.excited()
+        exc = excited(final)
         assert len(exc) == 2
         kinds = {k for k, _ in exc}
         assert kinds == {"A", "B"}
@@ -60,25 +60,25 @@ class TestPFBraid:
     def test_transmutation_pattern_across_frames(self):
         before = frame_by_label(self.frames, "charge-at-line")
         after = frame_by_label(self.frames, "crossed-as-flux")
-        moving_before = {k for k, t in before.excited().items() if t[1] == 1.0}
-        moving_after = {k for k, t in after.excited().items() if t[1] == 1.0}
+        moving_before = {k for k, t in excited(before).items() if t[1] == 1.0}
+        moving_after = {k for k, t in excited(after).items() if t[1] == 1.0}
         assert all(k == "A" for k, _ in moving_before)   # charge before
         assert all(k == "B" for k, _ in moving_after)    # flux after
 
     def test_nonlocal_stabilizer_toggles_on_crossing(self):
         before = frame_by_label(self.frames, "charge-at-line")
         after = frame_by_label(self.frames, "crossed-as-flux")
-        nb = next(r for r in before.defects if r["label"] == "pf0:nonlocal")
-        na = next(r for r in after.defects if r["label"] == "pf0:nonlocal")
+        nb = next(r for r in before["defect_stabilizers"] if r["label"] == "pf0:nonlocal")
+        na = next(r for r in after["defect_stabilizers"] if r["label"] == "pf0:nonlocal")
         assert nb["pi1"] == 1.0
         assert na["pi1"] == 0.0
         assert na["arg_deg"] == pytest.approx(240, abs=1)
 
     def test_endpoint_stabilizers_never_excited(self):
         for f in self.frames:
-            for r in f.defects:
+            for r in f["defect_stabilizers"]:
                 if r["label"] in ("pf0:west", "pf0:east", "pf0:measured"):
-                    assert r["pi1"] == 1.0, (f.label, r["label"])
+                    assert r["pi1"] == 1.0, (f["label"], r["label"])
 
     def test_charge_and_flux_neutrality_every_frame(self):
         """Visible anyon content plus the dyon absorbed by the defect line
@@ -87,11 +87,11 @@ class TestPFBraid:
         charges and fluxes simultaneously, across every frame."""
 
         def totals(frame, kind):
-            return sum(t.index(1.0) for (k, _), t in frame.excited().items()
+            return sum(t.index(1.0) for (k, _), t in excited(frame).items()
                        if k == kind) % 3
 
         def nl_sector(frame):
-            r = next(x for x in frame.defects if x["label"] == "pf0:nonlocal")
+            r = next(x for x in frame["defect_stabilizers"] if x["label"] == "pf0:nonlocal")
             return triple(r).index(1.0)
 
         for kind in ("A", "B"):
@@ -114,32 +114,32 @@ class TestCCBraid:
         created = frame_by_label(self.frames, "pair-created")
         crossed = frame_by_label(self.frames, "crossed-conjugated")
         lat = self.runner.lattice
-        moving_before = next(t for (k, p), t in created.excited().items()
+        moving_before = next(t for (k, p), t in excited(created).items()
                              if p == (2, 1))
-        moving_after = next(t for (k, p), t in crossed.excited().items()
+        moving_after = next(t for (k, p), t in excited(crossed).items()
                             if p == (1, 2))
         assert moving_before[2] == 1.0   # conjugate flux, arg 240
         assert moving_after[1] == 1.0    # flux, arg 120
     def test_wrap_and_fuse_leaves_single_conjugate_flux(self):
         fused = frame_by_label(self.frames, "fused")
-        exc = fused.excited()
+        exc = excited(fused)
         assert len(exc) == 1
         ((kind, pos), trip), = exc.items()
         assert kind == "B" and trip[2] == 1.0
 
     def test_refusing_reveals_flux_at_endpoint(self):
         final = frame_by_label(self.frames, "defects-fused")
-        exc = final.excited()
+        exc = excited(final)
         assert len(exc) == 2
         revealed = [t for (k, p), t in exc.items() if p == (3, 2)]
         assert revealed and revealed[0][1] == 1.0  # a flux at the endpoint face
-        assert not final.defects  # both endpoint observables left with the pair
+        assert not final["defect_stabilizers"]  # both endpoint observables left with the pair
 
     def test_internal_state_toggles_once(self):
         crossed = frame_by_label(self.frames, "crossed-conjugated")
-        b_end = next(r for r in crossed.defects if r["label"] == "cc0:B-end")
+        b_end = next(r for r in crossed["defect_stabilizers"] if r["label"] == "cc0:B-end")
         assert b_end["pi_omega"] == 1.0
-        a_end = next(r for r in crossed.defects if r["label"] == "cc0:A-end")
+        a_end = next(r for r in crossed["defect_stabilizers"] if r["label"] == "cc0:A-end")
         assert a_end["pi1"] == 1.0
 
     def test_charge_crossing_reveals_conjugate_charge(self):
@@ -163,16 +163,16 @@ class TestCCBraid:
         ]
         frames, runner = run_braid(s, seed=1)
         braided = frame_by_label(frames, "braided")
-        exc = braided.excited()
+        exc = excited(braided)
         assert set(exc) == {("A", (2, 2))}
-        a_end = next(r for r in braided.defects if r["label"] == "cc0:A-end")
+        a_end = next(r for r in braided["defect_stabilizers"] if r["label"] == "cc0:A-end")
         assert a_end["pi1"] == 0.0   # internal charge state toggled
-        b_end = next(r for r in braided.defects if r["label"] == "cc0:B-end")
+        b_end = next(r for r in braided["defect_stabilizers"] if r["label"] == "cc0:B-end")
         assert b_end["pi1"] == 1.0   # flux sector untouched
         final = frame_by_label(frames, "defects-fused")
         endpoint_positions = [p for p, img in runner.defect_specs[0].transformed.items()
                               if len(img.support) > 4]
-        revealed = {pos: t for (k, pos), t in final.excited().items()
+        revealed = {pos: t for (k, pos), t in excited(final).items()
                     if pos in endpoint_positions}
         assert len(revealed) == 1
         (pos, trip), = revealed.items()
@@ -207,7 +207,7 @@ class TestFusionIdentity:
     def test_composite_net_action_matches_cc(self):
         frames, _ = run_braid(pf_pfstar_script(), seed=5)
         fused = frame_by_label(frames, "fused")
-        exc = fused.excited()
+        exc = excited(fused)
         assert len(exc) == 1
         ((kind, pos), trip), = exc.items()
         assert kind == "B" and trip[2] == 1.0  # single conjugate flux
@@ -215,7 +215,7 @@ class TestFusionIdentity:
     def test_intermediate_is_charge(self):
         frames, _ = run_braid(pf_pfstar_script(), seed=5)
         mid = frame_by_label(frames, "between-lines-as-charge")
-        moving = [(k, t) for (k, p), t in mid.excited().items() if k == "A"]
+        moving = [(k, t) for (k, p), t in excited(mid).items() if k == "A"]
         assert len(moving) == 1
 
     def test_stabilizer_groups_differ_microscopically(self):
@@ -259,12 +259,14 @@ class TestScriptInfrastructure:
         assert compiled.kinds == runner.kinds
         tab, _ = final_tableau(circ, seed=4)
         final = frames[-1]
-        for snap in final.plaquettes + final.defects:
+        for snap in final["plaquettes"] + final["defect_stabilizers"]:
             assert tab.projector_triple(runner.observables[snap["label"]]) == triple(snap)
         # a second run starts from a fresh frame and reproduces every frame
         again = runner.run()
-        assert [[triple(s) for s in f.plaquettes + f.defects] for f in again] == \
-            [[triple(s) for s in f.plaquettes + f.defects] for f in frames]
+        def triples(frames):
+            return [[triple(s) for s in f["plaquettes"] + f["defect_stabilizers"]] for f in frames]
+
+        assert triples(again) == triples(frames)
 
 
 @pytest.mark.parametrize("layout_fn", [topo_layout_6x2, topo_layout_6x4])
@@ -272,21 +274,21 @@ class TestTopologicalQutrit:
     def test_ideal_values_per_outcome(self, layout_fn):
         proto = TopologicalQutritProtocol(layout_fn())
         run = proto.run()
-        assert len(run.per_outcome) == 3
-        for j, res in enumerate(run.per_outcome):
-            assert res.outcome == j
-            expected = tuple(1.0 if k == j else 0.0 for k in range(3))
-            assert res.braid_triple == expected
-            assert res.neutrality_triple == (1.0, 0.0, 0.0)
-            assert res.end_pi1 == (pytest.approx(1 / 3), pytest.approx(1 / 3))
-            for v in res.flux_end_values:
-                assert v == pytest.approx(1)
+        assert len(run["per_outcome"]) == 3
+        for j, res in enumerate(run["per_outcome"]):
+            assert res["ancilla_outcome"] == j
+            expected = [1.0 if k == j else 0.0 for k in range(3)]
+            assert res["braid_triple"] == expected
+            assert res["neutrality_triple"] == [1.0, 0.0, 0.0]
+            assert res["pair_projectors"] == [pytest.approx(1 / 3), pytest.approx(1 / 3)]
+            for v in res["flux_endpoints"]:
+                assert complex(*v) == pytest.approx(1)
 
     def test_sampled_outcomes_uniform(self, layout_fn):
         proto = TopologicalQutritProtocol(layout_fn())
         counts = [0, 0, 0]
         for seed in range(120):
-            counts[proto.run(seed).sampled.outcome] += 1
+            counts[proto.run(seed)["sampled_outcome"]] += 1
         assert min(counts) > 15
 
     def test_sampled_outcomes_pinned(self, layout_fn):
@@ -295,7 +297,7 @@ class TestTopologicalQutrit:
         proto = TopologicalQutritProtocol(layout_fn())
         pinned = [2, 1, 2, 2, 2, 2, 1, 2, 2, 1, 2, 0, 1, 2, 0, 2, 1, 2, 2, 1, 2, 0, 2, 0, 1,
                   1, 2, 0, 1, 2]
-        assert [proto.run(seed).sampled.outcome for seed in range(30)] == pinned
+        assert [proto.run(seed)["sampled_outcome"] for seed in range(30)] == pinned
 
     def test_one_lookup_per_leaf(self, layout_fn, monkeypatch):
         """run reads the d leaves of the outcome tree, one batched lookup each;
