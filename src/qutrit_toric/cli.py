@@ -14,7 +14,6 @@ defaults. QUTRIT_TORIC_OUTDIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import shutil
@@ -192,18 +191,15 @@ def cmd_topo(args) -> dict:
 
 def cmd_compile(args) -> dict:
     circ = ground_state_circuit(build_lattice(args.lx, args.ly))
-    if args.dump_ops:
-        qc, report = encode_circuit(circ, args.basis, args.optimization)
-    else:  # the report alone needs no qubit circuit
-        report = compile_report(circ, args.basis, args.optimization)
     payload = {
         "preset": f"prepare-{args.lx}x{args.ly}",
-        "report": dataclasses.asdict(report),
+        "report": compile_report(circ, args.basis, args.optimization),
         "qutrit_circuit": circuit_to_json(circ),
     }
     if args.dump_ops:
         from .encoder import qubit_circuit_text, qubit_circuit_to_json
 
+        qc = encode_circuit(circ, args.basis, args.optimization)
         payload["qubit_circuit"] = qubit_circuit_to_json(qc)
         payload["qubit_circuit_text"] = qubit_circuit_text(qc)
     return payload
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, lattice=False)
     p.add_argument("--trp", type=_finite_float)
     p.add_argument("--trq", type=_finite_float)
-    p.add_argument("--sites", type=int)
+    p.add_argument("--sites", type=_positive_int)
     p.add_argument("--se-p", type=_non_negative_float, default=0.0, dest="se_p")
     p.add_argument("--se-q", type=_non_negative_float, default=0.0, dest="se_q")
     return parser

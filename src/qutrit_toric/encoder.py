@@ -11,6 +11,9 @@ cross-pair controlled-phase rotations; the controlled-shift conjugates
 it by Fourier gates on the target pair. A compiled circuit acts
 identically on the encoded subspace and never populates the herald
 state, so leakage observed at readout always signals an error.
+
+Compilation is one qutrit token stream: encode_circuit places its native
+sequences on qubit pairs; compile_report sums cached per-token summaries.
 """
 
 from __future__ import annotations
@@ -249,24 +252,14 @@ class CondNative:
 
 @dataclass
 class QubitCircuit:
-    n_qubits: int
-    n_cbits: int
+    n_qubits: int  # also the number of classical bits: each qubit has one
     ops: list = field(default_factory=list)
 
 
-@dataclass
-class CompileReport:
-    two_qubit_count: int
-    depth: int
-    budget_table: dict[str, int]
-    gate_counts: dict[str, int]
-    per_qutrit_two_qubit: list[int]
-    optimization_level: int
-    basis: str | None
-
-
 def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
-    """Qutrit-level token stream with Fourier-expansion and peephole passes."""
+    """Qutrit-level token stream with Fourier-expansion and peephole passes. Each token
+    is (key, qutrits, creg): key is a token_summary key, "cond" (the predicate fills
+    qutrits) or "barrier" (no qutrits); creg is 0 but for measurements and conds."""
     tokens: list[tuple] = []
     fresh = set(range(circuit.n_qudits))
     for ins in circuit.instructions:
@@ -274,15 +267,16 @@ def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
             kind, tg = ins.gate.kind.value, ins.gate.targets
             fresh_target = optimization_level >= 1 and tg[-1] in fresh
             if kind == "h" and fresh_target:
-                tokens.append(("mprep", *tg))
+                tokens.append(("mprep", tg, 0))
             elif kind in ("cx", "cxdg") and fresh_target:
-                tokens.append(("cxcopy", *tg))
+                tokens.append(("cxcopy", tg, 0))
                 if kind == "cxdg":
-                    tokens.append(("c", tg[1]))  # copy then conjugate = inverse copy
+                    tokens.append(("c", tg[1:], 0))  # copy then conjugate = inverse copy
             elif kind in ("cx", "cxdg"):
-                tokens += [("h", tg[1]), ("cz" if kind == "cx" else "czdg", *tg), ("hdg", tg[1])]
+                tokens += [("h", tg[1:], 0), ("cz" if kind == "cx" else "czdg", tg, 0),
+                           ("hdg", tg[1:], 0)]
             else:
-                tokens.append((kind, *tg))
+                tokens.append((kind, tg, 0))
             fresh.difference_update(tg)
         elif isinstance(ins, Measure):
             obs = ins.observable
@@ -292,21 +286,23 @@ def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
             s = int(sites[0])
             xe, ze = int(obs.x[s]), int(obs.z[s])
             if (xe, ze) == (1, 0):
-                tokens.append(("h", s))
-            tokens.append(("measure", s, ins.creg, None) if (xe, ze) in ((0, 1), (1, 0))
-                          else ("rotmeas", s, ins.creg, (xe, ze)))
+                tokens.append(("h", (s,), 0))
+            tokens.append((("measure", None) if (xe, ze) in ((0, 1), (1, 0))
+                           else ("rotmeas", (xe, ze)), (s,), ins.creg))
             fresh.discard(s)
         elif isinstance(ins, CondGate):
-            tokens.append(("cond", ins.creg, ins.predicate))
+            tokens.append(("cond", ins.predicate, ins.creg))
+            fresh.difference_update(q for gates in ins.predicate.values() for g in gates
+                                    for q in g.targets)
         elif isinstance(ins, Barrier):
-            tokens.append(("barrier",))
+            tokens.append(("barrier", (), 0))
         elif isinstance(ins, Noise):
             raise ValueError("stochastic noise instructions do not compile to the native set")
     if basis is not None:
-        tokens.append(("barrier",))
+        tokens.append(("barrier", (), 0))
         if basis == "x":
-            tokens += [("h", i) for i in range(circuit.n_qudits)]
-        tokens += [("measure", i, i, None) for i in range(circuit.n_qudits)]
+            tokens += [("h", (i,), 0) for i in range(circuit.n_qudits)]
+        tokens += [(("measure", None), (i,), i) for i in range(circuit.n_qudits)]
     if optimization_level >= 1:
         tokens = _cancel_fourier_pairs(tokens)
     return tokens
@@ -321,24 +317,18 @@ def _cancel_fourier_pairs(tokens):
     on = defaultdict(list)  # qutrit -> indices into out of the tokens on it
     cond = -1  # index of the latest cond
     for tok in tokens:
-        stack = on[tok[1]] if tok[0] in ("h", "hdg") else None
-        if stack and stack[-1] > cond and out[stack[-1]] == ({"h": "hdg", "hdg": "h"}[tok[0]], tok[1]):
+        key, qutrits, _ = tok
+        stack = on[qutrits[0]] if key in ("h", "hdg") else None
+        if stack and stack[-1] > cond and out[stack[-1]][0] == {"h": "hdg", "hdg": "h"}[key]:
             out[stack.pop()] = None
             continue
-        if tok[0] == "cond":
+        if key == "cond":
             cond = len(out)
-        elif tok[0] != "barrier":
-            for q in _token_key(tok)[1]:
+        else:
+            for q in qutrits:
                 on[q].append(len(out))
         out.append(tok)
     return [tok for tok in out if tok is not None]
-
-
-def _token_key(tok) -> tuple:
-    """token_summary key and qutrits of a gate or measurement token."""
-    if tok[0] in ("measure", "rotmeas"):
-        return (tok[0], tok[3]), tok[1:2]
-    return tok[0], tok[1:]
 
 
 def per_qutrit_two_qubit(circuit: Circuit, basis: str | None = None,
@@ -348,32 +338,32 @@ def per_qutrit_two_qubit(circuit: Circuit, basis: str | None = None,
     walk. A rotated measurement counts both of its basis rotations; a
     cond counts nothing."""
     counts = [0] * circuit.n_qudits
-    for tok in _token_stream(circuit, basis, optimization_level):
-        if tok[0] not in ("cond", "barrier"):
-            key, qutrits = _token_key(tok)
+    for key, qutrits, _ in _token_stream(circuit, basis, optimization_level):
+        if key not in ("cond", "barrier"):
             for qt, k in zip(qutrits, token_summary(key).zz_per_qutrit):
                 counts[qt] += k
     return counts
 
 
 def compile_report(circuit: Circuit, basis: str | None = None,
-                   optimization_level: int = 1) -> CompileReport:
-    """encode_circuit's report from one walk over the token stream and the
-    token summaries, without building the qubit circuit. A barrier levels
-    every qubit; a cond advances every qubit its branches touch by the op
-    count of its longest branch, and adds its largest branch zzphase count."""
+                   optimization_level: int = 1) -> dict:
+    """The compile document's report entry: encode_circuit's counts and depth,
+    summed over the token stream with the token summaries, without building
+    the qubit circuit. A barrier levels every qubit; a cond advances every
+    qubit its branches touch by the op count of its longest branch, and
+    adds its largest branch zzphase count."""
     circuit.validate()
     level = [0] * (2 * circuit.n_qudits)
     per_qutrit = [0] * circuit.n_qudits
     gate_counts: Counter[str] = Counter()
     two_qubit = 0
-    for tok in _token_stream(circuit, basis, optimization_level):
-        if tok[0] == "barrier":
+    for key, qutrits, _ in _token_stream(circuit, basis, optimization_level):
+        if key == "barrier":
             level = [max(level, default=0)] * len(level)
-        elif tok[0] == "cond":
+        elif key == "cond":
             gate_counts["cond"] += 1
             branches = [[(token_summary(g.kind.value), g.targets) for g in gates]
-                        for gates in tok[2].values()]
+                        for gates in qutrits.values()]
             two_qubit += max(sum(s.zz for s, _ in br) for br in branches)
             qs = {q for br in branches for s, qt in br for q in _placed(s.qubits, qt)}
             top = max((level[q] for q in qs), default=0) + max(
@@ -381,7 +371,6 @@ def compile_report(circuit: Circuit, basis: str | None = None,
             for q in qs:
                 level[q] = top
         else:
-            key, qutrits = _token_key(tok)
             summary = token_summary(key)
             gate_counts.update(summary.names)
             two_qubit += summary.zz
@@ -391,20 +380,20 @@ def compile_report(circuit: Circuit, basis: str | None = None,
             before = [level[q] for q in qs]
             for q, into in zip(qs, summary.depth_into):
                 level[q] = max(map(add, before, into))
-    return CompileReport(
-        two_qubit_count=two_qubit,
-        depth=max(level, default=0),
-        budget_table={name: zz_budget(name) for name in SUPPORTED_GATES},
-        gate_counts=dict(gate_counts),
-        per_qutrit_two_qubit=per_qutrit,
-        optimization_level=optimization_level,
-        basis=basis,
-    )
+    return {
+        "two_qubit_count": two_qubit,
+        "depth": max(level, default=0),
+        "budget_table": {name: zz_budget(name) for name in SUPPORTED_GATES},
+        "gate_counts": dict(gate_counts),
+        "per_qutrit_two_qubit": per_qutrit,
+        "optimization_level": optimization_level,
+        "basis": basis,
+    }
 
 
 def encode_circuit(circuit: Circuit, basis: str | None = None,
-                   optimization_level: int = 1) -> tuple[QubitCircuit, CompileReport]:
-    """Compile a qutrit circuit to the native set, with its compile_report.
+                   optimization_level: int = 1) -> QubitCircuit:
+    """Compile a qutrit circuit to the native set (compile_report has its counts).
 
     basis 'z' or 'x' appends a barrier plus a destructive measure-all.
     Optimization level 0 uses the plain per-gate decompositions (a lone
@@ -412,25 +401,22 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
     for fresh Fourier targets, two-CNOT copies onto fresh CX targets,
     and Fourier-pair cancellation into measurement rotations.
     """
-    report = compile_report(circuit, basis, optimization_level)
-    qc = QubitCircuit(2 * circuit.n_qudits, 2 * circuit.n_qudits)
-    for tok in _token_stream(circuit, basis, optimization_level):
-        if tok[0] == "barrier":
+    circuit.validate()
+    qc = QubitCircuit(2 * circuit.n_qudits)
+    for key, qutrits, creg in _token_stream(circuit, basis, optimization_level):
+        if key == "barrier":
             qc.ops.append(NativeOp("barrier", tuple(range(qc.n_qubits))))
-        elif tok[0] == "cond":
-            _, creg, predicate = tok
+        elif key == "cond":
             cases = {
                 ENCODE_BITS[outcome]: tuple(
                     op for g in gates for op in _place(decompose_gate(g.kind.value), g.targets))
-                for outcome, gates in predicate.items()
+                for outcome, gates in qutrits.items()
             }
             cases[NC_BITS] = ()
             qc.ops.append(CondNative((2 * creg, 2 * creg + 1), cases))
         else:
-            key, qutrits = _token_key(tok)
-            creg = tok[2] if isinstance(key, tuple) else 0  # measurements carry their creg
             qc.ops.extend(_place(_token_ops(key), qutrits, creg))
-    return qc, report
+    return qc
 
 
 # -- emission formats --------------------------------------------------------------
@@ -444,11 +430,14 @@ def qubit_circuit_text(qc: QubitCircuit) -> str:
         gate     := NAME "(" params ")" " " qubits ";"
         meas     := "measz" " " qubits " -> " cbits ";"
         barrier  := "barrier;"
-        cond     := "cond c[" INT "],c[" INT "] {" cases "}"
+        cond     := "cond " cbits " { " cases " }"
+        cases    := case (" " case)*
+        case     := "[" BIT BIT "]: " (gate (" " gate)* | "skip;")
         qubits   := "q[" INT "]" ("," "q[" INT "]")*
-    Angles are in turns.
+        cbits    := "c[" INT "]" ("," "c[" INT "]")*
+    Angles are in turns; the header line is "qubits N; cbits N;".
     """
-    lines = [f"qubits {qc.n_qubits}; cbits {qc.n_cbits};", *map(_op_text, qc.ops)]
+    lines = [f"qubits {qc.n_qubits}; cbits {qc.n_qubits};", *map(_op_text, qc.ops)]
     return "\n".join(lines) + "\n"
 
 
@@ -484,7 +473,7 @@ def _op_doc(op) -> dict:
 
 def qubit_circuit_to_json(qc: QubitCircuit) -> dict:
     return {"schema": QUBIT_CIRCUIT_SCHEMA, "n_qubits": qc.n_qubits,
-            "n_cbits": qc.n_cbits, "ops": [_op_doc(op) for op in qc.ops]}
+            "n_cbits": qc.n_qubits, "ops": [_op_doc(op) for op in qc.ops]}
 
 
 # -- heralding and readout ------------------------------------------------------------

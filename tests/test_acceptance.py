@@ -33,9 +33,10 @@ from qutrit_toric.dense import gate_matrix
 from qutrit_toric.defects import CCRibbon, cc_defect_circuit, pf_defect_circuit
 from qutrit_toric.encoder import (
     SUPPORTED_GATES,
+    compile_report,
     decode_qubit_records,
-    encode_circuit,
     herald_filter,
+    per_qutrit_two_qubit,
     simulate_readout,
     verify_decomposition,
     zz_budget,
@@ -371,13 +372,13 @@ def test_criterion_8_encoder_matrices_and_counts():
     budgets_ok = (budgets["z"] == 0 and budgets["c"] == 1
                   and budgets["mprep"] == 1 and budgets["h"] == 3)
     lat = build_lattice(6, 4)
-    _, rep_z = encode_circuit(ground_state_circuit(lat), basis="z", optimization_level=1)
-    _, rep_x = encode_circuit(ground_state_circuit(lat), basis="x", optimization_level=1)
-    counts_ok = (251 * 0.85 <= rep_z.two_qubit_count <= 251 * 1.15
-                 and 189 * 0.85 <= rep_x.two_qubit_count <= 189 * 1.15)
+    rep_z = compile_report(ground_state_circuit(lat), basis="z", optimization_level=1)
+    rep_x = compile_report(ground_state_circuit(lat), basis="x", optimization_level=1)
+    counts_ok = (251 * 0.85 <= rep_z["two_qubit_count"] <= 251 * 1.15
+                 and 189 * 0.85 <= rep_x["two_qubit_count"] <= 189 * 1.15)
     report("8 encoder", worst < 1e-10 and budgets_ok and counts_ok,
            f"max deviation {worst:.1e}, budgets {budgets}, "
-           f"counts z={rep_z.two_qubit_count} x={rep_x.two_qubit_count}")
+           f"counts z={rep_z['two_qubit_count']} x={rep_x['two_qubit_count']}")
 
 
 @pytest.mark.xfail(strict=True,
@@ -406,8 +407,7 @@ def test_criterion_9_spam_mitigation():
         circ = prep.with_noise(p2=2e-3)
         circ.extend(measure_all_circuit(lat, basis))
         batch = run_shots(circ, 4000, base_seed=31)
-        _, rep = encode_circuit(prep, basis=basis)
-        pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+        pairs = simulate_readout(batch.values, per_qutrit_two_qubit(prep, basis),
                                  p01=cm_big.p01, p10=cm_big.p10,
                                  leak_per_two_qubit=1e-4, seed=5)
         retained, _ = herald_filter(pairs)
@@ -438,8 +438,7 @@ def test_criterion_10_noisy_ballpark():
         circ = prep.with_noise(p2=2e-3)
         circ.extend(measure_all_circuit(lat, basis))
         batch = run_shots(circ, 5000, base_seed=42)
-        _, rep = encode_circuit(prep, basis=basis, optimization_level=1)
-        pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit, seed=7)
+        pairs = simulate_readout(batch.values, per_qutrit_two_qubit(prep, basis, 1), seed=7)
         retained, frac = herald_filter(pairs)
         fracs.append(frac)
         values = decode_qubit_records(retained)

@@ -119,8 +119,8 @@ class TestSpamMitigation:
         """Readout-error mitigation strictly raises the mean +1-sector weight
         on the noisy workload."""
         from qutrit_toric.circuit import run_shots
-        from qutrit_toric.encoder import (decode_qubit_records, encode_circuit,
-                                          herald_filter, simulate_readout)
+        from qutrit_toric.encoder import (decode_qubit_records, herald_filter,
+                                          per_qutrit_two_qubit, simulate_readout)
         from qutrit_toric.estimators import estimate_plaquette_projectors
         from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
 
@@ -132,8 +132,7 @@ class TestSpamMitigation:
             circ = prep.with_noise(p2=2e-3)
             circ.extend(measure_all_circuit(lat, basis))
             batch = run_shots(circ, 4000, base_seed=17)
-            _, rep = encode_circuit(prep, basis=basis)
-            pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+            pairs = simulate_readout(batch.values, per_qutrit_two_qubit(prep, basis),
                                      p01=cm.p01, p10=cm.p10,
                                      leak_per_two_qubit=1e-4, seed=3)
             retained, _ = herald_filter(pairs)

@@ -11,7 +11,13 @@ import qutrit_toric
 from qutrit_toric import cli, encoder, weyl
 from qutrit_toric.circuit import FRAME_BLOCK
 from qutrit_toric.cli import main
-from qutrit_toric.encoder import NativeOp, encode_circuit
+from qutrit_toric.encoder import (
+    NativeOp,
+    compile_report,
+    encode_circuit,
+    qubit_circuit_text,
+    qubit_circuit_to_json,
+)
 from qutrit_toric.experiments import (
     ScriptRunner,
     TopologicalQutritProtocol,
@@ -228,7 +234,7 @@ class TestCompile:
         code, doc, _ = run_cli(tmp_path, "compile", "--lx", "6", "--ly", "4",
                                "--basis", basis)
         assert code == 0
-        qc, _ = encode_circuit(ground_state_circuit(build_lattice(6, 4)), basis=basis)
+        qc = encode_circuit(ground_state_circuit(build_lattice(6, 4)), basis=basis)
         involved = [q // 2 for op in qc.ops
                     if isinstance(op, NativeOp) and op.kind == "zzphase" for q in op.qubits]
         counts = [involved.count(k) for k in range(24)]
@@ -251,6 +257,24 @@ class TestCompile:
         assert code == dump_code == 0
         assert dumped["results"]["report"] == plain["results"]["report"]
         assert dumped["results"]["qubit_circuit"]["ops"]
+
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_documents_are_the_library_outputs(self, tmp_path, basis, level):
+        """The report entry is compile_report's dict and the dumped forms are
+        the emitters' output for encode_circuit's qubit circuit, as they are."""
+        circ = ground_state_circuit(build_lattice(4, 2))
+        argv = ("compile", "--lx", "4", "--ly", "2", "--basis", basis, "--optimization",
+                str(level))
+        code, plain, _ = run_cli(tmp_path, *argv)
+        dump_code, dumped, _ = run_cli(tmp_path, *argv, "--dump-ops")
+        assert code == dump_code == 0
+        report = compile_report(circ, basis, level)
+        assert plain["results"]["report"] == dumped["results"]["report"] == report
+        qc = encode_circuit(circ, basis, level)
+        assert dumped["results"]["qubit_circuit"] == qubit_circuit_to_json(qc)
+        assert dumped["results"]["qubit_circuit_text"] == qubit_circuit_text(qc)
 
 
 class TestVerifyAndBounds:
@@ -480,7 +504,7 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("flag, value", [
         ("--trp", "nan"), ("--trp", "inf"), ("--trq", "Infinity"), ("--se-p", "-1"),
-        ("--se-q", "nan"),
+        ("--se-q", "nan"), ("--sites", "0"), ("--sites", "-3"),
     ])
     def test_bounds_input_not_finite_or_negative_error(self, tmp_path, capsys, flag, value):
         argv = {"--trp": "0.75", "--trq": "0.68", "--sites": "2", flag: value}
@@ -489,7 +513,7 @@ class TestInputValidation:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("conf", [{"trp": float("nan")}, {"trq": float("inf")},
-                                      {"se_p": -1}, {"se_q": -0.5}])
+                                      {"se_p": -1}, {"se_q": -0.5}, {"sites": 0}])
     def test_bounds_config_value_not_finite_or_negative_error(self, tmp_path, capsys, conf):
         conf = {"trp": 0.75, "trq": 0.68, "sites": 2, **conf}
         code, doc, _ = self.run_with_config(tmp_path, conf, "bounds")

@@ -1,5 +1,6 @@
 """Native-gate compilation: decompositions, budgets, equivalence, heralding."""
 
+import re
 from collections import Counter
 from functools import reduce
 
@@ -11,6 +12,7 @@ from qutrit_toric.circuit import Circuit, CondGate, run_shots
 from qutrit_toric.defects import pf_defect_circuit
 from qutrit_toric.dense import gate_matrix
 from qutrit_toric.encoder import (
+    CondNative,
     DECODE_BITS,
     ENCODE_BITS,
     NC_BITS,
@@ -24,6 +26,8 @@ from qutrit_toric.encoder import (
     encoding_isometry,
     herald_filter,
     per_qutrit_two_qubit,
+    qubit_circuit_text,
+    qubit_circuit_to_json,
     simulate_readout,
     verify_decomposition,
     weyl_basis_rotation,
@@ -220,7 +224,7 @@ class TestEncodedEquivalence:
             state = DenseState(3, n)
             for ins in circ.instructions:
                 state.apply_gate(ins.gate)
-            qc, _ = encode_circuit(circ, optimization_level=level)
+            qc = encode_circuit(circ, optimization_level=level)
             U = qubit_circuit_unitary(qc)
             E = encoding_isometry(n)
             out = U @ E @ DenseState(3, n).amp
@@ -236,7 +240,7 @@ class TestEncodedEquivalence:
         state = DenseState(3, 4)
         for ins in circ.instructions:
             state.apply_gate(ins.gate)
-        qc, _ = encode_circuit(circ, optimization_level=1)
+        qc = encode_circuit(circ, optimization_level=1)
         U = qubit_circuit_unitary(qc)
         E = encoding_isometry(4)
         out = U @ E @ DenseState(3, 4).amp
@@ -245,38 +249,39 @@ class TestEncodedEquivalence:
 
 class TestCompileCounts:
     def test_empty_circuit(self):
-        qc, rep = encode_circuit(Circuit(3, 2, 0))
-        assert rep.two_qubit_count == 0
-        assert rep.depth == 0
+        assert encode_circuit(Circuit(3, 2, 0)).ops == []
+        rep = compile_report(Circuit(3, 2, 0))
+        assert rep["two_qubit_count"] == 0
+        assert rep["depth"] == 0
 
     @pytest.mark.parametrize("basis", [None, "z", "x"])
     def test_zero_qudits(self, basis):
-        qc, rep = encode_circuit(Circuit(3, 0, 0), basis=basis)
-        assert (rep.depth, rep.two_qubit_count, rep.per_qutrit_two_qubit) == (0, 0, [])
+        qc = encode_circuit(Circuit(3, 0, 0), basis=basis)
+        rep = compile_report(Circuit(3, 0, 0), basis)
+        assert (rep["depth"], rep["two_qubit_count"], rep["per_qutrit_two_qubit"]) == (0, 0, [])
         assert per_qutrit_two_qubit(Circuit(3, 0, 0), basis) == []
         assert all(op.kind == "barrier" for op in qc.ops)
 
     def test_single_cx_matches_budget(self):
         circ = Circuit(3, 2, 0)
         circ.gate(weyl.cx(0, 1))
-        _, rep = encode_circuit(circ, optimization_level=0)
-        assert rep.two_qubit_count == zz_budget("cx")
+        rep = compile_report(circ, optimization_level=0)
+        assert rep["two_qubit_count"] == zz_budget("cx")
 
     @pytest.mark.parametrize("basis,center,lo,hi", [
         ("z", 251, 214, 289), ("x", 189, 161, 217),
     ])
     def test_6x4_preparation_counts_in_band(self, basis, center, lo, hi):
         lat = build_lattice(6, 4)
-        _, rep = encode_circuit(ground_state_circuit(lat), basis=basis,
-                                optimization_level=1)
-        assert lo <= rep.two_qubit_count <= hi, rep.two_qubit_count
+        rep = compile_report(ground_state_circuit(lat), basis=basis, optimization_level=1)
+        assert lo <= rep["two_qubit_count"] <= hi, rep["two_qubit_count"]
 
     def test_depth_positive_and_reported(self):
         lat = build_lattice(6, 4)
-        _, rep = encode_circuit(ground_state_circuit(lat), basis="z")
-        assert rep.depth > 0
-        assert rep.budget_table["h"] == 3
-        assert sum(rep.per_qutrit_two_qubit) == 2 * rep.two_qubit_count
+        rep = compile_report(ground_state_circuit(lat), basis="z")
+        assert rep["depth"] > 0
+        assert rep["budget_table"]["h"] == 3
+        assert sum(rep["per_qutrit_two_qubit"]) == 2 * rep["two_qubit_count"]
 
     def test_noise_instructions_rejected(self):
         circ = Circuit(3, 2, 0).with_noise(p1=0.1)
@@ -290,13 +295,14 @@ class TestCompileCounts:
     def test_second_compile_synthesizes_nothing(self, monkeypatch):
         """Every token comes from the decomposition cache once it is warm."""
         prep = ground_state_circuit(build_lattice(6, 4))
-        first, _ = encode_circuit(prep, basis="z")
+        first = encode_circuit(prep, basis="z")
         calls = []
         synthesize = encoder.synthesize_two_qubit
         monkeypatch.setattr(encoder, "synthesize_two_qubit",
                             lambda U: calls.append(U) or synthesize(U))
-        second, rep = encode_circuit(prep, basis="z")
-        assert rep.gate_counts["cxcopy"] > 0
+        second = encode_circuit(prep, basis="z")
+        rep = compile_report(prep, basis="z")
+        assert rep["gate_counts"]["cxcopy"] > 0
         assert len(calls) == 0
         assert second.ops == first.ops
 
@@ -309,7 +315,8 @@ class TestRotatedMeasurementAndCond:
     def compiled(self):
         lat = build_lattice(4, 4)
         frag, _ = pf_defect_circuit(lat, (1, 1), "PF", 0)
-        qc, rep = encode_circuit(frag)
+        qc = encode_circuit(frag)
+        rep = compile_report(frag)
         return lat.site_index(1, 1), frag, qc, rep
 
     @staticmethod
@@ -354,7 +361,7 @@ class TestRotatedMeasurementAndCond:
 
     def test_gate_counts_name_both_paths(self, compiled):
         _, _, _, rep = compiled
-        assert rep.gate_counts == {"basis-rot": 1, "basis-rot-undo": 1, "cond": 1}
+        assert rep["gate_counts"] == {"basis-rot": 1, "basis-rot-undo": 1, "cond": 1}
 
     def test_two_qutrit_cond_gate_lands_on_both_pairs(self):
         """A controlled gate in a cond branch acts on its control and target
@@ -362,12 +369,41 @@ class TestRotatedMeasurementAndCond:
         circ = Circuit(3, 3, 1)
         circ.measure(WeylOp.from_site(3, 3, 1, 0, 1), 0)
         circ.cond(0, {0: (), 1: (weyl.cz(2, 0),), 2: ()})
-        qc, _ = encode_circuit(circ)
+        qc = encode_circuit(circ)
         seq = qc.ops[-1].cases[ENCODE_BITS[1]]
         assert {q // 2 for op in seq for q in op.qubits} == {0, 2}
         E = encoding_isometry(2)
         local = on_qubit(list(seq), {4: 0, 5: 1, 0: 2, 1: 3})
         assert phase_distance(gate_matrix(GateKind.CZ, 3), E.T @ ops_unitary(local, 4) @ E) < 1e-10
+
+    @pytest.mark.parametrize("gate,keys", [(weyl.fourier(1), ["h"]),
+                                           (weyl.cx(0, 1), ["h", "cz", "hdg"])])
+    def test_cond_branch_ends_the_fresh_target_peephole(self, gate, keys):
+        """A qutrit that a cond branch may shift no longer holds |0>, so a
+        later Fourier or CX onto it compiles in full, not as mprep or cxcopy:
+        on every outcome the ops act as the branch gates followed by the gate."""
+        circ = Circuit(3, 2, 1)
+        circ.measure(WeylOp.from_site(3, 2, 0, 0, 1), 0)
+        predicate = {0: (), 1: (weyl.shift_x(1),), 2: (weyl.shift_x_dag(1),)}
+        circ.cond(0, predicate)
+        circ.gate(gate)
+        tokens = encoder._token_stream(circ, None, 1)
+        assert [key for key, _, _ in tokens] == [("measure", None), "cond", *keys]
+        qc = encode_circuit(circ, optimization_level=1)
+        at = [getattr(op, "kind", "cond") for op in qc.ops].index("cond")
+        E = encoding_isometry(2)
+        for outcome, gates in predicate.items():
+            want = np.stack([self.dense_column(col, [*gates, gate]) for col in np.eye(9)], 1)
+            U = ops_unitary([*qc.ops[at].cases[ENCODE_BITS[outcome]], *qc.ops[at + 1:]], 4)
+            assert phase_distance(want, E.T @ U @ E) < 1e-10, outcome
+
+    @staticmethod
+    def dense_column(amp, gates):
+        """The two-qutrit state amp after gates."""
+        state = DenseState(3, 2, amp)
+        for g in gates:
+            state.apply_gate(g)
+        return state.amp
 
 
 def compiled_ops_count(qc, n_qutrits):
@@ -387,11 +423,12 @@ class TestPerQutritTwoQubit:
     @pytest.mark.parametrize("lx,ly", [(2, 2), (4, 2), (6, 2), (4, 4), (6, 4), (8, 4), (6, 6)])
     def test_equals_compiled_ops_count(self, lx, ly, basis, level):
         prep = ground_state_circuit(build_lattice(lx, ly))
-        qc, rep = encode_circuit(prep, basis=basis, optimization_level=level)
+        qc = encode_circuit(prep, basis=basis, optimization_level=level)
+        rep = compile_report(prep, basis, level)
         counts = per_qutrit_two_qubit(prep, basis, level)
-        assert counts == compiled_ops_count(qc, prep.n_qudits) == rep.per_qutrit_two_qubit
-        assert rep.depth == qubit_circuit_depth(qc)
-        assert rep.two_qubit_count == qubit_circuit_two_qubit_count(qc)
+        assert counts == compiled_ops_count(qc, prep.n_qudits) == rep["per_qutrit_two_qubit"]
+        assert rep["depth"] == qubit_circuit_depth(qc)
+        assert rep["two_qubit_count"] == qubit_circuit_two_qubit_count(qc)
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_rotated_measurement_and_cond(self, level):
@@ -405,8 +442,9 @@ class TestPerQutritTwoQubit:
             return circ
 
         circ = circuit(1, 1, True)
-        qc, rep = encode_circuit(circ, optimization_level=level)
-        assert rep.gate_counts["basis-rot"] == 1 and rep.gate_counts["cond"] == 1
+        qc = encode_circuit(circ, optimization_level=level)
+        rep = compile_report(circ, optimization_level=level)
+        assert rep["gate_counts"]["basis-rot"] == 1 and rep["gate_counts"]["cond"] == 1
         counts = per_qutrit_two_qubit(circ, None, level)
         assert counts == compiled_ops_count(qc, 3)
         assert counts == per_qutrit_two_qubit(circuit(1, 1, False), None, level)
@@ -456,11 +494,11 @@ def random_feed_forward_circuit(rng, n, length):
 def token_gate_counts(circ, basis, level):
     """Gate counts tallied from the token stream, one name per emitted sequence."""
     counts = Counter()
-    for tok in encoder._token_stream(circ, basis, level):
-        if tok[0] == "rotmeas":
+    for key, _, _ in encoder._token_stream(circ, basis, level):
+        if key[0] == "rotmeas":
             counts.update(["basis-rot", "basis-rot-undo"])
-        elif tok[0] not in ("measure", "barrier"):
-            counts[tok[0]] += 1
+        elif key not in (("measure", None), "barrier"):
+            counts[key] += 1
     return dict(counts)
 
 
@@ -468,13 +506,13 @@ class TestCompileReportAgainstOracle:
     """The token walk's report equals the counts and depth of the built qubit circuit."""
 
     def check(self, circ, basis, level):
-        qc, _ = encode_circuit(circ, basis=basis, optimization_level=level)
+        qc = encode_circuit(circ, basis=basis, optimization_level=level)
         rep = compile_report(circ, basis, level)
-        assert rep.depth == qubit_circuit_depth(qc)
-        assert rep.two_qubit_count == qubit_circuit_two_qubit_count(qc)
-        assert rep.per_qutrit_two_qubit == compiled_ops_count(qc, circ.n_qudits)
-        assert rep.per_qutrit_two_qubit == per_qutrit_two_qubit(circ, basis, level)
-        assert rep.gate_counts == token_gate_counts(circ, basis, level)
+        assert rep["depth"] == qubit_circuit_depth(qc)
+        assert rep["two_qubit_count"] == qubit_circuit_two_qubit_count(qc)
+        assert rep["per_qutrit_two_qubit"] == compiled_ops_count(qc, circ.n_qudits)
+        assert rep["per_qutrit_two_qubit"] == per_qutrit_two_qubit(circ, basis, level)
+        assert rep["gate_counts"] == token_gate_counts(circ, basis, level)
         return rep
 
     @pytest.mark.parametrize("level", [0, 1])
@@ -485,7 +523,7 @@ class TestCompileReportAgainstOracle:
         for _ in range(30):
             rep = self.check(random_feed_forward_circuit(rng, int(rng.integers(1, 5)), 16),
                              basis, level)
-            seen.update(rep.gate_counts)
+            seen.update(rep["gate_counts"])
         covered = {"cond", "basis-rot", "h", "cz", "c"} | ({"mprep", "cxcopy"} if level else set())
         assert covered <= set(seen)
 
@@ -501,8 +539,68 @@ class TestCompileReportAgainstOracle:
         circ.cond(0, {0: (), 1: (weyl.cz(2, 1),), 2: (weyl.fourier(2), weyl.fourier(2))})
         circ.gate(weyl.cx(1, 2))
         rep = self.check(circ, None, level)
-        assert rep.gate_counts["cond"] == 2
-        assert rep.two_qubit_count == sum(rep.per_qutrit_two_qubit) // 2 + 2 * zz_budget("h")
+        assert rep["gate_counts"]["cond"] == 2
+        assert rep["two_qubit_count"] == sum(rep["per_qutrit_two_qubit"]) // 2 + 2 * zz_budget("h")
+
+
+# the qubit_circuit_text grammar, production by production
+_NUM, _NAME = r"-?[0-9.]+(e[-+][0-9]+)?", r"[a-z][a-z0-9]*"
+_QUBITS, _CBITS = r"q\[\d+\](,q\[\d+\])*", r"c\[\d+\](,c\[\d+\])*"
+_GATE = rf"{_NAME}\(({_NUM}(,{_NUM})*)?\) {_QUBITS};"
+_CASE = rf"\[[01][01]\]: ({_GATE}( {_GATE})*|skip;)"
+_LINE = re.compile(rf"{_GATE}|measz {_QUBITS} -> {_CBITS};|barrier;"
+                   rf"|cond {_CBITS} {{ {_CASE}( {_CASE})* }}")
+
+
+class TestEmitters:
+    """The --dump-ops forms of a qubit circuit with every op shape: gates, a
+    rotated measurement, a barrier, a cond with an empty branch, and the
+    measure-all of basis x."""
+
+    @pytest.fixture(scope="class")
+    def qc(self):
+        circ = Circuit(3, 3, 1)
+        circ.gates([weyl.fourier(0), weyl.cx(0, 1)])
+        circ.measure(WeylOp.from_site(3, 3, 0, 1, 1), 0)
+        circ.barrier()
+        circ.cond(0, {0: (), 1: (weyl.cz(0, 2),), 2: (weyl.shift_x(2),)})
+        return encode_circuit(circ, basis="x")
+
+    def check_entry(self, op, entry):
+        if isinstance(op, CondNative):
+            assert (entry["kind"], entry["cbits"]) == ("cond", list(op.cbits))
+            assert set(entry["cases"]) == {"00", "01", "10", "11"}
+            for key, ops in entry["cases"].items():
+                seq = op.cases[int(key[0]), int(key[1])]
+                assert len(ops) == len(seq)
+                for o, e in zip(seq, ops):
+                    self.check_entry(o, e)
+        else:
+            assert (entry["kind"], entry["qubits"], entry["params"], entry.get("cbits", [])) \
+                == (op.kind, list(op.qubits), list(op.params), list(op.cbits))
+
+    def test_json_ops_mirror_the_circuit(self, qc):
+        doc = qubit_circuit_to_json(qc)
+        assert (doc["n_qubits"], doc["n_cbits"]) == (qc.n_qubits, qc.n_qubits) == (6, 6)
+        assert len(doc["ops"]) == len(qc.ops)
+        for op, entry in zip(qc.ops, doc["ops"]):
+            self.check_entry(op, entry)
+        kinds = Counter(entry["kind"] for entry in doc["ops"])
+        assert kinds["cond"] == 1 and kinds["barrier"] == 2 and kinds["measz"] == 8
+        cond = next(entry for entry in doc["ops"] if entry["kind"] == "cond")
+        assert cond["cases"]["00"] == cond["cases"]["01"] == [] and cond["cases"]["10"]
+
+    def test_text_lines_follow_the_grammar(self, qc):
+        lines = qubit_circuit_text(qc).split("\n")
+        assert lines[0] == "qubits 6; cbits 6;" and lines[-1] == ""
+        assert len(lines[1:-1]) == len(qc.ops)
+        for op, line in zip(qc.ops, lines[1:-1]):
+            assert _LINE.fullmatch(line), line
+            kind = "cond" if isinstance(op, CondNative) else op.kind
+            assert line.startswith(kind if kind in ("cond", "barrier", "measz") else kind + "(")
+            if kind == "cond":
+                assert line.count("skip;") == 2
+                assert line.count(";") == 2 + sum(map(len, op.cases.values()))
 
 
 class TestHeralding:
@@ -511,8 +609,8 @@ class TestHeralding:
         circ = ground_state_circuit(lat)
         circ.extend(measure_all_circuit(lat, "z"))
         batch = run_shots(circ, 200, base_seed=3)
-        _, rep = encode_circuit(ground_state_circuit(lat), basis="z")
-        pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+        counts = per_qutrit_two_qubit(ground_state_circuit(lat), "z")
+        pairs = simulate_readout(batch.values, counts,
                                  p01=0, p10=0, leak_per_two_qubit=0, seed=0)
         retained, frac = herald_filter(pairs)
         assert frac == 0.0
@@ -524,15 +622,15 @@ class TestHeralding:
         circ = ground_state_circuit(lat)
         circ.extend(measure_all_circuit(lat, "z"))
         batch = run_shots(circ, 1500, base_seed=5)
-        _, rep = encode_circuit(ground_state_circuit(lat), basis="z")
+        counts = per_qutrit_two_qubit(ground_state_circuit(lat), "z")
         fractions = []
         for p in (1e-3, 5e-3, 1e-2):
-            pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit,
+            pairs = simulate_readout(batch.values, counts,
                                      p01=0, p10=0, leak_per_two_qubit=p, seed=11)
             _, frac = herald_filter(pairs)
             fractions.append(frac)
             # analytic small-p expectation: 1 - (1-p)^(total involvements)
-            expected = 1 - (1 - p) ** sum(rep.per_qutrit_two_qubit)
+            expected = 1 - (1 - p) ** sum(counts)
             assert frac == pytest.approx(expected, abs=4 * np.sqrt(expected / 1500) + 0.01)
         assert fractions[0] < fractions[1] < fractions[2]
 
@@ -541,8 +639,8 @@ class TestHeralding:
         circ = ground_state_circuit(lat)
         circ.extend(measure_all_circuit(lat, "z"))
         batch = run_shots(circ, 1200, base_seed=6)
-        _, rep = encode_circuit(ground_state_circuit(lat), basis="z")
-        pairs = simulate_readout(batch.values, rep.per_qutrit_two_qubit, seed=13)
+        counts = per_qutrit_two_qubit(ground_state_circuit(lat), "z")
+        pairs = simulate_readout(batch.values, counts, seed=13)
         _, frac = herald_filter(pairs)
         assert 0.05 <= frac <= 0.20
 
