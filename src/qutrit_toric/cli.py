@@ -132,7 +132,10 @@ def cmd_prepare(args) -> dict:
                     "z_vertical": lat.logical_z_vertical(0),
                     "x_horizontal": lat.logical_x_horizontal(0),
                     "x_vertical": lat.logical_x_vertical(0)}
-        det = tab.outcomes_of([p.operator(lat.n_sites) for p in faces] + list(logicals.values()))
+        ops = logicals.values()  # phase 0, as every face
+        x = np.concatenate([lat.face_x, [op.x for op in ops]])
+        z = np.concatenate([lat.face_z, [op.z for op in ops]])
+        det = tab.deterministic_outcomes(x, z, np.zeros(len(x), dtype=np.int64))
         payload["mode"] = "exact"
         payload["plaquettes"] = snapshots_from_outcomes(
             det, lat.d, [(p.kind, p.pos, False, None) for p in faces])
@@ -264,6 +267,12 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def _torus_side(text: str) -> int:
+    if (value := int(text)) < 2 or value % 2:
+        raise argparse.ArgumentTypeError(f"must be an even integer >= 2, got {value}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
@@ -296,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, lattice=True, csv=False):
         if lattice:
-            p.add_argument("--lx", type=int, default=6)
-            p.add_argument("--ly", type=int, default=4)
+            p.add_argument("--lx", type=_torus_side, default=6)
+            p.add_argument("--ly", type=_torus_side, default=4)
         p.add_argument("--seed", type=_non_negative_int, default=0)
         p.add_argument("--threads", type=_positive_int, default=1,
                        help="accepted and echoed; shot sampling runs in one process")

@@ -33,7 +33,7 @@ from .weyl import (
     clock_z,
     compose,
     conj_c,
-    conjugate_through,
+    conjugate_rows,
     cx,
     cx_dag,
     shift_x,
@@ -59,18 +59,19 @@ class DefectSpec:
 def solve_weyl_op(lattice: TorusLattice, support, keep, change) -> WeylOp | None:
     """Weyl operator F on the given support with prescribed commutation.
 
-    keep: operators whose eigenvalue F must not shift (sp(F, op) = 0).
+    keep: (x, z) exponent stacks, (K, n) each, of the operators whose
+    eigenvalue F must not shift (sp(F, op) = 0).
     change: list of (op, delta): applying F shifts op's eigenvalue
     exponent by exactly delta = sp(F, op).
     """
     d, n = lattice.d, lattice.n_sites
     sites = [lattice.site_index(*q) if isinstance(q, tuple) else int(q) for q in support]
-    ops = [*keep, *(op for op, _ in change)]
-    rhs = [0] * len(keep) + [delta for _, delta in change]
+    x = np.concatenate([keep[0], np.array([op.x for op, _ in change], np.int64).reshape(-1, n)])
+    z = np.concatenate([keep[1], np.array([op.z for op, _ in change], np.int64).reshape(-1, n)])
+    rhs = [0] * len(keep[0]) + [delta for _, delta in change]
     # sp(F, op) = sum_site F.x op.z - F.z op.x; columns alternate F.x[site], F.z[site]
-    rows = np.stack([np.array([op.z for op in ops])[:, sites],
-                     -np.array([op.x for op in ops])[:, sites]], axis=2)
-    sol = solve(rows.reshape(len(ops), -1), np.array(rhs), d)
+    rows = np.stack([z[:, sites], -x[:, sites]], axis=2)
+    sol = solve(rows.reshape(len(x), -1), np.array(rhs), d)
     if sol is None:
         return None
     # a site listed twice has two columns; F is the product, so the exponents add
@@ -106,11 +107,11 @@ def _fused_pair(lattice: TorusLattice, W: WeylOp, P: Plaquette,
     b = (-symplectic_product(W, op_p) * mod_inverse(sq, d)) % d
     raw = compose(op_p, op_q.power(b))
     site = W.support[0]
-    for m in range(d):
-        cand = compose(raw, W.power(-m))
-        if cand.x[site] == 0 and cand.z[site] == 0:
-            return cand, m
-    raise AssertionError("no W power cancels the measured-site support")
+    m = int(raw.x[site]) * mod_inverse(int(W.x[site]), d) % d  # the one power clearing site's X
+    cand = compose(raw, W.power(-m))
+    if cand.z[site]:
+        raise AssertionError("no W power cancels the measured-site support")
+    return cand, m
 
 
 def pf_defect_circuit(lattice: TorusLattice, site: tuple[int, int], species: str,
@@ -137,20 +138,19 @@ def pf_defect_circuit(lattice: TorusLattice, site: tuple[int, int], species: str
     # the W power stripped from it; the correction F^t must undo all of that
     # while commuting with every untouched face and the Z-type logicals.
     changes = [(W, -1), (e_west, m_west), (e_east, m_east), (nonlocal_op, m_nonlocal)]
-    touched = {nw.pos, ne.pos, sw.pos, se.pos}
-    keep = [p.operator(n, d) for p in lattice.plaquettes if p.pos not in touched]
-    keep += [lattice.logical_z_horizontal(r) for r in range(lattice.ly)]
-    keep += [lattice.logical_z_vertical(c) for c in range(lattice.lx)]
+    untouched = [p not in (nw, ne, sw, se) for p in lattice.plaquettes]
+    logicals = [lattice.logical_z_horizontal(r) for r in range(lattice.ly)]
+    logicals += [lattice.logical_z_vertical(c) for c in range(lattice.lx)]
+    keep = (np.concatenate([lattice.face_x[untouched], [op.x for op in logicals]]),
+            np.concatenate([lattice.face_z[untouched], [op.z for op in logicals]]))
     block = [(x + dx, y + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    support = [lattice.site_index(*q) for q in block]
-    f1 = solve_weyl_op(lattice, support, keep, changes)
+    f1 = solve_weyl_op(lattice, block, keep, changes)
     if f1 is None:
         raise AssertionError("no feed-forward correction exists; geometry invalid")
 
     circ = Circuit(d, n, creg + 1)
     circ.measure(W, creg)
-    predicate = {t: tuple(weyl_gates(f1.power(t))) for t in range(d)}
-    circ.cond(creg, predicate)
+    circ.cond(creg, {t: tuple(weyl_gates(f1.power(t))) for t in range(d)})
     spec = DefectSpec(
         kind=species,
         transformed={nw.pos: e_west, sw.pos: e_west, ne.pos: e_east, se.pos: e_east},
@@ -208,28 +208,27 @@ def cc_defect_circuit(lattice: TorusLattice, ribbon: CCRibbon) -> tuple[Circuit,
     """
     n, d = lattice.n_sites, lattice.d
     gates = cc_ribbon_gates(lattice, ribbon)
+    x, z = lattice.face_x.copy(), lattice.face_z.copy()
+    ph = np.zeros(len(x), dtype=np.int64)
+    for g in gates:  # every face through the ribbon at once
+        conjugate_rows(g, x, z, ph, d)
+    moved = np.flatnonzero(np.hstack([x - lattice.face_x, z - lattice.face_z, ph[:, None]]).any(1))
     transformed: dict[tuple[int, int], WeylOp] = {}
     ends: list[tuple[str, tuple[WeylOp, tuple[int, int]]]] = []
-    for p in lattice.plaquettes:
-        img = conjugate_through(gates, p.operator(n, d))
-        if img != p.operator(n, d):
-            transformed[p.pos] = img
-            if len(img.support) > 4:
-                ends.append((f"{p.kind}-end", (img, p.pos)))
+    for f in moved:
+        p, img = lattice.plaquettes[f], WeylOp(d, x[f], z[f], ph[f])
+        transformed[p.pos] = img
+        if len(img.support) > 4:
+            ends.append((f"{p.kind}-end", (img, p.pos)))
     kinds = sorted(name[0] for name, _ in ends)
     if kinds != ["A", "B"]:
         raise ValueError(
-            f"malformed ribbon: expected one shift-type and one clock-type endpoint, got {kinds}"
-        )
-    circ = Circuit(d, n, 0)
-    circ.gates(gates)
-    return circ, DefectSpec("CC", transformed, dict(ends), ribbon)
+            f"malformed ribbon: expected one shift-type and one clock-type endpoint, got {kinds}")
+    return Circuit(d, n, 0).gates(gates), DefectSpec("CC", transformed, dict(ends), ribbon)
 
 
 def fuse_cc_pair(lattice: TorusLattice, spec: DefectSpec) -> Circuit:
     """Re-apply the ribbon unitary; reveals any non-vacuum internal state."""
     if spec.ribbon is None:
         raise ValueError("fuse_cc_pair needs a CC defect spec")
-    circ = Circuit(lattice.d, lattice.n_sites, 0)
-    circ.gates(cc_ribbon_gates(lattice, spec.ribbon))
-    return circ
+    return Circuit(lattice.d, lattice.n_sites, 0).gates(cc_ribbon_gates(lattice, spec.ribbon))

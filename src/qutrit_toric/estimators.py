@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import TorusLattice
-from .tableau import outcome_triple
 
 
 def standard_errors(counts) -> tuple[list[float], float]:
@@ -33,8 +32,7 @@ def standard_errors(counts) -> tuple[list[float], float]:
     return [float(s) for s in ses], float(ses.max())
 
 
-def _snapshot_from_triple(kind, pos, triple, std_errors=(0.0, 0.0, 0.0), n_shots=0,
-                          transformed=False, label=None) -> dict:
+def _snapshot_from_triple(kind, pos, triple, std_errors=(0.0, 0.0, 0.0), n_shots=0) -> dict:
     """The document entry of one d = 3 face reading."""
     omega = np.exp(2j * np.pi / 3)
     expectation = complex(sum(triple[k] * omega**k for k in range(3)))
@@ -50,16 +48,21 @@ def _snapshot_from_triple(kind, pos, triple, std_errors=(0.0, 0.0, 0.0), n_shots
         "arg_deg": arg,
         "std_errors": list(std_errors),
         "n_shots": n_shots,
-        "transformed": transformed,
-        "label": label,
+        "transformed": False,
+        "label": None,
     }
 
 
 def snapshots_from_outcomes(outcomes, d: int, keys) -> list[dict]:
     """Exact face entries from tableau lookups; keys[f] = (kind, pos, transformed, label)."""
-    return [_snapshot_from_triple(kind, pos, outcome_triple(int(det), d),
-                                  transformed=transformed, label=label)
-            for det, (kind, pos, transformed, label) in zip(outcomes, keys)]
+    # row s is outcome_triple(s, d): one-hot for s = 0..d-1, uniform for -1 (the last row)
+    triples = np.concatenate([np.eye(d), np.full((1, d), 1.0 / d)])
+    outcomes = np.asarray(outcomes, dtype=np.int64).tolist()
+    # an entry's numbers depend on its outcome alone: work them out once per outcome
+    numbers = {s: _snapshot_from_triple(None, (), triples[s]) for s in set(outcomes)}
+    return [{**numbers[s], "kind": kind, "pos": list(pos), "std_errors": [0.0] * d,
+             "transformed": transformed, "label": label}
+            for s, (kind, pos, transformed, label) in zip(outcomes, keys)]
 
 
 def estimate_plaquette_projectors(values: np.ndarray, basis: str,
@@ -71,21 +74,21 @@ def estimate_plaquette_projectors(values: np.ndarray, basis: str,
     """
     if basis not in ("x", "z"):
         raise ValueError("basis must be 'x' or 'z'")
-    d, n = lattice.d, lattice.n_sites
-    faces = [p for p in lattice.plaquettes if p.kind == ("A" if basis == "x" else "B")]
-    ops = [p.operator(n, d) for p in faces]
-    # (faces, 2, n) exponents; the measured X_i or Z_i carry no phase, so a face
-    # is omega^phase * prod_i obs_i^M[i] when its other exponents vanish
-    exps = np.array([(op.x, op.z) for op in ops], dtype=np.int64)
-    M, off = (exps[:, 0], exps[:, 1]) if basis == "x" else (exps[:, 1], exps[:, 0])
+    d = lattice.d
+    rows = [p.kind == ("A" if basis == "x" else "B") for p in lattice.plaquettes]
+    faces = [p for p, row in zip(lattice.plaquettes, rows) if row]
+    # the lattice's face rows carry no phase and the measured X_i or Z_i none either,
+    # so a face is prod_i obs_i^M[i] when its other exponents vanish
+    M, off = (lattice.face_x, lattice.face_z) if basis == "x" else (lattice.face_z, lattice.face_x)
+    M, off = M[rows], off[rows]
     if off.any():
         site = np.nonzero(off)[1][0]
         raise ValueError(f"operator not diagonal in the measured basis at site {site}")
     total = len(values)
     if total == 0:
         raise ValueError("no retained shots")
-    kappa = np.array([op.phase for op in ops], dtype=np.int64)
-    sectors = (np.asarray(values, dtype=np.int64) @ M.T + kappa) % d
-    counts = [np.bincount(col, minlength=d) for col in sectors.T]
+    sectors = (np.asarray(values, dtype=np.int64) @ M.T) % d + d * np.arange(len(faces))
+    # one bincount over face * d + sector: (faces, d) integer counts
+    counts = np.bincount(sectors.ravel(), minlength=d * len(faces)).reshape(len(faces), d)
     return [_snapshot_from_triple(p.kind, p.pos, tuple(c / total), standard_errors(c)[0],
                                   n_shots=total) for p, c in zip(faces, counts)]

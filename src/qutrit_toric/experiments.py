@@ -107,34 +107,40 @@ def face_key(kind: str, pos: tuple[int, int]) -> str:
 
 
 def observable_frame(lattice: TorusLattice, defects: dict[int, DefectSpec]
-                     ) -> tuple[dict[str, WeylOp], dict[str, tuple[str, tuple[int, int], bool]]]:
+                     ) -> tuple[dict[str, WeylOp], dict[str, tuple[str, tuple[int, int], bool]],
+                                tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Observable frame of the lattice with the given live defects (index -> spec).
 
     Each face is read through the last live defect that deforms it (plain
     when none does) under face_key(kind, pos); a face whose image is one
     of that defect's named stabilizers is read under the name instead.
     Named stabilizers are keyed pf<i>:<name> or cc<i>:<name>. Returns the
-    operators and, per key, (kind, position, transformed).
+    operators in key order, per key (kind, position, transformed), and the
+    operators' stacked (x, z, ph) exponents, one row per key in that order.
     """
-    n, d = lattice.n_sites, lattice.d
+    d = lattice.d
     images: dict[tuple[int, int], tuple[WeylOp, bool]] = {}
     for spec in defects.values():
         named = [op for op, _ in spec.stabilizers.values()]
         images.update((pos, (img, img in named)) for pos, img in spec.transformed.items())
     observables: dict[str, WeylOp] = {}
     kinds: dict[str, tuple[str, tuple[int, int], bool]] = {}
-    for p in lattice.plaquettes:
-        op, named = images.get(p.pos, (p.operator(n, d), False))
+    for f, p in enumerate(lattice.plaquettes):
+        op, named = images.get(p.pos, (None, False))
         if not named:
             key = face_key(p.kind, p.pos)
-            observables[key] = op
+            observables[key] = WeylOp(d, lattice.face_x[f], lattice.face_z[f]) if op is None else op
             kinds[key] = (p.kind, p.pos, p.pos in images)
     for i, spec in defects.items():
         prefix = "cc" if spec.kind == "CC" else "pf"
         for name, (op, pos) in spec.stabilizers.items():
             observables[f"{prefix}{i}:{name}"] = op
             kinds[f"{prefix}{i}:{name}"] = ("defect", pos, True)
-    return observables, kinds
+    observables = dict(sorted(observables.items()))
+    ops = observables.values()
+    stack = (np.array([op.x for op in ops]), np.array([op.z for op in ops]),
+             np.array([op.phase for op in ops], dtype=np.int64))
+    return observables, kinds, stack
 
 
 class ScriptRunner:
@@ -147,12 +153,13 @@ class ScriptRunner:
         self.tab: StabilizerTableau | None = None
         self.observables: dict[str, WeylOp] = {}
         self.kinds: dict[str, tuple[str, tuple[int, int], bool]] = {}
+        self.frame: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.defect_specs: list[DefectSpec] = []
 
     def _steps(self) -> Iterator[tuple[Step, Circuit]]:
         """Yield each step with its circuit fragment, keeping the frame current.
 
-        The observable frame (observables, kinds, defect_specs) is written
+        The observable frame (observables, kinds, frame, defect_specs) is written
         here and nowhere else: observable_frame rebuilds it from the live
         defects at each insert and fuse, so it is up to date for the steps
         done so far whenever a step is yielded.
@@ -161,7 +168,7 @@ class ScriptRunner:
         n, d = lat.n_sites, lat.d
         self.defect_specs = []
         live: dict[int, DefectSpec] = {}
-        self.observables, self.kinds = observable_frame(lat, live)
+        self.observables, self.kinds, self.frame = observable_frame(lat, live)
         n_meas = 0
         for step in self.script.steps:
             frag = Circuit(d, n, 0)
@@ -181,7 +188,7 @@ class ScriptRunner:
                 live[len(self.defect_specs)] = spec
                 self.defect_specs.append(spec)
             if isinstance(step, (InsertPF, InsertCC, Fuse)):
-                self.observables, self.kinds = observable_frame(lat, live)
+                self.observables, self.kinds, self.frame = observable_frame(lat, live)
             yield step, frag
 
     def run(self) -> list[dict]:
@@ -204,12 +211,9 @@ class ScriptRunner:
         return circ
 
     def solve_move(self, step: Move) -> WeylOp:
-        changed = {key for key, _ in step.changes}
-        keep = [
-            op
-            for key, op in self.observables.items()
-            if key not in changed and key not in step.free
-        ]
+        held = {key for key, _ in step.changes} | set(step.free)
+        rows = [key not in held for key in self.observables]
+        keep = (self.frame[0][rows], self.frame[1][rows])
         change = [(self.observables[key], delta) for key, delta in step.changes]
         op = solve_weyl_op(self.lattice, step.support, keep, change)
         if op is None:
@@ -217,9 +221,9 @@ class ScriptRunner:
         return op
 
     def _snapshot(self, label: str) -> dict:
-        keys = sorted(self.observables)
-        det = self.tab.outcomes_of([self.observables[k] for k in keys])
-        snaps = snapshots_from_outcomes(det, self.lattice.d, [(*self.kinds[k], k) for k in keys])
+        det = self.tab.deterministic_outcomes(*self.frame)
+        snaps = snapshots_from_outcomes(det, self.lattice.d,
+                                        [(*self.kinds[k], k) for k in self.observables])
         return {"label": label,
                 "plaquettes": [s for s in snaps if s["kind"] in ("A", "B")],
                 "defect_stabilizers": [s for s in snaps if s["kind"] not in ("A", "B")]}
@@ -385,9 +389,6 @@ class TopologicalQutritProtocol:
         self.neutrality_op = compose(self.a_ends[0],
                                      self.a_ends[1].power(self.correlator_exponent))
 
-    def lift(self, w: WeylOp) -> WeylOp:
-        return WeylOp(w.d, np.concatenate([w.x, [0]]), np.concatenate([w.z, [0]]), w.phase)
-
     def circuit(self) -> Circuit:
         lat = self.lattice
         circ = Circuit(lat.d, self.n_total, 1)
@@ -413,16 +414,18 @@ class TopologicalQutritProtocol:
         if paths != [(j,) for j in range(d)]:
             raise AssertionError("the ancilla measurement is not the protocol circuit's one "
                                  f"random outcome: its outcome tree has leaves {paths}")
-        ops = [self.lift(w) for w in (self.braid_loop, self.neutrality_op, *self.a_ends,
-                                      *self.b_ends)]
-        return {"per_outcome": [self._row(tab, creg[0], ops) for _, creg, tab in leaves],
+        ops = (self.braid_loop, self.neutrality_op, *self.a_ends, *self.b_ends)
+        # stacked on the n + 1 protocol qudits: the ancilla column is 0
+        stack = (np.pad([w.x for w in ops], ((0, 0), (0, 1))),
+                 np.pad([w.z for w in ops], ((0, 0), (0, 1))), np.array([w.phase for w in ops]))
+        return {"per_outcome": [self._row(tab, creg[0], stack) for _, creg, tab in leaves],
                 "sampled_outcome": int(np.random.default_rng(seed).integers(d))}
 
-    def _row(self, tab: StabilizerTableau, outcome: int, ops: list[WeylOp]) -> dict:
-        """Row of one ancilla outcome from ops (lifted braid loop, neutrality, A ends,
-        B ends) read on tab: sector triples, pair projectors, flux ends, bound."""
+    def _row(self, tab: StabilizerTableau, outcome: int, stack) -> dict:
+        """Row of one ancilla outcome from the lifted braid loop, neutrality, A and B
+        ends (stacked) read on tab: sector triples, pair projectors, flux ends, bound."""
         d, k = tab.d, len(self.a_ends)
-        braid, neutral, *ends = (int(s) for s in tab.outcomes_of(ops))
+        braid, neutral, *ends = (int(s) for s in tab.deterministic_outcomes(*stack))
         braid_triple, neutrality_triple = outcome_triple(braid, d), outcome_triple(neutral, d)
         flux = [outcome_expectation(s, d) for s in ends[k:]]
         return {
@@ -442,8 +445,9 @@ class TopologicalQutritProtocol:
         but addresses the braid loop once.
         """
         lat = self.lattice
-        observables, _ = observable_frame(lat, dict(enumerate(self.specs)))
-        keep = [op for key, op in observables.items() if not key.endswith(":A-end")]
+        observables, _, (fx, fz, _) = observable_frame(lat, dict(enumerate(self.specs)))
+        rows = [not key.endswith(":A-end") for key in observables]
+        keep = (fx[rows], fz[rows])
         change = [(self.braid_loop, 1)]
         support = tuple((x, y) for x in range(lat.lx) for y in range(lat.ly))
         op = solve_weyl_op(lat, support, keep, change)

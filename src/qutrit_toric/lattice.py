@@ -49,13 +49,8 @@ class Plaquette:
         return A_EXPONENTS if self.kind == "A" else B_EXPONENTS
 
     def operator(self, n: int, d: int = 3) -> WeylOp:
-        pattern = {}
-        for site, e in zip(self.corners, self.exponents):
-            if self.kind == "A":
-                pattern[site] = (e, 0)
-            else:
-                pattern[site] = (0, e)
-        return WeylOp.from_pattern(d, n, pattern)
+        pairs = [(e, 0) if self.kind == "A" else (0, e) for e in self.exponents]
+        return WeylOp.from_pattern(d, n, dict(zip(self.corners, pairs)))
 
 
 class TorusLattice:
@@ -79,7 +74,12 @@ class TorusLattice:
                     self.site_index(x + 1, y + 1),
                 )
                 self.plaquettes.append(Plaquette(kind, (x, y), corners))
-        self._by_pos = {p.pos: p for p in self.plaquettes}
+        # (F, n) exponents of every face operator (phase 0); row f is plaquettes[f],
+        # the face whose top-left corner is site f
+        stack = np.zeros((2, len(self.plaquettes), self.n_sites), dtype=np.int64)
+        for f, p in enumerate(self.plaquettes):
+            stack[int(p.kind == "B"), f, list(p.corners)] = p.exponents
+        self.face_x, self.face_z = stack % d
         self._check_construction()
 
     # -- indexing -----------------------------------------------------------
@@ -91,7 +91,7 @@ class TorusLattice:
         return index % self.lx, index // self.lx
 
     def plaquette_at(self, x: int, y: int) -> Plaquette:
-        return self._by_pos[(x % self.lx, y % self.ly)]
+        return self.plaquettes[self.site_index(x, y)]
 
     @property
     def a_plaquettes(self) -> list[Plaquette]:
@@ -103,23 +103,14 @@ class TorusLattice:
 
     def faces_of_site(self, x: int, y: int) -> list[Plaquette]:
         """The four faces containing vertex (x, y): NW, NE, SW, SE."""
-        return [
-            self.plaquette_at(x - 1, y - 1),
-            self.plaquette_at(x, y - 1),
-            self.plaquette_at(x - 1, y),
-            self.plaquette_at(x, y),
-        ]
+        return [self.plaquette_at(x + dx, y + dy) for dy in (-1, 0) for dx in (-1, 0)]
 
     def _check_construction(self) -> None:
-        n, d = self.n_sites, self.d
-        ops = [p.operator(n, d) for p in self.plaquettes]
-        x = np.array([op.x for op in ops])
-        z = np.array([op.z for op in ops])
-        form = (x @ z.T - z @ x.T) % d  # symplectic product of every face pair
-        clashes = np.argwhere(np.triu(form, 1))
+        x, z, d = self.face_x, self.face_z, self.d
+        # the symplectic product of every face pair
+        clashes = np.argwhere(np.triu((x @ z.T - z @ x.T) % d, 1))
         if len(clashes):
-            i, j = clashes[0]
-            raise AssertionError(f"faces {i} and {j} do not commute")
+            raise AssertionError("faces {} and {} do not commute".format(*clashes[0]))
         for kind in ("A", "B"):
             rows = [p.kind == kind for p in self.plaquettes]
             if np.any(x[rows].sum(axis=0) % d) or np.any(z[rows].sum(axis=0) % d):
@@ -129,10 +120,7 @@ class TorusLattice:
 
     def logical_z_horizontal(self, row: int = 0) -> WeylOp:
         """Alternating Z / Zdag around a horizontal cycle (commutes with all faces)."""
-        pattern = {}
-        for x in range(self.lx):
-            e = 1 if (x + row) % 2 == 0 else -1
-            pattern[self.site_index(x, row)] = (0, e)
+        pattern = {self.site_index(x, row): (0, 1 - 2 * ((x + row) % 2)) for x in range(self.lx)}
         return WeylOp.from_pattern(self.d, self.n_sites, pattern)
 
     def logical_z_vertical(self, col: int = 0) -> WeylOp:
@@ -147,10 +135,7 @@ class TorusLattice:
 
     def logical_x_vertical(self, col: int = 0) -> WeylOp:
         """Alternating X / Xdag around a vertical cycle."""
-        pattern = {}
-        for y in range(self.ly):
-            e = 1 if (col + y) % 2 == 0 else -1
-            pattern[self.site_index(col, y)] = (e, 0)
+        pattern = {self.site_index(col, y): (1 - 2 * ((col + y) % 2), 0) for y in range(self.ly)}
         return WeylOp.from_pattern(self.d, self.n_sites, pattern)
 
 
@@ -236,10 +221,9 @@ def measure_all_circuit(lattice: TorusLattice, basis: str) -> Circuit:
     n = lattice.n_sites
     circ = Circuit(lattice.d, n, n)
     circ.barrier()
+    xe, ze = (0, 1) if basis == "z" else (1, 0)
     for i in range(n):
-        obs = WeylOp.from_site(lattice.d, n, i, 0 if basis == "z" else 1,
-                               1 if basis == "z" else 0)
-        circ.measure(obs, i)
+        circ.measure(WeylOp.from_site(lattice.d, n, i, xe, ze), i)
     return circ
 
 

@@ -75,18 +75,24 @@ def ops_unitary(ops: list[NativeOp], n_qubits: int) -> np.ndarray:
     Each op's matrix multiplies the (2,)*n row axes of its qubits (first listed
     = most significant), moved to the front, in one np.dot: the product that
     np.tensordot makes, so U is bit-identical to full Kronecker embeddings
-    multiplied in order. Entries below 1e-16 are taken as exact zeros.
+    multiplied in order. Entries below 1e-16 are taken as exact zeros. Each
+    distinct matrix and axis order is built once per call.
     """
     dim = 1 << n_qubits
     U = np.eye(dim, dtype=np.complex128).reshape((2,) * n_qubits + (dim,))
+    matrices, orders = {}, {}  # (kind, params) -> clamped matrix, qubits -> (order, inverse)
     for op in ops:
         if op.kind in ("measz", "barrier"):
             continue
-        m = native_matrix(op)
-        order = [*op.qubits, *(a for a in range(n_qubits + 1) if a not in op.qubits)]
+        if (op.kind, op.params) not in matrices:
+            m = native_matrix(op)
+            matrices[op.kind, op.params] = np.where(np.abs(m) < 1e-16, 0, m)
+        if op.qubits not in orders:
+            order = [*op.qubits, *(a for a in range(n_qubits + 1) if a not in op.qubits)]
+            orders[op.qubits] = order, [order.index(a) for a in range(n_qubits + 1)]
+        m, (order, inverse) = matrices[op.kind, op.params], orders[op.qubits]
         moved = U.transpose(order)
-        U = np.dot(np.where(np.abs(m) < 1e-16, 0, m), moved.reshape(len(m), -1))
-        U = U.reshape(moved.shape).transpose(np.argsort(order))
+        U = np.dot(m, moved.reshape(len(m), -1)).reshape(moved.shape).transpose(inverse)
     return U.reshape(dim, dim)
 
 

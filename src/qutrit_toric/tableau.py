@@ -94,11 +94,6 @@ class StabilizerTableau:
             raise ValueError("operator shape mismatch")
         return self._lookup(x, z, ph, (self.x @ z.T - self.z @ x.T) % self.d)
 
-    def outcomes_of(self, ops: list[WeylOp]) -> np.ndarray:
-        """deterministic_outcomes of a list of operators, stacked."""
-        xz = np.array([(w.x, w.z) for w in ops], dtype=np.int64).reshape(-1, 2, self.n)
-        return self.deterministic_outcomes(xz[:, 0], xz[:, 1], [w.phase for w in ops])
-
     def _lookup(self, x, z, ph, c: np.ndarray) -> np.ndarray:
         """deterministic_outcomes given the (2n, F) commutation c with every row.
 

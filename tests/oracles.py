@@ -370,6 +370,11 @@ def qubit_circuit_depth(qc: QubitCircuit) -> int:
     return max(level)
 
 
+def xz_stacks(ops: list[WeylOp]) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, z) exponent stacks of a list of operators, the form solve_weyl_op keeps."""
+    return np.array([w.x for w in ops]), np.array([w.z for w in ops])
+
+
 def implicit_plaquette(lattice: TorusLattice) -> Plaquette:
     """The A-face the default preparation order leaves implicit."""
     listed = {pos for pos, _ in default_preparation_order(lattice)}

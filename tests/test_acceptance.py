@@ -62,6 +62,7 @@ from oracles import (
     run_braid,
     spam_mitigate,
     stabilizer_group_equals,
+    xz_stacks,
     weyl_matrix,
 )
 
@@ -294,15 +295,17 @@ def test_criterion_5_fusion_identity_physical():
             keep1 = [op for key, op in stabs.items()
                      if key not in frees and key not in (("face", (3, 0)), ("face", (2, 2)))]
             if solve_weyl_op(lat, full,
-                             [op for key, op in stabs.items()
-                              if key not in [frees[0]] and key not in (("face", (3, 0)), ("face", (2, 2)))],
+                             xz_stacks([op for key, op in stabs.items()
+                                      if key not in [frees[0]]
+                                      and key not in (("face", (3, 0)), ("face", (2, 2)))]),
                              [(stabs[("face", (3, 0))], (-vin) % 3),
                               (stabs[("face", (2, 2))], vmid)]) is None:
                 continue
             for vout in (1, 2):
                 if solve_weyl_op(lat, full,
-                                 [op for key, op in stabs.items()
-                                  if key not in [frees[1]] and key not in (("face", (2, 2)), ("face", (2, 3)))],
+                                 xz_stacks([op for key, op in stabs.items()
+                                          if key not in [frees[1]]
+                                          and key not in (("face", (2, 2)), ("face", (2, 3)))]),
                                  [(stabs[("face", (2, 2))], (-vmid) % 3),
                                   (stabs[("face", (2, 3))], vout)]) is not None:
                     hits.append(vout)

@@ -371,6 +371,29 @@ class TestExactSuiteReference:
         assert results == reference[label]
 
 
+class TestWeylOpCount:
+    """The exact paths read faces and defect stabilizers as exponent stacks, so
+    a command builds few WeylOp objects: each bound is the count measured when
+    they moved onto stacks (828 in all for these eight commands before)."""
+
+    BOUNDS = {"braid_pf": 83, "braid_cc": 52, "fuse_pf_pfstar": 101, "topo_6x2": 13,
+              "topo_6x4": 15, "prepare_exact": 4, "compile": 0, "verify": 0}
+
+    @pytest.mark.parametrize("label", sorted(BOUNDS))
+    def test_weyl_ops_built_per_command(self, tmp_path, monkeypatch, label):
+        argv = EXACT_SUITE.get(label, ("compile", "--lx", "6", "--ly", "4", "--basis", "z"))
+        assert run_cli(tmp_path, *argv)[0] == 0  # the first call fills the per-process caches
+        post_init, built = weyl.WeylOp.__post_init__, []
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(weyl.WeylOp, "__post_init__", counting)
+        assert run_cli(tmp_path, *argv)[0] == 0
+        assert len(built) <= self.BOUNDS[label]
+
+
 # one small run of every subcommand
 EVERY_SUBCOMMAND = [
     ("prepare", "--lx", "4", "--ly", "2"),
@@ -441,14 +464,24 @@ class TestInputValidation:
         ({"noise": "loud"}, "prepare"), ({"noise": 1}, "prepare"),
         ({"dump_ops": "yes"}, "compile"), ({"shots": -5}, "prepare"),
         ({"threads": 0}, "prepare"), ({"leak": -1}, "prepare"), ({"spam_p01": 1.5}, "prepare"),
-        ({"seed": -1}, "braid-pf"),
+        ({"seed": -1}, "braid-pf"), ({"lx": 3}, "prepare"), ({"ly": 0}, "compile"),
     ], ids=["lx-word", "lx-float", "lx-bool", "noise-choice", "noise-number",
             "flag-string", "shots-negative", "threads-zero", "leak-negative",
-            "spam-above-one", "seed-negative"])
+            "spam-above-one", "seed-negative", "lx-odd", "ly-zero"])
     def test_config_value_that_does_not_parse(self, tmp_path, capsys, conf, command):
         code, doc, _ = self.run_with_config(tmp_path, conf, command)
         assert code == 2 and doc is None
         assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("compile", "--lx", "0"), "--lx"), (("prepare", "--lx", "1", "--ly", "1"), "--lx"),
+        (("prepare", "--ly", "3"), "--ly"), (("topo-qutrit", "--ly", "-2"), "--ly"),
+    ])
+    def test_torus_side_not_even_or_below_two(self, tmp_path, capsys, argv, flag):
+        code, doc, _ = run_cli(tmp_path, *argv)
+        assert code == 2 and doc is None
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an even integer >= 2" in err and "Traceback" not in err
 
     def test_config_unknown_key(self, tmp_path, capsys):
         code, doc, _ = self.run_with_config(tmp_path, {"shot": 100}, "prepare")

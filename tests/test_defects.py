@@ -21,6 +21,7 @@ from oracles import (
     expectation_weyl,
     final_tableau,
     stabilizer_group_equals,
+    xz_stacks,
     state_from_tableau,
 )
 
@@ -116,6 +117,47 @@ class TestParafermionDefect:
                     assert symplectic_product(F, fused) == m, (*where, name)
 
 
+def per_face_cc_defect(lat, ribbon):
+    """(transformed, named ends) of a ribbon, one face at a time through
+    conjugate_through: the loop cc_defect_circuit ran before it conjugated
+    the whole face stack in one pass."""
+    n = lat.n_sites
+    gates = cc_ribbon_gates(lat, ribbon)
+    transformed, ends = {}, []
+    for p in lat.plaquettes:
+        img = conjugate_through(gates, p.operator(n))
+        if img != p.operator(n):
+            transformed[p.pos] = img
+            if len(img.support) > 4:
+                ends.append((f"{p.kind}-end", (img, p.pos)))
+    kinds = sorted(name[0] for name, _ in ends)
+    if kinds != ["A", "B"]:
+        raise ValueError(
+            f"malformed ribbon: expected one shift-type and one clock-type endpoint, got {kinds}"
+        )
+    return transformed, dict(ends)
+
+
+def seeded_ribbons():
+    """(lattice, ribbon) cases: the braid-cc ribbon, both topological-qutrit
+    layouts' ribbons, and seeded canonical ribbons from 4x4 to 8x6."""
+    from qutrit_toric.experiments import topo_layout_6x2, topo_layout_6x4
+
+    lat = build_lattice(4, 4)
+    cases = [(lat, CCRibbon.canonical(lat, (1, 1), 2))]
+    for layout in (topo_layout_6x2(), topo_layout_6x4()):
+        cases += [(layout.lattice, r) for r in layout.ribbons]
+    rng = np.random.default_rng(26)
+    for lx, ly in [(4, 4), (6, 4), (4, 6), (6, 6), (8, 4), (8, 6)]:
+        lat = build_lattice(lx, ly)
+        for _ in range(6):
+            start = (int(rng.integers(lx)), int(rng.integers(ly)))
+            cases.append((lat, CCRibbon.canonical(lat, start, int(rng.integers(1, lx + 1)))))
+    lat = build_lattice(4, 4)
+    cases.append((lat, CCRibbon(((1, 1), (2, 2)), (((1, 1), (2, 2), 1),))))  # sigma on the chain
+    return cases
+
+
 class TestCCDefect:
     def setup_method(self):
         self.lat = build_lattice(4, 4)
@@ -193,6 +235,26 @@ class TestCCDefect:
             op = spec.transformed.get(p.pos, p.operator(self.lat.n_sites))
             assert expectation_weyl(tab, op) == pytest.approx(1)
 
+    def test_one_pass_matches_per_face_loop(self):
+        """The stack pass gives the per-face loop's transformed faces (in face
+        order) and named ends, and the same ValueError for a malformed ribbon."""
+        outcomes = []
+        for lat, ribbon in seeded_ribbons():
+            try:
+                want = per_face_cc_defect(lat, ribbon)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    cc_defect_circuit(lat, ribbon)
+                assert str(got.value) == str(exc)
+                outcomes.append("malformed")
+                continue
+            _, spec = cc_defect_circuit(lat, ribbon)
+            assert list(spec.transformed.items()) == list(want[0].items())
+            assert spec.stabilizers == want[1]
+            outcomes.append("ok")
+        assert outcomes[:5] == ["ok"] * 5 and outcomes[-1] == "malformed"
+        assert {"ok", "malformed"} <= set(outcomes[5:-1])
+
     def test_malformed_ribbon_rejected(self):
         # sigma inside the chain is invalid
         bad = CCRibbon(((1, 1), (2, 2)), (((1, 1), (2, 2), 1),))
@@ -218,7 +280,7 @@ def crossing_map(lat, stabs, free_keys, from_face, to_faces, in_value):
         keep = [op for key, op in stabs.items()
                 if key not in free_keys and key not in (from_face, target)]
         change = [(stabs[from_face], (-in_value) % 3), (stabs[target], value)]
-        if solve_weyl_op(lat, support, keep, change) is not None:
+        if solve_weyl_op(lat, support, xz_stacks(keep), change) is not None:
             hits.append((target, value))
     return hits
 
@@ -256,7 +318,7 @@ class TestTransmutationTable:
                 keep = [op for key, op in stabs.items()
                         if key not in free and key not in (from_face, to_face)]
                 change = [(stabs[from_face], (-vin) % 3), (stabs[to_face], v)]
-                if solve_weyl_op(lat, support, keep, change) is not None:
+                if solve_weyl_op(lat, support, xz_stacks(keep), change) is not None:
                     hits.append(v)
             assert hits == [vout], (from_face, vin, hits)
         # control: a hop far from the line keeps the species
@@ -266,7 +328,7 @@ class TestTransmutationTable:
                 keep = [op for key, op in stabs.items()
                         if key not in free and key not in (("B", (3, 0)), ("B", (0, 3)))]
                 change = [(stabs[("B", (3, 0))], (-vin) % 3), (stabs[("B", (0, 3))], v)]
-                if solve_weyl_op(lat, ((0, 0),), keep, change) is not None:
+                if solve_weyl_op(lat, ((0, 0),), xz_stacks(keep), change) is not None:
                     hits.append(v)
             assert hits == [vin]
 

@@ -99,26 +99,23 @@ class TestBatchedPlaquetteEstimates:
         assert all(s["n_shots"] == 257 and s["std_errors"] != [0.0, 0.0, 0.0] for s in snaps)
 
     @pytest.mark.parametrize("basis", ["z", "x"])
-    def test_face_phase_shifts_its_sectors(self, basis):
-        """A face operator with a phase omega^k reads every shot k sectors on."""
+    def test_sectors_read_the_face_stack(self, basis):
+        """The estimator reads each face's row of the lattice stack: with every
+        row squared, each face reads the sectors of its operator squared."""
         lat = build_lattice(4, 2)
-        faces = [SimpleNamespace(kind=p.kind, pos=p.pos,
-                                 operator=lambda n, d, p=p, k=k: p.operator(n, d).with_phase(k))
-                 for same in (lat.a_plaquettes, lat.b_plaquettes) for k, p in enumerate(same)]
-        phased = SimpleNamespace(d=3, n_sites=lat.n_sites, plaquettes=faces)
+        lat.face_x, lat.face_z = 2 * lat.face_x % 3, 2 * lat.face_z % 3
         values = np.random.default_rng(7).integers(3, size=(101, lat.n_sites)).astype(np.uint8)
         xe, ze = (1, 0) if basis == "x" else (0, 1)
         basis_obs = [WeylOp.from_site(3, lat.n_sites, i, xe, ze) for i in range(lat.n_sites)]
-        snaps = estimate_plaquette_projectors(values, basis, phased)
-        wanted = [f for f in faces if f.kind == ("A" if basis == "x" else "B")]
-        assert {f.operator(lat.n_sites, 3).phase for f in wanted} == {0, 1, 2}
-        for snap, face in zip(snaps, wanted, strict=True):
-            counts, total = estimate_operator(values, face.operator(lat.n_sites, 3), basis_obs)
+        snaps = estimate_plaquette_projectors(values, basis, lat)
+        wanted = [p for p in lat.plaquettes if p.kind == ("A" if basis == "x" else "B")]
+        for snap, p in zip(snaps, wanted, strict=True):
+            counts, total = estimate_operator(values, p.operator(lat.n_sites).power(2), basis_obs)
             assert (snap["pi1"], snap["pi_omega"], snap["pi_omegabar"]) == tuple(counts / total)
 
     def test_face_off_the_measured_basis(self):
-        face = SimpleNamespace(kind="B", pos=(0, 0),
-                               operator=lambda n, d: WeylOp.from_site(d, n, 1, 1, 1))
-        lat = SimpleNamespace(d=3, n_sites=2, plaquettes=[face])
+        face = SimpleNamespace(kind="B", pos=(0, 0))
+        lat = SimpleNamespace(d=3, n_sites=2, plaquettes=[face],  # the face X Z at site 1
+                              face_x=np.array([[0, 1]]), face_z=np.array([[0, 1]]))
         with pytest.raises(ValueError, match="not diagonal"):
             estimate_plaquette_projectors(np.zeros((5, 2), np.uint8), "z", lat)

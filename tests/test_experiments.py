@@ -17,13 +17,18 @@ from qutrit_toric.experiments import (
     topo_layout_6x4,
 )
 from qutrit_toric.tableau import StabilizerTableau
-from qutrit_toric.weyl import symplectic_product
+from qutrit_toric.weyl import WeylOp, symplectic_product
 
-from oracles import excited, final_tableau, run_braid, stabilizer_group_equals
+from oracles import excited, final_tableau, run_braid, stabilizer_group_equals, xz_stacks
 
 
 def frame_by_label(frames, label):
     return next(f for f in frames if f["label"] == label)
+
+
+def lifted(w):
+    """An n-site operator on the topological-qutrit protocol's n + 1 qudits."""
+    return WeylOp(w.d, np.append(w.x, 0), np.append(w.z, 0), w.phase)
 
 
 def triple(entry):
@@ -303,15 +308,15 @@ class TestTopologicalQutrit:
         """run reads the d leaves of the outcome tree, one batched lookup each;
         the sampled outcome takes no extra fork."""
         proto = TopologicalQutritProtocol(layout_fn())
-        lookup, calls = StabilizerTableau.outcomes_of, []
+        lookup, calls = StabilizerTableau.deterministic_outcomes, []
 
-        def counting(self, ops):
-            calls.append(len(ops))
-            return lookup(self, ops)
+        def counting(self, x, z, ph):
+            calls.append(len(x))
+            return lookup(self, x, z, ph)
 
-        monkeypatch.setattr(StabilizerTableau, "outcomes_of", counting)
+        monkeypatch.setattr(StabilizerTableau, "deterministic_outcomes", counting)
         proto.run(7)
-        assert len(calls) == proto.lattice.d
+        assert calls == [6] * proto.lattice.d  # braid loop, neutrality, two A and two B ends
 
     def test_deterministic_ancilla_is_an_invariant_failure(self, layout_fn, monkeypatch, capsys):
         """Without the Fourier sandwich on the ancilla its measurement reads 0 on
@@ -349,8 +354,8 @@ class TestTopologicalQutrit:
                     tab.apply_gate(ins.gate)
                 elif isinstance(ins, Measure):
                     tab.measure_weyl(ins.observable, force=j)
-            tab.apply_weyl(proto.lift(loop))
-            triple = tab.projector_triple(proto.lift(proto.braid_loop))
+            tab.apply_weyl(lifted(loop))
+            triple = tab.projector_triple(lifted(proto.braid_loop))
             sector = triple.index(1.0)
             deltas.add((sector - j) % 3)
         assert len(deltas) == 1
@@ -368,8 +373,13 @@ class TestTopologicalQutrit:
         script = Script("two-ribbons", lat.lx, lat.ly, [InsertCC(r) for r in layout.ribbons])
         runner = ScriptRunner(script)
         runner.run()
-        frame, _ = experiments.observable_frame(lat, dict(enumerate(proto.specs)))
+        frame, _, stack = experiments.observable_frame(lat, dict(enumerate(proto.specs)))
         assert runner.observables == frame
+        rows = list(zip(*stack))
+        assert len(rows) == len(frame) and all(
+            np.array_equal(x, op.x) and np.array_equal(z, op.z) and ph == op.phase
+            for (x, z, ph), op in zip(rows, frame.values()))
+        assert all(np.array_equal(a, b) for a, b in zip(runner.frame, stack))
         ends = {pos for spec in proto.specs for pos, img in spec.transformed.items()
                 if len(img.support) > 4}
         assert {runner.kinds[k][1] for k in runner.kinds if k.endswith("-end")} == ends
@@ -384,8 +394,8 @@ class TestTopologicalQutrit:
         monkeypatch.setattr(experiments, "solve_weyl_op", recording_solve)
         proto.logical_shift_loop()
         (keep,) = seen
-        expected = [op for key, op in frame.items() if not key.endswith(":A-end")]
-        assert keep == expected
+        expected = xz_stacks([op for key, op in frame.items() if not key.endswith(":A-end")])
+        assert all(np.array_equal(a, b) for a, b in zip(keep, expected))
         # independent oracle, as the loop was once derived: every face as the
         # ribbons leave it except the nonlocal endpoints, plus the B-type ends
         faces = {p.pos: p.operator(lat.n_sites) for p in lat.plaquettes}
@@ -393,7 +403,8 @@ class TestTopologicalQutrit:
             faces.update(spec.transformed)
         oracle = [op for pos, op in faces.items() if pos not in ends]
         oracle += [faces[pos] for pos in ends if lat.plaquette_at(*pos).kind == "B"]
-        assert len(keep) == len(oracle) and set(keep) == set(oracle)
+        assert (sorted(zip(map(tuple, keep[0]), map(tuple, keep[1])))
+                == sorted((tuple(op.x), tuple(op.z)) for op in oracle))
 
     def test_braid_loop_commutes_with_every_local_stabilizer(self, layout_fn):
         layout = layout_fn()

@@ -19,6 +19,7 @@ from oracles import (
     final_tableau,
     implicit_plaquette,
     projector_expectation,
+    xz_stacks,
     state_from_tableau,
 )
 
@@ -87,6 +88,36 @@ class TestGeometry:
         monkeypatch.setattr(lattice, "B_EXPONENTS", (1, 1, 1, 1))
         with pytest.raises(AssertionError, match="product of all A-faces is not the identity"):
             build_lattice(6, 4)
+
+    @pytest.mark.parametrize("lx", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("ly", [2, 4, 6, 8])
+    def test_face_stack_rows_are_the_face_operators(self, lx, ly):
+        lat = build_lattice(lx, ly)
+        n = lat.n_sites
+        assert lat.face_x.shape == lat.face_z.shape == (len(lat.plaquettes), n)
+        assert lat.face_x.dtype == lat.face_z.dtype == np.int64
+        for f, p in enumerate(lat.plaquettes):
+            op = p.operator(n)
+            assert np.array_equal(lat.face_x[f], op.x) and np.array_equal(lat.face_z[f], op.z)
+            assert op.phase == 0 and lat.site_index(*p.pos) == f
+
+    def test_construction_check_reads_the_stack(self):
+        """A corrupted stack fails the check: a non-commuting row names the first
+        clashing pair; a squared row commutes but breaks the A-face product."""
+        lat = build_lattice(6, 4)
+        lat.face_x[5, 0] = 1
+        ops = [WeylOp(3, x, z) for x, z in zip(lat.face_x, lat.face_z)]
+        first = next((i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))
+                     if symplectic_product(ops[i], ops[j]))
+        message = rf"^faces {first[0]} and {first[1]} do not commute$"
+        with pytest.raises(AssertionError, match=message):
+            lat._check_construction()
+        lat = build_lattice(6, 4)
+        lat.face_x[0] = 2 * lat.face_x[0] % 3
+        with pytest.raises(AssertionError, match="product of all A-faces is not the identity"):
+            lat._check_construction()
+        lat.face_x[0] = 2 * lat.face_x[0] % 3  # squared back: W^4 = W
+        lat._check_construction()
 
     def test_logicals_commute_with_faces(self):
         lat = build_lattice(6, 4)
@@ -186,7 +217,7 @@ def solved_move(lat, support, ends):
     n = lat.n_sites
     keep = [p.operator(n) for p in lat.plaquettes if p.pos not in ends]
     change = [(lat.plaquette_at(*pos).operator(n), e) for pos, e in ends.items()]
-    return solve_weyl_op(lat, support, keep, change)
+    return solve_weyl_op(lat, support, xz_stacks(keep), change)
 
 
 def excited_sectors(lat, tab):
