@@ -138,7 +138,7 @@ def cmd_prepare(args) -> dict:
         det = tab.deterministic_outcomes(x, z, np.zeros(len(x), dtype=np.int64))
         payload["mode"] = "exact"
         payload["plaquettes"] = snapshots_from_outcomes(
-            det, lat.d, [(p.kind, p.pos, False, None) for p in faces])
+            det, [(p.kind, p.pos, False, None) for p in faces])
         payload["logical_projectors"] = {k: outcome_triple(int(s), lat.d)[0]
                                          for k, s in zip(logicals, det[len(faces):])}
         payload["energy_density"] = energy_density(payload["plaquettes"], len(faces))

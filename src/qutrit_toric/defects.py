@@ -56,22 +56,18 @@ class DefectSpec:
     ribbon: "CCRibbon | None" = None
 
 
-def solve_weyl_op(lattice: TorusLattice, support, keep, change) -> WeylOp | None:
+def solve_weyl_op(lattice: TorusLattice, support, x, z, rhs) -> WeylOp | None:
     """Weyl operator F on the given support with prescribed commutation.
 
-    keep: (x, z) exponent stacks, (K, n) each, of the operators whose
-    eigenvalue F must not shift (sp(F, op) = 0).
-    change: list of (op, delta): applying F shifts op's eigenvalue
-    exponent by exactly delta = sp(F, op).
+    x, z: (K, n) exponent stacks of the constraint operators; rhs: K
+    exponents. Applying F shifts row k's eigenvalue exponent by exactly
+    rhs[k] = sp(F, op_k); 0 keeps it.
     """
     d, n = lattice.d, lattice.n_sites
     sites = [lattice.site_index(*q) if isinstance(q, tuple) else int(q) for q in support]
-    x = np.concatenate([keep[0], np.array([op.x for op, _ in change], np.int64).reshape(-1, n)])
-    z = np.concatenate([keep[1], np.array([op.z for op, _ in change], np.int64).reshape(-1, n)])
-    rhs = [0] * len(keep[0]) + [delta for _, delta in change]
     # sp(F, op) = sum_site F.x op.z - F.z op.x; columns alternate F.x[site], F.z[site]
     rows = np.stack([z[:, sites], -x[:, sites]], axis=2)
-    sol = solve(rows.reshape(len(x), -1), np.array(rhs), d)
+    sol = solve(rows.reshape(len(x), -1), rhs, d)
     if sol is None:
         return None
     # a site listed twice has two columns; F is the product, so the exponents add
@@ -114,8 +110,8 @@ def _fused_pair(lattice: TorusLattice, W: WeylOp, P: Plaquette,
     return cand, m
 
 
-def pf_defect_circuit(lattice: TorusLattice, site: tuple[int, int], species: str,
-                      creg: int) -> tuple[Circuit, DefectSpec]:
+def pf_defect_circuit(lattice: TorusLattice, site: tuple[int, int],
+                      species: str) -> tuple[Circuit, DefectSpec]:
     """Measurement + feed-forward fragment creating a parafermion defect pair.
 
     The endpoint stabilizers are the two vertical face fusions flanking
@@ -137,20 +133,21 @@ def pf_defect_circuit(lattice: TorusLattice, site: tuple[int, int], species: str
     # measuring outcome t leaves each fused operator at omega^{-m t} where m is
     # the W power stripped from it; the correction F^t must undo all of that
     # while commuting with every untouched face and the Z-type logicals.
-    changes = [(W, -1), (e_west, m_west), (e_east, m_east), (nonlocal_op, m_nonlocal)]
     untouched = [p not in (nw, ne, sw, se) for p in lattice.plaquettes]
-    logicals = [lattice.logical_z_horizontal(r) for r in range(lattice.ly)]
-    logicals += [lattice.logical_z_vertical(c) for c in range(lattice.lx)]
-    keep = (np.concatenate([lattice.face_x[untouched], [op.x for op in logicals]]),
-            np.concatenate([lattice.face_z[untouched], [op.z for op in logicals]]))
+    ops = [lattice.logical_z_horizontal(r) for r in range(lattice.ly)]
+    ops += [lattice.logical_z_vertical(c) for c in range(lattice.lx)]
+    ops += [W, e_west, e_east, nonlocal_op]
+    xs = np.concatenate([lattice.face_x[untouched], [op.x for op in ops]])
+    zs = np.concatenate([lattice.face_z[untouched], [op.z for op in ops]])
+    rhs = [0] * (len(xs) - 4) + [-1, m_west, m_east, m_nonlocal]
     block = [(x + dx, y + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    f1 = solve_weyl_op(lattice, block, keep, changes)
+    f1 = solve_weyl_op(lattice, block, xs, zs, rhs)
     if f1 is None:
         raise AssertionError("no feed-forward correction exists; geometry invalid")
 
-    circ = Circuit(d, n, creg + 1)
-    circ.measure(W, creg)
-    circ.cond(creg, {t: tuple(weyl_gates(f1.power(t))) for t in range(d)})
+    circ = Circuit(d, n, 1)
+    circ.measure(W, 0)
+    circ.cond(0, {t: tuple(weyl_gates(f1.power(t))) for t in range(d)})
     spec = DefectSpec(
         kind=species,
         transformed={nw.pos: e_west, sw.pos: e_west, ne.pos: e_east, se.pos: e_east},

@@ -53,14 +53,14 @@ def _snapshot_from_triple(kind, pos, triple, std_errors=(0.0, 0.0, 0.0), n_shots
     }
 
 
-def snapshots_from_outcomes(outcomes, d: int, keys) -> list[dict]:
-    """Exact face entries from tableau lookups; keys[f] = (kind, pos, transformed, label)."""
-    # row s is outcome_triple(s, d): one-hot for s = 0..d-1, uniform for -1 (the last row)
-    triples = np.concatenate([np.eye(d), np.full((1, d), 1.0 / d)])
+def snapshots_from_outcomes(outcomes, keys) -> list[dict]:
+    """Exact d = 3 face entries from tableau lookups; keys[f] = (kind, pos, transformed, label)."""
+    # row s is outcome_triple(s, 3): one-hot for s = 0, 1, 2, uniform for -1 (the last row)
+    triples = np.concatenate([np.eye(3), np.full((1, 3), 1.0 / 3)])
     outcomes = np.asarray(outcomes, dtype=np.int64).tolist()
     # an entry's numbers depend on its outcome alone: work them out once per outcome
     numbers = {s: _snapshot_from_triple(None, (), triples[s]) for s in set(outcomes)}
-    return [{**numbers[s], "kind": kind, "pos": list(pos), "std_errors": [0.0] * d,
+    return [{**numbers[s], "kind": kind, "pos": list(pos), "std_errors": [0.0] * 3,
              "transformed": transformed, "label": label}
             for s, (kind, pos, transformed, label) in zip(outcomes, keys)]
 

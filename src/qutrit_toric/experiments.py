@@ -1,13 +1,14 @@
 """Braiding experiments: scripted anyon moves over defected codes.
 
 A script is an ordered list of steps (prepare, insert defects, move
-anyons, fuse, snapshot). The runner keeps an observable frame: every
-face position maps to the operator currently representing it (plain or
-transformed), plus named defect stabilizers. Anyon moves are solved at
-run time as Weyl operators satisfying linear commutation constraints
-against that frame: kill the excitation here, recreate it there, leave
-everything else alone (nonlocal defect stabilizers are left free so
-crossings can toggle them, which is the physics being demonstrated).
+anyons, fuse, snapshot), run in one loop. The runner keeps an observable
+frame as one keyed stack: sorted keys (faces and named defect
+stabilizers), each key's kind, and the (x, z, phase) rows of the
+operators now representing them (plain or transformed). Anyon moves are
+solved at run time as Weyl operators satisfying linear commutation
+constraints against that stack: kill the excitation here, recreate it
+there, leave everything else alone (nonlocal defect stabilizers are left
+free so crossings can toggle them, which is the physics being demonstrated).
 Runs return their result-document entries as they are written: the
 runner one frame per snapshot, the topological-qutrit protocol one row
 per ancilla outcome.
@@ -20,7 +21,6 @@ drawn route.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,7 +107,7 @@ def face_key(kind: str, pos: tuple[int, int]) -> str:
 
 
 def observable_frame(lattice: TorusLattice, defects: dict[int, DefectSpec]
-                     ) -> tuple[dict[str, WeylOp], dict[str, tuple[str, tuple[int, int], bool]],
+                     ) -> tuple[list[str], list[tuple[str, tuple[int, int], bool]],
                                 tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Observable frame of the lattice with the given live defects (index -> spec).
 
@@ -115,32 +115,28 @@ def observable_frame(lattice: TorusLattice, defects: dict[int, DefectSpec]
     when none does) under face_key(kind, pos); a face whose image is one
     of that defect's named stabilizers is read under the name instead.
     Named stabilizers are keyed pf<i>:<name> or cc<i>:<name>. Returns the
-    operators in key order, per key (kind, position, transformed), and the
-    operators' stacked (x, z, ph) exponents, one row per key in that order.
+    keys in sorted order, per key (kind, position, transformed), and the
+    stacked (x, z, ph) exponents of the operators, one row per key.
     """
-    d = lattice.d
     images: dict[tuple[int, int], tuple[WeylOp, bool]] = {}
     for spec in defects.values():
         named = [op for op, _ in spec.stabilizers.values()]
         images.update((pos, (img, img in named)) for pos, img in spec.transformed.items())
-    observables: dict[str, WeylOp] = {}
-    kinds: dict[str, tuple[str, tuple[int, int], bool]] = {}
+    rows: dict[str, tuple] = {}  # key -> ((kind, position, transformed), x, z, ph)
     for f, p in enumerate(lattice.plaquettes):
         op, named = images.get(p.pos, (None, False))
-        if not named:
-            key = face_key(p.kind, p.pos)
-            observables[key] = WeylOp(d, lattice.face_x[f], lattice.face_z[f]) if op is None else op
-            kinds[key] = (p.kind, p.pos, p.pos in images)
+        if op is None:
+            rows[face_key(p.kind, p.pos)] = ((p.kind, p.pos, False),
+                                             lattice.face_x[f], lattice.face_z[f], 0)
+        elif not named:
+            rows[face_key(p.kind, p.pos)] = ((p.kind, p.pos, True), op.x, op.z, op.phase)
     for i, spec in defects.items():
         prefix = "cc" if spec.kind == "CC" else "pf"
         for name, (op, pos) in spec.stabilizers.items():
-            observables[f"{prefix}{i}:{name}"] = op
-            kinds[f"{prefix}{i}:{name}"] = ("defect", pos, True)
-    observables = dict(sorted(observables.items()))
-    ops = observables.values()
-    stack = (np.array([op.x for op in ops]), np.array([op.z for op in ops]),
-             np.array([op.phase for op in ops], dtype=np.int64))
-    return observables, kinds, stack
+            rows[f"{prefix}{i}:{name}"] = (("defect", pos, True), op.x, op.z, op.phase)
+    keys = sorted(rows)
+    kinds, x, z, ph = zip(*(rows[key] for key in keys))
+    return keys, list(kinds), (np.array(x), np.array(z), np.array(ph, dtype=np.int64))
 
 
 class ScriptRunner:
@@ -150,33 +146,30 @@ class ScriptRunner:
         self.script = script
         self.lattice = TorusLattice(script.lx, script.ly)
         self.seed = seed
-        self.tab: StabilizerTableau | None = None
-        self.observables: dict[str, WeylOp] = {}
-        self.kinds: dict[str, tuple[str, tuple[int, int], bool]] = {}
+        self.keys: list[str] = []
+        self.kinds: list[tuple[str, tuple[int, int], bool]] = []
         self.frame: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.defect_specs: list[DefectSpec] = []
 
-    def _steps(self) -> Iterator[tuple[Step, Circuit]]:
-        """Yield each step with its circuit fragment, keeping the frame current.
+    def run(self) -> list[dict]:
+        """The frame entries of the result document, one per snapshot step.
 
-        The observable frame (observables, kinds, frame, defect_specs) is written
-        here and nowhere else: observable_frame rebuilds it from the live
-        defects at each insert and fuse, so it is up to date for the steps
-        done so far whenever a step is yielded.
+        The observable frame (keys, kinds, frame) is written here and nowhere
+        else: observable_frame rebuilds it from the live defects at each
+        insert and fuse, so moves and snapshots read it current.
         """
         lat = self.lattice
-        n, d = lat.n_sites, lat.d
+        tab = StabilizerTableau(lat.d, lat.n_sites, np.random.default_rng(self.seed))
         self.defect_specs = []
         live: dict[int, DefectSpec] = {}
-        self.observables, self.kinds, self.frame = observable_frame(lat, live)
-        n_meas = 0
+        self.keys, self.kinds, self.frame = observable_frame(lat, live)
+        frames = []
         for step in self.script.steps:
-            frag = Circuit(d, n, 0)
+            frag = Circuit(lat.d, lat.n_sites, 0)
             if isinstance(step, Prepare):
                 frag = ground_state_circuit(lat)
             elif isinstance(step, InsertPF):
-                frag, spec = pf_defect_circuit(lat, step.site, step.species, n_meas)
-                n_meas += 1
+                frag, spec = pf_defect_circuit(lat, step.site, step.species)
             elif isinstance(step, InsertCC):
                 frag, spec = cc_defect_circuit(lat, step.ribbon)
             elif isinstance(step, Fuse):
@@ -184,46 +177,36 @@ class ScriptRunner:
                 live.pop(step.defect_index, None)
             elif isinstance(step, Move):
                 frag.gates(weyl_gates(self.solve_move(step)))
+            elif isinstance(step, Snapshot):
+                frames.append(self._snapshot(tab, step.label))
+            execute(frag, tab)
             if isinstance(step, (InsertPF, InsertCC)):
                 live[len(self.defect_specs)] = spec
                 self.defect_specs.append(spec)
             if isinstance(step, (InsertPF, InsertCC, Fuse)):
-                self.observables, self.kinds, self.frame = observable_frame(lat, live)
-            yield step, frag
-
-    def run(self) -> list[dict]:
-        """The frame entries of the result document, one per snapshot step."""
-        lat = self.lattice
-        self.tab = StabilizerTableau(lat.d, lat.n_sites, np.random.default_rng(self.seed))
-        frames = []
-        for step, frag in self._steps():
-            execute(frag, self.tab)
-            if isinstance(step, Snapshot):
-                frames.append(self._snapshot(step.label))
+                self.keys, self.kinds, self.frame = observable_frame(lat, live)
         return frames
 
-    def to_circuit(self) -> Circuit:
-        """Flatten the script to a plain circuit (moves become gate blocks)."""
-        lat = self.lattice
-        circ = Circuit(lat.d, lat.n_sites, 0)
-        for _, frag in self._steps():
-            circ.extend(frag)
-        return circ
-
     def solve_move(self, step: Move) -> WeylOp:
-        held = {key for key, _ in step.changes} | set(step.free)
-        rows = [key not in held for key in self.observables]
-        keep = (self.frame[0][rows], self.frame[1][rows])
-        change = [(self.observables[key], delta) for key, delta in step.changes]
-        op = solve_weyl_op(self.lattice, step.support, keep, change)
+        deltas = dict(step.changes)
+        if len(deltas) < len(step.changes) or not deltas.keys().isdisjoint(step.free):
+            raise ValueError(f"move '{step.label}' names a key twice in changes and free")
+        for key in (*deltas, *step.free):
+            if key not in self.keys:
+                raise ValueError(f"move '{step.label}' names '{key}', which the frame "
+                                 "does not hold")
+        rows = [key not in step.free for key in self.keys]
+        rhs = [deltas.get(key, 0) for key, row in zip(self.keys, rows) if row]
+        x, z, _ = self.frame
+        op = solve_weyl_op(self.lattice, step.support, x[rows], z[rows], rhs)
         if op is None:
             raise ValueError(f"move '{step.label}' is not realizable on its support")
         return op
 
-    def _snapshot(self, label: str) -> dict:
-        det = self.tab.deterministic_outcomes(*self.frame)
-        snaps = snapshots_from_outcomes(det, self.lattice.d,
-                                        [(*self.kinds[k], k) for k in self.observables])
+    def _snapshot(self, tab: StabilizerTableau, label: str) -> dict:
+        det = tab.deterministic_outcomes(*self.frame)
+        snaps = snapshots_from_outcomes(det, [(*kind, key)
+                                              for kind, key in zip(self.kinds, self.keys)])
         return {"label": label,
                 "plaquettes": [s for s in snaps if s["kind"] in ("A", "B")],
                 "defect_stabilizers": [s for s in snaps if s["kind"] not in ("A", "B")]}
@@ -445,12 +428,12 @@ class TopologicalQutritProtocol:
         but addresses the braid loop once.
         """
         lat = self.lattice
-        observables, _, (fx, fz, _) = observable_frame(lat, dict(enumerate(self.specs)))
-        rows = [not key.endswith(":A-end") for key in observables]
-        keep = (fx[rows], fz[rows])
-        change = [(self.braid_loop, 1)]
+        keys, _, (fx, fz, _) = observable_frame(lat, dict(enumerate(self.specs)))
+        rows = [not key.endswith(":A-end") for key in keys]
+        xs, zs = np.vstack([fx[rows], self.braid_loop.x]), np.vstack([fz[rows], self.braid_loop.z])
+        rhs = [0] * sum(rows) + [1]  # keep the frame, address the braid loop once
         support = tuple((x, y) for x in range(lat.lx) for y in range(lat.ly))
-        op = solve_weyl_op(lat, support, keep, change)
+        op = solve_weyl_op(lat, support, xs, zs, rhs)
         if op is None:
             raise AssertionError("no logical shift loop exists; bad layout")
         return op

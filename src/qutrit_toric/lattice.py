@@ -56,12 +56,12 @@ class Plaquette:
 class TorusLattice:
     """Site indexing and face bookkeeping for the rotated code."""
 
-    def __init__(self, lx: int, ly: int, d: int = 3):
+    def __init__(self, lx: int, ly: int):
         if lx < 2 or ly < 2 or lx % 2 or ly % 2:
             raise ValueError("torus dimensions must be even and at least 2")
         self.lx = lx
         self.ly = ly
-        self.d = d
+        self.d = 3
         self.n_sites = lx * ly
         self.plaquettes: list[Plaquette] = []
         for y in range(ly):
@@ -79,7 +79,7 @@ class TorusLattice:
         stack = np.zeros((2, len(self.plaquettes), self.n_sites), dtype=np.int64)
         for f, p in enumerate(self.plaquettes):
             stack[int(p.kind == "B"), f, list(p.corners)] = p.exponents
-        self.face_x, self.face_z = stack % d
+        self.face_x, self.face_z = stack % self.d
         self._check_construction()
 
     # -- indexing -----------------------------------------------------------

@@ -370,9 +370,12 @@ def qubit_circuit_depth(qc: QubitCircuit) -> int:
     return max(level)
 
 
-def xz_stacks(ops: list[WeylOp]) -> tuple[np.ndarray, np.ndarray]:
-    """The (x, z) exponent stacks of a list of operators, the form solve_weyl_op keeps."""
-    return np.array([w.x for w in ops]), np.array([w.z for w in ops])
+def xz_stacks(keep: list[WeylOp], change=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (x, z, rhs) constraint stacks solve_weyl_op takes: a row of rhs 0 per
+    operator in keep, then a row of rhs delta per (op, delta) in change."""
+    ops = [*keep, *(op for op, _ in change)]
+    rhs = [0] * len(keep) + [delta for _, delta in change]
+    return np.array([w.x for w in ops]), np.array([w.z for w in ops]), np.array(rhs)
 
 
 def implicit_plaquette(lattice: TorusLattice) -> Plaquette:

@@ -270,7 +270,7 @@ def test_criterion_5_fusion_identity_physical():
     frees = []
     base, _ = final_tableau(ground_state_circuit(lat), seed=0)
     for i, (site, species) in enumerate((((1, 1), "PF"), ((1, 3), "PFstar"))):
-        _, spec = pf_defect_circuit(lat, site, species, i)
+        _, spec = pf_defect_circuit(lat, site, species)
         for pos in spec.transformed:
             stabs.pop(("face", pos), None)
         stabs[(f"pf{i}", "west")] = spec.stabilizers["west"][0]
@@ -295,19 +295,19 @@ def test_criterion_5_fusion_identity_physical():
             keep1 = [op for key, op in stabs.items()
                      if key not in frees and key not in (("face", (3, 0)), ("face", (2, 2)))]
             if solve_weyl_op(lat, full,
-                             xz_stacks([op for key, op in stabs.items()
-                                      if key not in [frees[0]]
-                                      and key not in (("face", (3, 0)), ("face", (2, 2)))]),
-                             [(stabs[("face", (3, 0))], (-vin) % 3),
-                              (stabs[("face", (2, 2))], vmid)]) is None:
+                             *xz_stacks([op for key, op in stabs.items()
+                                         if key not in [frees[0]]
+                                         and key not in (("face", (3, 0)), ("face", (2, 2)))],
+                                        [(stabs[("face", (3, 0))], (-vin) % 3),
+                                         (stabs[("face", (2, 2))], vmid)])) is None:
                 continue
             for vout in (1, 2):
                 if solve_weyl_op(lat, full,
-                                 xz_stacks([op for key, op in stabs.items()
-                                          if key not in [frees[1]]
-                                          and key not in (("face", (2, 2)), ("face", (2, 3)))]),
-                                 [(stabs[("face", (2, 2))], (-vmid) % 3),
-                                  (stabs[("face", (2, 3))], vout)]) is not None:
+                                 *xz_stacks([op for key, op in stabs.items()
+                                             if key not in [frees[1]]
+                                             and key not in (("face", (2, 2)), ("face", (2, 3)))],
+                                            [(stabs[("face", (2, 2))], (-vmid) % 3),
+                                             (stabs[("face", (2, 3))], vout)])) is not None:
                     hits.append(vout)
         net[vin] = sorted(set(hits))
     conjugation = net == {1: [2], 2: [1]}
@@ -326,7 +326,7 @@ def test_criterion_5_fusion_identity_literal_group_equality():
     from qutrit_toric.circuit import Measure
 
     for site, species in (((1, 1), "PF"), ((1, 3), "PFstar")):
-        frag, _ = pf_defect_circuit(lat, site, species, 0)
+        frag, _ = pf_defect_circuit(lat, site, species)
         for ins in frag.instructions:
             if isinstance(ins, Measure):
                 pf_tab.measure_weyl(ins.observable, force=0)

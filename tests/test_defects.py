@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qutrit_toric.circuit import Gate
 from qutrit_toric.defects import (
@@ -49,7 +50,7 @@ class TestParafermionDefect:
     def test_endpoint_stabilizers_deterministic_plus_one(self, species, seed):
         lat = build_lattice(6, 4)
         prep = ground_state_circuit(lat)
-        frag, spec = pf_defect_circuit(lat, (2, 1), species, 0)
+        frag, spec = pf_defect_circuit(lat, (2, 1), species)
         tab = run_fragment(lat, prep, frag, seed=seed)
         for op, _ in spec.stabilizers.values():
             assert expectation_weyl(tab, op) == pytest.approx(1)
@@ -63,21 +64,21 @@ class TestParafermionDefect:
 
     def test_fused_stabilizers_are_weight_five(self):
         lat = build_lattice(6, 4)
-        _, spec = pf_defect_circuit(lat, (2, 1), "PF", 0)
+        _, spec = pf_defect_circuit(lat, (2, 1), "PF")
         for name in ("west", "east", "nonlocal"):
             assert len(spec.stabilizers[name][0].support) == 5
 
     def test_occupied_site_rejected(self):
         lat = build_lattice(6, 4)
         with pytest.raises(ValueError):
-            pf_defect_circuit(lat, (2, 1), "XY", 0)
+            pf_defect_circuit(lat, (2, 1), "XY")
 
     def test_statevector_cross_check_4x2(self):
         """Dense oracle: defect creation on a small torus, endpoint
         stabilizers become +1 after feed-forward."""
         lat = build_lattice(4, 2)
         prep = ground_state_circuit(lat)
-        frag, spec = pf_defect_circuit(lat, (2, 1), "PF", 0)
+        frag, spec = pf_defect_circuit(lat, (2, 1), "PF")
         for seed in range(4):
             tab = run_fragment(lat, prep, frag, seed=seed)
             dense = state_from_tableau(tab)
@@ -96,7 +97,7 @@ class TestParafermionDefect:
         for x, y in ((x, y) for x in range(lx) for y in range(ly)):
             nw, ne, sw, se = lat.faces_of_site(x, y)
             for species in ("PF", "PFstar"):
-                frag, spec = pf_defect_circuit(lat, (x, y), species, 0)
+                frag, spec = pf_defect_circuit(lat, (x, y), species)
                 fx, fz = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
                 for g in frag.instructions[1].predicate[1]:
                     (fx if g.kind is GateKind.SHIFT_X else fz)[g.targets[0]] += 1
@@ -263,9 +264,41 @@ class TestCCDefect:
 
     def test_fusion_requires_cc_spec(self):
         lat = build_lattice(6, 4)
-        _, pf_spec = pf_defect_circuit(lat, (2, 1), "PF", 0)
+        _, pf_spec = pf_defect_circuit(lat, (2, 1), "PF")
         with pytest.raises(ValueError):
             fuse_cc_pair(lat, pf_spec)
+
+
+class TestSolveWeylOp:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_row_order_and_repeats_leave_the_solution(self, seed, consistent):
+        """The solution depends on the span of the constraint rows alone: permuting
+        and duplicating rows (x, z and rhs together) gives the identical operator,
+        or None for both when the system is inconsistent."""
+        lat = build_lattice(4, 4)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 20))
+        x, z = rng.integers(0, 3, (2, k, lat.n_sites)) * (rng.random((2, k, lat.n_sites)) < 0.3)
+        support = [(int(a), int(b)) for a, b in rng.integers(0, 4, (int(rng.integers(1, 8)), 2))]
+        if consistent:  # the shifts of some F on the support
+            on_support = np.zeros(lat.n_sites, dtype=np.int64)
+            on_support[[lat.site_index(*q) for q in support]] = 1
+            f = WeylOp(3, *rng.integers(0, 3, (2, lat.n_sites)) * on_support)
+            rhs = np.array([symplectic_product(f, WeylOp(3, a, b)) for a, b in zip(x, z)])
+        else:
+            rhs = rng.integers(0, 3, k)
+        solved = solve_weyl_op(lat, support, x, z, rhs)
+        assert (solved is not None) or not consistent
+        if solved is not None:
+            assert [symplectic_product(solved, WeylOp(3, a, b)) for a, b in zip(x, z)] == \
+                list(rhs % 3)
+        order = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, k)]))
+        again = solve_weyl_op(lat, support, x[order], z[order], rhs[order])
+        assert (again is None) == (solved is None)
+        if solved is not None:
+            assert np.array_equal(again.x, solved.x) and np.array_equal(again.z, solved.z)
+            assert again.phase == solved.phase
 
 
 def crossing_map(lat, stabs, free_keys, from_face, to_faces, in_value):
@@ -280,7 +313,7 @@ def crossing_map(lat, stabs, free_keys, from_face, to_faces, in_value):
         keep = [op for key, op in stabs.items()
                 if key not in free_keys and key not in (from_face, target)]
         change = [(stabs[from_face], (-in_value) % 3), (stabs[target], value)]
-        if solve_weyl_op(lat, support, xz_stacks(keep), change) is not None:
+        if solve_weyl_op(lat, support, *xz_stacks(keep, change)) is not None:
             hits.append((target, value))
     return hits
 
@@ -318,7 +351,7 @@ class TestTransmutationTable:
                 keep = [op for key, op in stabs.items()
                         if key not in free and key not in (from_face, to_face)]
                 change = [(stabs[from_face], (-vin) % 3), (stabs[to_face], v)]
-                if solve_weyl_op(lat, support, xz_stacks(keep), change) is not None:
+                if solve_weyl_op(lat, support, *xz_stacks(keep, change)) is not None:
                     hits.append(v)
             assert hits == [vout], (from_face, vin, hits)
         # control: a hop far from the line keeps the species
@@ -328,13 +361,13 @@ class TestTransmutationTable:
                 keep = [op for key, op in stabs.items()
                         if key not in free and key not in (("B", (3, 0)), ("B", (0, 3)))]
                 change = [(stabs[("B", (3, 0))], (-vin) % 3), (stabs[("B", (0, 3))], v)]
-                if solve_weyl_op(lat, ((0, 0),), xz_stacks(keep), change) is not None:
+                if solve_weyl_op(lat, ((0, 0),), *xz_stacks(keep, change)) is not None:
                     hits.append(v)
             assert hits == [vin]
 
     def test_pf_line_swaps_charge_and_flux(self):
         lat = build_lattice(4, 4)
-        _, spec = pf_defect_circuit(lat, (1, 1), "PF", 0)
+        _, spec = pf_defect_circuit(lat, (1, 1), "PF")
         stabs = {}
         for p in lat.plaquettes:
             if p.pos in spec.transformed:
@@ -360,7 +393,7 @@ class TestTransmutationTable:
         lat = build_lattice(4, 4)
         outs = {}
         for species in ("PF", "PFstar"):
-            _, spec = pf_defect_circuit(lat, (1, 1), species, 0)
+            _, spec = pf_defect_circuit(lat, (1, 1), species)
             stabs = {}
             for p in lat.plaquettes:
                 if p.pos in spec.transformed:

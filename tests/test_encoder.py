@@ -314,7 +314,7 @@ class TestRotatedMeasurementAndCond:
     @pytest.fixture(scope="class")
     def compiled(self):
         lat = build_lattice(4, 4)
-        frag, _ = pf_defect_circuit(lat, (1, 1), "PF", 0)
+        frag, _ = pf_defect_circuit(lat, (1, 1), "PF")
         qc = encode_circuit(frag)
         rep = compile_report(frag)
         return lat.site_index(1, 1), frag, qc, rep

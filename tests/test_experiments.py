@@ -191,10 +191,12 @@ class TestFuseStep:
         stabilizer is left."""
         _, runner = run_braid(cc_braid_script(), seed=5)
         lat = runner.lattice
-        assert runner.observables == {face_key(p.kind, p.pos): p.operator(lat.n_sites)
-                                      for p in lat.plaquettes}
-        assert runner.kinds == {face_key(p.kind, p.pos): (p.kind, p.pos, False)
-                                for p in lat.plaquettes}
+        plain = sorted(lat.plaquettes, key=lambda p: face_key(p.kind, p.pos))
+        assert runner.keys == [face_key(p.kind, p.pos) for p in plain]
+        assert runner.kinds == [(p.kind, p.pos, False) for p in plain]
+        x, z, _ = xz_stacks([p.operator(lat.n_sites) for p in plain])
+        assert np.array_equal(runner.frame[0], x) and np.array_equal(runner.frame[1], z)
+        assert not runner.frame[2].any()
 
     def test_fusing_a_pf_defect_is_refused(self):
         """Fuse applies only to CC pairs: a PF defect has no ribbon to re-apply."""
@@ -233,7 +235,7 @@ class TestFusionIdentity:
         base, _ = final_tableau(__import__("qutrit_toric.lattice", fromlist=["g"]).ground_state_circuit(lat), seed=0)
         pf_tab = base.copy(np.random.default_rng(0))
         for site, species in (((1, 1), "PF"), ((1, 3), "PFstar")):
-            frag, _ = pf_defect_circuit(lat, site, species, 0)
+            frag, _ = pf_defect_circuit(lat, site, species)
             for ins in frag.instructions:
                 if isinstance(ins, Measure):
                     pf_tab.measure_weyl(ins.observable, force=0)
@@ -252,26 +254,44 @@ class TestScriptInfrastructure:
         with pytest.raises(ValueError, match="not realizable"):
             run_braid(script, seed=0)
 
+    @pytest.mark.parametrize("changes, free, key", [
+        (((face_key("A", (4, 2)), 1), (face_key("A", (9, 9)), 2)), (), "A@9,9"),
+        (((face_key("A", (4, 2)), 1), (face_key("A", (3, 3)), 2)), ("pf7:nonlocal",),
+         "pf7:nonlocal"),
+    ], ids=["changes", "free"])
+    def test_move_naming_a_key_the_frame_lacks_is_refused(self, changes, free, key):
+        """A key that no frame row holds is a script error, whether the move
+        changes it or frees it."""
+        script = pf_braid_script()
+        script.steps.insert(3, Move(((4, 3),), changes, free=free, label="typo"))
+        with pytest.raises(ValueError, match=f"move 'typo' names '{key}'"):
+            run_braid(script, seed=0)
+
+    @pytest.mark.parametrize("changes, free", [
+        (((face_key("A", (4, 2)), 1), (face_key("A", (3, 3)), 2), (face_key("A", (4, 2)), 2)),
+         ()),
+        (((face_key("A", (4, 2)), 1), (face_key("A", (3, 3)), 2)), (face_key("A", (3, 3)),)),
+    ], ids=["changed-twice", "changed-and-freed"])
+    def test_move_naming_a_key_twice_is_refused(self, changes, free):
+        script = pf_braid_script()
+        script.steps.insert(3, Move(((4, 3),), changes, free=free, label="twice"))
+        with pytest.raises(ValueError, match="move 'twice' names a key twice"):
+            run_braid(script, seed=0)
+
     @pytest.mark.parametrize("script", [
         pf_braid_script(), cc_braid_script(), pf_pfstar_script(), cc_braid_script(fuse=False),
     ], ids=["braid-pf", "braid-cc", "fuse-pf-pfstar", "braid-cc-unfused"])
-    def test_compiled_script_matches_run(self, script):
+    def test_second_run_reproduces_every_frame(self, script):
+        """A second run starts from a fresh frame and reproduces every frame."""
         frames, runner = run_braid(script, seed=4)
-        compiled = ScriptRunner(script, seed=4)
-        circ = compiled.to_circuit()
-        # one walker: both paths leave the same observable frame
-        assert compiled.observables == runner.observables
-        assert compiled.kinds == runner.kinds
-        tab, _ = final_tableau(circ, seed=4)
-        final = frames[-1]
-        for snap in final["plaquettes"] + final["defect_stabilizers"]:
-            assert tab.projector_triple(runner.observables[snap["label"]]) == triple(snap)
-        # a second run starts from a fresh frame and reproduces every frame
+        keys, kinds, stack = runner.keys, runner.kinds, runner.frame
         again = runner.run()
         def triples(frames):
             return [[triple(s) for s in f["plaquettes"] + f["defect_stabilizers"]] for f in frames]
 
         assert triples(again) == triples(frames)
+        assert (runner.keys, runner.kinds) == (keys, kinds)
+        assert all(np.array_equal(a, b) for a, b in zip(runner.frame, stack))
 
 
 @pytest.mark.parametrize("layout_fn", [topo_layout_6x2, topo_layout_6x4])
@@ -373,38 +393,47 @@ class TestTopologicalQutrit:
         script = Script("two-ribbons", lat.lx, lat.ly, [InsertCC(r) for r in layout.ribbons])
         runner = ScriptRunner(script)
         runner.run()
-        frame, _, stack = experiments.observable_frame(lat, dict(enumerate(proto.specs)))
-        assert runner.observables == frame
-        rows = list(zip(*stack))
-        assert len(rows) == len(frame) and all(
-            np.array_equal(x, op.x) and np.array_equal(z, op.z) and ph == op.phase
-            for (x, z, ph), op in zip(rows, frame.values()))
+        keys, kinds, stack = experiments.observable_frame(lat, dict(enumerate(proto.specs)))
+        assert (runner.keys, runner.kinds) == (keys, kinds)
         assert all(np.array_equal(a, b) for a, b in zip(runner.frame, stack))
         ends = {pos for spec in proto.specs for pos, img in spec.transformed.items()
                 if len(img.support) > 4}
-        assert {runner.kinds[k][1] for k in runner.kinds if k.endswith("-end")} == ends
+        assert {pos for key, (_, pos, _) in zip(keys, kinds) if key.endswith("-end")} == ends
+        # independent oracle: every face as the ribbons leave it, read under its face
+        # key except at the nonlocal endpoints, which are read under their names
+        faces = {p.pos: p.operator(lat.n_sites) for p in lat.plaquettes}
+        for spec in proto.specs:
+            faces.update(spec.transformed)
+        frame = {face_key(p.kind, p.pos): faces[p.pos] for p in lat.plaquettes
+                 if p.pos not in ends}
+        frame.update((f"cc{i}:{name}", op) for i, spec in enumerate(proto.specs)
+                     for name, (op, _) in spec.stabilizers.items())
+        assert keys == sorted(frame)
+        assert all(np.array_equal(x, op.x) and np.array_equal(z, op.z) and ph == op.phase
+                   for x, z, ph, op in zip(*stack, (frame[key] for key in keys)))
 
         seen = []
         solve = experiments.solve_weyl_op
 
-        def recording_solve(lattice, support, keep, change):
-            seen.append(keep)
-            return solve(lattice, support, keep, change)
+        def recording_solve(lattice, support, x, z, rhs):
+            seen.append((x, z, rhs))
+            return solve(lattice, support, x, z, rhs)
 
         monkeypatch.setattr(experiments, "solve_weyl_op", recording_solve)
         proto.logical_shift_loop()
-        (keep,) = seen
-        expected = xz_stacks([op for key, op in frame.items() if not key.endswith(":A-end")])
-        assert all(np.array_equal(a, b) for a, b in zip(keep, expected))
-        # independent oracle, as the loop was once derived: every face as the
-        # ribbons leave it except the nonlocal endpoints, plus the B-type ends
-        faces = {p.pos: p.operator(lat.n_sites) for p in lat.plaquettes}
-        for spec in proto.specs:
-            faces.update(spec.transformed)
+        (call,) = seen
+        expected = xz_stacks([frame[key] for key in keys if not key.endswith(":A-end")],
+                             [(proto.braid_loop, 1)])
+        assert all(np.array_equal(a, b) for a, b in zip(call, expected))
+
+        def rows(x, z, rhs):
+            return sorted(zip(map(tuple, x), map(tuple, z), map(int, rhs)))
+
+        # as the loop was once derived: every face as the ribbons leave it except the
+        # nonlocal endpoints, plus the B-type ends, kept; the braid loop shifted by one
         oracle = [op for pos, op in faces.items() if pos not in ends]
         oracle += [faces[pos] for pos in ends if lat.plaquette_at(*pos).kind == "B"]
-        assert (sorted(zip(map(tuple, keep[0]), map(tuple, keep[1])))
-                == sorted((tuple(op.x), tuple(op.z)) for op in oracle))
+        assert rows(*call) == rows(*xz_stacks(oracle, [(proto.braid_loop, 1)]))
 
     def test_braid_loop_commutes_with_every_local_stabilizer(self, layout_fn):
         layout = layout_fn()

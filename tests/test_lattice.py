@@ -217,7 +217,7 @@ def solved_move(lat, support, ends):
     n = lat.n_sites
     keep = [p.operator(n) for p in lat.plaquettes if p.pos not in ends]
     change = [(lat.plaquette_at(*pos).operator(n), e) for pos, e in ends.items()]
-    return solve_weyl_op(lat, support, xz_stacks(keep), change)
+    return solve_weyl_op(lat, support, *xz_stacks(keep, change))
 
 
 def excited_sectors(lat, tab):

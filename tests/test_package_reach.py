@@ -23,7 +23,6 @@ KEPT = {
     "mitigated_plaquette_triple": "benchmarks/probes.py times it until ROADMAP item 2",
     "exact_outcome_distribution": "benchmarks/probes.py times it; the tests' enumeration oracle",
     "TopologicalQutritProtocol.logical_shift_loop": "library: the paper's logical shift",
-    "ScriptRunner.to_circuit": "library: a script flattened to one plain circuit",
     "TorusLattice.b_plaquettes": "library: the clock-type faces, partner of a_plaquettes",
     "WeylOp.identity": "library: small WeylOp helper",
     "WeylOp.is_identity": "library: small WeylOp helper",
