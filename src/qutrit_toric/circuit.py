@@ -2,8 +2,9 @@
 
 Instructions are gates, Weyl-observable measurements into classical
 registers, outcome-conditioned gate blocks (feed-forward), depolarizing
-Weyl noise, and barriers. `_apply` is the one place an instruction
-acts on a tableau; `execute` loops over it.
+Weyl noise, and barriers. `_apply` is the one place a noiseless
+instruction acts on a tableau; `execute` loops over it and refuses a
+noisy circuit, so `run_shots` is the one noise sampler.
 
 `run_shots` samples with Weyl frames (Pauli-frame sampling carried over
 to Z_d). One reference shot on the tableau (noise stripped, random
@@ -15,10 +16,9 @@ batched lookup (`StabilizerTableau.reference_outcomes`), no collapse. Then
 FRAME_BLOCK shots at a time draw their initial frames, measurement kicks
 and noise hits in a few array calls and add the draws' forms. A noise
 hit's code holds its error exponents as base-d digits, and
-`_hit_exponents` decodes them for frames and `_apply` alike. X/Z-shift
-feed-forward is a table over the value read; `run_shots` refuses any
-other feed-forward before a draw. The values are a pure function of
-(circuit, n_shots, base_seed).
+`_hit_exponents` decodes them. X/Z-shift feed-forward is a table over
+the value read; `run_shots` refuses any other feed-forward before a
+draw. The values are a pure function of (circuit, n_shots, base_seed).
 
 `outcome_leaves` walks the exact outcome tree of a noiseless circuit,
 forking the tableau once per outcome of each random measurement
@@ -211,19 +211,19 @@ class Circuit:
 # -- execution ---------------------------------------------------------------
 
 
-def _hit_exponents(code: np.ndarray, d: int, width: int) -> np.ndarray:
-    """Error exponents of noise hit codes, shape (..., 2 * width): x0, z0, x1, z1.
+def _hit_exponents(code: np.ndarray, d: int) -> np.ndarray:
+    """Error exponents of noise hit codes, shape (..., 4): x0, z0, x1, z1.
 
-    A hit's code, uniform in [1, d^(2 width)) over its test's width sites
-    (1 for a depolarizing1 site, 2 for a depolarizing2 pair), holds the
-    sites' x, z exponents as base-d digits, site by site; a code of 0 is no error.
+    A hit's code, uniform in [1, d^2) for a depolarizing1 site (digits 2
+    and 3 stay 0) or [1, d^4) for a depolarizing2 pair, holds the sites'
+    x, z exponents as base-d digits, site by site; a code of 0 is no error.
     """
-    return code[..., None] // d ** np.arange(2 * width) % d
+    return code[..., None] // d ** np.arange(4) % d
 
 
 def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
            force: int | None = None) -> None:
-    """Apply one instruction to tab; a measurement writes its outcome into creg."""
+    """Apply one noiseless instruction to tab; a measurement writes its outcome into creg."""
     if isinstance(ins, Gate):
         tab.apply_gate(ins.gate)
     elif isinstance(ins, Measure):
@@ -231,22 +231,18 @@ def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
     elif isinstance(ins, CondGate):
         for g in ins.predicate[creg[ins.creg]]:
             tab.apply_gate(g)
-    elif isinstance(ins, Noise):
-        width = ins.channel.width
-        u = tab.rng.random(len(ins.sites) // width)
-        code = tab.rng.integers(1, tab.d ** (2 * width), len(u))
-        xz = _hit_exponents((u < ins.channel.p) * code, tab.d, width).reshape(-1, 2)
-        if xz.any():
-            tab.apply_weyl(WeylOp.from_pattern(tab.d, tab.n, dict(zip(ins.sites, xz))))
-    # Barrier: nothing
+    # Noise (the frames sample it) and Barrier: nothing
 
 
 def execute(circuit: Circuit, tab: StabilizerTableau) -> list[int]:
-    """Apply the circuit's instructions to tab in order; return the creg values.
+    """Apply a noiseless circuit's instructions to tab in order; return the creg values.
 
-    Noise and random measurement outcomes are drawn from tab.rng, in
-    instruction order.
+    Random measurement outcomes are drawn by the tableau. A noisy circuit
+    is refused with ValueError before tab changes: run_shots samples noise.
     """
+    if circuit.has_noise():
+        raise ValueError("execute runs noiseless circuits only: this circuit has noise; "
+                         "sample it with run_shots")
     creg = [0] * circuit.n_cregs
     for ins in circuit.instructions:
         _apply(ins, tab, creg)
@@ -346,7 +342,7 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
         for h in range(0, len(test), FRAME_BLOCK):
             hits = slice(h, h + FRAME_BLOCK)
             i, row, col, val = _hit_entries(plan, test[hits])
-            xz = _hit_exponents(code[hits], plan.d, 2)  # a site's code leaves digits 2, 3 at 0
+            xz = _hit_exponents(code[hits], plan.d)
             np.add.at(flat, shot[hits][i] * out.shape[1] + col, xz[i, row] * val)
         for read, table in plan.reads:
             out += table[out[:, read] % plan.d]
@@ -400,8 +396,7 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
     writer = [-1] * circuit.n_cregs
     ref, read_at = [], []  # read_at: (source measurement, its reference value) per CondGate
     for ins in circuit.instructions[:tail]:
-        if not isinstance(ins, Noise):
-            _apply(ins, tab, creg, force=0)
+        _apply(ins, tab, creg, force=0)
         if isinstance(ins, Measure):
             writer[ins.creg] = len(ref)
             ref.append(creg[ins.creg])

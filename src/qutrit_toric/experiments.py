@@ -173,8 +173,9 @@ class ScriptRunner:
             elif isinstance(step, InsertCC):
                 frag, spec = cc_defect_circuit(lat, step.ribbon)
             elif isinstance(step, Fuse):
-                frag = fuse_cc_pair(lat, self.defect_specs[step.defect_index])
-                live.pop(step.defect_index, None)
+                if step.defect_index not in live:
+                    raise ValueError(f"fuse names defect {step.defect_index}, which is not live")
+                frag = fuse_cc_pair(lat, live.pop(step.defect_index))
             elif isinstance(step, Move):
                 frag.gates(weyl_gates(self.solve_move(step)))
             elif isinstance(step, Snapshot):

@@ -97,10 +97,6 @@ class TorusLattice:
     def a_plaquettes(self) -> list[Plaquette]:
         return [p for p in self.plaquettes if p.kind == "A"]
 
-    @property
-    def b_plaquettes(self) -> list[Plaquette]:
-        return [p for p in self.plaquettes if p.kind == "B"]
-
     def faces_of_site(self, x: int, y: int) -> list[Plaquette]:
         """The four faces containing vertex (x, y): NW, NE, SW, SE."""
         return [self.plaquette_at(x + dx, y + dy) for dy in (-1, 0) for dx in (-1, 0)]

@@ -53,10 +53,6 @@ class WeylOp:
         return self.x.shape[0]
 
     @classmethod
-    def identity(cls, d: int, n: int) -> "WeylOp":
-        return cls(d, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), 0)
-
-    @classmethod
     def from_site(cls, d: int, n: int, site: int, xe: int, ze: int, phase: int = 0) -> "WeylOp":
         x = np.zeros(n, dtype=np.int64)
         z = np.zeros(n, dtype=np.int64)
@@ -75,10 +71,6 @@ class WeylOp:
         return cls(d, x, z, phase)
 
     @property
-    def is_identity(self) -> bool:
-        return self.phase == 0 and not self.x.any() and not self.z.any()
-
-    @property
     def support(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.nonzero((self.x != 0) | (self.z != 0))[0])
 
@@ -95,13 +87,6 @@ class WeylOp:
     def inverse(self) -> "WeylOp":
         cross = int(np.dot(self.x, self.z)) % self.d
         return WeylOp(self.d, -self.x, -self.z, -self.phase + cross)
-
-    def with_phase(self, phase: int) -> "WeylOp":
-        return WeylOp(self.d, self.x, self.z, phase)
-
-    def same_string(self, other: "WeylOp") -> bool:
-        """True when exponent vectors agree (phase ignored)."""
-        return bool(np.array_equal(self.x, other.x) and np.array_equal(self.z, other.z))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylOp):
@@ -230,16 +215,8 @@ def shift_x(t: int) -> CliffordGate:
     return CliffordGate(GateKind.SHIFT_X, (t,))
 
 
-def shift_x_dag(t: int) -> CliffordGate:
-    return CliffordGate(GateKind.SHIFT_X_DAG, (t,))
-
-
 def clock_z(t: int) -> CliffordGate:
     return CliffordGate(GateKind.CLOCK_Z, (t,))
-
-
-def clock_z_dag(t: int) -> CliffordGate:
-    return CliffordGate(GateKind.CLOCK_Z_DAG, (t,))
 
 
 def conj_c(t: int) -> CliffordGate:

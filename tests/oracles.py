@@ -300,7 +300,7 @@ def basis_exponents(op: WeylOp, basis_obs: list[WeylOp]) -> tuple[np.ndarray, in
     so a shot with per-site outcomes s has op-sector kappa + m . s (mod d).
     """
     d = op.d
-    total = WeylOp.identity(d, op.n)
+    total = WeylOp(d, np.zeros(op.n, dtype=int), np.zeros(op.n, dtype=int))
     m = np.zeros(op.n, dtype=np.int64)
     for i in op.support:
         w = basis_obs[i]
@@ -311,7 +311,7 @@ def basis_exponents(op: WeylOp, basis_obs: list[WeylOp]) -> tuple[np.ndarray, in
         else:
             raise ValueError(f"operator not diagonal in the measured basis at site {i}")
         total = total @ w.power(int(m[i]))
-    if not total.same_string(op):
+    if not (np.array_equal(total.x, op.x) and np.array_equal(total.z, op.z)):
         raise ValueError("operator does not factor over the measured basis")
     return m, (op.phase - total.phase) % d
 

@@ -120,7 +120,7 @@ def _random_measurement_circuit(rng, n, depth, n_meas):
         while k < n_meas and insert_at[k] <= pos:
             site = int(rng.integers(n))
             w = WeylOp.from_site(3, n, site, int(rng.integers(3)), int(rng.integers(3)))
-            if w.is_identity:
+            if not (w.x.any() or w.z.any()):
                 w = WeylOp.from_site(3, n, site, 1, 0)
             circ.measure(w, k)
             obs.append(w)
@@ -292,8 +292,6 @@ def test_criterion_5_fusion_identity_physical():
     for vin in (1, 2):
         hits = []
         for vmid in (1, 2):
-            keep1 = [op for key, op in stabs.items()
-                     if key not in frees and key not in (("face", (3, 0)), ("face", (2, 2)))]
             if solve_weyl_op(lat, full,
                              *xz_stacks([op for key, op in stabs.items()
                                          if key not in [frees[0]]

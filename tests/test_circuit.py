@@ -17,6 +17,7 @@ from qutrit_toric.circuit import (
     TREE_MAX_RANDOM_MEASUREMENTS,
     _hit_exponents,
     exact_outcome_distribution,
+    execute,
     outcome_leaves,
     run_shots,
 )
@@ -114,7 +115,7 @@ class TestDeterminism:
         c = Circuit(3, 1, 1)
         c.gate(weyl.fourier(0))
         c.measure(WeylOp.from_site(3, 1, 0, 0, 1), 0)
-        c.cond(0, {0: (), 1: (weyl.shift_x_dag(0),), 2: (weyl.shift_x(0),)})
+        c.cond(0, {0: (), 1: (weyl.shift_x(0).inverse(),), 2: (weyl.shift_x(0),)})
         c.measure(WeylOp.from_site(3, 1, 0, 0, 1), 0)
         for seed in range(30):
             r = final_tableau(c, seed)[1]
@@ -134,11 +135,10 @@ class TestDeterminism:
             tvd, bound = sampled_tvd(values, exact)
             assert tvd <= bound
 
-    def test_per_shot_values_pinned(self):
-        """The per-shot sampler's draws (noise uniforms, then codes, in
-        instruction order) give the values recorded for this circuit before
-        both engines read noise through one digit decoder; run_shots refuses
-        the circuit, naming its first non-shift branch gate."""
+    def test_noisy_circuit_refused_by_execute(self):
+        """execute refuses a noisy circuit before the tableau or its generator
+        changes, pointing to run_shots; run_shots refuses this circuit too,
+        naming its first non-shift branch gate."""
         c = Circuit(3, 3, 3)
         c.gate(weyl.fourier(0)).gate(weyl.cx(0, 1))
         c.noise(NoiseChannel("depolarizing1", 0.3), (0, 2))
@@ -148,10 +148,14 @@ class TestDeterminism:
         c.noise(NoiseChannel("depolarizing2", 0.5), (1, 2))
         c.measure(WeylOp.from_site(3, 3, 1, 0, 1), 1)
         c.measure(WeylOp.from_site(3, 3, 2, 1, 0), 2)
-        pinned = [[2, 1, 0], [2, 1, 0], [1, 0, 0], [1, 1, 0], [0, 2, 2], [2, 0, 1], [2, 0, 2],
-                  [1, 0, 2], [2, 0, 2], [0, 0, 0], [1, 2, 1], [2, 2, 2], [2, 1, 2], [1, 1, 0],
-                  [1, 1, 0], [1, 2, 0]]
-        assert [final_tableau(c, shot_seed(11, i))[1] for i in range(16)] == pinned
+        tab = StabilizerTableau(3, 3, np.random.default_rng(11))
+        tab.apply_gate(weyl.fourier(1))
+        before = (tab.x.copy(), tab.z.copy(), tab.ph.copy(), tab.rng.bit_generator.state)
+        with pytest.raises(ValueError, match="execute runs noiseless circuits only: this "
+                           "circuit has noise; sample it with run_shots"):
+            execute(c, tab)
+        assert all(np.array_equal(a, b) for a, b in zip(before, (tab.x, tab.z, tab.ph)))
+        assert tab.rng.bit_generator.state == before[3]
         with pytest.raises(ValueError, match="feed-forward gate 'h' is not an X/Z shift"):
             run_shots(c, 16, base_seed=11)
 
@@ -214,7 +218,7 @@ class TestOutcomeTree:
 
 
 def reference_run_shot(circuit, seed):
-    """Straight-line shot loop, written out here as the reference for execute."""
+    """Straight-line noiseless shot loop, written out here as the reference for execute."""
     rng = np.random.default_rng(seed)
     tab = StabilizerTableau(circuit.d, circuit.n_qudits, rng)
     creg = [0] * circuit.n_cregs
@@ -226,16 +230,6 @@ def reference_run_shot(circuit, seed):
         elif isinstance(ins, CondGate):
             for g in ins.predicate[creg[ins.creg]]:
                 tab.apply_gate(g)
-        elif isinstance(ins, Noise):
-            ch, width = ins.channel, len(ins.sites)
-            if ch.kind == "depolarizing1":  # a hit test and a code per site
-                u, code = rng.random((1, width)), rng.integers(1, circuit.d ** 2, (1, width))
-            else:  # one hit test and one code for the pair
-                u, code = rng.random((1, 1)), rng.integers(1, circuit.d ** 4, (1, 1))
-            (xz,) = dense_noise_exponents(ch, circuit.d, u, code)
-            pattern = {s: (int(a), int(b)) for s, (a, b) in zip(ins.sites, xz) if a or b}
-            if pattern:
-                tab.apply_weyl(WeylOp.from_pattern(circuit.d, circuit.n_qudits, pattern))
     return creg
 
 
@@ -292,7 +286,7 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
                 tests += len(sites) // width
                 # a code for each hit, and for nothing else
                 assert np.array_equal(codes[:, cols] > 0, u[:, cols] < ins.channel.p)
-                err = _hit_exponents(codes[:, cols], d, width).reshape(m, len(sites), 2)
+                err = _hit_exponents(codes[:, cols], d)[..., :2 * width].reshape(m, len(sites), 2)
                 xz[:, :, sites] = (xz[:, :, sites] + err.transpose(0, 2, 1)) % d
             elif isinstance(ins, CondGate):
                 shift = np.zeros((d, 2, n), dtype=np.int64)
@@ -317,7 +311,8 @@ def random_mixed_circuit(rng, n: int, n_cregs: int = 3, weyl_branches: bool = Fa
     weyl_branches draws every feed-forward gate from the X/Z shifts."""
     kinds1 = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
     kinds2 = sorted(weyl.TWO_QUDIT_KINDS, key=lambda k: k.value)
-    shifts = (weyl.shift_x, weyl.shift_x_dag, weyl.clock_z, weyl.clock_z_dag)
+    shifts = (weyl.shift_x, lambda t: weyl.shift_x(t).inverse(),
+              weyl.clock_z, lambda t: weyl.clock_z(t).inverse())
 
     def gate():
         if n > 1 and rng.random() < 0.4:
@@ -471,11 +466,11 @@ def has_non_weyl_feed_forward(circuit: Circuit) -> bool:
 class TestSingleInterpreter:
     @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-stripped"])
     def test_run_shot_matches_straight_line_reference(self, noisy):
-        """execute draws noise and outcomes exactly as the straight-line loop
-        did; run_shots refuses a circuit with non-shift feed-forward and on
-        the others gives only outcomes the exact distribution allows; where
-        the tree stays within its budget, its exact distribution matches the
-        dense oracle."""
+        """On a noiseless circuit execute draws outcomes exactly as the
+        straight-line loop did; run_shots refuses a circuit with non-shift
+        feed-forward and on the others gives only outcomes the exact
+        distribution allows; where the tree stays within its budget, its
+        exact distribution matches the dense oracle."""
         rng = np.random.default_rng(2024)
         kinds = set()
         trees = 0
@@ -498,9 +493,10 @@ class TestSingleInterpreter:
             kinds.update(i.channel.kind for i in c.instructions if isinstance(i, Noise))
             kinds.update("multi-site" for i in c.instructions
                          if isinstance(i, Measure) and len(i.observable.support) > 1)
-            for seed in range(5):
-                s = shot_seed(trial, seed)
-                assert final_tableau(c, s)[1] == reference_run_shot(c, s), (trial, seed)
+            if not noisy:
+                for seed in range(5):
+                    s = shot_seed(trial, seed)
+                    assert final_tableau(c, s)[1] == reference_run_shot(c, s), (trial, seed)
             if has_non_weyl_feed_forward(c):
                 routes["refused"] += 1
                 with pytest.raises(ValueError, match="is not an X/Z shift"):
@@ -628,7 +624,8 @@ def edge_circuits() -> dict[str, Circuit]:
 
     dep1 = NoiseChannel("depolarizing1", 0.3)
     rewritten = Circuit(3, 2, 2).gate(weyl.fourier(0)).measure(z(0), 0).noise(dep1, (0, 1))
-    rewritten.cond(0, {0: (), 1: (weyl.shift_x(1),), 2: (weyl.shift_x_dag(1), weyl.clock_z(0))})
+    rewritten.cond(0, {0: (), 1: (weyl.shift_x(1),),
+                       2: (weyl.shift_x(1).inverse(), weyl.clock_z(0))})
     rewritten.gate(weyl.fourier(0)).measure(z(0), 0)  # creg 0 rewritten after the read
     rewritten.cond(0, {0: (weyl.shift_x(1),), 1: (), 2: (weyl.shift_x(1),)})
     rewritten.measure(z(1), 1)
@@ -640,7 +637,7 @@ def edge_circuits() -> dict[str, Circuit]:
         if first:
             c.noise(*first)
         c.measure(WeylOp.from_site(3, 3, 0, 0, 1), 0)
-        c.cond(0, {0: (), 1: (weyl.shift_x(2),), 2: (weyl.clock_z(1), weyl.shift_x_dag(2))})
+        c.cond(0, {0: (), 1: (weyl.shift_x(2),), 2: (weyl.clock_z(1), weyl.shift_x(2).inverse())})
         c.gate(weyl.fourier(1)).gate(weyl.cz(1, 2))
         if last:
             c.noise(*last)
@@ -700,13 +697,15 @@ class TestCompiledFrames:
     @pytest.mark.parametrize("kind", ["depolarizing1", "depolarizing2"])
     def test_noise_exponents_stream(self, kind, p):
         """On the same pre-drawn uniforms and codes, the one digit decode returns
-        each kind's own formula's errors."""
+        each kind's own formula's errors; a site's code leaves digits 2 and 3 at 0."""
         channel = NoiseChannel(kind, p)
         rng = np.random.default_rng(6)
         tests, width = (2, 1) if kind == "depolarizing1" else (1, 2)
         u = rng.random((3000, tests))
         code = rng.integers(1, 3 ** (2 * width), (3000, tests))
-        got = _hit_exponents((u < p) * code, 3, width).reshape(3000, 2, 2)
+        got = _hit_exponents((u < p) * code, 3)
+        assert not got[..., 2 * width:].any()
+        got = got[..., :2 * width].reshape(3000, 2, 2)
         want = dense_noise_exponents(channel, 3, u, code)
         assert got.shape == (3000, 2, 2) and got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -730,7 +729,7 @@ def circuit_with_tail(rng, n: int, clash: bool) -> tuple[Circuit, int]:
     e = rng.integers(1, 3, size=(int(rng.integers(1, n + 2)), n))
     x, z = e @ group.x[n:] % 3, e @ group.z[n:] % 3
     tail = [WeylOp(3, a, b, int(rng.integers(3))) for a, b in zip(x, z)]
-    tail.append(tail[0].with_phase(int(rng.integers(3))))
+    tail.append(WeylOp(3, tail[0].x, tail[0].z, int(rng.integers(3))))
     tail.append(tail[-1] @ tail[int(rng.integers(len(tail)))])
     tail = [w for w in tail if w.x.any() or w.z.any()]
     if clash:
@@ -788,7 +787,7 @@ class TestBatchedReference:
         assert circuit_module._reference_tail(c) == 2  # no measurement after the last gate
         c.measure(x0, 1).barrier().measure(z0, 2)
         assert circuit_module._reference_tail(c) == 4  # x0 clashes with z0: only z0 is batched
-        c.instructions[-1] = Measure(x0.with_phase(1), 2)
+        c.instructions[-1] = Measure(WeylOp.from_site(3, 2, 0, 1, 0, phase=1), 2)
         assert circuit_module._reference_tail(c) == 2  # both x0: all batched
         c.cond(2, {0: (), 1: (), 2: ()})
         assert circuit_module._reference_tail(c) == 6
@@ -825,7 +824,7 @@ class TestStatistics:
             for k in range(2):
                 site = int(rng.integers(n))
                 w = WeylOp.from_site(3, n, site, int(rng.integers(3)), int(rng.integers(3)))
-                if w.is_identity:
+                if not (w.x.any() or w.z.any()):
                     w = WeylOp.from_site(3, n, site, 0, 1)
                 obs.append(w)
                 c.measure(w, k)
@@ -852,13 +851,13 @@ class TestStatistics:
             assert tvd < 1e-9, (trial, tvd)
 
     def test_depolarizing2_certain_error_pattern(self):
-        """p = 1 on one two-qudit gate: projector means over shots match the
-        exhaustive enumeration of the 80 two-site errors."""
+        """p = 1 on one two-qudit gate: the sampled frequency of the A face
+        reading +1 matches the exhaustive enumeration of the 80 two-site errors."""
         lat = build_lattice(2, 2)
         prep = ground_state_circuit(lat)
         gates = [i.gate for i in prep.instructions]
         target_pair = gates[-1].targets
-        noisy = Circuit(3, 4, 0)
+        noisy = Circuit(3, 4, 1)
         noisy.gates(gates)
         noisy.noise(NoiseChannel("depolarizing2", 1.0), target_pair)
         # enumeration oracle
@@ -873,11 +872,9 @@ class TestStatistics:
             tab.apply_weyl(err)
             acc += tab.projector_triple(a_face)
         expected_pi1 = acc[0] / 80
-        sampled = []
-        for i in range(4000):
-            tab, _ = final_tableau(noisy, seed=shot_seed(21, i))
-            sampled.append(projector_expectation(tab, a_face, 0))
-        assert np.mean(sampled) == pytest.approx(expected_pi1, abs=0.03)
+        noisy.measure(a_face, 0)
+        sampled = run_shots(noisy, 4000, base_seed=21).values[:, 0]
+        assert np.mean(sampled == 0) == pytest.approx(expected_pi1, abs=0.03)
 
     def test_default_shot_count_standard_error(self):
         # 517 shots at p = 1/2 gives the quoted ~0.022 maximum standard error
@@ -900,7 +897,7 @@ class TestNoiselessInvariants:
         circ.extend(measure_all_circuit(lat, "z"))
         batch = run_shots(circ, 100, base_seed=5)
         for r in batch.values:
-            for p in lat.b_plaquettes:
+            for p in (p for p in lat.plaquettes if p.kind == "B"):
                 total = sum(
                     e * int(r[s]) for s, e in zip(p.corners, p.exponents)
                 ) % 3
@@ -910,7 +907,7 @@ class TestNoiselessInvariants:
 class TestSerialization:
     def test_every_instruction_kind_written_as_documented(self):
         c = bell_like_circuit().with_noise(p1=0.01, p2=0.02)
-        c.cond(0, {0: (), 1: (weyl.clock_z(0),), 2: (weyl.clock_z_dag(0),)})
+        c.cond(0, {0: (), 1: (weyl.clock_z(0),), 2: (weyl.clock_z(0).inverse(),)})
         c.barrier()
         assert circuit_to_json(c) == {
             "schema": "qutrit-toric/circuit/v1",

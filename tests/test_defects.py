@@ -114,7 +114,8 @@ class TestParafermionDefect:
                     fused = spec.stabilizers[name][0]
                     P, Q = P.operator(n), Q.operator(n)
                     m, = {m for m in range(d) for b in range(d)
-                          if (fused @ W.power(m)).same_string(P @ Q.power(b))}
+                          if np.array_equal(*[np.r_[o.x, o.z]
+                                              for o in (fused @ W.power(m), P @ Q.power(b))])}
                     assert symplectic_product(F, fused) == m, (*where, name)
 
 

@@ -384,7 +384,7 @@ class TestRotatedMeasurementAndCond:
         on every outcome the ops act as the branch gates followed by the gate."""
         circ = Circuit(3, 2, 1)
         circ.measure(WeylOp.from_site(3, 2, 0, 0, 1), 0)
-        predicate = {0: (), 1: (weyl.shift_x(1),), 2: (weyl.shift_x_dag(1),)}
+        predicate = {0: (), 1: (weyl.shift_x(1),), 2: (weyl.shift_x(1).inverse(),)}
         circ.cond(0, predicate)
         circ.gate(gate)
         tokens = encoder._token_stream(circ, None, 1)

@@ -207,6 +207,19 @@ class TestFuseStep:
         with pytest.raises(ValueError, match="CC defect spec"):
             ScriptRunner(s, seed=0).run()
 
+    @pytest.mark.parametrize("script, index", [(cc_braid_script, 0), (pf_braid_script, 3)],
+                             ids=["fused-twice", "never-inserted"])
+    def test_fusing_a_defect_that_is_not_live_is_refused(self, script, index):
+        """Fuse(i) fuses live defect i only: a second Fuse(0) on braid-cc
+        (already fused) and Fuse(3) on braid-pf (never inserted) are refused,
+        naming the index."""
+        from qutrit_toric.experiments import Fuse, Snapshot
+
+        s = script()
+        s.steps += [Fuse(index), Snapshot("after")]
+        with pytest.raises(ValueError, match=f"fuse names defect {index}, which is not live"):
+            ScriptRunner(s, seed=0).run()
+
 
 class TestFusionIdentity:
     """The stacked opposite-species pair composite acts as conjugation."""

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from qutrit_toric import lattice
+from qutrit_toric.circuit import run_shots
 from qutrit_toric.defects import solve_weyl_op
+from qutrit_toric.estimators import estimate_plaquette_projectors
 from qutrit_toric.lattice import (
     build_lattice,
     default_preparation_order,
     ground_state_circuit,
+    measure_all_circuit,
     validate_preparation_order,
 )
 from qutrit_toric.weyl import WeylOp, symplectic_product
@@ -38,7 +41,7 @@ class TestGeometry:
         lat = build_lattice(*dims)
         assert lat.n_sites == n_sites
         assert len(lat.a_plaquettes) == per_type
-        assert len(lat.b_plaquettes) == per_type
+        assert sum(p.kind == "B" for p in lat.plaquettes) == per_type
 
     def test_odd_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -274,13 +277,8 @@ class TestAnyonStrings:
         prepared implicitly, which then shows the lowest +1 weight."""
         lat = build_lattice(6, 4)
         circ = ground_state_circuit(lat).with_noise(p2=2e-3)
+        circ.extend(measure_all_circuit(lat, "x"))
         imp = implicit_plaquette(lat).pos
-        sums = {p.pos: 0.0 for p in lat.a_plaquettes}
-        n_shots = 3000
-        for i in range(n_shots):  # shot i seeded by SeedSequence hashing of (77, i)
-            seed = int(np.random.SeedSequence([77, i]).generate_state(1)[0])
-            tab, _ = final_tableau(circ, seed=seed)
-            for p in lat.a_plaquettes:
-                sums[p.pos] += projector_expectation(tab, p.operator(lat.n_sites), 0)
-        means = {pos: v / n_shots for pos, v in sums.items()}
+        values = run_shots(circ, 3000, base_seed=77).values
+        means = {tuple(f["pos"]): f["pi1"] for f in estimate_plaquette_projectors(values, "x", lat)}
         assert min(means, key=means.get) == imp

@@ -32,7 +32,7 @@ def random_gate(rng, n):
 
 def random_weyl(rng, d, n):
     w = WeylOp(d, rng.integers(0, d, n), rng.integers(0, d, n), int(rng.integers(d)))
-    if w.is_identity:
+    if not (w.x.any() or w.z.any() or w.phase):
         return WeylOp.from_site(d, n, 0, 1, 0)
     return w
 
@@ -57,7 +57,7 @@ class TestInitialState:
 
         lat = build_lattice(6, 4)
         tab = new_computational(3, 24, seed=0)
-        for p in lat.b_plaquettes:
+        for p in (p for p in lat.plaquettes if p.kind == "B"):
             assert expectation_weyl(tab, p.operator(24)) == pytest.approx(1)
 
     def test_validate_initial(self):
@@ -411,11 +411,11 @@ class TestLookupAtScale:
             w = weyl.conjugate_through(layer, p.operator(n))
             assert tab.deterministic_outcome(w) == ref.deterministic_outcome(w) is not None
         for _ in range(20):
-            w = WeylOp.identity(d, n)
+            w = WeylOp(d, np.zeros(n, dtype=int), np.zeros(n, dtype=int))
             for i in rng.permutation(n):
                 w = w @ stabilizer(tab, int(i)).power(int(rng.integers(d)))
             k = int(rng.integers(d))
-            w = w.with_phase(w.phase + k)
+            w = WeylOp(d, w.x, w.z, w.phase + k)
             assert tab.deterministic_outcome(w) == ref.deterministic_outcome(w) == k
         random_ops = [random_weyl(rng, d, n) for _ in range(5)]
         assert all(tab.deterministic_outcome(w) is ref.deterministic_outcome(w) is None
@@ -456,10 +456,10 @@ def random_clifford_state(d, n, seed):
 
 def phased_element(tab, rng, k):
     """omega^k times a product of random stabilizer powers, in random order."""
-    w = WeylOp.identity(tab.d, tab.n)
+    w = WeylOp(tab.d, np.zeros(tab.n, dtype=int), np.zeros(tab.n, dtype=int))
     for i in rng.permutation(tab.n):
         w = w @ stabilizer(tab, int(i)).power(int(rng.integers(tab.d)))
-    return w.with_phase(w.phase + k)
+    return WeylOp(tab.d, w.x, w.z, w.phase + k)
 
 
 def stacked(ops, n):
@@ -542,8 +542,9 @@ class TestReferenceOutcomes:
             group, _ = random_clifford_state(d, n, seed + 1000)  # ops from its stabilizer group
             ops = [phased_element(group, rng, int(rng.integers(d)))
                    for _ in range(int(rng.integers(1, 2 * n + 2)))]
-            ops = [w for w in ops if not w.is_identity] or [stabilizer(group, 0)]
-            ops.append(ops[int(rng.integers(len(ops)))].with_phase(int(rng.integers(d))))
+            ops = [w for w in ops if w.x.any() or w.z.any() or w.phase] or [stabilizer(group, 0)]
+            w = ops[int(rng.integers(len(ops)))]
+            ops.append(WeylOp(d, w.x, w.z, int(rng.integers(d))))
             ops.append((ops[0] @ ops[-1]).power(2))
             before = (tab.x.copy(), tab.z.copy(), tab.ph.copy())
             got = tab.reference_outcomes(*stacked(ops, n))
