@@ -2,9 +2,10 @@
 
 Instructions are gates, Weyl-observable measurements into classical
 registers, outcome-conditioned gate blocks (feed-forward), depolarizing
-Weyl noise, and barriers. `_apply` is the one place a noiseless
-instruction acts on a tableau; `execute` loops over it and refuses a
-noisy circuit, so `run_shots` is the one noise sampler.
+Weyl noise, and barriers. Every engine entry (`execute`, `run_shots`,
+`outcome_leaves`) first runs `Circuit.validate`. `_apply` is the one place
+a noiseless instruction acts on a tableau; `execute` loops over it and
+refuses a noisy circuit, so `run_shots` is the one noise sampler.
 
 `run_shots` samples with Weyl frames (Pauli-frame sampling carried over
 to Z_d). One reference shot on the tableau (noise stripped, random
@@ -237,9 +238,10 @@ def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
 def execute(circuit: Circuit, tab: StabilizerTableau) -> list[int]:
     """Apply a noiseless circuit's instructions to tab in order; return the creg values.
 
-    Random measurement outcomes are drawn by the tableau. A noisy circuit
+    Random measurement outcomes are drawn by the tableau. An invalid or noisy circuit
     is refused with ValueError before tab changes: run_shots samples noise.
     """
+    circuit.validate()
     if circuit.has_noise():
         raise ValueError("execute runs noiseless circuits only: this circuit has noise; "
                          "sample it with run_shots")
@@ -253,9 +255,10 @@ def outcome_leaves(circuit: Circuit) -> Iterator[tuple]:
     """Leaves of the exact outcome tree in path order: (path, creg values, tableau).
 
     Depth first, holding one tableau per level; a path lists the random
-    outcomes down to its leaf. Raises ValueError for a noisy circuit, and
+    outcomes down to its leaf. Raises ValueError for an invalid or noisy circuit, and
     before a branch would fork past TREE_MAX_RANDOM_MEASUREMENTS outcomes.
     """
+    circuit.validate()
     refusal = "the exact outcome tree needs a noiseless, low-branching circuit: "
     if circuit.has_noise():
         raise ValueError(refusal + "this circuit has noise")

@@ -38,13 +38,7 @@ from .encoder import (
     zz_budget,
 )
 from .estimators import estimate_plaquette_projectors, snapshots_from_outcomes
-from .experiments import (
-    ScriptRunner,
-    TopologicalQutritProtocol,
-    braid_scripts,
-    topo_layout_6x2,
-    topo_layout_6x4,
-)
+from .experiments import BRAID_PRESETS, TOPO_LAYOUTS, ScriptRunner, TopologicalQutritProtocol
 from .lattice import build_lattice, ground_state_circuit, measure_all_circuit
 from .serialize import (
     circuit_to_json,
@@ -114,7 +108,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def _config_echo(args) -> dict:
     """Every option of the subcommand but --config, --output and --csv (no result reads them)."""
     return {k: v for k, v in vars(args).items()
-            if k not in ("subcommand", "config", "output", "csv")}
+            if k not in ("subcommand", "run", "config", "output", "csv")}
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -171,8 +165,8 @@ def cmd_prepare(args) -> dict:
     return payload
 
 
-def cmd_braid(args, name: str) -> dict:
-    script = braid_scripts()[name]
+def cmd_braid(args) -> dict:
+    script = BRAID_PRESETS[args.subcommand]()
     return {
         "preset": script.name,
         "lattice": [script.lx, script.ly],
@@ -182,13 +176,13 @@ def cmd_braid(args, name: str) -> dict:
 
 
 def cmd_topo(args) -> dict:
-    if (args.lx, args.ly) not in ((6, 2), (6, 4)):
+    layout = TOPO_LAYOUTS.get((args.lx, args.ly))
+    if layout is None:
         raise ConfigError("topological qutrit presets exist for 6x2 and 6x4")
-    layout = topo_layout_6x2() if (args.lx, args.ly) == (6, 2) else topo_layout_6x4()
     return {
         "preset": f"topo-qutrit-{args.lx}x{args.ly}",
         "lattice": [args.lx, args.ly],
-        **TopologicalQutritProtocol(layout).run(args.seed),
+        **TopologicalQutritProtocol(layout()).run(args.seed),
     }
 
 
@@ -303,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, lattice=True, csv=False):
+    def command(name, run, help, lattice=True, csv=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         if lattice:
             p.add_argument("--lx", type=_torus_side, default=6)
             p.add_argument("--ly", type=_torus_side, default=4)
@@ -313,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", help="output path ('-' for stdout)")
         if csv:
             p.add_argument("--csv", help="also write a CSV table to this path")
+        return p
 
-    p = sub.add_parser("prepare", help="ground-state preparation experiment")
-    common(p, csv=True)
+    p = command("prepare", cmd_prepare, "ground-state preparation experiment", csv=True)
     p.add_argument("--shots", type=_non_negative_int, default=0,
                    help=f"0 = exact expectations (--noise off) or {DEFAULT_SHOTS} shots per basis")
     p.add_argument("--noise", choices=["off", "default"], default="off")
@@ -326,25 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leak", type=_probability, default=LEAK_PER_TWO_QUBIT,
                    help="leak probability per entangler per qubit")
 
-    for name in ("braid-pf", "braid-cc", "fuse-pf-pfstar"):
-        p = sub.add_parser(name, help=f"{name} braiding preset (noiseless frames)")
-        common(p, lattice=False)
+    for name in BRAID_PRESETS:
+        command(name, cmd_braid, f"{name} braiding preset (noiseless frames)", lattice=False)
 
-    p = sub.add_parser("topo-qutrit", help="entangled defect-pair protocol")
-    common(p, csv=True)
-    p.set_defaults(ly=2)
+    command("topo-qutrit", cmd_topo, "entangled defect-pair protocol", csv=True).set_defaults(ly=2)
 
-    p = sub.add_parser("compile", help="compile the ground-state preparation to native gates")
-    common(p)
+    p = command("compile", cmd_compile, "compile the ground-state preparation to native gates")
     p.add_argument("--basis", choices=["z", "x"], default="z")
     p.add_argument("--optimization", type=int, default=1, choices=[0, 1])
     p.add_argument("--dump-ops", action="store_true")
 
-    p = sub.add_parser("verify", help="oracle self-check suites")
-    common(p, lattice=False)
+    command("verify", cmd_verify, "oracle self-check suites", lattice=False)
 
-    p = sub.add_parser("bounds", help="two-projector fidelity bound")
-    common(p, lattice=False)
+    p = command("bounds", cmd_bounds, "two-projector fidelity bound", lattice=False)
     p.add_argument("--trp", type=_finite_float)
     p.add_argument("--trq", type=_finite_float)
     p.add_argument("--sites", type=_positive_int)
@@ -407,20 +397,7 @@ def main(argv=None) -> int:
     try:
         if csv == "-":
             raise ConfigError("cannot write --csv -: stdout carries the result document")
-        if name == "prepare":
-            payload = cmd_prepare(args)
-        elif name in ("braid-pf", "braid-cc", "fuse-pf-pfstar"):
-            payload = cmd_braid(args, name)
-        elif name == "topo-qutrit":
-            payload = cmd_topo(args)
-        elif name == "compile":
-            payload = cmd_compile(args)
-        elif name == "verify":
-            payload = cmd_verify(args)
-        elif name == "bounds":
-            payload = cmd_bounds(args)
-        else:
-            raise ConfigError(f"unknown subcommand {name}")
+        payload = args.run(args)
         doc = result_document(name, _config_echo(args), payload)
         if csv is not None:  # before the document, so a run that fails leaves neither file
             made = _write_text("--csv", csv, _csv_text(*_csv_table(payload)))

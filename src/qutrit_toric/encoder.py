@@ -260,6 +260,7 @@ def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
     """Qutrit-level token stream with Fourier-expansion and peephole passes. Each token
     is (key, qutrits, creg): key is a token_summary key, "cond" (the predicate fills
     qutrits) or "barrier" (no qutrits); creg is 0 but for measurements and conds."""
+    circuit.validate()
     tokens: list[tuple] = []
     fresh = set(range(circuit.n_qudits))
     for ins in circuit.instructions:
@@ -352,7 +353,6 @@ def compile_report(circuit: Circuit, basis: str | None = None,
     the qubit circuit. A barrier levels every qubit; a cond advances every
     qubit its branches touch by the op count of its longest branch, and
     adds its largest branch zzphase count."""
-    circuit.validate()
     level = [0] * (2 * circuit.n_qudits)
     per_qutrit = [0] * circuit.n_qudits
     gate_counts: Counter[str] = Counter()
@@ -401,7 +401,6 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
     for fresh Fourier targets, two-CNOT copies onto fresh CX targets,
     and Fourier-pair cancellation into measurement rotations.
     """
-    circuit.validate()
     qc = QubitCircuit(2 * circuit.n_qudits)
     for key, qutrits, creg in _token_stream(circuit, basis, optimization_level):
         if key == "barrier":

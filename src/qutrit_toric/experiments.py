@@ -306,6 +306,10 @@ def pf_pfstar_script() -> Script:
     return s
 
 
+BRAID_PRESETS = {"braid-pf": pf_braid_script, "braid-cc": cc_braid_script,
+                 "fuse-pf-pfstar": pf_pfstar_script}
+
+
 # -- topological qutrit protocol ----------------------------------------------------
 
 
@@ -329,6 +333,9 @@ def topo_layout_6x4() -> TopologicalQutritLayout:
     r1 = CCRibbon.canonical(lat, (1, 1), 2)
     r2 = CCRibbon.canonical(lat, (4, 3), 1)
     return TopologicalQutritLayout(lat, (r1, r2), ((1, 1), (2, 2), (3, 3)))
+
+
+TOPO_LAYOUTS = {(6, 2): topo_layout_6x2, (6, 4): topo_layout_6x4}
 
 
 class TopologicalQutritProtocol:
@@ -438,11 +445,3 @@ class TopologicalQutritProtocol:
         if op is None:
             raise AssertionError("no logical shift loop exists; bad layout")
         return op
-
-
-def braid_scripts() -> dict[str, Script]:
-    return {
-        "braid-pf": pf_braid_script(),
-        "braid-cc": cc_braid_script(),
-        "fuse-pf-pfstar": pf_pfstar_script(),
-    }

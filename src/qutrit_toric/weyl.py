@@ -165,7 +165,6 @@ ONE_QUDIT_KINDS = {
     GateKind.FOURIER,
     GateKind.FOURIER_DAG,
 }
-TWO_QUDIT_KINDS = {GateKind.CX, GateKind.CX_DAG, GateKind.CZ, GateKind.CZ_DAG}
 
 _INVERSE_KIND = {
     GateKind.SHIFT_X: GateKind.SHIFT_X_DAG,

@@ -104,7 +104,7 @@ def test_criterion_1_ideal_preparation():
 
 def _random_measurement_circuit(rng, n, depth, n_meas):
     kinds1 = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
-    kinds2 = sorted(weyl.TWO_QUDIT_KINDS, key=lambda k: k.value)
+    kinds2 = sorted(set(weyl.GateKind) - weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
     circ = Circuit(3, n, n_meas)
     gates = []
     for _ in range(depth):

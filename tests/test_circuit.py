@@ -21,6 +21,7 @@ from qutrit_toric.circuit import (
     outcome_leaves,
     run_shots,
 )
+from qutrit_toric.encoder import compile_report, encode_circuit, per_qutrit_two_qubit
 from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
 from qutrit_toric.serialize import circuit_to_json
 from qutrit_toric.tableau import StabilizerTableau
@@ -78,15 +79,16 @@ class TestValidation:
             NoiseChannel("weyl_custom")
 
     @pytest.mark.parametrize("target", [-1, 5])
-    @pytest.mark.parametrize("frames", [True, False], ids=["frames", "per-shot"])
-    def test_feed_forward_targets_in_range(self, monkeypatch, target, frames):
+    @pytest.mark.parametrize("shift_branch", [True, False],
+                             ids=["shift-branch", "non-shift-branch"])
+    def test_feed_forward_targets_in_range(self, monkeypatch, target, shift_branch):
         """A branch gate off the register is refused as such before any shot is
         drawn, also where a non-shift branch gate would refuse the circuit."""
         c = Circuit(3, 2, 1)
         c.gate(weyl.fourier(0)).measure(WeylOp.from_site(3, 2, 0, 0, 1), 0)
-        other = weyl.clock_z(1) if frames else weyl.fourier(1)
+        other = weyl.clock_z(1) if shift_branch else weyl.fourier(1)
         c.cond(0, {0: (), 1: (weyl.shift_x(target),), 2: (other,)})
-        assert has_non_weyl_feed_forward(c) is not frames
+        assert has_non_weyl_feed_forward(c) is not shift_branch
 
         def sampled(*args):
             raise AssertionError("sampled an invalid circuit")
@@ -96,6 +98,40 @@ class TestValidation:
             c.validate()
         with pytest.raises(ValueError, match=f"gate target {target} out of range"):
             run_shots(c, 5)
+
+    @staticmethod
+    def invalid_circuit(case):
+        c = Circuit(3, 3, 2)
+        c.gate(weyl.shift_x(0)).measure(WeylOp.from_site(3, 3, 0, 0, 1), 0)
+        if case == "read-before-written":
+            c.cond(1, {0: (), 1: (weyl.shift_x(1),), 2: ()})
+        elif case == "creg-off-register":
+            c.measure(WeylOp.from_site(3, 3, 1, 0, 1), -1)
+        elif case == "predicate-missing-outcomes":
+            c.cond(0, {0: ()})
+        else:
+            c.gate(weyl.cx(0, -1))
+        return c
+
+    @pytest.mark.parametrize("entry", [
+        lambda c: execute(c, StabilizerTableau(3, 3)), lambda c: list(outcome_leaves(c)),
+        exact_outcome_distribution, lambda c: run_shots(c, 5), per_qutrit_two_qubit,
+        compile_report, encode_circuit,
+    ], ids=["execute", "outcome_leaves", "exact_outcome_distribution", "run_shots",
+            "per_qutrit_two_qubit", "compile_report", "encode_circuit"])
+    @pytest.mark.parametrize("case, message", [
+        ("read-before-written", "creg 1 read before written"),
+        ("creg-off-register", "creg -1 out of range"),
+        ("predicate-missing-outcomes", "predicate must cover all outcomes"),
+        ("gate-target-off-register", "gate target -1 out of range"),
+    ], ids=["read-before-written", "creg-off-register", "predicate-missing-outcomes",
+            "gate-target-off-register"])
+    def test_every_engine_entry_validates(self, entry, case, message):
+        """Every entry that runs or compiles a circuit refuses an invalid one with
+        validate's message, rather than taking a branch, writing the wrong
+        register or counting a gate against the wrong qutrit."""
+        with pytest.raises(ValueError, match=message):
+            entry(self.invalid_circuit(case))
 
 
 class TestDeterminism:
@@ -123,8 +159,8 @@ class TestDeterminism:
             assert final_tableau(c, seed)[1] == r
 
     def test_frame_path_matches_straight_line_engine(self):
-        """Frames and per-shot tableaus draw differently, so they agree in
-        distribution: both keep the Bell correlation and sit within 3 sigma
+        """run_shots' Weyl frames and single shots replayed on a tableau draw
+        differently, so they agree in distribution: both keep the Bell correlation and sit within 3 sigma
         of the exact distribution."""
         c = bell_like_circuit()
         exact = exact_outcome_distribution(c)
@@ -310,7 +346,7 @@ def random_mixed_circuit(rng, n: int, n_cregs: int = 3, weyl_branches: bool = Fa
 
     weyl_branches draws every feed-forward gate from the X/Z shifts."""
     kinds1 = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
-    kinds2 = sorted(weyl.TWO_QUDIT_KINDS, key=lambda k: k.value)
+    kinds2 = sorted(set(weyl.GateKind) - weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
     shifts = (weyl.shift_x, lambda t: weyl.shift_x(t).inverse(),
               weyl.clock_z, lambda t: weyl.clock_z(t).inverse())
 
@@ -807,7 +843,7 @@ class TestStatistics:
     def test_exact_distribution_matches_dense(self):
         rng = np.random.default_rng(13)
         kinds1 = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
-        kinds2 = sorted(weyl.TWO_QUDIT_KINDS, key=lambda k: k.value)
+        kinds2 = sorted(set(weyl.GateKind) - weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
         for trial in range(20):
             n = int(rng.integers(1, 4))
             c = Circuit(3, n, 2)

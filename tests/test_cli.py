@@ -19,11 +19,10 @@ from qutrit_toric.encoder import (
     qubit_circuit_to_json,
 )
 from qutrit_toric.experiments import (
+    BRAID_PRESETS,
+    TOPO_LAYOUTS,
     ScriptRunner,
     TopologicalQutritProtocol,
-    braid_scripts,
-    topo_layout_6x2,
-    topo_layout_6x4,
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit
 from qutrit_toric.serialize import dumps
@@ -207,15 +206,15 @@ class TestTopoQutrit:
 def test_results_are_the_library_entries(tmp_path):
     """Braid frames and topological-qutrit rows reach the document as the
     library built them: no converter sits between a run and its results."""
-    for name, script in braid_scripts().items():
+    for name, build in BRAID_PRESETS.items():
         code, doc, _ = run_cli(tmp_path, name, "--seed", "7")
         assert code == 0
-        assert doc["results"]["frames"] == ScriptRunner(script, seed=7).run()
-    for ly, layout in ((2, topo_layout_6x2), (4, topo_layout_6x4)):
-        code, doc, _ = run_cli(tmp_path, "topo-qutrit", "--lx", "6", "--ly", str(ly),
+        assert doc["results"]["frames"] == ScriptRunner(build(), seed=7).run()
+    for (lx, ly), layout in TOPO_LAYOUTS.items():
+        code, doc, _ = run_cli(tmp_path, "topo-qutrit", "--lx", str(lx), "--ly", str(ly),
                                "--seed", "5")
         assert code == 0
-        assert doc["results"] == {"preset": f"topo-qutrit-6x{ly}", "lattice": [6, ly],
+        assert doc["results"] == {"preset": f"topo-qutrit-{lx}x{ly}", "lattice": [lx, ly],
                                   **TopologicalQutritProtocol(layout()).run(5)}
 
 
@@ -434,17 +433,37 @@ class TestConfigEcho:
         assert [d["config"]["spam_p01"] for d in docs] == [0.01, 0.2]
 
     @pytest.mark.parametrize("argv, keys", [
-        (["braid-pf"], {"seed", "threads"}),
-        (["topo-qutrit", "--csv", "t.csv"], {"lx", "ly", "seed", "threads"}),
-        (["verify", "-o", "v.json"], {"seed", "threads"}),
-        (["prepare"], {"lx", "ly", "seed", "threads", "shots", "noise", "p1", "p2",
-                       "spam_p01", "spam_p10", "leak"}),
-        (["compile"], {"lx", "ly", "seed", "threads", "basis", "optimization", "dump_ops"}),
-        (["bounds"], {"seed", "threads", "trp", "trq", "sites", "se_p", "se_q"}),
+        (["braid-pf"], {"seed": 0, "threads": 1}),
+        (["topo-qutrit", "--csv", "t.csv"], {"lx": 6, "ly": 2, "seed": 0, "threads": 1}),
+        (["verify", "-o", "v.json"], {"seed": 0, "threads": 1}),
+        (["prepare"], {"lx": 6, "ly": 4, "seed": 0, "threads": 1, "shots": 0, "noise": "off",
+                       "p1": 0.0, "p2": 2e-3, "spam_p01": 2.37e-3, "spam_p10": 0.82e-3,
+                       "leak": 2.5e-4}),
+        (["compile"], {"lx": 6, "ly": 4, "seed": 0, "threads": 1, "basis": "z",
+                       "optimization": 1, "dump_ops": False}),
+        (["bounds"], {"seed": 0, "threads": 1, "trp": None, "trq": None, "sites": None,
+                      "se_p": 0.0, "se_q": 0.0}),
+        (["braid-cc"], {"seed": 0, "threads": 1}),
+        (["fuse-pf-pfstar"], {"seed": 0, "threads": 1}),
     ])
     def test_every_option_but_output_is_echoed(self, argv, keys):
+        """keys is the whole echo: every option the document records, with its default."""
         args = cli.build_parser().parse_args(["--config", "c.json", *argv])
-        assert cli._config_echo(args).keys() == keys
+        assert cli._config_echo(args) == keys
+
+    def test_every_subcommand_carries_its_command(self, monkeypatch):
+        """Each subparser names its command, read when the parser is built, so a
+        command swapped on the module (as a tracer does) is the one that runs."""
+        def traced(args):
+            return {}
+
+        monkeypatch.setattr(cli, "cmd_verify", traced)
+        parser = cli.build_parser()
+        runs = {name: parser.parse_args([name]).run for name in
+                ("prepare", *BRAID_PRESETS, "topo-qutrit", "compile", "verify", "bounds")}
+        assert runs == {"prepare": cli.cmd_prepare, **dict.fromkeys(BRAID_PRESETS, cli.cmd_braid),
+                        "topo-qutrit": cli.cmd_topo, "compile": cli.cmd_compile,
+                        "verify": traced, "bounds": cli.cmd_bounds}
 
 
 class TestInputValidation:
@@ -627,7 +646,17 @@ class TestInputValidation:
         def unexpected():
             raise AssertionError("layout built for an unsupported size")
 
-        monkeypatch.setattr(cli, "topo_layout_6x4", unexpected)
-        monkeypatch.setattr(cli, "topo_layout_6x2", unexpected)
+        for size in TOPO_LAYOUTS:
+            monkeypatch.setitem(TOPO_LAYOUTS, size, unexpected)
         code, _, _ = run_cli(tmp_path, "topo-qutrit", "--lx", "4", "--ly", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("name", list(BRAID_PRESETS))
+    def test_braid_builds_only_its_own_script(self, tmp_path, monkeypatch, name):
+        def unexpected():
+            raise AssertionError("built a preset the command does not run")
+
+        for other in set(BRAID_PRESETS) - {name}:
+            monkeypatch.setitem(BRAID_PRESETS, other, unexpected)
+        code, doc, _ = run_cli(tmp_path, name)
+        assert code == 0 and doc["results"]["preset"] == name

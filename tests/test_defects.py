@@ -182,7 +182,7 @@ class TestCCDefect:
         gates = [ins.gate for ins in frag.instructions]
         rng = np.random.default_rng(5)
         kinds1 = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
-        kinds2 = sorted(weyl.TWO_QUDIT_KINDS, key=lambda k: k.value)
+        kinds2 = sorted(set(weyl.GateKind) - weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
         n = self.lat.n_sites
         for trial in range(200):
             tab = StabilizerTableau(3, n, np.random.default_rng(trial))

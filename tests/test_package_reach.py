@@ -1,7 +1,8 @@
 """Everything the package defines is reached from the package, or says why not.
 
-An `ast` scan over `src/`: each top-level function and class, and each
-non-dunder method of a top-level class, must be read by name (a `Name`
+An `ast` scan over `src/`: each top-level function and class, each
+non-dunder method of a top-level class, and each non-dunder name a
+top-level assignment binds must be read by name (a `Name`
 or an attribute) somewhere in the package outside its own definition,
 or be exported in `__all__`, or be listed in KEPT with a one-line
 reason. A name that only the tests reach then has to state why it stays
@@ -31,10 +32,15 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def definitions(tree: ast.Module):
-    """(qualified name, bare name, node) for top-level defs and class methods."""
+    """(qualified name, bare name, node) for top-level defs, class methods and constants."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, name.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -64,6 +70,11 @@ def test_every_package_definition_is_reached_or_kept_for_a_reason():
     assert "TopologicalQutritProtocol.logical_shift_loop" in found  # the scan sees methods
     assert {name: where for name, where in found.items()
             if name not in exported and name not in KEPT} == {}
+
+
+def test_scan_sees_module_constants():
+    tree = ast.parse("A = 1\nB, C = 2, 3\n__all__ = ['A']\ndef f():\n    return A\n")
+    assert [qualified for qualified, _, _ in definitions(tree)] == ["A", "B", "C", "f"]
 
 
 def test_every_kept_name_is_defined_and_unreached():

@@ -23,7 +23,7 @@ from oracles import (
 
 def random_gate(rng, n):
     kinds_1q = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
-    kinds_2q = sorted(weyl.TWO_QUDIT_KINDS, key=lambda k: k.value)
+    kinds_2q = sorted(set(weyl.GateKind) - weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
     if n > 1 and rng.random() < 0.5:
         c, t = rng.choice(n, size=2, replace=False)
         return CliffordGate(kinds_2q[rng.integers(len(kinds_2q))], (int(c), int(t)))

@@ -149,7 +149,7 @@ class TestSymplecticProduct:
 
 
 ALL_KINDS_1Q = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
-ALL_KINDS_2Q = sorted(weyl.TWO_QUDIT_KINDS, key=lambda k: k.value)
+ALL_KINDS_2Q = sorted(set(weyl.GateKind) - weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
 
 
 class TestConjugation:
