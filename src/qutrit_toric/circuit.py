@@ -8,12 +8,15 @@ a noiseless instruction acts on a tableau; `execute` loops over it and
 refuses a noisy circuit, so `run_shots` is the one noise sampler.
 
 `run_shots` samples with Weyl frames (Pauli-frame sampling carried over
-to Z_d). One reference shot on the tableau (noise stripped, random
-outcomes forced to 0) and one backward pass through the gates compile
-each random draw into a fixed linear mod-d form over the outcomes. The
-reference runs `_apply` up to the last gate or feed-forward; the
-longest run of pairwise commuting measurements after it takes one
-batched lookup (`StabilizerTableau.reference_outcomes`), no collapse. Then
+to Z_d). One reference shot (noise stripped, random outcomes forced to
+0) and one backward pass through the gates compile each random draw
+into a fixed linear mod-d form over the outcomes. The tail, the longest
+run of pairwise commuting measurements after the last gate or
+feed-forward, takes one batched lookup, no collapse
+(`StabilizerTableau.reference_outcomes`): the backward pass conjugates
+its observables back to the last measurement or feed-forward before it,
+the only point `_apply` replays the tableau to (the start of the
+circuit when there is none, so measure-all replays nothing). Then
 FRAME_BLOCK shots at a time draw their initial frames, measurement kicks
 and noise hits in a few array calls and add the draws' forms. A noise
 hit's code holds its error exponents as base-d digits, and
@@ -378,11 +381,14 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
     """Linear mod-d outcome forms of the random draws, over the M measurements.
 
     A reference shot (noise stripped, random outcomes forced to 0) gives
-    `ref` and the value each CondGate reads: `_apply` up to
-    `_reference_tail`, then one batched lookup of the tail's measurements.
-    Walking back, rows of bx, bz hold each measured W conjugated back to
-    here (zero before W is measured); s(g F g^dag, W) = s(F, g^dag W g), so
-    a draw F here moves the outcomes by F.x . bz - F.z . bx. A tail
+    `ref` and the value each CondGate reads. Walking back, rows of bx, bz,
+    ph hold each measured W conjugated back to here (zero before W is
+    measured); s(g F g^dag, W) = s(F, g^dag W g), so a draw F here moves
+    the outcomes by F.x . bz - F.z . bx. `_apply` replays the head only up
+    to `stop`, after its last measurement or feed-forward; when the walk
+    reaches `stop`, one `reference_outcomes` lookup of the tail's rows (the
+    only rows set there) on that tableau gives the tail's values, as
+    conjugation keeps every symplectic product and eigenvalue. A tail
     measurement's kick is zero (it commutes with every later one).
     `source`: float forms of the `drawn` rows among the initial Z frame's
     n rows and the M kicks, those with a nonzero form (the others move no
@@ -393,12 +399,14 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
     from `start[test]` to `start[test + 1]`. `reads`: per shift
     feed-forward, the measurement read and a (d, M) table.
     """
-    d, n = circuit.d, circuit.n_qudits
+    d, n, instructions = circuit.d, circuit.n_qudits, circuit.instructions
     tail = _reference_tail(circuit)
+    stop = max((i + 1 for i in range(tail) if isinstance(instructions[i], (Measure, CondGate))),
+               default=0)
     tab, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
     writer = [-1] * circuit.n_cregs
     ref, read_at = [], []  # read_at: (source measurement, its reference value) per CondGate
-    for ins in circuit.instructions[:tail]:
+    for ins in instructions[:stop]:
         _apply(ins, tab, creg, force=0)
         if isinstance(ins, Measure):
             writer[ins.creg] = len(ref)
@@ -406,22 +414,20 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
         elif isinstance(ins, CondGate):
             read_at.append((writer[ins.creg], creg[ins.creg]))
     head = len(ref)  # measurements before the tail
-    batch = [ins for ins in circuit.instructions[tail:] if isinstance(ins, Measure)]
-    if batch:
-        xz = np.array([(ins.observable.x, ins.observable.z) for ins in batch])
-        ref += tab.reference_outcomes(xz[:, 0], xz[:, 1],
-                                      [ins.observable.phase for ins in batch]).tolist()
-        for k, ins in enumerate(batch):
-            writer[ins.creg] = head + k
-    tests = [ins.channel for ins in circuit.instructions if isinstance(ins, Noise)
+    batch = [ins for ins in instructions[tail:] if isinstance(ins, Measure)]
+    for k, ins in enumerate(batch):
+        writer[ins.creg] = head + k
+    ref = np.array(ref + [0] * len(batch), dtype=np.int64)  # the tail's values are set at stop
+    tests = [ins.channel for ins in instructions if isinstance(ins, Noise)
              for _ in range(len(ins.sites) // ins.channel.width)]  # a channel per hit test
     bxz = np.zeros((2, len(ref), n), dtype=np.int64)
     bx, bz = bxz  # views
-    ph = np.zeros(len(ref), dtype=np.int64)  # scratch for conjugate_rows, never read
+    ph = np.zeros(len(ref), dtype=np.int64)  # with bx, bz: omega^ph X^bx Z^bz
     kicks = np.zeros((len(ref), len(ref)), dtype=np.int64)
     forms = np.zeros((len(tests), 2, 2, len(ref)), dtype=np.int64)  # per site: bz, bx rows
     reads, j, t = [], len(ref), len(tests)
-    for ins in reversed(circuit.instructions):
+    for i in reversed(range(len(instructions))):
+        ins = instructions[i]
         if isinstance(ins, Gate):
             conjugate_rows(ins.gate.inverse(), bx, bz, ph, d)
         elif isinstance(ins, Noise):
@@ -433,7 +439,7 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
             w = ins.observable
             if j < head:  # a tail kick commutes with every later measurement: zero
                 kicks[j] = bz @ w.x - bx @ w.z
-            bx[j], bz[j] = w.x, w.z
+            bx[j], bz[j], ph[j] = w.x, w.z, w.phase
         elif isinstance(ins, CondGate):
             src, at = read_at.pop()
             shift = np.zeros((d, 2, n), dtype=np.int64)  # x, z exponents of each branch
@@ -442,12 +448,14 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
                     shift[k, :, g.targets[0]] += _SHIFTS[g.kind]
             shift = shift - shift[at]
             reads.append((src, shift[:, 0] @ bz.T - shift[:, 1] @ bx.T))
+        if i == stop and batch:  # only the tail's rows are set here, conjugated back to stop
+            ref[head:] = tab.reference_outcomes(bx[head:], bz[head:], ph[head:])
     forms[:, :, 1] *= -1  # a site's rows: x (bz) and z (-bx)
     forms = forms.reshape(len(tests), 4, len(ref))  # rows x0, z0, x1, z1
     source = np.concatenate([-bx.T, kicks]) % d
     drawn = np.flatnonzero(source.any(axis=1))  # a row of zeros moves no outcome
     t, r, c = np.nonzero(forms)  # the forms' nonzero entries, test by test
-    return _FramePlan(d, np.array(ref, dtype=np.int64), source[drawn].astype(float), drawn,
+    return _FramePlan(d, ref, source[drawn].astype(float), drawn,
                       np.array([ch.p for ch in tests], dtype=float),
                       np.array([d ** (2 * ch.width) for ch in tests], dtype=np.int64),
                       np.searchsorted(t, np.arange(len(forms) + 1)),

@@ -2,9 +2,10 @@
 
 Nothing in the package runs these. They are the brute-force references
 (dense statevector, dense joint outcome distributions, the dict-based
-readout channel, per-operator sector counts) and the small conveniences
-that only tests call (one-row tableau expectations, a fresh |0>^n
-tableau, a one-shot tableau run, a braid run that returns its runner).
+readout channel, per-operator sector counts, one face's document entry)
+and the small conveniences that only tests call (one-row tableau
+expectations, a fresh |0>^n tableau, a one-shot tableau run, counted
+tableau calls, a braid run that returns its runner).
 Hard size caps keep the dense ones to a few qutrits.
 """
 
@@ -223,6 +224,19 @@ def final_tableau(circuit: Circuit, seed: int = 0) -> tuple[StabilizerTableau, l
     return tab, execute(circuit, tab)
 
 
+def count_tableau_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Count calls of the named StabilizerTableau methods; the dict updates live."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(self, *args, _name=name, _method=getattr(StabilizerTableau, name),
+                     **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(StabilizerTableau, name, counting)
+    return calls
+
+
 def stabilizer(tab: StabilizerTableau, i: int) -> WeylOp:
     r = tab.n + i
     return WeylOp(tab.d, tab.x[r], tab.z[r], int(tab.ph[r]))
@@ -290,7 +304,7 @@ def _product_channel(distribution, m: np.ndarray) -> dict[tuple[int, ...], float
     return {tuple(idx): float(out[tuple(idx)]) for idx in np.argwhere(out).tolist()}
 
 
-# -- per-operator estimation ---------------------------------------------------------
+# -- per-operator estimation and face entries ----------------------------------------
 
 
 def basis_exponents(op: WeylOp, basis_obs: list[WeylOp]) -> tuple[np.ndarray, int]:
@@ -323,6 +337,28 @@ def estimate_operator(values: np.ndarray, op: WeylOp,
     sectors = (np.asarray(values, dtype=np.int64) @ m + kappa) % op.d
     counts = np.bincount(sectors, minlength=op.d)
     return counts, int(counts.sum())
+
+
+def snapshot_from_triple(kind, pos, triple, std_errors=(0.0, 0.0, 0.0), n_shots=0) -> dict:
+    """The document entry of one d = 3 face reading, worked out face by face
+    with the scalar formula the package's batched entries are checked against."""
+    omega = np.exp(2j * np.pi / 3)
+    expectation = complex(sum(triple[k] * omega**k for k in range(3)))
+    arg = float(np.degrees(np.angle(expectation))) % 360.0 if abs(expectation) > 1e-12 else 0.0
+    return {
+        "kind": kind,
+        "pos": list(pos),
+        "pi1": float(triple[0]),
+        "pi_omega": float(triple[1]),
+        "pi_omegabar": float(triple[2]),
+        "expectation_re": expectation.real,
+        "expectation_im": expectation.imag,
+        "arg_deg": arg,
+        "std_errors": list(std_errors),
+        "n_shots": n_shots,
+        "transformed": False,
+        "label": None,
+    }
 
 
 # -- encoder, lattice, experiments ---------------------------------------------------

@@ -14,10 +14,10 @@ from qutrit_toric.analysis import (
     topological_qutrit_bounds,
 )
 from qutrit_toric.encoder import DECODE_BITS
-from qutrit_toric.estimators import _snapshot_from_triple, standard_errors
+from qutrit_toric.estimators import standard_errors
 from qutrit_toric.lattice import A_EXPONENTS, B_EXPONENTS
 
-from oracles import forward_noise, spam_mitigate
+from oracles import forward_noise, snapshot_from_triple, spam_mitigate
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "prep_6x4_summary.json")
 
@@ -217,7 +217,7 @@ class TestMitigationOracle:
 
 class TestEnergyDensity:
     def _snaps(self, values):
-        return [_snapshot_from_triple("A", (i, 0), (v, (1 - v) / 2, (1 - v) / 2))
+        return [snapshot_from_triple("A", (i, 0), (v, (1 - v) / 2, (1 - v) / 2))
                 for i, v in enumerate(values)]
 
     def test_ideal(self):
@@ -236,8 +236,8 @@ class TestEnergyDensity:
         with open(FIXTURE) as fh:
             doc = json.load(fh)
         snaps = [
-            _snapshot_from_triple(s["kind"], tuple(s["pos"]),
-                                  (s["pi1"], s["pi_omega"], s["pi_omegabar"]))
+            snapshot_from_triple(s["kind"], tuple(s["pos"]),
+                                 (s["pi1"], s["pi_omega"], s["pi_omegabar"]))
             for s in doc["plaquettes"]
         ]
         assert energy_density(snaps, 24) == pytest.approx(-0.945, abs=1e-9)
@@ -259,6 +259,16 @@ class TestStandardErrors:
     def test_no_shots(self):
         with pytest.raises(ValueError):
             standard_errors([0, 0, 0])
+
+    def test_stack_equals_rows_bitwise(self):
+        counts = np.random.default_rng(4).integers(0, 300, size=(40, 3))
+        counts[5] = [17, 0, 0]
+        ses, worst = standard_errors(counts)
+        rows = [standard_errors(c) for c in counts]
+        assert repr((ses, worst)) == repr(([r[0] for r in rows], [r[1] for r in rows]))
+        counts[7] = 0
+        with pytest.raises(ValueError, match="no shots"):
+            standard_errors(counts)
 
     def test_agreement_with_bootstrap(self):
         rng = np.random.default_rng(9)

@@ -28,6 +28,7 @@ from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import WeylOp
 
 from oracles import DenseState, dense_outcome_distribution, final_tableau, projector_expectation
+from oracles import count_tableau_calls
 from oracles import weyl_matrix as dense_weyl_matrix
 
 
@@ -793,29 +794,32 @@ def circuit_with_tail(rng, n: int, clash: bool) -> tuple[Circuit, int]:
 
 
 class TestBatchedReference:
-    """The frame compile's reference shot: _apply up to the tail, then one lookup."""
+    """The frame compile's reference shot: _apply up to the last measurement or
+    feed-forward before the tail, then one lookup of the tail's observables,
+    conjugated back to that point by the backward pass."""
 
     def test_matches_forced_execute_on_random_circuits(self, monkeypatch):
-        measure, calls = StabilizerTableau.measure_weyl, []
-
-        def counting(self, w, force=None):
-            calls.append(w)
-            return measure(self, w, force)
-
-        monkeypatch.setattr(StabilizerTableau, "measure_weyl", counting)
+        calls = count_tableau_calls(monkeypatch, "measure_weyl", "apply_gate")
         rng = np.random.default_rng(23)
         for trial in range(120):
             n, clash = int(rng.integers(1, 5)), trial % 2 == 1
             c, start = circuit_with_tail(rng, n, clash)
             assert circuit_module._reference_tail(c) == start, trial
-            calls.clear()
+            calls.update(measure_weyl=0, apply_gate=0)
             plan = circuit_module._compile_frames(c)
+            compiled = dict(calls)
             # a collapse per measurement before the tail (the clashing one too), none after
-            assert len(calls) == sum(isinstance(i, Measure) for i in c.instructions[:start])
-            want, tab = [0] * c.n_cregs, StabilizerTableau(3, n)
-            for ins in without_noise(c).instructions:
+            assert compiled["measure_weyl"] == sum(isinstance(i, Measure)
+                                                   for i in c.instructions[:start])
+            want, tab, replayed = [0] * c.n_cregs, StabilizerTableau(3, n), 0
+            calls["apply_gate"] = 0
+            for k, ins in enumerate(c.instructions):  # _apply skips Noise
                 circuit_module._apply(ins, tab, want, force=0)
+                if k < start and isinstance(ins, (Measure, CondGate)):
+                    replayed = calls["apply_gate"]
             assert plan.ref.tolist() == want, trial
+            # the gates up to the last measurement or feed-forward before the tail
+            assert compiled["apply_gate"] == replayed, trial
 
     def test_tail_bounds(self):
         z0, x0 = WeylOp.from_site(3, 2, 0, 0, 1), WeylOp.from_site(3, 2, 0, 1, 0)

@@ -27,6 +27,8 @@ from qutrit_toric.experiments import (
 from qutrit_toric.lattice import build_lattice, ground_state_circuit
 from qutrit_toric.serialize import dumps
 
+from oracles import count_tableau_calls
+
 NOISY_4X2_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                               "noisy_prepare_4x2_seed9.json")
 NOISY_4X2_ARGV = ("prepare", "--lx", "4", "--ly", "2", "--noise", "default",
@@ -391,6 +393,20 @@ class TestWeylOpCount:
         monkeypatch.setattr(weyl.WeylOp, "__post_init__", counting)
         assert run_cli(tmp_path, *argv)[0] == 0
         assert len(built) <= self.BOUNDS[label]
+
+
+class TestFrameCompileCount:
+    """A noisy prepare's circuits measure nothing before their measure-all
+    tail, so the frame compile replays no gate on a tableau: each basis takes
+    the tail's reference values from one lookup of its observables conjugated
+    back to |0>^n by the backward pass (88 gate applications before)."""
+
+    def test_noisy_prepare_replays_no_gate(self, tmp_path, monkeypatch):
+        calls = count_tableau_calls(monkeypatch, "apply_gate", "measure_weyl",
+                                    "reference_outcomes")
+        argv = ("prepare", "--lx", "6", "--ly", "4", "--noise", "default", "--shots", "500")
+        assert run_cli(tmp_path, *argv)[0] == 0
+        assert calls == {"apply_gate": 0, "measure_weyl": 0, "reference_outcomes": 2}
 
 
 # one small run of every subcommand

@@ -5,14 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qutrit_toric.estimators import (
-    _snapshot_from_triple,
-    estimate_plaquette_projectors,
-)
+from qutrit_toric.estimators import estimate_plaquette_projectors, snapshots_from_outcomes
 from qutrit_toric.lattice import build_lattice
 from qutrit_toric.weyl import WeylOp
 
-from oracles import estimate_operator
+from oracles import estimate_operator, snapshot_from_triple
 
 
 def reference_outcome_sector(op, basis_obs, outcomes):
@@ -75,6 +72,20 @@ class TestEstimateOperator:
             estimate_plaquette_projectors(np.zeros((0, lat.n_sites), np.uint8), "z", lat)
 
 
+class TestExactEntries:
+    def test_equal_the_scalar_entries_bitwise(self):
+        """Each lookup outcome (-1: random) gives the entry of its exact triple."""
+        outcomes = [2, -1, 0, 1, 1, -1]
+        keys = [(("A", "B")[f % 2], (f, 1), f == 3, f"k{f}") for f in range(len(outcomes))]
+        triples = {-1: (1 / 3,) * 3, 0: (1.0, 0.0, 0.0), 1: (0.0, 1.0, 0.0), 2: (0.0, 0.0, 1.0)}
+        expected = [{**snapshot_from_triple(kind, pos, triples[s]), "transformed": transformed,
+                     "label": label} for s, (kind, pos, transformed, label) in zip(outcomes, keys)]
+        got = snapshots_from_outcomes(np.array(outcomes), keys)
+        assert repr(got) == repr(expected)
+        got[0]["std_errors"][0] = 1.0  # each entry owns its lists
+        assert got[1]["std_errors"] == [0.0, 0.0, 0.0]
+
+
 class TestBatchedPlaquetteEstimates:
     @pytest.mark.parametrize("basis", ["z", "x"])
     @pytest.mark.parametrize("lx,ly", [(4, 2), (6, 4)])
@@ -91,11 +102,11 @@ class TestBatchedPlaquetteEstimates:
                 counts, total = estimate_operator(values, p.operator(n), basis_obs)
                 probs = counts / total
                 ses = [float(np.sqrt(q * (1 - q) / total)) for q in probs]
-                expected.append(_snapshot_from_triple(p.kind, p.pos, tuple(probs), ses,
-                                                      n_shots=total))
+                expected.append(snapshot_from_triple(p.kind, p.pos, tuple(probs), ses,
+                                                     n_shots=total))
         snaps = estimate_plaquette_projectors(values, basis, lat)
         assert len(snaps) == len(lat.plaquettes) // 2
-        assert snaps == expected
+        assert repr(snaps) == repr(expected)  # bitwise: repr tells every float apart
         assert all(s["n_shots"] == 257 and s["std_errors"] != [0.0, 0.0, 0.0] for s in snaps)
 
     @pytest.mark.parametrize("basis", ["z", "x"])
