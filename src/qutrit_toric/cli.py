@@ -156,7 +156,8 @@ def cmd_prepare(args) -> dict:
             pairs, herald[basis] = herald_filter(pairs)
             if not len(pairs):
                 raise ConfigError(f"all {shots} {basis}-basis shots failed the herald check "
-                                  "(a qutrit pair read |01>)")
+                                  "(a qutrit pair read |01>); lower --leak, --spam-p01 "
+                                  "or --spam-p10")
             values = decode_qubit_records(pairs)
         payload["plaquettes"].extend(estimate_plaquette_projectors(values, basis, lat))
     payload["energy_density"] = energy_density(payload["plaquettes"], len(lat.plaquettes))
@@ -178,7 +179,8 @@ def cmd_braid(args) -> dict:
 def cmd_topo(args) -> dict:
     layout = TOPO_LAYOUTS.get((args.lx, args.ly))
     if layout is None:
-        raise ConfigError("topological qutrit presets exist for 6x2 and 6x4")
+        raise ConfigError(f"--lx {args.lx} --ly {args.ly}: topological qutrit presets "
+                          "exist for 6x2 and 6x4")
     return {
         "preset": f"topo-qutrit-{args.lx}x{args.ly}",
         "lattice": [args.lx, args.ly],

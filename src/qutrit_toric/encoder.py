@@ -12,8 +12,9 @@ it by Fourier gates on the target pair. A compiled circuit acts
 identically on the encoded subspace and never populates the herald
 state, so leakage observed at readout always signals an error.
 
-Compilation is one qutrit token stream: encode_circuit places its native
-sequences on qubit pairs; compile_report sums cached per-token summaries.
+Compilation takes gate-only circuits and is one qutrit token stream:
+encode_circuit places its native sequences on qubit pairs; compile_report
+sums cached per-token summaries.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import add
 
 import numpy as np
 
-from .circuit import Barrier, Circuit, CondGate, Gate, Measure, Noise
+from .circuit import Circuit, Gate
 from .weyl import GateKind
 from .synth import NativeOp, on_qubit, ops_unitary, phase_distance, synthesize_two_qubit
 
@@ -46,12 +47,6 @@ READOUT_P01, READOUT_P10, LEAK_PER_TWO_QUBIT = 2.37e-3, 0.82e-3, 2.5e-4  # chara
 _PAIR = np.eye(4)[:, ENCODE_INDEX]
 
 
-def _embed_qutrit(mat3: np.ndarray, nc_phase: complex = 1.0) -> np.ndarray:
-    out = _PAIR @ mat3 @ _PAIR.T
-    out[NC_INDEX, NC_INDEX] = nc_phase
-    return out
-
-
 def encoding_isometry(n_qutrits: int) -> np.ndarray:
     """3^n -> 4^n isometry mapping qutrit basis states to encoded bit states."""
     return reduce(np.kron, [_PAIR] * n_qutrits, np.ones((1, 1)))
@@ -65,9 +60,10 @@ def encoded_target(kind: GateKind) -> np.ndarray:
     from .dense import gate_matrix
 
     kind = GateKind(kind)
-    nc_phase = {GateKind.CLOCK_Z: OMEGA, GateKind.CLOCK_Z_DAG: OMEGA.conjugate(),
-                GateKind.CONJ: -1.0}.get(kind, 1.0)
-    return _embed_qutrit(gate_matrix(kind, 3), nc_phase=nc_phase)
+    out = _PAIR @ gate_matrix(kind, 3) @ _PAIR.T
+    out[NC_INDEX, NC_INDEX] = {GateKind.CLOCK_Z: OMEGA, GateKind.CLOCK_Z_DAG: OMEGA.conjugate(),
+                               GateKind.CONJ: -1.0}.get(kind, 1.0)
+    return out
 
 
 MPREP_TARGET = _PAIR.sum(1) / np.sqrt(3)
@@ -78,10 +74,10 @@ def _placed(local, qutrits) -> list[int]:
     return [2 * qutrits[q // 2] + q % 2 for q in local]
 
 
-def _place(ops: list[NativeOp], qutrits, creg: int = 0) -> list[NativeOp]:
-    """ops with _placed qubits, and local cbits (0, 1) on the pair of creg."""
+def _place(ops: list[NativeOp], qutrits) -> list[NativeOp]:
+    """ops with _placed qubits and cbits (each qubit owns the cbit of its index)."""
     return [NativeOp(op.kind, tuple(_placed(op.qubits, qutrits)), op.params,
-                     tuple(2 * creg + c for c in op.cbits)) for op in ops]
+                     tuple(_placed(op.cbits, qutrits))) for op in ops]
 
 
 def _mprep_ops() -> list[NativeOp]:
@@ -152,18 +148,16 @@ class TokenSummary:
     depth_into: tuple[tuple[float, ...], ...]
 
 
-def _token_ops(key) -> list[NativeOp]:
-    """Local sequence of a decompose_gate name, or of ("measure", None) and
-    ("rotmeas", (xe, ze)): basis rotation, measz of both qubits into local
-    cbits (0, 1), undo."""
-    if isinstance(key, str):
-        return decompose_gate(key)
-    rot, undo = _basis_rotation_ops(*key[1]) if key[0] == "rotmeas" else ((), ())
-    return [*rot, NativeOp("measz", (0,), (), (0,)), NativeOp("measz", (1,), (), (1,)), *undo]
+def _token_ops(key: str) -> list[NativeOp]:
+    """Local sequence of a decompose_gate name, or of "measure": measz of both
+    qubits into local cbits (0, 1)."""
+    if key == "measure":
+        return [NativeOp("measz", (0,), (), (0,)), NativeOp("measz", (1,), (), (1,))]
+    return decompose_gate(key)
 
 
 @lru_cache(maxsize=None)
-def token_summary(key) -> TokenSummary:
+def token_summary(key: str) -> TokenSummary:
     """Summary of a _token_ops key, computed once per process."""
     ops = _token_ops(key)
     qubits = sorted({q for op in ops for q in op.qubits})
@@ -180,8 +174,7 @@ def token_summary(key) -> TokenSummary:
         if op.kind == "zzphase":
             for q in op.qubits:
                 zz_per_qutrit[q // 2] += 1
-    names = ((key,) if isinstance(key, str) else ("basis-rot", "basis-rot-undo")
-             if key[0] == "rotmeas" else ())
+    names = () if key == "measure" else (key,)
     return TokenSummary(names, tuple(qubits), len(ops), sum(zz_per_qutrit) // 2,
                         tuple(zz_per_qutrit), tuple(zip(*reach)))
 
@@ -213,97 +206,50 @@ def verify_decomposition(name: str) -> float:
     return phase_distance(encoded_target(GateKind(name)), ops_unitary(ops, 2))
 
 
-# -- measurement-basis rotations ------------------------------------------------------
-
-
-def weyl_basis_rotation(xe: int, ze: int) -> np.ndarray:
-    """4x4 unitary V with V W V^dag diagonal as diag(1, omega, omega^2) on the
-    encoded triple (herald state untouched); W = X^xe Z^ze single-qutrit."""
-    from .dense import gate_matrix
-
-    X = gate_matrix(GateKind.SHIFT_X, 3)
-    Z = gate_matrix(GateKind.CLOCK_Z, 3)
-    W = np.linalg.matrix_power(X, xe % 3) @ np.linalg.matrix_power(Z, ze % 3)
-    vals, vecs = np.linalg.eig(W)
-    order = []
-    for s in range(3):
-        target = OMEGA**s
-        k = int(np.argmin(np.abs(vals - target)))
-        order.append(k)
-        vals[k] = 99  # consume
-    return _embed_qutrit(vecs[:, order].conj().T)
-
-
-@lru_cache(maxsize=None)
-def _basis_rotation_ops(xe: int, ze: int) -> tuple[tuple[NativeOp, ...], tuple[NativeOp, ...]]:
-    """Native measurement-basis rotation and its undo, synthesized once per process."""
-    V = weyl_basis_rotation(xe, ze)
-    return tuple(synthesize_two_qubit(V)), tuple(synthesize_two_qubit(V.conj().T))
-
-
 # -- qubit-level circuit -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CondNative:
-    cbits: tuple[int, ...]  # (hi, lo) classical bits of one qutrit outcome
-    cases: dict[tuple[int, int], tuple[NativeOp, ...]]
 
 
 @dataclass
 class QubitCircuit:
     n_qubits: int  # also the number of classical bits: each qubit has one
-    ops: list = field(default_factory=list)
+    ops: list[NativeOp] = field(default_factory=list)
+
+
+def require_gate_only(circuit: Circuit) -> None:
+    """Refuse a circuit holding anything but gates, naming each other instruction kind."""
+    kinds = sorted({type(ins).__name__.lower() for ins in circuit.instructions
+                    if not isinstance(ins, Gate)})
+    if kinds:
+        raise ValueError(f"expected a gate-only circuit, got {', '.join(kinds)} instructions")
 
 
 def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
-    """Qutrit-level token stream with Fourier-expansion and peephole passes. Each token
-    is (key, qutrits, creg): key is a token_summary key, "cond" (the predicate fills
-    qutrits) or "barrier" (no qutrits); creg is 0 but for measurements and conds."""
+    """Qutrit-level token stream of a valid gate-only circuit, with Fourier-expansion
+    and peephole passes. Each token is (key, qutrits): key is a token_summary key or
+    "barrier" (no qutrits)."""
     circuit.validate()
+    require_gate_only(circuit)
     tokens: list[tuple] = []
     fresh = set(range(circuit.n_qudits))
     for ins in circuit.instructions:
-        if isinstance(ins, Gate):
-            kind, tg = ins.gate.kind.value, ins.gate.targets
-            fresh_target = optimization_level >= 1 and tg[-1] in fresh
-            if kind == "h" and fresh_target:
-                tokens.append(("mprep", tg, 0))
-            elif kind in ("cx", "cxdg") and fresh_target:
-                tokens.append(("cxcopy", tg, 0))
-                if kind == "cxdg":
-                    tokens.append(("c", tg[1:], 0))  # copy then conjugate = inverse copy
-            elif kind in ("cx", "cxdg"):
-                tokens += [("h", tg[1:], 0), ("cz" if kind == "cx" else "czdg", tg, 0),
-                           ("hdg", tg[1:], 0)]
-            else:
-                tokens.append((kind, tg, 0))
-            fresh.difference_update(tg)
-        elif isinstance(ins, Measure):
-            obs = ins.observable
-            sites = obs.support
-            if len(sites) != 1:
-                raise ValueError("only single-site measurement observables compile")
-            s = int(sites[0])
-            xe, ze = int(obs.x[s]), int(obs.z[s])
-            if (xe, ze) == (1, 0):
-                tokens.append(("h", (s,), 0))
-            tokens.append((("measure", None) if (xe, ze) in ((0, 1), (1, 0))
-                           else ("rotmeas", (xe, ze)), (s,), ins.creg))
-            fresh.discard(s)
-        elif isinstance(ins, CondGate):
-            tokens.append(("cond", ins.predicate, ins.creg))
-            fresh.difference_update(q for gates in ins.predicate.values() for g in gates
-                                    for q in g.targets)
-        elif isinstance(ins, Barrier):
-            tokens.append(("barrier", (), 0))
-        elif isinstance(ins, Noise):
-            raise ValueError("stochastic noise instructions do not compile to the native set")
+        kind, tg = ins.gate.kind.value, ins.gate.targets
+        fresh_target = optimization_level >= 1 and tg[-1] in fresh
+        if kind == "h" and fresh_target:
+            tokens.append(("mprep", tg))
+        elif kind in ("cx", "cxdg") and fresh_target:
+            tokens.append(("cxcopy", tg))
+            if kind == "cxdg":
+                tokens.append(("c", tg[1:]))  # copy then conjugate = inverse copy
+        elif kind in ("cx", "cxdg"):
+            tokens += [("h", tg[1:]), ("cz" if kind == "cx" else "czdg", tg), ("hdg", tg[1:])]
+        else:
+            tokens.append((kind, tg))
+        fresh.difference_update(tg)
     if basis is not None:
-        tokens.append(("barrier", (), 0))
+        tokens.append(("barrier", ()))
         if basis == "x":
-            tokens += [("h", (i,), 0) for i in range(circuit.n_qudits)]
-        tokens += [(("measure", None), (i,), i) for i in range(circuit.n_qudits)]
+            tokens += [("h", (i,)) for i in range(circuit.n_qudits)]
+        tokens += [("measure", (i,)) for i in range(circuit.n_qudits)]
     if optimization_level >= 1:
         tokens = _cancel_fourier_pairs(tokens)
     return tokens
@@ -313,34 +259,28 @@ def _cancel_fourier_pairs(tokens):
     """Drop h/hdg pairs on the same qutrit separated only by tokens that do
     not touch that qutrit. Barriers are transparent to this identity (a
     trailing Fourier merges with the measurement-basis rotation across
-    the pre-measurement barrier); conditionals block it."""
+    the pre-measurement barrier)."""
     out: list = []
     on = defaultdict(list)  # qutrit -> indices into out of the tokens on it
-    cond = -1  # index of the latest cond
     for tok in tokens:
-        key, qutrits, _ = tok
+        key, qutrits = tok
         stack = on[qutrits[0]] if key in ("h", "hdg") else None
-        if stack and stack[-1] > cond and out[stack[-1]][0] == {"h": "hdg", "hdg": "h"}[key]:
+        if stack and out[stack[-1]][0] == {"h": "hdg", "hdg": "h"}[key]:
             out[stack.pop()] = None
             continue
-        if key == "cond":
-            cond = len(out)
-        else:
-            for q in qutrits:
-                on[q].append(len(out))
+        for q in qutrits:
+            on[q].append(len(out))
         out.append(tok)
     return [tok for tok in out if tok is not None]
 
 
 def per_qutrit_two_qubit(circuit: Circuit, basis: str | None = None,
                          optimization_level: int = 1) -> list[int]:
-    """Entangler (zzphase) involvements per qutrit of the compiled circuit's
-    unconditional ops, summed from the token summaries without a depth
-    walk. A rotated measurement counts both of its basis rotations; a
-    cond counts nothing."""
+    """Entangler (zzphase) involvements per qutrit of the compiled gate-only
+    circuit, summed from the token summaries without a depth walk."""
     counts = [0] * circuit.n_qudits
-    for key, qutrits, _ in _token_stream(circuit, basis, optimization_level):
-        if key not in ("cond", "barrier"):
+    for key, qutrits in _token_stream(circuit, basis, optimization_level):
+        if key != "barrier":
             for qt, k in zip(qutrits, token_summary(key).zz_per_qutrit):
                 counts[qt] += k
     return counts
@@ -350,36 +290,24 @@ def compile_report(circuit: Circuit, basis: str | None = None,
                    optimization_level: int = 1) -> dict:
     """The compile document's report entry: encode_circuit's counts and depth,
     summed over the token stream with the token summaries, without building
-    the qubit circuit. A barrier levels every qubit; a cond advances every
-    qubit its branches touch by the op count of its longest branch, and
-    adds its largest branch zzphase count."""
+    the qubit circuit. A barrier levels every qubit."""
     level = [0] * (2 * circuit.n_qudits)
     per_qutrit = [0] * circuit.n_qudits
     gate_counts: Counter[str] = Counter()
     two_qubit = 0
-    for key, qutrits, _ in _token_stream(circuit, basis, optimization_level):
+    for key, qutrits in _token_stream(circuit, basis, optimization_level):
         if key == "barrier":
             level = [max(level, default=0)] * len(level)
-        elif key == "cond":
-            gate_counts["cond"] += 1
-            branches = [[(token_summary(g.kind.value), g.targets) for g in gates]
-                        for gates in qutrits.values()]
-            two_qubit += max(sum(s.zz for s, _ in br) for br in branches)
-            qs = {q for br in branches for s, qt in br for q in _placed(s.qubits, qt)}
-            top = max((level[q] for q in qs), default=0) + max(
-                sum(s.ops for s, _ in br) for br in branches)
-            for q in qs:
-                level[q] = top
-        else:
-            summary = token_summary(key)
-            gate_counts.update(summary.names)
-            two_qubit += summary.zz
-            for qt, k in zip(qutrits, summary.zz_per_qutrit):
-                per_qutrit[qt] += k
-            qs = _placed(summary.qubits, qutrits)
-            before = [level[q] for q in qs]
-            for q, into in zip(qs, summary.depth_into):
-                level[q] = max(map(add, before, into))
+            continue
+        summary = token_summary(key)
+        gate_counts.update(summary.names)
+        two_qubit += summary.zz
+        for qt, k in zip(qutrits, summary.zz_per_qutrit):
+            per_qutrit[qt] += k
+        qs = _placed(summary.qubits, qutrits)
+        before = [level[q] for q in qs]
+        for q, into in zip(qs, summary.depth_into):
+            level[q] = max(map(add, before, into))
     return {
         "two_qubit_count": two_qubit,
         "depth": max(level, default=0),
@@ -393,7 +321,7 @@ def compile_report(circuit: Circuit, basis: str | None = None,
 
 def encode_circuit(circuit: Circuit, basis: str | None = None,
                    optimization_level: int = 1) -> QubitCircuit:
-    """Compile a qutrit circuit to the native set (compile_report has its counts).
+    """Compile a gate-only qutrit circuit to the native set (compile_report has its counts).
 
     basis 'z' or 'x' appends a barrier plus a destructive measure-all.
     Optimization level 0 uses the plain per-gate decompositions (a lone
@@ -402,19 +330,11 @@ def encode_circuit(circuit: Circuit, basis: str | None = None,
     and Fourier-pair cancellation into measurement rotations.
     """
     qc = QubitCircuit(2 * circuit.n_qudits)
-    for key, qutrits, creg in _token_stream(circuit, basis, optimization_level):
+    for key, qutrits in _token_stream(circuit, basis, optimization_level):
         if key == "barrier":
             qc.ops.append(NativeOp("barrier", tuple(range(qc.n_qubits))))
-        elif key == "cond":
-            cases = {
-                ENCODE_BITS[outcome]: tuple(
-                    op for g in gates for op in _place(decompose_gate(g.kind.value), g.targets))
-                for outcome, gates in qutrits.items()
-            }
-            cases[NC_BITS] = ()
-            qc.ops.append(CondNative((2 * creg, 2 * creg + 1), cases))
         else:
-            qc.ops.extend(_place(_token_ops(key), qutrits, creg))
+            qc.ops.extend(_place(_token_ops(key), qutrits))
     return qc
 
 
@@ -425,13 +345,10 @@ def qubit_circuit_text(qc: QubitCircuit) -> str:
     """Plain-text dump, one op per line.
 
     Grammar:
-        line     := gate | meas | barrier | cond
+        line     := gate | meas | barrier
         gate     := NAME "(" params ")" " " qubits ";"
         meas     := "measz" " " qubits " -> " cbits ";"
         barrier  := "barrier;"
-        cond     := "cond " cbits " { " cases " }"
-        cases    := case (" " case)*
-        case     := "[" BIT BIT "]: " (gate (" " gate)* | "skip;")
         qubits   := "q[" INT "]" ("," "q[" INT "]")*
         cbits    := "c[" INT "]" ("," "c[" INT "]")*
     Angles are in turns; the header line is "qubits N; cbits N;".
@@ -440,14 +357,7 @@ def qubit_circuit_text(qc: QubitCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _op_text(op) -> str:
-    if isinstance(op, CondNative):
-        cases = []
-        for bits, seq in sorted(op.cases.items()):
-            body = " ".join(_op_text(o) for o in seq) if seq else "skip;"
-            cases.append(f"[{bits[0]}{bits[1]}]: {body}")
-        cb = ",".join(f"c[{c}]" for c in op.cbits)
-        return f"cond {cb} {{ {' '.join(cases)} }}"
+def _op_text(op: NativeOp) -> str:
     if op.kind == "barrier":
         return "barrier;"
     qs = ",".join(f"q[{q}]" for q in op.qubits)
@@ -459,11 +369,7 @@ def _op_text(op) -> str:
 QUBIT_CIRCUIT_SCHEMA = "qutrit-toric/qubit-circuit/v1"
 
 
-def _op_doc(op) -> dict:
-    if isinstance(op, CondNative):
-        return {"kind": "cond", "cbits": list(op.cbits),
-                "cases": {f"{b[0]}{b[1]}": [_op_doc(o) for o in seq]
-                          for b, seq in sorted(op.cases.items())}}
+def _op_doc(op: NativeOp) -> dict:
     doc = {"kind": op.kind, "qubits": list(op.qubits), "params": list(op.params)}
     if op.cbits:
         doc["cbits"] = list(op.cbits)

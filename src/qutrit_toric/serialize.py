@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import json
 
-from .circuit import (
-    Barrier,
-    Circuit,
-    CondGate,
-    Gate,
-    Measure,
-    Noise,
-)
+from .circuit import Circuit
+from .encoder import require_gate_only
 from .experiments import (
     Fuse,
     InsertCC,
@@ -28,7 +22,6 @@ from .experiments import (
     Script,
     Snapshot,
 )
-from .weyl import WeylOp
 
 CIRCUIT_SCHEMA = "qutrit-toric/circuit/v1"
 SCRIPT_SCHEMA = "qutrit-toric/script/v1"
@@ -39,50 +32,19 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-# -- weyl operators ---------------------------------------------------------------
-
-
-def weyl_to_json(w: WeylOp) -> dict:
-    sites = w.support
-    return {
-        "sites": list(sites),
-        "x": [int(w.x[s]) for s in sites],
-        "z": [int(w.z[s]) for s in sites],
-        "phase": int(w.phase),
-    }
-
-
 # -- circuits ----------------------------------------------------------------------
 
 
 def circuit_to_json(circ: Circuit) -> dict:
-    instrs = []
-    for ins in circ.instructions:
-        if isinstance(ins, Gate):
-            instrs.append({"kind": "gate", "gate": ins.gate.kind.value,
-                           "targets": list(ins.gate.targets)})
-        elif isinstance(ins, Measure):
-            instrs.append({"kind": "measure", "observable": weyl_to_json(ins.observable),
-                           "creg": ins.creg})
-        elif isinstance(ins, CondGate):
-            cases = {
-                str(outcome): [
-                    {"gate": g.kind.value, "targets": list(g.targets)} for g in gates
-                ]
-                for outcome, gates in sorted(ins.predicate.items())
-            }
-            instrs.append({"kind": "cond", "creg": ins.creg, "cases": cases})
-        elif isinstance(ins, Noise):
-            ch = {"kind": ins.channel.kind, "p": ins.channel.p}
-            instrs.append({"kind": "noise", "channel": ch, "sites": list(ins.sites)})
-        elif isinstance(ins, Barrier):
-            instrs.append({"kind": "barrier"})
+    """The circuit/v1 document of a gate-only circuit."""
+    require_gate_only(circ)
     return {
         "schema": CIRCUIT_SCHEMA,
         "d": circ.d,
         "n_qudits": circ.n_qudits,
         "n_cregs": circ.n_cregs,
-        "instructions": instrs,
+        "instructions": [{"kind": "gate", "gate": ins.gate.kind.value,
+                          "targets": list(ins.gate.targets)} for ins in circ.instructions],
     }
 
 

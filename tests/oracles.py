@@ -16,10 +16,10 @@ import numpy as np
 from qutrit_toric.analysis import ConfusionMatrix, _per_bit
 from qutrit_toric.circuit import Circuit, CondGate, Gate, Measure, execute
 from qutrit_toric.dense import gate_matrix, weyl_matrices
-from qutrit_toric.encoder import CondNative, QubitCircuit
+from qutrit_toric.encoder import QubitCircuit
 from qutrit_toric.experiments import Script, ScriptRunner
 from qutrit_toric.lattice import Plaquette, TorusLattice, default_preparation_order
-from qutrit_toric.synth import NativeOp, ops_unitary
+from qutrit_toric.synth import ops_unitary
 from qutrit_toric.tableau import StabilizerTableau, outcome_expectation
 from qutrit_toric.weyl import CliffordGate, WeylOp, check_dimension
 
@@ -365,44 +365,24 @@ def snapshot_from_triple(kind, pos, triple, std_errors=(0.0, 0.0, 0.0), n_shots=
 
 
 def qubit_circuit_unitary(qc: QubitCircuit) -> np.ndarray:
-    return ops_unitary([op for op in qc.ops if isinstance(op, NativeOp)], qc.n_qubits)
+    return ops_unitary(qc.ops, qc.n_qubits)
 
 
 def qubit_circuit_two_qubit_count(qc: QubitCircuit) -> int:
-    """zzphase ops of a built qubit circuit; a cond counts its largest branch."""
-    total = 0
-    for op in qc.ops:
-        if isinstance(op, NativeOp) and op.kind == "zzphase":
-            total += 1
-        elif isinstance(op, CondNative):
-            total += max(
-                sum(1 for o in seq if o.kind == "zzphase") for seq in op.cases.values()
-            )
-    return total
+    """zzphase ops of a built qubit circuit."""
+    return sum(op.kind == "zzphase" for op in qc.ops)
 
 
 def qubit_circuit_depth(qc: QubitCircuit) -> int:
     """Longest op chain of a built qubit circuit, op by op."""
     level = [0] * qc.n_qubits
     for op in qc.ops:
-        if isinstance(op, NativeOp):
-            if op.kind == "barrier":
-                top = max(level)
-                level = [top] * qc.n_qubits
-                continue
-            qs = op.qubits
-            layer = max(level[q] for q in qs) + 1
-            for q in qs:
-                level[q] = layer
-        elif isinstance(op, CondNative):
-            seqs = [s for s in op.cases.values() if s]
-            if not seqs:
-                continue
-            qs = sorted({q for s in seqs for o in s for q in o.qubits})
-            width = max(len(s) for s in seqs)
-            layer = max(level[q] for q in qs) + width
-            for q in qs:
-                level[q] = layer
+        if op.kind == "barrier":
+            level = [max(level)] * qc.n_qubits
+            continue
+        layer = max(level[q] for q in op.qubits) + 1
+        for q in op.qubits:
+            level[q] = layer
     return max(level)
 
 
