@@ -1,28 +1,27 @@
 """Circuit representation and shot-execution engine.
 
 Instructions are gates, Weyl-observable measurements into classical
-registers, outcome-conditioned gate blocks (feed-forward), depolarizing
-Weyl noise, and barriers. Every engine entry (`execute`, `run_shots`,
+registers, outcome-conditioned gate blocks (feed-forward) and
+depolarizing Weyl noise. Every engine entry (`execute`, `run_shots`,
 `outcome_leaves`) first runs `Circuit.validate`. `_apply` is the one place
 a noiseless instruction acts on a tableau; `execute` loops over it and
 refuses a noisy circuit, so `run_shots` is the one noise sampler.
 
-`run_shots` samples with Weyl frames (Pauli-frame sampling carried over
-to Z_d). One reference shot (noise stripped, random outcomes forced to
-0) and one backward pass through the gates compile each random draw
-into a fixed linear mod-d form over the outcomes. The tail, the longest
-run of pairwise commuting measurements after the last gate or
-feed-forward, takes one batched lookup, no collapse
+`run_shots` samples gates, noise and measurements with Weyl frames
+(Pauli-frame sampling carried over to Z_d); it refuses feed-forward,
+which runs through `execute`, before a draw. One reference shot (noise
+stripped, random outcomes forced to 0) and one backward pass through the
+gates compile each random draw into a fixed linear mod-d form over the
+outcomes. The tail, the longest run of pairwise commuting measurements
+after the last gate, takes one batched lookup, no collapse
 (`StabilizerTableau.reference_outcomes`): the backward pass conjugates
-its observables back to the last measurement or feed-forward before it,
-the only point `_apply` replays the tableau to (the start of the
-circuit when there is none, so measure-all replays nothing). Then
-FRAME_BLOCK shots at a time draw their initial frames, measurement kicks
-and noise hits in a few array calls and add the draws' forms. A noise
-hit's code holds its error exponents as base-d digits, and
-`_hit_exponents` decodes them. X/Z-shift feed-forward is a table over
-the value read; `run_shots` refuses any other feed-forward before a
-draw. The values are a pure function of (circuit, n_shots, base_seed).
+its observables back to the last measurement before it, the only point
+`_apply` replays the tableau to (the start of the circuit when there is
+none, so measure-all replays nothing). Then FRAME_BLOCK shots at a time
+draw their initial frames, measurement kicks and noise hits in a few
+array calls and add the draws' forms. A noise hit's code holds its error
+exponents as base-d digits, and `_hit_exponents` decodes them. The
+values are a pure function of (circuit, n_shots, base_seed).
 
 `outcome_leaves` walks the exact outcome tree of a noiseless circuit,
 forking the tableau once per outcome of each random measurement
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tableau import StabilizerTableau
-from .weyl import CliffordGate, GateKind, WeylOp, conjugate_rows
+from .weyl import CliffordGate, WeylOp, conjugate_rows
 
 TREE_MAX_RANDOM_MEASUREMENTS = 8
 FRAME_BLOCK = 1024  # shots per block of frame draws
@@ -95,12 +94,7 @@ class Noise:
     sites: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Barrier:
-    """Scheduling marker; carries no simulator semantics."""
-
-
-Instruction = Gate | Measure | CondGate | Noise | Barrier
+Instruction = Gate | Measure | CondGate | Noise
 
 
 @dataclass
@@ -149,9 +143,6 @@ class Circuit:
 
     def noise(self, channel: NoiseChannel, sites: tuple[int, ...]) -> "Circuit":
         return self.add(Noise(channel, sites))
-
-    def barrier(self) -> "Circuit":
-        return self.add(Barrier())
 
     def extend(self, other: "Circuit") -> "Circuit":
         if (other.d, other.n_qudits) != (self.d, self.n_qudits):
@@ -227,7 +218,8 @@ def _hit_exponents(code: np.ndarray, d: int) -> np.ndarray:
 
 def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
            force: int | None = None) -> None:
-    """Apply one noiseless instruction to tab; a measurement writes its outcome into creg."""
+    """Apply a gate, a measurement (its outcome, forced to `force` if given, into
+    creg) or a feed-forward block to tab; Noise is left to run_shots."""
     if isinstance(ins, Gate):
         tab.apply_gate(ins.gate)
     elif isinstance(ins, Measure):
@@ -235,7 +227,6 @@ def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
     elif isinstance(ins, CondGate):
         for g in ins.predicate[creg[ins.creg]]:
             tab.apply_gate(g)
-    # Noise (the frames sample it) and Barrier: nothing
 
 
 def execute(circuit: Circuit, tab: StabilizerTableau) -> list[int]:
@@ -290,23 +281,8 @@ def outcome_leaves(circuit: Circuit) -> Iterator[tuple]:
     yield from walk(0, StabilizerTableau(circuit.d, circuit.n_qudits), [0] * circuit.n_cregs, ())
 
 
-# (x, z) exponents of each Weyl gate kind; conjugating a frame by one only moves its phase
-_SHIFTS = {GateKind.SHIFT_X: (1, 0), GateKind.SHIFT_X_DAG: (-1, 0),
-           GateKind.CLOCK_Z: (0, 1), GateKind.CLOCK_Z_DAG: (0, -1)}
-
-
-def _check_feed_forward(circuit: Circuit) -> None:
-    """Raise ValueError naming the first feed-forward gate that is not an X/Z shift."""
-    kinds = (g.kind for ins in circuit.instructions if isinstance(ins, CondGate)
-             for gates in ins.predicate.values() for g in gates)
-    other = next((k for k in kinds if k not in _SHIFTS), None)
-    if other is not None:
-        raise ValueError(f"feed-forward gate {other.value!r} is not an X/Z shift; "
-                         "run_shots samples Weyl frames only")
-
-
 # a circuit's random draws as forms over its M measurements; see _compile_frames
-_FramePlan = namedtuple("_FramePlan", "d ref source drawn p high start entries reads writer")
+_FramePlan = namedtuple("_FramePlan", "d ref source drawn p high start entries writer")
 
 
 def _draw_block(plan: _FramePlan, rng: np.random.Generator, m: int) -> tuple:
@@ -333,7 +309,7 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     `_draw_block`'s draws from SeedSequence([base_seed, b]), adds the source
     draws' forms by one float product (exact on these small integers) and
     the hits' nonzero form entries, times their codes' digits, by a
-    scatter-add per FRAME_BLOCK hits, then the feed-forward tables.
+    scatter-add per FRAME_BLOCK hits.
     """
     plan = _compile_frames(circuit)
     written = plan.writer >= 0
@@ -350,8 +326,6 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
             i, row, col, val = _hit_entries(plan, test[hits])
             xz = _hit_exponents(code[hits], plan.d)
             np.add.at(flat, shot[hits][i] * out.shape[1] + col, xz[i, row] * val)
-        for read, table in plan.reads:
-            out += table[out[:, read] % plan.d]
         values[lo:lo + m, written] = out[:, plan.writer[written]] % plan.d
     return values
 
@@ -359,15 +333,15 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
 def _reference_tail(circuit: Circuit) -> int:
     """Index of the instruction where the reference shot's batched tail starts.
 
-    The tail is the longest run of measurements after the last Gate or
-    CondGate (Noise and Barrier aside) whose observables commute pairwise:
-    nothing after them acts on the state, so one
-    `StabilizerTableau.reference_outcomes` call gives their forced-0
-    values without a collapse. Returns len(instructions) for no tail.
+    The tail is the longest run of measurements after the last Gate (Noise
+    aside) whose observables commute pairwise: nothing after them acts on
+    the state, so one `StabilizerTableau.reference_outcomes` call gives
+    their forced-0 values without a collapse. Returns len(instructions) for
+    no tail.
     """
     ins = circuit.instructions
     start = len(ins)
-    while start and not isinstance(ins[start - 1], (Gate, CondGate)):
+    while start and not isinstance(ins[start - 1], Gate):
         start -= 1
     at = [i for i in range(start, len(ins)) if isinstance(ins[i], Measure)]
     if not at:
@@ -381,11 +355,11 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
     """Linear mod-d outcome forms of the random draws, over the M measurements.
 
     A reference shot (noise stripped, random outcomes forced to 0) gives
-    `ref` and the value each CondGate reads. Walking back, rows of bx, bz,
-    ph hold each measured W conjugated back to here (zero before W is
-    measured); s(g F g^dag, W) = s(F, g^dag W g), so a draw F here moves
-    the outcomes by F.x . bz - F.z . bx. `_apply` replays the head only up
-    to `stop`, after its last measurement or feed-forward; when the walk
+    `ref`. Walking back through the gates, rows of bx, bz, ph hold each
+    measured W conjugated back to here (zero before W is measured);
+    s(g F g^dag, W) = s(F, g^dag W g), so a draw F here moves the outcomes
+    by F.x . bz - F.z . bx. `_apply` replays the head only up to `stop`,
+    after its last measurement before the tail; when the walk
     reaches `stop`, one `reference_outcomes` lookup of the tail's rows (the
     only rows set there) on that tableau gives the tail's values, as
     conjugation keeps every symplectic product and eigenvalue. A tail
@@ -396,23 +370,18 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
     pair): hit probability `p`, code range end `high` (d^2 or d^4), and
     the nonzero entries of its form over its sites' exponents x0, z0, x1,
     z1 (the code's digits), as (row, column, value) columns of `entries`
-    from `start[test]` to `start[test + 1]`. `reads`: per shift
-    feed-forward, the measurement read and a (d, M) table.
+    from `start[test]` to `start[test + 1]`.
     """
     d, n, instructions = circuit.d, circuit.n_qudits, circuit.instructions
     tail = _reference_tail(circuit)
-    stop = max((i + 1 for i in range(tail) if isinstance(instructions[i], (Measure, CondGate))),
-               default=0)
-    tab, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
+    stop = max((i + 1 for i in range(tail) if isinstance(instructions[i], Measure)), default=0)
+    tab, creg, ref = StabilizerTableau(d, n), [0] * circuit.n_cregs, []
     writer = [-1] * circuit.n_cregs
-    ref, read_at = [], []  # read_at: (source measurement, its reference value) per CondGate
     for ins in instructions[:stop]:
         _apply(ins, tab, creg, force=0)
         if isinstance(ins, Measure):
             writer[ins.creg] = len(ref)
             ref.append(creg[ins.creg])
-        elif isinstance(ins, CondGate):
-            read_at.append((writer[ins.creg], creg[ins.creg]))
     head = len(ref)  # measurements before the tail
     batch = [ins for ins in instructions[tail:] if isinstance(ins, Measure)]
     for k, ins in enumerate(batch):
@@ -425,7 +394,7 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
     ph = np.zeros(len(ref), dtype=np.int64)  # with bx, bz: omega^ph X^bx Z^bz
     kicks = np.zeros((len(ref), len(ref)), dtype=np.int64)
     forms = np.zeros((len(tests), 2, 2, len(ref)), dtype=np.int64)  # per site: bz, bx rows
-    reads, j, t = [], len(ref), len(tests)
+    j, t = len(ref), len(tests)
     for i in reversed(range(len(instructions))):
         ins = instructions[i]
         if isinstance(ins, Gate):
@@ -440,14 +409,6 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
             if j < head:  # a tail kick commutes with every later measurement: zero
                 kicks[j] = bz @ w.x - bx @ w.z
             bx[j], bz[j], ph[j] = w.x, w.z, w.phase
-        elif isinstance(ins, CondGate):
-            src, at = read_at.pop()
-            shift = np.zeros((d, 2, n), dtype=np.int64)  # x, z exponents of each branch
-            for k, gates in ins.predicate.items():
-                for g in gates:
-                    shift[k, :, g.targets[0]] += _SHIFTS[g.kind]
-            shift = shift - shift[at]
-            reads.append((src, shift[:, 0] @ bz.T - shift[:, 1] @ bx.T))
         if i == stop and batch:  # only the tail's rows are set here, conjugated back to stop
             ref[head:] = tab.reference_outcomes(bx[head:], bz[head:], ph[head:])
     forms[:, :, 1] *= -1  # a site's rows: x (bz) and z (-bx)
@@ -459,20 +420,24 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
                       np.array([ch.p for ch in tests], dtype=float),
                       np.array([d ** (2 * ch.width) for ch in tests], dtype=np.int64),
                       np.searchsorted(t, np.arange(len(forms) + 1)),
-                      np.stack([r, c, forms[t, r, c]]), reads[::-1],
+                      np.stack([r, c, forms[t, r, c]]),
                       np.array(writer, dtype=np.int64))
 
 
 def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
               parallelism: int = 1) -> ShotBatch:
-    """Run n_shots as Weyl frames; the values are a pure function of
-    (circuit, n_shots, base_seed).
+    """Run n_shots of a circuit of gates, noise and measurements as Weyl frames;
+    the values are a pure function of (circuit, n_shots, base_seed).
 
-    Feed-forward other than X/Z shifts is refused with ValueError before
-    any draw. parallelism is not read; benchmarks/probes.py still passes it.
+    A circuit with feed-forward is refused with ValueError before any draw:
+    it runs through execute. parallelism is not read; benchmarks/probes.py
+    still passes it.
     """
     circuit.validate()
-    _check_feed_forward(circuit)
+    cond = [i for i, ins in enumerate(circuit.instructions) if isinstance(ins, CondGate)]
+    if cond:
+        raise ValueError(f"run_shots samples gates, noise and measurements only: instruction "
+                         f"{cond[0]} is a CondGate (feed-forward); run it through execute")
     return ShotBatch(_run_frames(circuit, n_shots, base_seed))
 
 

@@ -392,7 +392,6 @@ class TopologicalQutritProtocol:
             e = int(self.braid_loop.z[i])
             circ.gate(cz(self.ancilla, int(i)) if e == 1 else cz_dag(self.ancilla, int(i)))
         circ.gate(fourier_dag(self.ancilla))
-        circ.barrier()
         circ.measure(WeylOp.from_site(lat.d, self.n_total, self.ancilla, 0, 1), 0)
         return circ
 

@@ -209,14 +209,13 @@ def ground_state_circuit(lattice: TorusLattice) -> Circuit:
 def measure_all_circuit(lattice: TorusLattice, basis: str) -> Circuit:
     """Destructive measure-all in the clock (z) or shift (x) basis.
 
-    Classical register i holds site i's outcome exponent. A barrier
-    precedes the measurements.
+    Classical register i holds site i's outcome exponent; the circuit holds
+    only the n measurements.
     """
     if basis not in ("z", "x"):
         raise ValueError("basis must be 'z' or 'x'")
     n = lattice.n_sites
     circ = Circuit(lattice.d, n, n)
-    circ.barrier()
     xe, ze = (0, 1) if basis == "z" else (1, 0)
     for i in range(n):
         circ.measure(WeylOp.from_site(lattice.d, n, i, xe, ze), i)

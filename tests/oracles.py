@@ -1,11 +1,12 @@
 """Exact oracles and test-only helpers the suite checks the package against.
 
 Nothing in the package runs these. They are the brute-force references
-(dense statevector, dense joint outcome distributions, the dict-based
-readout channel, per-operator sector counts, one face's document entry)
-and the small conveniences that only tests call (one-row tableau
-expectations, a fresh |0>^n tableau, a one-shot tableau run, counted
-tableau calls, a braid run that returns its runner).
+(dense statevector, dense joint outcome distributions, a compiled frame
+plan's exact distribution, the dict-based readout channel, per-operator
+sector counts, one face's document entry) and the small conveniences
+that only tests call (one-row tableau expectations, a fresh |0>^n
+tableau, a one-shot tableau run, counted tableau calls, a braid run that
+returns its runner).
 Hard size caps keep the dense ones to a few qutrits.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from qutrit_toric.analysis import ConfusionMatrix, _per_bit
-from qutrit_toric.circuit import Circuit, CondGate, Gate, Measure, execute
+from qutrit_toric.circuit import Circuit, CondGate, Gate, Measure, _compile_frames, execute
 from qutrit_toric.dense import gate_matrix, weyl_matrices
 from qutrit_toric.encoder import QubitCircuit
 from qutrit_toric.experiments import Script, ScriptRunner
@@ -208,6 +209,46 @@ def dense_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]
 
     walk(DenseState(circuit.d, circuit.n_qudits), 0, [0] * circuit.n_cregs, 1.0)
     return dist
+
+
+def plan_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]:
+    """Exact joint creg distribution of run_shots' compiled frame plan, with no sampling.
+
+    Every outcome is the plan's `ref` plus independent uniform draws times
+    fixed forms. So one array over the values of the measurements the cregs
+    keep (plan.writer; d^W entries, as the draws add independently and the
+    other measurements drop out) starts at ref, is shifted by s * row for
+    s uniform in Z_d per drawn source row, and mixes each noise test's "no
+    hit" with its hit codes, each adding its base-d digits (x0, z0, x1, z1)
+    times the test's form rows; one weighted `np.bincount` per step.
+    """
+    plan = _compile_frames(circuit)
+    d = plan.d
+    kept = np.flatnonzero(plan.writer >= 0)  # the cregs some measurement writes
+    cols = plan.writer[kept]
+    place = d ** np.arange(len(cols))
+    values = np.arange(d ** len(cols))[:, None] // place % d  # (d^W, W)
+    prob = np.zeros(len(values))
+    prob[plan.ref[cols] % d @ place] = 1.0
+
+    def mix(prob, shifts, weights):
+        """sum_k weights[k] * prob moved by shifts[k]."""
+        to = (values + shifts[:, None]) % d @ place
+        return np.bincount(to.ravel(), (weights[:, None] * prob).ravel(), len(prob))
+
+    for row in plan.source.astype(np.int64):
+        prob = mix(prob, np.outer(np.arange(d), row[cols]), np.full(d, 1 / d))
+    for t, p in enumerate(plan.p):
+        form = np.zeros((4, len(plan.ref)), dtype=np.int64)
+        r, c, v = plan.entries[:, plan.start[t]:plan.start[t + 1]]
+        form[r, c] = v
+        codes = np.arange(plan.high[t])  # code 0: no hit
+        weights = np.full(len(codes), p / (len(codes) - 1))
+        weights[0] = 1 - p
+        prob = mix(prob, (codes[:, None] // d ** np.arange(4) % d) @ form[:, cols], weights)
+    creg = np.zeros((len(values), circuit.n_cregs), dtype=np.int64)
+    creg[:, kept] = values
+    return {tuple(k): float(q) for k, q in zip(creg.tolist(), prob) if q > 0}
 
 
 # -- tableau -------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import WeylOp
 
 from oracles import DenseState, dense_outcome_distribution, final_tableau, projector_expectation
-from oracles import count_tableau_calls
+from oracles import count_tableau_calls, plan_distribution
 from oracles import weyl_matrix as dense_weyl_matrix
 
 
@@ -84,12 +84,11 @@ class TestValidation:
                              ids=["shift-branch", "non-shift-branch"])
     def test_feed_forward_targets_in_range(self, monkeypatch, target, shift_branch):
         """A branch gate off the register is refused as such before any shot is
-        drawn, also where a non-shift branch gate would refuse the circuit."""
+        drawn, ahead of run_shots' refusal of the feed-forward itself."""
         c = Circuit(3, 2, 1)
         c.gate(weyl.fourier(0)).measure(WeylOp.from_site(3, 2, 0, 0, 1), 0)
         other = weyl.clock_z(1) if shift_branch else weyl.fourier(1)
         c.cond(0, {0: (), 1: (weyl.shift_x(target),), 2: (other,)})
-        assert has_non_weyl_feed_forward(c) is not shift_branch
 
         def sampled(*args):
             raise AssertionError("sampled an invalid circuit")
@@ -175,7 +174,7 @@ class TestDeterminism:
     def test_noisy_circuit_refused_by_execute(self):
         """execute refuses a noisy circuit before the tableau or its generator
         changes, pointing to run_shots; run_shots refuses this circuit too,
-        naming its first non-shift branch gate."""
+        naming its feed-forward instruction."""
         c = Circuit(3, 3, 3)
         c.gate(weyl.fourier(0)).gate(weyl.cx(0, 1))
         c.noise(NoiseChannel("depolarizing1", 0.3), (0, 2))
@@ -193,7 +192,7 @@ class TestDeterminism:
             execute(c, tab)
         assert all(np.array_equal(a, b) for a, b in zip(before, (tab.x, tab.z, tab.ph)))
         assert tab.rng.bit_generator.state == before[3]
-        with pytest.raises(ValueError, match="feed-forward gate 'h' is not an X/Z shift"):
+        with pytest.raises(ValueError, match="instruction 5 is a CondGate"):
             run_shots(c, 16, base_seed=11)
 
     def test_values_array_shape(self):
@@ -233,7 +232,7 @@ class TestOutcomeTree:
 
     def test_refusal_names_the_instruction_and_budget(self):
         n = TREE_MAX_RANDOM_MEASUREMENTS + 1
-        c = Circuit(3, n, n).barrier()
+        c = Circuit(3, n, n).gate(weyl.shift_x(0))  # the last measurement is instruction n
         for i in range(n):
             c.measure(WeylOp.from_site(3, n, i, 1, 0), i)
         with pytest.raises(ValueError, match=rf"noiseless, low-branching circuit: instruction {n} "
@@ -255,7 +254,8 @@ class TestOutcomeTree:
 
 
 def reference_run_shot(circuit, seed):
-    """Straight-line noiseless shot loop, written out here as the reference for execute."""
+    """Straight-line shot loop over gates and measurements, written out here as the
+    reference for execute."""
     rng = np.random.default_rng(seed)
     tab = StabilizerTableau(circuit.d, circuit.n_qudits, rng)
     creg = [0] * circuit.n_cregs
@@ -264,9 +264,6 @@ def reference_run_shot(circuit, seed):
             tab.apply_gate(ins.gate)
         elif isinstance(ins, Measure):
             creg[ins.creg] = tab.measure_weyl(ins.observable).value
-        elif isinstance(ins, CondGate):
-            for g in ins.predicate[creg[ins.creg]]:
-                tab.apply_gate(g)
     return creg
 
 
@@ -285,13 +282,11 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
     """
     d, n = circuit.d, circuit.n_qudits
     ref, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
-    ref_values = []  # the reference's value of the creg each instruction writes or reads
+    ref_values = []  # the reference's value of the creg each instruction writes
     for ins in circuit.instructions:
         if not isinstance(ins, Noise):
             circuit_module._apply(ins, ref, creg, force=0)
-        ref_values.append(creg[ins.creg] if isinstance(ins, (Measure, CondGate)) else None)
-    shift_xz = {weyl.GateKind.SHIFT_X: (1, 0), weyl.GateKind.SHIFT_X_DAG: (-1, 0),
-                weyl.GateKind.CLOCK_Z: (0, 1), weyl.GateKind.CLOCK_Z_DAG: (0, -1)}
+        ref_values.append(creg[ins.creg] if isinstance(ins, Measure) else None)
     plan = circuit_module._compile_frames(circuit)
     n_kicks = sum(isinstance(ins, Measure) for ins in circuit.instructions)
     blocks = []
@@ -325,12 +320,6 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
                 assert np.array_equal(codes[:, cols] > 0, u[:, cols] < ins.channel.p)
                 err = _hit_exponents(codes[:, cols], d)[..., :2 * width].reshape(m, len(sites), 2)
                 xz[:, :, sites] = (xz[:, :, sites] + err.transpose(0, 2, 1)) % d
-            elif isinstance(ins, CondGate):
-                shift = np.zeros((d, 2, n), dtype=np.int64)
-                for k, gates in ins.predicate.items():
-                    for g in gates:
-                        shift[k, :, g.targets[0]] += shift_xz[g.kind]
-                xz[:] = (xz + (shift - shift[r])[values[:, ins.creg]]) % d
             elif isinstance(ins, Measure):
                 sup = list(ins.observable.support)
                 wx, wz = ins.observable.x[sup], ins.observable.z[sup]
@@ -342,25 +331,16 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
     return np.concatenate(blocks or [np.zeros((0, circuit.n_cregs), dtype=np.int64)])
 
 
-def random_mixed_circuit(rng, n: int, n_cregs: int = 3, weyl_branches: bool = False) -> Circuit:
-    """Gates, measurements, feed-forward blocks, both noise kinds, barriers.
-
-    weyl_branches draws every feed-forward gate from the X/Z shifts."""
+def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
+    """Gates, measurements, feed-forward blocks and both noise kinds."""
     kinds1 = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
     kinds2 = sorted(set(weyl.GateKind) - weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
-    shifts = (weyl.shift_x, lambda t: weyl.shift_x(t).inverse(),
-              weyl.clock_z, lambda t: weyl.clock_z(t).inverse())
 
     def gate():
         if n > 1 and rng.random() < 0.4:
             q = rng.choice(n, 2, replace=False)
             return weyl.CliffordGate(kinds2[rng.integers(len(kinds2))], (int(q[0]), int(q[1])))
         return weyl.CliffordGate(kinds1[rng.integers(len(kinds1))], (int(rng.integers(n)),))
-
-    def branch_gate():
-        if weyl_branches:
-            return shifts[int(rng.integers(4))](int(rng.integers(n)))
-        return gate()
 
     channels = [
         NoiseChannel("depolarizing1", 0.3),
@@ -382,25 +362,24 @@ def random_mixed_circuit(rng, n: int, n_cregs: int = 3, weyl_branches: bool = Fa
             written.append(k)
         elif r < 0.65 and written:
             k = written[int(rng.integers(len(written)))]
-            c.cond(k, {t: tuple(branch_gate() for _ in range(int(rng.integers(3))))
-                       for t in range(3)})
-        elif r < 0.9:
+            c.cond(k, {t: tuple(gate() for _ in range(int(rng.integers(3)))) for t in range(3)})
+        else:
             ch = channels[int(rng.integers(3 if n > 1 else 1))]
             if ch.kind == "depolarizing1":
                 sites = tuple(int(s) for s in rng.choice(n, min(n, 2), replace=False))
             else:
                 sites = tuple(int(s) for s in rng.choice(n, 2, replace=False))
             c.noise(ch, sites)
-        else:
-            c.barrier()
     c.validate()
     return c
 
 
-def without_noise(circuit: Circuit) -> Circuit:
+def without(circuit: Circuit, kind: type) -> Circuit:
+    """Copy of circuit without its instructions of this kind: Noise, or
+    CondGate for a circuit run_shots samples."""
     out = Circuit(circuit.d, circuit.n_qudits, circuit.n_cregs)
     for ins in circuit.instructions:
-        if not isinstance(ins, Noise):
+        if not isinstance(ins, kind):
             out.add(ins)
     return out
 
@@ -491,31 +470,20 @@ def density_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], floa
     return {key: p for key, p in dist.items() if p > 1e-12}
 
 
-SHIFT_KINDS = {weyl.GateKind.SHIFT_X, weyl.GateKind.SHIFT_X_DAG,
-               weyl.GateKind.CLOCK_Z, weyl.GateKind.CLOCK_Z_DAG}
-
-
-def has_non_weyl_feed_forward(circuit: Circuit) -> bool:
-    return any(g.kind not in SHIFT_KINDS for ins in circuit.instructions
-               if isinstance(ins, CondGate) for gates in ins.predicate.values() for g in gates)
-
-
 class TestSingleInterpreter:
     @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-stripped"])
     def test_run_shot_matches_straight_line_reference(self, noisy):
-        """On a noiseless circuit execute draws outcomes exactly as the
-        straight-line loop did; run_shots refuses a circuit with non-shift
-        feed-forward and on the others gives only outcomes the exact
-        distribution allows; where the tree stays within its budget, its
-        exact distribution matches the dense oracle."""
+        """On a noiseless circuit of gates and measurements execute draws
+        outcomes exactly as the straight-line loop did; run_shots gives only
+        outcomes the exact distribution allows; where the tree stays within
+        its budget, its exact distribution matches the dense oracle."""
         rng = np.random.default_rng(2024)
         kinds = set()
         trees = 0
-        routes = {"frames": 0, "refused": 0}
         for trial in range(40):
-            c = random_mixed_circuit(rng, int(rng.integers(1, 5)))
+            c = without(random_mixed_circuit(rng, int(rng.integers(1, 5))), CondGate)
             if not noisy:
-                c = without_noise(c)
+                c = without(c, Noise)
             try:
                 exact = exact_outcome_distribution(c)
             except ValueError:
@@ -534,52 +502,45 @@ class TestSingleInterpreter:
                 for seed in range(5):
                     s = shot_seed(trial, seed)
                     assert final_tableau(c, s)[1] == reference_run_shot(c, s), (trial, seed)
-            if has_non_weyl_feed_forward(c):
-                routes["refused"] += 1
-                with pytest.raises(ValueError, match="is not an X/Z shift"):
-                    run_shots(c, 20, base_seed=trial)
-            else:
-                routes["frames"] += 1
-                batch = run_shots(c, 20, base_seed=trial)
-                if exact is not None:
-                    assert {tuple(r) for r in batch.values.tolist()} <= set(exact), trial
-        expected = {"Gate", "Measure", "CondGate", "Barrier", "multi-site"}
+            batch = run_shots(c, 20, base_seed=trial)
+            if exact is not None:
+                assert {tuple(r) for r in batch.values.tolist()} <= set(exact), trial
+        expected = {"Gate", "Measure", "multi-site"}
         if noisy:
             expected |= {"Noise", "depolarizing1", "depolarizing2"}
         assert kinds == expected
-        assert trees == (0 if noisy else 39)
-        assert min(routes.values()) > 0, routes
+        assert trees == (0 if noisy else 40)
 
 
 class TestFrameSampler:
-    def test_noiseless_weyl_feed_forward_matches_dense(self):
-        rng = np.random.default_rng(31)
-        conds = 0
-        for trial in range(30):
-            c = without_noise(random_mixed_circuit(rng, int(rng.integers(1, 5)),
-                                                   weyl_branches=True))
-            assert not has_non_weyl_feed_forward(c)
-            conds += sum(1 for i in c.instructions if isinstance(i, CondGate)
-                         and any(i.predicate.values()))
-            dense = dense_outcome_distribution(c)
-            tvd, bound = sampled_tvd(run_shots(c, 10_000, base_seed=trial).values, dense)
-            assert tvd <= bound, (trial, tvd, bound)
-        assert conds > 10
+    @pytest.mark.parametrize("branch", [weyl.shift_x(1), weyl.fourier(1)],
+                             ids=["shift-branch", "non-shift-branch"])
+    def test_feed_forward_refused(self, monkeypatch, branch):
+        """run_shots refuses a circuit with feed-forward, shift or not, before
+        any draw, naming the CondGate; execute runs it. A branch gate off the
+        register gets validate's message first (TestValidation)."""
+        def sampled(*args):
+            raise AssertionError("sampled a circuit with feed-forward")
+
+        monkeypatch.setattr(circuit_module, "_run_frames", sampled)
+        c = Circuit(3, 2, 2).gate(weyl.fourier(0)).measure(WeylOp.from_site(3, 2, 0, 0, 1), 0)
+        c.cond(0, {0: (), 1: (branch,), 2: (branch, branch)})
+        c.measure(WeylOp.from_site(3, 2, 1, 0, 1), 1)
+        with pytest.raises(ValueError, match="instruction 2 is a CondGate .*through execute"):
+            run_shots(c, 20, base_seed=1)
+        assert len(execute(c, StabilizerTableau(3, 2, np.random.default_rng(1)))) == 2
 
     def test_noisy_matches_noise_pattern_enumeration(self):
         rng = np.random.default_rng(32)
         kinds = set()
         for trial in range(30):
-            c = random_mixed_circuit(rng, int(rng.integers(1, 4)), weyl_branches=True)
-            assert not has_non_weyl_feed_forward(c)
+            c = without(random_mixed_circuit(rng, int(rng.integers(1, 4))), CondGate)
             kinds.update(i.channel.kind for i in c.instructions if isinstance(i, Noise))
-            kinds.update("feed-forward" for i in c.instructions
-                         if isinstance(i, CondGate) and any(i.predicate.values()))
             exact = density_outcome_distribution(c)
             assert sum(exact.values()) == pytest.approx(1.0)
             tvd, bound = sampled_tvd(run_shots(c, 10_000, base_seed=trial).values, exact)
             assert tvd <= bound, (trial, tvd, bound)
-        assert kinds == {"depolarizing1", "depolarizing2", "feed-forward"}
+        assert kinds == {"depolarizing1", "depolarizing2"}
 
     @pytest.mark.parametrize("basis", ["z", "x"])
     def test_each_noise_kind_matches_enumeration_on_basis_readout(self, basis):
@@ -602,7 +563,7 @@ class TestFrameSampler:
         rng = np.random.default_rng(33)
         compared = 0
         for _ in range(10):
-            c = without_noise(random_mixed_circuit(rng, int(rng.integers(1, 4))))
+            c = without(random_mixed_circuit(rng, int(rng.integers(1, 4))), Noise)
             try:
                 tree = exact_outcome_distribution(c)
             except ValueError:
@@ -612,26 +573,6 @@ class TestFrameSampler:
             assert set(exact) == set(tree)
             assert all(exact[k] == pytest.approx(tree[k], abs=1e-9) for k in tree)
         assert compared >= 8
-
-    def test_non_weyl_feed_forward_refused(self, monkeypatch):
-        """run_shots refuses every circuit with a non-shift feed-forward gate
-        before any draw, naming the first such gate's kind."""
-        def sampled(*args):
-            raise AssertionError("sampled a circuit with non-shift feed-forward")
-
-        monkeypatch.setattr(circuit_module, "_run_frames", sampled)
-        rng = np.random.default_rng(34)
-        refused = 0
-        for trial in range(40):
-            c = random_mixed_circuit(rng, int(rng.integers(1, 5)))
-            if has_non_weyl_feed_forward(c):
-                refused += 1
-                first = next(g.kind for i in c.instructions if isinstance(i, CondGate)
-                             for gates in i.predicate.values() for g in gates
-                             if g.kind not in SHIFT_KINDS)
-                with pytest.raises(ValueError, match=f"feed-forward gate '{first.value}'"):
-                    run_shots(c, 20, base_seed=trial)
-        assert refused >= 10
 
     def test_block_draws(self):
         """Values are a pure function of (circuit, n_shots, base_seed): each
@@ -661,20 +602,18 @@ def edge_circuits() -> dict[str, Circuit]:
 
     dep1 = NoiseChannel("depolarizing1", 0.3)
     rewritten = Circuit(3, 2, 2).gate(weyl.fourier(0)).measure(z(0), 0).noise(dep1, (0, 1))
-    rewritten.cond(0, {0: (), 1: (weyl.shift_x(1),),
-                       2: (weyl.shift_x(1).inverse(), weyl.clock_z(0))})
-    rewritten.gate(weyl.fourier(0)).measure(z(0), 0)  # creg 0 rewritten after the read
-    rewritten.cond(0, {0: (weyl.shift_x(1),), 1: (), 2: (weyl.shift_x(1),)})
+    rewritten.gate(weyl.cx(0, 1)).gate(weyl.fourier(0)).measure(z(0), 0)  # creg 0 rewritten
     rewritten.measure(z(1), 1)
 
     def only_noise(first=None, last=None) -> Circuit:
-        """Feed-forward and a multi-site measurement between two noise
-        instructions, given as (channel, sites)."""
+        """A mid-circuit measurement whose kick moves a later outcome, and a
+        multi-site measurement, between two noise instructions, given as
+        (channel, sites)."""
         c = Circuit(3, 3, 3).gate(weyl.fourier(0)).gate(weyl.cx(0, 1))
         if first:
             c.noise(*first)
         c.measure(WeylOp.from_site(3, 3, 0, 0, 1), 0)
-        c.cond(0, {0: (), 1: (weyl.shift_x(2),), 2: (weyl.clock_z(1), weyl.shift_x(2).inverse())})
+        c.gate(weyl.fourier(0)).gate(weyl.cx(0, 2))
         c.gate(weyl.fourier(1)).gate(weyl.cz(1, 2))
         if last:
             c.noise(*last)
@@ -700,16 +639,32 @@ def edge_circuits() -> dict[str, Circuit]:
 class TestCompiledFrames:
     """run_shots equals the forward frame propagation it replaced, bit for bit."""
 
-    def test_random_weyl_feed_forward_circuits(self):
+    def test_random_circuits(self):
         rng = np.random.default_rng(41)
         kinds = set()
         for trial in range(200):
-            c = random_mixed_circuit(rng, int(rng.integers(1, 5)), weyl_branches=True)
+            c = without(random_mixed_circuit(rng, int(rng.integers(1, 5))), CondGate)
             kinds.update(type(i).__name__ for i in c.instructions)
             for n_shots in (5, circuit_module.FRAME_BLOCK + 3):
                 assert np.array_equal(run_shots(c, n_shots, base_seed=trial).values,
                                       reference_frames(c, n_shots, trial)), (trial, n_shots)
-        assert kinds == {"Gate", "Measure", "CondGate", "Noise", "Barrier"}
+        assert kinds == {"Gate", "Measure", "Noise"}
+
+    def test_plan_distribution_matches_density_oracle(self):
+        """The compiled plan's exact creg distribution equals the density-matrix
+        oracle to rounding on random noisy circuits, some with a mid-circuit
+        kick that moves a kept outcome."""
+        rng = np.random.default_rng(32)
+        kicked = 0
+        for trial in range(30):
+            c = without(random_mixed_circuit(rng, int(rng.integers(1, 4))), CondGate)
+            plan = circuit_module._compile_frames(c)
+            kicks = plan.source[plan.drawn >= c.n_qudits]
+            kicked += bool(kicks[:, plan.writer[plan.writer >= 0]].any())
+            exact, dense = plan_distribution(c), density_outcome_distribution(c)
+            assert max(abs(exact.get(k, 0) - dense.get(k, 0))
+                       for k in set(exact) | set(dense)) < 1e-12, trial
+        assert kicked >= 5
 
     @pytest.mark.parametrize("basis", ["z", "x"])
     def test_default_noise_prepare_6x4(self, basis):
@@ -724,7 +679,6 @@ class TestCompiledFrames:
     @pytest.mark.parametrize("name", sorted(edge_circuits()))
     def test_edge_circuits(self, name):
         c = edge_circuits()[name]
-        assert not has_non_weyl_feed_forward(c)
         for n_shots in (0, 7, circuit_module.FRAME_BLOCK + 1):
             values = run_shots(c, n_shots, base_seed=2).values
             assert values.shape == (n_shots, c.n_cregs)
@@ -750,13 +704,13 @@ class TestCompiledFrames:
 
 
 def circuit_with_tail(rng, n: int, clash: bool) -> tuple[Circuit, int]:
-    """A random head (Clifford gates, mid-circuit measurements, X/Z
-    feed-forward, noise, barriers) ending in a gate, then a tail of phased
-    multi-site commuting measurements, one repeated and one dependent, with
-    noise and a barrier among them; every measurement writes a creg of its
-    own. clash puts a measurement that does not commute with the tail's last
-    right before the tail. Returns the circuit and the index of its tail."""
-    head = random_mixed_circuit(rng, n, weyl_branches=True)
+    """A random head (Clifford gates, mid-circuit measurements, noise)
+    ending in a gate, then a tail of phased multi-site commuting
+    measurements, one repeated and one dependent, with noise among them;
+    every measurement writes a creg of its own. clash puts a measurement
+    that does not commute with the tail's last right before the tail.
+    Returns the circuit and the index of its tail."""
+    head = without(random_mixed_circuit(rng, n), CondGate)
     head.gate(weyl.fourier(int(rng.integers(n))))
     group = StabilizerTableau(3, n)
     for _ in range(4 * n):
@@ -773,14 +727,13 @@ def circuit_with_tail(rng, n: int, clash: bool) -> tuple[Circuit, int]:
         w = tail[-1]
         site = int(np.flatnonzero(w.x | w.z)[0])
         tail.insert(0, WeylOp.from_site(3, n, site, int(w.z[site] != 0), int(w.z[site] == 0)))
-    c, latest = Circuit(3, n, 0), {}
+    c = Circuit(3, n, 0)
     for ins in head.instructions:
         if isinstance(ins, Measure):
-            latest[ins.creg] = c.n_cregs
             c.n_cregs += 1
-            c.measure(ins.observable, latest[ins.creg])
+            c.measure(ins.observable, c.n_cregs - 1)
         else:
-            c.add(CondGate(latest[ins.creg], ins.predicate) if isinstance(ins, CondGate) else ins)
+            c.add(ins)
     c.noise(NoiseChannel("depolarizing1", 0.3), (0,))
     at = []
     for k, w in enumerate(tail):
@@ -788,15 +741,15 @@ def circuit_with_tail(rng, n: int, clash: bool) -> tuple[Circuit, int]:
         c.n_cregs += 1
         c.measure(w, c.n_cregs - 1)
         if k == len(tail) // 2:
-            c.barrier().noise(NoiseChannel("depolarizing1", 0.3), (n - 1,))
+            c.noise(NoiseChannel("depolarizing1", 0.3), (n - 1,))
     c.validate()
     return c, at[int(clash)]
 
 
 class TestBatchedReference:
-    """The frame compile's reference shot: _apply up to the last measurement or
-    feed-forward before the tail, then one lookup of the tail's observables,
-    conjugated back to that point by the backward pass."""
+    """The frame compile's reference shot: _apply up to the last measurement
+    before the tail, then one lookup of the tail's observables, conjugated
+    back to that point by the backward pass."""
 
     def test_matches_forced_execute_on_random_circuits(self, monkeypatch):
         calls = count_tableau_calls(monkeypatch, "measure_weyl", "apply_gate")
@@ -815,21 +768,21 @@ class TestBatchedReference:
             calls["apply_gate"] = 0
             for k, ins in enumerate(c.instructions):  # _apply skips Noise
                 circuit_module._apply(ins, tab, want, force=0)
-                if k < start and isinstance(ins, (Measure, CondGate)):
+                if k < start and isinstance(ins, Measure):
                     replayed = calls["apply_gate"]
             assert plan.ref.tolist() == want, trial
-            # the gates up to the last measurement or feed-forward before the tail
+            # the gates up to the last measurement before the tail
             assert compiled["apply_gate"] == replayed, trial
 
     def test_tail_bounds(self):
         z0, x0 = WeylOp.from_site(3, 2, 0, 0, 1), WeylOp.from_site(3, 2, 0, 1, 0)
         c = Circuit(3, 2, 3).measure(z0, 0).gate(weyl.fourier(0))
         assert circuit_module._reference_tail(c) == 2  # no measurement after the last gate
-        c.measure(x0, 1).barrier().measure(z0, 2)
+        c.measure(x0, 1).noise(NoiseChannel("depolarizing1", 0.1), (1,)).measure(z0, 2)
         assert circuit_module._reference_tail(c) == 4  # x0 clashes with z0: only z0 is batched
         c.instructions[-1] = Measure(WeylOp.from_site(3, 2, 0, 1, 0, phase=1), 2)
         assert circuit_module._reference_tail(c) == 2  # both x0: all batched
-        c.cond(2, {0: (), 1: (), 2: ()})
+        c.gate(weyl.fourier(1))
         assert circuit_module._reference_tail(c) == 6
 
 

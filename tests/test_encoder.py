@@ -291,7 +291,6 @@ NON_GATE = {
     "measure": lambda c: c.measure(WeylOp.from_site(3, 2, 0, 0, 1), 0),
     "condgate": lambda c: c.measure(WeylOp.from_site(3, 2, 0, 0, 1), 0).cond(
         0, {0: (), 1: (weyl.shift_x(1),), 2: ()}),
-    "barrier": lambda c: c.barrier(),
 }
 GATE_ONLY_ENTRIES = {f.__name__: f for f in (compile_report, encode_circuit,
                                               per_qutrit_two_qubit, circuit_to_json)}
