@@ -3,25 +3,25 @@
 Instructions are gates, Weyl-observable measurements into classical
 registers, outcome-conditioned gate blocks (feed-forward) and
 depolarizing Weyl noise. Every engine entry (`execute`, `run_shots`,
-`outcome_leaves`) first runs `Circuit.validate`. `_apply` is the one place
-a noiseless instruction acts on a tableau; `execute` loops over it and
-refuses a noisy circuit, so `run_shots` is the one noise sampler.
+`outcome_leaves`) first runs `Circuit.validate`. `_apply` applies one
+noiseless instruction to a tableau; `execute` loops over it and refuses
+a noisy circuit, so `run_shots` is the one noise sampler.
 
 `run_shots` samples gates, noise and measurements with Weyl frames
 (Pauli-frame sampling carried over to Z_d); it refuses feed-forward,
-which runs through `execute`, before a draw. One reference shot (noise
-stripped, random outcomes forced to 0) and one backward pass through the
-gates compile each random draw into a fixed linear mod-d form over the
-outcomes. The tail, the longest run of pairwise commuting measurements
-after the last gate, takes one batched lookup, no collapse
-(`StabilizerTableau.reference_outcomes`): the backward pass conjugates
-its observables back to the last measurement before it, the only point
-`_apply` replays the tableau to (the start of the circuit when there is
-none, so measure-all replays nothing). Then FRAME_BLOCK shots at a time
-draw their initial frames, measurement kicks and noise hits in a few
-array calls and add the draws' forms. A noise hit's code holds its error
-exponents as base-d digits, and `_hit_exponents` decodes them. The
-values are a pure function of (circuit, n_shots, base_seed).
+which runs through `execute`, before a draw. One backward pass through
+the gates conjugates every measured observable back to |0>^n and
+compiles each random draw into a fixed linear mod-d form over the
+outcomes. The reference shot (noise stripped, random outcomes forced to
+0) measures those conjugated-back observables in order on a fresh
+tableau, no gate replayed: a collapse each up to the last that clashes
+with a later one, then one batched lookup of the pairwise commuting
+rest (`StabilizerTableau.reference_outcomes`), all of a measure-all.
+Then FRAME_BLOCK shots at a time draw their initial frames, measurement
+kicks and noise hits in a few array calls and add the draws' forms. A
+noise hit's code holds its error exponents as base-d digits, and
+`_hit_exponents` decodes them. The values are a pure function of
+(circuit, n_shots, base_seed).
 
 `outcome_leaves` walks the exact outcome tree of a noiseless circuit,
 forking the tableau once per outcome of each random measurement
@@ -216,14 +216,13 @@ def _hit_exponents(code: np.ndarray, d: int) -> np.ndarray:
     return code[..., None] // d ** np.arange(4) % d
 
 
-def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int],
-           force: int | None = None) -> None:
-    """Apply a gate, a measurement (its outcome, forced to `force` if given, into
-    creg) or a feed-forward block to tab; Noise is left to run_shots."""
+def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int]) -> None:
+    """Apply a gate, a measurement (its outcome, drawn by tab, into creg) or a
+    feed-forward block to tab; Noise is left to run_shots."""
     if isinstance(ins, Gate):
         tab.apply_gate(ins.gate)
     elif isinstance(ins, Measure):
-        creg[ins.creg] = tab.measure_weyl(ins.observable, force).value
+        creg[ins.creg] = tab.measure_weyl(ins.observable).value
     elif isinstance(ins, CondGate):
         for g in ins.predicate[creg[ins.creg]]:
             tab.apply_gate(g)
@@ -273,7 +272,7 @@ def outcome_leaves(circuit: Circuit) -> Iterator[tuple]:
                                  f"{TREE_MAX_RANDOM_MEASUREMENTS} random outcomes")
             for s in range(circuit.d):
                 child, child_creg = tab.copy(), list(creg)
-                _apply(ins, child, child_creg, force=s)
+                child_creg[ins.creg] = child.measure_weyl(ins.observable, s).value
                 yield from walk(i + 1, child, child_creg, path + (s,))
             return
         yield path, creg, tab
@@ -330,40 +329,21 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     return values
 
 
-def _reference_tail(circuit: Circuit) -> int:
-    """Index of the instruction where the reference shot's batched tail starts.
-
-    The tail is the longest run of measurements after the last Gate (Noise
-    aside) whose observables commute pairwise: nothing after them acts on
-    the state, so one `StabilizerTableau.reference_outcomes` call gives
-    their forced-0 values without a collapse. Returns len(instructions) for
-    no tail.
-    """
-    ins = circuit.instructions
-    start = len(ins)
-    while start and not isinstance(ins[start - 1], Gate):
-        start -= 1
-    at = [i for i in range(start, len(ins)) if isinstance(ins[i], Measure)]
-    if not at:
-        return len(ins)
-    x, z = np.array([ins[i].observable.x for i in at]), np.array([ins[i].observable.z for i in at])
-    clash = np.flatnonzero(np.triu((x @ z.T - z @ x.T) % circuit.d, 1).any(axis=1))
-    return at[clash[-1] + 1 if len(clash) else 0]
-
-
 def _compile_frames(circuit: Circuit) -> _FramePlan:
     """Linear mod-d outcome forms of the random draws, over the M measurements.
 
-    A reference shot (noise stripped, random outcomes forced to 0) gives
-    `ref`. Walking back through the gates, rows of bx, bz, ph hold each
-    measured W conjugated back to here (zero before W is measured);
-    s(g F g^dag, W) = s(F, g^dag W g), so a draw F here moves the outcomes
-    by F.x . bz - F.z . bx. `_apply` replays the head only up to `stop`,
-    after its last measurement before the tail; when the walk
-    reaches `stop`, one `reference_outcomes` lookup of the tail's rows (the
-    only rows set there) on that tableau gives the tail's values, as
-    conjugation keeps every symplectic product and eigenvalue. A tail
-    measurement's kick is zero (it commutes with every later one).
+    One backward pass through the gates leaves rows of bx, bz, ph holding
+    each measured W conjugated back to |0>^n, phase included (zero before
+    W is measured). By Heisenberg, projecting onto W at its time is
+    projecting onto its row before any gate, so the reference shot (noise
+    stripped, random outcomes forced to 0), `ref`, is the rows measured in
+    order on a fresh tableau: a forced collapse for each row up to the
+    last that fails to commute with a later row, then one
+    `reference_outcomes` lookup of the pairwise commuting rest.
+    s(g F g^dag, W) = s(F, g^dag W g), so a draw F at a point moves the
+    outcomes by its symplectic products with the rows conjugated back to
+    there: measurement j's kick moves a later outcome k by the product of
+    rows j and k (zero for the rest, which commute with every later row).
     `source`: float forms of the `drawn` rows among the initial Z frame's
     n rows and the M kicks, those with a nonzero form (the others move no
     outcome). Per noise hit test (a depolarizing1 site or a depolarizing2
@@ -373,30 +353,18 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
     from `start[test]` to `start[test + 1]`.
     """
     d, n, instructions = circuit.d, circuit.n_qudits, circuit.instructions
-    tail = _reference_tail(circuit)
-    stop = max((i + 1 for i in range(tail) if isinstance(instructions[i], Measure)), default=0)
-    tab, creg, ref = StabilizerTableau(d, n), [0] * circuit.n_cregs, []
+    measured = [ins for ins in instructions if isinstance(ins, Measure)]
     writer = [-1] * circuit.n_cregs
-    for ins in instructions[:stop]:
-        _apply(ins, tab, creg, force=0)
-        if isinstance(ins, Measure):
-            writer[ins.creg] = len(ref)
-            ref.append(creg[ins.creg])
-    head = len(ref)  # measurements before the tail
-    batch = [ins for ins in instructions[tail:] if isinstance(ins, Measure)]
-    for k, ins in enumerate(batch):
-        writer[ins.creg] = head + k
-    ref = np.array(ref + [0] * len(batch), dtype=np.int64)  # the tail's values are set at stop
+    for j, ins in enumerate(measured):
+        writer[ins.creg] = j
     tests = [ins.channel for ins in instructions if isinstance(ins, Noise)
              for _ in range(len(ins.sites) // ins.channel.width)]  # a channel per hit test
-    bxz = np.zeros((2, len(ref), n), dtype=np.int64)
+    bxz = np.zeros((2, len(measured), n), dtype=np.int64)
     bx, bz = bxz  # views
-    ph = np.zeros(len(ref), dtype=np.int64)  # with bx, bz: omega^ph X^bx Z^bz
-    kicks = np.zeros((len(ref), len(ref)), dtype=np.int64)
-    forms = np.zeros((len(tests), 2, 2, len(ref)), dtype=np.int64)  # per site: bz, bx rows
-    j, t = len(ref), len(tests)
-    for i in reversed(range(len(instructions))):
-        ins = instructions[i]
+    ph = np.zeros(len(measured), dtype=np.int64)  # with bx, bz: omega^ph X^bx Z^bz
+    forms = np.zeros((len(tests), 2, 2, len(measured)), dtype=np.int64)  # per site: bz, bx rows
+    j, t = len(measured), len(tests)
+    for ins in reversed(instructions):
         if isinstance(ins, Gate):
             conjugate_rows(ins.gate.inverse(), bx, bz, ph, d)
         elif isinstance(ins, Noise):
@@ -405,14 +373,16 @@ def _compile_frames(circuit: Circuit) -> _FramePlan:
             forms[t:t + len(sites), :sites.shape[1]] = bxz[::-1, :, sites].transpose(2, 3, 0, 1)
         elif isinstance(ins, Measure):
             j -= 1
-            w = ins.observable
-            if j < head:  # a tail kick commutes with every later measurement: zero
-                kicks[j] = bz @ w.x - bx @ w.z
-            bx[j], bz[j], ph[j] = w.x, w.z, w.phase
-        if i == stop and batch:  # only the tail's rows are set here, conjugated back to stop
-            ref[head:] = tab.reference_outcomes(bx[head:], bz[head:], ph[head:])
+            bx[j], bz[j], ph[j] = ins.observable.x, ins.observable.z, ins.observable.phase
+    kicks = np.triu(bx @ bz.T - bz @ bx.T, 1) % d  # row j: its products with later rows
+    clash = np.flatnonzero(kicks.any(axis=1))
+    head = clash[-1] + 1 if len(clash) else 0  # rows measured one by one
+    tab, ref = StabilizerTableau(d, n), np.zeros(len(measured), dtype=np.int64)
+    for j in range(head):
+        ref[j] = tab.measure_weyl(WeylOp(d, bx[j], bz[j], ph[j]), force=0).value
+    ref[head:] = tab.reference_outcomes(bx[head:], bz[head:], ph[head:])
     forms[:, :, 1] *= -1  # a site's rows: x (bz) and z (-bx)
-    forms = forms.reshape(len(tests), 4, len(ref))  # rows x0, z0, x1, z1
+    forms = forms.reshape(len(tests), 4, len(measured))  # rows x0, z0, x1, z1
     source = np.concatenate([-bx.T, kicks]) % d
     drawn = np.flatnonzero(source.any(axis=1))  # a row of zeros moves no outcome
     t, r, c = np.nonzero(forms)  # the forms' nonzero entries, test by test

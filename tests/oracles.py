@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from qutrit_toric.analysis import ConfusionMatrix, _per_bit
-from qutrit_toric.circuit import Circuit, CondGate, Gate, Measure, _compile_frames, execute
+from qutrit_toric.circuit import Circuit, Gate, Measure, _compile_frames, execute
 from qutrit_toric.dense import gate_matrix, weyl_matrices
 from qutrit_toric.encoder import QubitCircuit
 from qutrit_toric.experiments import Script, ScriptRunner
@@ -178,8 +178,16 @@ def state_from_tableau(tab) -> DenseState:
 
 
 def dense_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]:
-    """Joint creg distribution of a noiseless circuit by projecting a dense state
-    onto each eigenspace, P_s = (1/d) sum_m omega^(-s m) w^m."""
+    """Joint creg distribution of a circuit of gates and measurements by projecting
+    a dense state onto each eigenspace, P_s = (1/d) sum_m omega^(-s m) w^m.
+
+    Any other instruction (CondGate, Noise) is refused with a ValueError naming
+    its kind."""
+    refused = sorted({type(ins).__name__ for ins in circuit.instructions
+                      if not isinstance(ins, (Gate, Measure))})
+    if refused:
+        raise ValueError("dense_outcome_distribution takes gates and measurements only, "
+                         f"got {', '.join(refused)}")
     d, n = circuit.d, circuit.n_qudits
     omega = np.exp(2j * np.pi / d)
     dist = {}
@@ -189,10 +197,7 @@ def dense_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]
             ins = circuit.instructions[i]
             if isinstance(ins, Gate):
                 state.apply_gate(ins.gate)
-            elif isinstance(ins, CondGate):
-                for g in ins.predicate[creg[ins.creg]]:
-                    state.apply_gate(g)
-            elif isinstance(ins, Measure):
+            else:
                 powers = []
                 for m in range(d):
                     st = state.copy()

@@ -267,13 +267,26 @@ def reference_run_shot(circuit, seed):
     return creg
 
 
+def forced_reference(circuit: Circuit) -> list[int | None]:
+    """The reference shot replayed forward on a tableau: gates applied, noise
+    skipped, random outcomes forced to 0; each instruction's measured value,
+    or None for an instruction that measures nothing."""
+    tab, values = StabilizerTableau(circuit.d, circuit.n_qudits), []
+    for ins in circuit.instructions:
+        if isinstance(ins, Gate):
+            tab.apply_gate(ins.gate)
+        values.append(tab.measure_weyl(ins.observable, force=0).value
+                      if isinstance(ins, Measure) else None)
+    return values
+
+
 def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     """Forward Weyl-frame propagation, written out here as the reference for run_shots.
 
-    A reference shot (noise stripped, random outcomes forced to 0), then
-    every block of FRAME_BLOCK shots pushes a (shots, 2, n) frame array
-    through each instruction. It takes the block's draws from
-    `_draw_block` on SeedSequence([base_seed, b]): the initial Z frame,
+    The forward reference shot (`forced_reference`), then every block of
+    FRAME_BLOCK shots pushes a (shots, 2, n) frame array through each
+    instruction. It takes the block's draws from `_draw_block` on
+    SeedSequence([base_seed, b]): the initial Z frame,
     then one kick per Measure, each where the plan draws it (the rows it
     leaves undrawn take values from another generator, which checks that
     they move no outcome), then one hit uniform per noise test (a
@@ -281,12 +294,7 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
     read back by replaying the block's generator, and a code per hit.
     """
     d, n = circuit.d, circuit.n_qudits
-    ref, creg = StabilizerTableau(d, n), [0] * circuit.n_cregs
-    ref_values = []  # the reference's value of the creg each instruction writes
-    for ins in circuit.instructions:
-        if not isinstance(ins, Noise):
-            circuit_module._apply(ins, ref, creg, force=0)
-        ref_values.append(creg[ins.creg] if isinstance(ins, Measure) else None)
+    ref_values = forced_reference(circuit)
     plan = circuit_module._compile_frames(circuit)
     n_kicks = sum(isinstance(ins, Measure) for ins in circuit.instructions)
     blocks = []
@@ -476,7 +484,9 @@ class TestSingleInterpreter:
         """On a noiseless circuit of gates and measurements execute draws
         outcomes exactly as the straight-line loop did; run_shots gives only
         outcomes the exact distribution allows; where the tree stays within
-        its budget, its exact distribution matches the dense oracle."""
+        its budget, its exact distribution matches the density-matrix oracle
+        (the pure-state dense walk, exponential in the random outcomes, is
+        acceptance criterion 2's oracle)."""
         rng = np.random.default_rng(2024)
         kinds = set()
         trees = 0
@@ -490,9 +500,9 @@ class TestSingleInterpreter:
                 exact = None
             else:
                 trees += 1
-                dense = dense_outcome_distribution(c)
-                tvd = 0.5 * sum(abs(exact.get(k, 0) - dense.get(k, 0))
-                                for k in set(exact) | set(dense))
+                density = density_outcome_distribution(c)
+                tvd = 0.5 * sum(abs(exact.get(k, 0) - density.get(k, 0))
+                                for k in set(exact) | set(density))
                 assert tvd < 1e-9, (trial, tvd)
             kinds.update(type(i).__name__ for i in c.instructions)
             kinds.update(i.channel.kind for i in c.instructions if isinstance(i, Noise))
@@ -510,6 +520,16 @@ class TestSingleInterpreter:
             expected |= {"Noise", "depolarizing1", "depolarizing2"}
         assert kinds == expected
         assert trees == (0 if noisy else 40)
+
+    def test_dense_oracle_refuses_feed_forward_and_noise(self):
+        """The pure-state dense walk takes gates and measurements only."""
+        c = Circuit(3, 1, 1).gate(weyl.fourier(0)).measure(WeylOp.from_site(3, 1, 0, 0, 1), 0)
+        assert dense_outcome_distribution(c) == pytest.approx({(0,): 1 / 3, (1,): 1 / 3,
+                                                               (2,): 1 / 3})
+        with pytest.raises(ValueError, match="got CondGate, Noise$"):
+            dense_outcome_distribution(
+                c.cond(0, {0: (), 1: (weyl.shift_x(0),), 2: ()})
+                 .noise(NoiseChannel("depolarizing1", 0.1), (0,)))
 
 
 class TestFrameSampler:
@@ -709,7 +729,9 @@ def circuit_with_tail(rng, n: int, clash: bool) -> tuple[Circuit, int]:
     measurements, one repeated and one dependent, with noise among them;
     every measurement writes a creg of its own. clash puts a measurement
     that does not commute with the tail's last right before the tail.
-    Returns the circuit and the index of its tail."""
+    Returns the circuit and the index of its tail: the frame compile's
+    reference shot collapses on no tail measurement, and with clash on
+    every measurement before the tail."""
     head = without(random_mixed_circuit(rng, n), CondGate)
     head.gate(weyl.fourier(int(rng.integers(n))))
     group = StabilizerTableau(3, n)
@@ -746,44 +768,79 @@ def circuit_with_tail(rng, n: int, clash: bool) -> tuple[Circuit, int]:
     return c, at[int(clash)]
 
 
-class TestBatchedReference:
-    """The frame compile's reference shot: _apply up to the last measurement
-    before the tail, then one lookup of the tail's observables, conjugated
-    back to that point by the backward pass."""
+def collapsed_measurements(circuit: Circuit) -> int:
+    """Measurements the frame compile's reference shot collapses on: those up
+    to the last whose observable, conjugated back to |0>^n, fails to commute
+    with a later one's."""
+    gates, rows = [], []
+    for ins in circuit.instructions:
+        if isinstance(ins, Gate):
+            gates.append(ins.gate.inverse())
+        elif isinstance(ins, Measure):
+            rows.append(weyl.conjugate_through(gates[::-1], ins.observable))
+    return max((j + 1 for j, w in enumerate(rows) for v in rows[j + 1:]
+                if weyl.symplectic_product(w, v)), default=0)
 
-    def test_matches_forced_execute_on_random_circuits(self, monkeypatch):
-        calls = count_tableau_calls(monkeypatch, "measure_weyl", "apply_gate")
+
+class TestBatchedReference:
+    """The frame compile's reference shot, from the one backward pass: the
+    measured observables conjugated back to |0>^n, measured in order on a
+    fresh tableau, a forced collapse each up to the last that clashes with
+    a later one and one lookup of the rest; no gate is replayed."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return count_tableau_calls(monkeypatch, "apply_gate", "measure_weyl",
+                                   "reference_outcomes")
+
+    @staticmethod
+    def compile(circuit, calls):
+        """The frame plan, with calls counted afresh over its compile."""
+        calls.update(dict.fromkeys(calls, 0))
+        return circuit_module._compile_frames(circuit)
+
+    def test_matches_forced_execute_on_random_circuits(self, calls):
         rng = np.random.default_rng(23)
+        reached = 0
         for trial in range(120):
             n, clash = int(rng.integers(1, 5)), trial % 2 == 1
             c, start = circuit_with_tail(rng, n, clash)
-            assert circuit_module._reference_tail(c) == start, trial
-            calls.update(measure_weyl=0, apply_gate=0)
-            plan = circuit_module._compile_frames(c)
-            compiled = dict(calls)
-            # a collapse per measurement before the tail (the clashing one too), none after
-            assert compiled["measure_weyl"] == sum(isinstance(i, Measure)
-                                                   for i in c.instructions[:start])
-            want, tab, replayed = [0] * c.n_cregs, StabilizerTableau(3, n), 0
-            calls["apply_gate"] = 0
-            for k, ins in enumerate(c.instructions):  # _apply skips Noise
-                circuit_module._apply(ins, tab, want, force=0)
-                if k < start and isinstance(ins, Measure):
-                    replayed = calls["apply_gate"]
-            assert plan.ref.tolist() == want, trial
-            # the gates up to the last measurement before the tail
-            assert compiled["apply_gate"] == replayed, trial
+            plan = self.compile(c, calls)
+            collapsed = collapsed_measurements(c)
+            assert calls == {"apply_gate": 0, "measure_weyl": collapsed,
+                             "reference_outcomes": 1}, trial
+            before_tail = sum(isinstance(i, Measure) for i in c.instructions[:start])
+            assert collapsed == before_tail if clash else collapsed <= before_tail, trial
+            reached += collapsed < before_tail
+            assert plan.ref.tolist() == [v for v in forced_reference(c) if v is not None], trial
+        assert reached >= 10  # measurements before the tail batched too
 
-    def test_tail_bounds(self):
+    def test_tail_bounds(self, calls):
         z0, x0 = WeylOp.from_site(3, 2, 0, 0, 1), WeylOp.from_site(3, 2, 0, 1, 0)
         c = Circuit(3, 2, 3).measure(z0, 0).gate(weyl.fourier(0))
-        assert circuit_module._reference_tail(c) == 2  # no measurement after the last gate
+        self.compile(c, calls)
+        assert calls["measure_weyl"] == 0  # one measurement: nothing later to clash with
         c.measure(x0, 1).noise(NoiseChannel("depolarizing1", 0.1), (1,)).measure(z0, 2)
-        assert circuit_module._reference_tail(c) == 4  # x0 clashes with z0: only z0 is batched
+        self.compile(c, calls)
+        assert calls["measure_weyl"] == 2  # back at |0>^n: z0, z0^-1, x0; x0 clashes with both
         c.instructions[-1] = Measure(WeylOp.from_site(3, 2, 0, 1, 0, phase=1), 2)
-        assert circuit_module._reference_tail(c) == 2  # both x0: all batched
+        self.compile(c, calls)
+        assert calls["measure_weyl"] == 0  # z0, z0^-1, z0^-1 phased: all batched
         c.gate(weyl.fourier(1))
-        assert circuit_module._reference_tail(c) == 6
+        self.compile(c, calls)
+        assert calls == {"apply_gate": 0, "measure_weyl": 0, "reference_outcomes": 1}
+
+    def test_measurements_between_gates_batched(self, calls):
+        """Measurements with gates between them take one lookup when their rows
+        conjugated back to |0>^n commute: Z0 after F(0), Z0 after CX(0,1) and
+        X(1), then X1 after F(1) all commute back at the start."""
+        z0 = WeylOp.from_site(3, 2, 0, 0, 1)
+        c = Circuit(3, 2, 3).gate(weyl.fourier(0)).measure(z0, 0)
+        c.gate(weyl.cx(0, 1)).gate(weyl.shift_x(1)).measure(z0, 1)
+        c.gate(weyl.fourier(1)).measure(WeylOp.from_site(3, 2, 1, 1, 0), 2)
+        plan = self.compile(c, calls)
+        assert calls == {"apply_gate": 0, "measure_weyl": 0, "reference_outcomes": 1}
+        assert plan.ref.tolist() == [v for v in forced_reference(c) if v is not None] == [0, 0, 2]
 
 
 class TestStatistics:
