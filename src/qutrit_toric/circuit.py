@@ -2,14 +2,15 @@
 
 Instructions are gates, Weyl-observable measurements into classical
 registers, outcome-conditioned gate blocks (feed-forward) and
-depolarizing Weyl noise. Every engine entry (`execute`, `run_shots`,
-`outcome_leaves`) first runs `Circuit.validate`. `_apply` applies one
-noiseless instruction to a tableau; `execute` loops over it and refuses
-a noisy circuit, so `run_shots` is the one noise sampler.
+depolarizing Weyl noise. Each engine takes some of these kinds, and
+`Circuit.validate(takes)` is the one place that refuses the others:
+every engine entry calls it once, naming the kinds it takes, before any
+tableau change or draw. `_apply` applies one noiseless instruction to a
+tableau; `execute` and the outcome tree take gates, measurements and
+feed-forward, so `run_shots` is the one noise sampler.
 
 `run_shots` samples gates, noise and measurements with Weyl frames
-(Pauli-frame sampling carried over to Z_d); it refuses feed-forward,
-which runs through `execute`, before a draw. One backward pass through
+(Pauli-frame sampling carried over to Z_d). One backward pass through
 the gates conjugates every measured observable back to |0>^n and
 compiles each random draw into a fixed linear mod-d form over the
 outcomes. The reference shot (noise stripped, random outcomes forced to
@@ -151,7 +152,9 @@ class Circuit:
         self.instructions.extend(other.instructions)
         return self
 
-    def validate(self) -> None:
+    def validate(self, takes: tuple[type, ...]) -> None:
+        """Refuse an invalid circuit with ValueError, then the first instruction
+        whose kind is not in takes, naming its index and kind."""
         written: set[int] = set()
 
         def check_targets(gates):
@@ -183,9 +186,10 @@ class Circuit:
                 for s in ins.sites:
                     if not (0 <= s < self.n_qudits):
                         raise ValueError(f"noise site {s} out of range")
-
-    def has_noise(self) -> bool:
-        return any(isinstance(i, Noise) for i in self.instructions)
+        for i, ins in enumerate(self.instructions):
+            if not isinstance(ins, takes):
+                raise ValueError(f"instruction {i} is a {type(ins).__name__}: this engine takes "
+                                 f"{', '.join(t.__name__ for t in takes)} only")
 
     def with_noise(self, p1: float = 0.0, p2: float = 0.0) -> "Circuit":
         """Copy with depolarizing noise appended after each gate."""
@@ -234,10 +238,7 @@ def execute(circuit: Circuit, tab: StabilizerTableau) -> list[int]:
     Random measurement outcomes are drawn by the tableau. An invalid or noisy circuit
     is refused with ValueError before tab changes: run_shots samples noise.
     """
-    circuit.validate()
-    if circuit.has_noise():
-        raise ValueError("execute runs noiseless circuits only: this circuit has noise; "
-                         "sample it with run_shots")
+    circuit.validate((Gate, Measure, CondGate))
     creg = [0] * circuit.n_cregs
     for ins in circuit.instructions:
         _apply(ins, tab, creg)
@@ -251,10 +252,7 @@ def outcome_leaves(circuit: Circuit) -> Iterator[tuple]:
     outcomes down to its leaf. Raises ValueError for an invalid or noisy circuit, and
     before a branch would fork past TREE_MAX_RANDOM_MEASUREMENTS outcomes.
     """
-    circuit.validate()
-    refusal = "the exact outcome tree needs a noiseless, low-branching circuit: "
-    if circuit.has_noise():
-        raise ValueError(refusal + "this circuit has noise")
+    circuit.validate((Gate, Measure, CondGate))
     instructions = circuit.instructions
 
     def walk(start: int, tab: StabilizerTableau, creg: list[int], path: tuple[int, ...]):
@@ -268,7 +266,8 @@ def outcome_leaves(circuit: Circuit) -> Iterator[tuple]:
                 creg[ins.creg] = det
                 continue
             if len(path) == TREE_MAX_RANDOM_MEASUREMENTS:
-                raise ValueError(refusal + f"instruction {i} would fork past the budget of "
+                raise ValueError("the exact outcome tree needs a noiseless, low-branching "
+                                 f"circuit: instruction {i} would fork past the budget of "
                                  f"{TREE_MAX_RANDOM_MEASUREMENTS} random outcomes")
             for s in range(circuit.d):
                 child, child_creg = tab.copy(), list(creg)
@@ -403,11 +402,7 @@ def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
     it runs through execute. parallelism is not read; benchmarks/probes.py
     still passes it.
     """
-    circuit.validate()
-    cond = [i for i, ins in enumerate(circuit.instructions) if isinstance(ins, CondGate)]
-    if cond:
-        raise ValueError(f"run_shots samples gates, noise and measurements only: instruction "
-                         f"{cond[0]} is a CondGate (feed-forward); run it through execute")
+    circuit.validate((Gate, Noise, Measure))
     return ShotBatch(_run_frames(circuit, n_shots, base_seed))
 
 

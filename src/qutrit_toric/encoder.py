@@ -12,7 +12,8 @@ it by Fourier gates on the target pair. A compiled circuit acts
 identically on the encoded subspace and never populates the herald
 state, so leakage observed at readout always signals an error.
 
-Compilation takes gate-only circuits and is one qutrit token stream:
+Compilation takes gate-only circuits and is one qutrit token stream,
+which refuses any other instruction kind through `Circuit.validate`:
 encode_circuit places its native sequences on qubit pairs; compile_report
 sums cached per-token summaries.
 """
@@ -215,20 +216,11 @@ class QubitCircuit:
     ops: list[NativeOp] = field(default_factory=list)
 
 
-def require_gate_only(circuit: Circuit) -> None:
-    """Refuse a circuit holding anything but gates, naming each other instruction kind."""
-    kinds = sorted({type(ins).__name__.lower() for ins in circuit.instructions
-                    if not isinstance(ins, Gate)})
-    if kinds:
-        raise ValueError(f"expected a gate-only circuit, got {', '.join(kinds)} instructions")
-
-
 def _token_stream(circuit: Circuit, basis: str | None, optimization_level: int):
     """Qutrit-level token stream of a valid gate-only circuit, with Fourier-expansion
     and peephole passes. Each token is (key, qutrits): key is a token_summary key or
     "barrier" (no qutrits)."""
-    circuit.validate()
-    require_gate_only(circuit)
+    circuit.validate((Gate,))
     tokens: list[tuple] = []
     fresh = set(range(circuit.n_qudits))
     for ins in circuit.instructions:
@@ -274,12 +266,12 @@ def _cancel_fourier_pairs(tokens):
     return [tok for tok in out if tok is not None]
 
 
-def per_qutrit_two_qubit(circuit: Circuit, basis: str | None = None,
-                         optimization_level: int = 1) -> list[int]:
-    """Entangler (zzphase) involvements per qutrit of the compiled gate-only
-    circuit, summed from the token summaries without a depth walk."""
+def per_qutrit_two_qubit(circuit: Circuit, basis: str | None = None) -> list[int]:
+    """Entangler (zzphase) involvements per qutrit of the gate-only circuit
+    compiled at optimization level 1, summed from the token summaries
+    without a depth walk."""
     counts = [0] * circuit.n_qudits
-    for key, qutrits in _token_stream(circuit, basis, optimization_level):
+    for key, qutrits in _token_stream(circuit, basis, 1):
         if key != "barrier":
             for qt, k in zip(qutrits, token_summary(key).zz_per_qutrit):
                 counts[qt] += k

@@ -34,7 +34,6 @@ from .defects import (
     fuse_cc_pair,
     pf_defect_circuit,
     solve_weyl_op,
-    weyl_gates,
 )
 from .estimators import snapshots_from_outcomes
 from .lattice import TorusLattice, ground_state_circuit
@@ -177,7 +176,7 @@ class ScriptRunner:
                     raise ValueError(f"fuse names defect {step.defect_index}, which is not live")
                 frag = fuse_cc_pair(lat, live.pop(step.defect_index))
             elif isinstance(step, Move):
-                frag.gates(weyl_gates(self.solve_move(step)))
+                tab.apply_weyl(self.solve_move(step))
             elif isinstance(step, Snapshot):
                 frames.append(self._snapshot(tab, step.label))
             execute(frag, tab)
@@ -248,11 +247,10 @@ def pf_braid_script() -> Script:
     return s
 
 
-def cc_braid_script(fuse: bool = True) -> Script:
+def cc_braid_script() -> Script:
     """CC braid on 4x4: a conjugate flux crosses the line (argument flip),
     wraps, and fuses with its pinned partner, leaving one conjugate
-    flux; optionally the defect pair is then fused to reveal the
-    absorbed flux."""
+    flux; then the defect pair is fused to reveal the absorbed flux."""
     s = Script("braid-cc", 4, 4)
     lat = TorusLattice(4, 4)
     ribbon = CCRibbon.canonical(lat, (1, 1), 2)
@@ -274,9 +272,9 @@ def cc_braid_script(fuse: bool = True) -> Script:
         Move(((3, 0),), ((face_key(B, (2, 3)), 2), (face_key(B, (3, 0)), 1)),
              label="fuse-with-partner"),
         Snapshot("fused"),
+        Fuse(0),
+        Snapshot("defects-fused"),
     ]
-    if fuse:
-        s.steps += [Fuse(0), Snapshot("defects-fused")]
     return s
 
 

@@ -1,4 +1,4 @@
-"""Linear algebra over Z_d for prime d: modular inverse, row reduction, rank, solve.
+"""Linear algebra over Z_d for prime d: modular inverse, row reduction, solve.
 
 Pivot inverses always exist because d is prime; everything is plain
 Gaussian elimination on small int64 matrices.
@@ -39,11 +39,6 @@ def row_reduce(mat: np.ndarray, d: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def rank(mat: np.ndarray, d: int) -> int:
-    _, pivots = row_reduce(mat, d)
-    return len(pivots)
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray, d: int) -> np.ndarray | None:

@@ -1,6 +1,8 @@
 """Versioned JSON schemas: circuits, scripts and the result document.
 
-Every document carries a "schema" tag. A result document wraps the
+Every document carries a "schema" tag. `circuit_to_json` takes gate-only
+circuits: `Circuit.validate` refuses an invalid circuit or any other
+instruction kind before a document is written. A result document wraps the
 entries its run built (braid frames and topological-qutrit rows come
 from `experiments` already in document form). Documents are
 written, not read back, each as one line of compact JSON (json's C
@@ -11,8 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .circuit import Circuit
-from .encoder import require_gate_only
+from .circuit import Circuit, Gate
 from .experiments import (
     Fuse,
     InsertCC,
@@ -36,8 +37,8 @@ def dumps(doc: dict) -> str:
 
 
 def circuit_to_json(circ: Circuit) -> dict:
-    """The circuit/v1 document of a gate-only circuit."""
-    require_gate_only(circ)
+    """The circuit/v1 document of a valid gate-only circuit."""
+    circ.validate((Gate,))
     return {
         "schema": CIRCUIT_SCHEMA,
         "d": circ.d,

@@ -53,22 +53,22 @@ class WeylOp:
         return self.x.shape[0]
 
     @classmethod
-    def from_site(cls, d: int, n: int, site: int, xe: int, ze: int, phase: int = 0) -> "WeylOp":
+    def from_site(cls, d: int, n: int, site: int, xe: int, ze: int) -> "WeylOp":
         x = np.zeros(n, dtype=np.int64)
         z = np.zeros(n, dtype=np.int64)
         x[site] = xe
         z[site] = ze
-        return cls(d, x, z, phase)
+        return cls(d, x, z)
 
     @classmethod
-    def from_pattern(cls, d: int, n: int, pattern: dict[int, tuple[int, int]], phase: int = 0) -> "WeylOp":
+    def from_pattern(cls, d: int, n: int, pattern: dict[int, tuple[int, int]]) -> "WeylOp":
         """Build from a sparse map site -> (x_exponent, z_exponent)."""
         x = np.zeros(n, dtype=np.int64)
         z = np.zeros(n, dtype=np.int64)
         for site, (xe, ze) in pattern.items():
             x[site] = xe
             z[site] = ze
-        return cls(d, x, z, phase)
+        return cls(d, x, z)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -83,10 +83,6 @@ class WeylOp:
         cross = int(np.dot(self.x, self.z)) % self.d
         ph = (m * self.phase + (m * (m - 1) // 2) * cross) % self.d
         return WeylOp(self.d, m * self.x, m * self.z, ph)
-
-    def inverse(self) -> "WeylOp":
-        cross = int(np.dot(self.x, self.z)) % self.d
-        return WeylOp(self.d, -self.x, -self.z, -self.phase + cross)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylOp):
@@ -300,11 +296,6 @@ def conjugate_rows(g: CliffordGate, x: np.ndarray, z: np.ndarray, ph: np.ndarray
             z[:, c] = (z[:, c] - x[:, t]) % d
             z[:, t] = (z[:, t] - x[:, c]) % d
     ph %= d
-
-
-def conjugate_by_gate(g: CliffordGate, w: WeylOp) -> WeylOp:
-    """Exact Heisenberg image g w g^dagger, including the phase exponent."""
-    return conjugate_through((g,), w)
 
 
 def conjugate_through(gates, w: WeylOp) -> WeylOp:

@@ -3,10 +3,11 @@
 Nothing in the package runs these. They are the brute-force references
 (dense statevector, dense joint outcome distributions, a compiled frame
 plan's exact distribution, the dict-based readout channel, per-operator
-sector counts, one face's document entry) and the small conveniences
-that only tests call (one-row tableau expectations, a fresh |0>^n
-tableau, a one-shot tableau run, counted tableau calls, a braid run that
-returns its runner).
+sector counts, one face's document entry, the tableau invariant check)
+and the small conveniences that only tests call (one-row tableau
+expectations, a fresh |0>^n tableau, a one-shot tableau run, counted
+tableau calls, a braid run that returns its runner, the CC braid
+without its closing fuse).
 Hard size caps keep the dense ones to a few qutrits.
 """
 
@@ -18,8 +19,9 @@ from qutrit_toric.analysis import ConfusionMatrix, _per_bit
 from qutrit_toric.circuit import Circuit, Gate, Measure, _compile_frames, execute
 from qutrit_toric.dense import gate_matrix, weyl_matrices
 from qutrit_toric.encoder import QubitCircuit
-from qutrit_toric.experiments import Script, ScriptRunner
+from qutrit_toric.experiments import Script, ScriptRunner, cc_braid_script
 from qutrit_toric.lattice import Plaquette, TorusLattice, default_preparation_order
+from qutrit_toric.modmath import row_reduce
 from qutrit_toric.synth import ops_unitary
 from qutrit_toric.tableau import StabilizerTableau, outcome_expectation
 from qutrit_toric.weyl import CliffordGate, WeylOp, check_dimension
@@ -310,6 +312,25 @@ def stabilizer_group_equals(tab: StabilizerTableau, other: StabilizerTableau) ->
         other.x[n:], other.z[n:], other.ph[n:]).any()
 
 
+def rank(mat: np.ndarray, d: int) -> int:
+    _, pivots = row_reduce(mat, d)
+    return len(pivots)
+
+
+def validate_tableau(tab: StabilizerTableau) -> None:
+    """Assert commutation, independence and canonical pairing."""
+    d, n = tab.d, tab.n
+    form = (tab.x @ tab.z.T - tab.z @ tab.x.T) % d
+    if np.any(form[n:, n:]):
+        raise AssertionError("stabilizer generators do not commute")
+    if rank(np.concatenate([tab.x[n:], tab.z[n:]], axis=1), d) != n:
+        raise AssertionError("stabilizer generators are dependent")
+    if not np.array_equal(form[:n, n:], np.eye(n, dtype=np.int64)):
+        raise AssertionError("destabilizer pairing is not canonical")
+    if np.any(form[:n, :n]):
+        raise AssertionError("destabilizers do not commute among themselves")
+
+
 # -- readout channel -----------------------------------------------------------------
 
 
@@ -459,3 +480,11 @@ def run_braid(script: Script, seed: int = 0) -> tuple[list[dict], ScriptRunner]:
     runner = ScriptRunner(script, seed)
     frames = runner.run()
     return frames, runner
+
+
+def unfused_cc_braid_script() -> Script:
+    """The braid-cc preset up to its "fused" snapshot: its last two steps,
+    the defect-pair fuse and the snapshot after it, dropped."""
+    script = cc_braid_script()
+    script.steps = script.steps[:-2]
+    return script

@@ -32,6 +32,9 @@ from oracles import count_tableau_calls, plan_distribution
 from oracles import weyl_matrix as dense_weyl_matrix
 
 
+EVERY_KIND = (Gate, Measure, CondGate, Noise)
+
+
 def shot_seed(base_seed, index):
     """Seed of shot index in a per-shot batch: SeedSequence hashing of (base_seed, index)."""
     return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
@@ -50,14 +53,14 @@ class TestValidation:
         c = Circuit(3, 1, 1)
         c.cond(0, {t: () for t in range(3)})
         with pytest.raises(ValueError, match="before written"):
-            c.validate()
+            c.validate(EVERY_KIND)
 
     def test_predicate_must_cover_outcomes(self):
         c = Circuit(3, 1, 1)
         c.measure(WeylOp.from_site(3, 1, 0, 0, 1), 0)
         c.cond(0, {0: (), 1: ()})
         with pytest.raises(ValueError, match="cover"):
-            c.validate()
+            c.validate(EVERY_KIND)
 
     def test_noise_probability_range(self):
         with pytest.raises(ValueError):
@@ -67,13 +70,13 @@ class TestValidation:
         c = Circuit(3, 2, 0)
         c.noise(NoiseChannel("depolarizing2", 0.5), (0,))
         with pytest.raises(ValueError, match="pair"):
-            c.validate()
+            c.validate(EVERY_KIND)
 
     def test_depolarizing2_pair_must_be_distinct(self):
         c = Circuit(3, 2, 0)
         c.noise(NoiseChannel("depolarizing2", 0.5), (1, 1))
         with pytest.raises(ValueError, match="repeat"):
-            c.validate()
+            c.validate(EVERY_KIND)
 
     def test_unknown_noise_kind(self):
         with pytest.raises(ValueError, match="unknown noise kind weyl_custom"):
@@ -95,9 +98,22 @@ class TestValidation:
 
         monkeypatch.setattr(circuit_module, "_run_frames", sampled)
         with pytest.raises(ValueError, match=f"gate target {target} out of range"):
-            c.validate()
+            c.validate(EVERY_KIND)
         with pytest.raises(ValueError, match=f"gate target {target} out of range"):
             run_shots(c, 5)
+
+    # per entry: a call on a circuit and a tableau (execute's own) and the kinds it takes
+    ENTRIES = {
+        "execute": (execute, (Gate, Measure, CondGate)),
+        "outcome_leaves": (lambda c, tab: list(outcome_leaves(c)), (Gate, Measure, CondGate)),
+        "exact_outcome_distribution": (lambda c, tab: exact_outcome_distribution(c),
+                                       (Gate, Measure, CondGate)),
+        "run_shots": (lambda c, tab: run_shots(c, 5), (Gate, Noise, Measure)),
+        "per_qutrit_two_qubit": (lambda c, tab: per_qutrit_two_qubit(c), (Gate,)),
+        "compile_report": (lambda c, tab: compile_report(c), (Gate,)),
+        "encode_circuit": (lambda c, tab: encode_circuit(c), (Gate,)),
+        "circuit_to_json": (lambda c, tab: circuit_to_json(c), (Gate,)),
+    }
 
     @staticmethod
     def invalid_circuit(case):
@@ -113,12 +129,7 @@ class TestValidation:
             c.gate(weyl.cx(0, -1))
         return c
 
-    @pytest.mark.parametrize("entry", [
-        lambda c: execute(c, StabilizerTableau(3, 3)), lambda c: list(outcome_leaves(c)),
-        exact_outcome_distribution, lambda c: run_shots(c, 5), per_qutrit_two_qubit,
-        compile_report, encode_circuit,
-    ], ids=["execute", "outcome_leaves", "exact_outcome_distribution", "run_shots",
-            "per_qutrit_two_qubit", "compile_report", "encode_circuit"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("case, message", [
         ("read-before-written", "creg 1 read before written"),
         ("creg-off-register", "creg -1 out of range"),
@@ -131,7 +142,45 @@ class TestValidation:
         validate's message, rather than taking a branch, writing the wrong
         register or counting a gate against the wrong qutrit."""
         with pytest.raises(ValueError, match=message):
-            entry(self.invalid_circuit(case))
+            self.ENTRIES[entry][0](self.invalid_circuit(case), StabilizerTableau(3, 3))
+
+    @staticmethod
+    def circuit_ending_in(kind):
+        """A valid circuit whose last instruction, instruction 2, is of this kind;
+        a CondGate's register is written by the Measure at instruction 1."""
+        c = Circuit(3, 2, 1).gate(weyl.fourier(0))
+        z0 = WeylOp.from_site(3, 2, 0, 0, 1)
+        if kind is Measure:
+            return c.gate(weyl.cx(0, 1)).measure(z0, 0)
+        if kind is CondGate:
+            return c.measure(z0, 0).cond(0, {0: (), 1: (weyl.shift_x(1),), 2: ()})
+        return c.gate(weyl.cx(0, 1)).noise(NoiseChannel("depolarizing2", 0.5), (0, 1))
+
+    @pytest.mark.parametrize("entry, kind", [
+        (entry, kind) for entry, (_, takes) in ENTRIES.items()
+        for kind in EVERY_KIND if kind not in takes], ids=lambda v: getattr(v, "__name__", v))
+    def test_every_entry_refuses_every_kind_it_does_not_take(self, monkeypatch, entry, kind):
+        """The refusal names the first instruction of a kind the entry does not
+        take (the Measure ahead of a CondGate for the gate-only entries), and
+        comes before the tableau changes, its generator moves or a draw is made."""
+        run, takes = self.ENTRIES[entry]
+        c = self.circuit_ending_in(kind)
+        c.validate(EVERY_KIND)
+        index, refused = (1, Measure) if kind is CondGate and Measure not in takes else (2, kind)
+        tab = StabilizerTableau(3, 2, np.random.default_rng(3))
+        tab.apply_gate(weyl.fourier(1))
+        before = (tab.x.copy(), tab.z.copy(), tab.ph.copy(), tab.rng.bit_generator.state)
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("built a tableau or drew shots for a refused circuit")
+
+        monkeypatch.setattr(circuit_module, "StabilizerTableau", drawn)
+        monkeypatch.setattr(circuit_module, "_run_frames", drawn)
+        with pytest.raises(ValueError, match=rf"^instruction {index} is a {refused.__name__}: "
+                           rf"this engine takes {', '.join(t.__name__ for t in takes)} only$"):
+            run(c, tab)
+        assert all(np.array_equal(a, b) for a, b in zip(before, (tab.x, tab.z, tab.ph)))
+        assert tab.rng.bit_generator.state == before[3]
 
 
 class TestDeterminism:
@@ -173,8 +222,8 @@ class TestDeterminism:
 
     def test_noisy_circuit_refused_by_execute(self):
         """execute refuses a noisy circuit before the tableau or its generator
-        changes, pointing to run_shots; run_shots refuses this circuit too,
-        naming its feed-forward instruction."""
+        changes, naming its first noise instruction; run_shots refuses this
+        circuit too, naming its feed-forward instruction."""
         c = Circuit(3, 3, 3)
         c.gate(weyl.fourier(0)).gate(weyl.cx(0, 1))
         c.noise(NoiseChannel("depolarizing1", 0.3), (0, 2))
@@ -187,12 +236,13 @@ class TestDeterminism:
         tab = StabilizerTableau(3, 3, np.random.default_rng(11))
         tab.apply_gate(weyl.fourier(1))
         before = (tab.x.copy(), tab.z.copy(), tab.ph.copy(), tab.rng.bit_generator.state)
-        with pytest.raises(ValueError, match="execute runs noiseless circuits only: this "
-                           "circuit has noise; sample it with run_shots"):
+        with pytest.raises(ValueError, match="instruction 2 is a Noise: this engine takes "
+                           "Gate, Measure, CondGate only"):
             execute(c, tab)
         assert all(np.array_equal(a, b) for a, b in zip(before, (tab.x, tab.z, tab.ph)))
         assert tab.rng.bit_generator.state == before[3]
-        with pytest.raises(ValueError, match="instruction 5 is a CondGate"):
+        with pytest.raises(ValueError, match="instruction 5 is a CondGate: this engine takes "
+                           "Gate, Noise, Measure only"):
             run_shots(c, 16, base_seed=11)
 
     def test_values_array_shape(self):
@@ -225,9 +275,9 @@ class TestOutcomeTree:
         assert len(copies) == TREE_MAX_RANDOM_MEASUREMENTS
 
     def test_refusal_names_the_noise(self):
-        c = bell_like_circuit().with_noise(p1=0.1)
-        with pytest.raises(ValueError,
-                           match="noiseless, low-branching circuit: this circuit has noise"):
+        c = bell_like_circuit().with_noise(p1=0.1)  # the Fourier gate's noise is instruction 1
+        with pytest.raises(ValueError, match="instruction 1 is a Noise: this engine takes "
+                           "Gate, Measure, CondGate only"):
             list(outcome_leaves(c))
 
     def test_refusal_names_the_instruction_and_budget(self):
@@ -378,7 +428,7 @@ def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
             else:
                 sites = tuple(int(s) for s in rng.choice(n, 2, replace=False))
             c.noise(ch, sites)
-    c.validate()
+    c.validate(EVERY_KIND)
     return c
 
 
@@ -546,7 +596,8 @@ class TestFrameSampler:
         c = Circuit(3, 2, 2).gate(weyl.fourier(0)).measure(WeylOp.from_site(3, 2, 0, 0, 1), 0)
         c.cond(0, {0: (), 1: (branch,), 2: (branch, branch)})
         c.measure(WeylOp.from_site(3, 2, 1, 0, 1), 1)
-        with pytest.raises(ValueError, match="instruction 2 is a CondGate .*through execute"):
+        with pytest.raises(ValueError, match="instruction 2 is a CondGate: this engine takes "
+                           "Gate, Noise, Measure only"):
             run_shots(c, 20, base_seed=1)
         assert len(execute(c, StabilizerTableau(3, 2, np.random.default_rng(1)))) == 2
 
@@ -764,7 +815,7 @@ def circuit_with_tail(rng, n: int, clash: bool) -> tuple[Circuit, int]:
         c.measure(w, c.n_cregs - 1)
         if k == len(tail) // 2:
             c.noise(NoiseChannel("depolarizing1", 0.3), (n - 1,))
-    c.validate()
+    c.validate(EVERY_KIND)
     return c, at[int(clash)]
 
 
@@ -823,7 +874,7 @@ class TestBatchedReference:
         c.measure(x0, 1).noise(NoiseChannel("depolarizing1", 0.1), (1,)).measure(z0, 2)
         self.compile(c, calls)
         assert calls["measure_weyl"] == 2  # back at |0>^n: z0, z0^-1, x0; x0 clashes with both
-        c.instructions[-1] = Measure(WeylOp.from_site(3, 2, 0, 1, 0, phase=1), 2)
+        c.instructions[-1] = Measure(WeylOp(3, [1, 0], [0, 0], 1), 2)
         self.compile(c, calls)
         assert calls["measure_weyl"] == 0  # z0, z0^-1, z0^-1 phased: all batched
         c.gate(weyl.fourier(1))

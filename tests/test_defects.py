@@ -168,7 +168,7 @@ class TestCCDefect:
     def test_involution_on_vacuum(self):
         frag, _ = cc_defect_circuit(self.lat, self.ribbon)
         base, _ = final_tableau(ground_state_circuit(self.lat), seed=0)
-        tab = base.copy(np.random.default_rng(0))
+        tab = base.copy()
         for ins in frag.instructions:
             tab.apply_gate(ins.gate)
         for ins in frag.instructions:
@@ -194,7 +194,7 @@ class TestCCDefect:
                 else:
                     tab.apply_gate(weyl.CliffordGate(kinds1[rng.integers(7)],
                                                      (int(rng.integers(n)),)))
-            ref = tab.copy(np.random.default_rng(0))
+            ref = tab.copy()
             for g in gates + gates:
                 tab.apply_gate(g)
             assert stabilizer_group_equals(tab, ref)

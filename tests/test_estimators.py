@@ -40,7 +40,8 @@ def random_basis(rng, n):
         x, z = 0, 0
         while (x, z) == (0, 0):
             x, z = (int(v) for v in rng.integers(3, size=2))
-        out.append(WeylOp.from_site(3, n, i, x, z, int(rng.integers(3))))
+        w = WeylOp.from_site(3, n, i, x, z)
+        out.append(WeylOp(3, w.x, w.z, int(rng.integers(3))))
     return out
 
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from qutrit_toric.circuit import Gate, Measure
+from qutrit_toric.circuit import Circuit, Gate, Measure, execute
 from qutrit_toric.cli import main
+from qutrit_toric.defects import weyl_gates
 from qutrit_toric.experiments import (
+    BRAID_PRESETS,
     Move,
     ScriptRunner,
     TopologicalQutritProtocol,
@@ -19,7 +21,14 @@ from qutrit_toric.experiments import (
 from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import WeylOp, symplectic_product
 
-from oracles import excited, final_tableau, run_braid, stabilizer_group_equals, xz_stacks
+from oracles import (
+    excited,
+    final_tableau,
+    run_braid,
+    stabilizer_group_equals,
+    unfused_cc_braid_script,
+    xz_stacks,
+)
 
 
 def frame_by_label(frames, label):
@@ -246,13 +255,13 @@ class TestFusionIdentity:
 
         lat = self.lat = __import__("qutrit_toric.lattice", fromlist=["build_lattice"]).build_lattice(4, 4)
         base, _ = final_tableau(__import__("qutrit_toric.lattice", fromlist=["g"]).ground_state_circuit(lat), seed=0)
-        pf_tab = base.copy(np.random.default_rng(0))
+        pf_tab = base.copy()
         for site, species in (((1, 1), "PF"), ((1, 3), "PFstar")):
             frag, _ = pf_defect_circuit(lat, site, species)
             for ins in frag.instructions:
                 if isinstance(ins, Measure):
                     pf_tab.measure_weyl(ins.observable, force=0)
-        cc_tab = base.copy(np.random.default_rng(0))
+        cc_tab = base.copy()
         frag, _ = cc_defect_circuit(lat, CCRibbon.canonical(lat, (1, 1), 2))
         for ins in frag.instructions:
             cc_tab.apply_gate(ins.gate)
@@ -292,7 +301,7 @@ class TestScriptInfrastructure:
             run_braid(script, seed=0)
 
     @pytest.mark.parametrize("script", [
-        pf_braid_script(), cc_braid_script(), pf_pfstar_script(), cc_braid_script(fuse=False),
+        pf_braid_script(), cc_braid_script(), pf_pfstar_script(), unfused_cc_braid_script(),
     ], ids=["braid-pf", "braid-cc", "fuse-pf-pfstar", "braid-cc-unfused"])
     def test_second_run_reproduces_every_frame(self, script):
         """A second run starts from a fresh frame and reproduces every frame."""
@@ -305,6 +314,25 @@ class TestScriptInfrastructure:
         assert triples(again) == triples(frames)
         assert (runner.keys, runner.kinds) == (keys, kinds)
         assert all(np.array_equal(a, b) for a, b in zip(runner.frame, stack))
+
+    @pytest.mark.parametrize("name", BRAID_PRESETS)
+    def test_move_weyl_update_equals_gate_replay(self, monkeypatch, name):
+        """A move applies its solved operator as one Weyl update: after every
+        move of every preset, the tableau arrays equal those that replaying the
+        operator's shift and clock gates (weyl_gates) through execute leaves."""
+        script, same = BRAID_PRESETS[name](), []
+        apply_weyl = StabilizerTableau.apply_weyl
+
+        def checked(tab, op):
+            replay = tab.copy()
+            execute(Circuit(tab.d, tab.n).gates(weyl_gates(op)), replay)
+            apply_weyl(tab, op)
+            same.append(all(np.array_equal(a, b) for a, b in
+                            zip((tab.x, tab.z, tab.ph), (replay.x, replay.z, replay.ph))))
+
+        monkeypatch.setattr(StabilizerTableau, "apply_weyl", checked)
+        run_braid(script, seed=0)
+        assert same == [True] * sum(isinstance(step, Move) for step in script.steps)
 
 
 @pytest.mark.parametrize("layout_fn", [topo_layout_6x2, topo_layout_6x4])
