@@ -7,7 +7,7 @@ sector counts, one face's document entry, the tableau invariant check)
 and the small conveniences that only tests call (one-row tableau
 expectations, a fresh |0>^n tableau, a one-shot tableau run, counted
 tableau calls, a braid run that returns its runner, the CC braid
-without its closing fuse).
+without its closing fuse, a braid script replayed on a dense state).
 Hard size caps keep the dense ones to a few qutrits.
 """
 
@@ -17,10 +17,27 @@ import numpy as np
 
 from qutrit_toric.analysis import ConfusionMatrix, _per_bit
 from qutrit_toric.circuit import Circuit, Gate, Measure, _compile_frames, execute
+from qutrit_toric.defects import cc_defect_circuit, fuse_cc_pair, pf_defect_circuit
 from qutrit_toric.dense import gate_matrix, weyl_matrices
 from qutrit_toric.encoder import QubitCircuit
-from qutrit_toric.experiments import Script, ScriptRunner, cc_braid_script
-from qutrit_toric.lattice import Plaquette, TorusLattice, default_preparation_order
+from qutrit_toric.experiments import (
+    Fuse,
+    InsertCC,
+    InsertPF,
+    Move,
+    Prepare,
+    Script,
+    ScriptRunner,
+    Snapshot,
+    cc_braid_script,
+    observable_frame,
+)
+from qutrit_toric.lattice import (
+    Plaquette,
+    TorusLattice,
+    default_preparation_order,
+    ground_state_circuit,
+)
 from qutrit_toric.modmath import row_reduce
 from qutrit_toric.synth import ops_unitary
 from qutrit_toric.tableau import StabilizerTableau, outcome_expectation
@@ -488,3 +505,49 @@ def unfused_cc_braid_script() -> Script:
     script = cc_braid_script()
     script.steps = script.steps[:-2]
     return script
+
+
+def dense_script_frames(script: Script, outcome: int) -> list[dict[str, np.ndarray]]:
+    """A braid script replayed on a dense state: per Snapshot step, each frame
+    key -> the outcome probabilities of its operator (Pi^1, Pi^omega, Pi^omega-bar).
+
+    Prepare, InsertCC and Fuse apply their fragments' gates. InsertPF projects
+    onto the measured W at `outcome`, then applies the correction for it. A
+    Move applies the operator the runner's `solve_move` finds against the
+    frame that `observable_frame` builds from the live defects, so this checks
+    the tableau path and the frame bookkeeping, not the move solver.
+    """
+    runner = ScriptRunner(script)
+    lat = runner.lattice
+    state = DenseState(lat.d, lat.n_sites)
+    live: dict = {}
+    inserted = 0
+    runner.keys, runner.kinds, runner.frame = observable_frame(lat, live)
+    frames = []
+    for step in script.steps:
+        if isinstance(step, Move):
+            state.apply_weyl(runner.solve_move(step))
+            continue
+        if isinstance(step, Snapshot):
+            x, z, ph = runner.frame
+            frames.append({key: state.outcome_probabilities(WeylOp(lat.d, x[i], z[i], ph[i]))
+                           for i, key in enumerate(runner.keys)})
+            continue
+        if isinstance(step, Prepare):
+            gates = [ins.gate for ins in ground_state_circuit(lat).instructions]
+        elif isinstance(step, InsertCC):
+            frag, live[inserted] = cc_defect_circuit(lat, step.ribbon)
+            gates = [ins.gate for ins in frag.instructions]
+        elif isinstance(step, InsertPF):
+            frag, live[inserted] = pf_defect_circuit(lat, step.site, step.species)
+            state.project_onto(frag.instructions[0].observable, outcome)
+            gates = frag.instructions[1].predicate[outcome]
+        elif isinstance(step, Fuse):
+            fused = fuse_cc_pair(lat, live.pop(step.defect_index))
+            gates = [ins.gate for ins in fused.instructions]
+        for g in gates:
+            state.apply_gate(g)
+        if isinstance(step, (InsertPF, InsertCC)):
+            inserted += 1
+        runner.keys, runner.kinds, runner.frame = observable_frame(lat, live)
+    return frames

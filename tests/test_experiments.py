@@ -5,23 +5,32 @@ import pytest
 
 from qutrit_toric.circuit import Circuit, Gate, Measure, execute
 from qutrit_toric.cli import main
-from qutrit_toric.defects import weyl_gates
+from qutrit_toric.defects import CCRibbon, cc_defect_circuit, pf_defect_circuit, weyl_gates
 from qutrit_toric.experiments import (
     BRAID_PRESETS,
+    Fuse,
+    InsertCC,
+    InsertPF,
     Move,
+    Prepare,
+    Script,
     ScriptRunner,
+    Snapshot,
     TopologicalQutritProtocol,
     cc_braid_script,
     face_key,
+    observable_frame,
     pf_braid_script,
     pf_pfstar_script,
     topo_layout_6x2,
     topo_layout_6x4,
 )
+from qutrit_toric.lattice import TorusLattice
 from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import WeylOp, symplectic_product
 
 from oracles import (
+    dense_script_frames,
     excited,
     final_tableau,
     run_braid,
@@ -333,6 +342,70 @@ class TestScriptInfrastructure:
         monkeypatch.setattr(StabilizerTableau, "apply_weyl", checked)
         run_braid(script, seed=0)
         assert same == [True] * sum(isinstance(step, Move) for step in script.steps)
+
+
+def random_script(rng: np.random.Generator) -> Script:
+    """A PF or CC defect on 4x2 or 2x4, up to three full-support moves that
+    shift two plain faces of one kind by opposite amounts with the defect's
+    nonlocal keys free, a snapshot after each step, and for CC an optional
+    fuse. A CC ribbon that does not fit the torus raises ValueError, and the
+    runner refuses a move no operator makes with ValueError."""
+    lx, ly = ((4, 2), (2, 4))[rng.integers(2)]
+    lat = TorusLattice(lx, ly)
+    site = (int(rng.integers(lx)), int(rng.integers(ly)))
+    if rng.integers(2):
+        insert, free = InsertPF(site, ("PF", "PFstar")[rng.integers(2)]), ("pf0:nonlocal",)
+        _, spec = pf_defect_circuit(lat, site, insert.species)
+    else:
+        insert, free = InsertCC(CCRibbon.canonical(lat, site, int(rng.integers(1, 3)))), (
+            "cc0:A-end", "cc0:B-end")
+        _, spec = cc_defect_circuit(lat, insert.ribbon)
+    keys, _, _ = observable_frame(lat, {0: spec})
+    steps = [Prepare(), insert, Snapshot("inserted")]
+    support = tuple((x, y) for x in range(lx) for y in range(ly))
+    for k in range(rng.integers(4)):
+        a, b = rng.choice([key for key in keys if key not in free], 2, replace=False)
+        delta = int(rng.integers(1, 3))
+        steps += [Move(support, ((a, delta), (b, 3 - delta)), free, f"move-{k}"),
+                  Snapshot(f"move-{k}")]
+    if isinstance(insert, InsertCC) and rng.integers(2):
+        steps += [Fuse(0), Snapshot("fused")]
+    return Script("random", lx, ly, steps)
+
+
+class TestDenseScriptReplay:
+    def test_random_scripts_match_dense_replay(self, monkeypatch):
+        """Seeded random scripts: for every outcome of the PF measurement, every
+        frame triple the runner writes equals the dense replay's to 1e-12, and
+        the dense state right after the insert reads +1 on every frame key."""
+        rng, measure_weyl = np.random.default_rng(16), StabilizerTableau.measure_weyl
+        checked, kinds, fuses, worst = 0, set(), 0, 0.0
+        for _ in range(48):
+            try:
+                script = random_script(rng)
+                ScriptRunner(script).run()
+            except ValueError:
+                continue
+            pf = isinstance(script.steps[1], InsertPF)
+            for outcome in range(3) if pf else (0,):
+                monkeypatch.setattr(StabilizerTableau, "measure_weyl",
+                                    lambda tab, w, force=None, s=outcome: measure_weyl(tab, w, s))
+                frames = ScriptRunner(script).run()
+                dense = dense_script_frames(script, outcome)
+                assert len(frames) == len(dense)
+                # the inserted defect, corrected, leaves every frame key at +1
+                assert all(abs(p[0] - 1) <= 1e-12 for p in dense[0].values())
+                for frame, probs in zip(frames, dense):
+                    rows = {e["label"]: triple(e)
+                            for e in frame["plaquettes"] + frame["defect_stabilizers"]}
+                    assert rows.keys() == probs.keys()
+                    worst = max(worst, max(np.abs(np.subtract(rows[key], probs[key])).max()
+                                           for key in rows))
+            checked += 1
+            kinds.add("PF" if pf else "CC")
+            fuses += any(isinstance(step, Fuse) for step in script.steps)
+        assert checked >= 25 and kinds == {"PF", "CC"} and fuses >= 1
+        assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("layout_fn", [topo_layout_6x2, topo_layout_6x4])
