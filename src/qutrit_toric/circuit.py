@@ -1,13 +1,14 @@
 """Circuit representation and shot-execution engine.
 
 Instructions are gates, Weyl-observable measurements into classical
-registers, outcome-conditioned gate blocks (feed-forward) and
-depolarizing Weyl noise. Each engine takes some of these kinds, and
-`Circuit.validate(takes)` is the one place that refuses the others:
-every engine entry calls it once, naming the kinds it takes, before any
-tableau change or draw. `_apply` applies one noiseless instruction to a
-tableau; `execute` and the outcome tree take gates, measurements and
-feed-forward, so `run_shots` is the one noise sampler.
+registers and depolarizing Weyl noise. Each engine takes some of these
+kinds, and `Circuit.validate(takes)` is the one place that refuses the
+others: every engine entry calls it once, naming the kinds it takes,
+before any tableau change or draw. `_apply` applies one noiseless
+instruction to a tableau; `execute` and the outcome tree take gates and
+measurements, so `run_shots` is the one noise sampler. No instruction
+reads a register: a correction that depends on an outcome, such as a
+parafermion defect's, is applied by its caller as a Weyl update.
 
 `run_shots` samples gates, noise and measurements with Weyl frames
 (Pauli-frame sampling carried over to Z_d). One backward pass through
@@ -59,14 +60,11 @@ class Measure:
 
 @dataclass(frozen=True)
 class CondGate:
-    """Apply predicate[outcome] (a gate list, possibly empty) after reading creg."""
+    """A gate list per outcome of creg. Not an instruction: no engine takes it.
+    It is kept as a name that benchmarks/probes.py imports."""
 
     creg: int
     predicate: dict[int, tuple[CliffordGate, ...]]
-
-    def __post_init__(self):
-        norm = {int(k): tuple(v) for k, v in self.predicate.items()}
-        object.__setattr__(self, "predicate", norm)
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ class Noise:
     sites: tuple[int, ...]
 
 
-Instruction = Gate | Measure | CondGate | Noise
+Instruction = Gate | Measure | Noise
 
 
 @dataclass
@@ -139,9 +137,6 @@ class Circuit:
     def measure(self, observable: WeylOp, creg: int) -> "Circuit":
         return self.add(Measure(observable, creg))
 
-    def cond(self, creg: int, predicate: dict[int, tuple[CliffordGate, ...]]) -> "Circuit":
-        return self.add(CondGate(creg, predicate))
-
     def noise(self, channel: NoiseChannel, sites: tuple[int, ...]) -> "Circuit":
         return self.add(Noise(channel, sites))
 
@@ -155,29 +150,16 @@ class Circuit:
     def validate(self, takes: tuple[type, ...]) -> None:
         """Refuse an invalid circuit with ValueError, then the first instruction
         whose kind is not in takes, naming its index and kind."""
-        written: set[int] = set()
-
-        def check_targets(gates):
-            for g in gates:
-                for t in g.targets:
-                    if not (0 <= t < self.n_qudits):
-                        raise ValueError(f"gate target {t} out of range")
-
         for ins in self.instructions:
             if isinstance(ins, Gate):
-                check_targets((ins.gate,))
+                for t in ins.gate.targets:
+                    if not (0 <= t < self.n_qudits):
+                        raise ValueError(f"gate target {t} out of range")
             elif isinstance(ins, Measure):
                 if ins.observable.n != self.n_qudits or ins.observable.d != self.d:
                     raise ValueError("measurement observable shape mismatch")
                 if not (0 <= ins.creg < self.n_cregs):
                     raise ValueError(f"creg {ins.creg} out of range")
-                written.add(ins.creg)
-            elif isinstance(ins, CondGate):
-                if ins.creg not in written:
-                    raise ValueError(f"creg {ins.creg} read before written")
-                if set(ins.predicate.keys()) != set(range(self.d)):
-                    raise ValueError("conditional predicate must cover all outcomes")
-                check_targets(g for branch in ins.predicate.values() for g in branch)
             elif isinstance(ins, Noise):
                 if ins.channel.kind == "depolarizing2" and len(ins.sites) != 2:
                     raise ValueError("depolarizing2 needs a site pair")
@@ -221,15 +203,12 @@ def _hit_exponents(code: np.ndarray, d: int) -> np.ndarray:
 
 
 def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int]) -> None:
-    """Apply a gate, a measurement (its outcome, drawn by tab, into creg) or a
-    feed-forward block to tab; Noise is left to run_shots."""
+    """Apply a gate or a measurement (its outcome, drawn by tab, into creg) to tab;
+    Noise is left to run_shots."""
     if isinstance(ins, Gate):
         tab.apply_gate(ins.gate)
     elif isinstance(ins, Measure):
         creg[ins.creg] = tab.measure_weyl(ins.observable).value
-    elif isinstance(ins, CondGate):
-        for g in ins.predicate[creg[ins.creg]]:
-            tab.apply_gate(g)
 
 
 def execute(circuit: Circuit, tab: StabilizerTableau) -> list[int]:
@@ -238,7 +217,7 @@ def execute(circuit: Circuit, tab: StabilizerTableau) -> list[int]:
     Random measurement outcomes are drawn by the tableau. An invalid or noisy circuit
     is refused with ValueError before tab changes: run_shots samples noise.
     """
-    circuit.validate((Gate, Measure, CondGate))
+    circuit.validate((Gate, Measure))
     creg = [0] * circuit.n_cregs
     for ins in circuit.instructions:
         _apply(ins, tab, creg)
@@ -252,7 +231,7 @@ def outcome_leaves(circuit: Circuit) -> Iterator[tuple]:
     outcomes down to its leaf. Raises ValueError for an invalid or noisy circuit, and
     before a branch would fork past TREE_MAX_RANDOM_MEASUREMENTS outcomes.
     """
-    circuit.validate((Gate, Measure, CondGate))
+    circuit.validate((Gate, Measure))
     instructions = circuit.instructions
 
     def walk(start: int, tab: StabilizerTableau, creg: list[int], path: tuple[int, ...]):
@@ -398,9 +377,8 @@ def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
     """Run n_shots of a circuit of gates, noise and measurements as Weyl frames;
     the values are a pure function of (circuit, n_shots, base_seed).
 
-    A circuit with feed-forward is refused with ValueError before any draw:
-    it runs through execute. parallelism is not read; benchmarks/probes.py
-    still passes it.
+    An invalid circuit is refused with ValueError before any draw.
+    parallelism is not read; benchmarks/probes.py still passes it.
     """
     circuit.validate((Gate, Noise, Measure))
     return ShotBatch(_run_frames(circuit, n_shots, base_seed))

@@ -3,9 +3,9 @@
 Parafermion defects: measuring the XZ (or XZdag) eigenbasis on one
 vertex fuses the four adjacent faces pairwise into weight-5 endpoint
 stabilizers plus a nonlocal stabilizer spanning both ends. The
-feed-forward correction that pins all of them to +1 is solved as a
-Weyl operator from linear commutation constraints, then applied as an
-outcome-conditioned gate block.
+correction that pins all of them to +1 is solved as a Weyl operator F
+from linear commutation constraints; after outcome t the caller applies
+F^t as a Weyl update, as a braid move applies its operator.
 
 Charge-conjugation defects: a unitary ribbon built from a sequential
 CX chain along the diagonal s-sites (the one-dimensional gauging map),
@@ -30,13 +30,11 @@ from .modmath import mod_inverse, solve
 from .weyl import (
     CliffordGate,
     WeylOp,
-    clock_z,
     compose,
     conj_c,
     conjugate_rows,
     cx,
     cx_dag,
-    shift_x,
     symplectic_product,
 )
 
@@ -48,12 +46,15 @@ class DefectSpec:
     transformed: face position -> operator that replaces the plain face.
     stabilizers: name -> (operator, position it is reported at). A face
     whose image is one of these is read under that name only.
+    correction: F of a parafermion defect, applied as F^t after its
+    fragment's outcome t; None for a unitary (CC) defect.
     """
 
     kind: str  # "PF" | "PFstar" | "CC"
     transformed: dict[tuple[int, int], WeylOp]
     stabilizers: dict[str, tuple[WeylOp, tuple[int, int]]]
     ribbon: "CCRibbon | None" = None
+    correction: WeylOp | None = None
 
 
 def solve_weyl_op(lattice: TorusLattice, support, x, z, rhs) -> WeylOp | None:
@@ -75,12 +76,6 @@ def solve_weyl_op(lattice: TorusLattice, support, x, z, rhs) -> WeylOp | None:
     np.add.at(fx, sites, sol[0::2])
     np.add.at(fz, sites, sol[1::2])
     return WeylOp(d, fx, fz)
-
-
-def weyl_gates(op: WeylOp) -> list[CliffordGate]:
-    """Gate sequence realizing op up to a global phase: X^x then Z^z on each site."""
-    return [g for site in op.support
-            for g in [shift_x(site)] * int(op.x[site]) + [clock_z(site)] * int(op.z[site])]
 
 
 # -- parafermion defects -------------------------------------------------------
@@ -112,12 +107,12 @@ def _fused_pair(lattice: TorusLattice, W: WeylOp, P: Plaquette,
 
 def pf_defect_circuit(lattice: TorusLattice, site: tuple[int, int],
                       species: str) -> tuple[Circuit, DefectSpec]:
-    """Measurement + feed-forward fragment creating a parafermion defect pair.
+    """One-measurement fragment creating a parafermion defect pair, and its spec.
 
     The endpoint stabilizers are the two vertical face fusions flanking
     the measured vertex; the nonlocal stabilizer is the horizontal
-    fusion across it. All three read +1 deterministically after the
-    conditioned correction.
+    fusion across it. All three read +1 deterministically once
+    spec.correction^t is applied after the fragment's outcome t.
     """
     if species not in PF_BASIS:
         raise ValueError(f"species must be PF or PFstar, got {species}")
@@ -145,16 +140,14 @@ def pf_defect_circuit(lattice: TorusLattice, site: tuple[int, int],
     if f1 is None:
         raise AssertionError("no feed-forward correction exists; geometry invalid")
 
-    circ = Circuit(d, n, 1)
-    circ.measure(W, 0)
-    circ.cond(0, {t: tuple(weyl_gates(f1.power(t))) for t in range(d)})
     spec = DefectSpec(
         kind=species,
         transformed={nw.pos: e_west, sw.pos: e_west, ne.pos: e_east, se.pos: e_east},
         stabilizers={name: (op, site) for name, op in (
             ("west", e_west), ("east", e_east), ("nonlocal", nonlocal_op), ("measured", W))},
+        correction=f1,
     )
-    return circ, spec
+    return Circuit(d, n, 1).measure(W, 0), spec
 
 
 # -- charge conjugation defects ----------------------------------------------------

@@ -1,17 +1,20 @@
 """Braiding experiments: scripted anyon moves over defected codes.
 
 A script is an ordered list of steps (prepare, insert defects, move
-anyons, fuse, snapshot), run in one loop. The runner keeps an observable
-frame as one keyed stack: sorted keys (faces and named defect
+anyons, fuse, snapshot), run in one loop. The steps that build a circuit
+fragment (prepare, insert, fuse) execute it; a parafermion insert then
+applies its defect's correction F^t, t the fragment's outcome, as a Weyl
+update, the way a move applies its solved operator. The runner keeps an
+observable frame as one keyed stack: sorted keys (faces and named defect
 stabilizers), each key's kind, and the (x, z, phase) rows of the
 operators now representing them (plain or transformed). Anyon moves are
 solved at run time as Weyl operators satisfying linear commutation
 constraints against that stack: kill the excitation here, recreate it
 there, leave everything else alone (nonlocal defect stabilizers are left
-free so crossings can toggle them, which is the physics being demonstrated).
-Runs return their result-document entries as they are written: the
-runner one frame per snapshot, the topological-qutrit protocol one row
-per ancilla outcome.
+free so crossings can toggle them, which is the physics being
+demonstrated). Runs return their result-document entries as they are
+written: the runner one frame per snapshot, the topological-qutrit
+protocol one row per ancilla outcome.
 
 Shipped presets pin the geometries of the braiding and
 topological-qutrit experiments; anyon paths are fixed up to topology
@@ -164,26 +167,25 @@ class ScriptRunner:
         self.keys, self.kinds, self.frame = observable_frame(lat, live)
         frames = []
         for step in self.script.steps:
-            frag = Circuit(lat.d, lat.n_sites, 0)
-            if isinstance(step, Prepare):
-                frag = ground_state_circuit(lat)
-            elif isinstance(step, InsertPF):
-                frag, spec = pf_defect_circuit(lat, step.site, step.species)
-            elif isinstance(step, InsertCC):
-                frag, spec = cc_defect_circuit(lat, step.ribbon)
-            elif isinstance(step, Fuse):
-                if step.defect_index not in live:
-                    raise ValueError(f"fuse names defect {step.defect_index}, which is not live")
-                frag = fuse_cc_pair(lat, live.pop(step.defect_index))
-            elif isinstance(step, Move):
+            if isinstance(step, Move):
                 tab.apply_weyl(self.solve_move(step))
             elif isinstance(step, Snapshot):
                 frames.append(self._snapshot(tab, step.label))
-            execute(frag, tab)
-            if isinstance(step, (InsertPF, InsertCC)):
+            elif isinstance(step, Prepare):
+                execute(ground_state_circuit(lat), tab)
+            elif isinstance(step, Fuse):
+                if step.defect_index not in live:
+                    raise ValueError(f"fuse names defect {step.defect_index}, which is not live")
+                execute(fuse_cc_pair(lat, live.pop(step.defect_index)), tab)
+                self.keys, self.kinds, self.frame = observable_frame(lat, live)
+            else:  # InsertPF or InsertCC
+                frag, spec = (cc_defect_circuit(lat, step.ribbon) if isinstance(step, InsertCC)
+                              else pf_defect_circuit(lat, step.site, step.species))
+                outcomes = execute(frag, tab)
+                if spec.correction is not None:
+                    tab.apply_weyl(spec.correction.power(outcomes[0]))
                 live[len(self.defect_specs)] = spec
                 self.defect_specs.append(spec)
-            if isinstance(step, (InsertPF, InsertCC, Fuse)):
                 self.keys, self.kinds, self.frame = observable_frame(lat, live)
         return frames
 

@@ -206,14 +206,6 @@ class CliffordGate:
 
 
 # Constructor shorthands, named after what the gates do.
-def shift_x(t: int) -> CliffordGate:
-    return CliffordGate(GateKind.SHIFT_X, (t,))
-
-
-def clock_z(t: int) -> CliffordGate:
-    return CliffordGate(GateKind.CLOCK_Z, (t,))
-
-
 def conj_c(t: int) -> CliffordGate:
     return CliffordGate(GateKind.CONJ, (t,))
 

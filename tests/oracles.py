@@ -6,8 +6,9 @@ plan's exact distribution, the dict-based readout channel, per-operator
 sector counts, one face's document entry, the tableau invariant check)
 and the small conveniences that only tests call (one-row tableau
 expectations, a fresh |0>^n tableau, a one-shot tableau run, counted
-tableau calls, a braid run that returns its runner, the CC braid
-without its closing fuse, a braid script replayed on a dense state).
+tableau calls, a Weyl operator's shift and clock gates, a braid run
+that returns its runner, the CC braid without its closing fuse, a braid
+script replayed on a dense state).
 Hard size caps keep the dense ones to a few qutrits.
 """
 
@@ -41,7 +42,7 @@ from qutrit_toric.lattice import (
 from qutrit_toric.modmath import row_reduce
 from qutrit_toric.synth import ops_unitary
 from qutrit_toric.tableau import StabilizerTableau, outcome_expectation
-from qutrit_toric.weyl import CliffordGate, WeylOp, check_dimension
+from qutrit_toric.weyl import CliffordGate, GateKind, WeylOp, check_dimension
 
 # -- dense statevector ---------------------------------------------------------------
 
@@ -200,8 +201,7 @@ def dense_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]
     """Joint creg distribution of a circuit of gates and measurements by projecting
     a dense state onto each eigenspace, P_s = (1/d) sum_m omega^(-s m) w^m.
 
-    Any other instruction (CondGate, Noise) is refused with a ValueError naming
-    its kind."""
+    Any other instruction (Noise) is refused with a ValueError naming its kind."""
     refused = sorted({type(ins).__name__ for ins in circuit.instructions
                       if not isinstance(ins, (Gate, Measure))})
     if refused:
@@ -300,6 +300,12 @@ def count_tableau_calls(monkeypatch, *names: str) -> dict[str, int]:
 
         monkeypatch.setattr(StabilizerTableau, name, counting)
     return calls
+
+
+def weyl_gates(op: WeylOp) -> list[CliffordGate]:
+    """Gate sequence realizing op up to a global phase: X^x then Z^z on each site."""
+    return [CliffordGate(kind, (site,)) for site in op.support
+            for kind in [GateKind.SHIFT_X] * int(op.x[site]) + [GateKind.CLOCK_Z] * int(op.z[site])]
 
 
 def stabilizer(tab: StabilizerTableau, i: int) -> WeylOp:
@@ -541,7 +547,8 @@ def dense_script_frames(script: Script, outcome: int) -> list[dict[str, np.ndarr
         elif isinstance(step, InsertPF):
             frag, live[inserted] = pf_defect_circuit(lat, step.site, step.species)
             state.project_onto(frag.instructions[0].observable, outcome)
-            gates = frag.instructions[1].predicate[outcome]
+            state.apply_weyl(live[inserted].correction.power(outcome))
+            gates = []
         elif isinstance(step, Fuse):
             fused = fuse_cc_pair(lat, live.pop(step.defect_index))
             gates = [ins.gate for ins in fused.instructions]

@@ -8,7 +8,6 @@ import pytest
 from qutrit_toric import circuit as circuit_module
 from qutrit_toric import weyl
 from qutrit_toric.circuit import (
-    CondGate,
     Circuit,
     Gate,
     Measure,
@@ -32,7 +31,8 @@ from oracles import count_tableau_calls, plan_distribution
 from oracles import weyl_matrix as dense_weyl_matrix
 
 
-EVERY_KIND = (Gate, Measure, CondGate, Noise)
+EVERY_KIND = (Gate, Measure, Noise)
+SHIFT_X0 = weyl.CliffordGate(weyl.GateKind.SHIFT_X, (0,))
 
 
 def shot_seed(base_seed, index):
@@ -49,19 +49,6 @@ def bell_like_circuit():
 
 
 class TestValidation:
-    def test_creg_read_before_write(self):
-        c = Circuit(3, 1, 1)
-        c.cond(0, {t: () for t in range(3)})
-        with pytest.raises(ValueError, match="before written"):
-            c.validate(EVERY_KIND)
-
-    def test_predicate_must_cover_outcomes(self):
-        c = Circuit(3, 1, 1)
-        c.measure(WeylOp.from_site(3, 1, 0, 0, 1), 0)
-        c.cond(0, {0: (), 1: ()})
-        with pytest.raises(ValueError, match="cover"):
-            c.validate(EVERY_KIND)
-
     def test_noise_probability_range(self):
         with pytest.raises(ValueError):
             NoiseChannel("depolarizing1", 1.5)
@@ -82,32 +69,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown noise kind weyl_custom"):
             NoiseChannel("weyl_custom")
 
-    @pytest.mark.parametrize("target", [-1, 5])
-    @pytest.mark.parametrize("shift_branch", [True, False],
-                             ids=["shift-branch", "non-shift-branch"])
-    def test_feed_forward_targets_in_range(self, monkeypatch, target, shift_branch):
-        """A branch gate off the register is refused as such before any shot is
-        drawn, ahead of run_shots' refusal of the feed-forward itself."""
-        c = Circuit(3, 2, 1)
-        c.gate(weyl.fourier(0)).measure(WeylOp.from_site(3, 2, 0, 0, 1), 0)
-        other = weyl.clock_z(1) if shift_branch else weyl.fourier(1)
-        c.cond(0, {0: (), 1: (weyl.shift_x(target),), 2: (other,)})
-
-        def sampled(*args):
-            raise AssertionError("sampled an invalid circuit")
-
-        monkeypatch.setattr(circuit_module, "_run_frames", sampled)
-        with pytest.raises(ValueError, match=f"gate target {target} out of range"):
-            c.validate(EVERY_KIND)
-        with pytest.raises(ValueError, match=f"gate target {target} out of range"):
-            run_shots(c, 5)
-
     # per entry: a call on a circuit and a tableau (execute's own) and the kinds it takes
     ENTRIES = {
-        "execute": (execute, (Gate, Measure, CondGate)),
-        "outcome_leaves": (lambda c, tab: list(outcome_leaves(c)), (Gate, Measure, CondGate)),
+        "execute": (execute, (Gate, Measure)),
+        "outcome_leaves": (lambda c, tab: list(outcome_leaves(c)), (Gate, Measure)),
         "exact_outcome_distribution": (lambda c, tab: exact_outcome_distribution(c),
-                                       (Gate, Measure, CondGate)),
+                                       (Gate, Measure)),
         "run_shots": (lambda c, tab: run_shots(c, 5), (Gate, Noise, Measure)),
         "per_qutrit_two_qubit": (lambda c, tab: per_qutrit_two_qubit(c), (Gate,)),
         "compile_report": (lambda c, tab: compile_report(c), (Gate,)),
@@ -118,42 +85,32 @@ class TestValidation:
     @staticmethod
     def invalid_circuit(case):
         c = Circuit(3, 3, 2)
-        c.gate(weyl.shift_x(0)).measure(WeylOp.from_site(3, 3, 0, 0, 1), 0)
-        if case == "read-before-written":
-            c.cond(1, {0: (), 1: (weyl.shift_x(1),), 2: ()})
-        elif case == "creg-off-register":
+        c.gate(SHIFT_X0).measure(WeylOp.from_site(3, 3, 0, 0, 1), 0)
+        if case == "creg-off-register":
             c.measure(WeylOp.from_site(3, 3, 1, 0, 1), -1)
-        elif case == "predicate-missing-outcomes":
-            c.cond(0, {0: ()})
         else:
             c.gate(weyl.cx(0, -1))
         return c
 
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("case, message", [
-        ("read-before-written", "creg 1 read before written"),
         ("creg-off-register", "creg -1 out of range"),
-        ("predicate-missing-outcomes", "predicate must cover all outcomes"),
         ("gate-target-off-register", "gate target -1 out of range"),
-    ], ids=["read-before-written", "creg-off-register", "predicate-missing-outcomes",
-            "gate-target-off-register"])
+    ], ids=["creg-off-register", "gate-target-off-register"])
     def test_every_engine_entry_validates(self, entry, case, message):
         """Every entry that runs or compiles a circuit refuses an invalid one with
-        validate's message, rather than taking a branch, writing the wrong
-        register or counting a gate against the wrong qutrit."""
+        validate's message, rather than writing the wrong register or counting
+        a gate against the wrong qutrit."""
         with pytest.raises(ValueError, match=message):
             self.ENTRIES[entry][0](self.invalid_circuit(case), StabilizerTableau(3, 3))
 
     @staticmethod
     def circuit_ending_in(kind):
-        """A valid circuit whose last instruction, instruction 2, is of this kind;
-        a CondGate's register is written by the Measure at instruction 1."""
+        """A valid circuit whose last instruction, instruction 2, is of this kind."""
         c = Circuit(3, 2, 1).gate(weyl.fourier(0))
         z0 = WeylOp.from_site(3, 2, 0, 0, 1)
         if kind is Measure:
             return c.gate(weyl.cx(0, 1)).measure(z0, 0)
-        if kind is CondGate:
-            return c.measure(z0, 0).cond(0, {0: (), 1: (weyl.shift_x(1),), 2: ()})
         return c.gate(weyl.cx(0, 1)).noise(NoiseChannel("depolarizing2", 0.5), (0, 1))
 
     @pytest.mark.parametrize("entry, kind", [
@@ -161,12 +118,11 @@ class TestValidation:
         for kind in EVERY_KIND if kind not in takes], ids=lambda v: getattr(v, "__name__", v))
     def test_every_entry_refuses_every_kind_it_does_not_take(self, monkeypatch, entry, kind):
         """The refusal names the first instruction of a kind the entry does not
-        take (the Measure ahead of a CondGate for the gate-only entries), and
-        comes before the tableau changes, its generator moves or a draw is made."""
+        take, and comes before the tableau changes, its generator moves or a
+        draw is made."""
         run, takes = self.ENTRIES[entry]
         c = self.circuit_ending_in(kind)
         c.validate(EVERY_KIND)
-        index, refused = (1, Measure) if kind is CondGate and Measure not in takes else (2, kind)
         tab = StabilizerTableau(3, 2, np.random.default_rng(3))
         tab.apply_gate(weyl.fourier(1))
         before = (tab.x.copy(), tab.z.copy(), tab.ph.copy(), tab.rng.bit_generator.state)
@@ -176,7 +132,7 @@ class TestValidation:
 
         monkeypatch.setattr(circuit_module, "StabilizerTableau", drawn)
         monkeypatch.setattr(circuit_module, "_run_frames", drawn)
-        with pytest.raises(ValueError, match=rf"^instruction {index} is a {refused.__name__}: "
+        with pytest.raises(ValueError, match=rf"^instruction 2 is a {kind.__name__}: "
                            rf"this engine takes {', '.join(t.__name__ for t in takes)} only$"):
             run(c, tab)
         assert all(np.array_equal(a, b) for a, b in zip(before, (tab.x, tab.z, tab.ph)))
@@ -196,17 +152,6 @@ class TestDeterminism:
             r = final_tableau(c, shot_seed(7, i))[1]
             assert r[0] == r[1]
 
-    def test_feed_forward_replays(self):
-        c = Circuit(3, 1, 1)
-        c.gate(weyl.fourier(0))
-        c.measure(WeylOp.from_site(3, 1, 0, 0, 1), 0)
-        c.cond(0, {0: (), 1: (weyl.shift_x(0).inverse(),), 2: (weyl.shift_x(0),)})
-        c.measure(WeylOp.from_site(3, 1, 0, 0, 1), 0)
-        for seed in range(30):
-            r = final_tableau(c, seed)[1]
-            # correction maps outcome 1 -> 0 via Xdag? verify stable replay only
-            assert final_tableau(c, seed)[1] == r
-
     def test_frame_path_matches_straight_line_engine(self):
         """run_shots' Weyl frames and single shots replayed on a tableau draw
         differently, so they agree in distribution: both keep the Bell correlation and sit within 3 sigma
@@ -222,14 +167,12 @@ class TestDeterminism:
 
     def test_noisy_circuit_refused_by_execute(self):
         """execute refuses a noisy circuit before the tableau or its generator
-        changes, naming its first noise instruction; run_shots refuses this
-        circuit too, naming its feed-forward instruction."""
+        changes, naming its first noise instruction."""
         c = Circuit(3, 3, 3)
         c.gate(weyl.fourier(0)).gate(weyl.cx(0, 1))
         c.noise(NoiseChannel("depolarizing1", 0.3), (0, 2))
         c.noise(NoiseChannel("depolarizing2", 0.4), (1, 2))
         c.measure(WeylOp.from_site(3, 3, 0, 0, 1), 0)
-        c.cond(0, {0: (), 1: (weyl.fourier(2),), 2: (weyl.cx(2, 1),)})
         c.noise(NoiseChannel("depolarizing2", 0.5), (1, 2))
         c.measure(WeylOp.from_site(3, 3, 1, 0, 1), 1)
         c.measure(WeylOp.from_site(3, 3, 2, 1, 0), 2)
@@ -237,13 +180,10 @@ class TestDeterminism:
         tab.apply_gate(weyl.fourier(1))
         before = (tab.x.copy(), tab.z.copy(), tab.ph.copy(), tab.rng.bit_generator.state)
         with pytest.raises(ValueError, match="instruction 2 is a Noise: this engine takes "
-                           "Gate, Measure, CondGate only"):
+                           "Gate, Measure only"):
             execute(c, tab)
         assert all(np.array_equal(a, b) for a, b in zip(before, (tab.x, tab.z, tab.ph)))
         assert tab.rng.bit_generator.state == before[3]
-        with pytest.raises(ValueError, match="instruction 5 is a CondGate: this engine takes "
-                           "Gate, Noise, Measure only"):
-            run_shots(c, 16, base_seed=11)
 
     def test_values_array_shape(self):
         c = bell_like_circuit().with_noise(p1=0.1)
@@ -277,12 +217,12 @@ class TestOutcomeTree:
     def test_refusal_names_the_noise(self):
         c = bell_like_circuit().with_noise(p1=0.1)  # the Fourier gate's noise is instruction 1
         with pytest.raises(ValueError, match="instruction 1 is a Noise: this engine takes "
-                           "Gate, Measure, CondGate only"):
+                           "Gate, Measure only"):
             list(outcome_leaves(c))
 
     def test_refusal_names_the_instruction_and_budget(self):
         n = TREE_MAX_RANDOM_MEASUREMENTS + 1
-        c = Circuit(3, n, n).gate(weyl.shift_x(0))  # the last measurement is instruction n
+        c = Circuit(3, n, n).gate(SHIFT_X0)  # the last measurement is instruction n
         for i in range(n):
             c.measure(WeylOp.from_site(3, n, i, 1, 0), i)
         with pytest.raises(ValueError, match=rf"noiseless, low-branching circuit: instruction {n} "
@@ -390,7 +330,7 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
 
 
 def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
-    """Gates, measurements, feed-forward blocks and both noise kinds."""
+    """Gates, measurements and both noise kinds."""
     kinds1 = sorted(weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
     kinds2 = sorted(set(weyl.GateKind) - weyl.ONE_QUDIT_KINDS, key=lambda k: k.value)
 
@@ -406,7 +346,6 @@ def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
         NoiseChannel("depolarizing2", 0.2),
     ]
     c = Circuit(3, n, n_cregs)
-    written = []
     for _ in range(int(rng.integers(15, 30))):
         r = rng.random()
         if r < 0.35:
@@ -417,10 +356,6 @@ def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
                 z[0] = 1
             k = int(rng.integers(n_cregs))
             c.measure(WeylOp(3, x, z, int(rng.integers(3))), k)
-            written.append(k)
-        elif r < 0.65 and written:
-            k = written[int(rng.integers(len(written)))]
-            c.cond(k, {t: tuple(gate() for _ in range(int(rng.integers(3)))) for t in range(3)})
         else:
             ch = channels[int(rng.integers(3 if n > 1 else 1))]
             if ch.kind == "depolarizing1":
@@ -433,8 +368,7 @@ def random_mixed_circuit(rng, n: int, n_cregs: int = 3) -> Circuit:
 
 
 def without(circuit: Circuit, kind: type) -> Circuit:
-    """Copy of circuit without its instructions of this kind: Noise, or
-    CondGate for a circuit run_shots samples."""
+    """Copy of circuit without its instructions of this kind."""
     out = Circuit(circuit.d, circuit.n_qudits, circuit.n_cregs)
     for ins in circuit.instructions:
         if not isinstance(ins, kind):
@@ -502,13 +436,9 @@ def density_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], floa
     rho[0, 0] = 1
     states = {(0,) * circuit.n_cregs: rho}
     for ins in circuit.instructions:
-        if isinstance(ins, (Gate, CondGate)):
-            out = {}
-            for key, r in states.items():
-                gates = (ins.gate,) if isinstance(ins, Gate) else ins.predicate[key[ins.creg]]
-                u = gates_matrix(d, n, gates)
-                out[key] = u @ r @ u.conj().T
-            states = out
+        if isinstance(ins, Gate):
+            u = gates_matrix(d, n, (ins.gate,))
+            states = {key: u @ r @ u.conj().T for key, r in states.items()}
         elif isinstance(ins, Noise):
             terms = channel_terms(ins.channel, ins.sites)
             p = np.array([t[0] for t in terms])[:, None, None]
@@ -541,7 +471,7 @@ class TestSingleInterpreter:
         kinds = set()
         trees = 0
         for trial in range(40):
-            c = without(random_mixed_circuit(rng, int(rng.integers(1, 5))), CondGate)
+            c = random_mixed_circuit(rng, int(rng.integers(1, 5)))
             if not noisy:
                 c = without(c, Noise)
             try:
@@ -569,43 +499,23 @@ class TestSingleInterpreter:
         if noisy:
             expected |= {"Noise", "depolarizing1", "depolarizing2"}
         assert kinds == expected
-        assert trees == (0 if noisy else 40)
+        assert trees == (0 if noisy else 38)
 
-    def test_dense_oracle_refuses_feed_forward_and_noise(self):
+    def test_dense_oracle_refuses_noise(self):
         """The pure-state dense walk takes gates and measurements only."""
         c = Circuit(3, 1, 1).gate(weyl.fourier(0)).measure(WeylOp.from_site(3, 1, 0, 0, 1), 0)
         assert dense_outcome_distribution(c) == pytest.approx({(0,): 1 / 3, (1,): 1 / 3,
                                                                (2,): 1 / 3})
-        with pytest.raises(ValueError, match="got CondGate, Noise$"):
-            dense_outcome_distribution(
-                c.cond(0, {0: (), 1: (weyl.shift_x(0),), 2: ()})
-                 .noise(NoiseChannel("depolarizing1", 0.1), (0,)))
+        with pytest.raises(ValueError, match="got Noise$"):
+            dense_outcome_distribution(c.noise(NoiseChannel("depolarizing1", 0.1), (0,)))
 
 
 class TestFrameSampler:
-    @pytest.mark.parametrize("branch", [weyl.shift_x(1), weyl.fourier(1)],
-                             ids=["shift-branch", "non-shift-branch"])
-    def test_feed_forward_refused(self, monkeypatch, branch):
-        """run_shots refuses a circuit with feed-forward, shift or not, before
-        any draw, naming the CondGate; execute runs it. A branch gate off the
-        register gets validate's message first (TestValidation)."""
-        def sampled(*args):
-            raise AssertionError("sampled a circuit with feed-forward")
-
-        monkeypatch.setattr(circuit_module, "_run_frames", sampled)
-        c = Circuit(3, 2, 2).gate(weyl.fourier(0)).measure(WeylOp.from_site(3, 2, 0, 0, 1), 0)
-        c.cond(0, {0: (), 1: (branch,), 2: (branch, branch)})
-        c.measure(WeylOp.from_site(3, 2, 1, 0, 1), 1)
-        with pytest.raises(ValueError, match="instruction 2 is a CondGate: this engine takes "
-                           "Gate, Noise, Measure only"):
-            run_shots(c, 20, base_seed=1)
-        assert len(execute(c, StabilizerTableau(3, 2, np.random.default_rng(1)))) == 2
-
     def test_noisy_matches_noise_pattern_enumeration(self):
         rng = np.random.default_rng(32)
         kinds = set()
         for trial in range(30):
-            c = without(random_mixed_circuit(rng, int(rng.integers(1, 4))), CondGate)
+            c = random_mixed_circuit(rng, int(rng.integers(1, 4)))
             kinds.update(i.channel.kind for i in c.instructions if isinstance(i, Noise))
             exact = density_outcome_distribution(c)
             assert sum(exact.values()) == pytest.approx(1.0)
@@ -714,7 +624,7 @@ class TestCompiledFrames:
         rng = np.random.default_rng(41)
         kinds = set()
         for trial in range(200):
-            c = without(random_mixed_circuit(rng, int(rng.integers(1, 5))), CondGate)
+            c = random_mixed_circuit(rng, int(rng.integers(1, 5)))
             kinds.update(type(i).__name__ for i in c.instructions)
             for n_shots in (5, circuit_module.FRAME_BLOCK + 3):
                 assert np.array_equal(run_shots(c, n_shots, base_seed=trial).values,
@@ -728,7 +638,7 @@ class TestCompiledFrames:
         rng = np.random.default_rng(32)
         kicked = 0
         for trial in range(30):
-            c = without(random_mixed_circuit(rng, int(rng.integers(1, 4))), CondGate)
+            c = random_mixed_circuit(rng, int(rng.integers(1, 4)))
             plan = circuit_module._compile_frames(c)
             kicks = plan.source[plan.drawn >= c.n_qudits]
             kicked += bool(kicks[:, plan.writer[plan.writer >= 0]].any())
@@ -783,7 +693,7 @@ def circuit_with_tail(rng, n: int, clash: bool) -> tuple[Circuit, int]:
     Returns the circuit and the index of its tail: the frame compile's
     reference shot collapses on no tail measurement, and with clash on
     every measurement before the tail."""
-    head = without(random_mixed_circuit(rng, n), CondGate)
+    head = random_mixed_circuit(rng, n)
     head.gate(weyl.fourier(int(rng.integers(n))))
     group = StabilizerTableau(3, n)
     for _ in range(4 * n):
@@ -887,7 +797,7 @@ class TestBatchedReference:
         X(1), then X1 after F(1) all commute back at the start."""
         z0 = WeylOp.from_site(3, 2, 0, 0, 1)
         c = Circuit(3, 2, 3).gate(weyl.fourier(0)).measure(z0, 0)
-        c.gate(weyl.cx(0, 1)).gate(weyl.shift_x(1)).measure(z0, 1)
+        c.gate(weyl.cx(0, 1)).gate(weyl.CliffordGate(weyl.GateKind.SHIFT_X, (1,))).measure(z0, 1)
         c.gate(weyl.fourier(1)).measure(WeylOp.from_site(3, 2, 1, 1, 0), 2)
         plan = self.compile(c, calls)
         assert calls == {"apply_gate": 0, "measure_weyl": 0, "reference_outcomes": 1}
@@ -1007,7 +917,8 @@ class TestNoiselessInvariants:
 
 class TestSerialization:
     def test_gate_only_circuit_written_as_documented(self):
-        c = Circuit(3, 2, 2).gates([weyl.fourier(0), weyl.cx(0, 1), weyl.clock_z(1).inverse()])
+        c = Circuit(3, 2, 2).gates([weyl.fourier(0), weyl.cx(0, 1),
+                                    weyl.CliffordGate(weyl.GateKind.CLOCK_Z_DAG, (1,))])
         assert circuit_to_json(c) == {
             "schema": "qutrit-toric/circuit/v1",
             "d": 3,

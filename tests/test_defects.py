@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qutrit_toric.circuit import Gate
+from qutrit_toric.circuit import execute
 from qutrit_toric.defects import (
     CCRibbon,
     cc_defect_circuit,
@@ -15,7 +15,7 @@ from qutrit_toric.defects import (
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit
 from qutrit_toric.tableau import StabilizerTableau
-from qutrit_toric.weyl import GateKind, WeylOp, conjugate_through, symplectic_product
+from qutrit_toric.weyl import WeylOp, conjugate_through, symplectic_product
 
 from oracles import (
     DenseState,
@@ -27,20 +27,13 @@ from oracles import (
 )
 
 
-def run_fragment(lat, circ, fragment, seed=0):
+def run_fragment(lat, circ, fragment, spec, seed=0):
+    """Run circ, then the PF fragment (its one measurement) and the correction
+    spec.correction^t for the fragment's outcome t."""
     tab, _ = final_tableau(circ, seed=seed)
     tab.rng = np.random.default_rng(seed + 1)
-    creg = {}
-    from qutrit_toric.circuit import CondGate, Measure
-
-    for ins in fragment.instructions:
-        if isinstance(ins, Gate):
-            tab.apply_gate(ins.gate)
-        elif isinstance(ins, Measure):
-            creg[ins.creg] = tab.measure_weyl(ins.observable).value
-        elif isinstance(ins, CondGate):
-            for g in ins.predicate[creg[ins.creg]]:
-                tab.apply_gate(g)
+    t, = execute(fragment, tab)
+    tab.apply_weyl(spec.correction.power(t))
     return tab
 
 
@@ -51,7 +44,7 @@ class TestParafermionDefect:
         lat = build_lattice(6, 4)
         prep = ground_state_circuit(lat)
         frag, spec = pf_defect_circuit(lat, (2, 1), species)
-        tab = run_fragment(lat, prep, frag, seed=seed)
+        tab = run_fragment(lat, prep, frag, spec, seed=seed)
         for op, _ in spec.stabilizers.values():
             assert expectation_weyl(tab, op) == pytest.approx(1)
         for p in lat.plaquettes:
@@ -80,7 +73,7 @@ class TestParafermionDefect:
         prep = ground_state_circuit(lat)
         frag, spec = pf_defect_circuit(lat, (2, 1), "PF")
         for seed in range(4):
-            tab = run_fragment(lat, prep, frag, seed=seed)
+            tab = run_fragment(lat, prep, frag, spec, seed=seed)
             dense = state_from_tableau(tab)
             for name in ("west", "east", "nonlocal"):
                 val = dense.expectation_weyl(spec.stabilizers[name][0])
@@ -89,7 +82,7 @@ class TestParafermionDefect:
     @pytest.mark.parametrize("lx,ly", [(2, 2), (4, 2), (2, 4)])
     def test_correction_meets_every_constraint_on_small_tori(self, lx, ly):
         """On a torus of side 2 the 3x3 correction block lists sites twice; the
-        solved correction F (outcome 1's gate block) must still keep every
+        solved correction F (spec.correction) must still keep every
         untouched face and Z logical and shift W by -1 and each fused
         operator P Q^b W^-m by m."""
         lat = build_lattice(lx, ly)
@@ -97,11 +90,8 @@ class TestParafermionDefect:
         for x, y in ((x, y) for x in range(lx) for y in range(ly)):
             nw, ne, sw, se = lat.faces_of_site(x, y)
             for species in ("PF", "PFstar"):
-                frag, spec = pf_defect_circuit(lat, (x, y), species)
-                fx, fz = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-                for g in frag.instructions[1].predicate[1]:
-                    (fx if g.kind is GateKind.SHIFT_X else fz)[g.targets[0]] += 1
-                F = WeylOp(d, fx, fz)
+                _, spec = pf_defect_circuit(lat, (x, y), species)
+                F = spec.correction
                 W = spec.stabilizers["measured"][0]
                 where = (lx, ly, x, y, species)
                 assert symplectic_product(F, W) == d - 1, where

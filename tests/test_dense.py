@@ -17,7 +17,7 @@ class TestApplication:
         state = DenseState(3, 1, np.array([0.2, 0.3 + 0.1j, 0.5]))
         ref = state.copy()
         for _ in range(3):
-            state.apply_gate(weyl.shift_x(0))
+            state.apply_gate(weyl.CliffordGate(weyl.GateKind.SHIFT_X, (0,)))
         assert np.allclose(state.amp, ref.amp)
 
     def test_fourier_matrix_unitary(self):

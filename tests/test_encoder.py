@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qutrit_toric import encoder, weyl
-from qutrit_toric.circuit import Circuit, CondGate, Gate, Measure, Noise, NoiseChannel, run_shots
+from qutrit_toric.circuit import Circuit, Gate, Measure, Noise, NoiseChannel, run_shots
 from qutrit_toric.encoder import (
     ENCODE_BITS,
     NC_BITS,
@@ -286,13 +286,10 @@ class TestCompileCounts:
 
 
 # one instruction of each non-gate kind appended to a valid circuit, and the kind
-# refused at instruction 1; a cond reads the register a measurement writes first,
-# so that measurement is the one refused
+# refused at instruction 1
 NON_GATE = {
     "noise": (lambda c: c.noise(NoiseChannel("depolarizing1", 0.1), (0,)), "Noise"),
     "measure": (lambda c: c.measure(WeylOp.from_site(3, 2, 0, 0, 1), 0), "Measure"),
-    "condgate": (lambda c: c.measure(WeylOp.from_site(3, 2, 0, 0, 1), 0).cond(
-        0, {0: (), 1: (weyl.shift_x(1),), 2: ()}), "Measure"),
 }
 GATE_ONLY_ENTRIES = {f.__name__: f for f in (compile_report, encode_circuit,
                                               per_qutrit_two_qubit, circuit_to_json)}
@@ -303,7 +300,7 @@ GATE_ONLY_ENTRIES = {f.__name__: f for f in (compile_report, encode_circuit,
 def test_non_gate_instructions_refused(kind, entry):
     append, refused = NON_GATE[kind]
     circ = append(Circuit(3, 2, 1).gate(weyl.fourier(0)))
-    circ.validate((Gate, Measure, CondGate, Noise))
+    circ.validate((Gate, Measure, Noise))
     with pytest.raises(ValueError, match=f"instruction 1 is a {refused}: this engine takes "
                        "Gate only"):
         GATE_ONLY_ENTRIES[entry](circ)
@@ -409,7 +406,8 @@ class TestEmitters:
     @pytest.fixture(scope="class")
     def qc(self):
         circ = Circuit(3, 3, 0)
-        circ.gates([weyl.fourier(0), weyl.cx(0, 1), weyl.cz(0, 2), weyl.shift_x(2)])
+        circ.gates([weyl.fourier(0), weyl.cx(0, 1), weyl.cz(0, 2),
+                    weyl.CliffordGate(weyl.GateKind.SHIFT_X, (2,))])
         return encode_circuit(circ, basis="x")
 
     def test_json_ops_mirror_the_circuit(self, qc):

@@ -5,7 +5,7 @@ import pytest
 
 from qutrit_toric.circuit import Circuit, Gate, Measure, execute
 from qutrit_toric.cli import main
-from qutrit_toric.defects import CCRibbon, cc_defect_circuit, pf_defect_circuit, weyl_gates
+from qutrit_toric.defects import CCRibbon, cc_defect_circuit, pf_defect_circuit
 from qutrit_toric.experiments import (
     BRAID_PRESETS,
     Fuse,
@@ -36,6 +36,7 @@ from oracles import (
     run_braid,
     stabilizer_group_equals,
     unfused_cc_braid_script,
+    weyl_gates,
     xz_stacks,
 )
 
@@ -326,9 +327,10 @@ class TestScriptInfrastructure:
 
     @pytest.mark.parametrize("name", BRAID_PRESETS)
     def test_move_weyl_update_equals_gate_replay(self, monkeypatch, name):
-        """A move applies its solved operator as one Weyl update: after every
-        move of every preset, the tableau arrays equal those that replaying the
-        operator's shift and clock gates (weyl_gates) through execute leaves."""
+        """A move applies its solved operator, and a PF insert its correction, as
+        one Weyl update: after each of them in every preset, the tableau arrays
+        equal those that replaying the operator's shift and clock gates
+        (weyl_gates) through execute leaves."""
         script, same = BRAID_PRESETS[name](), []
         apply_weyl = StabilizerTableau.apply_weyl
 
@@ -341,7 +343,7 @@ class TestScriptInfrastructure:
 
         monkeypatch.setattr(StabilizerTableau, "apply_weyl", checked)
         run_braid(script, seed=0)
-        assert same == [True] * sum(isinstance(step, Move) for step in script.steps)
+        assert same == [True] * sum(isinstance(step, (Move, InsertPF)) for step in script.steps)
 
 
 def random_script(rng: np.random.Generator) -> Script:

@@ -28,6 +28,7 @@ PACKAGE = Path(qutrit_toric.__file__).parent
 
 # name -> why the package keeps it though no other package code reads it
 KEPT = {
+    "CondGate": "benchmarks/probes.py imports it until ROADMAP item 2",
     "ShotBatch.records": "benchmarks/probes.py compares batches with it until ROADMAP item 2",
     "StabilizerTableau.projector_triple": "benchmarks/probes.py times it until ROADMAP item 2",
     "mitigated_plaquette_triple": "benchmarks/probes.py times it until ROADMAP item 2",

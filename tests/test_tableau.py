@@ -240,7 +240,7 @@ class TestGroupEquality:
         for g in gates:
             other.apply_gate(g)
         assert stabilizer_group_equals(tab, other)
-        other.apply_gate(weyl.shift_x(0))
+        other.apply_gate(weyl.CliffordGate(weyl.GateKind.SHIFT_X, (0,)))
         assert not stabilizer_group_equals(tab, other)
 
 

@@ -231,8 +231,8 @@ class TestConjugation:
 
     def test_conjugate_through_inverse_roundtrip(self):
         rng = np.random.default_rng(13)
-        gates = [weyl.fourier(0), weyl.cx(0, 1), weyl.clock_z(1), weyl.cz_dag(1, 2),
-                 weyl.conj_c(2), weyl.shift_x(0)]
+        gates = [weyl.fourier(0), weyl.cx(0, 1), weyl.CliffordGate(weyl.GateKind.CLOCK_Z, (1,)),
+                 weyl.cz_dag(1, 2), weyl.conj_c(2), weyl.CliffordGate(weyl.GateKind.SHIFT_X, (0,))]
         for _ in range(20):
             w = random_weyl(rng, 3, 3)
             img = weyl.conjugate_through(gates, w)
