@@ -49,6 +49,7 @@ from .serialize import (
 from .tableau import StabilizerTableau, outcome_triple
 
 DEFAULT_SHOTS = 517  # max binomial standard error of a projector ~ 0.022
+MAX_TORUS_SIDE = 32  # a 32x32 noisy prepare takes about a minute and 260 MB (README)
 
 
 class ConfigError(Exception):
@@ -266,6 +267,8 @@ def _positive_int(text: str) -> int:
 def _torus_side(text: str) -> int:
     if (value := int(text)) < 2 or value % 2:
         raise argparse.ArgumentTypeError(f"must be an even integer >= 2, got {value}")
+    if value > MAX_TORUS_SIDE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_TORUS_SIDE}, got {value}")
     return value
 
 

@@ -518,6 +518,25 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be an even integer >= 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("prepare", "--lx", "34"), "--lx"), (("compile", "--lx", "1000000"), "--lx"),
+        (("prepare", "--noise", "default", "--ly", "34"), "--ly"),
+        (("topo-qutrit", "--ly", "1000000"), "--ly"),
+    ])
+    def test_torus_side_above_bound(self, monkeypatch, tmp_path, capsys, argv, flag):
+        """A side above MAX_TORUS_SIDE is refused while the flags are parsed,
+        before any lattice is built."""
+        def built(*args):
+            raise AssertionError("built a lattice past the bound")
+
+        monkeypatch.setattr(cli, "build_lattice", built)
+        code, doc, _ = run_cli(tmp_path, *argv)
+        assert code == 2 and doc is None
+        err = capsys.readouterr().err
+        value = argv[argv.index(flag) + 1]
+        assert f"argument {flag}: must be at most 32, got {value}" in err
+        assert "Traceback" not in err
+
     def test_config_unknown_key(self, tmp_path, capsys):
         code, doc, _ = self.run_with_config(tmp_path, {"shot": 100}, "prepare")
         assert code == 2 and doc is None

@@ -33,7 +33,8 @@ TYPE_VALUES = {
 }
 # options whose accepted values are cut down to keep runs small, and are
 # always given (but for topo-qutrit, whose default lattice is its smallest preset)
-SIZED = {"lx": (["2", "4"], ["0", "1", "3"]), "ly": (["2"], ["0", "1", "3"]),
+SIZED = {"lx": (["2", "4"], ["0", "1", "3", "34", "1000000"]),
+         "ly": (["2"], ["0", "1", "3", "34", "1000000"]),
          "shots": (["1", "64"], ["-1", "x"])}
 PATHS = ("output", "csv", "help")  # drawn separately: --output is always a fresh file
 
