@@ -1,4 +1,4 @@
-"""Defect constructions: fused stabilizers, feed-forward, ribbon unitaries."""
+"""Defect constructions: fused stabilizers, the PF correction, ribbon unitaries."""
 
 import numpy as np
 import pytest
@@ -51,7 +51,7 @@ class TestParafermionDefect:
             if p.pos in spec.transformed:
                 continue
             assert expectation_weyl(tab, p.operator(lat.n_sites)) == pytest.approx(1)
-        # logical sector undisturbed by feed-forward
+        # logical sector undisturbed by the correction
         assert expectation_weyl(tab, lat.logical_z_horizontal(3)) == pytest.approx(1)
         assert expectation_weyl(tab, lat.logical_z_vertical(5)) == pytest.approx(1)
 
@@ -68,7 +68,7 @@ class TestParafermionDefect:
 
     def test_statevector_cross_check_4x2(self):
         """Dense oracle: defect creation on a small torus, endpoint
-        stabilizers become +1 after feed-forward."""
+        stabilizers become +1 after the correction."""
         lat = build_lattice(4, 2)
         prep = ground_state_circuit(lat)
         frag, spec = pf_defect_circuit(lat, (2, 1), "PF")
