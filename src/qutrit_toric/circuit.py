@@ -19,11 +19,14 @@ outcomes. The reference shot (noise stripped, random outcomes forced to
 tableau, no gate replayed: a collapse each up to the last that clashes
 with a later one, then one batched lookup of the pairwise commuting
 rest (`StabilizerTableau.reference_outcomes`), all of a measure-all.
-Then FRAME_BLOCK shots at a time draw their initial frames, measurement
-kicks and noise hits in a few array calls and add the draws' forms. A
-noise hit's code holds its error exponents as base-d digits, and
-`_hit_exponents` decodes them. The values are a pure function of
-(circuit, n_shots, base_seed).
+Then FRAME_BLOCK shots at a time draw, in this order, an integer per
+initial frame row and measurement kick, the noise hits and a code per
+hit, and add the draws' forms. Hits are rare, so only they are drawn:
+`sparse_events` places candidates over the block's (shot, noise test)
+slots by geometric gaps at the largest test probability, and one uniform
+per candidate keeps it at its own test's (skip sampling). A hit's code
+holds its error exponents as base-d digits, and `_hit_exponents` decodes
+them. The values are a pure function of (circuit, n_shots, base_seed).
 
 `outcome_leaves` walks the exact outcome tree of a noiseless circuit,
 forking the tableau once per outcome of each random measurement
@@ -262,12 +265,42 @@ def outcome_leaves(circuit: Circuit) -> Iterator[tuple]:
 _FramePlan = namedtuple("_FramePlan", "d ref source drawn p high start entries writer")
 
 
+def sparse_events(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
+    """Sorted positions in [0, size) of independent events of probability p.
+
+    The gaps between events are geometric (skip sampling), so a rare event
+    costs a draw and a slot where none happens costs nothing. The draws are
+    `rng.geometric(p, k)` calls of k = size * p + 2 sd + 1 gaps each until
+    the events pass size; p = 0 or size 0 draws nothing, and p = 1 draws
+    nothing and returns every position. A caller thins the events to its
+    own rate q <= p per position with one uniform u each, keeping u * p < q.
+    """
+    if size == 0 or p <= 0:
+        return np.zeros(0, dtype=np.int64)
+    if p >= 1:
+        return np.arange(size)
+    k = int(size * p + 2 * np.sqrt(size * p)) + 1
+    chunks, end = [], -1
+    while end < size:
+        chunks.append(end + np.cumsum(np.minimum(rng.geometric(p, k), size + 1)))
+        end = chunks[-1][-1]
+    pos = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    return pos[:np.searchsorted(pos, size)]
+
+
 def _draw_block(plan: _FramePlan, rng: np.random.Generator, m: int) -> tuple:
-    """Draws of m shots: an integer per drawn source row, then a hit uniform per
-    shot and noise test, then a code per hit; returns the integers and the
-    hits' shots, tests and codes, shot by shot."""
+    """Draws of m shots: an integer per drawn source row, then the hits, then a
+    code per hit; returns the integers and the hits' shots, tests and codes,
+    shot by shot.
+
+    The hits are `sparse_events` over the m * T (shot, test) slots, shot-major,
+    at the largest test probability, each kept at its test's probability
+    with one uniform."""
     src = rng.integers(plan.d, size=(m, len(plan.source)), dtype=np.uint8)
-    shot, test = np.divmod(np.flatnonzero(rng.random((m, len(plan.p))) < plan.p), len(plan.p))
+    top = plan.p.max(initial=0.0)
+    slot = sparse_events(rng, m * len(plan.p), top)
+    slot = slot[rng.random(len(slot)) * top < plan.p[slot % len(plan.p)]]
+    shot, test = np.divmod(slot, len(plan.p))
     return src, shot, test, rng.integers(1, plan.high[test])
 
 
@@ -283,7 +316,8 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
 
     A shot is the reference (noise stripped, random outcomes forced to 0)
     times a phase-free Weyl frame. Block b of FRAME_BLOCK shots takes
-    `_draw_block`'s draws from SeedSequence([base_seed, b]), adds the source
+    `_draw_block`'s draws (source integers, sparse hits, their codes) from
+    SeedSequence([base_seed, b]), adds the source
     draws' forms by one float product (exact on these small integers) and
     the hits' nonzero form entries, times their codes' digits, by a
     scatter-add per FRAME_BLOCK hits.

@@ -27,7 +27,7 @@ from operator import add
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, sparse_events
 from .weyl import GateKind
 from .synth import NativeOp, on_qubit, ops_unitary, phase_distance, synthesize_two_qubit
 
@@ -409,20 +409,27 @@ def simulate_readout(values: np.ndarray, per_qutrit_two_qubit: list[int],
     herald state independently with probability leak_per_two_qubit (the
     default reproduces roughly the observed discard fraction on the
     large lattice workload); surviving hi and lo bits are flipped with
-    the readout confusion rates. The draws are one (N, n) array of leak
-    uniforms, then one (N, n, 2) array of hi and lo uniforms, drawn for
-    every qutrit, leaked or not.
+    the readout confusion rates, p10 for an ideal 0 and p01 for an ideal 1.
+
+    Only the events are drawn, in this order: `sparse_events` over the
+    N * n (shot, qutrit) slots at the largest leak rate, one thinning
+    uniform per such slot (kept at its qutrit's rate), then `sparse_events`
+    over the 2 * N * n (shot, qutrit, hi then lo) bit slots at
+    max(p01, p10), one thinning uniform per such slot (kept at its ideal
+    bit's rate). Slots are shot-major.
     """
     rng = np.random.default_rng(seed)
-    values = np.asarray(values)
-    n = len(per_qutrit_two_qubit)
+    pairs = ENCODE_INDEX[np.asarray(values)]
+    flat = pairs.reshape(-1)  # a view: shot i's qutrit q sits at i * n + q
     # per_qutrit_two_qubit already counts qubit-level involvements
     leak_p = 1.0 - (1.0 - leak_per_two_qubit) ** np.asarray(per_qutrit_two_qubit)
-    leaked = rng.random((len(values), n)) < leak_p
-    uniforms = rng.random((len(values), n, 2))
-    pairs = ENCODE_INDEX[values]
-    flip_p = np.array([p10, p01])  # indexed by the ideal bit
-    flips = 2 * (uniforms[..., 0] < flip_p[pairs >> 1]) + (uniforms[..., 1] < flip_p[pairs & 1])
-    pairs ^= flips.astype(np.uint8)
-    pairs[leaked] = NC_INDEX
+    top = leak_p.max(initial=0.0)
+    leaked = sparse_events(rng, flat.size, top)
+    leaked = leaked[rng.random(len(leaked)) * top < leak_p[leaked % len(leak_p)]]
+    top = max(p01, p10)
+    slot = sparse_events(rng, 2 * flat.size, top)
+    mask = (2 >> (slot & 1)).astype(np.uint8)  # a hi bit's 2, a lo bit's 1
+    kept = rng.random(len(slot)) * top < np.where(flat[slot >> 1] & mask, p01, p10)
+    np.bitwise_xor.at(flat, slot[kept] >> 1, mask[kept])  # keeps a pair's two flips
+    flat[leaked] = NC_INDEX
     return pairs

@@ -2,13 +2,14 @@
 
 Nothing in the package runs these. They are the brute-force references
 (dense statevector, dense joint outcome distributions, a compiled frame
-plan's exact distribution, the dict-based readout channel, per-operator
-sector counts, one face's document entry, the tableau invariant check)
-and the small conveniences that only tests call (one-row tableau
-expectations, a fresh |0>^n tableau, a one-shot tableau run, counted
-tableau calls, a Weyl operator's shift and clock gates, a braid run
-that returns its runner, the CC braid without its closing fuse, a braid
-script replayed on a dense state).
+plan's exact distribution, the dict-based readout channel, the exact
+herald probability of a noiseless readout, per-operator sector counts,
+one face's document entry, the tableau invariant check) and the small
+conveniences that only tests call (one-row tableau expectations, a
+fresh |0>^n tableau, a one-shot tableau run, counted tableau calls, a
+Weyl operator's shift and clock gates, a braid run that returns its
+runner, the CC braid without its closing fuse, a braid script replayed
+on a dense state, a 4-SE rate band).
 Hard size caps keep the dense ones to a few qutrits.
 """
 
@@ -20,7 +21,7 @@ from qutrit_toric.analysis import ConfusionMatrix, _per_bit
 from qutrit_toric.circuit import Circuit, Gate, Measure, _compile_frames, execute
 from qutrit_toric.defects import cc_defect_circuit, fuse_cc_pair, pf_defect_circuit
 from qutrit_toric.dense import gate_matrix, weyl_matrices
-from qutrit_toric.encoder import QubitCircuit
+from qutrit_toric.encoder import ENCODE_BITS, QubitCircuit
 from qutrit_toric.experiments import (
     Fuse,
     InsertCC,
@@ -392,6 +393,29 @@ def _product_channel(distribution, m: np.ndarray) -> dict[tuple[int, ...], float
         dense[key] += float(prob)
     out = _per_bit(dense, m)
     return {tuple(idx): float(out[tuple(idx)]) for idx in np.argwhere(out).tolist()}
+
+
+def herald_probability(circuit: Circuit, per_qutrit_two_qubit: list[int], p01: float,
+                       p10: float, leak_per_two_qubit: float) -> float:
+    """Exact probability that `simulate_readout` heralds a shot of a noiseless
+    measure-all circuit (creg q holds qutrit q's value): the sum over the
+    circuit's `plan_distribution` of 1 minus the product over qutrits of the
+    chance that the qutrit neither leaks nor has its pair read as |01>."""
+    leak = 1.0 - (1.0 - leak_per_two_qubit) ** np.asarray(per_qutrit_two_qubit)
+    reads_hi_0 = {0: 1 - p10, 1: p01}  # by the ideal hi bit
+    reads_lo_1 = {0: p10, 1: 1 - p01}  # by the ideal lo bit
+    reads_nc = np.array([reads_hi_0[hi] * reads_lo_1[lo] for hi, lo in ENCODE_BITS.values()])
+    clean = (1 - leak)[:, None] * (1 - reads_nc)  # (qutrit, ideal value)
+    qutrits = np.arange(len(leak))
+    return 1.0 - sum(prob * np.prod(clean[qutrits, values])
+                     for values, prob in plan_distribution(circuit).items())
+
+
+def assert_rate(count: int, total: int, p: float) -> None:
+    """count of total independent events of probability p lies within 4 binomial
+    standard errors of total * p (so exactly at it for p = 0 or 1)."""
+    se = np.sqrt(p * (1 - p) / total)
+    assert abs(count / total - p) <= 4 * se, (count, total, p)
 
 
 # -- per-operator estimation and face entries ----------------------------------------

@@ -19,6 +19,7 @@ from qutrit_toric.circuit import (
     execute,
     outcome_leaves,
     run_shots,
+    sparse_events,
 )
 from qutrit_toric.encoder import compile_report, encode_circuit, per_qutrit_two_qubit
 from qutrit_toric.lattice import build_lattice, ground_state_circuit, measure_all_circuit
@@ -27,7 +28,7 @@ from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import WeylOp
 
 from oracles import DenseState, dense_outcome_distribution, final_tableau, projector_expectation
-from oracles import count_tableau_calls, plan_distribution
+from oracles import assert_rate, count_tableau_calls, plan_distribution
 from oracles import weyl_matrix as dense_weyl_matrix
 
 
@@ -279,9 +280,12 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
     SeedSequence([base_seed, b]): the initial Z frame,
     then one kick per Measure, each where the plan draws it (the rows it
     leaves undrawn take values from another generator, which checks that
-    they move no outcome), then one hit uniform per noise test (a
-    depolarizing1 site or a depolarizing2 pair) in instruction order,
-    read back by replaying the block's generator, and a code per hit.
+    they move no outcome), then the hits over the (shot, noise test)
+    slots, shot-major, with the tests (a depolarizing1 site or a
+    depolarizing2 pair) in instruction order: candidate slots from
+    `sparse_events` at the largest test probability, each a hit when its
+    thinning uniform times that probability is below its test's, read
+    back by replaying the block's generator, and a code per hit.
     """
     d, n = circuit.d, circuit.n_qudits
     ref_values = forced_reference(circuit)
@@ -294,8 +298,11 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
         src, shot, test, code = circuit_module._draw_block(plan, rng, m)
         replay = np.random.default_rng(np.random.SeedSequence([base_seed, b]))
         replay.integers(d, size=src.shape, dtype=np.uint8)
-        u = replay.random((m, len(plan.p)))
-        codes = np.zeros(u.shape, dtype=np.int64)
+        top = max(plan.p, default=0.0)
+        hit = np.zeros((m, len(plan.p)), dtype=bool)
+        slots = sparse_events(replay, hit.size, top)
+        hit.flat[slots] = replay.random(len(slots)) * top < np.tile(plan.p, m)[slots]
+        codes = np.zeros(hit.shape, dtype=np.int64)
         codes[shot, test] = code
         # a source row the plan leaves undrawn moves no outcome, so any value does
         sources = np.random.default_rng(b).integers(d, size=(m, n + n_kicks))
@@ -315,7 +322,7 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
                 cols = slice(tests, tests + len(sites) // width)
                 tests += len(sites) // width
                 # a code for each hit, and for nothing else
-                assert np.array_equal(codes[:, cols] > 0, u[:, cols] < ins.channel.p)
+                assert np.array_equal(codes[:, cols] > 0, hit[:, cols])
                 err = _hit_exponents(codes[:, cols], d)[..., :2 * width].reshape(m, len(sites), 2)
                 xz[:, :, sites] = (xz[:, :, sites] + err.transpose(0, 2, 1)) % d
             elif isinstance(ins, Measure):
@@ -324,7 +331,7 @@ def reference_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarr
                 values[:, ins.creg] = (r + xz[:, 0, sup] @ wz - xz[:, 1, sup] @ wx) % d
                 k = next(kicks)[:, None, None]
                 xz[:, :, sup] = (xz[:, :, sup] + k * np.stack([wx, wz])) % d
-        assert tests == u.shape[1] and next(kicks, None) is None
+        assert tests == hit.shape[1] and next(kicks, None) is None
         blocks.append(values)
     return np.concatenate(blocks or [np.zeros((0, circuit.n_cregs), dtype=np.int64)])
 
@@ -890,6 +897,68 @@ class TestStatistics:
     def test_default_shot_count_standard_error(self):
         # 517 shots at p = 1/2 gives the quoted ~0.022 maximum standard error
         assert np.sqrt(0.25 / 517) == pytest.approx(0.022, abs=5e-4)
+
+
+def gap_walk(rng: np.random.Generator, size: int, p: float) -> list[int]:
+    """Event positions below size from rng's geometric gaps drawn one at a time."""
+    out, pos = [], int(rng.geometric(p)) - 1
+    while pos < size:
+        out.append(pos)
+        pos += int(rng.geometric(p))
+    return out
+
+
+class TestSparseDraws:
+    """sparse_events and the hits _draw_block thins from it, against their model at
+    fixed seeds; every rate band is 4 standard errors (exact at p = 0 or 1)."""
+
+    def test_sparse_events_edges(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for size, p in ((0, 0.5), (0, 1.0), (50, 0.0)):
+            assert sparse_events(rng, size, p).size == 0
+        assert np.array_equal(sparse_events(rng, 50, 1.0), np.arange(50))
+        assert rng.bit_generator.state == state  # none of these draws
+        assert sparse_events(rng, 3, 1e-300).size == 0
+
+    @pytest.mark.parametrize("size, p", [(1, 0.5), (7, 0.3), (40, 0.05), (300, 0.9)])
+    def test_sparse_events_follow_the_gaps(self, size, p):
+        """The positions equal the one-at-a-time walk over the same gaps, however
+        many calls the helper splits its gaps into."""
+        for seed in range(300):
+            got = sparse_events(np.random.default_rng(seed), size, p)
+            assert got.tolist() == gap_walk(np.random.default_rng(seed), size, p), seed
+
+    def test_sparse_events_rates(self):
+        rng = np.random.default_rng(12)
+        size, p, calls = 7, 0.3, 20_000
+        marks = np.zeros((calls, size), dtype=bool)
+        for c in range(calls):
+            marks[c, sparse_events(rng, size, p)] = True
+        for count in marks.sum(axis=0):
+            assert_rate(int(count), calls, p)
+        assert_rate(int((marks[:, 0] & marks[:, -1]).sum()), calls, p * p)
+        size, p = 10**6, 2e-3
+        pos = sparse_events(rng, size, p)
+        assert pos[0] >= 0 and pos[-1] < size and (np.diff(pos) > 0).all()
+        for count in np.bincount(pos * 10 // size, minlength=10):
+            assert_rate(int(count), size // 10, p)
+
+    def test_hit_rate_per_test(self):
+        """Hits at each test's probability, shot-major, with codes over [1, d^(2 width))."""
+        ps = (2e-3, 0.05, 0.0, 1.0, 0.3)
+        c = Circuit(3, 7)
+        for site, p in enumerate(ps):
+            c.noise(NoiseChannel("depolarizing1", p), (site,))
+        c.noise(NoiseChannel("depolarizing2", 0.05), (5, 6))
+        plan = circuit_module._compile_frames(c)
+        m = 200_000
+        _, shot, test, code = circuit_module._draw_block(plan, np.random.default_rng(21), m)
+        assert (np.diff(shot * len(plan.p) + test) > 0).all()
+        for t, p in enumerate(ps + (0.05,)):
+            assert_rate(int((test == t).sum()), m, p)
+            if p > 0:
+                assert np.array_equal(np.unique(code[test == t]), np.arange(1, plan.high[t]))
 
 
 class TestNoiselessInvariants:

@@ -8,11 +8,23 @@ import numpy as np
 import pytest
 
 from qutrit_toric import encoder, weyl
-from qutrit_toric.circuit import Circuit, Gate, Measure, Noise, NoiseChannel, run_shots
+from qutrit_toric.circuit import (
+    Circuit,
+    Gate,
+    Measure,
+    Noise,
+    NoiseChannel,
+    run_shots,
+    sparse_events,
+)
 from qutrit_toric.encoder import (
     ENCODE_BITS,
+    ENCODE_INDEX,
+    LEAK_PER_TWO_QUBIT,
     NC_BITS,
     NC_INDEX,
+    READOUT_P01,
+    READOUT_P10,
     SUPPORTED_GATES,
     compile_report,
     decode_qubit_records,
@@ -43,6 +55,9 @@ from qutrit_toric.weyl import GateKind, WeylOp
 
 from oracles import (
     DenseState,
+    assert_rate,
+    herald_probability,
+    plan_distribution,
     qubit_circuit_depth,
     qubit_circuit_two_qubit_count,
     qubit_circuit_unitary,
@@ -482,25 +497,30 @@ def reference_simulate_readout(rows, per_qutrit_two_qubit, p01, p10, leak_per_tw
                                seed):
     """The per-qutrit readout loop, written out here as the reference for the array version.
 
-    Uniforms come in the array version's order: (N, n) leak draws, then
-    (N, n, 2) hi and lo draws for every qutrit."""
+    It replays the array version's draws in order: the leak events over the
+    (shot, qutrit) slots and a thinning uniform each, then the flip events
+    over the (shot, qutrit, hi then lo) bit slots and a thinning uniform
+    each; a slot with no event draws nothing."""
     rng = np.random.default_rng(seed)
     n = len(per_qutrit_two_qubit)
     leak_p = 1.0 - (1.0 - leak_per_two_qubit) ** np.asarray(per_qutrit_two_qubit)
-    leak_u = rng.random((len(rows), n))
-    flip_u = rng.random((len(rows), n, 2))
+    top_leak, top_flip = max(leak_p, default=0.0), max(p01, p10)
+    slots = sparse_events(rng, len(rows) * n, top_leak)
+    leak_u = dict(zip(slots.tolist(), rng.random(len(slots))))
+    slots = sparse_events(rng, 2 * len(rows) * n, top_flip)
+    flip_u = dict(zip(slots.tolist(), rng.random(len(slots))))
     out = []
-    for rec, leak_row, flip_row in zip(rows, leak_u, flip_u):
+    for shot, rec in enumerate(rows):
         bits = []
         for i, v in enumerate(rec):
-            if leak_row[i] < leak_p[i]:
+            slot = shot * n + i
+            if slot in leak_u and leak_u[slot] * top_leak < leak_p[i]:
                 bits.extend(NC_BITS)
                 continue
-            for bit, u in zip(ENCODE_BITS[int(v)], flip_row[i]):
-                if bit == 1:
-                    bits.append(0 if u < p01 else 1)
-                else:
-                    bits.append(1 if u < p10 else 0)
+            for half, bit in enumerate(ENCODE_BITS[int(v)]):
+                u = flip_u.get(2 * slot + half)
+                flipped = u is not None and u * top_flip < (p01 if bit == 1 else p10)
+                bits.append(1 - bit if flipped else bit)
         out.append(tuple(bits))
     return out
 
@@ -540,3 +560,85 @@ class TestArrayReadout:
         assert 0 < frac < 1 and frac == ref_frac
         assert [tuple(r) for r in retained.tolist()] == pair_indices(ref_retained)
         assert decode_qubit_records(retained).tolist() == ref_decoded
+
+
+class TestReadoutRates:
+    """simulate_readout's leaks and flips at the model's rates, at fixed seeds,
+    each within 4 standard errors (exact at a rate of 0 or 1)."""
+
+    def test_flip_rate_by_ideal_bit(self):
+        shots, p01, p10 = 200_000, 0.05, 0.02
+        values = np.tile(np.arange(3, dtype=np.uint8), (shots, 1))
+        flips = simulate_readout(values, [0, 0, 0], p01=p01, p10=p10, leak_per_two_qubit=0,
+                                 seed=5) ^ ENCODE_INDEX[values]
+        for q, (hi, lo) in ENCODE_BITS.items():
+            for mask, bit in ((2, hi), (1, lo)):
+                assert_rate(int((flips[:, q] & mask).astype(bool).sum()), shots,
+                            p01 if bit else p10)
+
+    @pytest.mark.parametrize("value, rates, want", [
+        (2, dict(p01=0.6, p10=0.0), [0.36, 0.24, 0.24, 0.16]),
+        (0, dict(p01=0.0, p10=0.6), [0.16, 0.24, 0.24, 0.36]),
+    ])
+    def test_pair_reads_both_flips(self, value, rates, want):
+        """A pair's hi and lo bits flip independently, both in one shot included.
+        |11> at p01 and |00> at p10 read the herald state |01> at p(1 - p), so a
+        spam rate alone heralds a shot only by chance."""
+        shots = 100_000
+        pairs = simulate_readout(np.full((shots, 1), value, dtype=np.uint8), [0],
+                                 leak_per_two_qubit=0, seed=7, **rates)
+        for count, p in zip(np.bincount(pairs[:, 0], minlength=4), want):
+            assert_rate(int(count), shots, p)
+
+    def test_every_bit_flips_at_rate_one(self):
+        values = np.random.default_rng(3).integers(3, size=(500, 6)).astype(np.uint8)
+        pairs = simulate_readout(values, [4] * 6, p01=1, p10=1, leak_per_two_qubit=0, seed=1)
+        assert np.array_equal(pairs, ENCODE_INDEX[values] ^ 3)
+
+    @pytest.mark.parametrize("leak", [0.01, 1.0])
+    def test_leak_rate_per_qutrit(self, leak):
+        shots, per_qutrit = 100_000, [0, 1, 5, 40]
+        values = np.random.default_rng(4).integers(3, size=(shots, 4)).astype(np.uint8)
+        pairs = simulate_readout(values, per_qutrit, p01=0, p10=0, leak_per_two_qubit=leak,
+                                 seed=9)
+        for q, k in enumerate(per_qutrit):
+            assert_rate(int((pairs[:, q] == NC_INDEX).sum()), shots, 1 - (1 - leak) ** k)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_batch(self, shape):
+        pairs = simulate_readout(np.zeros(shape, dtype=np.uint8), [2] * shape[1], p01=0.5,
+                                 p10=0.5, leak_per_two_qubit=0.5, seed=0)
+        assert pairs.shape == shape and pairs.dtype == np.uint8
+
+
+class TestHeraldOracle:
+    """The sampled herald fraction of noiseless 4x2 shots against
+    oracles.herald_probability, over 2 * 10^5 shots per basis, within 4 SE."""
+
+    RAISED = dict(p01=0.05, p10=0.03, leak_per_two_qubit=0.01)
+    DEFAULT = dict(p01=READOUT_P01, p10=READOUT_P10, leak_per_two_qubit=LEAK_PER_TWO_QUBIT)
+
+    @staticmethod
+    def measured(basis):
+        lat = build_lattice(4, 2)
+        circ = ground_state_circuit(lat)
+        circ.extend(measure_all_circuit(lat, basis))
+        return circ, per_qutrit_two_qubit(ground_state_circuit(lat), basis)
+
+    def test_oracle_edges(self):
+        circ, counts = self.measured("z")
+        assert len(plan_distribution(circ)) == 27
+        assert len(plan_distribution(self.measured("x")[0])) == 243
+        assert herald_probability(circ, counts, 0, 0, 0) == pytest.approx(0, abs=1e-12)
+        assert herald_probability(circ, counts, 0, 0, 1) == pytest.approx(1, abs=1e-12)
+
+    @pytest.mark.parametrize("rates", ["DEFAULT", "RAISED"])
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_herald_fraction_matches_exact(self, basis, rates):
+        rates = getattr(self, rates)
+        circ, counts = self.measured(basis)
+        shots = 200_000
+        values = run_shots(circ, shots, base_seed=17).values
+        _, frac = herald_filter(simulate_readout(values, counts, seed=23, **rates))
+        assert_rate(round(frac * shots), shots, herald_probability(circ, counts, **rates))
+
