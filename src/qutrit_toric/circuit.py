@@ -269,11 +269,12 @@ def sparse_events(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
     """Sorted positions in [0, size) of independent events of probability p.
 
     The gaps between events are geometric (skip sampling), so a rare event
-    costs a draw and a slot where none happens costs nothing. The draws are
-    `rng.geometric(p, k)` calls of k = size * p + 2 sd + 1 gaps each until
-    the events pass size; p = 0 or size 0 draws nothing, and p = 1 draws
-    nothing and returns every position. A caller thins the events to its
-    own rate q <= p per position with one uniform u each, keeping u * p < q.
+    costs a draw and a slot where none happens costs nothing. The draws
+    are `rng.geometric(p, k)` calls of k = int(size * p + 2 * sqrt(size * p))
+    + 1 gaps each until the events pass size; p = 0 or size 0 draws
+    nothing, and p = 1 draws nothing and returns every position. A caller
+    thins the events to its own rate q <= p per position with one uniform
+    u each, keeping u * p < q.
     """
     if size == 0 or p <= 0:
         return np.zeros(0, dtype=np.int64)
@@ -284,7 +285,7 @@ def sparse_events(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
     while end < size:
         chunks.append(end + np.cumsum(np.minimum(rng.geometric(p, k), size + 1)))
         end = chunks[-1][-1]
-    pos = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    pos = np.concatenate(chunks)
     return pos[:np.searchsorted(pos, size)]
 
 
@@ -317,10 +318,10 @@ def _run_frames(circuit: Circuit, n_shots: int, base_seed: int) -> np.ndarray:
     A shot is the reference (noise stripped, random outcomes forced to 0)
     times a phase-free Weyl frame. Block b of FRAME_BLOCK shots takes
     `_draw_block`'s draws (source integers, sparse hits, their codes) from
-    SeedSequence([base_seed, b]), adds the source
-    draws' forms by one float product (exact on these small integers) and
-    the hits' nonzero form entries, times their codes' digits, by a
-    scatter-add per FRAME_BLOCK hits.
+    SeedSequence([base_seed, b]), adds the source draws' forms by one float
+    product (exact on these small integers) and the hits' nonzero form
+    entries, times their codes' digits, by a scatter-add per FRAME_BLOCK
+    hits.
     """
     plan = _compile_frames(circuit)
     written = plan.writer >= 0

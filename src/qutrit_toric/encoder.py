@@ -423,6 +423,8 @@ def simulate_readout(values: np.ndarray, per_qutrit_two_qubit: list[int],
     flat = pairs.reshape(-1)  # a view: shot i's qutrit q sits at i * n + q
     # per_qutrit_two_qubit already counts qubit-level involvements
     leak_p = 1.0 - (1.0 - leak_per_two_qubit) ** np.asarray(per_qutrit_two_qubit)
+    if pairs.shape[1:] != leak_p.shape:
+        raise ValueError("values need one column per per_qutrit_two_qubit entry")
     top = leak_p.max(initial=0.0)
     leaked = sparse_events(rng, flat.size, top)
     leaked = leaked[rng.random(len(leaked)) * top < leak_p[leaked % len(leak_p)]]

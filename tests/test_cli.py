@@ -576,8 +576,8 @@ class TestInputValidation:
     @pytest.mark.parametrize("flag, value", [("--leak", "1")])
     def test_every_shot_heralded(self, tmp_path, capsys, flag, value):
         """A basis that keeps no shot exits 2 naming the basis and the herald check.
-        A leak rate of 1 heralds every shot; no spam rate does with certainty (see
-        tests/test_encoder.py::TestReadoutRates::test_pair_reads_both_flips)."""
+        A leak rate of 1 heralds every shot; a spam rate heralds a shot only by chance
+        (see tests/test_encoder.py::TestReadoutRates::test_pair_reads_both_flips)."""
         code, doc, _ = run_cli(tmp_path, "prepare", "--noise", "default", "--shots", "10",
                                flag, value)
         assert code == 2 and doc is None

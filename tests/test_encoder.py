@@ -604,6 +604,11 @@ class TestReadoutRates:
         for q, k in enumerate(per_qutrit):
             assert_rate(int((pairs[:, q] == NC_INDEX).sum()), shots, 1 - (1 - leak) ** k)
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 2), (5, 4), (5, 3, 1)])
+    def test_values_of_the_wrong_shape_refused(self, shape):
+        with pytest.raises(ValueError, match="one column per"):
+            simulate_readout(np.zeros(shape, dtype=np.uint8), [1, 1, 1], seed=0)
+
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
     def test_empty_batch(self, shape):
         pairs = simulate_readout(np.zeros(shape, dtype=np.uint8), [2] * shape[1], p01=0.5,
