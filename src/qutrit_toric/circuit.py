@@ -4,11 +4,11 @@ Instructions are gates, Weyl-observable measurements into classical
 registers and depolarizing Weyl noise. Each engine takes some of these
 kinds, and `Circuit.validate(takes)` is the one place that refuses the
 others: every engine entry calls it once, naming the kinds it takes,
-before any tableau change or draw. `_apply` applies one noiseless
-instruction to a tableau; `execute` and the outcome tree take gates and
-measurements, so `run_shots` is the one noise sampler. No instruction
-reads a register: a correction that depends on an outcome, such as a
-parafermion defect's, is applied by its caller as a Weyl update.
+before any tableau change or draw. `execute` and the outcome tree take
+gates and measurements, so `run_shots` is the one noise sampler. No
+instruction reads a register: a correction that depends on an outcome,
+such as a parafermion defect's, is applied by its caller as a Weyl
+update.
 
 `run_shots` samples gates, noise and measurements with Weyl frames
 (Pauli-frame sampling carried over to Z_d). One backward pass through
@@ -28,17 +28,15 @@ per candidate keeps it at its own test's (skip sampling). A hit's code
 holds its error exponents as base-d digits, and `_hit_exponents` decodes
 them. The values are a pure function of (circuit, n_shots, base_seed).
 
-`outcome_leaves` walks the exact outcome tree of a noiseless circuit,
-forking the tableau once per outcome of each random measurement
-(refused before forking past a budget). `exact_outcome_distribution`,
-the oracle the samplers are tested against, and the topological-qutrit
-protocol both read its leaves.
+`exact_outcome_distribution`, the oracle the samplers are tested
+against, walks the exact outcome tree of a noiseless circuit, forking
+the tableau once per outcome of each random measurement (refused before
+forking past a budget).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,60 +203,20 @@ def _hit_exponents(code: np.ndarray, d: int) -> np.ndarray:
     return code[..., None] // d ** np.arange(4) % d
 
 
-def _apply(ins: Instruction, tab: StabilizerTableau, creg: list[int]) -> None:
-    """Apply a gate or a measurement (its outcome, drawn by tab, into creg) to tab;
-    Noise is left to run_shots."""
-    if isinstance(ins, Gate):
-        tab.apply_gate(ins.gate)
-    elif isinstance(ins, Measure):
-        creg[ins.creg] = tab.measure_weyl(ins.observable).value
-
-
 def execute(circuit: Circuit, tab: StabilizerTableau) -> list[int]:
-    """Apply a noiseless circuit's instructions to tab in order; return the creg values.
-
-    Random measurement outcomes are drawn by the tableau. An invalid or noisy circuit
-    is refused with ValueError before tab changes: run_shots samples noise.
+    """Apply a noiseless circuit's gates and measurements to tab in order, the one
+    tableau replay; return the creg values. Random outcomes are drawn by the tableau.
+    An invalid or noisy circuit is refused with ValueError before tab changes:
+    run_shots samples noise.
     """
     circuit.validate((Gate, Measure))
     creg = [0] * circuit.n_cregs
     for ins in circuit.instructions:
-        _apply(ins, tab, creg)
+        if isinstance(ins, Gate):
+            tab.apply_gate(ins.gate)
+        else:
+            creg[ins.creg] = tab.measure_weyl(ins.observable).value
     return creg
-
-
-def outcome_leaves(circuit: Circuit) -> Iterator[tuple]:
-    """Leaves of the exact outcome tree in path order: (path, creg values, tableau).
-
-    Depth first, holding one tableau per level; a path lists the random
-    outcomes down to its leaf. Raises ValueError for an invalid or noisy circuit, and
-    before a branch would fork past TREE_MAX_RANDOM_MEASUREMENTS outcomes.
-    """
-    circuit.validate((Gate, Measure))
-    instructions = circuit.instructions
-
-    def walk(start: int, tab: StabilizerTableau, creg: list[int], path: tuple[int, ...]):
-        for i in range(start, len(instructions)):
-            ins = instructions[i]
-            if not isinstance(ins, Measure):
-                _apply(ins, tab, creg)
-                continue
-            det = tab.deterministic_outcome(ins.observable)
-            if det is not None:
-                creg[ins.creg] = det
-                continue
-            if len(path) == TREE_MAX_RANDOM_MEASUREMENTS:
-                raise ValueError("the exact outcome tree needs a noiseless, low-branching "
-                                 f"circuit: instruction {i} would fork past the budget of "
-                                 f"{TREE_MAX_RANDOM_MEASUREMENTS} random outcomes")
-            for s in range(circuit.d):
-                child, child_creg = tab.copy(), list(creg)
-                child_creg[ins.creg] = child.measure_weyl(ins.observable, s).value
-                yield from walk(i + 1, child, child_creg, path + (s,))
-            return
-        yield path, creg, tab
-
-    yield from walk(0, StabilizerTableau(circuit.d, circuit.n_qudits), [0] * circuit.n_cregs, ())
 
 
 # a circuit's random draws as forms over its M measurements; see _compile_frames
@@ -420,9 +378,34 @@ def run_shots(circuit: Circuit, n_shots: int, base_seed: int = 0,
 
 
 def exact_outcome_distribution(circuit: Circuit) -> dict[tuple[int, ...], float]:
-    """Exact joint creg distribution of a noiseless circuit, from its outcome tree."""
-    dist: dict[tuple[int, ...], float] = {}
-    for path, creg, _ in outcome_leaves(circuit):
+    """Exact joint creg distribution of a noiseless circuit from its outcome tree, walked
+    depth first with one tableau per level, forked per outcome of a random measurement.
+    Raises ValueError for an invalid or noisy circuit, and before a branch would fork
+    past TREE_MAX_RANDOM_MEASUREMENTS outcomes."""
+    circuit.validate((Gate, Measure))
+    instructions, dist = circuit.instructions, {}
+
+    def walk(start: int, tab: StabilizerTableau, creg: list[int], depth: int) -> None:
+        for i in range(start, len(instructions)):
+            ins = instructions[i]
+            if isinstance(ins, Gate):
+                tab.apply_gate(ins.gate)
+                continue
+            det = tab.deterministic_outcome(ins.observable)
+            if det is not None:
+                creg[ins.creg] = det
+                continue
+            if depth == TREE_MAX_RANDOM_MEASUREMENTS:
+                raise ValueError("the exact outcome tree needs a noiseless, low-branching "
+                                 f"circuit: instruction {i} would fork past the budget of "
+                                 f"{TREE_MAX_RANDOM_MEASUREMENTS} random outcomes")
+            for s in range(circuit.d):
+                child, child_creg = tab.copy(), list(creg)
+                child_creg[ins.creg] = child.measure_weyl(ins.observable, s).value
+                walk(i + 1, child, child_creg, depth + 1)
+            return
         key = tuple(creg)
-        dist[key] = dist.get(key, 0.0) + circuit.d ** -len(path)
+        dist[key] = dist.get(key, 0.0) + circuit.d ** -depth
+
+    walk(0, StabilizerTableau(circuit.d, circuit.n_qudits), [0] * circuit.n_cregs, 0)
     return dist

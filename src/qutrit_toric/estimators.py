@@ -19,8 +19,8 @@ import numpy as np
 from .lattice import TorusLattice
 
 
-def standard_errors(counts) -> tuple[list, float | list[float]]:
-    """Binomial standard errors per sector plus the maximum, along the last axis.
+def standard_errors(counts) -> list:
+    """Binomial standard errors per sector, along the last axis.
 
     counts: sector counts of one estimator (total N = sum), or a stack of them.
     """
@@ -30,7 +30,7 @@ def standard_errors(counts) -> tuple[list, float | list[float]]:
         raise ValueError("no shots")
     p = counts / n
     ses = np.sqrt(p * (1 - p) / n)
-    return ses.tolist(), ses.max(axis=-1).tolist()
+    return ses.tolist()
 
 
 def _entries(keys, triples: np.ndarray, std_errors, n_shots: int) -> list[dict]:
@@ -81,4 +81,4 @@ def estimate_plaquette_projectors(values: np.ndarray, basis: str,
     # one bincount over face * d + sector: (faces, d) integer counts
     counts = np.bincount(sectors.ravel(), minlength=d * len(faces)).reshape(len(faces), d)
     return _entries([(p.kind, p.pos, False, None) for p in faces], counts / total,
-                    standard_errors(counts)[0], total)
+                    standard_errors(counts), total)

@@ -14,7 +14,8 @@ there, leave everything else alone (nonlocal defect stabilizers are left
 free so crossings can toggle them, which is the physics being
 demonstrated). Runs return their result-document entries as they are
 written: the runner one frame per snapshot, the topological-qutrit
-protocol one row per ancilla outcome.
+protocol one row per ancilla outcome, each read on a copy of its state
+with the ancilla Z measurement forced to that outcome (one fork).
 
 Shipped presets pin the geometries of the braiding and
 topological-qutrit experiments; anyon paths are fixed up to topology
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import topological_qutrit_bounds
-from .circuit import Circuit, Gate, execute, outcome_leaves
+from .circuit import Circuit, Gate, execute
 from .defects import (
     CCRibbon,
     DefectSpec,
@@ -381,34 +382,37 @@ class TopologicalQutritProtocol:
                                      self.a_ends[1].power(self.correlator_exponent))
 
     def circuit(self) -> Circuit:
+        """The protocol's gates on the n + 1 qudits; run measures the ancilla."""
         lat = self.lattice
-        circ = Circuit(lat.d, self.n_total, 1)
-        for ins in ground_state_circuit(lat).instructions:
-            circ.add(ins)
-        for g in self.cc_gates:
-            circ.gate(g)
+        circ = Circuit(lat.d, self.n_total)
+        circ.gates(ins.gate for ins in ground_state_circuit(lat).instructions)
+        circ.gates(self.cc_gates)
         circ.gate(fourier(self.ancilla))
         for i in sorted(self.braid_loop.support):
             e = int(self.braid_loop.z[i])
             circ.gate(cz(self.ancilla, int(i)) if e == 1 else cz_dag(self.ancilla, int(i)))
         circ.gate(fourier_dag(self.ancilla))
-        circ.measure(WeylOp.from_site(lat.d, self.n_total, self.ancilla, 0, 1), 0)
         return circ
 
     def run(self, seed: int = 0) -> dict:
-        """Result entries: a row per ancilla outcome (a tree leaf each), and the
-        outcome the seed's first draw samples."""
+        """Result entries: a row per ancilla outcome j, read on a copy of the protocol
+        state with its ancilla Z forced to j, and the outcome the seed's first draw samples."""
         d = self.lattice.d
-        leaves = list(outcome_leaves(self.circuit()))
-        paths = [path for path, _, _ in leaves]
-        if paths != [(j,) for j in range(d)]:
+        tab = StabilizerTableau(d, self.n_total)
+        execute(self.circuit(), tab)
+        ancilla_z = WeylOp.from_site(d, self.n_total, self.ancilla, 0, 1)
+        det = tab.deterministic_outcome(ancilla_z)
+        if det is not None:
             raise AssertionError("the ancilla measurement is not the protocol circuit's one "
-                                 f"random outcome: its outcome tree has leaves {paths}")
+                                 f"random outcome: it reads {det} on every branch")
         ops = (self.braid_loop, self.neutrality_op, *self.a_ends, *self.b_ends)
         # stacked on the n + 1 protocol qudits: the ancilla column is 0
         stack = (np.pad([w.x for w in ops], ((0, 0), (0, 1))),
                  np.pad([w.z for w in ops], ((0, 0), (0, 1))), np.array([w.phase for w in ops]))
-        return {"per_outcome": [self._row(tab, creg[0], stack) for _, creg, tab in leaves],
+        forks = [tab.copy() for _ in range(d)]
+        for j, fork in enumerate(forks):
+            fork.measure_weyl(ancilla_z, force=j)
+        return {"per_outcome": [self._row(fork, j, stack) for j, fork in enumerate(forks)],
                 "sampled_outcome": int(np.random.default_rng(seed).integers(d))}
 
     def _row(self, tab: StabilizerTableau, outcome: int, stack) -> dict:

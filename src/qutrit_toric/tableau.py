@@ -160,8 +160,8 @@ class StabilizerTableau:
     def measure_weyl(self, w: WeylOp, force: int | None = None) -> MeasurementOutcome:
         """Measure a Weyl observable; collapses the state on random outcomes.
 
-        force pins a random outcome (the exact outcome tree and the frame
-        sampler's reference shot pass it); a deterministic outcome ignores it.
+        force pins a random outcome (the outcome tree, the topological-qutrit fork
+        and the frame sampler's reference shot pass it); a deterministic one ignores it.
         """
         self._check_shape(w)
         d, n = self.d, self.n

@@ -17,7 +17,6 @@ from qutrit_toric.circuit import (
     _hit_exponents,
     exact_outcome_distribution,
     execute,
-    outcome_leaves,
     run_shots,
     sparse_events,
 )
@@ -73,7 +72,6 @@ class TestValidation:
     # per entry: a call on a circuit and a tableau (execute's own) and the kinds it takes
     ENTRIES = {
         "execute": (execute, (Gate, Measure)),
-        "outcome_leaves": (lambda c, tab: list(outcome_leaves(c)), (Gate, Measure)),
         "exact_outcome_distribution": (lambda c, tab: exact_outcome_distribution(c),
                                        (Gate, Measure)),
         "run_shots": (lambda c, tab: run_shots(c, 5), (Gate, Noise, Measure)),
@@ -219,7 +217,7 @@ class TestOutcomeTree:
         c = bell_like_circuit().with_noise(p1=0.1)  # the Fourier gate's noise is instruction 1
         with pytest.raises(ValueError, match="instruction 1 is a Noise: this engine takes "
                            "Gate, Measure only"):
-            list(outcome_leaves(c))
+            exact_outcome_distribution(c)
 
     def test_refusal_names_the_instruction_and_budget(self):
         n = TREE_MAX_RANDOM_MEASUREMENTS + 1
@@ -231,17 +229,14 @@ class TestOutcomeTree:
             exact_outcome_distribution(c)
 
     def test_leaves_in_path_order(self):
-        """Two X measurements on fresh qutrits: d^2 leaves in path order, each
-        with its path as creg values and a tableau that holds those outcomes."""
+        """Two X measurements on fresh qutrits: each of the d^2 joint outcomes, in
+        path order, at 1/9."""
         c = Circuit(3, 2, 2)
-        xs = [WeylOp.from_site(3, 2, i, 1, 0) for i in range(2)]
-        for i, w in enumerate(xs):
-            c.measure(w, i)
-        leaves = list(outcome_leaves(c))
-        assert [path for path, _, _ in leaves] == [(a, b) for a in range(3) for b in range(3)]
-        for path, creg, tab in leaves:
-            assert creg == list(path)
-            assert [tab.deterministic_outcome(w) for w in xs] == list(path)
+        for i in range(2):
+            c.measure(WeylOp.from_site(3, 2, i, 1, 0), i)
+        dist = exact_outcome_distribution(c)
+        assert list(dist) == [(a, b) for a in range(3) for b in range(3)]
+        assert all(p == pytest.approx(1 / 9, abs=1e-15) for p in dist.values())
 
 
 def reference_run_shot(circuit, seed):

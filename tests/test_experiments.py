@@ -30,6 +30,8 @@ from qutrit_toric.tableau import StabilizerTableau
 from qutrit_toric.weyl import WeylOp, symplectic_product
 
 from oracles import (
+    DenseState,
+    count_tableau_calls,
     dense_script_frames,
     excited,
     final_tableau,
@@ -441,9 +443,13 @@ class TestTopologicalQutrit:
         assert [proto.run(seed)["sampled_outcome"] for seed in range(30)] == pinned
 
     def test_one_lookup_per_leaf(self, layout_fn, monkeypatch):
-        """run reads the d leaves of the outcome tree, one batched lookup each;
-        the sampled outcome takes no extra fork."""
+        """run applies the gate-only circuit once, one apply_gate per gate, then
+        forks d copies, one forced collapse and one batched lookup each; the
+        sampled outcome takes no extra fork."""
         proto = TopologicalQutritProtocol(layout_fn())
+        circ = proto.circuit()
+        assert all(isinstance(ins, Gate) for ins in circ.instructions)
+        counts = count_tableau_calls(monkeypatch, "apply_gate", "copy", "measure_weyl")
         lookup, calls = StabilizerTableau.deterministic_outcomes, []
 
         def counting(self, x, z, ph):
@@ -452,11 +458,13 @@ class TestTopologicalQutrit:
 
         monkeypatch.setattr(StabilizerTableau, "deterministic_outcomes", counting)
         proto.run(7)
-        assert calls == [6] * proto.lattice.d  # braid loop, neutrality, two A and two B ends
+        d = proto.lattice.d
+        assert calls == [6] * d  # braid loop, neutrality, two A and two B ends
+        assert counts == {"apply_gate": len(circ.instructions), "copy": d, "measure_weyl": d}
 
     def test_deterministic_ancilla_is_an_invariant_failure(self, layout_fn, monkeypatch, capsys):
-        """Without the Fourier sandwich on the ancilla its measurement reads 0 on
-        every branch: one leaf with an empty path, refused by name (CLI exit 3)."""
+        """Without the Fourier sandwich on the ancilla its Z reads 0 on every
+        branch: no fork, refused by name (CLI exit 3)."""
         layout = layout_fn()
         proto = TopologicalQutritProtocol(layout)
         circuit = TopologicalQutritProtocol.circuit
@@ -470,7 +478,7 @@ class TestTopologicalQutrit:
 
         monkeypatch.setattr(TopologicalQutritProtocol, "circuit", without_ancilla_fourier)
         with pytest.raises(AssertionError, match=r"not the protocol circuit's one random outcome: "
-                           r"its outcome tree has leaves \[\(\)\]"):
+                           r"it reads 0 on every branch"):
             proto.run(0)
         lat = layout.lattice
         assert main(["topo-qutrit", "--lx", str(lat.lx), "--ly", str(lat.ly), "-o", "-"]) == 3
@@ -485,11 +493,8 @@ class TestTopologicalQutrit:
         for j in range(3):
             circ = proto.circuit()
             tab = StabilizerTableau(circ.d, circ.n_qudits, np.random.default_rng(0))
-            for ins in circ.instructions:
-                if isinstance(ins, Gate):
-                    tab.apply_gate(ins.gate)
-                elif isinstance(ins, Measure):
-                    tab.measure_weyl(ins.observable, force=j)
+            execute(circ, tab)
+            tab.measure_weyl(WeylOp.from_site(circ.d, circ.n_qudits, proto.ancilla, 0, 1), force=j)
             tab.apply_weyl(lifted(loop))
             triple = tab.projector_triple(lifted(proto.braid_loop))
             sector = triple.index(1.0)
@@ -568,3 +573,28 @@ class TestTopologicalQutrit:
             if not transformed:
                 assert symplectic_product(proto.braid_loop,
                                           p.operator(lat.n_sites)) == 0
+
+
+def test_topo_rows_match_dense_projection():
+    """Each 6x2 run() row equals its reading on the dense state of the protocol's
+    13 qutrits projected onto that ancilla outcome: the dense oracle for the fork."""
+    proto = TopologicalQutritProtocol(topo_layout_6x2())
+    d, n = proto.lattice.d, proto.n_total
+    state = DenseState(d, n)
+    for ins in proto.circuit().instructions:
+        state.apply_gate(ins.gate)
+    worst = 0.0
+    for j, row in enumerate(proto.run()["per_outcome"]):
+        fork = state.copy()
+        fork.project_onto(WeylOp.from_site(d, n, proto.ancilla, 0, 1), j)
+        flux = [fork.expectation_weyl(lifted(b)) for b in proto.b_ends]
+        dense = {
+            "braid_triple": fork.outcome_probabilities(lifted(proto.braid_loop)),
+            "neutrality_triple": fork.outcome_probabilities(lifted(proto.neutrality_op)),
+            "pair_projectors": [fork.outcome_probabilities(lifted(a))[0] for a in proto.a_ends],
+            "flux_endpoints": [[v.real, v.imag] for v in flux],
+        }
+        assert row["ancilla_outcome"] == j
+        worst = max(worst, *(np.abs(np.subtract(row[key], want)).max()
+                             for key, want in dense.items()))
+    assert worst <= 1e-12

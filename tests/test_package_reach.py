@@ -32,7 +32,8 @@ KEPT = {
     "ShotBatch.records": "benchmarks/probes.py compares batches with it until ROADMAP item 2",
     "StabilizerTableau.projector_triple": "benchmarks/probes.py times it until ROADMAP item 2",
     "mitigated_plaquette_triple": "benchmarks/probes.py times it until ROADMAP item 2",
-    "exact_outcome_distribution": "benchmarks/probes.py times it; the tests' enumeration oracle",
+    "exact_outcome_distribution": ("benchmarks/probes.py times it until ROADMAP item 2; "
+                                   "the tests' enumeration oracle"),
     "TopologicalQutritProtocol.logical_shift_loop": "library: the paper's logical shift",
     "run_shots(parallelism)": "benchmarks/probes.py passes it until ROADMAP item 2",
     "main(argv)": "cli's console entry point passes no argv; tests pass one",
