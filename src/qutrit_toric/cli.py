@@ -50,6 +50,7 @@ from .tableau import StabilizerTableau, outcome_triple
 
 DEFAULT_SHOTS = 517  # max binomial standard error of a projector ~ 0.022
 MAX_TORUS_SIDE = 32  # a 32x32 noisy prepare takes about a minute and 260 MB (README)
+MAX_SHOT_QUTRITS = 2**26  # shots x sites per basis; a run at the cap peaks under 1 GB (README)
 
 
 class ConfigError(Exception):
@@ -117,6 +118,9 @@ def _config_echo(args) -> dict:
 
 def cmd_prepare(args) -> dict:
     lat = build_lattice(args.lx, args.ly)
+    if args.shots * lat.n_sites > MAX_SHOT_QUTRITS:
+        raise ConfigError(f"--shots {args.shots} is too many for {lat.n_sites} sites: at most "
+                          f"{MAX_SHOT_QUTRITS // lat.n_sites} (shots x sites <= {MAX_SHOT_QUTRITS})")
     prep = ground_state_circuit(lat)
     payload: dict = {"lattice": [args.lx, args.ly]}
     if args.noise == "off" and args.shots == 0:

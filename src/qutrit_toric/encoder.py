@@ -143,7 +143,6 @@ class TokenSummary:
     where none joins them, so levels advance as max_i(level[i] + depth_into[j][i])."""
     names: tuple[str, ...]  # gate_counts entries
     qubits: tuple[int, ...]  # local qubits touched
-    ops: int
     zz: int
     zz_per_qutrit: tuple[int, ...]  # zzphase involvements per local qutrit
     depth_into: tuple[tuple[float, ...], ...]
@@ -176,7 +175,7 @@ def token_summary(key: str) -> TokenSummary:
             for q in op.qubits:
                 zz_per_qutrit[q // 2] += 1
     names = () if key == "measure" else (key,)
-    return TokenSummary(names, tuple(qubits), len(ops), sum(zz_per_qutrit) // 2,
+    return TokenSummary(names, tuple(qubits), sum(zz_per_qutrit) // 2,
                         tuple(zz_per_qutrit), tuple(zip(*reach)))
 
 

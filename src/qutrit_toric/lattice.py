@@ -13,10 +13,10 @@ Anyons: a charge (e / ebar) is a violated A-face, a flux (m / mbar) a
 violated B-face, with eigenvalue omega tagging e and m, omega-bar
 tagging the conjugates.
 
-Ground-state preparation walks a diagonal zigzag chain through all
-A-faces, Fourier-transforming a fresh representative corner per face
-and spreading it with CX / CXdag gates; the final face in the chain is
-implied by the product constraint over all A-faces and is skipped.
+Ground-state preparation is one pass down a zigzag chain of A-faces: a
+Fourier on the corner each face shares with its chain successor (fresh,
+since a vertex lies on exactly two A-faces), then CX / CXdag to its other
+corners; the last face is implied by the product of all A-faces.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .weyl import (
     fourier,
 )
 
-CORNER_NAMES = ("TL", "TR", "BL", "BR")
 A_EXPONENTS = (1, 1, -1, -1)  # X, X, Xdag, Xdag
 B_EXPONENTS = (-1, 1, -1, 1)  # Zdag, Z, Zdag, Z
 
@@ -87,15 +86,8 @@ class TorusLattice:
     def site_index(self, x: int, y: int) -> int:
         return (y % self.ly) * self.lx + (x % self.lx)
 
-    def site_pos(self, index: int) -> tuple[int, int]:
-        return index % self.lx, index // self.lx
-
     def plaquette_at(self, x: int, y: int) -> Plaquette:
         return self.plaquettes[self.site_index(x, y)]
-
-    @property
-    def a_plaquettes(self) -> list[Plaquette]:
-        return [p for p in self.plaquettes if p.kind == "A"]
 
     def faces_of_site(self, x: int, y: int) -> list[Plaquette]:
         """The four faces containing vertex (x, y): NW, NE, SW, SE."""
@@ -138,68 +130,31 @@ class TorusLattice:
 # -- ground state preparation ----------------------------------------------------
 
 
-def default_preparation_order(lattice: TorusLattice) -> list[tuple[tuple[int, int], str]]:
-    """Diagonal zigzag chain over all A-faces; the last face is left implicit.
-
-    Each face's representative corner is the one it shares with its chain
-    successor, which no earlier gate can have touched.
-    """
-    chain: list[tuple[int, int]] = []
-    for r in range(0, lattice.ly, 2):
-        for x in range(lattice.lx):
-            chain.append((x, r + (x % 2)))
-    order: list[tuple[tuple[int, int], str]] = []
-    for i in range(len(chain) - 1):
-        (x, y), (nx, ny) = chain[i], chain[i + 1]
-        corner = "BR" if ny == (y + 1) % lattice.ly else "TR"
-        order.append(((x, y), corner))
-    return order
-
-
-def validate_preparation_order(lattice: TorusLattice,
-                               order: list[tuple[tuple[int, int], str]]) -> None:
-    seen_faces = set()
-    touched: set[int] = set()
-    for pos, corner in order:
-        p = lattice.plaquette_at(*pos)
-        if p.kind != "A":
-            raise ValueError(f"face {pos} is not shift-type")
-        if p.pos in seen_faces:
-            raise ValueError(f"face {pos} listed twice")
-        seen_faces.add(p.pos)
-        rep = p.corners[CORNER_NAMES.index(corner)]
-        if rep in touched:
-            raise ValueError(
-                f"representative {lattice.site_pos(rep)} of face {pos} was already touched"
-            )
-        touched.update(p.corners)
-    n_a = len(lattice.a_plaquettes)
-    if len(seen_faces) != n_a - 1:
-        raise ValueError(f"ordering must cover exactly {n_a - 1} A-faces, got {len(seen_faces)}")
-
-
 def ground_state_circuit(lattice: TorusLattice) -> Circuit:
     """Unitary preparation of the +1 logical sector ground state.
 
-    Per face of the default order: Fourier on the representative corner,
-    then CX (to X corners) or CXdag (to Xdag corners) from the
-    representative, with the gate sense flipped when the representative
-    itself carries Xdag.
+    Walks a diagonal zigzag chain (x, r + x % 2), r = 0, 2, ..., through
+    all A-faces. Each face but the last gets a Fourier on its
+    representative corner, the one it shares with its chain successor
+    (BR when the successor is a row down, else TR), then CX (to X corners)
+    or CXdag (to Xdag corners) from it, the sense flipped when the
+    representative itself carries Xdag. Every vertex is a corner of
+    exactly two A-faces, and a representative's two are the current face
+    and its successor, so no earlier gate touches it. The last face is
+    implied by the product constraint over all A-faces and is skipped.
     """
-    order = default_preparation_order(lattice)
-    validate_preparation_order(lattice, order)
+    ly = lattice.ly
+    chain = [(x, r + x % 2) for r in range(0, ly, 2) for x in range(lattice.lx)]
     circ = Circuit(lattice.d, lattice.n_sites, 0)
-    for pos, corner in order:
-        p = lattice.plaquette_at(*pos)
-        ci = CORNER_NAMES.index(corner)
-        rep = p.corners[ci]
-        e_rep = p.exponents[ci]
+    for (x, y), (_, ny) in zip(chain, chain[1:]):
+        p = lattice.plaquette_at(x, y)
+        ci = 3 if ny == (y + 1) % ly else 1
+        rep, e_rep = p.corners[ci], p.exponents[ci]
         circ.gate(fourier(rep))
         for k, site in enumerate(p.corners):
-            if k == ci:
-                continue
-            sense = (p.exponents[k] * e_rep) % 3
-            circ.gate(cx(rep, site) if sense == 1 else cx_dag(rep, site))
+            if k != ci:
+                sense = (p.exponents[k] * e_rep) % 3
+                circ.gate(cx(rep, site) if sense == 1 else cx_dag(rep, site))
     return circ
 
 

@@ -37,7 +37,6 @@ from qutrit_toric.experiments import (
 from qutrit_toric.lattice import (
     Plaquette,
     TorusLattice,
-    default_preparation_order,
     ground_state_circuit,
 )
 from qutrit_toric.modmath import row_reduce
@@ -127,7 +126,9 @@ class DenseState:
         Uses the projector family P_s = (1/d) sum_m omega^{-sm} w^m.
         """
         d = self.d
-        exps = np.array([self.expectation_weyl(w.power(m)) for m in range(d)])
+        # <w^0> is the squared norm, so `total` below still checks normalization
+        exps = np.array([np.vdot(self.amp, self.amp),
+                         *(self.expectation_weyl(w.power(m)) for m in range(1, d))])
         probs = np.empty(d)
         for s in range(d):
             val = sum(self.omega ** ((-s * m) % d) * exps[m] for m in range(d)) / d
@@ -509,12 +510,21 @@ def xz_stacks(keep: list[WeylOp], change=()) -> tuple[np.ndarray, np.ndarray, np
 
 
 def implicit_plaquette(lattice: TorusLattice) -> Plaquette:
-    """The A-face the default preparation order leaves implicit."""
-    listed = {pos for pos, _ in default_preparation_order(lattice)}
-    for p in lattice.a_plaquettes:
-        if p.pos not in listed:
-            return p
-    raise ValueError("ordering covers every A-face; none left implicit")
+    """The A-face ground_state_circuit leaves implicit, read from its gates: a
+    Fourier target and the CX targets after it are one prepared face's corners,
+    and each prepared face crosses off the first A-face with those corners (on
+    2x2 both A-faces have all four sites as corners; the second is left)."""
+    left = [p for p in lattice.plaquettes if p.kind == "A"]
+    prepared: list[set[int]] = []
+    for ins in ground_state_circuit(lattice).instructions:
+        if ins.gate.kind is GateKind.FOURIER:
+            prepared.append(set())
+        prepared[-1].update(ins.gate.targets)
+    for corners in prepared:
+        left.remove(next(p for p in left if set(p.corners) == corners))
+    if len(left) != 1:
+        raise ValueError(f"{len(left)} A-faces left implicit, not one")
+    return left[0]
 
 
 def excited(frame: dict) -> dict[tuple[str, tuple[int, int]], tuple[float, ...]]:

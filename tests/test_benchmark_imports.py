@@ -1,10 +1,11 @@
 """Every name the benchmark imports from the package still resolves.
 
-The tests here do not collect benchmarks/test_bench.py, so a package
-deletion that breaks a benchmark import would pass them unseen. An `ast`
-scan reads every `from qutrit_toric... import name` and `import
-qutrit_toric...` in benchmarks/*.py, those inside functions included,
-and resolves each against the package.
+benchmarks/test_bench.py runs the probes with the tests here, but it
+exercises only the imports its probes reach. An `ast` scan reads every
+`from qutrit_toric... import name` and `import qutrit_toric...` in
+benchmarks/*.py, those inside functions included, and resolves each
+against the package, so a deletion that breaks any of them names the
+file and line.
 """
 
 import ast

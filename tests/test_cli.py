@@ -553,6 +553,23 @@ class TestInputValidation:
         assert code == 2 and doc is None
         assert "--shots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shots, noise", [
+        ("10000000000", "off"), (str(cli.MAX_SHOT_QUTRITS // 4 + 1), "default"),
+    ])
+    def test_shots_past_budget(self, tmp_path, capsys, monkeypatch, shots, noise):
+        """More than MAX_SHOT_QUTRITS shot-qutrits is refused before any shot
+        is drawn, naming --shots and the largest count the lattice allows."""
+        def sampled(*args, **kwargs):
+            raise AssertionError("drew shots past the budget")
+
+        monkeypatch.setattr(cli, "run_shots", sampled)
+        code, doc, _ = run_cli(tmp_path, "prepare", "--lx", "2", "--ly", "2",
+                               "--noise", noise, "--shots", shots)
+        assert code == 2 and doc is None
+        err = capsys.readouterr().err
+        assert f"--shots {shots}" in err and f"at most {cli.MAX_SHOT_QUTRITS // 4}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, flag, value", [
         ("prepare", "--threads", "0"), ("prepare", "--threads", "-3"),
         ("prepare", "--seed", "-1"), ("braid-pf", "--seed", "-1"), ("topo-qutrit", "--seed", "-1"),

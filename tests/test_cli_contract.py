@@ -3,7 +3,8 @@ each subcommand's own parser actions (their types and choices, values each
 accepts and values just outside them), `main` exits 0, 2 or 3 without a
 traceback, every exit 2 names a flag or --config and leaves no document, and
 a rerun gives the same bytes. Lattices stay at 4x2 or smaller (topo-qutrit's
-smallest preset, 6x2, is its default) and shots at 64 or fewer."""
+smallest preset, 6x2, is its default) and accepted shots at 64 or fewer; a
+shot count past the shot budget is one of the values refused."""
 
 import argparse
 import contextlib
@@ -35,7 +36,7 @@ TYPE_VALUES = {
 # always given (but for topo-qutrit, whose default lattice is its smallest preset)
 SIZED = {"lx": (["2", "4"], ["0", "1", "3", "34", "1000000"]),
          "ly": (["2"], ["0", "1", "3", "34", "1000000"]),
-         "shots": (["1", "64"], ["-1", "x"])}
+         "shots": (["1", "64"], ["-1", "x", "10000000000"])}
 PATHS = ("output", "csv", "help")  # drawn separately: --output is always a fresh file
 
 

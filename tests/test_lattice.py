@@ -9,12 +9,10 @@ from qutrit_toric.defects import solve_weyl_op
 from qutrit_toric.estimators import estimate_plaquette_projectors
 from qutrit_toric.lattice import (
     build_lattice,
-    default_preparation_order,
     ground_state_circuit,
     measure_all_circuit,
-    validate_preparation_order,
 )
-from qutrit_toric.weyl import WeylOp, symplectic_product
+from qutrit_toric.weyl import GateKind, WeylOp, symplectic_product
 
 from oracles import (
     DenseState,
@@ -40,7 +38,7 @@ class TestGeometry:
     def test_counts(self, dims, n_sites, per_type):
         lat = build_lattice(*dims)
         assert lat.n_sites == n_sites
-        assert len(lat.a_plaquettes) == per_type
+        assert sum(p.kind == "A" for p in lat.plaquettes) == per_type
         assert sum(p.kind == "B" for p in lat.plaquettes) == per_type
 
     def test_odd_dimensions_rejected(self):
@@ -171,30 +169,20 @@ class TestPreparation:
                    if isinstance(i, Gate) and len(i.gate.targets) == 2) == 33
 
     def test_order_covers_all_but_one(self):
-        for dims in ((6, 4), (6, 2), (4, 4)):
-            lat = build_lattice(*dims)
-            order = default_preparation_order(lat)
-            assert len(order) == len(lat.a_plaquettes) - 1
-            validate_preparation_order(lat, order)
-            imp = implicit_plaquette(lat)
-            assert imp.kind == "A"
-
-    def test_validator_rejects_touched_representative(self):
-        lat = build_lattice(4, 4)
-        order = default_preparation_order(lat)
-        # reuse the first face's representative corner for the second face
-        bad = [order[0], ((order[1][0]), "TL")]
-        p1 = lat.plaquette_at(*order[1][0])
-        # find a corner of face 2 that face 1 already touched
-        touched = set(lat.plaquette_at(*order[0][0]).corners)
-        from qutrit_toric.lattice import CORNER_NAMES
-
-        for name, site in zip(CORNER_NAMES, p1.corners):
-            if site in touched:
-                bad = [order[0], (order[1][0], name)]
-                break
-        with pytest.raises(ValueError, match="touched|listed"):
-            validate_preparation_order(lat, bad)
+        """On every torus with sides 2 to 16, each Fourier target is untouched
+        by earlier gates, one per A-face but the implicit one, (lx - 1, ly - 1)."""
+        for lx in range(2, 17, 2):
+            for ly in range(2, 17, 2):
+                lat = build_lattice(lx, ly)
+                touched: set[int] = set()
+                n_fourier = 0
+                for ins in ground_state_circuit(lat).instructions:
+                    if ins.gate.kind is GateKind.FOURIER:
+                        assert ins.gate.targets[0] not in touched, (lx, ly)
+                        n_fourier += 1
+                    touched.update(ins.gate.targets)
+                assert n_fourier == sum(p.kind == "A" for p in lat.plaquettes) - 1
+                assert implicit_plaquette(lat).pos == (lx - 1, ly - 1)
 
     def test_dense_cross_check_2x2(self):
         lat, tab = prepared(2, 2)
