@@ -32,13 +32,10 @@ from .weyl import GateKind
 from .synth import NativeOp, on_qubit, ops_unitary, phase_distance, synthesize_two_qubit
 
 OMEGA = np.exp(2j * np.pi / 3)
-ENCODE_BITS = {0: (0, 0), 1: (1, 0), 2: (1, 1)}
-NC_BITS = (0, 1)
-DECODE_BITS = {v: k for k, v in ENCODE_BITS.items()}
-# pair index 2*hi + lo of each qutrit value, and back (herald index -> 0, never read)
-ENCODE_INDEX = np.array([2 * hi + lo for hi, lo in ENCODE_BITS.values()], dtype=np.uint8)
-NC_INDEX = 2 * NC_BITS[0] + NC_BITS[1]
-DECODE_INDEX = np.array([DECODE_BITS.get(divmod(i, 2), 0) for i in range(4)], dtype=np.uint8)
+# pair index 0b(hi lo) of each qutrit value, the herald's, and back (herald -> 0, never read)
+ENCODE_INDEX = np.array([0b00, 0b10, 0b11], dtype=np.uint8)
+NC_INDEX = 0b01
+DECODE_INDEX = np.array([0, 0, 1, 2], dtype=np.uint8)
 READOUT_P01, READOUT_P10, LEAK_PER_TWO_QUBIT = 2.37e-3, 0.82e-3, 2.5e-4  # characterized rates
 
 

@@ -77,8 +77,8 @@ def estimate_plaquette_projectors(values: np.ndarray, basis: str,
     total = len(values)
     if total == 0:
         raise ValueError("no retained shots")
-    sectors = (np.asarray(values, dtype=np.int64) @ M.T) % d + d * np.arange(len(faces))
-    # one bincount over face * d + sector: (faces, d) integer counts
-    counts = np.bincount(sectors.ravel(), minlength=d * len(faces)).reshape(len(faces), d)
+    # uint8 holds every sum: a face sums 4 corner terms, each at most 2 * 2, so at most 16
+    sectors = np.asarray(values, dtype=np.uint8) @ M.T.astype(np.uint8) % d
+    counts = np.stack([(sectors == s).sum(axis=0) for s in range(d)], axis=1)
     return _entries([(p.kind, p.pos, False, None) for p in faces], counts / total,
                     standard_errors(counts), total)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import topological_qutrit_bounds
-from .circuit import Circuit, Gate, execute
+from .circuit import Circuit, execute
 from .defects import (
     CCRibbon,
     DefectSpec,
@@ -86,7 +86,7 @@ class Move:
 
 @dataclass(frozen=True)
 class Fuse:
-    defect_index: int
+    defect: int
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,9 @@ class ScriptRunner:
             elif isinstance(step, Prepare):
                 execute(ground_state_circuit(lat), tab)
             elif isinstance(step, Fuse):
-                if step.defect_index not in live:
-                    raise ValueError(f"fuse names defect {step.defect_index}, which is not live")
-                execute(fuse_cc_pair(lat, live.pop(step.defect_index)), tab)
+                if step.defect not in live:
+                    raise ValueError(f"fuse names defect {step.defect}, which is not live")
+                execute(fuse_cc_pair(lat, live.pop(step.defect)), tab)
                 self.keys, self.kinds, self.frame = observable_frame(lat, live)
             else:  # InsertPF or InsertCC
                 frag, spec = (cc_defect_circuit(lat, step.ribbon) if isinstance(step, InsertCC)
@@ -362,7 +362,7 @@ class TopologicalQutritProtocol:
         self.specs = []
         for ribbon in layout.ribbons:
             frag, spec = cc_defect_circuit(lat, ribbon)
-            gates += [ins.gate for ins in frag.instructions if isinstance(ins, Gate)]
+            gates += [ins.gate for ins in frag.instructions]
             self.specs.append(spec)
         self.cc_gates = gates
         # pre-image charge string between the two A-type endpoints

@@ -2,7 +2,10 @@
 
 Every document carries a "schema" tag. `circuit_to_json` takes gate-only
 circuits: `Circuit.validate` refuses an invalid circuit or any other
-instruction kind before a document is written. A result document wraps the
+instruction kind before a document is written. A script step's document is
+its op name from `_STEP_OPS` and its dataclass fields under their own names
+(tuples dump as arrays); a CC insert writes its ribbon's schain and
+(s, sigma, eta) steps in place of the ribbon. A result document wraps the
 entries its run built (braid frames and topological-qutrit rows come
 from `experiments` already in document form). Documents are
 written, not read back, each as one line of compact JSON (json's C
@@ -14,15 +17,7 @@ from __future__ import annotations
 import json
 
 from .circuit import Circuit, Gate
-from .experiments import (
-    Fuse,
-    InsertCC,
-    InsertPF,
-    Move,
-    Prepare,
-    Script,
-    Snapshot,
-)
+from .experiments import Fuse, InsertCC, InsertPF, Move, Prepare, Script, Snapshot
 
 CIRCUIT_SCHEMA = "qutrit-toric/circuit/v1"
 SCRIPT_SCHEMA = "qutrit-toric/script/v1"
@@ -52,35 +47,19 @@ def circuit_to_json(circ: Circuit) -> dict:
 # -- scripts -----------------------------------------------------------------------
 
 
+_STEP_OPS = {Prepare: "prepare", InsertPF: "pf-defect", InsertCC: "cc-defect",
+             Move: "move", Fuse: "fuse", Snapshot: "snapshot"}
+
+
 def script_to_json(script: Script) -> dict:
     steps = []
     for step in script.steps:
-        if isinstance(step, Prepare):
-            steps.append({"op": "prepare"})
-        elif isinstance(step, InsertPF):
-            steps.append({"op": "pf-defect", "site": list(step.site),
-                          "species": step.species})
-        elif isinstance(step, InsertCC):
-            steps.append({
-                "op": "cc-defect",
-                "schain": [list(s) for s in step.ribbon.schain],
-                "steps": [
-                    {"s": list(s), "sigma": list(sig), "eta": eta}
-                    for s, sig, eta in step.ribbon.steps
-                ],
-            })
-        elif isinstance(step, Move):
-            steps.append({
-                "op": "move",
-                "label": step.label,
-                "support": [list(q) for q in step.support],
-                "changes": [[key, delta] for key, delta in step.changes],
-                "free": list(step.free),
-            })
-        elif isinstance(step, Fuse):
-            steps.append({"op": "fuse", "defect": step.defect_index})
-        elif isinstance(step, Snapshot):
-            steps.append({"op": "snapshot", "label": step.label})
+        doc = {"op": _STEP_OPS[type(step)], **vars(step)}
+        if isinstance(step, InsertCC):  # the ribbon's fields in place of the ribbon
+            ribbon = doc.pop("ribbon")
+            doc.update(schain=ribbon.schain, steps=[{"s": s, "sigma": sig, "eta": eta}
+                                                   for s, sig, eta in ribbon.steps])
+        steps.append(doc)
     return {"schema": SCRIPT_SCHEMA, "name": script.name,
             "lattice": [script.lx, script.ly], "steps": steps}
 

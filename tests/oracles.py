@@ -9,7 +9,7 @@ conveniences that only tests call (one-row tableau expectations, a
 fresh |0>^n tableau, a one-shot tableau run, counted tableau calls, a
 Weyl operator's shift and clock gates, a braid run that returns its
 runner, the CC braid without its closing fuse, a braid script replayed
-on a dense state, a 4-SE rate band).
+on a dense state, a 4-SE rate band) and the paper's qubit-pair encoding.
 Hard size caps keep the dense ones to a few qutrits.
 """
 
@@ -21,7 +21,7 @@ from qutrit_toric.analysis import ConfusionMatrix, _per_bit
 from qutrit_toric.circuit import Circuit, Gate, Measure, _compile_frames, execute
 from qutrit_toric.defects import cc_defect_circuit, fuse_cc_pair, pf_defect_circuit
 from qutrit_toric.dense import gate_matrix, weyl_matrices
-from qutrit_toric.encoder import ENCODE_BITS, QubitCircuit
+from qutrit_toric.encoder import QubitCircuit
 from qutrit_toric.experiments import (
     Fuse,
     InsertCC,
@@ -358,6 +358,12 @@ def validate_tableau(tab: StabilizerTableau) -> None:
 
 # -- readout channel -----------------------------------------------------------------
 
+# the paper's pair encoding (|0> -> 00, |1> -> 10, |2> -> 11, herald 01), stated apart
+# from the package's index tables so that a wrong table there fails these references
+ENCODE_BITS = {0: (0, 0), 1: (1, 0), 2: (1, 1)}
+NC_BITS = (0, 1)
+DECODE_BITS = {bits: q for q, bits in ENCODE_BITS.items()}
+
 
 def confusion_matrix(cm: ConfusionMatrix) -> np.ndarray:
     return np.array(
@@ -584,7 +590,7 @@ def dense_script_frames(script: Script, outcome: int) -> list[dict[str, np.ndarr
             state.apply_weyl(live[inserted].correction.power(outcome))
             gates = []
         elif isinstance(step, Fuse):
-            fused = fuse_cc_pair(lat, live.pop(step.defect_index))
+            fused = fuse_cc_pair(lat, live.pop(step.defect))
             gates = [ins.gate for ins in fused.instructions]
         for g in gates:
             state.apply_gate(g)

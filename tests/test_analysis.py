@@ -13,11 +13,10 @@ from qutrit_toric.analysis import (
     mitigated_plaquette_triple,
     topological_qutrit_bounds,
 )
-from qutrit_toric.encoder import DECODE_BITS
 from qutrit_toric.estimators import standard_errors
 from qutrit_toric.lattice import A_EXPONENTS, B_EXPONENTS
 
-from oracles import forward_noise, snapshot_from_triple, spam_mitigate
+from oracles import DECODE_BITS, forward_noise, snapshot_from_triple, spam_mitigate
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "prep_6x4_summary.json")
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -11,6 +12,7 @@ import qutrit_toric
 from qutrit_toric import cli, encoder, weyl
 from qutrit_toric.circuit import FRAME_BLOCK
 from qutrit_toric.cli import main
+from qutrit_toric.defects import CCRibbon
 from qutrit_toric.encoder import (
     NativeOp,
     compile_report,
@@ -21,11 +23,19 @@ from qutrit_toric.encoder import (
 from qutrit_toric.experiments import (
     BRAID_PRESETS,
     TOPO_LAYOUTS,
+    Fuse,
+    InsertCC,
+    InsertPF,
+    Move,
+    Prepare,
+    Script,
     ScriptRunner,
+    Snapshot,
+    Step,
     TopologicalQutritProtocol,
 )
 from qutrit_toric.lattice import build_lattice, ground_state_circuit
-from qutrit_toric.serialize import dumps
+from qutrit_toric.serialize import dumps, script_to_json
 
 from oracles import count_tableau_calls
 
@@ -370,6 +380,19 @@ class TestExactSuiteReference:
         if label.startswith("topo_"):
             assert results.pop("sampled_outcome") in (0, 1, 2)
         assert results == reference[label]
+
+
+def test_every_step_kind_has_a_document_op():
+    """Each step kind writes a distinct op, and the braid presets together use
+    every kind, so TestExactSuiteReference pins each op's document bytes."""
+    ribbon = CCRibbon(((0, 0),), (((0, 0), (1, 0), 1),))
+    steps = [Prepare(), InsertPF((1, 1), "PF"), InsertCC(ribbon),
+             Move(((0, 0),), (("pf0:b", 1),), label="m"), Fuse(0), Snapshot("s")]
+    kinds = set(typing.get_args(Step))
+    assert {type(step) for step in steps} == kinds and len(steps) == len(kinds)
+    ops = [doc["op"] for doc in script_to_json(Script("kinds", 2, 2, steps))["steps"]]
+    assert all(isinstance(op, str) for op in ops) and len(set(ops)) == len(kinds)
+    assert {type(step) for preset in BRAID_PRESETS.values() for step in preset().steps} == kinds
 
 
 class TestWeylOpCount:

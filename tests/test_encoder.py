@@ -18,10 +18,8 @@ from qutrit_toric.circuit import (
     sparse_events,
 )
 from qutrit_toric.encoder import (
-    ENCODE_BITS,
     ENCODE_INDEX,
     LEAK_PER_TWO_QUBIT,
-    NC_BITS,
     NC_INDEX,
     READOUT_P01,
     READOUT_P10,
@@ -54,6 +52,8 @@ from qutrit_toric.synth import (
 from qutrit_toric.weyl import GateKind, WeylOp
 
 from oracles import (
+    ENCODE_BITS,
+    NC_BITS,
     DenseState,
     assert_rate,
     herald_probability,

@@ -1,5 +1,6 @@
 """Sector counting from outcome arrays against the per-shot reference."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -124,6 +125,20 @@ class TestBatchedPlaquetteEstimates:
         for snap, p in zip(snaps, wanted, strict=True):
             counts, total = estimate_operator(values, p.operator(lat.n_sites).power(2), basis_obs)
             assert (snap["pi1"], snap["pi_omega"], snap["pi_omegabar"]) == tuple(counts / total)
+
+    def test_counts_on_the_uint8_records(self):
+        """Sector counting allocates under 2 bytes per shot-qutrit: the records
+        stay uint8 (an int64 copy alone would take 8)."""
+        lat = build_lattice(6, 4)
+        shots = 200_000
+        values = np.random.default_rng(3).integers(3, size=(shots, lat.n_sites), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            estimate_plaquette_projectors(values, "z", lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * shots * lat.n_sites
 
     def test_face_off_the_measured_basis(self):
         face = SimpleNamespace(kind="B", pos=(0, 0))
